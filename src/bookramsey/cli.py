@@ -193,7 +193,13 @@ def cmd_witness_check(args):
 # --------------------------------------------------------------- construct
 
 
+CONSTRUCT_REQUIRES = {"two-cliques": ("q",), "tripartite": ("n", "epsilon")}
+
+
 def cmd_construct(args):
+    missing = [f"--{name}" for name in CONSTRUCT_REQUIRES[args.kind] if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"construct {args.kind} requires {' and '.join(missing)}")
     if args.kind == "two-cliques":
         c = two_cliques(args.q)
         write_coloring_file(args.out, c)

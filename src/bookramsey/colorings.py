@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +60,7 @@ class TwoColoring:
         if self.blue.n != self.n:
             raise ValueError("blue graph order does not match n")
 
-    @property
+    @cached_property
     def red(self) -> Graph:
         return self.blue.complement()
 
@@ -72,22 +73,21 @@ class TwoColoring:
     # ----------------------------------------------------------- bit vector
 
     def blue_bits(self) -> np.ndarray:
-        """Blue indicators over all C(n, 2) edges in colex order."""
-        m = self.n * (self.n - 1) // 2
-        bits = np.zeros(m, dtype=bool)
-        for i, j in self.blue.edges():
-            bits[edge_index(i, j)] = True
-        return bits
+        """Blue indicators over all C(n, 2) edges in colex order.
+
+        Colex order is the row-major strict lower triangle: row j holds
+        the edges (i, j), i < j, at indices j(j-1)/2 + i.
+        """
+        adj = self.blue.to_bool_matrix().view(bool)
+        return adj[_lower_triangle(self.n)]
 
     @classmethod
     def from_blue_bits(cls, n: int, bits: np.ndarray) -> "TwoColoring":
         m = n * (n - 1) // 2
         if len(bits) != m:
             raise ValueError(f"expected {m} edge bits, got {len(bits)}")
-        adj = np.zeros((n, n), dtype=np.uint8)
-        for j in range(1, n):
-            s = j * (j - 1) // 2
-            adj[:j, j] = bits[s : s + j]
+        adj = np.zeros((n, n), dtype=bool)
+        adj[_lower_triangle(n)] = bits
         adj |= adj.T
         return cls(n, Graph.from_bool_matrix(adj))
 
@@ -97,15 +97,13 @@ class TwoColoring:
         m = n * (n - 1) // 2
         if not 0 <= index < 1 << m:
             raise ValueError("index outside the coloring range")
-        bits = np.array([index >> k & 1 for k in range(m)], dtype=bool)
+        raw = np.frombuffer(index.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=m, bitorder="little").view(bool)
         return cls.from_blue_bits(n, bits)
 
     def blue_index(self) -> int:
-        out = 0
-        for k, b in enumerate(self.blue_bits()):
-            if b:
-                out |= 1 << k
-        return out
+        packed = np.packbits(self.blue_bits(), bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     # ----------------------------------------------------------------- BRC1
 
@@ -132,6 +130,11 @@ class TwoColoring:
         m = n * (n - 1) // 2
         bits = unpack_bits_hex(payload, m, line=2)
         return cls.from_blue_bits(n, bits)
+
+
+def _lower_triangle(n: int) -> np.ndarray:
+    """(n, n) mask of the strict lower triangle; row-major order is colex."""
+    return np.tri(n, k=-1, dtype=bool)
 
 
 def pack_bits_hex(bits: np.ndarray) -> str:
@@ -298,19 +301,8 @@ def tripartite_parts(n: int) -> tuple[list[int], list[int], list[int]]:
 # ---------------------------------------------------------------- statistics
 
 
-def _codegree_matrix(adj: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    # float32 matmul is exact for 0/1 counts below 2**24 and is summation-
-    # order independent in value, so results are thread-count deterministic
-    a = adj.astype(np.float32)
-    b = a if cols is None else a[:, cols]
-    return np.rint(b @ b.T).astype(np.int64)
-
-
-def _mean_over(values: np.ndarray, mask: np.ndarray) -> Fraction | None:
-    cnt = int(mask.sum())
-    if cnt == 0:
-        return None
-    return Fraction(int(values[mask].sum()), cnt)
+def _mean(total: int, count: int) -> Fraction | None:
+    return Fraction(total, count) if count else None
 
 
 def construction_statistics(c: TwoColoring, parts) -> dict:
@@ -319,6 +311,12 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     Means are exact rationals; the red cross class is additionally split
     by page origin (third part vs the two endpoint parts) so the two
     terms of its expectation can be checked separately.
+
+    Work goes part pair by part pair.  The red codegree of a base is the
+    sum of its three per-part page counts, each a float32 product of
+    0/1 blocks (exact below 2**24, and independent of summation order, so
+    thread-count deterministic).  A blue base uv takes its codegree from
+    the red one: cb = n - 2 - d_r(u) - d_r(v) + cr.
     """
     n = c.n
     p1, p2, p3 = (list(p) for p in parts)
@@ -326,50 +324,55 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
         raise ValueError("parts do not partition the vertex set")
     if not len(p1) == len(p2) == len(p3):
         raise ValueError("parts must be equal thirds")
+    idx = [np.asarray(part, dtype=np.intp) for part in (p1, p2, p3)]
 
-    pid = np.empty(n, dtype=np.int64)
-    for k, part in enumerate((p1, p2, p3)):
-        pid[part] = k
+    red = ~c.blue.to_bool_matrix().view(bool)
+    np.fill_diagonal(red, False)
+    red_degree = red.sum(axis=1)
+    # block[a][k]: rows of part a, columns (pages) of part k
+    block = [[red[np.ix_(ia, ik)].astype(np.float32) for ik in idx] for ia in idx]
 
-    blue = c.blue.to_bool_matrix().astype(bool)
-    red = c.red.to_bool_matrix().astype(bool)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    same = pid[:, None] == pid[None, :]
-
-    cr = _codegree_matrix(red)
-    cb = _codegree_matrix(blue)
-    # red codegrees split by the part the page lives in
-    cr_by_part = [_codegree_matrix(red, np.flatnonzero(pid == k)) for k in range(3)]
-
-    intra_red = upper & same & red
-    cross_blue = upper & ~same & blue
-    cross_red = upper & ~same & red
-
-    # for a cross red edge, its endpoints' parts vs the remaining part
-    third = np.zeros((n, n), dtype=np.int64)
-    own = np.zeros((n, n), dtype=np.int64)
+    intra_edges = intra_total = blue_edges = blue_total = 0
+    cross_edges = cross_total = third_total = 0
+    bk_red = bk_blue = 0
     for a in range(3):
-        for b in range(3):
+        for b in range(a, 3):
+            by_part = [block[a][k] @ block[b][k].T for k in range(3)]
+            cr = sum(by_part).astype(np.int64)
+            red_ab = red[np.ix_(idx[a], idx[b])]
+            blue_ab = ~red_ab
             if a == b:
-                continue
-            k = 3 - a - b
-            sel = (pid[:, None] == a) & (pid[None, :] == b)
-            third[sel] = cr_by_part[k][sel]
-            own[sel] = (cr_by_part[a] + cr_by_part[b])[sel]
-
-    bk_red = int(cr[upper & red].max()) if red.any() else 0
-    bk_blue = int(cb[upper & blue].max()) if blue.any() else 0
+                # each unordered pair once; the diagonal is no edge
+                upper = np.triu(np.ones(red_ab.shape, dtype=bool), k=1)
+                red_ab &= upper
+                blue_ab &= upper
+            red_cr = cr[red_ab]
+            cb = n - 2 - red_degree[idx[a], None] - red_degree[None, idx[b]] + cr
+            blue_cb = cb[blue_ab]
+            if red_cr.size:
+                bk_red = max(bk_red, int(red_cr.max()))
+            if blue_cb.size:
+                bk_blue = max(bk_blue, int(blue_cb.max()))
+            if a == b:
+                intra_edges += red_cr.size
+                intra_total += int(red_cr.sum())
+            else:
+                blue_edges += blue_cb.size
+                blue_total += int(blue_cb.sum())
+                cross_edges += red_cr.size
+                cross_total += int(red_cr.sum())
+                third_total += int(by_part[3 - a - b][red_ab].astype(np.int64).sum())
 
     return {
         "n": n,
         "part_sizes": [len(p1), len(p2), len(p3)],
-        "red_intra": {"edges": int(intra_red.sum()), "mean_codegree": _mean_over(cr, intra_red)},
-        "blue_cross": {"edges": int(cross_blue.sum()), "mean_codegree": _mean_over(cb, cross_blue)},
+        "red_intra": {"edges": intra_edges, "mean_codegree": _mean(intra_total, intra_edges)},
+        "blue_cross": {"edges": blue_edges, "mean_codegree": _mean(blue_total, blue_edges)},
         "red_cross": {
-            "edges": int(cross_red.sum()),
-            "mean_codegree": _mean_over(cr, cross_red),
-            "mean_pages_third_part": _mean_over(third, cross_red),
-            "mean_pages_own_parts": _mean_over(own, cross_red),
+            "edges": cross_edges,
+            "mean_codegree": _mean(cross_total, cross_edges),
+            "mean_pages_third_part": _mean(third_total, cross_edges),
+            "mean_pages_own_parts": _mean(cross_total - third_total, cross_edges),
         },
         "bk_red": bk_red,
         "bk_blue": bk_blue,

@@ -1,7 +1,12 @@
 """Dense simple graphs over [n] with bit-row adjacency.
 
-Each vertex u owns one Python integer whose bit v is set iff u ~ v, so
-codegree / booksize reduce to big-int AND plus popcount.  Graphs are
+Each vertex u owns one Python integer whose bit v is set iff u ~ v, so a
+single codegree is a big-int AND plus popcount.  Whole-graph scans
+(booksize, and the first-book search behind ``ramsey.check_coloring``)
+share one kernel over the same rows packed into little-endian uint64
+words: vertex u ANDs its word row against the rows of its later
+neighbours and popcounts with ``np.bitwise_count``.  Validation and the
+matrix interchange work on the (n, n) bool adjacency matrix.  Graphs are
 immutable after construction and every operation here is pure; instances
 may be shared freely across threads.
 
@@ -129,16 +134,16 @@ class Graph:
         return g
 
     def validate(self) -> None:
-        """Check symmetry, irreflexivity, and row width."""
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"row {u} has bits beyond vertex range")
-            if row >> u & 1:
-                raise ValueError(f"loop at vertex {u}")
-            for v in bits_of(row):
-                if not self.rows[v] >> u & 1:
-                    raise ValueError(f"adjacency not symmetric at ({u},{v})")
+        """Check row width, irreflexivity and symmetry.
+
+        The first bad row u is reported: bits beyond the vertex range
+        first, then a loop, then the least v with u -> v but not v -> u.
+        """
+        n = self.n
+        full = (1 << n) - 1
+        wide = [u for u, row in enumerate(self.rows) if row & ~full]
+        rows = [row & full for row in self.rows] if wide else self.rows
+        _check_adjacency(_bool_matrix(n, rows), wide)
 
     # ---------------------------------------------------------------- query
 
@@ -194,16 +199,11 @@ class Graph:
         Returns (0, None) for an edgeless graph.  Ties are broken toward
         the lexicographically least base edge, so output is deterministic.
         """
-        best = -1
-        best_base = None
-        for u, v in self.edges():
-            c = (self.rows[u] & self.rows[v]).bit_count()
-            if c > best:
-                best = c
-                best_base = (u, v)
-        if best_base is None:
+        found = _book_scan(self)
+        if found is None:
             return 0, None
-        return best, BookCertificate.from_base(self, *best_base)
+        size, u, v = found
+        return size, BookCertificate.from_base(self, u, v)
 
     def mean_book_size(self, bases: Iterable[tuple[int, int]]) -> Fraction:
         """Exact average codegree over a set of base edges.
@@ -254,27 +254,20 @@ class Graph:
 
     def to_bool_matrix(self) -> np.ndarray:
         """Adjacency as an (n, n) uint8 0/1 matrix."""
-        n = self.n
-        nbytes = (n + 7) // 8
-        buf = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
-        bits = np.unpackbits(
-            np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes),
-            axis=1,
-            bitorder="little",
-        )
-        return np.ascontiguousarray(bits[:, :n])
+        return _bool_matrix(self.n, self.rows).view(np.uint8)
 
     @classmethod
     def from_bool_matrix(cls, m: np.ndarray) -> "Graph":
+        """Graph of a square 0/1 matrix, checked as ``validate`` checks rows."""
         m = np.asarray(m, dtype=np.uint8)
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError("adjacency matrix must be square")
-        packed = np.packbits(m, axis=1, bitorder="little")
+        adj = m != 0
+        _check_adjacency(adj)
+        packed = np.packbits(adj, axis=1, bitorder="little")
         rows = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
-        g = cls(n, rows)
-        g.validate()
-        return g
+        return cls(n, rows)
 
     # ---------------------------------------------------------------- graph6
 
@@ -346,6 +339,78 @@ class Graph:
                 raise ParseError("nonzero padding bits in graph6 data", line=line, offset=len(s))
             k += 1
         return cls(n, rows)
+
+
+# ------------------------------------------------------------ word kernels
+
+
+def _packed_words(n: int, rows: Sequence[int]) -> np.ndarray:
+    """Rows as an (n, ceil(n/64)) array of little-endian uint64 words."""
+    nwords = (n + 63) // 64
+    buf = b"".join(row.to_bytes(8 * nwords, "little") for row in rows)
+    return np.frombuffer(buf, dtype="<u8").reshape(n, nwords)
+
+
+def _bool_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
+    """Rows as an (n, n) bool matrix; every row must fit in n bits."""
+    bits = np.unpackbits(
+        _packed_words(n, rows).view(np.uint8), axis=1, count=n, bitorder="little"
+    )
+    return bits.view(bool)
+
+
+def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
+    """Raise ValueError for the first bad row of a bool adjacency matrix.
+
+    ``wide`` lists the rows that had bits beyond the vertex range; within
+    a row that error comes first, then a loop, then the least v with
+    u -> v but not v -> u.
+    """
+    loops = np.diagonal(adj)
+    bad = loops | (adj > adj.T).any(axis=1)
+    bad[list(wide)] = True
+    if not bad.any():
+        return
+    u = int(bad.argmax())
+    if u in wide:
+        raise ValueError(f"row {u} has bits beyond vertex range")
+    if loops[u]:
+        raise ValueError(f"loop at vertex {u}")
+    v = int((adj[u] > adj[:, u]).argmax())
+    raise ValueError(f"adjacency not symmetric at ({u},{v})")
+
+
+def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, int, int] | None:
+    """Codegree scan over the edges (u, v), u < v, in lexicographic order.
+
+    Returns (codegree, u, v).  Without ``at_least``: the largest codegree
+    at its lexicographically least base, or None for an edgeless graph.
+    With it: the first base whose codegree is at least ``at_least``,
+    stopping there, or None when no base reaches it.
+
+    Vertex u ANDs its packed row against the rows of its neighbours
+    v > u and popcounts each, so temporary memory stays within
+    O(n * ceil(n/64)) words.
+    """
+    n = g.n
+    words = _packed_words(n, g.rows)
+    best = None
+    for u in range(n - 1):
+        mine = np.unpackbits(words[u].view(np.uint8), count=n, bitorder="little")
+        later = np.flatnonzero(mine[u + 1 :]) + (u + 1)
+        if later.size == 0:
+            continue
+        counts = np.bitwise_count(words[later] & words[u]).sum(axis=1)
+        if at_least is None:
+            k = int(counts.argmax())
+            if best is None or counts[k] > best[0]:
+                best = (int(counts[k]), u, int(later[k]))
+        else:
+            hits = np.flatnonzero(counts >= at_least)
+            if hits.size:
+                k = int(hits[0])
+                return int(counts[k]), u, int(later[k])
+    return best
 
 
 def read_graph6_file(path) -> Graph:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .colorings import TwoColoring, edge_index
 from .errors import CapacityError
-from .graphs import BookCertificate, Graph
+from .graphs import BookCertificate, _book_scan
 
 DEFAULT_ORDER_CAP = 8
 KERNEL_BIT_LIMIT = 62
@@ -93,14 +93,11 @@ def check_coloring(c: TwoColoring, p: int, q: int):
     """
     if p < 1 or q < 1:
         raise ValueError("book page targets must be at least 1")
-    red = c.red
-    for u, v in red.edges():
-        if (red.rows[u] & red.rows[v]).bit_count() >= p:
-            return RedBook(BookCertificate.from_base(red, u, v))
-    blue = c.blue
-    for u, v in blue.edges():
-        if (blue.rows[u] & blue.rows[v]).bit_count() >= q:
-            return BlueBook(BookCertificate.from_base(blue, u, v))
+    for graph, pages, found in ((c.red, p, RedBook), (c.blue, q, BlueBook)):
+        hit = _book_scan(graph, at_least=pages)
+        if hit is not None:
+            _, u, v = hit
+            return found(BookCertificate.from_base(graph, u, v))
     return Neither()
 
 

@@ -292,6 +292,27 @@ def test_construct_tripartite_rejects_bad_order(files):
     assert "error" in proc.stderr
 
 
+def test_construct_two_cliques_requires_q(files):
+    code, report, proc = run_cli("construct", "two-cliques", "--out", files["root"] / "noq.brc1")
+    assert code == 2
+    assert report is None
+    assert "construct two-cliques requires --q" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_construct_tripartite_requires_epsilon(files):
+    out = files["root"] / "noeps.brc1"
+    code, report, proc = run_cli("construct", "tripartite", "--n", 30, "--out", out)
+    assert code == 2
+    assert report is None
+    assert "construct tripartite requires --epsilon" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    code, _, proc = run_cli("construct", "tripartite", "--out", out)
+    assert code == 2
+    assert "requires --n and --epsilon" in proc.stderr
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- stats
 
 

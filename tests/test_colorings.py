@@ -65,6 +65,7 @@ def test_edge_index_symmetric_and_rejects_loops():
 def test_coloring_red_is_complement():
     c = two_cliques(2)
     assert c.red == c.blue.complement()
+    assert c.red is c.red  # built once per coloring
     assert c.n == 6
 
 

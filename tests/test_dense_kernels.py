@@ -1,0 +1,343 @@
+"""Differential tests: the numpy dense-path kernels against pure-Python loops.
+
+Each reference below is the straightforward per-edge (or per-matrix)
+formulation the package used before its kernels were vectorized; the
+package must agree with it exactly, including tie-breaking, scan order
+and error messages.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bookramsey.colorings import (
+    TwoColoring,
+    construction_statistics,
+    edge_index,
+    tripartite_parts,
+)
+from bookramsey.graphs import Graph, bits_of
+from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
+
+# ---------------------------------------------------------------- references
+
+
+def ref_booksize(g: Graph):
+    best, best_base = -1, None
+    for u, v in g.edges():
+        c = (g.rows[u] & g.rows[v]).bit_count()
+        if c > best:
+            best, best_base = c, (u, v)
+    return (0, None) if best_base is None else (best, best_base)
+
+
+def ref_check_coloring(c: TwoColoring, p: int, q: int):
+    red = c.blue.complement()
+    for u, v in red.edges():
+        if (red.rows[u] & red.rows[v]).bit_count() >= p:
+            return "red", (u, v)
+    for u, v in c.blue.edges():
+        if (c.blue.rows[u] & c.blue.rows[v]).bit_count() >= q:
+            return "blue", (u, v)
+    return None
+
+
+def ref_validate(n: int, rows) -> str | None:
+    full = (1 << n) - 1
+    for u, row in enumerate(rows):
+        if row & ~full:
+            return f"row {u} has bits beyond vertex range"
+        if row >> u & 1:
+            return f"loop at vertex {u}"
+        for v in bits_of(row):
+            if not rows[v] >> u & 1:
+                return f"adjacency not symmetric at ({u},{v})"
+    return None
+
+
+def ref_blue_bits(c: TwoColoring) -> np.ndarray:
+    bits = np.zeros(c.n * (c.n - 1) // 2, dtype=bool)
+    for i, j in c.blue.edges():
+        bits[edge_index(i, j)] = True
+    return bits
+
+
+def ref_statistics(c: TwoColoring, parts) -> dict:
+    """Full n x n codegree matrices for red, blue and each red part."""
+    n = c.n
+    pid = np.empty(n, dtype=np.int64)
+    for k, part in enumerate(parts):
+        pid[list(part)] = k
+
+    def codegrees(adj, cols=None):
+        a = adj.astype(np.float32)
+        b = a if cols is None else a[:, cols]
+        return np.rint(b @ b.T).astype(np.int64)
+
+    def mean_over(values, mask):
+        cnt = int(mask.sum())
+        return Fraction(int(values[mask].sum()), cnt) if cnt else None
+
+    blue = c.blue.to_bool_matrix().astype(bool)
+    red = c.blue.complement().to_bool_matrix().astype(bool)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = pid[:, None] == pid[None, :]
+    cr, cb = codegrees(red), codegrees(blue)
+    cr_by_part = [codegrees(red, np.flatnonzero(pid == k)) for k in range(3)]
+    intra_red = upper & same & red
+    cross_blue = upper & ~same & blue
+    cross_red = upper & ~same & red
+    third = np.zeros((n, n), dtype=np.int64)
+    own = np.zeros((n, n), dtype=np.int64)
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                sel = (pid[:, None] == a) & (pid[None, :] == b)
+                third[sel] = cr_by_part[3 - a - b][sel]
+                own[sel] = (cr_by_part[a] + cr_by_part[b])[sel]
+    bk_red = int(cr[upper & red].max()) if red.any() else 0
+    bk_blue = int(cb[upper & blue].max()) if blue.any() else 0
+    return {
+        "n": n,
+        "part_sizes": [len(p) for p in parts],
+        "red_intra": {"edges": int(intra_red.sum()), "mean_codegree": mean_over(cr, intra_red)},
+        "blue_cross": {"edges": int(cross_blue.sum()), "mean_codegree": mean_over(cb, cross_blue)},
+        "red_cross": {
+            "edges": int(cross_red.sum()),
+            "mean_codegree": mean_over(cr, cross_red),
+            "mean_pages_third_part": mean_over(third, cross_red),
+            "mean_pages_own_parts": mean_over(own, cross_red),
+        },
+        "bk_red": bk_red,
+        "bk_blue": bk_blue,
+        "bk_red_over_n": Fraction(bk_red, n),
+        "bk_blue_over_n": Fraction(bk_blue, n),
+    }
+
+
+# ---------------------------------------------------------------- generators
+
+
+def random_adjacency(rng, n, density):
+    m = np.triu(rng.random((n, n)) < density, k=1)
+    return m | m.T
+
+
+def tied_graph(rng, n0, copies, density):
+    """Disjoint copies of one random graph under a random relabelling.
+
+    Every copy attains the same largest codegree, so the least base must
+    be chosen among several; the relabelling spreads them over the order.
+    """
+    n = n0 * copies
+    one = random_adjacency(rng, n0, density)
+    adj = np.zeros((n, n), dtype=bool)
+    for k in range(copies):
+        adj[k * n0 : (k + 1) * n0, k * n0 : (k + 1) * n0] = one
+    perm = rng.permutation(n)
+    return Graph.from_bool_matrix(adj[np.ix_(perm, perm)])
+
+
+def coloring_of(g: Graph) -> TwoColoring:
+    return TwoColoring(g.n, g)
+
+
+graph_params = st.tuples(
+    st.integers(0, 2**32 - 1),  # rng seed
+    st.integers(1, 9),  # order of one copy
+    st.integers(1, 3),  # copies
+    st.sampled_from([0.2, 0.5, 0.8, 1.0]),  # density
+)
+
+
+def graph_from(params) -> Graph:
+    seed, n0, copies, density = params
+    return tied_graph(np.random.default_rng(seed), n0, copies, density)
+
+
+@pytest.fixture(scope="module")
+def big_coloring():
+    rng = np.random.default_rng(300)
+    tied = tied_graph(rng, 150, 2, 0.55)
+    return coloring_of(tied)
+
+
+# ------------------------------------------------------------------ booksize
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_params)
+def test_booksize_matches_edge_loop(params):
+    g = graph_from(params)
+    size, cert = g.booksize()
+    ref_size, ref_base = ref_booksize(g)
+    assert size == ref_size
+    assert (cert.base if cert else None) == ref_base
+    if cert:
+        assert cert.size == size
+
+
+def test_booksize_ties_pick_least_base():
+    # two disjoint triangles: every edge has codegree 1
+    g = Graph.from_edges(6, [(3, 4), (3, 5), (4, 5), (0, 1), (0, 2), (1, 2)])
+    assert g.booksize()[1].base == (0, 1)
+    perm = [5, 2, 4, 0, 3, 1]
+    h = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert h.booksize()[1].base == ref_booksize(h)[1]
+
+
+def test_booksize_at_n300(big_coloring):
+    for g in (big_coloring.blue, big_coloring.red):
+        size, cert = g.booksize()
+        assert (size, cert.base) == ref_booksize(g)
+
+
+# ------------------------------------------------------------ check_coloring
+
+
+def verdict(res):
+    if isinstance(res, Neither):
+        return None
+    return ("red" if isinstance(res, RedBook) else "blue"), res.certificate.base
+
+
+def check_thresholds(c: TwoColoring):
+    bk_red = ref_booksize(c.blue.complement())[0]
+    bk_blue = ref_booksize(c.blue)[0]
+    for p in {max(1, bk_red), bk_red + 1}:
+        for q in {max(1, bk_blue), bk_blue + 1}:
+            res = check_coloring(c, p, q)
+            assert verdict(res) == ref_check_coloring(c, p, q)
+            if isinstance(res, RedBook):
+                res.certificate.validate(c.red)
+                assert res.certificate.size >= p
+            elif isinstance(res, BlueBook):
+                res.certificate.validate(c.blue)
+                assert res.certificate.size >= q
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_params)
+def test_check_coloring_matches_edge_loop(params):
+    check_thresholds(coloring_of(graph_from(params)))
+
+
+def test_check_coloring_red_before_blue():
+    # blue K_4 on {0..3} plus a red triangle elsewhere: both colours have
+    # a book, red must still be reported first
+    blue = Graph.from_edges(7, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    c = TwoColoring(7, blue)
+    assert verdict(check_coloring(c, 1, 1)) == ref_check_coloring(c, 1, 1) == ("red", (0, 4))
+
+
+def test_check_coloring_at_n300(big_coloring):
+    check_thresholds(big_coloring)
+
+
+# ------------------------------------------------------------------ validate
+
+
+def validate_message(n, rows):
+    try:
+        Graph(n, rows).validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+corruptions = st.lists(
+    st.tuples(st.sampled_from(["wide", "loop", "one-sided"]), st.integers(0, 10**6), st.integers(0, 10**6)),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_params, corruptions)
+def test_validate_reports_first_error_like_loop(params, edits):
+    g = graph_from(params)
+    n, rows = g.n, list(g.rows)
+    for kind, a, b in edits:
+        u = a % n
+        if kind == "wide":
+            rows[u] |= 1 << (n + b % 70)
+        elif kind == "loop":
+            rows[u] |= 1 << u
+        else:
+            v = b % n
+            if v != u:
+                rows[u] |= 1 << v
+                rows[v] &= ~(1 << u)
+    expected = ref_validate(n, rows)
+    assert validate_message(n, rows) == expected
+    if not any(row >> n for row in rows):
+        adj = np.array([[row >> v & 1 for v in range(n)] for row in rows], dtype=np.uint8)
+        try:
+            Graph.from_bool_matrix(adj)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected
+
+
+def test_validate_precedence_within_row():
+    assert validate_message(3, [0b1001, 0b000, 0b000]) == "row 0 has bits beyond vertex range"
+    assert validate_message(3, [0b101, 0b001, 0b000]) == "loop at vertex 0"
+    assert validate_message(3, [0b110, 0b000, 0b000]) == "adjacency not symmetric at (0,1)"
+    assert validate_message(3, [0b000, 0b100, 0b000]) == "adjacency not symmetric at (1,2)"
+    assert validate_message(2, [-1, 0]) == "row 0 has bits beyond vertex range"
+
+
+# --------------------------------------------------------------- colex codec
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_params)
+def test_colex_codec_matches_edge_index_loop(params):
+    c = coloring_of(graph_from(params))
+    bits = ref_blue_bits(c)
+    assert np.array_equal(c.blue_bits(), bits)
+    index = sum(1 << k for k in np.flatnonzero(bits).tolist())
+    assert c.blue_index() == index
+    assert TwoColoring.from_blue_index(c.n, index) == c
+    assert TwoColoring.from_blue_bits(c.n, bits) == c
+
+
+def test_colex_codec_at_n300(big_coloring):
+    bits = ref_blue_bits(big_coloring)
+    assert np.array_equal(big_coloring.blue_bits(), bits)
+    index = big_coloring.blue_index()
+    assert TwoColoring.from_blue_index(300, index) == big_coloring
+    assert [index >> k & 1 for k in range(len(bits))] == bits.astype(int).tolist()
+
+
+def test_from_blue_index_edges():
+    assert TwoColoring.from_blue_index(1, 0).blue == Graph.empty(1)
+    assert TwoColoring.from_blue_index(3, 0b111).blue == Graph.complete(3)
+    with pytest.raises(ValueError):
+        TwoColoring.from_blue_index(3, 0b1000)
+
+
+# ---------------------------------------------------------------- statistics
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_statistics_match_matrix_version_on_shuffled_parts(seed, t, density):
+    rng = np.random.default_rng(seed)
+    n = 3 * t
+    c = coloring_of(Graph.from_bool_matrix(random_adjacency(rng, n, density)))
+    perm = rng.permutation(n).tolist()
+    parts = [perm[:t], perm[t : 2 * t], perm[2 * t :]]
+    assert construction_statistics(c, parts) == ref_statistics(c, parts)
+
+
+def test_statistics_match_matrix_version_at_n300():
+    rng = np.random.default_rng(301)
+    n = 300
+    c = coloring_of(Graph.from_bool_matrix(random_adjacency(rng, n, 0.4)))
+    assert construction_statistics(c, tripartite_parts(n)) == ref_statistics(c, tripartite_parts(n))
+    parts = [list(range(k, n, 3)) for k in range(3)]  # interleaved, non-contiguous
+    assert construction_statistics(c, parts) == ref_statistics(c, parts)
