@@ -41,7 +41,7 @@ from .colorings import (
     write_coloring_file,
 )
 from .errors import CapacityError, ParseError
-from .graphs import Graph, read_graph6_file
+from .graphs import Graph
 from .numbers import as_fraction, fraction_str, round_sig
 from .ramsey import (
     RamseyQuery,
@@ -63,7 +63,7 @@ from .regularity import (
     triangle_bound_shared,
     uniformity_oracle,
 )
-from .stability import classify, trichotomy_check
+from .stability import trichotomy_check
 
 EXIT_OK = 0
 EXIT_FOUND = 10
@@ -294,7 +294,7 @@ def cmd_uniformity(args):
             "density": pair.density,
             "epsilon": eps,
             "uniform": None,
-            "witness": [list(witness[0]), list(witness[1])] if witness else None,
+            "witness": witness,
         }
         if witness:
             return results, "non-uniformity witness found", EXIT_FOUND
@@ -305,9 +305,7 @@ def cmd_uniformity(args):
         "density": pair.density,
         "epsilon": eps,
         "uniform": verdict.uniform,
-        "witness": [list(verdict.witness[0]), list(verdict.witness[1])]
-        if verdict.witness
-        else None,
+        "witness": verdict.witness,
     }
     if verdict.uniform:
         return results, "pair is uniform at the given epsilon", EXIT_OK
@@ -329,6 +327,11 @@ def cmd_lemma_check(args):
         eps,
     )
     t, k = mp.t, mp.k
+    form = "shared" if nbases == 1 else "cross"
+    bad_pairs, triangle_bound, book_bound = {
+        "shared": (bad_pair_count_shared, triangle_bound_shared, book_bound_shared),
+        "cross": (bad_pair_count_cross, triangle_bound_cross, book_bound_cross),
+    }[form]
 
     pairs = []
     all_uniform: bool | None = True
@@ -347,70 +350,40 @@ def cmd_lemma_check(args):
     violations = 0
     positive = 0
 
-    def record(name, bound, actual, page=None):
+    def record(name, bound, actual):
         nonlocal violations, positive
         ok = Fraction(actual) >= bound
         if bound > 0:
             positive += 1
         if certified and not ok:
             violations += 1
-        row = {"check": name, "bound": bound, "actual": actual, "satisfied": ok}
-        if page is not None:
-            row["page"] = page
-        checks.append(row)
+        checks.append({"check": name, "bound": bound, "actual": actual, "satisfied": ok})
 
-    if nbases == 1:
-        for j in range(k):
-            pv = mp.base_pair(0, j)
-            cap = 2 * eps * t * t
-            try:
-                cnt = bad_pair_count_shared(pv, eps)
-            except ValueError:
-                checks.append(
-                    {"check": "bad_pairs_shared", "page": j, "bound": cap, "actual": None, "satisfied": None}
-                )
-                continue
-            ok = cnt <= cap
-            if certified and not ok:
-                violations += 1
-            checks.append(
-                {"check": "bad_pairs_shared", "page": j, "bound": cap, "actual": cnt, "satisfied": ok}
-            )
-        bound, actual = triangle_bound_shared(mp)
-        record("triangle_shared", bound, actual)
-        if mp.host.edges_within(mp.bases[0]) > 0:
-            bound, cert = book_bound_shared(mp)
-            record("book_shared", bound, cert.size)
-            book_base = list(cert.base)
-        else:
-            book_base = None
+    cap = 2 * eps * t * t
+    for j in range(k):
+        pvs = [mp.base_pair(i, j) for i in range(nbases)]
+        row = {"check": f"bad_pairs_{form}", "page": j, "bound": cap}
+        try:
+            cnt = bad_pairs(*pvs, eps)
+        except ValueError:
+            checks.append({**row, "actual": None, "satisfied": None})
+            continue
+        ok = cnt <= cap
+        if certified and not ok:
+            violations += 1
+        checks.append({**row, "actual": cnt, "satisfied": ok})
+    bound, actual = triangle_bound(mp)
+    record(f"triangle_{form}", bound, actual)
+    book_base = None
+    try:
+        bound, cert = book_bound(mp)
+    except ValueError:
+        # the triangle bound passed every other check, so the base
+        # block(s) span no edges and no book bound applies
+        pass
     else:
-        for j in range(k):
-            p1 = mp.base_pair(0, j)
-            p2 = mp.base_pair(1, j)
-            cap = 2 * eps * t * t
-            try:
-                cnt = bad_pair_count_cross(p1, p2, eps)
-            except ValueError:
-                checks.append(
-                    {"check": "bad_pairs_cross", "page": j, "bound": cap, "actual": None, "satisfied": None}
-                )
-                continue
-            ok = cnt <= cap
-            if certified and not ok:
-                violations += 1
-            checks.append(
-                {"check": "bad_pairs_cross", "page": j, "bound": cap, "actual": cnt, "satisfied": ok}
-            )
-        bound, actual = triangle_bound_cross(mp)
-        record("triangle_cross", bound, actual)
-        _, _, e12 = mp.host.cut_and_induced_counts(*mp.bases)
-        if e12 > 0:
-            bound, cert = book_bound_cross(mp)
-            record("book_cross", bound, cert.size)
-            book_base = list(cert.base)
-        else:
-            book_base = None
+        record(f"book_{form}", bound, cert.size)
+        book_base = list(cert.base)
 
     results = {
         "t": t,
@@ -471,15 +444,7 @@ def cmd_classify(args):
     results = {
         "blocks": len(cfg["blocks"]),
         "t": len(cfg["blocks"][0]),
-        "labels": [
-            {
-                "pair": list(row["pair"]),
-                "label": row["label"],
-                "red_density": row["red_density"],
-                "method": row["method"],
-            }
-            for row in labels
-        ],
+        "labels": labels,
         "counts": counts,
     }
     summary = ", ".join(f"{k}: {v}" for k, v in counts.items())
@@ -487,7 +452,9 @@ def cmd_classify(args):
 
 
 def cmd_trichotomy(args):
-    g = read_graph6_file(args.file)
+    g = read_any_file(args.file)
+    if isinstance(g, TwoColoring):
+        g = g.blue
     candidate = None
     if args.candidate:
         with open(args.candidate, "r", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ the high bit of the nibble, zero-padded at the end.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -21,11 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParseError
-from .graphs import BookCertificate, Graph
+from .graphs import BookCertificate, Graph, _colex_bits, _from_colex_bits
 from .numbers import as_fraction
 from .rng import bernoulli_block, probability_threshold
 
 BRC1_MAGIC = "BRC1"
+_NOT_HEX = re.compile("[^0-9a-fA-F]")
 
 
 def edge_index(i: int, j: int) -> int:
@@ -73,23 +75,12 @@ class TwoColoring:
     # ----------------------------------------------------------- bit vector
 
     def blue_bits(self) -> np.ndarray:
-        """Blue indicators over all C(n, 2) edges in colex order.
-
-        Colex order is the row-major strict lower triangle: row j holds
-        the edges (i, j), i < j, at indices j(j-1)/2 + i.
-        """
-        adj = self.blue.to_bool_matrix().view(bool)
-        return adj[_lower_triangle(self.n)]
+        """Blue indicators over all C(n, 2) edges in colex order."""
+        return _colex_bits(self.blue)
 
     @classmethod
     def from_blue_bits(cls, n: int, bits: np.ndarray) -> "TwoColoring":
-        m = n * (n - 1) // 2
-        if len(bits) != m:
-            raise ValueError(f"expected {m} edge bits, got {len(bits)}")
-        adj = np.zeros((n, n), dtype=bool)
-        adj[_lower_triangle(n)] = bits
-        adj |= adj.T
-        return cls(n, Graph.from_bool_matrix(adj))
+        return cls(n, _from_colex_bits(n, bits))
 
     @classmethod
     def from_blue_index(cls, n: int, index: int) -> "TwoColoring":
@@ -132,11 +123,6 @@ class TwoColoring:
         return cls.from_blue_bits(n, bits)
 
 
-def _lower_triangle(n: int) -> np.ndarray:
-    """(n, n) mask of the strict lower triangle; row-major order is colex."""
-    return np.tri(n, k=-1, dtype=bool)
-
-
 def pack_bits_hex(bits: np.ndarray) -> str:
     """Pack a bit vector into lowercase hex, first bit high in each nibble."""
     nchars = (len(bits) + 3) // 4
@@ -151,9 +137,9 @@ def unpack_bits_hex(payload: str, nbits: int, line: int = 1) -> np.ndarray:
             f"expected {nchars} hex characters for {nbits} edge bits, got {len(payload)}",
             line=line,
         )
-    for pos, ch in enumerate(payload):
-        if ch not in "0123456789abcdefABCDEF":
-            raise ParseError(f"invalid hex character {ch!r}", line=line, offset=pos)
+    bad = _NOT_HEX.search(payload)
+    if bad:
+        raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=bad.start())
     if nchars % 2:
         payload = payload + "0"
     raw = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)

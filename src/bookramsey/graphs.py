@@ -10,13 +10,15 @@ matrix interchange work on the (n, n) bool adjacency matrix.  Graphs are
 immutable after construction and every operation here is pure; instances
 may be shared freely across threads.
 
-Also implements graph6 reading and writing (the standard bit-packed
-upper-triangle interchange encoding) for both the short (n <= 62) and
-long (n <= 258047) vertex-count forms.
+Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
+which is the row-major strict lower triangle of the matrix.  graph6
+(read and written here, short form n <= 62 and long form n <= 258047)
+and BRC1 (``colorings``) both store their edge bits in this order.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
+_NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -127,10 +130,9 @@ class Graph:
         return cls(a + b, rows)
 
     @classmethod
-    def from_rows(cls, n: int, rows: Sequence[int], validate: bool = True) -> "Graph":
+    def from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
         g = cls(n, rows)
-        if validate:
-            g.validate()
+        g.validate()
         return g
 
     def validate(self) -> None:
@@ -258,12 +260,12 @@ class Graph:
 
     @classmethod
     def from_bool_matrix(cls, m: np.ndarray) -> "Graph":
-        """Graph of a square 0/1 matrix, checked as ``validate`` checks rows."""
-        m = np.asarray(m, dtype=np.uint8)
-        n = m.shape[0]
-        if m.shape != (n, n):
+        """Graph of a square matrix whose nonzero entries are edges,
+        checked as ``validate`` checks rows."""
+        adj = np.asarray(m) != 0
+        n = adj.shape[0]
+        if adj.shape != (n, n):
             raise ValueError("adjacency matrix must be square")
-        adj = m != 0
         _check_adjacency(adj)
         packed = np.packbits(adj, axis=1, bitorder="little")
         rows = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
@@ -282,20 +284,10 @@ class Graph:
             )
         else:
             raise ValueError("graph6 supports at most 258047 vertices here")
-        bits = []
-        for j in range(1, n):
-            col = self.rows[j]
-            for i in range(j):
-                bits.append(col >> i & 1)
-        chars = []
-        for k in range(0, len(bits), 6):
-            group = bits[k : k + 6]
-            group += [0] * (6 - len(group))
-            val = 0
-            for b in group:
-                val = val << 1 | b
-            chars.append(chr(val + 63))
-        return prefix + "".join(chars)
+        bits = _colex_bits(self)
+        six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
+        vals = np.packbits(six, axis=1).ravel() >> 2
+        return prefix + (vals + 63).tobytes().decode("ascii")
 
     @classmethod
     def from_graph6(cls, text: str, line: int = 1) -> "Graph":
@@ -305,19 +297,18 @@ class Graph:
             s = s[len(GRAPH6_HEADER) :]
         if not s:
             raise ParseError("empty graph6 string", line=line)
-        vals = []
-        for pos, ch in enumerate(s):
-            v = ord(ch) - 63
-            if not 0 <= v <= 63:
-                raise ParseError(f"invalid graph6 character {ch!r}", line=line, offset=pos)
-            vals.append(v)
+        bad = _NOT_GRAPH6.search(s)
+        if bad:
+            msg = f"invalid graph6 character {bad.group()!r}"
+            raise ParseError(msg, line=line, offset=bad.start())
+        vals = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - 63
         if vals[0] < 63:
-            n = vals[0]
+            n = int(vals[0])
             data = vals[1:]
         else:
             if len(vals) < 4 or vals[1] == 63:
                 raise ParseError("truncated graph6 vertex count", line=line, offset=0)
-            n = vals[1] << 12 | vals[2] << 6 | vals[3]
+            n = int(vals[1]) << 12 | int(vals[2]) << 6 | int(vals[3])
             data = vals[4:]
         nbits = n * (n - 1) // 2
         if len(data) != (nbits + 5) // 6:
@@ -326,19 +317,31 @@ class Graph:
                 line=line,
                 offset=len(s),
             )
-        rows = [0] * n
-        k = 0
-        for j in range(1, n):
-            for i in range(j):
-                if data[k // 6] >> (5 - k % 6) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                k += 1
-        while k < 6 * len(data):
-            if data[k // 6] >> (5 - k % 6) & 1:
-                raise ParseError("nonzero padding bits in graph6 data", line=line, offset=len(s))
-            k += 1
-        return cls(n, rows)
+        bits = np.unpackbits(data[:, None], axis=1)[:, 2:].ravel()
+        if bits[nbits:].any():
+            raise ParseError("nonzero padding bits in graph6 data", line=line, offset=len(s))
+        return _from_colex_bits(n, bits[:nbits])
+
+
+# ------------------------------------------------------------ colex codec
+# Pair (i, j), i < j, has colex index j(j-1)/2 + i: the row-major order of
+# the strict lower triangle, np.tri(n, k=-1).
+
+
+def _colex_bits(g: Graph) -> np.ndarray:
+    """Edge indicators of ``g`` over all C(n, 2) pairs in colex order."""
+    return g.to_bool_matrix().view(bool)[np.tri(g.n, k=-1, dtype=bool)]
+
+
+def _from_colex_bits(n: int, bits) -> Graph:
+    """Inverse of ``_colex_bits``: the graph whose colex pair k is bits[k]."""
+    m = n * (n - 1) // 2
+    if len(bits) != m:
+        raise ValueError(f"expected {m} edge bits, got {len(bits)}")
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.tri(n, k=-1, dtype=bool)] = bits
+    adj |= adj.T
+    return Graph.from_bool_matrix(adj)
 
 
 # ------------------------------------------------------------ word kernels

@@ -40,10 +40,3 @@ def fraction_str(f: Fraction) -> str:
 def round_sig(x: float, digits: int = 12) -> float:
     """Round to a fixed number of significant digits for stable reports."""
     return float(f"{x:.{digits}g}")
-
-
-def report_number(x) -> float:
-    """Float for JSON output, rounded so equal rationals print equally."""
-    if isinstance(x, Fraction):
-        x = x.numerator / x.denominator
-    return round_sig(float(x))

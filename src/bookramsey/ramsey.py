@@ -15,7 +15,6 @@ unchanged while the enumeration shrinks by roughly 2^(N-1)/N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 

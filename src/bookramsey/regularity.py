@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .colorings import TwoColoring
@@ -55,11 +56,6 @@ class BipartitePairView:
     @property
     def density(self) -> Fraction:
         return Fraction(self.edge_count(), len(self.A) * len(self.B))
-
-    def degrees_into_A(self) -> list[int]:
-        """For each b in B (in order), its edge count into A."""
-        ma = vertex_mask(self.A)
-        return [(self.host.rows[b] & ma).bit_count() for b in self.B]
 
     def b_rows(self) -> list[int]:
         """For each b in B, the bitmask of its neighbors over A positions."""
@@ -234,12 +230,7 @@ def bad_pair_count_shared(pair: BipartitePairView, eps) -> int:
     thr = (d - eps) ** 2 * nb
     mb = vertex_mask(pair.B)
     rows = [pair.host.rows[a] & mb for a in pair.A]
-    count = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if (rows[i] & rows[j]).bit_count() <= thr:
-                count += 1
-    return count
+    return sum(1 for r1, r2 in combinations(rows, 2) if (r1 & r2).bit_count() <= thr)
 
 
 def bad_pair_count_cross(pair1: BipartitePairView, pair2: BipartitePairView, eps) -> int:
@@ -267,6 +258,20 @@ def bad_pair_count_cross(pair1: BipartitePairView, pair2: BipartitePairView, eps
 # ------------------------------------------------------- multipair bounds
 
 
+def _check_blocks(blocks: Sequence[Sequence[int]]) -> int:
+    """Common size t of a nonempty list of pairwise disjoint blocks."""
+    t = len(blocks[0])
+    if t == 0 or any(len(b) != t for b in blocks):
+        raise ValueError("all blocks must share one nonzero size")
+    seen = 0
+    for b in blocks:
+        mb = vertex_mask(b)
+        if mb & seen:
+            raise ValueError("blocks must be pairwise disjoint")
+        seen |= mb
+    return t
+
+
 @dataclass(frozen=True)
 class MultiPairConfig:
     """One or two base blocks plus k page blocks, all of size t.
@@ -290,16 +295,7 @@ class MultiPairConfig:
             raise ValueError("need one or two base blocks")
         if not self.pages:
             raise ValueError("need at least one page block")
-        blocks = [*self.bases, *self.pages]
-        t = len(blocks[0])
-        if t == 0 or any(len(b) != t for b in blocks):
-            raise ValueError("all blocks must share one nonzero size")
-        seen = 0
-        for b in blocks:
-            mb = vertex_mask(b)
-            if mb & seen:
-                raise ValueError("blocks must be pairwise disjoint")
-            seen |= mb
+        _check_blocks([*self.bases, *self.pages])
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
@@ -318,11 +314,58 @@ class MultiPairConfig:
         return [self.base_pair(i, j).density for j in range(self.k)]
 
 
-def _pages_mask(cfg: MultiPairConfig) -> int:
-    m = 0
-    for p in cfg.pages:
-        m |= vertex_mask(p)
-    return m
+_FORMS = {
+    "shared": (1, "shared form takes a single base block", "base block spans no edges"),
+    "cross": (2, "cross form takes two base blocks", "no edges between the base blocks"),
+}
+
+
+def _form_terms(
+    cfg: MultiPairConfig, form: str, need_edges: bool
+) -> tuple[list[tuple[int, int]], int, Fraction]:
+    """(base edges, page mask, density term) of the shared or cross form.
+
+    Shared: the edges inside A in lexicographic order and sum d_i^2.
+    Cross: the edges from A1 to A2, in A1's given order, and sum d_1i d_2i.
+    """
+    nbases, wrong_count, no_edges = _FORMS[form]
+    if len(cfg.bases) != nbases:
+        raise ValueError(wrong_count)
+    rows = cfg.host.rows
+    if form == "shared":
+        ma = vertex_mask(cfg.bases[0])
+        edges = [(u, v) for u in bits_of(ma) for v in bits_of(rows[u] & ma) if v > u]
+    else:
+        A1, A2 = cfg.bases
+        m2 = vertex_mask(A2)
+        edges = [(u, v) for u in A1 for v in bits_of(rows[u] & m2)]
+    if need_edges and not edges:
+        raise ValueError(no_edges)
+    # the shared form pairs its one base with itself: sum d_i * d_i
+    d = [cfg.densities(i) for i in range(nbases)]
+    term = sum(a * b for a, b in zip(d[0], d[-1]))
+    pages = vertex_mask(v for p in cfg.pages for v in p)
+    return edges, pages, term
+
+
+def _triangle_bound(cfg: MultiPairConfig, form: str) -> tuple[Fraction, int]:
+    edges, pages, term = _form_terms(cfg, form, need_edges=False)
+    t, k, eps, e = cfg.t, cfg.k, cfg.epsilon, len(edges)
+    bound = t * (e - 2 * eps * t * t) * term - 2 * eps * k * t * e
+    rows = cfg.host.rows
+    actual = sum((rows[u] & rows[v] & pages).bit_count() for u, v in edges)
+    return bound, actual
+
+
+def _book_bound(cfg: MultiPairConfig, form: str) -> tuple[Fraction, BookCertificate]:
+    edges, pages, term = _form_terms(cfg, form, need_edges=True)
+    t, k, eps = cfg.t, cfg.k, cfg.epsilon
+    bound = t * (1 - Fraction(2 * eps * t * t, len(edges))) * term - 2 * eps * k * t
+    rows = cfg.host.rows
+    # max keeps the first largest book in the base-edge order
+    u, v = max(edges, key=lambda e: (rows[e[0]] & rows[e[1]] & pages).bit_count())
+    pages_of_uv = frozenset(bits_of(rows[u] & rows[v] & pages))
+    return bound, BookCertificate(base=(min(u, v), max(u, v)), pages=pages_of_uv)
 
 
 def triangle_bound_shared(cfg: MultiPairConfig) -> tuple[Fraction, int]:
@@ -330,20 +373,7 @@ def triangle_bound_shared(cfg: MultiPairConfig) -> tuple[Fraction, int]:
 
     bound = t (e(A) - 2 eps t^2) sum d_i^2  -  2 eps k t e(A)
     """
-    if len(cfg.bases) != 1:
-        raise ValueError("shared form takes a single base block")
-    A = cfg.bases[0]
-    t, k, eps = cfg.t, cfg.k, cfg.epsilon
-    ea = cfg.host.edges_within(A)
-    sq = sum(d * d for d in cfg.densities(0))
-    bound = t * (ea - 2 * eps * t * t) * sq - 2 * eps * k * t * ea
-    pm = _pages_mask(cfg)
-    actual = sum(
-        (cfg.host.rows[u] & cfg.host.rows[v] & pm).bit_count()
-        for u, v in cfg.host.edges()
-        if u in set(A) and v in set(A)
-    )
-    return bound, actual
+    return _triangle_bound(cfg, "shared")
 
 
 def triangle_bound_cross(cfg: MultiPairConfig) -> tuple[Fraction, int]:
@@ -351,68 +381,19 @@ def triangle_bound_cross(cfg: MultiPairConfig) -> tuple[Fraction, int]:
 
     bound = t (e(A1,A2) - 2 eps t^2) sum d_1i d_2i  -  2 eps k t e(A1,A2)
     """
-    if len(cfg.bases) != 2:
-        raise ValueError("cross form takes two base blocks")
-    A1, A2 = cfg.bases
-    t, k, eps = cfg.t, cfg.k, cfg.epsilon
-    _, _, e12 = cfg.host.cut_and_induced_counts(A1, A2)
-    dd = sum(a * b for a, b in zip(cfg.densities(0), cfg.densities(1)))
-    bound = t * (e12 - 2 * eps * t * t) * dd - 2 * eps * k * t * e12
-    pm = _pages_mask(cfg)
-    m2 = vertex_mask(A2)
-    actual = sum(
-        (cfg.host.rows[u] & cfg.host.rows[v] & pm).bit_count()
-        for u in A1
-        for v in bits_of(cfg.host.rows[u] & m2)
-    )
-    return bound, actual
-
-
-def _best_book(cfg: MultiPairConfig, base_edges) -> BookCertificate:
-    pm = _pages_mask(cfg)
-    best = -1
-    pick = None
-    for u, v in base_edges:
-        c = (cfg.host.rows[u] & cfg.host.rows[v] & pm).bit_count()
-        if c > best:
-            best, pick = c, (u, v)
-    u, v = pick
-    pages = frozenset(bits_of(cfg.host.rows[u] & cfg.host.rows[v] & pm))
-    return BookCertificate(base=(min(u, v), max(u, v)), pages=pages)
+    return _triangle_bound(cfg, "cross")
 
 
 def book_bound_shared(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate]:
     """Averaged form: some base edge in A carries a page-block book of size
     at least t (1 - 2 eps t^2 / e(A)) sum d_i^2 - 2 eps k t."""
-    if len(cfg.bases) != 1:
-        raise ValueError("shared form takes a single base block")
-    A = cfg.bases[0]
-    ea = cfg.host.edges_within(A)
-    if ea == 0:
-        raise ValueError("base block spans no edges")
-    t, k, eps = cfg.t, cfg.k, cfg.epsilon
-    sq = sum(d * d for d in cfg.densities(0))
-    bound = t * (1 - Fraction(2 * eps * t * t, ea)) * sq - 2 * eps * k * t
-    sa = set(A)
-    edges = [(u, v) for u, v in cfg.host.edges() if u in sa and v in sa]
-    return bound, _best_book(cfg, edges)
+    return _book_bound(cfg, "shared")
 
 
 def book_bound_cross(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate]:
     """Cross form: some base edge between A1 and A2 carries a book of size
     at least t (1 - 2 eps t^2 / e(A1,A2)) sum d_1i d_2i - 2 eps k t."""
-    if len(cfg.bases) != 2:
-        raise ValueError("cross form takes two base blocks")
-    A1, A2 = cfg.bases
-    _, _, e12 = cfg.host.cut_and_induced_counts(A1, A2)
-    if e12 == 0:
-        raise ValueError("no edges between the base blocks")
-    t, k, eps = cfg.t, cfg.k, cfg.epsilon
-    dd = sum(a * b for a, b in zip(cfg.densities(0), cfg.densities(1)))
-    bound = t * (1 - Fraction(2 * eps * t * t, e12)) * dd - 2 * eps * k * t
-    m2 = vertex_mask(A2)
-    edges = [(u, v) for u in A1 for v in bits_of(cfg.host.rows[u] & m2)]
-    return bound, _best_book(cfg, edges)
+    return _book_bound(cfg, "cross")
 
 
 # ---------------------------------------------------------- pair labeling
@@ -444,15 +425,7 @@ def classify_pairs(
     blocks = [tuple(b) for b in blocks]
     if not blocks:
         raise ValueError("need at least one block")
-    t = len(blocks[0])
-    if t == 0 or any(len(b) != t for b in blocks):
-        raise ValueError("blocks must have one common nonzero size")
-    seen = 0
-    for b in blocks:
-        mb = vertex_mask(b)
-        if mb & seen:
-            raise ValueError("blocks must be pairwise disjoint")
-        seen |= mb
+    t = _check_blocks(blocks)
 
     red = c.red
     out = []

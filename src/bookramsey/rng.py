@@ -16,8 +16,6 @@ reference and a vectorized numpy kernel.  Tests hold them equal.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .numbers import as_fraction

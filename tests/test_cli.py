@@ -398,6 +398,94 @@ def test_lemma_check_csv(files):
     assert any(line.startswith("triangle_shared,") for line in lines)
 
 
+@pytest.fixture(scope="module")
+def cross_lemma_cfg(tmp_path_factory):
+    """Two base blocks of 5 (A1 listed in decreasing order) and two pages."""
+    A1, A2, P1, P2 = range(5), range(5, 10), range(10, 15), range(15, 20)
+    edges = {(u, v) for u in A1 for v in A2 if (u + v) % 3}
+    edges |= {(u, v) for u in A1 for v in P1}
+    edges |= {(u, v) for u in A1 for v in P2 if (u + v) % 2}
+    edges |= {(u, v) for u in A2 for v in P1 if (u * v) % 4 != 1}
+    edges |= {(u, v) for u in A2 for v in P2}
+    path = tmp_path_factory.mktemp("lemma") / "cross.json"
+    path.write_text(
+        json.dumps(
+            {
+                "graph": Graph.from_edges(20, sorted(edges)).to_graph6(),
+                "blocks": [list(A1)[::-1], list(A2), list(P1), list(P2)],
+                "epsilon": "1/20",
+                "bases": 2,
+            }
+        )
+    )
+    return path
+
+
+def test_lemma_check_two_bases(cross_lemma_cfg):
+    code, report, _ = run_cli("lemma-check", cross_lemma_cfg)
+    assert code == 0
+    res = report["results"]
+    assert res["t"] == 5 and res["k"] == 2 and res["bases"] == 2
+    assert [row["uniform"] for row in res["pairs_uniform"]] == [True, False, False, True]
+    assert res["all_pairs_uniform"] is False
+    assert res["checks"] == [
+        {"check": "bad_pairs_cross", "page": 0, "bound": "5/2", "actual": 0, "satisfied": True},
+        {"check": "bad_pairs_cross", "page": 1, "bound": "5/2", "actual": 10, "satisfied": False},
+        {"check": "triangle_cross", "bound": "157/2", "actual": 112, "satisfied": True},
+        {"check": "book_cross", "bound": "157/32", "actual": 8, "satisfied": True},
+    ]
+    # the first largest book in A1's given order, not the least base
+    assert res["book_base"] == [4, 6]
+    # uncertified pairs: the failed bad-pair check is no violation
+    assert res["violations"] == 0
+    assert res["bounds_checked"] == 4 and res["positive_bounds"] == 2
+
+
+def test_lemma_check_two_bases_csv(cross_lemma_cfg):
+    code, _, proc = run_cli("lemma-check", cross_lemma_cfg, "--format", "csv")
+    assert code == 0
+    assert proc.stdout == (
+        "check,page,bound,actual,satisfied\n"
+        "bad_pairs_cross,0,5/2,0,True\n"
+        "bad_pairs_cross,1,5/2,10,False\n"
+        "triangle_cross,,157/2,112,True\n"
+        "book_cross,,157/32,8,True\n"
+    )
+
+
+def test_lemma_check_bad_pair_hypothesis_fails(tmp_path):
+    # page block 1 has no edges to the base, so eps < density fails there
+    A, Q1, Q2 = range(6), range(6, 12), range(12, 18)
+    edges = [(u, v) for u in A for v in A if u < v and (u + v) % 2]
+    edges += [(u, v) for u in A for v in Q1]
+    cfg = tmp_path / "raises.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "graph": Graph.from_edges(18, edges).to_graph6(),
+                "blocks": [list(A), list(Q1), list(Q2)],
+                "epsilon": "1/10",
+                "bases": 1,
+            }
+        )
+    )
+    code, report, _ = run_cli("lemma-check", cfg)
+    assert code == 0
+    res = report["results"]
+    assert res["all_pairs_uniform"] is True
+    assert res["checks"] == [
+        {"check": "bad_pairs_shared", "page": 0, "bound": "36/5", "actual": 0, "satisfied": True},
+        {"check": "bad_pairs_shared", "page": 1, "bound": "36/5", "actual": None, "satisfied": None},
+        {"check": "triangle_shared", "bound": "-54/5", "actual": 54, "satisfied": True},
+        {"check": "book_shared", "bound": "-6/5", "actual": 6, "satisfied": True},
+    ]
+    assert res["book_base"] == [0, 1]
+    assert res["violations"] == 0 and res["positive_bounds"] == 0
+    code, _, proc = run_cli("lemma-check", cfg, "--format", "csv")
+    assert code == 0
+    assert proc.stdout.splitlines()[2] == "bad_pairs_shared,1,36/5,,"
+
+
 # ------------------------------------------------------------------ classify
 
 
@@ -423,6 +511,17 @@ def test_trichotomy_with_and_without_candidate(files):
         "trichotomy", files["kbb"], "--xi", "1/10", "--candidate", files["candidate"]
     )
     assert report["results"]["G0_source"] == "candidate"
+    assert report["results"]["iii"] is True
+
+
+def test_trichotomy_reads_brc1(files, tmp_path):
+    # the coloring whose blue graph is the graph6 file's graph
+    path = tmp_path / "kbb.brc1"
+    write_coloring_file(path, TwoColoring(20, Graph.complete_bipartite(10, 10)))
+    code, report, _ = run_cli("trichotomy", path, "--xi", "1/10", "--seed", 5)
+    assert code == 0
+    _, want, _ = run_cli("trichotomy", files["kbb"], "--xi", "1/10", "--seed", 5)
+    assert report["results"] == want["results"]
     assert report["results"]["iii"] is True
 
 

@@ -126,6 +126,15 @@ def test_brc1_rejects_garbage():
         TwoColoring.from_brc1("BRC1 4\nAB\n")  # hex must be lowercase
 
 
+def test_brc1_reports_offset_of_bad_hex_character():
+    payload = two_cliques(3).to_brc1().splitlines()[1]  # 28 bits, 7 characters
+    for bad in ("g", "Z", "-", "\u00e9", "\ud800"):
+        text = f"BRC1 8\n{payload[:4]}{bad}{payload[5:]}\n"
+        with pytest.raises(ParseError, match="invalid hex character") as exc:
+            TwoColoring.from_brc1(text)
+        assert (exc.value.line, exc.value.offset) == (2, 4)
+
+
 def test_pack_unpack_hex():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     payload = pack_bits_hex(bits)

@@ -290,6 +290,15 @@ def test_graph6_parse_errors_carry_location():
         Graph.from_graph6("D" + chr(63) + chr(63 + 0b11))
 
 
+def test_graph6_reports_offset_of_bad_character():
+    s = Graph.cycle(9).to_graph6()
+    # a lone surrogate can arrive through a JSON config
+    for bad in ("\x7f", " ", "\u00e9", "\ud800"):
+        with pytest.raises(ParseError, match="invalid graph6 character") as exc:
+            Graph.from_graph6(s[:3] + bad + s[4:], line=5)
+        assert (exc.value.line, exc.value.offset) == (5, 3)
+
+
 def test_graph6_file_io(tmp_path):
     g = Graph.complete(4)
     path = tmp_path / "k4.g6"
@@ -307,6 +316,12 @@ def test_bool_matrix_round_trip():
         m = g.to_bool_matrix()
         assert m.shape == (n, n)
         assert Graph.from_bool_matrix(m) == g
+
+
+def test_bool_matrix_keeps_every_nonzero_entry():
+    for value in (256, 0.5, -1):
+        g = Graph.from_bool_matrix(np.array([[0, value], [value, 0]]))
+        assert g.edge_count() == 1 and g.has_edge(0, 1)
 
 
 def test_bool_matrix_rejects_asymmetry():
