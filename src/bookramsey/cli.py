@@ -43,12 +43,7 @@ from .colorings import (
 from .errors import CapacityError, ParseError
 from .graphs import Graph
 from .numbers import as_fraction, fraction_str, round_sig
-from .ramsey import (
-    RamseyQuery,
-    WitnessCertificate,
-    exhaustive_verify,
-    witness_check,
-)
+from .ramsey import Neither, RamseyQuery, RedBook, check_coloring, exhaustive_verify
 from .regularity import (
     ORACLE_SIDE_CAP,
     BipartitePairView,
@@ -96,8 +91,7 @@ def read_any_file(path):
     """Graph6 or BRC1 file, detected by header."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    first = text.lstrip().split("\n", 1)[0] if text.strip() else ""
-    if first.startswith("BRC1"):
+    if text.lstrip().startswith("BRC1"):
         return TwoColoring.from_brc1(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.strip():
@@ -105,22 +99,40 @@ def read_any_file(path):
     raise ParseError("empty input file", line=1)
 
 
-def load_config(path) -> dict:
-    """JSON descriptor: {graph: graph6, blocks: [[...],...], epsilon, ...}."""
+def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON config: {exc.msg}", line=exc.lineno, offset=exc.colno)
+        raise ParseError(f"bad JSON {what}: {exc.msg}", line=exc.lineno, offset=exc.colno)
+    except RecursionError:
+        raise ParseError(f"bad JSON {what}: nested too deeply", line=1) from None
+
+
+def _vertex_lists(raw, n, count, message):
+    """Tuples of vertices of K_n from a JSON list of integer lists, `count` of them if given."""
+    if not (
+        isinstance(raw, list)
+        and (count is None or len(raw) == count)
+        and all(isinstance(b, list) and all(type(v) is int for v in b) for b in raw)
+    ):
+        raise ParseError(message, line=1)
+    bad = next((v for b in raw for v in b if not 0 <= v < n), None)
+    if bad is not None:
+        raise ValueError(f"vertex {bad} outside the {n}-vertex graph")
+    return [tuple(b) for b in raw]
+
+
+def load_config(path, required=()) -> dict:
+    """JSON descriptor: {graph: graph6, blocks: [[...],...], epsilon, ...} plus `required` fields."""
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ParseError("config must be a JSON object", line=1)
-    if "graph" not in cfg or "blocks" not in cfg:
-        raise ParseError("config needs 'graph' and 'blocks' fields", line=1)
+    for field in ("graph", "blocks", "epsilon", *required):
+        if field not in cfg:
+            raise ParseError(f"config needs '{field}'", line=1)
     cfg["graph"] = Graph.from_graph6(str(cfg["graph"]))
-    blocks = cfg["blocks"]
-    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-        raise ParseError("'blocks' must be a list of vertex lists", line=1)
-    cfg["blocks"] = [tuple(int(v) for v in b) for b in blocks]
+    cfg["blocks"] = _vertex_lists(cfg["blocks"], cfg["graph"].n, None, "'blocks' must be a list of vertex lists")
     return cfg
 
 
@@ -152,9 +164,7 @@ def cmd_bk(args):
     obj = read_any_file(args.file)
 
     def side(size, cert):
-        out = {"booksize": size}
-        out["base"] = list(cert.base) if cert is not None else None
-        return out
+        return {"booksize": size, "base": list(cert.base) if cert is not None else None}
 
     if isinstance(obj, TwoColoring):
         b, bc = obj.bk_blue()
@@ -170,24 +180,15 @@ def cmd_bk(args):
 
 def cmd_witness_check(args):
     c = read_coloring_file(args.file)
-    res = witness_check(c, args.p, args.q)
-    if isinstance(res, WitnessCertificate):
-        results = {
-            "verdict": "certificate",
-            "n": res.n,
-            "p": res.p,
-            "q": res.q,
-            "claim": f"r(B_{res.p},B_{res.q}) > {res.n}",
-        }
-        return results, results["claim"] + " certified", EXIT_OK
-    results = {
-        "verdict": "refutation",
-        "book_color": res.color,
-        "base": list(res.certificate.base),
-        "pages": res.certificate.size,
-    }
-    summary = f"{res.color} book of size {res.certificate.size} at base {res.certificate.base}"
-    return results, summary, EXIT_FOUND
+    res = check_coloring(c, args.p, args.q)
+    if isinstance(res, Neither):
+        claim = f"r(B_{args.p},B_{args.q}) > {c.n}"
+        results = {"verdict": "certificate", "n": c.n, "p": args.p, "q": args.q, "claim": claim}
+        return results, claim + " certified", EXIT_OK
+    color = "red" if isinstance(res, RedBook) else "blue"
+    base, pages = res.certificate.base, res.certificate.size
+    results = {"verdict": "refutation", "book_color": color, "base": list(base), "pages": pages}
+    return results, f"{color} book of size {pages} at base {base}", EXIT_FOUND
 
 
 # --------------------------------------------------------------- construct
@@ -240,10 +241,8 @@ def cmd_construct(args):
 def cmd_stats(args):
     c = read_coloring_file(args.file)
     if args.parts is not None:
-        with open(args.parts, "r", encoding="utf-8") as fh:
-            parts = [tuple(int(v) for v in p) for p in json.load(fh)]
-        if len(parts) != 3:
-            raise ValueError("parts file must hold exactly three lists")
+        raw = _read_json(args.parts, "parts file")
+        parts = _vertex_lists(raw, c.n, 3, "parts file must hold exactly three lists")
     else:
         parts = tripartite_parts(c.n)
     report = construction_statistics(c, parts)
@@ -288,35 +287,22 @@ def cmd_uniformity(args):
     eps = as_fraction(cfg["epsilon"])
     pair = BipartitePairView(cfg["graph"], *cfg["blocks"])
     if args.sampled:
+        method, uniform = "search", None
         witness = nonuniformity_search(pair, eps, samples=args.samples, seed=args.seed)
-        results = {
-            "method": "search",
-            "density": pair.density,
-            "epsilon": eps,
-            "uniform": None,
-            "witness": witness,
-        }
-        if witness:
-            return results, "non-uniformity witness found", EXIT_FOUND
-        return results, "no witness found (certifies nothing)", EXIT_OK
-    verdict = uniformity_oracle(pair, eps)
-    results = {
-        "method": "oracle",
-        "density": pair.density,
-        "epsilon": eps,
-        "uniform": verdict.uniform,
-        "witness": verdict.witness,
-    }
-    if verdict.uniform:
-        return results, "pair is uniform at the given epsilon", EXIT_OK
-    return results, "pair is not uniform; witness attached", EXIT_FOUND
+        summary = "non-uniformity witness found" if witness else "no witness found (certifies nothing)"
+    else:
+        method, verdict = "oracle", uniformity_oracle(pair, eps)
+        uniform, witness = verdict.uniform, verdict.witness
+        summary = "pair is uniform at the given epsilon" if uniform else "pair is not uniform; witness attached"
+    results = {"method": method, "density": pair.density, "epsilon": eps, "uniform": uniform, "witness": witness}
+    return results, summary, EXIT_FOUND if witness else EXIT_OK
 
 
 def cmd_lemma_check(args):
     cfg = load_config(args.config)
     eps = as_fraction(cfg["epsilon"])
-    nbases = int(cfg.get("bases", 1))
-    if nbases not in (1, 2):
+    nbases = cfg.get("bases", 1)
+    if type(nbases) is not int or nbases not in (1, 2):
         raise ValueError("'bases' must be 1 or 2")
     if len(cfg["blocks"]) < nbases + 1:
         raise ValueError("need at least one page block after the bases")
@@ -337,10 +323,7 @@ def cmd_lemma_check(args):
     all_uniform: bool | None = True
     for i in range(nbases):
         for j in range(k):
-            if t <= ORACLE_SIDE_CAP:
-                u = uniformity_oracle(mp.base_pair(i, j), eps).uniform
-            else:
-                u = None
+            u = uniformity_oracle(mp.base_pair(i, j), eps).uniform if t <= ORACLE_SIDE_CAP else None
             if u is not True:
                 all_uniform = None if u is None else False
             pairs.append({"base": i, "page": j, "uniform": u})
@@ -423,10 +406,7 @@ def lemma_csv(results) -> str:
 
 
 def cmd_classify(args):
-    cfg = load_config(args.config)
-    for field in ("epsilon", "beta", "gamma"):
-        if field not in cfg:
-            raise ValueError(f"classify config needs '{field}'")
+    cfg = load_config(args.config, required=("beta", "gamma"))
     blue = cfg["graph"]
     c = TwoColoring(blue.n, blue)
     labels = classify_pairs(
@@ -457,11 +437,8 @@ def cmd_trichotomy(args):
         g = g.blue
     candidate = None
     if args.candidate:
-        with open(args.candidate, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ValueError("candidate file must hold [U1, U2]")
-        candidate = (tuple(int(v) for v in raw[0]), tuple(int(v) for v in raw[1]))
+        raw = _read_json(args.candidate, "candidate file")
+        candidate = _vertex_lists(raw, g.n, 2, "candidate file must hold [U1, U2]")
     res = trichotomy_check(g, as_fraction(args.xi), candidate=candidate, seed=args.seed)
     branches = ", ".join(f"({b}) {res[b]}" for b in ("i", "ii", "iii"))
     return res, branches, EXIT_OK
@@ -545,12 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parameters(args) -> dict:
     skip = {"handler", "seeded", "csv", "command", "format"}
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
-            continue
-        out[key] = val
-    return out
+    return {key: val for key, val in sorted(vars(args).items()) if key not in skip and val is not None}
 
 
 def main(argv=None) -> int:
@@ -558,6 +530,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.format == "csv" and not hasattr(args, "csv"):
         print("error: --format csv is only available for tabular reports", file=sys.stderr)
+        return EXIT_USAGE
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     start = time.perf_counter()
     try:

@@ -305,6 +305,8 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     the red one: cb = n - 2 - d_r(u) - d_r(v) + cr.
     """
     n = c.n
+    if n == 0:
+        raise ValueError("statistics need at least one vertex")
     p1, p2, p3 = (list(p) for p in parts)
     if sorted(p1 + p2 + p3) != list(range(n)):
         raise ValueError("parts do not partition the vertex set")

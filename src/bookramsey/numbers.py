@@ -14,19 +14,23 @@ def as_fraction(x) -> Fraction:
     """Exact Fraction from int, Fraction, decimal string, or float.
 
     Floats go through their shortest repr, so as_fraction(0.005) is
-    exactly 1/200 rather than the nearest binary double.
+    exactly 1/200 rather than the nearest binary double.  Bools, other
+    types and zero denominators raise ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise TypeError("bool is not a number here")
+        raise ValueError("bool is not a number here")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(repr(x))
-    if isinstance(x, str):
+    if not isinstance(x, str):
+        raise ValueError(f"cannot interpret {type(x).__name__} as a rational")
+    try:
         return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def fraction_str(f: Fraction) -> str:

@@ -14,13 +14,14 @@ unchanged while the enumeration shrinks by roughly 2^(N-1)/N.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .colorings import TwoColoring, edge_index
 from .errors import CapacityError
-from .graphs import BookCertificate, _book_scan
+from .graphs import BookCertificate, _book_scan, bits_of
 
 DEFAULT_ORDER_CAP = 8
 KERNEL_BIT_LIMIT = 62
@@ -65,30 +66,12 @@ class SearchOutcome:
     counterexample_index: int | None = None
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """A Neither coloring on n vertices shows r(B_p, B_q) > n."""
-
-    n: int
-    p: int
-    q: int
-
-    @property
-    def lower_bound_exclusive(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True)
-class WitnessRefutation:
-    color: str  # "red" | "blue"
-    certificate: BookCertificate
-
-
 def check_coloring(c: TwoColoring, p: int, q: int):
     """First red book with >= p pages, else first blue with >= q, else Neither.
 
     Scans red bases in lexicographic edge order with early exit; the
-    red-before-blue priority is arbitrary but fixed.
+    red-before-blue priority is arbitrary but fixed.  Neither certifies
+    the lower bound r(B_p, B_q) > c.n.
     """
     if p < 1 or q < 1:
         raise ValueError("book page targets must be at least 1")
@@ -98,16 +81,6 @@ def check_coloring(c: TwoColoring, p: int, q: int):
             _, u, v = hit
             return found(BookCertificate.from_base(graph, u, v))
     return Neither()
-
-
-def witness_check(c: TwoColoring, p: int, q: int):
-    """Certify a lower bound from a coloring, or refute it with a book."""
-    res = check_coloring(c, p, q)
-    if isinstance(res, Neither):
-        return WitnessCertificate(n=c.n, p=p, q=q)
-    if isinstance(res, RedBook):
-        return WitnessRefutation(color="red", certificate=res.certificate)
-    return WitnessRefutation(color="blue", certificate=res.certificate)
 
 
 # ------------------------------------------------------------------ kernel
@@ -208,10 +181,19 @@ def _block_all_hit(M: np.ndarray, specs: list[_EdgeSpec], p: int, q: int) -> np.
     return hit
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _scan_scenario(
     nvar: int, specs: list[_EdgeSpec], p: int, q: int, threads: int
 ) -> int | None:
-    """Lowest variable-bit index whose coloring avoids both books."""
+    """Lowest variable-bit index whose coloring avoids both books.
+
+    The pool never exceeds the usable CPUs; the result does not depend
+    on its size.
+    """
+    threads = min(threads, _usable_cpus())
     total = 1 << nvar
     block = 1 << min(BLOCK_BITS, nvar)
 
@@ -278,21 +260,15 @@ def exhaustive_verify(
         raise CapacityError(f"enumeration index needs {nvar_max} bits; kernel is capped at {KERNEL_BIT_LIMIT}")
 
     scenarios: list[int | None] = list(range(N)) if prune else [None]
-    per_scenario = 1 << (m if not prune else (N - 1) * (N - 2) // 2)
+    per_scenario = 1 << nvar_max
     for si, star_d in enumerate(scenarios):
         nvar, var_edges, specs = _build_specs(N, star_d)
         k = _scan_scenario(nvar, specs, p, q, threads)
         if k is None:
             continue
-        blue_index = 0
+        blue_index = sum(1 << var_edges[b] for b in bits_of(k))
         if star_d is not None:
-            for j in range(1, star_d + 1):
-                blue_index |= 1 << edge_index(0, j)
-        kk = k
-        while kk:
-            low = kk & -kk
-            blue_index |= 1 << var_edges[low.bit_length() - 1]
-            kk ^= low
+            blue_index += sum(1 << edge_index(0, j) for j in range(1, star_d + 1))
         return SearchOutcome(
             verdict="counterexample",
             counterexample=TwoColoring.from_blue_index(N, blue_index),

@@ -30,9 +30,7 @@ from bookramsey.colorings import (
 from bookramsey.graphs import Graph
 from bookramsey.ramsey import (
     RamseyQuery,
-    WitnessCertificate,
     exhaustive_verify,
-    witness_check,
 )
 from bookramsey.regularity import (
     BipartitePairView,

@@ -5,7 +5,9 @@ stream separation, and exit codes are exercised exactly as a shell user
 would see them.
 """
 
+import concurrent.futures
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +17,7 @@ import jsonschema
 import pytest
 
 import bookramsey
+from bookramsey import cli, ramsey
 from bookramsey.colorings import (
     TwoColoring,
     two_cliques,
@@ -22,7 +25,8 @@ from bookramsey.colorings import (
     write_coloring_file,
 )
 from bookramsey.graphs import Graph, write_graph6_file
-from bookramsey.ramsey import WitnessCertificate, witness_check
+from bookramsey.numbers import as_fraction
+from bookramsey.ramsey import Neither, check_coloring
 
 SCHEMA = json.loads(
     resources.files("bookramsey").joinpath("schemas/runreport.schema.json").read_text()
@@ -202,7 +206,7 @@ def test_verify_counterexample_exit_ten(files):
     assert res["colorings_examined"] == 3874
     bits = unpack_bits_hex(res["counterexample_hex"], 15)
     c = TwoColoring.from_blue_bits(res["counterexample_n"], bits)
-    assert isinstance(witness_check(c, 1, 2), WitnessCertificate)
+    assert isinstance(check_coloring(c, 1, 2), Neither)
 
 
 def test_verify_capacity_exit_three():
@@ -234,6 +238,35 @@ def test_witness_check_refutation(files):
     assert code == 10
     assert report["results"]["verdict"] == "refutation"
     assert report["results"]["book_color"] == "blue"
+
+
+def test_witness_check_certificate_fields(files):
+    code, report, proc = run_cli("witness-check", files["tc2"], 1, 2)
+    assert code == 0
+    assert report["results"] == {
+        "verdict": "certificate",
+        "n": 6,
+        "p": 1,
+        "q": 2,
+        "claim": "r(B_1,B_2) > 6",
+    }
+    assert proc.stderr == "r(B_1,B_2) > 6 certified\n"
+
+
+def test_witness_check_red_refutation_names_first_base(tmp_path):
+    # blue edges 01 and 02; the red bases 03 and 04 carry one page each,
+    # so the first red base with two pages is 12 (pages 3 and 4)
+    path = tmp_path / "red.brc1"
+    write_coloring_file(path, TwoColoring(5, Graph.from_edges(5, [(0, 1), (0, 2)])))
+    code, report, proc = run_cli("witness-check", path, 2, 5)
+    assert code == 10
+    assert report["results"] == {
+        "verdict": "refutation",
+        "book_color": "red",
+        "base": [1, 2],
+        "pages": 2,
+    }
+    assert proc.stderr == "red book of size 2 at base (1, 2)\n"
 
 
 # ----------------------------------------------------------------- construct
@@ -528,6 +561,166 @@ def test_trichotomy_reads_brc1(files, tmp_path):
 def test_trichotomy_rejects_bad_xi(files):
     code, _, _ = run_cli("trichotomy", files["kbb"], "--xi", "3/2")
     assert code == 2
+
+
+# ------------------------------------------------------------ hostile input
+
+
+def _config(files, tmp_path, drop=(), **fields):
+    """The half-graph uniformity config with fields replaced or left out."""
+    cfg = json.loads(files["half_cfg"].read_text())
+    for key in drop:
+        del cfg[key]
+    cfg.update(fields)
+    return _text_file(tmp_path, json.dumps(cfg))
+
+
+def _text_file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return path
+
+
+# inputs the CLI must reject with exit 2: (argv builder, a fragment of the
+# expected stderr)
+HOSTILE = {
+    "epsilon-zero-denominator": (
+        lambda f, t: ["construct", "tripartite", "--n", 9, "--epsilon", "1/0", "--out", t / "x.brc1"],
+        "zero denominator in '1/0'",
+    ),
+    "delta-zero-denominator": (
+        lambda f, t: ["construct", "tripartite", "--n", 9, "--epsilon", "1/10", "--delta", "1/0", "--out", t / "x.brc1"],
+        "zero denominator in '1/0'",
+    ),
+    "xi-zero-denominator": (
+        lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/0"],
+        "zero denominator in '1/0'",
+    ),
+    "config-epsilon-list": (
+        lambda f, t: ["uniformity", _config(f, t, epsilon=[1])],
+        "cannot interpret list as a rational",
+    ),
+    "config-epsilon-bool": (
+        lambda f, t: ["uniformity", _config(f, t, epsilon=True)],
+        "bool is not a number here",
+    ),
+    "config-without-epsilon": (
+        lambda f, t: ["uniformity", _config(f, t, drop=["epsilon"])],
+        "config needs 'epsilon'",
+    ),
+    "config-null-vertex": (
+        lambda f, t: ["uniformity", _config(f, t, blocks=[[0, None], [10, 11]])],
+        "'blocks' must be a list of vertex lists",
+    ),
+    "config-huge-vertex": (
+        lambda f, t: ["uniformity", _config(f, t, blocks=[[0, 10**18], [10, 11]])],
+        f"vertex {10**18} outside the 20-vertex graph",
+    ),
+    "config-null-bases": (
+        lambda f, t: ["lemma-check", _config(f, t, bases=None)],
+        "'bases' must be 1 or 2",
+    ),
+    "config-deep-nesting": (
+        lambda f, t: ["lemma-check", _text_file(t, "[" * 100000)],
+        "bad JSON config: nested too deeply",
+    ),
+    "parts-not-a-list": (
+        lambda f, t: ["stats", f["tc2"], "--parts", _text_file(t, "5")],
+        "parts file must hold exactly three lists",
+    ),
+    "stats-empty-coloring": (
+        lambda f, t: ["stats", _text_file(t, "BRC1 0\n\n")],
+        "statistics need at least one vertex",
+    ),
+    "candidate-null-vertex": (
+        lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/10", "--candidate", _text_file(t, "[[0, null], [10]]")],
+        "candidate file must hold [U1, U2]",
+    ),
+    "candidate-float-vertex": (
+        lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/10", "--candidate", _text_file(t, "[[0, 3.9], [1, 4]]")],
+        "candidate file must hold [U1, U2]",
+    ),
+    "candidate-string-vertex": (
+        lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/10", "--candidate", _text_file(t, '[["3"], [10]]')],
+        "candidate file must hold [U1, U2]",
+    ),
+    "candidate-vertex-outside-graph": (
+        lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/10", "--candidate", _text_file(t, "[[0, 100], [10]]")],
+        "vertex 100 outside the 20-vertex graph",
+    ),
+    "threads-zero": (
+        lambda f, t: ["verify", 6, 1, 2, "--threads", 0],
+        "--threads must be at least 1",
+    ),
+    "threads-negative": (
+        lambda f, t: ["--threads", -3, "verify", 6, 1, 2],
+        "--threads must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exits_two_without_traceback(files, tmp_path, case):
+    argv, message = HOSTILE[case]
+    code, report, proc = run_cli(*argv(files, tmp_path))
+    assert code == 2
+    assert report is None
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_as_fraction_raises_value_error():
+    assert as_fraction(" 1/4 ") == Fraction(1, 4)
+    assert as_fraction(0.005) == Fraction(1, 200)
+    for bad in (True, None, [1], {"n": 1}, "1/0", "abc", float("inf")):
+        with pytest.raises(ValueError):
+            as_fraction(bad)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace ThreadPoolExecutor by a stand-in that records each pool's size.
+
+    The stand-in runs every task when it is submitted, so no thread starts.
+    """
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_threads_capped_at_usable_cpus(monkeypatch, capsys, pool_sizes):
+    monkeypatch.setattr(ramsey, "_usable_cpus", lambda: 3)
+    assert cli.main(["verify", "7", "1", "1", "--threads", "100000"]) == 0
+    capped = json.loads(capsys.readouterr().out)
+    assert pool_sizes == [3]
+    assert cli.main(["verify", "7", "1", "1"]) == 0
+    serial = json.loads(capsys.readouterr().out)
+    assert capped["results"] == serial["results"]
+    assert capped["parameters"]["threads"] == 100000
+    assert pool_sizes == [3]  # one thread scans without a pool
+
+
+def test_threads_cap_follows_the_cpu_affinity(pool_sizes):
+    usable = ramsey._usable_cpus()
+    assert 1 <= usable <= (os.cpu_count() or 1)
+    ramsey.exhaustive_verify(ramsey.RamseyQuery(6, 1, 2), threads=10**6)
+    assert pool_sizes == ([usable] if usable > 1 else [])
 
 
 # --------------------------------------------------------------- determinism

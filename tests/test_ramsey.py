@@ -13,11 +13,8 @@ from bookramsey.ramsey import (
     Neither,
     RamseyQuery,
     RedBook,
-    WitnessCertificate,
-    WitnessRefutation,
     check_coloring,
     exhaustive_verify,
-    witness_check,
 )
 
 
@@ -84,21 +81,18 @@ def test_check_coloring_matches_booksize_thresholds():
             assert res.certificate.size >= q
 
 
-# ------------------------------------------------------------- witness_check
+# ------------------------------------------------- check_coloring as witness
 
 
 def test_witness_certificate_for_two_cliques():
-    out = witness_check(two_cliques(2), 2, 2)
-    assert out == WitnessCertificate(n=6, p=2, q=2)
-    assert out.lower_bound_exclusive == 6
+    c = two_cliques(2)
+    assert check_coloring(c, 2, 2) == Neither()  # r(B_2, B_2) > 6
+    assert c.n == 6
 
 
 def test_witness_refutation_names_color():
-    out = witness_check(all_red(4), 1, 1)
-    assert isinstance(out, WitnessRefutation)
-    assert out.color == "red"
-    out2 = witness_check(TwoColoring(4, Graph.complete(4)), 1, 1)
-    assert out2.color == "blue"
+    assert isinstance(check_coloring(all_red(4), 1, 1), RedBook)
+    assert isinstance(check_coloring(TwoColoring(4, Graph.complete(4)), 1, 1), BlueBook)
 
 
 # ---------------------------------------------------------- exhaustive search
@@ -110,7 +104,7 @@ def test_verify_k5_triangle_vs_triangle():
     assert out.colorings_examined == 237
     assert out.counterexample_index == 236
     ce = out.counterexample
-    assert isinstance(witness_check(ce, 1, 1), WitnessCertificate)
+    assert isinstance(check_coloring(ce, 1, 1), Neither)
     # the classical witness: both color classes are 5-cycles
     assert ce.blue.booksize()[0] == 0
     assert ce.red.booksize()[0] == 0
@@ -137,7 +131,7 @@ def test_verify_counterexamples_always_validate():
     for n, p, q in [(4, 1, 1), (5, 1, 2), (6, 2, 2), (7, 2, 3)]:
         out = exhaustive_verify(RamseyQuery(n, p, q), prune=True)
         assert out.verdict == "counterexample"
-        assert isinstance(witness_check(out.counterexample, p, q), WitnessCertificate)
+        assert isinstance(check_coloring(out.counterexample, p, q), Neither)
 
 
 def test_pruning_preserves_verdict_and_shrinks_work():
@@ -148,9 +142,7 @@ def test_pruning_preserves_verdict_and_shrinks_work():
             assert plain.verdict == pruned.verdict
             assert pruned.colorings_examined <= plain.colorings_examined
             if pruned.verdict == "counterexample":
-                assert isinstance(
-                    witness_check(pruned.counterexample, p, q), WitnessCertificate
-                )
+                assert isinstance(check_coloring(pruned.counterexample, p, q), Neither)
 
 
 def test_thread_count_does_not_change_outcome():
