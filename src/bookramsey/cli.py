@@ -531,9 +531,10 @@ def main(argv=None) -> int:
     if args.format == "csv" and not hasattr(args, "csv"):
         print("error: --format csv is only available for tabular reports", file=sys.stderr)
         return EXIT_USAGE
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    for flag in ("threads", "samples"):
+        if getattr(args, flag, 1) < 1:
+            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     start = time.perf_counter()
     try:
         results, summary, code = args.handler(args)

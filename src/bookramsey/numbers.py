@@ -7,7 +7,11 @@ as possible and floats appear only in reports.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def as_fraction(x) -> Fraction:
@@ -15,7 +19,8 @@ def as_fraction(x) -> Fraction:
 
     Floats go through their shortest repr, so as_fraction(0.005) is
     exactly 1/200 rather than the nearest binary double.  Bools, other
-    types and zero denominators raise ValueError.
+    types, zero denominators and decimal exponents above the
+    interpreter's limit on integer string digits raise ValueError.
     """
     if isinstance(x, Fraction):
         return x
@@ -27,6 +32,14 @@ def as_fraction(x) -> Fraction:
         return Fraction(repr(x))
     if not isinstance(x, str):
         raise ValueError(f"cannot interpret {type(x).__name__} as a rational")
+    exponent = _EXPONENT.search(x)
+    if exponent:
+        # Fraction expands 10**exponent exactly, which for an exponent of
+        # 1e9 runs for minutes; cap it where int(str) caps digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"decimal exponent of {x!r} is beyond {limit}")
     try:
         return Fraction(x.strip())
     except ZeroDivisionError:

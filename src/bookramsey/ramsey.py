@@ -2,10 +2,20 @@
 
 A 2-coloring of K_N is encoded as the colex bitstring of its blue edge
 indicators, so the space of colorings is the integer range [0, 2^C(N,2))
-and "first counterexample" means lowest index.  The scan is vectorized:
-a uint64 block of candidate bitstrings is tested against per-edge page
-masks, where page w of base (u, v) is red iff both bits of {(u,w),(v,w)}
-are 0 and blue iff both are 1.
+and "first counterexample" means lowest index.
+
+The scan is bit-sliced: a block of 2^BLOCK_BITS candidates is held as
+one uint64 word array per variable bit, lane i of word w standing for
+candidate start + 64*w + i.  Bits 0-5 are fixed lane patterns
+(0xAAAA..., 0xCCCC..., ...); a higher bit is an all-ones or all-zeros
+word, read off the word index below BLOCK_BITS and off the block's
+start above it.  Page w of base (u, v) is red where both bits of
+{(u,w),(v,w)} are 0, so it is the AND of their complemented words, and
+blue where both are 1, the AND of the words.  A saturating unary counter
+of at most p levels turns the pages into "at least p pages", which is
+ANDed with the base's colour and ORed into the block's hit word.  The
+first miss is the lowest clear bit of the first word that is not all
+ones.  Each bitwise operation covers 64 candidates.
 
 Optional symmetry pruning fixes vertex 0's blue star to {1..d} for each
 d; every coloring is isomorphic to one of these, so the verdict is
@@ -85,16 +95,28 @@ def check_coloring(c: TwoColoring, p: int, q: int):
 
 # ------------------------------------------------------------------ kernel
 
+LANE_BITS = 6  # 64 candidates per uint64 word
+# word pattern of variable bit b < 6: lane i holds bit b of i
+_LANE_PATTERNS = (
+    0xAAAAAAAAAAAAAAAA,
+    0xCCCCCCCCCCCCCCCC,
+    0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00,
+    0xFFFF0000FFFF0000,
+    0xFFFFFFFF00000000,
+)
+_ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 
 @dataclass(frozen=True)
 class _EdgeSpec:
-    # base_var: variable-bit mask of the base edge, or None when fixed
+    # base_var: variable-bit index of the base edge, or None when fixed
     base_var: int | None
     base_blue: bool
     red_const: int
-    red_masks: tuple[int, ...]  # red page iff (M & mask) == 0
+    red_pages: tuple[tuple[int, ...], ...]  # red page iff all these bits are 0
     blue_const: int
-    blue_masks: tuple[int, ...]  # blue page iff (M & mask) == mask
+    blue_pages: tuple[tuple[int, ...], ...]  # blue page iff all these bits are 1
 
 
 def _build_specs(N: int, star_d: int | None) -> tuple[int, list[int], list[_EdgeSpec]]:
@@ -118,66 +140,104 @@ def _build_specs(N: int, star_d: int | None) -> tuple[int, list[int], list[_Edge
         for v in range(u + 1, N):
             e = edge_index(u, v)
             red_const = blue_const = 0
-            red_masks: list[int] = []
-            blue_masks: list[int] = []
+            red_pages: list[tuple[int, ...]] = []
+            blue_pages: list[tuple[int, ...]] = []
             for w in range(N):
                 if w in (u, v):
                     continue
-                pair = [edge_index(u, w), edge_index(v, w)]
-                mask = 0
+                page: list[int] = []
                 n_fixed_blue = n_fixed_red = 0
-                for f in pair:
+                for f in (edge_index(u, w), edge_index(v, w)):
                     if f in varbit:
-                        mask |= 1 << varbit[f]
+                        page.append(varbit[f])
                     elif fixed_blue[f]:
                         n_fixed_blue += 1
                     else:
                         n_fixed_red += 1
                 if n_fixed_blue == 0:
-                    if mask:
-                        red_masks.append(mask)
+                    if page:
+                        red_pages.append(tuple(page))
                     else:
                         red_const += 1
                 if n_fixed_red == 0:
-                    if mask:
-                        blue_masks.append(mask)
+                    if page:
+                        blue_pages.append(tuple(page))
                     else:
                         blue_const += 1
             specs.append(
                 _EdgeSpec(
-                    base_var=1 << varbit[e] if e in varbit else None,
+                    base_var=varbit.get(e),
                     base_blue=fixed_blue.get(e, False),
                     red_const=red_const,
-                    red_masks=tuple(red_masks),
+                    red_pages=tuple(red_pages),
                     blue_const=blue_const,
-                    blue_masks=tuple(blue_masks),
+                    blue_pages=tuple(blue_pages),
                 )
             )
     return len(var_edges), var_edges, specs
 
 
-def _block_all_hit(M: np.ndarray, specs: list[_EdgeSpec], p: int, q: int) -> np.ndarray:
-    """Boolean array: candidate contains a red B_p or blue B_q."""
-    hit = np.zeros(M.shape, dtype=bool)
+def _bit_words(words: int, nbits: int) -> list[np.ndarray]:
+    """Entry b < nbits: bit b of candidate 64*w + i, at lane i of word w.
+
+    With fewer than 64 candidates (nbits < 6) lane i repeats candidate
+    i mod 2^nbits, so an unused lane is hit exactly when a used one is
+    and never reports the first miss.
+    """
+    lanes = [np.full(words, pattern, dtype=np.uint64) for pattern in _LANE_PATTERNS[:nbits]]
+    word_index = np.arange(words, dtype=np.uint64)
+    # a bit above the lane bits is one bit of the word index, spread over all lanes
+    return lanes + [
+        np.uint64(0) - ((word_index >> np.uint64(b - LANE_BITS)) & np.uint64(1))
+        for b in range(LANE_BITS, nbits)
+    ]
+
+
+def _at_least(pages: tuple[tuple[int, ...], ...], need: int, colour: list[np.ndarray], words: int) -> np.ndarray:
+    """Fresh word array: lanes where at least `need` pages are wholly `colour`.
+
+    A saturating unary counter: level[j] holds the lanes with at least
+    j + 1 pages so far.  Levels are raised top down, so a page lifts a
+    lane by one level at most.
+    """
+    if need <= 0:
+        return np.full(words, _ALL_LANES)
+    level = [np.zeros(words, dtype=np.uint64) for _ in range(need)]
+    page = np.empty(words, dtype=np.uint64)
+    carry = np.empty(words, dtype=np.uint64)
+    for bits in pages:
+        if len(bits) == 1:
+            word = colour[bits[0]]
+        else:
+            word = np.bitwise_and(colour[bits[0]], colour[bits[1]], out=page)
+        for j in range(need - 1, 0, -1):
+            level[j] |= np.bitwise_and(level[j - 1], word, out=carry)
+        level[0] |= word
+    return level[need - 1]
+
+
+def _block_hit(
+    blue: list[np.ndarray], red: list[np.ndarray], words: int, specs: list[_EdgeSpec], p: int, q: int
+) -> np.ndarray:
+    """Word array: lane set iff that candidate contains a red B_p or blue B_q.
+
+    blue[b] and red[b] are the words of variable bit b and its complement.
+    """
+    hit = np.zeros(words, dtype=np.uint64)
     for s in specs:
-        want_red = s.base_var is not None or not s.base_blue
-        want_blue = s.base_var is not None or s.base_blue
-        if want_red and s.red_const + len(s.red_masks) >= p:
-            rc = np.full(M.shape, s.red_const, dtype=np.uint8)
-            for mask in s.red_masks:
-                rc += (M & np.uint64(mask)) == 0
-            red_hit = rc >= p
+        for colour, pages, const, target, is_blue in (
+            (red, s.red_pages, s.red_const, p, False),
+            (blue, s.blue_pages, s.blue_const, q, True),
+        ):
+            if s.base_var is None and s.base_blue != is_blue:
+                continue
+            need = target - const
+            if need > len(pages):
+                continue
+            book = _at_least(pages, need, colour, words)
             if s.base_var is not None:
-                red_hit &= (M & np.uint64(s.base_var)) == 0
-            hit |= red_hit
-        if want_blue and s.blue_const + len(s.blue_masks) >= q:
-            bc = np.full(M.shape, s.blue_const, dtype=np.uint8)
-            for mask in s.blue_masks:
-                bc += (M & np.uint64(mask)) == np.uint64(mask)
-            blue_hit = bc >= q
-            if s.base_var is not None:
-                blue_hit &= (M & np.uint64(s.base_var)) != 0
-            hit |= blue_hit
+                book &= colour[s.base_var]
+            hit |= book
     return hit
 
 
@@ -196,14 +256,24 @@ def _scan_scenario(
     threads = min(threads, _usable_cpus())
     total = 1 << nvar
     block = 1 << min(BLOCK_BITS, nvar)
+    words = max(1, block >> LANE_BITS)
+    # bits below BLOCK_BITS spell the offset inside a block, the same in
+    # every block; a higher bit is constant over a block
+    blue_low = _bit_words(words, min(nvar, BLOCK_BITS))
+    red_low = [~x for x in blue_low]
+    zeros, ones = np.zeros(words, dtype=np.uint64), np.full(words, _ALL_LANES)
 
     def misses_at(start: int) -> int | None:
-        count = min(block, total - start)
-        M = np.arange(start, start + count, dtype=np.uint64)
-        hit = _block_all_hit(M, specs, p, q)
-        if hit.all():
+        high = [start >> b & 1 for b in range(BLOCK_BITS, nvar)]
+        blue = blue_low + [ones if h else zeros for h in high]
+        red = red_low + [zeros if h else ones for h in high]
+        hit = _block_hit(blue, red, words, specs, p, q)
+        missed = np.flatnonzero(hit != _ALL_LANES)
+        if not missed.size:
             return None
-        return start + int(np.argmax(~hit))
+        w = int(missed[0])
+        word = int(hit[w])
+        return start + (w << LANE_BITS) + (~word & (word + 1)).bit_length() - 1
 
     starts = range(0, total, block)
     if threads <= 1:

@@ -596,6 +596,10 @@ HOSTILE = {
         lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/0"],
         "zero denominator in '1/0'",
     ),
+    "xi-huge-exponent": (
+        lambda f, t: ["trichotomy", f["kbb"], "--xi", "1e999999999"],
+        "decimal exponent of '1e999999999' is beyond",
+    ),
     "config-epsilon-list": (
         lambda f, t: ["uniformity", _config(f, t, epsilon=[1])],
         "cannot interpret list as a rational",
@@ -656,6 +660,14 @@ HOSTILE = {
         lambda f, t: ["--threads", -3, "verify", 6, 1, 2],
         "--threads must be at least 1",
     ),
+    "samples-negative": (
+        lambda f, t: ["uniformity", f["half_cfg"], "--sampled", "--samples", -5],
+        "--samples must be at least 1",
+    ),
+    "samples-zero": (
+        lambda f, t: ["classify", f["classify_cfg"], "--samples", 0],
+        "--samples must be at least 1",
+    ),
 }
 
 
@@ -674,6 +686,18 @@ def test_as_fraction_raises_value_error():
     assert as_fraction(0.005) == Fraction(1, 200)
     for bad in (True, None, [1], {"n": 1}, "1/0", "abc", float("inf")):
         with pytest.raises(ValueError):
+            as_fraction(bad)
+
+
+def test_as_fraction_caps_decimal_exponents():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert as_fraction("2.5e-3") == Fraction(1, 400)
+    assert as_fraction("1E1_0") == 10**10
+    assert as_fraction(f"1e{limit}") == 10**limit
+    assert as_fraction(f"1e-{limit}") == Fraction(1, 10**limit)
+    # each of these would expand a power of ten with a billion digits
+    for bad in ("1e999999999", "1e-999999999", " 3.5E+1_000_000_000 ", "1e" + "9" * 5000, f"1e{limit + 1}"):
+        with pytest.raises(ValueError, match="decimal exponent"):
             as_fraction(bad)
 
 

@@ -1,0 +1,121 @@
+"""Differential tests: the bit-sliced exhaustive scan against references.
+
+`ref_block_all_hit` is the per-candidate kernel the scan used before it
+was bit-sliced: one candidate per uint64 and a uint8 page counter per
+candidate.  The scan must report the same lowest missing index in every
+scenario.  `test_lowest_counterexample_matches_brute_force` checks the
+whole route against `check_coloring` without going through the specs.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from bookramsey.colorings import TwoColoring
+from bookramsey.ramsey import (
+    BLOCK_BITS,
+    Neither,
+    RamseyQuery,
+    _bit_words,
+    _build_specs,
+    _scan_scenario,
+    check_coloring,
+    exhaustive_verify,
+)
+
+# ---------------------------------------------------------------- references
+
+
+def _mask(bits) -> np.uint64:
+    return np.uint64(sum(1 << b for b in bits))
+
+
+def ref_block_all_hit(M: np.ndarray, specs, p: int, q: int) -> np.ndarray:
+    """Boolean array: candidate M[i] contains a red B_p or blue B_q."""
+    hit = np.zeros(M.shape, dtype=bool)
+    for s in specs:
+        want_red = s.base_var is not None or not s.base_blue
+        want_blue = s.base_var is not None or s.base_blue
+        if want_red and s.red_const + len(s.red_pages) >= p:
+            rc = np.full(M.shape, s.red_const, dtype=np.uint8)
+            for page in s.red_pages:
+                rc += (M & _mask(page)) == 0
+            red_hit = rc >= p
+            if s.base_var is not None:
+                red_hit &= (M & _mask([s.base_var])) == 0
+            hit |= red_hit
+        if want_blue and s.blue_const + len(s.blue_pages) >= q:
+            bc = np.full(M.shape, s.blue_const, dtype=np.uint8)
+            for page in s.blue_pages:
+                bc += (M & _mask(page)) == _mask(page)
+            blue_hit = bc >= q
+            if s.base_var is not None:
+                blue_hit &= (M & _mask([s.base_var])) != 0
+            hit |= blue_hit
+    return hit
+
+
+def ref_first_miss(nvar: int, specs, p: int, q: int) -> int | None:
+    total = 1 << nvar
+    block = 1 << min(BLOCK_BITS, nvar)
+    for start in range(0, total, block):
+        hit = ref_block_all_hit(np.arange(start, start + block, dtype=np.uint64), specs, p, q)
+        if not hit.all():
+            return start + int(np.argmax(~hit))
+    return None
+
+
+# --------------------------------------------------------------------- tests
+
+
+@pytest.mark.parametrize("nbits", [0, 1, 3, 5, 6, 7, 13, BLOCK_BITS])
+def test_bit_words_spell_candidate_indices(nbits):
+    words = max(1, (1 << nbits) >> 6)
+    bits = _bit_words(words, nbits)
+    assert len(bits) == nbits
+    lanes = np.arange(64, dtype=np.uint64)
+    index = np.zeros((words, 64), dtype=np.uint64)
+    for b, word in enumerate(bits):
+        index |= ((word[:, None] >> lanes) & np.uint64(1)) << np.uint64(b)
+    # fewer than 64 candidates repeat across the word
+    expect = np.arange(words * 64, dtype=np.uint64) % np.uint64(1 << nbits)
+    assert np.array_equal(index.ravel(), expect)
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_scan_matches_reference_kernel(N):
+    for star_d in [None, *range(N)]:
+        nvar, _, specs = _build_specs(N, star_d)
+        for p, q in product(range(1, 4), repeat=2):
+            got = _scan_scenario(nvar, specs, p, q, threads=1)
+            assert got == ref_first_miss(nvar, specs, p, q), (N, star_d, p, q)
+
+
+@pytest.mark.parametrize("N", range(2, 6))
+def test_lowest_counterexample_matches_brute_force(N):
+    m = N * (N - 1) // 2
+    for p, q in product((1, 2), repeat=2):
+        expect = next(
+            (k for k in range(1 << m) if isinstance(check_coloring(TwoColoring.from_blue_index(N, k), p, q), Neither)),
+            None,
+        )
+        out = exhaustive_verify(RamseyQuery(N, p, q))
+        if expect is None:
+            assert (out.verdict, out.colorings_examined) == ("forced", 1 << m)
+        else:
+            assert (out.counterexample_index, out.colorings_examined) == (expect, expect + 1), (N, p, q)
+
+
+def test_short_block_reports_no_miss_in_unused_lanes():
+    # pruned K_4 with vertex 0 blue to all of 1, 2, 3: each of the 8
+    # colorings of the triangle 123 makes a monochromatic triangle, so
+    # none of the 56 unused lanes of the single word may read as a miss
+    nvar, _, specs = _build_specs(4, 3)
+    assert nvar == 3
+    assert _scan_scenario(nvar, specs, 1, 1, threads=1) is None
+    for N in (3, 4):
+        plain = exhaustive_verify(RamseyQuery(N, 1, 1))
+        pruned = exhaustive_verify(RamseyQuery(N, 1, 1), prune=True)
+        assert plain.verdict == pruned.verdict == "counterexample"
+        assert isinstance(check_coloring(pruned.counterexample, 1, 1), Neither)
