@@ -13,7 +13,9 @@ may be shared freely across threads.
 Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
 which is the row-major strict lower triangle of the matrix.  graph6
 (read and written here, short form n <= 62 and long form n <= 258047)
-and BRC1 (``colorings``) both store their edge bits in this order.
+and BRC1 (``colorings``) both store their edge bits in this order.  The
+decoder reads graphs of at most GRAPH6_ORDER_CAP vertices: it builds
+(n, n) bool matrices, several times n^2 bytes at once.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
+GRAPH6_ORDER_CAP = 1 << 13  # a decode at the cap peaks near 270 MB
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
 
 
@@ -310,6 +313,8 @@ class Graph:
                 raise ParseError("truncated graph6 vertex count", line=line, offset=0)
             n = int(vals[1]) << 12 | int(vals[2]) << 6 | int(vals[3])
             data = vals[4:]
+        if n > GRAPH6_ORDER_CAP:
+            raise CapacityError(f"graph6 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
         nbits = n * (n - 1) // 2
         if len(data) != (nbits + 5) // 6:
             raise ParseError(
@@ -348,14 +353,14 @@ def _from_colex_bits(n: int, bits) -> Graph:
 
 
 def _packed_words(n: int, rows: Sequence[int]) -> np.ndarray:
-    """Rows as an (n, ceil(n/64)) array of little-endian uint64 words."""
+    """Rows as a (len(rows), ceil(n/64)) array of little-endian uint64 words."""
     nwords = (n + 63) // 64
     buf = b"".join(row.to_bytes(8 * nwords, "little") for row in rows)
-    return np.frombuffer(buf, dtype="<u8").reshape(n, nwords)
+    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nwords)
 
 
 def _bool_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
-    """Rows as an (n, n) bool matrix; every row must fit in n bits."""
+    """Rows as a (len(rows), n) bool matrix; every row must fit in n bits."""
     bits = np.unpackbits(
         _packed_words(n, rows).view(np.uint8), axis=1, count=n, bitorder="little"
     )

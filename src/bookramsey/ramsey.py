@@ -24,6 +24,7 @@ unchanged while the enumeration shrinks by roughly 2^(N-1)/N.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -246,14 +247,13 @@ def _usable_cpus() -> int:
 
 
 def _scan_scenario(
-    nvar: int, specs: list[_EdgeSpec], p: int, q: int, threads: int
+    nvar: int, specs: list[_EdgeSpec], p: int, q: int, pool=None, threads: int = 1
 ) -> int | None:
     """Lowest variable-bit index whose coloring avoids both books.
 
-    The pool never exceeds the usable CPUs; the result does not depend
-    on its size.
+    Blocks run on ``pool``, ``threads`` at a time, when one is given; the
+    result does not depend on it.
     """
-    threads = min(threads, _usable_cpus())
     total = 1 << nvar
     block = 1 << min(BLOCK_BITS, nvar)
     words = max(1, block >> LANE_BITS)
@@ -276,7 +276,7 @@ def _scan_scenario(
         return start + (w << LANE_BITS) + (~word & (word + 1)).bit_length() - 1
 
     starts = range(0, total, block)
-    if threads <= 1:
+    if pool is None:
         for start in starts:
             found = misses_at(start)
             if found is not None:
@@ -285,24 +285,21 @@ def _scan_scenario(
 
     # contiguous ranges per worker; consuming results in range order keeps
     # the reported counterexample identical for every thread count
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        it = iter(starts)
-        window: list = []
-        while True:
-            while len(window) < 2 * threads:
-                start = next(it, None)
-                if start is None:
-                    break
-                window.append(pool.submit(misses_at, start))
-            if not window:
-                return None
-            found = window.pop(0).result()
-            if found is not None:
-                for fut in window:
-                    fut.cancel()
-                return found
+    it = iter(starts)
+    window: list = []
+    while True:
+        while len(window) < 2 * threads:
+            start = next(it, None)
+            if start is None:
+                break
+            window.append(pool.submit(misses_at, start))
+        if not window:
+            return None
+        found = window.pop(0).result()
+        if found is not None:
+            for fut in window:
+                fut.cancel()
+            return found
 
 
 def exhaustive_verify(
@@ -331,20 +328,29 @@ def exhaustive_verify(
 
     scenarios: list[int | None] = list(range(N)) if prune else [None]
     per_scenario = 1 << nvar_max
-    for si, star_d in enumerate(scenarios):
-        nvar, var_edges, specs = _build_specs(N, star_d)
-        k = _scan_scenario(nvar, specs, p, q, threads)
-        if k is None:
-            continue
-        blue_index = sum(1 << var_edges[b] for b in bits_of(k))
-        if star_d is not None:
-            blue_index += sum(1 << edge_index(0, j) for j in range(1, star_d + 1))
-        return SearchOutcome(
-            verdict="counterexample",
-            counterexample=TwoColoring.from_blue_index(N, blue_index),
-            colorings_examined=si * per_scenario + k + 1,
-            counterexample_index=blue_index if star_d is None else None,
-        )
+    # one pool for every scenario, never above the usable CPUs
+    threads = min(threads, _usable_cpus())
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pooling = ThreadPoolExecutor(max_workers=threads)
+    else:
+        pooling = contextlib.nullcontext()
+    with pooling as pool:
+        for si, star_d in enumerate(scenarios):
+            nvar, var_edges, specs = _build_specs(N, star_d)
+            k = _scan_scenario(nvar, specs, p, q, pool, threads)
+            if k is None:
+                continue
+            blue_index = sum(1 << var_edges[b] for b in bits_of(k))
+            if star_d is not None:
+                blue_index += sum(1 << edge_index(0, j) for j in range(1, star_d + 1))
+            return SearchOutcome(
+                verdict="counterexample",
+                counterexample=TwoColoring.from_blue_index(N, blue_index),
+                colorings_examined=si * per_scenario + k + 1,
+                counterexample_index=blue_index if star_d is None else None,
+            )
     return SearchOutcome(
         verdict="forced",
         counterexample=None,

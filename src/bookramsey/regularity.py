@@ -7,8 +7,9 @@ deviation are fixed conventions here, chosen so the oracle and all bound
 validators agree with each other.
 
 All densities and bounds are exact rationals; "count >= bound" comparisons
-carry no floating-point tolerance.  Deviation tests inside the oracle are
-cleared of denominators up front and run on plain integers.
+carry no floating-point tolerance.  Deviation tests inside the oracle and
+the search are cleared of denominators up front: they compare int64
+arrays against limits computed from eps in Python ints.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .colorings import TwoColoring
 from .errors import CapacityError
-from .graphs import BookCertificate, Graph, bits_of, vertex_mask
+from .graphs import BookCertificate, Graph, _bool_matrix, bits_of, vertex_mask
 from .numbers import as_fraction
 from .rng import subset_sampler
 
 ORACLE_SIDE_CAP = 16
+ORACLE_CHUNK = 1 << 10  # X masks per oracle step; bounds its temporary arrays
 
 
 @dataclass(frozen=True)
@@ -80,21 +84,63 @@ def _size_floor(eps: Fraction, side: int) -> int:
     return max(1, -((-eps.numerator * side) // eps.denominator))  # ceil(eps*side)
 
 
-def _deviates(e: int, s: int, sy: int, enum: int, na: int, nb: int, eps: Fraction) -> bool:
-    # |e/(s*sy) - enum/(na*nb)| > eps, cleared of denominators
-    lhs = abs(e * na * nb - enum * s * sy) * eps.denominator
-    return lhs > eps.numerator * s * sy * na * nb
+def _cross_matrix(pair: BipartitePairView) -> np.ndarray:
+    """(|A|, |B|) bool matrix: entry [k, j] is set iff A[k] ~ B[j]."""
+    rows = [pair.host.rows[a] for a in pair.A]
+    return _bool_matrix(pair.host.n, rows)[:, list(pair.B)]
+
+
+def _count_dtype(na: int, nb: int):
+    """Integer type of a pair's deviation tests: it must hold (na nb)^2,
+    the largest |e na nb - e(A, B) |X| |Y|| and the largest limit."""
+    cap = (na * nb) ** 2
+    if cap >= 1 << 62:
+        raise CapacityError("pair too large for the int64 deviation kernel")
+    return np.int32 if cap < 1 << 31 else np.int64
+
+
+def _deviation_limits(eps: Fraction, na: int, nb: int, b0: int, s) -> np.ndarray:
+    """Limits over |Y| = 0..nb for |X| = s (an int, or an array of them for
+    one row each): a cross count e deviates iff
+    |e na nb - e(A, B) s |Y|| > limit.
+
+    The limit is floor(eps s |Y| na nb), the deviation test cleared of
+    denominators, taken in Python ints so no eps overflows.  It is clipped
+    at (na nb)^2, which |e na nb - e(A, B) s |Y|| never exceeds, and sizes
+    below the floor b0 get the clip, so they never deviate.
+    """
+    cap = (na * nb) ** 2
+    sizes = np.multiply.outer(np.asarray(s, dtype=object), np.arange(nb + 1, dtype=object))
+    limits = np.minimum(sizes * (eps.numerator * na * nb) // eps.denominator, cap)
+    limits = limits.astype(_count_dtype(na, nb))
+    limits[..., :b0] = cap
+    return limits
+
+
+def _extreme_counts(degs: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest cross counts over |Y| = 1..nb, per row of degrees.
+
+    Each row holds |N(b) cap X| over b in B in ascending order; column
+    sy - 1 sums its sy smallest (lo) and its sy largest (hi) entries.
+    """
+    lo = np.cumsum(degs, axis=-1, dtype=dtype)
+    hi = np.cumsum(degs[..., ::-1], axis=-1, dtype=dtype)
+    return lo, hi
 
 
 def uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
     """Exhaustive uniformity check over all floor-respecting subset pairs.
 
     Sides are capped at 16 vertices: larger inputs belong to
-    nonuniformity_search.  For each X the extreme cross counts at every
-    |Y| are read off sorted degree prefixes, so a 16x16 pair costs about
-    2^16 * 16 integer operations instead of 2^32 subset pairs.  The
-    returned witness is the first (X bitmask, Y bitmask) in increasing
-    numeric order over the given side orderings.
+    nonuniformity_search.  X runs over the masks of A in numeric order,
+    ORACLE_CHUNK at a time: each chunk's (chunk, |B|) degree matrix
+    |N(b) cap X| is sorted along its rows, and its ascending and
+    descending cumsums give the least and greatest cross count at every
+    |Y|, tested against ``_deviation_limits`` all at once.  The first
+    deviating X then gets its least Y from subset sums over the 2^|B|
+    masks of B, tested ORACLE_CHUNK masks at a time.  The returned
+    witness is the first (X bitmask, Y bitmask) in increasing numeric
+    order over the given side orderings.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -105,41 +151,42 @@ def uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
     a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
     if a0 > na or b0 > nb:
         return UniformityVerdict(uniform=True, witness=None)
-    rows = pair.b_rows()
+    rows = np.array(pair.b_rows(), dtype=np.int32)
     enum = pair.edge_count()
+    limits = _deviation_limits(eps, na, nb, b0, np.arange(na + 1))
+    limits[:a0] = (na * nb) ** 2  # below the floor nothing deviates
+    dtype = _count_dtype(na, nb)
+    sy = np.arange(1, nb + 1, dtype=dtype)
 
-    for X in range(1, 1 << na):
-        s = X.bit_count()
-        if s < a0:
-            continue
-        degs = sorted((r & X).bit_count() for r in rows)
-        lo = hi = 0
-        found = False
-        for sy in range(1, nb + 1):
-            lo += degs[sy - 1]
-            hi += degs[nb - sy]
-            if sy >= b0 and (
-                _deviates(lo, s, sy, enum, na, nb, eps)
-                or _deviates(hi, s, sy, enum, na, nb, eps)
-            ):
-                found = True
-                break
-        if not found:
-            continue
-        # locate the least Y bitmask; subset-sum DP over B masks
-        deg_of = [(r & X).bit_count() for r in rows]
-        esum = [0] * (1 << nb)
-        for Y in range(1, 1 << nb):
-            low = Y & -Y
-            esum[Y] = esum[Y ^ low] + deg_of[low.bit_length() - 1]
-        for Y in range(1, 1 << nb):
-            sy = Y.bit_count()
-            if sy >= b0 and _deviates(esum[Y], s, sy, enum, na, nb, eps):
-                wx = tuple(pair.A[k] for k in bits_of(X))
-                wy = tuple(pair.B[k] for k in bits_of(Y))
-                return UniformityVerdict(uniform=False, witness=(wx, wy))
-        raise AssertionError("prefix scan found a deviation but mask scan did not")
-    return UniformityVerdict(uniform=True, witness=None)
+    for start in range(1, 1 << na, ORACLE_CHUNK):
+        X = np.arange(start, min(start + ORACLE_CHUNK, 1 << na), dtype=np.int32)
+        s = np.bitwise_count(X).astype(dtype)
+        degs = np.bitwise_count(X[:, None] & rows)
+        degs.sort(axis=1)
+        lo, hi = _extreme_counts(degs, dtype)
+        mean = (enum * s)[:, None] * sy
+        lim = limits[s, 1:]
+        dev = (np.abs(lo * (na * nb) - mean) > lim) | (np.abs(hi * (na * nb) - mean) > lim)
+        hits = np.flatnonzero(dev.any(axis=1))
+        if hits.size:
+            break
+    else:
+        return UniformityVerdict(uniform=True, witness=None)
+    X, s = int(X[hits[0]]), int(s[hits[0]])
+    # least Y: cross counts of every mask of B by subset sums
+    esum = np.zeros(1 << nb, dtype=dtype)
+    for k, d in enumerate(np.bitwise_count(rows & X).tolist()):
+        esum[1 << k : 2 << k] = esum[: 1 << k] + d
+    for start in range(0, 1 << nb, ORACLE_CHUNK):
+        Y = np.arange(start, min(start + ORACLE_CHUNK, 1 << nb), dtype=np.int32)
+        sizes = np.bitwise_count(Y).astype(dtype)
+        dev = np.abs(esum[Y] * (na * nb) - enum * s * sizes) > limits[s, sizes]
+        if dev.any():
+            Y = int(Y[dev.argmax()])
+            break
+    wx = tuple(pair.A[k] for k in bits_of(X))
+    wy = tuple(pair.B[k] for k in bits_of(Y))
+    return UniformityVerdict(uniform=False, witness=(wx, wy))
 
 
 def check_witness(pair: BipartitePairView, eps, X: Iterable[int], Y: Iterable[int]) -> bool:
@@ -161,7 +208,8 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
 
     Degree-threshold prefixes of A are tried first, then neighborhoods of
     single B vertices, then seeded random subsets; for each candidate X
-    the most extreme Y of every admissible size is examined.  A returned
+    the most extreme Y of every admissible size is examined, the least
+    size first and the low-degree end before the high one.  A returned
     witness is exactly re-validated; None certifies nothing.
     """
     eps = as_fraction(eps)
@@ -172,48 +220,47 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
     if a0 > na or b0 > nb:
         return None
     enum = pair.edge_count()
-    mb = vertex_mask(pair.B)
-    deg_a = [(pair.host.rows[a] & mb).bit_count() for a in pair.A]
-    by_degree = sorted(range(na), key=lambda k: (deg_a[k], k))
+    limits: dict[int, np.ndarray] = {}  # by |X|
+    cross = _cross_matrix(pair)
+    by_degree = np.argsort(cross.sum(axis=1), kind="stable")
+    sy = np.arange(1, nb + 1, dtype=_count_dtype(na, nb))
 
     def candidate_xs():
+        # each candidate is an array of positions in A
         sizes = sorted({a0, max(a0, na // 4), max(a0, na // 2), max(a0, (3 * na) // 4), na})
         for m in sizes:
-            yield [pair.A[k] for k in by_degree[:m]]
-            yield [pair.A[k] for k in by_degree[na - m :]]
-        sa = set(pair.A)
-        for b in pair.B[:50]:
-            hood = [a for a in pair.A if pair.host.has_edge(a, b)]
+            yield by_degree[:m]
+            yield by_degree[na - m :]
+        for j in range(min(nb, 50)):
+            hood = np.flatnonzero(cross[:, j])
             if len(hood) >= a0:
                 yield hood
-            rest = sorted(sa.difference(hood))
+            rest = np.flatnonzero(~cross[:, j])
             if len(rest) >= a0:
                 yield rest
         rng = subset_sampler(seed, stream=1)
         while True:
             m = int(rng.integers(a0, na + 1))
-            yield sorted(int(v) for v in rng.choice(pair.A, size=m, replace=False))
+            yield rng.choice(na, size=m, replace=False)
 
-    tried = 0
-    for X in candidate_xs():
-        if tried >= samples:
-            return None
-        tried += 1
-        s = len(X)
-        mx = vertex_mask(X)
-        deg_b = [(pair.host.rows[b] & mx).bit_count() for b in pair.B]
-        order = sorted(range(nb), key=lambda k: (deg_b[k], k))
-        lo = hi = 0
-        for sy in range(1, nb + 1):
-            lo += deg_b[order[sy - 1]]
-            hi += deg_b[order[nb - sy]]
-            if sy < b0:
-                continue
-            for e, picks in ((lo, order[:sy]), (hi, order[nb - sy :])):
-                if _deviates(e, s, sy, enum, na, nb, eps):
-                    Y = sorted(pair.B[k] for k in picks)
+    for _, xs in zip(range(samples), candidate_xs()):
+        s = len(xs)
+        deg_b = cross[xs].sum(axis=0)
+        order = np.argsort(deg_b, kind="stable")
+        lo, hi = _extreme_counts(deg_b[order], sy.dtype)
+        mean = enum * s * sy
+        if s not in limits:
+            limits[s] = _deviation_limits(eps, na, nb, b0, s)[1:]
+        lim = limits[s]
+        dev_lo = np.abs(lo * (na * nb) - mean) > lim
+        dev_hi = np.abs(hi * (na * nb) - mean) > lim
+        for k in np.flatnonzero(dev_lo | dev_hi).tolist():
+            for dev, picks in ((dev_lo, order[: k + 1]), (dev_hi, order[nb - k - 1 :])):
+                if dev[k]:
+                    X = sorted(pair.A[i] for i in xs.tolist())
+                    Y = sorted(pair.B[i] for i in picks.tolist())
                     if check_witness(pair, eps, X, Y):
-                        return tuple(sorted(X)), tuple(Y)
+                        return tuple(X), tuple(Y)
     return None
 
 

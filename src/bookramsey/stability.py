@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, bits_of, vertex_mask
+import numpy as np
+
+from .graphs import Graph, _packed_words, vertex_mask
 from .numbers import as_fraction
 from .rng import subset_sampler
 
@@ -157,23 +159,52 @@ def classification_report(g: Graph, cls: VertexClassification) -> dict:
 # ------------------------------------------------------------- extraction
 
 
-def _local_max_cut(g: Graph, side: list[bool], order: list[int]) -> None:
-    # flip vertices while the cut grows; terminates since the cut is bounded
-    masks = [0, 0]
-    for v in range(g.n):
-        masks[side[v]] |= 1 << v
+def _neighbours(words: np.ndarray, v: int) -> np.ndarray:
+    """Bool vector of v's neighbours, from the packed adjacency rows."""
+    n = len(words)
+    return np.unpackbits(words[v].view(np.uint8), count=n, bitorder="little").view(bool)
+
+
+def _side_counts(words: np.ndarray, side: np.ndarray, alive: np.ndarray) -> list[np.ndarray]:
+    """Each vertex's live neighbours on side 0 and on side 1."""
+    nbytes = words.shape[1] * 8
+    counts = []
+    for s in (0, 1):
+        packed = np.packbits(alive & (side == s), bitorder="little")
+        mask = np.pad(packed, (0, nbytes - len(packed))).view(np.uint64)
+        counts.append(np.bitwise_count(words & mask).sum(axis=1, dtype=np.intp))
+    return counts
+
+
+def _local_max_cut(words: np.ndarray, side: np.ndarray, order: np.ndarray) -> None:
+    """Flip vertices, in ``order`` pass after pass, while the cut grows.
+
+    A vertex flips at its turn when it has more neighbours on its own
+    side than on the other; terminates since the cut is bounded.  With
+    sign +1 on side 1 and -1 on side 0, own minus other neighbours is a
+    vertex's sign times the sign sum over its neighbours.  Both are kept
+    by position in ``order``, so each step jumps straight to the next
+    vertex that flips, and a flip moves only its neighbours' sums.
+    """
+    n = len(side)
+    at = np.argsort(order)
+    on0, on1 = _side_counts(words, side, np.ones(n, dtype=bool))
+    sums = (on1 - on0)[order]
+    signs = (2 * side.astype(np.intp) - 1)[order]
     improved = True
     while improved:
         improved = False
-        for v in order:
-            s = side[v]
-            own = (g.rows[v] & masks[s]).bit_count()
-            other = (g.rows[v] & masks[1 - s]).bit_count()
-            if own > other:
-                masks[s] ^= 1 << v
-                masks[1 - s] |= 1 << v
-                side[v] = not s
-                improved = True
+        i = 0
+        while i < n:
+            i += int((signs[i:] * sums[i:] > 0).argmax())
+            if signs[i] * sums[i] <= 0:
+                break
+            v = int(order[i])
+            sums[at[_neighbours(words, v).nonzero()[0]]] -= 2 * signs[i]
+            signs[i] = -signs[i]
+            side[v] ^= 1
+            improved = True
+            i += 1
 
 
 def bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
@@ -181,60 +212,61 @@ def bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
 
     Each restart: random sides, single-vertex max-cut local search,
     greedy deletion of the worst conflicted vertex until both parts are
-    independent, then re-insertion sweeps.  Restarts are scored by
-    (order, induced min degree) and ties go to the earliest restart, so
-    the result is a pure function of (g, seed).  Returned parts are
-    exactly independent; the xi thresholds are the caller's to judge.
+    independent, then re-insertion sweeps.  The deletion keeps each
+    vertex's count of live same-side neighbours and takes the first
+    maximum over side 0 in ascending order, then side 1.  Restarts are
+    scored by (order, induced min degree) and ties go to the earliest
+    restart, so the result is a pure function of (g, seed).  Returned
+    parts are exactly independent; the xi thresholds are the caller's to
+    judge.
     """
     as_fraction(xi)  # validated for interface symmetry; thresholds live upstream
     if g.n == 0:
         return None
+    n = g.n
+    words = _packed_words(n, g.rows)
     best = None
     best_score = None
     for r in range(restarts):
         rng = subset_sampler(seed, stream=r)
-        side = [bool(b) for b in rng.integers(0, 2, size=g.n)]
-        order = [int(v) for v in rng.permutation(g.n)]
-        _local_max_cut(g, side, order)
-        masks = [0, 0]
-        for v in range(g.n):
-            masks[side[v]] |= 1 << v
-        # delete the most conflicted vertex until both sides are independent
-        alive = (1 << g.n) - 1
+        side = rng.integers(0, 2, size=n).astype(np.int8)
+        order = rng.permutation(n)
+        _local_max_cut(words, side, order)
+        # delete the most conflicted vertex until both sides are independent;
+        # conflicts are kept in scan order: side 0 ascending, then side 1
+        alive = np.ones(n, dtype=bool)
+        scan = np.argsort(side, kind="stable")
+        at = np.argsort(scan)
+        conflict = np.choose(side, _side_counts(words, side, alive))[scan]
         while True:
-            worst_v, worst_c = -1, 0
-            for s in (0, 1):
-                for v in bits_of(masks[s] & alive):
-                    c = (g.rows[v] & masks[s] & alive).bit_count()
-                    if c > worst_c:
-                        worst_v, worst_c = v, c
-            if worst_v < 0:
+            k = int(conflict.argmax())
+            if conflict[k] <= 0:
                 break
-            alive ^= 1 << worst_v
-        # try to re-insert deleted vertices, preferring the emptier side
+            v = int(scan[k])
+            alive[v] = False
+            conflict[k] = 0
+            same = _neighbours(words, v) & alive & (side == side[v])
+            conflict[at[same.nonzero()[0]]] -= 1
+        # live neighbours per side; re-insert deleted vertices, in ascending
+        # order pass after pass, preferring the emptier side
+        count = _side_counts(words, side, alive)
+        size = [int(np.count_nonzero(alive & (side == s))) for s in (0, 1)]
         changed = True
         while changed:
             changed = False
-            for v in range(g.n):
-                if alive >> v & 1:
-                    continue
-                free = [
-                    s
-                    for s in (0, 1)
-                    if not g.rows[v] & masks[s] & alive
-                ]
+            for v in np.flatnonzero(~alive).tolist():
+                free = [s for s in (0, 1) if count[s][v] == 0]
                 if free:
-                    s = min(
-                        free, key=lambda s: (masks[s] & alive).bit_count()
-                    )
-                    masks[s] |= 1 << v
-                    masks[1 - s] &= ~(1 << v)
-                    alive |= 1 << v
+                    s = min(free, key=lambda s: size[s])
+                    side[v] = s
+                    alive[v] = True
+                    size[s] += 1
+                    count[s][_neighbours(words, v)] += 1
                     changed = True
-        U1 = tuple(bits_of(masks[0] & alive))
-        U2 = tuple(bits_of(masks[1] & alive))
+        U1 = tuple(np.flatnonzero(alive & (side == 0)).tolist())
+        U2 = tuple(np.flatnonzero(alive & (side == 1)).tolist())
         total = len(U1) + len(U2)
-        mind = g.min_degree_induced((*U1, *U2)) if total else 0
+        mind = int((count[0] + count[1])[alive].min()) if total else 0
         score = (total, mind, -r)
         if best_score is None or score > best_score:
             best, best_score = (U1, U2), score

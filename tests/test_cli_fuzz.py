@@ -22,12 +22,13 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookramsey import cli
 from bookramsey.colorings import TwoColoring
-from bookramsey.graphs import Graph
+from bookramsey.graphs import GRAPH6_ORDER_CAP, Graph
 
 SCHEMA = json.loads(
     resources.files("bookramsey").joinpath("schemas/runreport.schema.json").read_text()
@@ -205,3 +206,27 @@ def test_cli_exit_codes_and_reports_hold_under_random_input(invocation):
         report = json.loads(stdout)
         jsonschema.validate(report, SCHEMA)
         assert report["command"] == template[6]  # the subcommand follows three flag pairs
+
+
+def _long_form_header(n):
+    return "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+
+
+@pytest.mark.parametrize("n, full_data", [(GRAPH6_ORDER_CAP + 1, True), (GRAPH6_ORDER_CAP + 1, False), (258047, False)])
+@pytest.mark.parametrize("command", ["bk", "trichotomy", "uniformity"])
+def test_graph6_order_above_the_cap_exits_three_before_decoding(tmp_path, n, full_data, command):
+    # with its full data, n = 8193 is a 5.6 MB file whose decode would build
+    # (n, n) bool matrices of about 270 MB; the largest long-form order,
+    # 258047, would take hundreds of GB.  Both are refused from the header.
+    text = _long_form_header(n) + "?" * (((n * (n - 1) // 2 + 5) // 6) if full_data else 3)
+    if command == "uniformity":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"graph": text, "blocks": [[0], [1]], "epsilon": "1/10"}))
+        argv = ["uniformity", str(path)]
+    else:
+        path = tmp_path / "graph.g6"
+        path.write_text(text + "\n")
+        argv = [command, str(path)] + (["--xi", "1/10"] if command == "trichotomy" else [])
+    code, stdout = run_main(argv)
+    assert code == cli.EXIT_CAPACITY
+    assert stdout == ""

@@ -1,0 +1,439 @@
+"""Differential tests: the numpy structure-layer kernels against pure-Python loops.
+
+Each reference below is the bigint loop the package used before its
+uniformity oracle, sampled witness search and bipartite extractor were
+vectorized; the package must agree with it exactly: the same verdict,
+the same (X, Y) witness, the same extracted parts.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bookramsey import cli
+from bookramsey.errors import CapacityError
+from bookramsey.graphs import Graph, bits_of, vertex_mask
+from bookramsey.numbers import as_fraction
+from bookramsey.regularity import (
+    ORACLE_SIDE_CAP,
+    BipartitePairView,
+    UniformityVerdict,
+    check_witness,
+    nonuniformity_search,
+    uniformity_oracle,
+)
+from bookramsey.rng import subset_sampler
+from bookramsey.stability import bipartite_extract
+
+# ---------------------------------------------------------------- references
+
+
+def _size_floor(eps: Fraction, side: int) -> int:
+    return max(1, -((-eps.numerator * side) // eps.denominator))  # ceil(eps*side)
+
+
+def _deviates(e: int, s: int, sy: int, enum: int, na: int, nb: int, eps: Fraction) -> bool:
+    # |e/(s*sy) - enum/(na*nb)| > eps, cleared of denominators
+    lhs = abs(e * na * nb - enum * s * sy) * eps.denominator
+    return lhs > eps.numerator * s * sy * na * nb
+
+
+def ref_uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    na, nb = len(pair.A), len(pair.B)
+    if na > ORACLE_SIDE_CAP or nb > ORACLE_SIDE_CAP:
+        raise CapacityError(f"oracle sides capped at {ORACLE_SIDE_CAP} vertices")
+    a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
+    if a0 > na or b0 > nb:
+        return UniformityVerdict(uniform=True, witness=None)
+    rows = pair.b_rows()
+    enum = pair.edge_count()
+
+    for X in range(1, 1 << na):
+        s = X.bit_count()
+        if s < a0:
+            continue
+        degs = sorted((r & X).bit_count() for r in rows)
+        lo = hi = 0
+        found = False
+        for sy in range(1, nb + 1):
+            lo += degs[sy - 1]
+            hi += degs[nb - sy]
+            if sy >= b0 and (
+                _deviates(lo, s, sy, enum, na, nb, eps)
+                or _deviates(hi, s, sy, enum, na, nb, eps)
+            ):
+                found = True
+                break
+        if not found:
+            continue
+        # locate the least Y bitmask; subset-sum DP over B masks
+        deg_of = [(r & X).bit_count() for r in rows]
+        esum = [0] * (1 << nb)
+        for Y in range(1, 1 << nb):
+            low = Y & -Y
+            esum[Y] = esum[Y ^ low] + deg_of[low.bit_length() - 1]
+        for Y in range(1, 1 << nb):
+            sy = Y.bit_count()
+            if sy >= b0 and _deviates(esum[Y], s, sy, enum, na, nb, eps):
+                wx = tuple(pair.A[k] for k in bits_of(X))
+                wy = tuple(pair.B[k] for k in bits_of(Y))
+                return UniformityVerdict(uniform=False, witness=(wx, wy))
+        raise AssertionError("prefix scan found a deviation but mask scan did not")
+    return UniformityVerdict(uniform=True, witness=None)
+
+
+def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed: int = 0):
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    na, nb = len(pair.A), len(pair.B)
+    a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
+    if a0 > na or b0 > nb:
+        return None
+    enum = pair.edge_count()
+    mb = vertex_mask(pair.B)
+    deg_a = [(pair.host.rows[a] & mb).bit_count() for a in pair.A]
+    by_degree = sorted(range(na), key=lambda k: (deg_a[k], k))
+
+    def candidate_xs():
+        sizes = sorted({a0, max(a0, na // 4), max(a0, na // 2), max(a0, (3 * na) // 4), na})
+        for m in sizes:
+            yield [pair.A[k] for k in by_degree[:m]]
+            yield [pair.A[k] for k in by_degree[na - m :]]
+        sa = set(pair.A)
+        for b in pair.B[:50]:
+            hood = [a for a in pair.A if pair.host.has_edge(a, b)]
+            if len(hood) >= a0:
+                yield hood
+            rest = sorted(sa.difference(hood))
+            if len(rest) >= a0:
+                yield rest
+        rng = subset_sampler(seed, stream=1)
+        while True:
+            m = int(rng.integers(a0, na + 1))
+            yield sorted(int(v) for v in rng.choice(pair.A, size=m, replace=False))
+
+    tried = 0
+    for X in candidate_xs():
+        if tried >= samples:
+            return None
+        tried += 1
+        s = len(X)
+        mx = vertex_mask(X)
+        deg_b = [(pair.host.rows[b] & mx).bit_count() for b in pair.B]
+        order = sorted(range(nb), key=lambda k: (deg_b[k], k))
+        lo = hi = 0
+        for sy in range(1, nb + 1):
+            lo += deg_b[order[sy - 1]]
+            hi += deg_b[order[nb - sy]]
+            if sy < b0:
+                continue
+            for e, picks in ((lo, order[:sy]), (hi, order[nb - sy :])):
+                if _deviates(e, s, sy, enum, na, nb, eps):
+                    Y = sorted(pair.B[k] for k in picks)
+                    if check_witness(pair, eps, X, Y):
+                        return tuple(sorted(X)), tuple(Y)
+    return None
+
+
+def ref_local_max_cut(g: Graph, side: list[bool], order: list[int]) -> None:
+    # flip vertices while the cut grows; terminates since the cut is bounded
+    masks = [0, 0]
+    for v in range(g.n):
+        masks[side[v]] |= 1 << v
+    improved = True
+    while improved:
+        improved = False
+        for v in order:
+            s = side[v]
+            own = (g.rows[v] & masks[s]).bit_count()
+            other = (g.rows[v] & masks[1 - s]).bit_count()
+            if own > other:
+                masks[s] ^= 1 << v
+                masks[1 - s] |= 1 << v
+                side[v] = not s
+                improved = True
+
+
+def ref_bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
+    as_fraction(xi)
+    if g.n == 0:
+        return None
+    best = None
+    best_score = None
+    for r in range(restarts):
+        rng = subset_sampler(seed, stream=r)
+        side = [bool(b) for b in rng.integers(0, 2, size=g.n)]
+        order = [int(v) for v in rng.permutation(g.n)]
+        ref_local_max_cut(g, side, order)
+        masks = [0, 0]
+        for v in range(g.n):
+            masks[side[v]] |= 1 << v
+        # delete the most conflicted vertex until both sides are independent
+        alive = (1 << g.n) - 1
+        while True:
+            worst_v, worst_c = -1, 0
+            for s in (0, 1):
+                for v in bits_of(masks[s] & alive):
+                    c = (g.rows[v] & masks[s] & alive).bit_count()
+                    if c > worst_c:
+                        worst_v, worst_c = v, c
+            if worst_v < 0:
+                break
+            alive ^= 1 << worst_v
+        # try to re-insert deleted vertices, preferring the emptier side
+        changed = True
+        while changed:
+            changed = False
+            for v in range(g.n):
+                if alive >> v & 1:
+                    continue
+                free = [
+                    s
+                    for s in (0, 1)
+                    if not g.rows[v] & masks[s] & alive
+                ]
+                if free:
+                    s = min(
+                        free, key=lambda s: (masks[s] & alive).bit_count()
+                    )
+                    masks[s] |= 1 << v
+                    masks[1 - s] &= ~(1 << v)
+                    alive |= 1 << v
+                    changed = True
+        U1 = tuple(bits_of(masks[0] & alive))
+        U2 = tuple(bits_of(masks[1] & alive))
+        total = len(U1) + len(U2)
+        mind = g.min_degree_induced((*U1, *U2)) if total else 0
+        score = (total, mind, -r)
+        if best_score is None or score > best_score:
+            best, best_score = (U1, U2), score
+    return best
+
+
+# ------------------------------------------------------------------ inputs
+
+
+def shuffled_pair(rng, cross: np.ndarray, extra: int = 0, inside_p: float = 0.5):
+    """Pair with the A x B pattern ``cross`` on shuffled host vertices.
+
+    The host has ``extra`` vertices outside both sides and random edges
+    inside each side, which no uniformity computation may read.
+    """
+    na, nb = cross.shape
+    n = na + nb + extra
+    perm = rng.permutation(n)
+    A, B = perm[:na], perm[na : na + nb]
+    upper = np.triu(rng.random((n, n)) < inside_p, 1)
+    adj = upper | upper.T
+    adj[np.ix_(A, B)] = cross
+    adj[np.ix_(B, A)] = cross.T
+    host = Graph.from_bool_matrix(adj)
+    return BipartitePairView(host, tuple(A.tolist()), tuple(B.tolist()))
+
+
+def half_graph(na: int, nb: int) -> np.ndarray:
+    return np.arange(na)[:, None] <= np.arange(nb)[None, :]
+
+
+def near_bipartite(seed: int, n: int = 999) -> Graph:
+    """Two independent parts of 449, 90 % joined, plus random outside vertices."""
+    rng = np.random.default_rng(seed)
+    u = (n * 9 // 10) // 2
+    perm = rng.permutation(n)
+    U1, U2, V = perm[:u], perm[u : 2 * u], perm[2 * u :]
+    blue = np.zeros((n, n), dtype=bool)
+    blue[np.ix_(U1, U2)] = rng.random((u, u)) < 0.9
+    blue[np.ix_(U2, U1)] = blue[np.ix_(U1, U2)].T
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    noise = upper | upper.T
+    blue[V, :] = noise[V, :]
+    blue[:, V] = noise[:, V]
+    np.fill_diagonal(blue, False)
+    return Graph.from_bool_matrix(blue)
+
+
+EPSILONS = [
+    Fraction(1, 10),
+    Fraction(1, 5),
+    Fraction(1, 3),
+    Fraction(1, 2),
+    Fraction(3, 4),
+    Fraction(1, 17),
+    Fraction(2, 7),
+]
+# products of these with the pair sizes are far beyond int64
+HUGE_EPSILONS = [Fraction(1, 10**30), Fraction(10**30 - 1, 10**31)]
+
+
+@st.composite
+def pairs(draw, max_side):
+    na = draw(st.integers(1, max_side))
+    nb = draw(st.integers(1, max_side))
+    bits = draw(st.lists(st.booleans(), min_size=na * nb, max_size=na * nb))
+    cross = np.array(bits, dtype=bool).reshape(na, nb)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return shuffled_pair(rng, cross, extra=draw(st.integers(0, 3)))
+
+
+# ------------------------------------------------------------------ oracle
+
+
+def assert_oracle_matches(pair, eps):
+    got = uniformity_oracle(pair, eps)
+    want = ref_uniformity_oracle(pair, eps)
+    assert (got.uniform, got.witness) == (want.uniform, want.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs(8), st.sampled_from(EPSILONS + HUGE_EPSILONS))
+def test_oracle_matches_reference_on_random_pairs(pair, eps):
+    assert_oracle_matches(pair, eps)
+
+
+@pytest.mark.parametrize("kind", ["empty", "half", "random"])
+def test_oracle_matches_reference_at_full_size(kind):
+    rng = np.random.default_rng(16)
+    t = 16
+    cross = {
+        "empty": np.zeros((t, t), dtype=bool),
+        "half": half_graph(t, t),
+        "random": rng.random((t, t)) < 0.5,
+    }[kind]
+    assert_oracle_matches(shuffled_pair(rng, cross, extra=2), Fraction(1, 10))
+
+
+@pytest.mark.parametrize("eps", HUGE_EPSILONS)
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_oracle_exact_where_int64_products_overflow(eps, p):
+    rng = np.random.default_rng(int(p * 10))
+    pair = shuffled_pair(rng, rng.random((12, 11)) < p)
+    assert_oracle_matches(pair, eps)
+
+
+def test_oracle_witness_on_a_chunk_boundary():
+    # only A[15] has neighbours, so at eps = 1/16 every X without it sits
+    # exactly at the limit and the first witness X is the mask 2^15, the
+    # last mask of the eighth chunk
+    t = 16
+    cross = np.zeros((t, t), dtype=bool)
+    cross[t - 1] = True
+    pair = shuffled_pair(np.random.default_rng(3), cross)
+    eps = Fraction(1, 16)
+    verdict = uniformity_oracle(pair, eps)
+    assert verdict.witness[0] == (pair.A[t - 1],)
+    assert_oracle_matches(pair, eps)
+
+
+# ------------------------------------------------------------------ search
+
+
+def assert_search_matches(pair, eps, samples, seed):
+    got = nonuniformity_search(pair, eps, samples=samples, seed=seed)
+    assert got == ref_nonuniformity_search(pair, eps, samples=samples, seed=seed)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs(14), st.sampled_from(EPSILONS + HUGE_EPSILONS), st.integers(1, 120), st.integers(0, 99))
+def test_search_matches_reference_on_random_pairs(pair, eps, samples, seed):
+    assert_search_matches(pair, eps, samples, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_matches_reference_on_complete_pair(seed):
+    # no witness exists, so every one of the 1000 samples is drawn and tested
+    pair = shuffled_pair(np.random.default_rng(seed), np.ones((300, 300), dtype=bool))
+    assert assert_search_matches(pair, Fraction(1, 10), 1000, seed) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_search_matches_reference_on_half_graph(seed):
+    pair = shuffled_pair(np.random.default_rng(seed), half_graph(300, 300))
+    assert assert_search_matches(pair, Fraction(1, 10), 1000, seed) is not None
+
+
+@pytest.mark.parametrize("eps", HUGE_EPSILONS)
+def test_search_exact_where_int64_products_overflow(eps):
+    rng = np.random.default_rng(30)
+    for cross in (np.ones((40, 30), dtype=bool), half_graph(40, 30), rng.random((40, 30)) < 0.5):
+        assert_search_matches(shuffled_pair(rng, cross), eps, 200, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_witness_from_the_seeded_samples(seed):
+    # the 24 degree prefixes and neighbourhoods of this pair hold no
+    # witness, so any witness comes from the seeded random subsets
+    rng = np.random.default_rng(16)
+    pair = shuffled_pair(rng, rng.random((16, 16)) < 0.5)
+    eps = Fraction(1, 3)
+    assert nonuniformity_search(pair, eps, samples=24, seed=seed) is None
+    found = assert_search_matches(pair, eps, 500, seed)
+    assert found is not None or seed == 2
+
+
+# --------------------------------------------------------------- uniformity CLI
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())["results"]
+
+
+TINY = "1/10000000000000000000000000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "graph, sampled, code, results",
+    [
+        ("complete", False, 0, {"density": "1", "epsilon": TINY, "method": "oracle", "uniform": True, "witness": None}),
+        ("complete", True, 0, {"density": "1", "epsilon": TINY, "method": "search", "uniform": None, "witness": None}),
+        ("half", False, 10,
+         {"density": "11/20", "epsilon": TINY, "method": "oracle", "uniform": False, "witness": [[0], [10]]}),
+        ("half", True, 10,
+         {"density": "11/20", "epsilon": TINY, "method": "search", "uniform": None, "witness": [[9], [10]]}),
+    ],
+)
+def test_uniformity_cli_at_epsilon_1e_minus_40(tmp_path, graph, sampled, code, results):
+    # the pinned results are those of the bigint loops
+    if graph == "complete":
+        host, t = Graph.complete_bipartite(8, 8), 8
+    else:
+        host, t = Graph.from_edges(20, [(i, 10 + j) for i in range(10) for j in range(10) if i <= j]), 10
+    cfg = tmp_path / "cfg.json"
+    blocks = [list(range(t)), list(range(t, 2 * t))]
+    cfg.write_text(json.dumps({"graph": host.to_graph6(), "blocks": blocks, "epsilon": "1e-40"}))
+    argv = ["uniformity", str(cfg)] + (["--sampled", "--seed", "3"] if sampled else [])
+    assert run_main(argv) == (code, results)
+
+
+# --------------------------------------------------------------- extractor
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 60), st.floats(0, 1), st.integers(0, 2**32 - 1), st.integers(0, 999), st.integers(1, 4))
+def test_extractor_matches_reference_on_random_graphs(n, p, graph_seed, seed, restarts):
+    rng = np.random.default_rng(graph_seed)
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    g = Graph.from_bool_matrix(upper | upper.T)
+    xi = Fraction(1, 10)
+    got = bipartite_extract(g, xi, seed=seed, restarts=restarts)
+    assert got == ref_bipartite_extract(g, xi, seed=seed, restarts=restarts)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_extractor_matches_reference_near_bipartite(seed):
+    g = near_bipartite(seed)
+    got = bipartite_extract(g, Fraction(1, 5), seed=seed)
+    assert got == ref_bipartite_extract(g, Fraction(1, 5), seed=seed)
