@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError
-from .graphs import BookCertificate, Graph, _colex_bits, _from_colex_bits
+from .errors import CapacityError, ParseError
+from .graphs import GRAPH6_ORDER_CAP, BookCertificate, Graph
 from .numbers import as_fraction
 from .rng import bernoulli_block, probability_threshold
 
@@ -76,11 +76,11 @@ class TwoColoring:
 
     def blue_bits(self) -> np.ndarray:
         """Blue indicators over all C(n, 2) edges in colex order."""
-        return _colex_bits(self.blue)
+        return self.blue.colex_bits()
 
     @classmethod
     def from_blue_bits(cls, n: int, bits: np.ndarray) -> "TwoColoring":
-        return cls(n, _from_colex_bits(n, bits))
+        return cls(n, Graph.from_colex_bits(n, bits))
 
     @classmethod
     def from_blue_index(cls, n: int, index: int) -> "TwoColoring":
@@ -117,6 +117,8 @@ class TwoColoring:
             raise ParseError(f"bad vertex count {head[1]!r}", line=1) from None
         if n < 0:
             raise ParseError("negative vertex count", line=1)
+        if n > GRAPH6_ORDER_CAP:
+            raise CapacityError(f"BRC1 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
         payload = "".join(lines[1:]).translate({ord(c): None for c in " \t"})
         m = n * (n - 1) // 2
         bits = unpack_bits_hex(payload, m, line=2)
@@ -146,7 +148,7 @@ def unpack_bits_hex(payload: str, nbits: int, line: int = 1) -> np.ndarray:
     bits = np.unpackbits(raw, bitorder="big")
     if bits[nbits:].any():
         raise ParseError("nonzero padding bits", line=line, offset=nchars - 1)
-    return bits[:nbits].astype(bool)
+    return bits[:nbits].view(bool)
 
 
 def read_coloring_file(path) -> TwoColoring:
@@ -243,16 +245,6 @@ def expected_book_sizes(params: ConstructionParams) -> tuple[Fraction, Fraction,
     return red_intra, blue_cross, red_cross
 
 
-def chernoff_tail(n_trials: int, k) -> float:
-    """Tail bound 2 exp(-2 k^2 n) on deviating kn from a binomial mean."""
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    kf = float(as_fraction(k))
-    if kf < 0:
-        raise ValueError("deviation fraction must be nonnegative")
-    return 2.0 * math.exp(-2.0 * kf * kf * n_trials)
-
-
 def tripartite_random(params: ConstructionParams, check_margins: bool = True) -> TwoColoring:
     """Random coloring: thirds A_1, A_2, A_3 all-red inside, cross edges
     red with probability p = 1/2 - delta.
@@ -314,11 +306,10 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
         raise ValueError("parts must be equal thirds")
     idx = [np.asarray(part, dtype=np.intp) for part in (p1, p2, p3)]
 
-    red = ~c.blue.to_bool_matrix().view(bool)
-    np.fill_diagonal(red, False)
-    red_degree = red.sum(axis=1)
+    red = c.red
+    red_degree = red.degrees_into(range(n))
     # block[a][k]: rows of part a, columns (pages) of part k
-    block = [[red[np.ix_(ia, ik)].astype(np.float32) for ik in idx] for ia in idx]
+    block = [[red.adjacency(ia, ik).astype(np.float32) for ik in idx] for ia in idx]
 
     intra_edges = intra_total = blue_edges = blue_total = 0
     cross_edges = cross_total = third_total = 0
@@ -327,7 +318,7 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
         for b in range(a, 3):
             by_part = [block[a][k] @ block[b][k].T for k in range(3)]
             cr = sum(by_part).astype(np.int64)
-            red_ab = red[np.ix_(idx[a], idx[b])]
+            red_ab = red.adjacency(idx[a], idx[b])
             blue_ab = ~red_ab
             if a == b:
                 # each unordered pair once; the diagonal is no edge

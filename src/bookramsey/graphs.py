@@ -1,28 +1,29 @@
-"""Dense simple graphs over [n] with bit-row adjacency.
+"""Dense simple graphs over [n], stored as packed adjacency words.
 
-Each vertex u owns one Python integer whose bit v is set iff u ~ v, so a
-single codegree is a big-int AND plus popcount.  Whole-graph scans
-(booksize, and the first-book search behind ``ramsey.check_coloring``)
-share one kernel over the same rows packed into little-endian uint64
-words: vertex u ANDs its word row against the rows of its later
-neighbours and popcounts with ``np.bitwise_count``.  Validation and the
-matrix interchange work on the (n, n) bool adjacency matrix.  Graphs are
-immutable after construction and every operation here is pure; instances
-may be shared freely across threads.
+A graph is one read-only (n, ceil(n/64)) array of little-endian uint64
+words: bit v of row u is set iff u ~ v, and the padding bits past n stay
+zero.  Other modules never read the words bit by bit; they ask for
+codegrees, for edge counts between vertex sets (``edges_between``,
+``degrees_into``), or for the bool matrix of a few rows against a few
+columns (``adjacency``).  Whole-graph scans (booksize, and the first-book
+search behind ``ramsey.check_coloring``) AND each word row against the
+rows of its later neighbours and popcount.  ``Graph(n, rows)`` checks
+outside int rows once; decoding and the constructions build valid words
+and skip the check.  Graphs are immutable; share them freely.
 
 Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
 which is the row-major strict lower triangle of the matrix.  graph6
-(read and written here, short form n <= 62 and long form n <= 258047)
-and BRC1 (``colorings``) both store their edge bits in this order.  The
-decoder reads graphs of at most GRAPH6_ORDER_CAP vertices: it builds
-(n, n) bool matrices, several times n^2 bytes at once.
+(short form n <= 62, long form n <= 258047) and BRC1 (``colorings``)
+store their edge bits in this order; both read orders up to
+GRAPH6_ORDER_CAP.  The codec goes _STRIPE rows at a time, so it holds
+the edge bits, the words and O(_STRIPE n) bytes.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,8 +31,9 @@ import numpy as np
 from .errors import CapacityError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
-GRAPH6_ORDER_CAP = 1 << 13  # a decode at the cap peaks near 270 MB
+GRAPH6_ORDER_CAP = 1 << 13  # decoding at the cap: ~0.7 s, 99 MB peak RSS (2 cores, numpy 2.4)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
+_STRIPE = 512  # rows per codec step; a multiple of 64
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -70,8 +72,8 @@ class BookCertificate:
     def from_base(cls, g: "Graph", u: int, v: int) -> "BookCertificate":
         if not g.has_edge(u, v):
             raise ValueError(f"base ({u},{v}) is not an edge")
-        common = g.rows[u] & g.rows[v]
-        return cls(base=(min(u, v), max(u, v)), pages=frozenset(bits_of(common)))
+        common = np.flatnonzero(g.adjacency([u, v]).all(axis=0))
+        return cls(base=(min(u, v), max(u, v)), pages=frozenset(common.tolist()))
 
     def validate(self, g: "Graph") -> None:
         u, v = self.base
@@ -85,41 +87,67 @@ class BookCertificate:
 class Graph:
     """Immutable dense simple graph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "words")
 
     def __init__(self, n: int, rows: Sequence[int]):
+        """Graph of int bitset rows (bit v of rows[u] set iff u ~ v).
+
+        The first bad row u is reported: bits beyond the vertex range
+        first, then a loop, then the least v with u -> v but not v -> u.
+        """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+        full = (1 << n) - 1
+        wide = [u for u, row in enumerate(rows) if row & ~full]
+        nwords = (n + 63) // 64
+        buf = b"".join((row & full).to_bytes(8 * nwords, "little") for row in rows)
+        words = np.frombuffer(buf, dtype="<u8").reshape(n, nwords)
+        _check_adjacency(_unpack(words, n), wide)
+        self._bind(n, words)
+
+    def _bind(self, n: int, words: np.ndarray) -> "Graph":
+        words.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "words", words)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Adjacency as Python-int bitsets, derived from the words."""
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in self.words)
+
     # ---------------------------------------------------------------- build
+    # These build words that are valid by construction, unchecked.
+
+    @classmethod
+    def _of_words(cls, n: int, words: np.ndarray) -> "Graph":
+        return object.__new__(cls)._bind(n, words)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls(n, [0] * n)
+        return cls._of_words(n, np.zeros((n, (n + 63) // 64), dtype="<u8"))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << u) for u in range(n)])
+        return cls.empty(n).complement()
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        index = array("q")  # colex indices, 8 bytes each
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(n, rows)
+            index.append(u * (u - 1) // 2 + v if u > v else v * (v - 1) // 2 + u)
+        bits = np.zeros(n * (n - 1) // 2, dtype=bool)
+        bits[np.frombuffer(index, dtype=np.int64)] = True
+        return cls.from_colex_bits(n, bits)
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
@@ -127,63 +155,64 @@ class Graph:
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        left = vertex_mask(range(a))
-        right = vertex_mask(range(a, a + b))
-        rows = [right] * a + [left] * b
-        return cls(a + b, rows)
-
-    @classmethod
-    def from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
-        g = cls(n, rows)
-        g.validate()
-        return g
-
-    def validate(self) -> None:
-        """Check row width, irreflexivity and symmetry.
-
-        The first bad row u is reported: bits beyond the vertex range
-        first, then a loop, then the least v with u -> v but not v -> u.
-        """
-        n = self.n
-        full = (1 << n) - 1
-        wide = [u for u, row in enumerate(self.rows) if row & ~full]
-        rows = [row & full for row in self.rows] if wide else self.rows
-        _check_adjacency(_bool_matrix(n, rows), wide)
+        left = np.arange(a + b) < a
+        return cls._of_words(a + b, _pack(left[:, None] != left[None, :]))
 
     # ---------------------------------------------------------------- query
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(self.rows[u] >> v & 1)
+        return bool(int(self.words[u, v >> 6]) >> (v & 63) & 1)
 
     def degree(self, u: int) -> int:
         self._check_vertex(u)
-        return self.rows[u].bit_count()
+        return int(np.bitwise_count(self.words[u]).sum())
 
     def neighbors(self, u: int) -> Iterator[int]:
         self._check_vertex(u)
-        return bits_of(self.rows[u])
+        return iter(np.flatnonzero(self.adjacency([u])[0]).tolist())
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically ordered."""
         for u in range(self.n):
-            row = self.rows[u] >> (u + 1) << (u + 1)
-            for v in bits_of(row):
-                yield (u, v)
+            yield from ((u, v) for v in self.neighbors(u) if v > u)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return int(np.bitwise_count(self.words).sum()) // 2
+
+    def adjacency(self, rows: Sequence[int] | None = None, cols: Sequence[int] | None = None) -> np.ndarray:
+        """Bool matrix set at [i, j] iff rows[i] ~ cols[j]; None is every vertex."""
+        adj = _unpack(self.words if rows is None else self.words[np.asarray(rows, dtype=np.intp)], self.n)
+        return adj if cols is None else adj[:, np.asarray(cols, dtype=np.intp)]
+
+    def degrees_into(self, Y: Sequence[int], X: Sequence[int] | None = None) -> np.ndarray:
+        """|N(x) cap Y| for each x in X (every vertex when None), as intp."""
+        member = np.zeros((1, self.n), dtype=bool)
+        member[0, np.asarray(Y, dtype=np.intp)] = True
+        words = self.words if X is None else self.words[np.asarray(X, dtype=np.intp)]
+        return np.bitwise_count(words & _pack(member)).sum(axis=1, dtype=np.intp)
+
+    def edges_between(self, X: Sequence[int], Y: Sequence[int]) -> int:
+        """Sum over x in X of |N(x) cap Y|: e(X, Y) for disjoint sets, 2 e(X) for Y = X."""
+        return int(self.degrees_into(Y, X).sum())
+
+    def min_degree_induced(self, U: Iterable[int]) -> int:
+        """Minimum degree of the subgraph induced by a nonempty set U."""
+        U = sorted(set(U))
+        if not U:
+            raise ValueError("min_degree_induced requires a nonempty set")
+        return int(self.degrees_into(U, U).min())
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range for n={self.n}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
+        return isinstance(other, Graph) and self.n == other.n and np.array_equal(self.words, other.words)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return hash((self.n, self.words.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
@@ -196,7 +225,7 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise ValueError("codegree requires two distinct vertices")
-        return (self.rows[u] & self.rows[v]).bit_count()
+        return int(np.bitwise_count(self.words[u] & self.words[v]).sum())
 
     def booksize(self) -> tuple[int, BookCertificate | None]:
         """Largest book size together with a witnessing certificate.
@@ -204,75 +233,57 @@ class Graph:
         Returns (0, None) for an edgeless graph.  Ties are broken toward
         the lexicographically least base edge, so output is deterministic.
         """
-        found = _book_scan(self)
-        if found is None:
-            return 0, None
-        size, u, v = found
-        return size, BookCertificate.from_base(self, u, v)
+        return _book_scan(self) or (0, None)
 
-    def mean_book_size(self, bases: Iterable[tuple[int, int]]) -> Fraction:
-        """Exact average codegree over a set of base edges.
-
-        Kept rational so theorem-backed inequalities can be compared
-        without floating-point slack.
-        """
-        total = 0
-        count = 0
-        for u, v in bases:
-            if not self.has_edge(u, v):
-                raise ValueError(f"base ({u},{v}) is not an edge")
-            total += self.codegree(u, v)
-            count += 1
-        if count == 0:
-            raise ValueError("mean_book_size requires a nonempty base set")
-        return Fraction(total, count)
+    def first_book(self, at_least: int) -> BookCertificate | None:
+        """The first base edge in lexicographic order with at least
+        ``at_least`` pages, or None."""
+        found = _book_scan(self, at_least)
+        return found and found[1]
 
     def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, [row ^ full ^ (1 << u) for u, row in enumerate(self.rows)])
+        n, loops = self.n, np.arange(self.n)
+        words = ~self.words & _pack(np.ones((1, n), dtype=bool))
+        words[loops, loops >> 6] ^= np.left_shift(np.uint64(1), (loops & 63).astype(np.uint64))
+        return Graph._of_words(n, words)
 
-    def cut_and_induced_counts(
-        self, X: Iterable[int], Y: Iterable[int]
-    ) -> tuple[int, int, int]:
-        """(e(X), e(Y), e(X,Y)) for disjoint vertex sets X, Y."""
-        mx = vertex_mask(X)
-        my = vertex_mask(Y)
-        if mx & my:
-            raise ValueError("X and Y must be disjoint")
-        ex = sum((self.rows[u] & mx).bit_count() for u in bits_of(mx)) // 2
-        ey = sum((self.rows[u] & my).bit_count() for u in bits_of(my)) // 2
-        exy = sum((self.rows[u] & my).bit_count() for u in bits_of(mx))
-        return ex, ey, exy
-
-    def edges_within(self, X: Iterable[int]) -> int:
-        mx = vertex_mask(X)
-        return sum((self.rows[u] & mx).bit_count() for u in bits_of(mx)) // 2
-
-    def min_degree_induced(self, U: Iterable[int]) -> int:
-        """Minimum degree of the subgraph induced by a nonempty set U."""
-        mu = vertex_mask(U)
-        if mu == 0:
-            raise ValueError("min_degree_induced requires a nonempty set")
-        return min((self.rows[u] & mu).bit_count() for u in bits_of(mu))
-
-    # ------------------------------------------------------------- numpy I/O
-
-    def to_bool_matrix(self) -> np.ndarray:
-        """Adjacency as an (n, n) uint8 0/1 matrix."""
-        return _bool_matrix(self.n, self.rows).view(np.uint8)
+    # ------------------------------------------------------------ bool matrix
 
     @classmethod
     def from_bool_matrix(cls, m: np.ndarray) -> "Graph":
         """Graph of a square matrix whose nonzero entries are edges,
-        checked as ``validate`` checks rows."""
+        checked as the int-row constructor checks rows."""
         adj = np.asarray(m) != 0
         n = adj.shape[0]
         if adj.shape != (n, n):
             raise ValueError("adjacency matrix must be square")
         _check_adjacency(adj)
-        packed = np.packbits(adj, axis=1, bitorder="little")
-        rows = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
-        return cls(n, rows)
+        return cls._of_words(n, _pack(adj))
+
+    # ----------------------------------------------------------- colex codec
+    # Pair (i, j), i < j, has colex index j(j-1)/2 + i.
+
+    def colex_bits(self) -> np.ndarray:
+        """Edge indicators over all C(n, 2) pairs in colex order."""
+        bits = np.zeros(self.n * (self.n - 1) // 2, dtype=bool)
+        for r0, r1, lower in _stripes(self.n):
+            bits[r0 * (r0 - 1) // 2 : r1 * (r1 - 1) // 2] = self.adjacency(range(r0, r1))[lower]
+        return bits
+
+    @classmethod
+    def from_colex_bits(cls, n: int, bits: np.ndarray) -> "Graph":
+        """Inverse of ``colex_bits``.  Each stripe of the lower triangle is
+        packed into its own rows and, transposed, into the same columns of
+        every row, so the words are symmetric by construction."""
+        if len(bits) != n * (n - 1) // 2:
+            raise ValueError(f"expected {n * (n - 1) // 2} edge bits, got {len(bits)}")
+        out = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
+        for r0, r1, lower in _stripes(n):
+            stripe = np.zeros(lower.shape, dtype=bool)
+            stripe[lower] = bits[r0 * (r0 - 1) // 2 : r1 * (r1 - 1) // 2]
+            out[r0:r1, : (n + 7) // 8] |= np.packbits(stripe, axis=1, bitorder="little")
+            out[:, r0 // 8 : (r1 + 7) // 8] |= np.packbits(stripe.T, axis=1, bitorder="little")
+        return cls._of_words(n, out.view("<u8"))
 
     # ---------------------------------------------------------------- graph6
 
@@ -287,7 +298,7 @@ class Graph:
             )
         else:
             raise ValueError("graph6 supports at most 258047 vertices here")
-        bits = _colex_bits(self)
+        bits = self.colex_bits()
         six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
         vals = np.packbits(six, axis=1).ravel() >> 2
         return prefix + (vals + 63).tobytes().decode("ascii")
@@ -322,49 +333,32 @@ class Graph:
                 line=line,
                 offset=len(s),
             )
-        bits = np.unpackbits(data[:, None], axis=1)[:, 2:].ravel()
+        bits = np.unpackbits((data << 2)[:, None], axis=1, count=6).ravel().view(bool)
         if bits[nbits:].any():
             raise ParseError("nonzero padding bits in graph6 data", line=line, offset=len(s))
-        return _from_colex_bits(n, bits[:nbits])
+        return cls.from_colex_bits(n, bits[:nbits])
 
 
-# ------------------------------------------------------------ colex codec
-# Pair (i, j), i < j, has colex index j(j-1)/2 + i: the row-major order of
-# the strict lower triangle, np.tri(n, k=-1).
+# ------------------------------------------------------------ word helpers
 
 
-def _colex_bits(g: Graph) -> np.ndarray:
-    """Edge indicators of ``g`` over all C(n, 2) pairs in colex order."""
-    return g.to_bool_matrix().view(bool)[np.tri(g.n, k=-1, dtype=bool)]
+def _pack(adj: np.ndarray) -> np.ndarray:
+    """Rows of a bool matrix as word rows, zero past its last column."""
+    out = np.zeros((adj.shape[0], (adj.shape[1] + 63) // 64 * 8), dtype=np.uint8)
+    out[:, : (adj.shape[1] + 7) // 8] = np.packbits(adj, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
-def _from_colex_bits(n: int, bits) -> Graph:
-    """Inverse of ``_colex_bits``: the graph whose colex pair k is bits[k]."""
-    m = n * (n - 1) // 2
-    if len(bits) != m:
-        raise ValueError(f"expected {m} edge bits, got {len(bits)}")
-    adj = np.zeros((n, n), dtype=bool)
-    adj[np.tri(n, k=-1, dtype=bool)] = bits
-    adj |= adj.T
-    return Graph.from_bool_matrix(adj)
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Word rows as a (len(words), n) bool matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
-# ------------------------------------------------------------ word kernels
-
-
-def _packed_words(n: int, rows: Sequence[int]) -> np.ndarray:
-    """Rows as a (len(rows), ceil(n/64)) array of little-endian uint64 words."""
-    nwords = (n + 63) // 64
-    buf = b"".join(row.to_bytes(8 * nwords, "little") for row in rows)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), nwords)
-
-
-def _bool_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
-    """Rows as a (len(rows), n) bool matrix; every row must fit in n bits."""
-    bits = np.unpackbits(
-        _packed_words(n, rows).view(np.uint8), axis=1, count=n, bitorder="little"
-    )
-    return bits.view(bool)
+def _stripes(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(r0, r1, mask of the strict lower triangle in rows r0..r1-1)."""
+    for r0 in range(0, n, _STRIPE):
+        r1 = min(r0 + _STRIPE, n)
+        yield r0, r1, np.arange(n) < np.arange(r0, r1)[:, None]
 
 
 def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
@@ -388,24 +382,22 @@ def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
     raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
 
-def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, int, int] | None:
+def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, BookCertificate] | None:
     """Codegree scan over the edges (u, v), u < v, in lexicographic order.
 
-    Returns (codegree, u, v).  Without ``at_least``: the largest codegree
+    Returns (codegree, certificate of base uv).  Without ``at_least``: the largest codegree
     at its lexicographically least base, or None for an edgeless graph.
     With it: the first base whose codegree is at least ``at_least``,
     stopping there, or None when no base reaches it.
 
-    Vertex u ANDs its packed row against the rows of its neighbours
+    Vertex u ANDs its word row against the rows of its neighbours
     v > u and popcounts each, so temporary memory stays within
     O(n * ceil(n/64)) words.
     """
-    n = g.n
-    words = _packed_words(n, g.rows)
+    n, words = g.n, g.words
     best = None
     for u in range(n - 1):
-        mine = np.unpackbits(words[u].view(np.uint8), count=n, bitorder="little")
-        later = np.flatnonzero(mine[u + 1 :]) + (u + 1)
+        later = np.flatnonzero(_unpack(words[u : u + 1], n)[0, u + 1 :]) + (u + 1)
         if later.size == 0:
             continue
         counts = np.bitwise_count(words[later] & words[u]).sum(axis=1)
@@ -416,19 +408,9 @@ def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, int, int] | 
         else:
             hits = np.flatnonzero(counts >= at_least)
             if hits.size:
-                k = int(hits[0])
-                return int(counts[k]), u, int(later[k])
-    return best
-
-
-def read_graph6_file(path) -> Graph:
-    """Read the first graph6 graph from a file."""
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            s = raw.strip()
-            if s:
-                return Graph.from_graph6(s, line=lineno)
-    raise ParseError("no graph6 data found", line=1)
+                best = (int(counts[hits[0]]), u, int(later[hits[0]]))
+                break
+    return best and (best[0], BookCertificate.from_base(g, best[1], best[2]))
 
 
 def write_graph6_file(path, g: Graph) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .colorings import TwoColoring, edge_index
 from .errors import CapacityError
-from .graphs import BookCertificate, _book_scan, bits_of
+from .graphs import BookCertificate, bits_of
 
 DEFAULT_ORDER_CAP = 8
 KERNEL_BIT_LIMIT = 62
@@ -74,7 +74,6 @@ class SearchOutcome:
     verdict: str  # "forced" | "counterexample"
     counterexample: TwoColoring | None
     colorings_examined: int
-    counterexample_index: int | None = None
 
 
 def check_coloring(c: TwoColoring, p: int, q: int):
@@ -87,10 +86,9 @@ def check_coloring(c: TwoColoring, p: int, q: int):
     if p < 1 or q < 1:
         raise ValueError("book page targets must be at least 1")
     for graph, pages, found in ((c.red, p, RedBook), (c.blue, q, BlueBook)):
-        hit = _book_scan(graph, at_least=pages)
-        if hit is not None:
-            _, u, v = hit
-            return found(BookCertificate.from_base(graph, u, v))
+        cert = graph.first_book(pages)
+        if cert is not None:
+            return found(cert)
     return Neither()
 
 
@@ -349,7 +347,6 @@ def exhaustive_verify(
                 verdict="counterexample",
                 counterexample=TwoColoring.from_blue_index(N, blue_index),
                 colorings_examined=si * per_scenario + k + 1,
-                counterexample_index=blue_index if star_d is None else None,
             )
     return SearchOutcome(
         verdict="forced",

@@ -14,16 +14,16 @@ arrays against limits computed from eps in Python ints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .colorings import TwoColoring
 from .errors import CapacityError
-from .graphs import BookCertificate, Graph, _bool_matrix, bits_of, vertex_mask
+from .graphs import BookCertificate, Graph, bits_of, vertex_mask
 from .numbers import as_fraction
 from .rng import subset_sampler
 
@@ -54,20 +54,19 @@ class BipartitePairView:
             raise ValueError("repeated vertex in a side")
 
     def edge_count(self) -> int:
-        mb = vertex_mask(self.B)
-        return sum((self.host.rows[a] & mb).bit_count() for a in self.A)
+        return self.host.edges_between(self.A, self.B)
 
     @property
     def density(self) -> Fraction:
         return Fraction(self.edge_count(), len(self.A) * len(self.B))
 
+    def cross(self) -> np.ndarray:
+        """(|A|, |B|) bool matrix: entry [k, j] is set iff A[k] ~ B[j]."""
+        return self.host.adjacency(self.A, self.B)
+
     def b_rows(self) -> list[int]:
         """For each b in B, the bitmask of its neighbors over A positions."""
-        out = []
-        for b in self.B:
-            row = self.host.rows[b]
-            out.append(sum(1 << k for k, a in enumerate(self.A) if row >> a & 1))
-        return out
+        return [sum(1 << k for k in np.flatnonzero(col).tolist()) for col in self.cross().T]
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,6 @@ class UniformityVerdict:
 
 def _size_floor(eps: Fraction, side: int) -> int:
     return max(1, -((-eps.numerator * side) // eps.denominator))  # ceil(eps*side)
-
-
-def _cross_matrix(pair: BipartitePairView) -> np.ndarray:
-    """(|A|, |B|) bool matrix: entry [k, j] is set iff A[k] ~ B[j]."""
-    rows = [pair.host.rows[a] for a in pair.A]
-    return _bool_matrix(pair.host.n, rows)[:, list(pair.B)]
 
 
 def _count_dtype(na: int, nb: int):
@@ -197,8 +190,7 @@ def check_witness(pair: BipartitePairView, eps, X: Iterable[int], Y: Iterable[in
         return False
     if len(X) < _size_floor(eps, len(pair.A)) or len(Y) < _size_floor(eps, len(pair.B)):
         return False
-    my = vertex_mask(Y)
-    e = sum((pair.host.rows[x] & my).bit_count() for x in X)
+    e = pair.host.edges_between(X, Y)
     dxy = Fraction(e, len(X) * len(Y))
     return abs(dxy - pair.density) > eps
 
@@ -221,7 +213,7 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
         return None
     enum = pair.edge_count()
     limits: dict[int, np.ndarray] = {}  # by |X|
-    cross = _cross_matrix(pair)
+    cross = pair.cross()
     by_degree = np.argsort(cross.sum(axis=1), kind="stable")
     sy = np.arange(1, nb + 1, dtype=_count_dtype(na, nb))
 
@@ -273,11 +265,10 @@ def bad_pair_count_shared(pair: BipartitePairView, eps) -> int:
     d = pair.density
     if not eps < d:
         raise ValueError("requires eps < density")
-    nb = len(pair.B)
-    thr = (d - eps) ** 2 * nb
-    mb = vertex_mask(pair.B)
-    rows = [pair.host.rows[a] & mb for a in pair.A]
-    return sum(1 for r1, r2 in combinations(rows, 2) if (r1 & r2).bit_count() <= thr)
+    thr = (d - eps) ** 2 * len(pair.B)
+    cross = pair.cross()
+    low = _codegrees(cross, cross) <= math.floor(thr)
+    return int(np.count_nonzero(np.triu(low, k=1)))
 
 
 def bad_pair_count_cross(pair1: BipartitePairView, pair2: BipartitePairView, eps) -> int:
@@ -292,14 +283,14 @@ def bad_pair_count_cross(pair1: BipartitePairView, pair2: BipartitePairView, eps
     d1, d2 = pair1.density, pair2.density
     if not (2 * eps <= d1 <= 1 and 2 * eps <= d2 <= 1):
         raise ValueError("requires 2 eps <= density <= 1 on both pairs")
-    nb = len(pair1.B)
-    thr = (d1 - eps) * (d2 - eps) * nb
-    mb = vertex_mask(pair1.B)
-    rows1 = [pair1.host.rows[a] & mb for a in pair1.A]
-    rows2 = [pair2.host.rows[a] & mb for a in pair2.A]
-    return sum(
-        1 for r1 in rows1 for r2 in rows2 if (r1 & r2).bit_count() <= thr
-    )
+    thr = (d1 - eps) * (d2 - eps) * len(pair1.B)
+    return int(np.count_nonzero(_codegrees(pair1.cross(), pair2.cross()) <= math.floor(thr)))
+
+
+def _codegrees(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """Common entries of each row of one bool matrix with each row of
+    another, as a float32 product (exact below 2**24 columns)."""
+    return rows1.astype(np.float32) @ rows2.T.astype(np.float32)
 
 
 # ------------------------------------------------------- multipair bounds
@@ -369,49 +360,49 @@ _FORMS = {
 
 def _form_terms(
     cfg: MultiPairConfig, form: str, need_edges: bool
-) -> tuple[list[tuple[int, int]], int, Fraction]:
-    """(base edges, page mask, density term) of the shared or cross form.
+) -> tuple[list[tuple[int, int]], np.ndarray, list[int], Fraction]:
+    """(base edges, their page counts, pages, density term) of a form.
 
     Shared: the edges inside A in lexicographic order and sum d_i^2.
     Cross: the edges from A1 to A2, in A1's given order, and sum d_1i d_2i.
+    The page count of a base edge uv is |N(u) cap N(v) cap pages|.
     """
     nbases, wrong_count, no_edges = _FORMS[form]
     if len(cfg.bases) != nbases:
         raise ValueError(wrong_count)
-    rows = cfg.host.rows
     if form == "shared":
-        ma = vertex_mask(cfg.bases[0])
-        edges = [(u, v) for u in bits_of(ma) for v in bits_of(rows[u] & ma) if v > u]
+        rows = cols = sorted(set(cfg.bases[0]))
+        iu, iv = np.nonzero(np.triu(cfg.host.adjacency(rows, cols), k=1))
     else:
-        A1, A2 = cfg.bases
-        m2 = vertex_mask(A2)
-        edges = [(u, v) for u in A1 for v in bits_of(rows[u] & m2)]
+        rows, cols = list(cfg.bases[0]), sorted(set(cfg.bases[1]))
+        iu, iv = np.nonzero(cfg.host.adjacency(rows, cols))
+    edges = [(rows[i], cols[j]) for i, j in zip(iu.tolist(), iv.tolist())]
     if need_edges and not edges:
         raise ValueError(no_edges)
     # the shared form pairs its one base with itself: sum d_i * d_i
     d = [cfg.densities(i) for i in range(nbases)]
     term = sum(a * b for a, b in zip(d[0], d[-1]))
-    pages = vertex_mask(v for p in cfg.pages for v in p)
-    return edges, pages, term
+    pages = sorted({v for p in cfg.pages for v in p})
+    pages_of = [cfg.host.adjacency(side, pages) for side in (rows, cols)]
+    counts = _codegrees(*pages_of)[iu, iv].astype(np.int64)
+    return edges, counts, pages, term
 
 
 def _triangle_bound(cfg: MultiPairConfig, form: str) -> tuple[Fraction, int]:
-    edges, pages, term = _form_terms(cfg, form, need_edges=False)
+    edges, counts, _, term = _form_terms(cfg, form, need_edges=False)
     t, k, eps, e = cfg.t, cfg.k, cfg.epsilon, len(edges)
     bound = t * (e - 2 * eps * t * t) * term - 2 * eps * k * t * e
-    rows = cfg.host.rows
-    actual = sum((rows[u] & rows[v] & pages).bit_count() for u, v in edges)
-    return bound, actual
+    return bound, int(counts.sum())
 
 
 def _book_bound(cfg: MultiPairConfig, form: str) -> tuple[Fraction, BookCertificate]:
-    edges, pages, term = _form_terms(cfg, form, need_edges=True)
+    edges, counts, pages, term = _form_terms(cfg, form, need_edges=True)
     t, k, eps = cfg.t, cfg.k, cfg.epsilon
     bound = t * (1 - Fraction(2 * eps * t * t, len(edges))) * term - 2 * eps * k * t
-    rows = cfg.host.rows
-    # max keeps the first largest book in the base-edge order
-    u, v = max(edges, key=lambda e: (rows[e[0]] & rows[e[1]] & pages).bit_count())
-    pages_of_uv = frozenset(bits_of(rows[u] & rows[v] & pages))
+    # argmax keeps the first largest book in the base-edge order
+    u, v = edges[int(counts.argmax())]
+    both = cfg.host.adjacency([u, v], pages).all(axis=0)
+    pages_of_uv = frozenset(np.asarray(pages)[both].tolist())
     return bound, BookCertificate(base=(min(u, v), max(u, v)), pages=pages_of_uv)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, _packed_words, vertex_mask
+from .graphs import Graph, vertex_mask
 from .numbers import as_fraction
 from .rng import subset_sampler
 
@@ -48,10 +48,10 @@ class VertexClassification:
 
 
 def _check_independent(g: Graph, part, name: str) -> None:
-    m = vertex_mask(part)
-    for v in part:
-        if g.rows[v] & m:
-            raise ValueError(f"{name} is not independent: vertex {v} has a neighbor inside")
+    inside = np.flatnonzero(g.degrees_into(part, part))
+    if inside.size:
+        v = part[inside[0]]
+        raise ValueError(f"{name} is not independent: vertex {v} has a neighbor inside")
 
 
 def classify(g: Graph, U1, U2) -> VertexClassification:
@@ -67,22 +67,16 @@ def classify(g: Graph, U1, U2) -> VertexClassification:
         raise ValueError("U1 and U2 overlap")
     _check_independent(g, U1, "U1")
     _check_independent(g, U2, "U2")
-    v1, v2, v3, viso = [], [], [], []
-    inside = m1 | m2
-    for u in range(g.n):
-        if inside >> u & 1:
-            continue
-        has1 = bool(g.rows[u] & m1)
-        has2 = bool(g.rows[u] & m2)
-        if has1 and has2:
-            v3.append(u)
-        elif has1:
-            v1.append(u)
-        elif has2:
-            v2.append(u)
-        else:
-            viso.append(u)
-    return VertexClassification(U1, U2, tuple(v1), tuple(v2), tuple(v3), tuple(viso))
+    outside = np.ones(g.n, dtype=bool)
+    outside[list(U1 + U2)] = False
+    has1, has2 = g.degrees_into(U1) > 0, g.degrees_into(U2) > 0
+
+    def where(seen):
+        return tuple(np.flatnonzero(outside & seen).tolist())
+
+    return VertexClassification(
+        U1, U2, where(has1 & ~has2), where(~has1 & has2), where(has1 & has2), where(~has1 & ~has2)
+    )
 
 
 def induced_min_degree(g: Graph, cls: VertexClassification) -> int:
@@ -105,8 +99,7 @@ def red_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
     """
     if len(cls.U2) < 2:
         raise ValueError("need at least two vertices in U2")
-    m3 = vertex_mask(cls.V3)
-    e23 = sum((g.rows[u] & m3).bit_count() for u in cls.U2)
+    e23 = g.edges_between(cls.U2, cls.V3)
     u2 = len(cls.U2)
     return u2 - 2 + len(cls.V1) + len(cls.V3) - Fraction(2 * e23, u2)
 
@@ -128,8 +121,7 @@ def blue_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
     n3 = len(cls.V3)
     best = None
     for part in (cls.U1, cls.U2):
-        mp = vertex_mask(part)
-        e3p = sum((g.rows[v] & mp).bit_count() for v in cls.V3)
+        e3p = g.edges_between(cls.V3, part)
         val = Fraction(e3p, n3) + delta - len(part)
         if best is None or val > best:
             best = val
@@ -142,41 +134,24 @@ def classification_report(g: Graph, cls: VertexClassification) -> dict:
     e(U1, V2) and e(U2, V1) vanish by definition of V1 and V2; they are
     recomputed here as a self-check rather than assumed.
     """
-    m_v1, m_v2 = vertex_mask(cls.V1), vertex_mask(cls.V2)
-    e_u1_v2 = sum((g.rows[u] & m_v2).bit_count() for u in cls.U1)
-    e_u2_v1 = sum((g.rows[u] & m_v1).bit_count() for u in cls.U2)
-    m3 = vertex_mask(cls.V3)
-    e_u_v3 = sum((g.rows[u] & m3).bit_count() for u in (*cls.U1, *cls.U2))
     return {
         "sizes": {k: len(v) for k, v in cls.parts().items()},
         "delta_G0": induced_min_degree(g, cls),
-        "e_U1_V2": e_u1_v2,
-        "e_U2_V1": e_u2_v1,
-        "e_U_V3": e_u_v3,
+        "e_U1_V2": g.edges_between(cls.U1, cls.V2),
+        "e_U2_V1": g.edges_between(cls.U2, cls.V1),
+        "e_U_V3": g.edges_between(cls.U1 + cls.U2, cls.V3),
     }
 
 
 # ------------------------------------------------------------- extraction
 
 
-def _neighbours(words: np.ndarray, v: int) -> np.ndarray:
-    """Bool vector of v's neighbours, from the packed adjacency rows."""
-    n = len(words)
-    return np.unpackbits(words[v].view(np.uint8), count=n, bitorder="little").view(bool)
-
-
-def _side_counts(words: np.ndarray, side: np.ndarray, alive: np.ndarray) -> list[np.ndarray]:
+def _side_counts(g: Graph, side: np.ndarray, alive: np.ndarray) -> list[np.ndarray]:
     """Each vertex's live neighbours on side 0 and on side 1."""
-    nbytes = words.shape[1] * 8
-    counts = []
-    for s in (0, 1):
-        packed = np.packbits(alive & (side == s), bitorder="little")
-        mask = np.pad(packed, (0, nbytes - len(packed))).view(np.uint64)
-        counts.append(np.bitwise_count(words & mask).sum(axis=1, dtype=np.intp))
-    return counts
+    return [g.degrees_into(np.flatnonzero(alive & (side == s))) for s in (0, 1)]
 
 
-def _local_max_cut(words: np.ndarray, side: np.ndarray, order: np.ndarray) -> None:
+def _local_max_cut(g: Graph, side: np.ndarray, order: np.ndarray) -> None:
     """Flip vertices, in ``order`` pass after pass, while the cut grows.
 
     A vertex flips at its turn when it has more neighbours on its own
@@ -188,7 +163,7 @@ def _local_max_cut(words: np.ndarray, side: np.ndarray, order: np.ndarray) -> No
     """
     n = len(side)
     at = np.argsort(order)
-    on0, on1 = _side_counts(words, side, np.ones(n, dtype=bool))
+    on0, on1 = _side_counts(g, side, np.ones(n, dtype=bool))
     sums = (on1 - on0)[order]
     signs = (2 * side.astype(np.intp) - 1)[order]
     improved = True
@@ -200,7 +175,7 @@ def _local_max_cut(words: np.ndarray, side: np.ndarray, order: np.ndarray) -> No
             if signs[i] * sums[i] <= 0:
                 break
             v = int(order[i])
-            sums[at[_neighbours(words, v).nonzero()[0]]] -= 2 * signs[i]
+            sums[at[g.adjacency([v])[0].nonzero()[0]]] -= 2 * signs[i]
             signs[i] = -signs[i]
             side[v] ^= 1
             improved = True
@@ -224,20 +199,19 @@ def bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
     if g.n == 0:
         return None
     n = g.n
-    words = _packed_words(n, g.rows)
     best = None
     best_score = None
     for r in range(restarts):
         rng = subset_sampler(seed, stream=r)
         side = rng.integers(0, 2, size=n).astype(np.int8)
         order = rng.permutation(n)
-        _local_max_cut(words, side, order)
+        _local_max_cut(g, side, order)
         # delete the most conflicted vertex until both sides are independent;
         # conflicts are kept in scan order: side 0 ascending, then side 1
         alive = np.ones(n, dtype=bool)
         scan = np.argsort(side, kind="stable")
         at = np.argsort(scan)
-        conflict = np.choose(side, _side_counts(words, side, alive))[scan]
+        conflict = np.choose(side, _side_counts(g, side, alive))[scan]
         while True:
             k = int(conflict.argmax())
             if conflict[k] <= 0:
@@ -245,11 +219,11 @@ def bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
             v = int(scan[k])
             alive[v] = False
             conflict[k] = 0
-            same = _neighbours(words, v) & alive & (side == side[v])
+            same = g.adjacency([v])[0] & alive & (side == side[v])
             conflict[at[same.nonzero()[0]]] -= 1
         # live neighbours per side; re-insert deleted vertices, in ascending
         # order pass after pass, preferring the emptier side
-        count = _side_counts(words, side, alive)
+        count = _side_counts(g, side, alive)
         size = [int(np.count_nonzero(alive & (side == s))) for s in (0, 1)]
         changed = True
         while changed:
@@ -261,7 +235,7 @@ def bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
                     side[v] = s
                     alive[v] = True
                     size[s] += 1
-                    count[s][_neighbours(words, v)] += 1
+                    count[s][g.adjacency([v])[0]] += 1
                     changed = True
         U1 = tuple(np.flatnonzero(alive & (side == 0)).tolist())
         U2 = tuple(np.flatnonzero(alive & (side == 1)).tolist())
@@ -320,8 +294,7 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     else:
         iii = "unknown"
 
-    m3 = vertex_mask(cls.V3)
-    e_u_v3 = sum((g.rows[u] & m3).bit_count() for u in (*cls.U1, *cls.U2))
+    e_u_v3 = g.edges_between(cls.U1 + cls.U2, cls.V3)
     return {
         "i": bk_red > Fraction(n, 2),
         "ii": bk_blue > thr_ii,

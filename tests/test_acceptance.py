@@ -286,7 +286,7 @@ def test_criterion_5_counting_lemma_suite(capsys):
                 checks += 1
                 violations += ta < tb
                 bounds.append(tb)
-                if cfg.host.edges_within(cfg.bases[0]) > 0:
+                if cfg.host.edges_between(cfg.bases[0], cfg.bases[0]) > 0:
                     bb, cert = book_bound_shared(cfg)
                     checks += 1
                     violations += cert.size < bb
@@ -302,7 +302,7 @@ def test_criterion_5_counting_lemma_suite(capsys):
                 checks += 1
                 violations += ta < tb
                 bounds.append(tb)
-                if cfg.host.cut_and_induced_counts(*cfg.bases)[2] > 0:
+                if cfg.host.edges_between(*cfg.bases) > 0:
                     bb, cert = book_bound_cross(cfg)
                     checks += 1
                     violations += cert.size < bb

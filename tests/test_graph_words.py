@@ -1,0 +1,107 @@
+"""Differential tests of the packed word rows at the 64-bit word boundaries.
+
+``Graph`` stores one (n, ceil(n/64)) uint64 array.  Orders on both sides
+of a word boundary are checked against Python-int bitset references: the
+int-row constructor round trip, the set counts, the complement's padding
+bits past n, and equality and hashing.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bookramsey.colorings import TwoColoring
+from bookramsey.graphs import Graph, bits_of, vertex_mask
+
+ORDERS = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+
+
+def ref_rows(n, index):
+    """Int rows of the graph whose colex pair k is bit k of ``index``."""
+    rows = [0] * n
+    k = 0
+    for j in range(n):
+        for i in range(j):
+            if index >> k & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return rows
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.sampled_from(ORDERS))
+    index = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return n, index, ref_rows(n, index)
+
+
+def vertex_lists(n):
+    return st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([])
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_int_rows_round_trip_through_the_constructor(case):
+    n, index, rows = case
+    g = Graph(n, rows)
+    assert g.rows == tuple(rows)
+    assert g.words.shape == (n, (n + 63) // 64)
+    assert g == TwoColoring.from_blue_index(n, index).blue
+    assert Graph.from_graph6(g.to_graph6()).rows == tuple(rows)
+    assert g.edge_count() == sum(r.bit_count() for r in rows) // 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(), st.data())
+def test_set_counts_match_the_bigint_reference(case, data):
+    n, _, rows = case
+    g = Graph(n, rows)
+    X = data.draw(vertex_lists(n))
+    Y = data.draw(vertex_lists(n))
+    my = vertex_mask(Y)
+    assert g.edges_between(X, Y) == sum((rows[x] & my).bit_count() for x in X)
+    assert g.degrees_into(Y).tolist() == [(r & my).bit_count() for r in rows]
+    assert g.degrees_into(Y, X).tolist() == [(rows[x] & my).bit_count() for x in X]
+    assert g.adjacency(X, Y).tolist() == [[bool(rows[x] >> y & 1) for y in Y] for x in X]
+    if X:
+        mx = vertex_mask(X)
+        assert g.min_degree_induced(X) == min((rows[x] & mx).bit_count() for x in bits_of(mx))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs())
+def test_complement_leaves_the_padding_bits_clear(case):
+    n, _, rows = case
+    g = Graph(n, rows)
+    c = g.complement()
+    full = (1 << n) - 1
+    assert c.rows == tuple(full ^ r ^ (1 << u) for u, r in enumerate(rows))
+    if n % 64:
+        assert not (c.words[:, -1] >> np.uint64(n % 64)).any()
+    # a phantom neighbour past n would add a page to every base
+    size, _ = c.booksize()
+    crows = c.rows
+    ref = max(((crows[u] & crows[v]).bit_count() for u in range(n) for v in bits_of(crows[u]) if v > u), default=0)
+    assert size == ref
+    assert c.complement() == g
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(), st.data())
+def test_equality_and_hash_follow_the_rows(case, data):
+    n, _, rows = case
+    g = Graph(n, rows)
+    other = list(rows)
+    if n >= 2:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if data.draw(st.booleans()):
+            other[i] ^= 1 << j
+            other[j] ^= 1 << i
+    h = Graph(n, other)
+    assert (g == h) == (tuple(rows) == tuple(other))
+    if g == h:
+        assert hash(g) == hash(h)
+    same = Graph.from_bool_matrix(g.adjacency())
+    assert same == g and hash(same) == hash(g)
+    assert g != Graph.empty(n + 1)

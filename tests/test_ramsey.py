@@ -102,7 +102,7 @@ def test_verify_k5_triangle_vs_triangle():
     out = exhaustive_verify(RamseyQuery(5, 1, 1))
     assert out.verdict == "counterexample"
     assert out.colorings_examined == 237
-    assert out.counterexample_index == 236
+    assert out.counterexample.blue_index() == 236
     ce = out.counterexample
     assert isinstance(check_coloring(ce, 1, 1), Neither)
     # the classical witness: both color classes are 5-cycles
@@ -122,7 +122,7 @@ def test_verify_first_counterexample_for_one_two():
     out = exhaustive_verify(RamseyQuery(6, 1, 2))
     assert out.verdict == "counterexample"
     assert out.colorings_examined == 3874
-    assert out.counterexample_index == 3873
+    assert out.counterexample.blue_index() == 3873
     blue_edges = set(out.counterexample.blue.edges())
     assert blue_edges == {(0, 1), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)}
 
@@ -183,13 +183,13 @@ def test_capacity_guards():
 
 def test_counterexample_index_conventions():
     # unpruned: the enumeration order is the blue-index order, so the
-    # reported index both equals examined-1 and decodes to the witness
+    # witness's index equals examined-1 and decodes back to the witness
     plain = exhaustive_verify(RamseyQuery(5, 1, 1))
-    assert plain.counterexample_index == plain.colorings_examined - 1
-    decoded = TwoColoring.from_blue_index(5, plain.counterexample_index)
+    index = plain.counterexample.blue_index()
+    assert index == plain.colorings_examined - 1
+    decoded = TwoColoring.from_blue_index(5, index)
     assert decoded == plain.counterexample
-    # pruned: the order is scenario-local, so no global index is claimed
+    # pruned: the order is scenario-local
     pruned = exhaustive_verify(RamseyQuery(5, 2, 2), prune=True)
     assert pruned.verdict == "counterexample"
-    assert pruned.counterexample_index is None
     assert pruned.colorings_examined == 31

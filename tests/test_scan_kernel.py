@@ -104,7 +104,7 @@ def test_lowest_counterexample_matches_brute_force(N):
         if expect is None:
             assert (out.verdict, out.colorings_examined) == ("forced", 1 << m)
         else:
-            assert (out.counterexample_index, out.colorings_examined) == (expect, expect + 1), (N, p, q)
+            assert (out.counterexample.blue_index(), out.colorings_examined) == (expect, expect + 1), (N, p, q)
 
 
 def test_short_block_reports_no_miss_in_unused_lanes():

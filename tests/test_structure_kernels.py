@@ -101,7 +101,8 @@ def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, 
         return None
     enum = pair.edge_count()
     mb = vertex_mask(pair.B)
-    deg_a = [(pair.host.rows[a] & mb).bit_count() for a in pair.A]
+    rows = pair.host.rows
+    deg_a = [(rows[a] & mb).bit_count() for a in pair.A]
     by_degree = sorted(range(na), key=lambda k: (deg_a[k], k))
 
     def candidate_xs():
@@ -129,7 +130,7 @@ def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, 
         tried += 1
         s = len(X)
         mx = vertex_mask(X)
-        deg_b = [(pair.host.rows[b] & mx).bit_count() for b in pair.B]
+        deg_b = [(rows[b] & mx).bit_count() for b in pair.B]
         order = sorted(range(nb), key=lambda k: (deg_b[k], k))
         lo = hi = 0
         for sy in range(1, nb + 1):
@@ -148,6 +149,7 @@ def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, 
 def ref_local_max_cut(g: Graph, side: list[bool], order: list[int]) -> None:
     # flip vertices while the cut grows; terminates since the cut is bounded
     masks = [0, 0]
+    rows = g.rows
     for v in range(g.n):
         masks[side[v]] |= 1 << v
     improved = True
@@ -155,8 +157,8 @@ def ref_local_max_cut(g: Graph, side: list[bool], order: list[int]) -> None:
         improved = False
         for v in order:
             s = side[v]
-            own = (g.rows[v] & masks[s]).bit_count()
-            other = (g.rows[v] & masks[1 - s]).bit_count()
+            own = (rows[v] & masks[s]).bit_count()
+            other = (rows[v] & masks[1 - s]).bit_count()
             if own > other:
                 masks[s] ^= 1 << v
                 masks[1 - s] |= 1 << v
@@ -170,6 +172,7 @@ def ref_bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
         return None
     best = None
     best_score = None
+    rows = g.rows
     for r in range(restarts):
         rng = subset_sampler(seed, stream=r)
         side = [bool(b) for b in rng.integers(0, 2, size=g.n)]
@@ -184,7 +187,7 @@ def ref_bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
             worst_v, worst_c = -1, 0
             for s in (0, 1):
                 for v in bits_of(masks[s] & alive):
-                    c = (g.rows[v] & masks[s] & alive).bit_count()
+                    c = (rows[v] & masks[s] & alive).bit_count()
                     if c > worst_c:
                         worst_v, worst_c = v, c
             if worst_v < 0:
@@ -200,7 +203,7 @@ def ref_bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
                 free = [
                     s
                     for s in (0, 1)
-                    if not g.rows[v] & masks[s] & alive
+                    if not rows[v] & masks[s] & alive
                 ]
                 if free:
                     s = min(
