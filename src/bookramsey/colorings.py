@@ -66,11 +66,15 @@ class TwoColoring:
     def red(self) -> Graph:
         return self.blue.complement()
 
+    @cached_property
+    def _books(self) -> tuple[tuple[int, BookCertificate | None], ...]:
+        return self.blue.books()
+
     def bk_blue(self) -> tuple[int, BookCertificate | None]:
-        return self.blue.booksize()
+        return self._books[0]
 
     def bk_red(self) -> tuple[int, BookCertificate | None]:
-        return self.red.booksize()
+        return self._books[1]
 
     # ----------------------------------------------------------- bit vector
 
@@ -120,9 +124,8 @@ class TwoColoring:
         if n > GRAPH6_ORDER_CAP:
             raise CapacityError(f"BRC1 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
         payload = "".join(lines[1:]).translate({ord(c): None for c in " \t"})
-        m = n * (n - 1) // 2
-        bits = unpack_bits_hex(payload, m, line=2)
-        return cls.from_blue_bits(n, bits)
+        raw = _hex_bytes(payload, n * (n - 1) // 2, line=2)
+        return cls(n, Graph.from_colex_bits(n, raw, width=8))
 
 
 def pack_bits_hex(bits: np.ndarray) -> str:
@@ -133,6 +136,13 @@ def pack_bits_hex(bits: np.ndarray) -> str:
 
 
 def unpack_bits_hex(payload: str, nbits: int, line: int = 1) -> np.ndarray:
+    """Inverse of ``pack_bits_hex`` for a payload of ``nbits`` bits."""
+    return np.unpackbits(_hex_bytes(payload, nbits, line), count=nbits).view(bool)
+
+
+def _hex_bytes(payload: str, nbits: int, line: int = 1) -> np.ndarray:
+    """The bytes of a hex payload of ``nbits`` bits, checked for length,
+    characters and zero padding."""
     nchars = (nbits + 3) // 4
     if len(payload) != nchars:
         raise ParseError(
@@ -145,10 +155,10 @@ def unpack_bits_hex(payload: str, nbits: int, line: int = 1) -> np.ndarray:
     if nchars % 2:
         payload = payload + "0"
     raw = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="big")
-    if bits[nbits:].any():
+    pad = 8 * raw.size - nbits  # below 8, all in the last byte
+    if raw.size and raw[-1] & ((1 << pad) - 1):
         raise ParseError("nonzero padding bits", line=line, offset=nchars - 1)
-    return bits[:nbits].view(bool)
+    return raw
 
 
 def read_coloring_file(path) -> TwoColoring:
@@ -172,13 +182,7 @@ def two_cliques(q: int) -> TwoColoring:
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    n = 2 * q + 2
-    blue = Graph.from_edges(
-        n,
-        [(u, v) for u in range(q + 1) for v in range(u + 1, q + 1)]
-        + [(u, v) for u in range(q + 1, n) for v in range(u + 1, n)],
-    )
-    return TwoColoring(n, blue)
+    return TwoColoring(2 * q + 2, Graph.complete_bipartite(q + 1, q + 1).complement())
 
 
 @dataclass(frozen=True)

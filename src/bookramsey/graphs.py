@@ -5,18 +5,21 @@ words: bit v of row u is set iff u ~ v, and the padding bits past n stay
 zero.  Other modules never read the words bit by bit; they ask for
 codegrees, for edge counts between vertex sets (``edges_between``,
 ``degrees_into``), or for the bool matrix of a few rows against a few
-columns (``adjacency``).  Whole-graph scans (booksize, and the first-book
-search behind ``ramsey.check_coloring``) AND each word row against the
-rows of its later neighbours and popcount.  ``Graph(n, rows)`` checks
-outside int rows once; decoding and the constructions build valid words
-and skip the check.  Graphs are immutable; share them freely.
+columns (``adjacency``).  ``books`` reads the books of the graph and of
+its complement (booksize, and the first-book search behind
+``ramsey.check_coloring``) from one tiled float32 codegree product,
+exact whatever the BLAS summation order or thread count because its
+sums are integers below 2**24.  ``Graph(n, rows)`` checks outside int
+rows once; decoding and the constructions build valid words and skip
+the check.  Graphs are immutable; share them freely.
 
 Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
 which is the row-major strict lower triangle of the matrix.  graph6
 (short form n <= 62, long form n <= 258047) and BRC1 (``colorings``)
 store their edge bits in this order; both read orders up to
-GRAPH6_ORDER_CAP.  The codec goes _STRIPE rows at a time, so it holds
-the edge bits, the words and O(_STRIPE n) bytes.
+GRAPH6_ORDER_CAP.  The codec goes _STRIPE rows at a time and unpacks
+only the edge bits of the stripe at hand, so it holds the input, the
+words and O(_STRIPE n) bytes.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ import numpy as np
 from .errors import CapacityError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
-GRAPH6_ORDER_CAP = 1 << 13  # decoding at the cap: ~0.7 s, 99 MB peak RSS (2 cores, numpy 2.4)
+GRAPH6_ORDER_CAP = 1 << 13  # decoding at the cap: ~0.6 s, 61 MB peak RSS (2 cores, numpy 2.4)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
-_STRIPE = 512  # rows per codec step; a multiple of 64
+_STRIPE = 256  # rows per codec and book-scan step; a multiple of 8
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -228,18 +231,30 @@ class Graph:
         return int(np.bitwise_count(self.words[u] & self.words[v]).sum())
 
     def booksize(self) -> tuple[int, BookCertificate | None]:
-        """Largest book size together with a witnessing certificate.
-
-        Returns (0, None) for an edgeless graph.  Ties are broken toward
-        the lexicographically least base edge, so output is deterministic.
-        """
-        return _book_scan(self) or (0, None)
+        """Largest book size with its certificate; ``books()[0]``."""
+        return self.books()[0]
 
     def first_book(self, at_least: int) -> BookCertificate | None:
         """The first base edge in lexicographic order with at least
         ``at_least`` pages, or None."""
-        found = _book_scan(self, at_least)
-        return found and found[1]
+        return self.books((at_least, None))[0][1]
+
+    def books(self, at_least: tuple[int | None, int | None] | None = None) -> tuple[tuple, tuple]:
+        """Books of this graph (blue) and of its complement (red) from one
+        codegree pass: ((size, certificate) blue, (size, certificate) red),
+        with (0, None) for a colour that has no such book.
+
+        Without ``at_least``, each colour's largest book at its
+        lexicographically least base edge, so output is deterministic.
+        With page targets ``at_least = (blue, red)``, each colour's first
+        base edge in lexicographic order whose book reaches its target; a
+        target of None skips that colour, and the scan stops once every
+        colour with a target has its book.
+        """
+        return tuple(
+            (hit[0], BookCertificate.from_base(self.complement() if red else self, *hit[1:])) if hit else (0, None)
+            for red, hit in enumerate(_book_scan(self, at_least))
+        )
 
     def complement(self) -> "Graph":
         n, loops = self.n, np.arange(self.n)
@@ -271,16 +286,25 @@ class Graph:
         return bits
 
     @classmethod
-    def from_colex_bits(cls, n: int, bits: np.ndarray) -> "Graph":
-        """Inverse of ``colex_bits``.  Each stripe of the lower triangle is
-        packed into its own rows and, transposed, into the same columns of
-        every row, so the words are symmetric by construction."""
-        if len(bits) != n * (n - 1) // 2:
-            raise ValueError(f"expected {n * (n - 1) // 2} edge bits, got {len(bits)}")
+    def from_colex_bits(cls, n: int, bits: np.ndarray, width: int | None = None) -> "Graph":
+        """Inverse of ``colex_bits``.  ``bits`` holds one indicator per pair
+        or, given ``width``, packs ``width`` of them into the low bits of
+        each uint8, first indicator highest (graph6 packs 6, BRC1 8); only
+        one stripe's range is then unpacked at a time.  Each stripe of the
+        lower triangle is packed into its own rows and, transposed, into
+        the same columns of every row, so the words are symmetric by
+        construction."""
+        nbits = n * (n - 1) // 2
+        if width is None:
+            size, take = nbits, lambda a, b: bits[a:b]
+        else:
+            size, take = -(-nbits // width), lambda a, b: _bit_range(bits, width, a, b)
+        if len(bits) != size:
+            raise ValueError(f"expected {size} entries for {nbits} edge bits, got {len(bits)}")
         out = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
         for r0, r1, lower in _stripes(n):
             stripe = np.zeros(lower.shape, dtype=bool)
-            stripe[lower] = bits[r0 * (r0 - 1) // 2 : r1 * (r1 - 1) // 2]
+            stripe[lower] = take(r0 * (r0 - 1) // 2, r1 * (r1 - 1) // 2)
             out[r0:r1, : (n + 7) // 8] |= np.packbits(stripe, axis=1, bitorder="little")
             out[:, r0 // 8 : (r1 + 7) // 8] |= np.packbits(stripe.T, axis=1, bitorder="little")
         return cls._of_words(n, out.view("<u8"))
@@ -333,10 +357,9 @@ class Graph:
                 line=line,
                 offset=len(s),
             )
-        bits = np.unpackbits((data << 2)[:, None], axis=1, count=6).ravel().view(bool)
-        if bits[nbits:].any():
+        if _bit_range(data, 6, nbits, 6 * len(data)).any():
             raise ParseError("nonzero padding bits in graph6 data", line=line, offset=len(s))
-        return cls.from_colex_bits(n, bits[:nbits])
+        return cls.from_colex_bits(n, data, width=6)
 
 
 # ------------------------------------------------------------ word helpers
@@ -352,6 +375,13 @@ def _pack(adj: np.ndarray) -> np.ndarray:
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     """Word rows as a (len(words), n) bool matrix."""
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _bit_range(packed: np.ndarray, width: int, a: int, b: int) -> np.ndarray:
+    """Bits a..b-1 of uint8s holding ``width`` bits each, highest first."""
+    chunk = packed[a // width : -(-b // width)] << (8 - width)
+    bits = np.unpackbits(chunk[:, None], axis=1, count=width).ravel()
+    return bits[a % width : a % width + b - a].view(bool)
 
 
 def _stripes(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -382,35 +412,56 @@ def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
     raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
 
-def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, BookCertificate] | None:
-    """Codegree scan over the edges (u, v), u < v, in lexicographic order.
+def _book_scan(g: Graph, at_least: tuple[int | None, int | None] | None = None) -> list:
+    """Codegree scan of g (blue) and its complement (red) over the pairs
+    (u, v), u < v, in lexicographic order; see ``Graph.books``.
 
-    Returns (codegree, certificate of base uv).  Without ``at_least``: the largest codegree
-    at its lexicographically least base, or None for an edgeless graph.
-    With it: the first base whose codegree is at least ``at_least``,
-    stopping there, or None when no base reaches it.
-
-    Vertex u ANDs its word row against the rows of its neighbours
-    v > u and popcounts each, so temporary memory stays within
-    O(n * ceil(n/64)) words.
+    Returns [blue, red], each (codegree, u, v) or None.  Rows go _STRIPE
+    at a time: the stripe's 0/1 rows, unpacked to float32, times each
+    later column stripe (``left @ right.T``) gives the blue codegrees
+    cb(u, v), v >= r0.  One float32 array then holds both colours: cb at
+    blue pairs u < v, -1 - cr at red ones, with the complement identity
+    cr(u, v) = n - 2 - d(u) - d(v) + cb(u, v) for non-adjacent u, v, and
+    -0.5 at v <= u.  The largest entry is the best blue base and the
+    smallest the best red one, and argmax and argmin take the first in
+    row-major order, so a finished stripe yields its lexicographically
+    least winner and the ``at_least`` stop matches a pair-by-pair scan.
+    Temporary memory is O(_STRIPE n).
     """
     n, words = g.n, g.words
-    best = None
-    for u in range(n - 1):
-        later = np.flatnonzero(_unpack(words[u : u + 1], n)[0, u + 1 :]) + (u + 1)
-        if later.size == 0:
-            continue
-        counts = np.bitwise_count(words[later] & words[u]).sum(axis=1)
-        if at_least is None:
-            k = int(counts.argmax())
-            if best is None or counts[k] > best[0]:
-                best = (int(counts[k]), u, int(later[k]))
-        else:
-            hits = np.flatnonzero(counts >= at_least)
-            if hits.size:
-                best = (int(counts[hits[0]]), u, int(later[hits[0]]))
-                break
-    return best and (best[0], BookCertificate.from_base(g, best[1], best[2]))
+    # Every product sum and every term of the identity is an integer of
+    # magnitude at most 2n, so float32 is exact, in any summation order
+    # and so for any BLAS thread count.
+    assert 2 * n < 1 << 24, "float32 codegrees are exact only below 2**24"
+    degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
+    found = [None, None]
+    for r0 in range(0, n, _STRIPE):
+        adj = _unpack(words[r0 : r0 + _STRIPE], n)
+        r1 = r0 + len(adj)
+        left = adj.astype(np.float32)
+        cd = np.empty((r1 - r0, n - r0), dtype=np.float32)
+        for c0 in range(r0, n, _STRIPE):
+            right = left if c0 == r0 else _unpack(words[c0 : c0 + _STRIPE], n).astype(np.float32)
+            np.matmul(left, right.T, out=cd[:, c0 - r0 : c0 - r0 + len(right)])
+        del left, right
+        red = degree[r0:r1, None] + (degree[None, r0:] - (n - 1))
+        red -= cd
+        cd = np.where(adj[:, r0:], cd, red)
+        del red
+        cd[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -0.5
+        for k in (0, 1):
+            if at_least is None:
+                i = cd.argmax() if k == 0 else cd.argmin()
+            elif at_least[k] is None or found[k] is not None:
+                continue
+            else:
+                i = (cd >= at_least[0] if k == 0 else cd <= -1 - at_least[1]).argmax()
+            size = float(cd.flat[i]) if k == 0 else -1 - float(cd.flat[i])
+            if size >= (at_least[k] if at_least else 0) and (found[k] is None or size > found[k][0]):
+                found[k] = (int(size), r0 + int(i) // cd.shape[1], r0 + int(i) % cd.shape[1])
+        if at_least is not None and all(f is not None or t is None for f, t in zip(found, at_least)):
+            break
+    return found
 
 
 def write_graph6_file(path, g: Graph) -> None:

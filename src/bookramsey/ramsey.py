@@ -79,16 +79,18 @@ class SearchOutcome:
 def check_coloring(c: TwoColoring, p: int, q: int):
     """First red book with >= p pages, else first blue with >= q, else Neither.
 
-    Scans red bases in lexicographic edge order with early exit; the
-    red-before-blue priority is arbitrary but fixed.  Neither certifies
-    the lower bound r(B_p, B_q) > c.n.
+    Both colours come from one scan in lexicographic edge order, which
+    stops once each has a book; the red-before-blue priority is
+    arbitrary but fixed.  Neither certifies the lower bound
+    r(B_p, B_q) > c.n.
     """
     if p < 1 or q < 1:
         raise ValueError("book page targets must be at least 1")
-    for graph, pages, found in ((c.red, p, RedBook), (c.blue, q, BlueBook)):
-        cert = graph.first_book(pages)
-        if cert is not None:
-            return found(cert)
+    (_, blue), (_, red) = c.blue.books(at_least=(q, p))
+    if red is not None:
+        return RedBook(red)
+    if blue is not None:
+        return BlueBook(blue)
     return Neither()
 
 

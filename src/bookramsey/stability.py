@@ -271,8 +271,7 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
     n = g.n
-    bk_blue, _ = g.booksize()
-    bk_red, _ = g.complement().booksize()
+    (bk_blue, _), (bk_red, _) = g.books()
     thr_ii = (Fraction(1, 12) - xi**6 * Fraction(1, 10**6)) * n
 
     if candidate is not None:

@@ -7,12 +7,14 @@ and error messages.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookramsey import graphs
 from bookramsey.colorings import (
     TwoColoring,
     construction_statistics,
@@ -33,6 +35,14 @@ def ref_booksize(g: Graph):
         if c > best:
             best, best_base = c, (u, v)
     return (0, None) if best_base is None else (best, best_base)
+
+
+def ref_first_book(g: Graph, at_least: int):
+    rows = g.rows
+    for u, v in g.edges():
+        if (rows[u] & rows[v]).bit_count() >= at_least:
+            return u, v
+    return None
 
 
 def ref_check_coloring(c: TwoColoring, p: int, q: int):
@@ -197,6 +207,77 @@ def test_booksize_at_n300(big_coloring):
         assert (size, cert.base) == ref_booksize(g)
 
 
+# ------------------------------------------------ two-colour scan and stripes
+# The scan works a row stripe of graphs._STRIPE rows at a time against
+# column stripes of the same width; below, smaller stripes make the test
+# graphs cross several of both.
+
+
+def base_of(book):
+    size, cert = book
+    return size, (cert.base if cert else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_params, st.sampled_from([graphs._STRIPE, 8]), st.integers(1, 8), st.integers(1, 8))
+def test_two_colour_books_match_edge_loops(params, stripe, q, p):
+    g = graph_from(params)
+    h = g.complement()
+    with mock.patch.object(graphs, "_STRIPE", stripe):
+        books = g.books()
+        firsts = g.books((q, p))
+        blue_only, red_only = g.books((q, None)), g.books((None, p))
+    assert [base_of(b) for b in books] == [ref_booksize(g), ref_booksize(h)]
+    for (size, cert), graph in zip(books + firsts, (g, h, g, h)):
+        if cert:
+            cert.validate(graph)
+            assert cert.size == size
+    bases = [cert and cert.base for _, cert in firsts]
+    assert bases == [ref_first_book(g, q), ref_first_book(h, p)]
+    assert [blue_only[0][1] and blue_only[0][1].base, red_only[1][1] and red_only[1][1].base] == bases
+    assert blue_only[1] == red_only[0] == (0, None)
+
+
+def test_booksize_across_stripes_at_n300(big_coloring, monkeypatch):
+    monkeypatch.setattr(graphs, "_STRIPE", 64)
+    test_booksize_at_n300(big_coloring)
+    books = big_coloring.blue.books()
+    assert [base_of(b) for b in books] == [ref_booksize(big_coloring.blue), ref_booksize(big_coloring.red)]
+
+
+def test_books_tie_across_stripes_picks_least_base(monkeypatch):
+    # three bases tie at three private pages each: (5, 100) lies in the
+    # second column stripe of row stripe 0, (6, 10) in its first and
+    # (70, 80) in row stripe 1; the least base (5, 100) must win
+    monkeypatch.setattr(graphs, "_STRIPE", 64)
+    edges = []
+    for (u, v), pages in zip([(70, 80), (6, 10), (5, 100)], [(20, 21, 22), (30, 31, 32), (40, 41, 42)]):
+        edges += [(u, v)] + [(w, page) for page in pages for w in (u, v)]
+    g = Graph.from_edges(150, edges)
+    assert base_of(g.books()[0]) == ref_booksize(g) == (3, (5, 100))
+    assert base_of(g.complement().books()[1]) == (3, (5, 100))
+    assert g.first_book(3).base == ref_first_book(g, 3) == (5, 100)
+    assert g.complement().books((None, 3))[1][1].base == (5, 100)
+
+
+def test_first_books_in_different_stripes_at_n300(big_coloring, monkeypatch):
+    # with 8-row stripes, a one-page book of one colour turns up in stripe
+    # 0 and the largest blue book (row 53) in stripe 6: the scan must go
+    # on past the first find, whichever colour it is
+    monkeypatch.setattr(graphs, "_STRIPE", 8)
+    top = ref_booksize(big_coloring.blue)[0]
+    for g, at_least in ((big_coloring.blue, (top, 1)), (big_coloring.red, (1, top))):
+        want = [ref_first_book(g, at_least[0]), ref_first_book(g.complement(), at_least[1])]
+        assert {want[0][0] // 8, want[1][0] // 8} == {0, 6}
+        assert [cert.base for _, cert in g.books(at_least)] == want
+
+
+def test_packed_decode_across_stripes_at_n300(big_coloring, monkeypatch):
+    monkeypatch.setattr(graphs, "_STRIPE", 64)
+    assert Graph.from_graph6(big_coloring.blue.to_graph6()) == big_coloring.blue
+    assert TwoColoring.from_brc1(big_coloring.to_brc1()) == big_coloring
+
+
 # ------------------------------------------------------------ check_coloring
 
 
@@ -236,6 +317,11 @@ def test_check_coloring_red_before_blue():
 
 
 def test_check_coloring_at_n300(big_coloring):
+    check_thresholds(big_coloring)
+
+
+def test_check_coloring_across_stripes_at_n300(big_coloring, monkeypatch):
+    monkeypatch.setattr(graphs, "_STRIPE", 64)
     check_thresholds(big_coloring)
 
 
