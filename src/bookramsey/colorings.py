@@ -135,14 +135,9 @@ def pack_bits_hex(bits: np.ndarray) -> str:
     return packed.tobytes().hex()[:nchars]
 
 
-def unpack_bits_hex(payload: str, nbits: int, line: int = 1) -> np.ndarray:
-    """Inverse of ``pack_bits_hex`` for a payload of ``nbits`` bits."""
-    return np.unpackbits(_hex_bytes(payload, nbits, line), count=nbits).view(bool)
-
-
 def _hex_bytes(payload: str, nbits: int, line: int = 1) -> np.ndarray:
-    """The bytes of a hex payload of ``nbits`` bits, checked for length,
-    characters and zero padding."""
+    """The bytes of a ``pack_bits_hex`` payload of ``nbits`` bits, checked
+    for length, characters and zero padding."""
     nchars = (nbits + 3) // 4
     if len(payload) != nchars:
         raise ParseError(

@@ -5,13 +5,15 @@ words: bit v of row u is set iff u ~ v, and the padding bits past n stay
 zero.  Other modules never read the words bit by bit; they ask for
 codegrees, for edge counts between vertex sets (``edges_between``,
 ``degrees_into``), or for the bool matrix of a few rows against a few
-columns (``adjacency``).  ``books`` reads the books of the graph and of
-its complement (booksize, and the first-book search behind
-``ramsey.check_coloring``) from one tiled float32 codegree product,
-exact whatever the BLAS summation order or thread count because its
-sums are integers below 2**24.  ``Graph(n, rows)`` checks outside int
-rows once; decoding and the constructions build valid words and skip
-the check.  Graphs are immutable; share them freely.
+columns (``adjacency``).  ``booksize`` and ``first_book`` scan one
+graph's edges, ANDing word rows, so their cost grows with the edge
+count.  ``books`` reads the books of the graph and of its complement
+(both booksizes, or the red-first book search behind
+``ramsey.check_coloring``) from one tiled float32 codegree product over
+all pairs, exact whatever the BLAS summation order or thread count
+because its sums are integers below 2**24.  ``Graph(n, rows)`` checks
+outside int rows once; decoding and the constructions build valid words
+and skip the check.  Graphs are immutable; share them freely.
 
 Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
 which is the row-major strict lower triangle of the matrix.  graph6
@@ -36,7 +38,7 @@ from .errors import CapacityError, ParseError
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_ORDER_CAP = 1 << 13  # decoding at the cap: ~0.6 s, 61 MB peak RSS (2 cores, numpy 2.4)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
-_STRIPE = 256  # rows per codec and book-scan step; a multiple of 8
+_STRIPE = 256  # rows per codec step and per codegree-product tile; a multiple of 8
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -231,30 +233,38 @@ class Graph:
         return int(np.bitwise_count(self.words[u] & self.words[v]).sum())
 
     def booksize(self) -> tuple[int, BookCertificate | None]:
-        """Largest book size with its certificate; ``books()[0]``."""
-        return self.books()[0]
+        """Largest book size together with a witnessing certificate.
+
+        Returns (0, None) for an edgeless graph.  Ties are broken toward
+        the lexicographically least base edge, so output is deterministic.
+        One colour's scan costs O(e n / 64) word operations for e edges;
+        ``books`` asks for both colours in one pass.
+        """
+        return _book_scan(self) or (0, None)
 
     def first_book(self, at_least: int) -> BookCertificate | None:
         """The first base edge in lexicographic order with at least
         ``at_least`` pages, or None."""
-        return self.books((at_least, None))[0][1]
+        found = _book_scan(self, at_least)
+        return found and found[1]
 
-    def books(self, at_least: tuple[int | None, int | None] | None = None) -> tuple[tuple, tuple]:
+    def books(self, at_least: tuple[int, int] | None = None) -> tuple[tuple, tuple]:
         """Books of this graph (blue) and of its complement (red) from one
-        codegree pass: ((size, certificate) blue, (size, certificate) red),
-        with (0, None) for a colour that has no such book.
+        codegree pass over all pairs: ((size, certificate) blue,
+        (size, certificate) red), with (0, None) where there is none.
 
         Without ``at_least``, each colour's largest book at its
-        lexicographically least base edge, so output is deterministic.
-        With page targets ``at_least = (blue, red)``, each colour's first
-        base edge in lexicographic order whose book reaches its target; a
-        target of None skips that colour, and the scan stops once every
-        colour with a target has its book.
+        lexicographically least base edge, as ``booksize`` gives it.
+        With page targets ``at_least = (blue, red)``, red goes first: the
+        first red base edge in lexicographic order whose book reaches the
+        red target, where the scan stops; only when there is none, the
+        first blue base edge whose book reaches the blue target.  The
+        other colour reads (0, None).
         """
-        return tuple(
-            (hit[0], BookCertificate.from_base(self.complement() if red else self, *hit[1:])) if hit else (0, None)
-            for red, hit in enumerate(_book_scan(self, at_least))
-        )
+        blue, red = _codegree_product(self, at_least)
+        blue = blue and BookCertificate.from_base(self, *blue)
+        red = red and BookCertificate.from_base(self.complement(), *red)
+        return tuple((cert.size, cert) if cert else (0, None) for cert in (blue, red))
 
     def complement(self) -> "Graph":
         n, loops = self.n, np.arange(self.n)
@@ -412,55 +422,115 @@ def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
     raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
 
-def _book_scan(g: Graph, at_least: tuple[int | None, int | None] | None = None) -> list:
-    """Codegree scan of g (blue) and its complement (red) over the pairs
+def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, BookCertificate] | None:
+    """Codegree scan over the edges (u, v), u < v, in lexicographic order.
+
+    Returns (codegree, certificate of base uv).  Without ``at_least``: the largest codegree
+    at its lexicographically least base, or None for an edgeless graph.
+    With it: the first base whose codegree is at least ``at_least``,
+    stopping there, or None when no base reaches it.
+
+    Vertex u ANDs its word row against the rows of its neighbours
+    v > u and popcounts each, so the work grows with the edge count and
+    temporary memory stays within O(n * ceil(n/64)) words.
+    """
+    n, words = g.n, g.words
+    best = None
+    for u in range(n - 1):
+        later = np.flatnonzero(_unpack(words[u : u + 1], n)[0, u + 1 :]) + (u + 1)
+        if later.size == 0:
+            continue
+        counts = np.bitwise_count(words[later] & words[u]).sum(axis=1)
+        if at_least is None:
+            k = int(counts.argmax())
+            if best is None or counts[k] > best[0]:
+                best = (int(counts[k]), u, int(later[k]))
+        else:
+            hits = np.flatnonzero(counts >= at_least)
+            if hits.size:
+                best = (int(counts[hits[0]]), u, int(later[hits[0]]))
+                break
+    return best and (best[0], BookCertificate.from_base(g, best[1], best[2]))
+
+
+def _codegree_product(g: Graph, at_least: tuple[int, int] | None = None) -> list:
+    """Codegree scan of g (blue) and its complement (red) over all pairs
     (u, v), u < v, in lexicographic order; see ``Graph.books``.
 
-    Returns [blue, red], each (codegree, u, v) or None.  Rows go _STRIPE
-    at a time: the stripe's 0/1 rows, unpacked to float32, times each
-    later column stripe (``left @ right.T``) gives the blue codegrees
-    cb(u, v), v >= r0.  One float32 array then holds both colours: cb at
-    blue pairs u < v, -1 - cr at red ones, with the complement identity
-    cr(u, v) = n - 2 - d(u) - d(v) + cb(u, v) for non-adjacent u, v, and
-    -0.5 at v <= u.  The largest entry is the best blue base and the
-    smallest the best red one, and argmax and argmin take the first in
-    row-major order, so a finished stripe yields its lexicographically
-    least winner and the ``at_least`` stop matches a pair-by-pair scan.
-    Temporary memory is O(_STRIPE n).
+    Returns [blue, red], each a base (u, v) or None.  The pairs go in
+    blocks of _STRIPE rows by _STRIPE columns, upper triangle only.  A
+    block's 0/1 rows, unpacked to float32, give the blue codegrees
+    cb(u, v) as ``left @ right.T``.  One float32 array then holds both
+    colours: cb at blue pairs, -1 - cr at red ones, with the complement
+    identity cr(u, v) = n - 2 - d(u) - d(v) + cb(u, v) for non-adjacent
+    u, v, and -0.5 at v <= u.  The blue key is that value, or whether it
+    reaches the blue target; the red key is its negation, or whether it
+    reaches the red one.  Each row keeps the first column of its largest
+    key over the blocks, and a finished row stripe yields the first row
+    of its largest key, so ties go to the lexicographically least base
+    and a target is met at the first base that reaches it.  With targets
+    the scan stops at the row stripe of the first red hit and drops any
+    blue one.  Temporary memory is two float32 stripes of _STRIPE rows
+    and O(_STRIPE^2), allocated once.
     """
     n, words = g.n, g.words
     # Every product sum and every term of the identity is an integer of
     # magnitude at most 2n, so float32 is exact, in any summation order
     # and so for any BLAS thread count.
     assert 2 * n < 1 << 24, "float32 codegrees are exact only below 2**24"
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    byte_bits = byte_bits.astype(np.float32)
+    # scratch is allocated once, so the loop makes no large allocation
+    # for the allocator to keep: two float32 stripes of rows and the flat
+    # buffers of one block
+    s, nbytes = min(_STRIPE, n), words.shape[1] * 8
+    stripes = np.empty((2, s, 8 * nbytes), dtype=np.float32)
+    scratch = np.empty((2, s * s), dtype=np.float32)
+    mask = np.empty(s * s, dtype=bool)
+
+    def rows(r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """Rows r0..r1-1 as 0/1 float32, zero past column n."""
+        index = words[r0:r1].view(np.uint8)
+        np.take(byte_bits, index, axis=0, out=out[: r1 - r0].reshape(*index.shape, 8), mode="clip")
+        return out[: r1 - r0]
+
     degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
+    # a key must beat this to count: a blue pair (key cb >= 0), a red one
+    # (key 1 + cr >= 1), or a reached target (key 1)
+    best = [-0.5, 0.5] if at_least is None else [0.0, 0.0]
     found = [None, None]
     for r0 in range(0, n, _STRIPE):
-        adj = _unpack(words[r0 : r0 + _STRIPE], n)
-        r1 = r0 + len(adj)
-        left = adj.astype(np.float32)
-        cd = np.empty((r1 - r0, n - r0), dtype=np.float32)
+        r1 = min(r0 + _STRIPE, n)
+        left = rows(r0, r1, stripes[0])
+        top = np.full((2, r1 - r0), -np.inf, dtype=np.float32)
+        col = np.zeros((2, r1 - r0), dtype=np.intp)
         for c0 in range(r0, n, _STRIPE):
-            right = left if c0 == r0 else _unpack(words[c0 : c0 + _STRIPE], n).astype(np.float32)
-            np.matmul(left, right.T, out=cd[:, c0 - r0 : c0 - r0 + len(right)])
-        del left, right
-        red = degree[r0:r1, None] + (degree[None, r0:] - (n - 1))
-        red -= cd
-        cd = np.where(adj[:, r0:], cd, red)
-        del red
-        cd[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -0.5
+            c1 = min(c0 + _STRIPE, n)
+            shape = (r1 - r0, c1 - c0)
+            cb, value, blue = (a[: shape[0] * shape[1]].reshape(shape) for a in (*scratch, mask))
+            np.matmul(left, rows(c0, c1, stripes[1]).T, out=cb)
+            np.add(degree[r0:r1, None], degree[None, c0:c1] - (n - 1), out=value)
+            value -= cb
+            np.copyto(value, cb, where=np.greater(left[:, c0:c1], 0, out=blue))
+            if c0 == r0:
+                value[np.tri(r1 - r0, dtype=bool)] = -0.5
+            for k in (0, 1):
+                if at_least is None:
+                    key = value if k == 0 else np.negative(value, out=cb)
+                elif k == 0:
+                    key = np.greater_equal(value, at_least[0], out=blue)
+                else:
+                    key = np.less_equal(value, -1 - at_least[1], out=blue)
+                most = key.max(axis=1)
+                better = most > top[k]
+                top[k][better] = most[better]
+                col[k][better] = key.argmax(axis=1)[better] + c0
         for k in (0, 1):
-            if at_least is None:
-                i = cd.argmax() if k == 0 else cd.argmin()
-            elif at_least[k] is None or found[k] is not None:
-                continue
-            else:
-                i = (cd >= at_least[0] if k == 0 else cd <= -1 - at_least[1]).argmax()
-            size = float(cd.flat[i]) if k == 0 else -1 - float(cd.flat[i])
-            if size >= (at_least[k] if at_least else 0) and (found[k] is None or size > found[k][0]):
-                found[k] = (int(size), r0 + int(i) // cd.shape[1], r0 + int(i) % cd.shape[1])
-        if at_least is not None and all(f is not None or t is None for f, t in zip(found, at_least)):
-            break
+            i = int(top[k].argmax())
+            if top[k][i] > best[k]:
+                best[k], found[k] = top[k][i], (r0 + i, int(col[k][i]))
+        if at_least is not None and found[1] is not None:
+            return [None, found[1]]
     return found
 
 

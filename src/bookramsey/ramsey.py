@@ -80,7 +80,7 @@ def check_coloring(c: TwoColoring, p: int, q: int):
     """First red book with >= p pages, else first blue with >= q, else Neither.
 
     Both colours come from one scan in lexicographic edge order, which
-    stops once each has a book; the red-before-blue priority is
+    stops at the first red book; the red-before-blue priority is
     arbitrary but fixed.  Neither certifies the lower bound
     r(B_p, B_q) > c.n.
     """

@@ -21,7 +21,6 @@ from bookramsey import cli, ramsey
 from bookramsey.colorings import (
     TwoColoring,
     two_cliques,
-    unpack_bits_hex,
     write_coloring_file,
 )
 from bookramsey.graphs import Graph, write_graph6_file
@@ -204,8 +203,7 @@ def test_verify_counterexample_exit_ten(files):
     res = report["results"]
     assert res["verdict"] == "counterexample"
     assert res["colorings_examined"] == 3874
-    bits = unpack_bits_hex(res["counterexample_hex"], 15)
-    c = TwoColoring.from_blue_bits(res["counterexample_n"], bits)
+    c = TwoColoring.from_brc1(f"BRC1 {res['counterexample_n']}\n{res['counterexample_hex']}\n")
     assert isinstance(check_coloring(c, 1, 2), Neither)
 
 

@@ -22,7 +22,6 @@ from bookramsey.colorings import (
     tripartite_parts,
     tripartite_random,
     two_cliques,
-    unpack_bits_hex,
     write_coloring_file,
 )
 from bookramsey.errors import ParseError
@@ -139,9 +138,13 @@ def test_pack_unpack_hex():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     payload = pack_bits_hex(bits)
     assert payload == "b0"
-    assert list(unpack_bits_hex(payload, 5)) == [1, 0, 1, 1, 0]
-    with pytest.raises(ParseError):
-        unpack_bits_hex("b1", 5)  # padding bit set
+    # BRC1 decodes the same layout, here the 6 edge bits of K_4
+    bits = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
+    payload = pack_bits_hex(bits)
+    assert payload == "b4"
+    assert np.array_equal(TwoColoring.from_brc1(f"BRC1 4\n{payload}\n").blue_bits(), bits)
+    with pytest.raises(ParseError, match="nonzero padding bits"):
+        TwoColoring.from_brc1("BRC1 4\nb5\n")  # padding bit set
 
 
 def test_coloring_file_io(tmp_path):

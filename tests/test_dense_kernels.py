@@ -218,6 +218,13 @@ def base_of(book):
     return size, (cert.base if cert else None)
 
 
+def first_books(g: Graph, q: int, p: int):
+    """``books((q, p))`` by the edge loops: the first red book reaching
+    p, else the first blue one reaching q."""
+    red = ref_first_book(g.complement(), p)
+    return [None, red] if red else [ref_first_book(g, q), None]
+
+
 @settings(max_examples=200, deadline=None)
 @given(graph_params, st.sampled_from([graphs._STRIPE, 8]), st.integers(1, 8), st.integers(1, 8))
 def test_two_colour_books_match_edge_loops(params, stripe, q, p):
@@ -226,16 +233,12 @@ def test_two_colour_books_match_edge_loops(params, stripe, q, p):
     with mock.patch.object(graphs, "_STRIPE", stripe):
         books = g.books()
         firsts = g.books((q, p))
-        blue_only, red_only = g.books((q, None)), g.books((None, p))
     assert [base_of(b) for b in books] == [ref_booksize(g), ref_booksize(h)]
     for (size, cert), graph in zip(books + firsts, (g, h, g, h)):
         if cert:
             cert.validate(graph)
             assert cert.size == size
-    bases = [cert and cert.base for _, cert in firsts]
-    assert bases == [ref_first_book(g, q), ref_first_book(h, p)]
-    assert [blue_only[0][1] and blue_only[0][1].base, red_only[1][1] and red_only[1][1].base] == bases
-    assert blue_only[1] == red_only[0] == (0, None)
+    assert [cert and cert.base for _, cert in firsts] == first_books(g, q, p)
 
 
 def test_booksize_across_stripes_at_n300(big_coloring, monkeypatch):
@@ -257,19 +260,32 @@ def test_books_tie_across_stripes_picks_least_base(monkeypatch):
     assert base_of(g.books()[0]) == ref_booksize(g) == (3, (5, 100))
     assert base_of(g.complement().books()[1]) == (3, (5, 100))
     assert g.first_book(3).base == ref_first_book(g, 3) == (5, 100)
-    assert g.complement().books((None, 3))[1][1].base == (5, 100)
+    assert g.complement().books((150, 3))[1][1].base == (5, 100)
 
 
 def test_first_books_in_different_stripes_at_n300(big_coloring, monkeypatch):
     # with 8-row stripes, a one-page book of one colour turns up in stripe
-    # 0 and the largest blue book (row 53) in stripe 6: the scan must go
-    # on past the first find, whichever colour it is
+    # 0 and the largest blue book (row 53) in stripe 6: a red target goes
+    # on past a blue find, and a blue one past stripes without it
     monkeypatch.setattr(graphs, "_STRIPE", 8)
     top = ref_booksize(big_coloring.blue)[0]
-    for g, at_least in ((big_coloring.blue, (top, 1)), (big_coloring.red, (1, top))):
-        want = [ref_first_book(g, at_least[0]), ref_first_book(g.complement(), at_least[1])]
-        assert {want[0][0] // 8, want[1][0] // 8} == {0, 6}
-        assert [cert.base for _, cert in g.books(at_least)] == want
+    for g, at_least in ((big_coloring.red, (1, top)), (big_coloring.blue, (top, big_coloring.n))):
+        want = first_books(g, *at_least)
+        assert [base and base[0] // 8 for base in want] in ([None, 6], [6, None])
+        assert [cert and cert.base for _, cert in g.books(at_least)] == want
+
+
+def test_books_stop_at_first_red_book(big_coloring, monkeypatch):
+    # a red book in stripe 0 decides check_coloring whatever blue holds,
+    # so the scan must not multiply past that stripe's column blocks
+    monkeypatch.setattr(graphs, "_STRIPE", 8)
+    c = big_coloring
+    q = ref_booksize(c.blue)[0] + 1
+    assert ref_first_book(c.red, 1)[0] < 8
+    with mock.patch.object(graphs.np, "matmul", wraps=np.matmul) as matmul:
+        res = check_coloring(c, 1, q)
+    assert verdict(res) == ref_check_coloring(c, 1, q)
+    assert matmul.call_count == -(-c.n // 8)
 
 
 def test_packed_decode_across_stripes_at_n300(big_coloring, monkeypatch):
