@@ -4,8 +4,9 @@ Each subcommand emits exactly one JSON report on stdout and a short
 human summary on stderr.  The report envelope is
 {command, parameters, results, seed, wall_time_ms, version}; the
 results payload is a pure function of parameters and seed (wall time
-lives outside it), so scripted re-runs can diff results byte for byte
-regardless of thread count.
+lives outside it), so scripted re-runs can diff results byte for byte.
+No command runs more than one thread of its own; --threads is accepted
+(at least 1) and echoed in parameters, and changes nothing else.
 
 Exit codes: 0 success or forced verdict; 10 counterexample, witness, or
 bound violation found; 2 usage or parse error; 3 capacity error.
@@ -141,9 +142,7 @@ def load_config(path, required=()) -> dict:
 
 def cmd_verify(args):
     query = RamseyQuery(args.N, args.p, args.q)
-    outcome = exhaustive_verify(
-        query, force=args.force, prune=args.prune, threads=args.threads
-    )
+    outcome = exhaustive_verify(query, force=args.force, prune=args.prune)
     results = {
         "verdict": outcome.verdict,
         "colorings_examined": outcome.colorings_examined,
@@ -454,7 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lower-bound colorings, and uniform-pair counting checks.",
     )
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized operations")
-    ap.add_argument("--threads", type=int, default=1, help="worker cap for parallel scans")
+    ap.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted (at least 1) and echoed in parameters; no command runs more than one thread",
+    )
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level

@@ -28,6 +28,10 @@ from .rng import bernoulli_block, probability_threshold
 
 BRC1_MAGIC = "BRC1"
 _NOT_HEX = re.compile("[^0-9a-fA-F]")
+# the line breaks of str.splitlines, and the characters a payload drops
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
+_PAYLOAD_SPACE = dict.fromkeys(map(ord, _BREAKS + " \t"))
 
 
 def edge_index(i: int, j: int) -> int:
@@ -109,10 +113,10 @@ class TwoColoring:
 
     @classmethod
     def from_brc1(cls, text: str) -> "TwoColoring":
-        lines = text.splitlines()
-        if not lines:
+        if not text:
             raise ParseError("empty coloring file", line=1)
-        head = lines[0].split()
+        end = _LINE_BREAK.search(text)
+        head = (text[: end.start()] if end else text).split()
         if len(head) != 2 or head[0] != BRC1_MAGIC:
             raise ParseError(f"expected header '{BRC1_MAGIC} <n>'", line=1)
         try:
@@ -123,7 +127,7 @@ class TwoColoring:
             raise ParseError("negative vertex count", line=1)
         if n > GRAPH6_ORDER_CAP:
             raise CapacityError(f"BRC1 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
-        payload = "".join(lines[1:]).translate({ord(c): None for c in " \t"})
+        payload = text[end.end() :].translate(_PAYLOAD_SPACE) if end else ""
         raw = _hex_bytes(payload, n * (n - 1) // 2, line=2)
         return cls(n, Graph.from_colex_bits(n, raw, width=8))
 
@@ -289,11 +293,13 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     by page origin (third part vs the two endpoint parts) so the two
     terms of its expectation can be checked separately.
 
-    Work goes part pair by part pair.  The red codegree of a base is the
-    sum of its three per-part page counts, each a float32 product of
-    0/1 blocks (exact below 2**24, and independent of summation order, so
-    thread-count deterministic).  A blue base uv takes its codegree from
-    the red one: cb = n - 2 - d_r(u) - d_r(v) + cr.
+    Work goes part pair by part pair, with the 0/1 float32 blocks of one
+    row part and one more block alive.  The red codegree of a base is
+    the sum of its three per-part page counts, each a float32 product of
+    those blocks (exact below 2**24, and independent of summation order,
+    so thread-count deterministic).  A blue base uv takes its codegree
+    from the red one: cb = n - 2 - d_r(u) - d_r(v) + cr.  Totals are
+    int64 reductions, since they pass 2**24.
     """
     n = c.n
     if n == 0:
@@ -306,40 +312,55 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     idx = [np.asarray(part, dtype=np.intp) for part in (p1, p2, p3)]
 
     red = c.red
-    red_degree = red.degrees_into(range(n))
-    # block[a][k]: rows of part a, columns (pages) of part k
-    block = [[red.adjacency(ia, ik).astype(np.float32) for ik in idx] for ia in idx]
+    red_degree = red.degrees_into(range(n)).astype(np.float32)
+
+    def block(a: int, k: int) -> np.ndarray:
+        # rows of part a against the columns (pages) of part k, as 0/1 float32
+        return red.adjacency(idx[a], idx[k]).astype(np.float32)
+
+    def pair_codegrees(a: int, b: int, rows_a: list[np.ndarray]):
+        """Red codegrees of the red bases and blue codegrees of the blue
+        bases between parts a <= b, and the pages the red bases of a
+        cross pair have in the third part.  ``rows_a`` holds part a's
+        blocks; part b's are made one at a time."""
+        red_ab = red.adjacency(idx[a], idx[b])
+        blue_ab = ~red_ab
+        if a == b:
+            # each unordered pair once; the diagonal is no edge
+            upper = np.triu(np.ones(red_ab.shape, dtype=bool), k=1)
+            red_ab &= upper
+            blue_ab &= upper
+        cr = np.zeros(red_ab.shape, dtype=np.float32)
+        third = 0
+        for k in range(3):
+            pages = rows_a[k] @ (rows_a[k] if a == b else block(b, k)).T
+            cr += pages
+            if a != b and k == 3 - a - b:
+                third = int(pages[red_ab].sum(dtype=np.int64))
+        cb = n - 2 - red_degree[idx[a], None] - red_degree[None, idx[b]]
+        cb += cr
+        return cr[red_ab], cb[blue_ab], third
 
     intra_edges = intra_total = blue_edges = blue_total = 0
     cross_edges = cross_total = third_total = 0
     bk_red = bk_blue = 0
     for a in range(3):
+        rows_a = [block(a, k) for k in range(3)]
         for b in range(a, 3):
-            by_part = [block[a][k] @ block[b][k].T for k in range(3)]
-            cr = sum(by_part).astype(np.int64)
-            red_ab = red.adjacency(idx[a], idx[b])
-            blue_ab = ~red_ab
-            if a == b:
-                # each unordered pair once; the diagonal is no edge
-                upper = np.triu(np.ones(red_ab.shape, dtype=bool), k=1)
-                red_ab &= upper
-                blue_ab &= upper
-            red_cr = cr[red_ab]
-            cb = n - 2 - red_degree[idx[a], None] - red_degree[None, idx[b]] + cr
-            blue_cb = cb[blue_ab]
+            red_cr, blue_cb, third = pair_codegrees(a, b, rows_a)
             if red_cr.size:
                 bk_red = max(bk_red, int(red_cr.max()))
             if blue_cb.size:
                 bk_blue = max(bk_blue, int(blue_cb.max()))
             if a == b:
                 intra_edges += red_cr.size
-                intra_total += int(red_cr.sum())
+                intra_total += int(red_cr.sum(dtype=np.int64))
             else:
                 blue_edges += blue_cb.size
-                blue_total += int(blue_cb.sum())
+                blue_total += int(blue_cb.sum(dtype=np.int64))
                 cross_edges += red_cr.size
-                cross_total += int(red_cr.sum())
-                third_total += int(by_part[3 - a - b][red_ab].astype(np.int64).sum())
+                cross_total += int(red_cr.sum(dtype=np.int64))
+                third_total += third
 
     return {
         "n": n,

@@ -5,9 +5,9 @@ words: bit v of row u is set iff u ~ v, and the padding bits past n stay
 zero.  Other modules never read the words bit by bit; they ask for
 codegrees, for edge counts between vertex sets (``edges_between``,
 ``degrees_into``), or for the bool matrix of a few rows against a few
-columns (``adjacency``).  ``booksize`` and ``first_book`` scan one
-graph's edges, ANDing word rows, so their cost grows with the edge
-count.  ``books`` reads the books of the graph and of its complement
+columns (``adjacency``).  ``booksize`` scans one graph's edges,
+ANDing word rows, so its cost grows with the edge count.  ``books``
+reads the books of the graph and of its complement
 (both booksizes, or the red-first book search behind
 ``ramsey.check_coloring``) from one tiled float32 codegree product over
 all pairs, exact whatever the BLAS summation order or thread count
@@ -240,13 +240,7 @@ class Graph:
         One colour's scan costs O(e n / 64) word operations for e edges;
         ``books`` asks for both colours in one pass.
         """
-        return _book_scan(self) or (0, None)
-
-    def first_book(self, at_least: int) -> BookCertificate | None:
-        """The first base edge in lexicographic order with at least
-        ``at_least`` pages, or None."""
-        found = _book_scan(self, at_least)
-        return found and found[1]
+        return _book_scan(self)
 
     def books(self, at_least: tuple[int, int] | None = None) -> tuple[tuple, tuple]:
         """Books of this graph (blue) and of its complement (red) from one
@@ -422,13 +416,10 @@ def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
     raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
 
-def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, BookCertificate] | None:
-    """Codegree scan over the edges (u, v), u < v, in lexicographic order.
-
-    Returns (codegree, certificate of base uv).  Without ``at_least``: the largest codegree
-    at its lexicographically least base, or None for an edgeless graph.
-    With it: the first base whose codegree is at least ``at_least``,
-    stopping there, or None when no base reaches it.
+def _book_scan(g: Graph) -> tuple[int, BookCertificate | None]:
+    """Largest codegree over the edges (u, v), u < v, at its
+    lexicographically least base, with its certificate; (0, None) for
+    an edgeless graph.
 
     Vertex u ANDs its word row against the rows of its neighbours
     v > u and popcounts each, so the work grows with the edge count and
@@ -441,16 +432,10 @@ def _book_scan(g: Graph, at_least: int | None = None) -> tuple[int, BookCertific
         if later.size == 0:
             continue
         counts = np.bitwise_count(words[later] & words[u]).sum(axis=1)
-        if at_least is None:
-            k = int(counts.argmax())
-            if best is None or counts[k] > best[0]:
-                best = (int(counts[k]), u, int(later[k]))
-        else:
-            hits = np.flatnonzero(counts >= at_least)
-            if hits.size:
-                best = (int(counts[hits[0]]), u, int(later[hits[0]]))
-                break
-    return best and (best[0], BookCertificate.from_base(g, best[1], best[2]))
+        k = int(counts.argmax())
+        if best is None or counts[k] > best[0]:
+            best = (int(counts[k]), u, int(later[k]))
+    return (best[0], BookCertificate.from_base(g, best[1], best[2])) if best else (0, None)
 
 
 def _codegree_product(g: Graph, at_least: tuple[int, int] | None = None) -> list:

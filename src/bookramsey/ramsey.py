@@ -15,7 +15,10 @@ blue where both are 1, the AND of the words.  A saturating unary counter
 of at most p levels turns the pages into "at least p pages", which is
 ANDed with the base's colour and ORed into the block's hit word.  The
 first miss is the lowest clear bit of the first word that is not all
-ones.  Each bitwise operation covers 64 candidates.
+ones.  Each bitwise operation covers 64 candidates.  Blocks run one
+after another on the calling thread: a block is a few milliseconds of
+short numpy calls, and a second thread only contends for the
+interpreter lock.
 
 Optional symmetry pruning fixes vertex 0's blue star to {1..d} for each
 d; every coloring is isomorphic to one of these, so the verdict is
@@ -24,8 +27,6 @@ unchanged while the enumeration shrinks by roughly 2^(N-1)/N.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,18 +243,8 @@ def _block_hit(
     return hit
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _scan_scenario(
-    nvar: int, specs: list[_EdgeSpec], p: int, q: int, pool=None, threads: int = 1
-) -> int | None:
-    """Lowest variable-bit index whose coloring avoids both books.
-
-    Blocks run on ``pool``, ``threads`` at a time, when one is given; the
-    result does not depend on it.
-    """
+def _scan_scenario(nvar: int, specs: list[_EdgeSpec], p: int, q: int) -> int | None:
+    """Lowest variable-bit index whose coloring avoids both books."""
     total = 1 << nvar
     block = 1 << min(BLOCK_BITS, nvar)
     words = max(1, block >> LANE_BITS)
@@ -262,44 +253,17 @@ def _scan_scenario(
     blue_low = _bit_words(words, min(nvar, BLOCK_BITS))
     red_low = [~x for x in blue_low]
     zeros, ones = np.zeros(words, dtype=np.uint64), np.full(words, _ALL_LANES)
-
-    def misses_at(start: int) -> int | None:
+    for start in range(0, total, block):
         high = [start >> b & 1 for b in range(BLOCK_BITS, nvar)]
         blue = blue_low + [ones if h else zeros for h in high]
         red = red_low + [zeros if h else ones for h in high]
         hit = _block_hit(blue, red, words, specs, p, q)
         missed = np.flatnonzero(hit != _ALL_LANES)
-        if not missed.size:
-            return None
-        w = int(missed[0])
-        word = int(hit[w])
-        return start + (w << LANE_BITS) + (~word & (word + 1)).bit_length() - 1
-
-    starts = range(0, total, block)
-    if pool is None:
-        for start in starts:
-            found = misses_at(start)
-            if found is not None:
-                return found
-        return None
-
-    # contiguous ranges per worker; consuming results in range order keeps
-    # the reported counterexample identical for every thread count
-    it = iter(starts)
-    window: list = []
-    while True:
-        while len(window) < 2 * threads:
-            start = next(it, None)
-            if start is None:
-                break
-            window.append(pool.submit(misses_at, start))
-        if not window:
-            return None
-        found = window.pop(0).result()
-        if found is not None:
-            for fut in window:
-                fut.cancel()
-            return found
+        if missed.size:
+            w = int(missed[0])
+            word = int(hit[w])
+            return start + (w << LANE_BITS) + (~word & (word + 1)).bit_length() - 1
+    return None
 
 
 def exhaustive_verify(
@@ -307,14 +271,13 @@ def exhaustive_verify(
     *,
     force: bool = False,
     prune: bool = False,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Scan every 2-coloring of K_N for one avoiding red B_p and blue B_q.
 
     colorings_examined counts candidates at or below the hit in the
     enumeration order actually used (so it shrinks under pruning); on a
-    forced verdict it is the full enumeration size.  The outcome is
-    independent of the thread count.
+    forced verdict it is the full enumeration size.  The scan runs on
+    the calling thread, one block after another.
     """
     N, p, q = query.N, query.p, query.q
     m = N * (N - 1) // 2
@@ -328,28 +291,19 @@ def exhaustive_verify(
 
     scenarios: list[int | None] = list(range(N)) if prune else [None]
     per_scenario = 1 << nvar_max
-    # one pool for every scenario, never above the usable CPUs
-    threads = min(threads, _usable_cpus())
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pooling = ThreadPoolExecutor(max_workers=threads)
-    else:
-        pooling = contextlib.nullcontext()
-    with pooling as pool:
-        for si, star_d in enumerate(scenarios):
-            nvar, var_edges, specs = _build_specs(N, star_d)
-            k = _scan_scenario(nvar, specs, p, q, pool, threads)
-            if k is None:
-                continue
-            blue_index = sum(1 << var_edges[b] for b in bits_of(k))
-            if star_d is not None:
-                blue_index += sum(1 << edge_index(0, j) for j in range(1, star_d + 1))
-            return SearchOutcome(
-                verdict="counterexample",
-                counterexample=TwoColoring.from_blue_index(N, blue_index),
-                colorings_examined=si * per_scenario + k + 1,
-            )
+    for si, star_d in enumerate(scenarios):
+        nvar, var_edges, specs = _build_specs(N, star_d)
+        k = _scan_scenario(nvar, specs, p, q)
+        if k is None:
+            continue
+        blue_index = sum(1 << var_edges[b] for b in bits_of(k))
+        if star_d is not None:
+            blue_index += sum(1 << edge_index(0, j) for j in range(1, star_d + 1))
+        return SearchOutcome(
+            verdict="counterexample",
+            counterexample=TwoColoring.from_blue_index(N, blue_index),
+            colorings_examined=si * per_scenario + k + 1,
+        )
     return SearchOutcome(
         verdict="forced",
         counterexample=None,

@@ -7,9 +7,9 @@ would see them.
 
 import concurrent.futures
 import json
-import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from importlib import resources
 
@@ -17,7 +17,7 @@ import jsonschema
 import pytest
 
 import bookramsey
-from bookramsey import cli, ramsey
+from bookramsey import cli
 from bookramsey.colorings import (
     TwoColoring,
     two_cliques,
@@ -699,50 +699,18 @@ def test_as_fraction_caps_decimal_exponents():
             as_fraction(bad)
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace ThreadPoolExecutor by a stand-in that records each pool's size.
+def test_threads_are_echoed_but_start_no_thread(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan started a thread")
 
-    The stand-in runs every task when it is submitted, so no thread starts.
-    """
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    return sizes
-
-
-def test_threads_capped_at_usable_cpus(monkeypatch, capsys, pool_sizes):
-    monkeypatch.setattr(ramsey, "_usable_cpus", lambda: 3)
-    assert cli.main(["verify", "7", "1", "1", "--threads", "100000"]) == 0
-    capped = json.loads(capsys.readouterr().out)
-    assert pool_sizes == [3]
-    assert cli.main(["verify", "7", "1", "1"]) == 0
-    serial = json.loads(capsys.readouterr().out)
-    assert capped["results"] == serial["results"]
-    assert capped["parameters"]["threads"] == 100000
-    assert pool_sizes == [3]  # one thread scans without a pool
-
-
-def test_threads_cap_follows_the_cpu_affinity(pool_sizes):
-    usable = ramsey._usable_cpus()
-    assert 1 <= usable <= (os.cpu_count() or 1)
-    ramsey.exhaustive_verify(ramsey.RamseyQuery(6, 1, 2), threads=10**6)
-    assert pool_sizes == ([usable] if usable > 1 else [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert cli.main(["verify", "8", "1", "2", "--prune", "--threads", "100000"]) == 0
+    many = json.loads(capsys.readouterr().out)
+    assert cli.main(["verify", "8", "1", "2", "--prune", "--threads", "1"]) == 0
+    one = json.loads(capsys.readouterr().out)
+    assert many["results"] == one["results"]
+    assert many["parameters"]["threads"] == 100000
 
 
 # --------------------------------------------------------------- determinism

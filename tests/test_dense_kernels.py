@@ -259,7 +259,7 @@ def test_books_tie_across_stripes_picks_least_base(monkeypatch):
     g = Graph.from_edges(150, edges)
     assert base_of(g.books()[0]) == ref_booksize(g) == (3, (5, 100))
     assert base_of(g.complement().books()[1]) == (3, (5, 100))
-    assert g.first_book(3).base == ref_first_book(g, 3) == (5, 100)
+    assert g.books((3, 150))[0][1].base == ref_first_book(g, 3) == (5, 100)
     assert g.complement().books((150, 3))[1][1].base == (5, 100)
 
 

@@ -145,14 +145,6 @@ def test_pruning_preserves_verdict_and_shrinks_work():
                 assert isinstance(check_coloring(pruned.counterexample, p, q), Neither)
 
 
-def test_thread_count_does_not_change_outcome():
-    base = exhaustive_verify(RamseyQuery(6, 1, 2))
-    for threads in (2, 5):
-        assert exhaustive_verify(RamseyQuery(6, 1, 2), threads=threads) == base
-    forced = exhaustive_verify(RamseyQuery(6, 1, 1))
-    assert exhaustive_verify(RamseyQuery(6, 1, 1), threads=3) == forced
-
-
 def test_forced_verdicts_persist_as_order_grows():
     # a forced verdict at N must stay forced at N+1: any counterexample
     # upstairs would restrict to one downstairs

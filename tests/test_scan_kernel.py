@@ -88,7 +88,7 @@ def test_scan_matches_reference_kernel(N):
     for star_d in [None, *range(N)]:
         nvar, _, specs = _build_specs(N, star_d)
         for p, q in product(range(1, 4), repeat=2):
-            got = _scan_scenario(nvar, specs, p, q, threads=1)
+            got = _scan_scenario(nvar, specs, p, q)
             assert got == ref_first_miss(nvar, specs, p, q), (N, star_d, p, q)
 
 
@@ -113,7 +113,7 @@ def test_short_block_reports_no_miss_in_unused_lanes():
     # none of the 56 unused lanes of the single word may read as a miss
     nvar, _, specs = _build_specs(4, 3)
     assert nvar == 3
-    assert _scan_scenario(nvar, specs, 1, 1, threads=1) is None
+    assert _scan_scenario(nvar, specs, 1, 1) is None
     for N in (3, 4):
         plain = exhaustive_verify(RamseyQuery(N, 1, 1))
         pruned = exhaustive_verify(RamseyQuery(N, 1, 1), prune=True)
