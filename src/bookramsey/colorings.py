@@ -293,13 +293,12 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     by page origin (third part vs the two endpoint parts) so the two
     terms of its expectation can be checked separately.
 
-    Work goes part pair by part pair, with the 0/1 float32 blocks of one
-    row part and one more block alive.  The red codegree of a base is
-    the sum of its three per-part page counts, each a float32 product of
-    those blocks (exact below 2**24, and independent of summation order,
-    so thread-count deterministic).  A blue base uv takes its codegree
-    from the red one: cb = n - 2 - d_r(u) - d_r(v) + cr.  Totals are
-    int64 reductions, since they pass 2**24.
+    The class totals come from ``Graph.part_codegrees`` of the red
+    graph, which walks the pairs in the same tiled float32 codegree
+    pass as ``bk`` and ``witness-check`` (``Graph.books``) and holds
+    float32 stripes of rows, not (n/3)^2 blocks.  A blue base takes its
+    codegree from the red one, cb = n - 2 - d_r(u) - d_r(v) + cr, and a
+    blue base inside a part counts towards bk_blue only.
     """
     n = c.n
     if n == 0:
@@ -309,64 +308,15 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
         raise ValueError("parts do not partition the vertex set")
     if not len(p1) == len(p2) == len(p3):
         raise ValueError("parts must be equal thirds")
-    idx = [np.asarray(part, dtype=np.intp) for part in (p1, p2, p3)]
-
-    red = c.red
-    red_degree = red.degrees_into(range(n)).astype(np.float32)
-
-    def block(a: int, k: int) -> np.ndarray:
-        # rows of part a against the columns (pages) of part k, as 0/1 float32
-        return red.adjacency(idx[a], idx[k]).astype(np.float32)
-
-    def pair_codegrees(a: int, b: int, rows_a: list[np.ndarray]):
-        """Red codegrees of the red bases and blue codegrees of the blue
-        bases between parts a <= b, and the pages the red bases of a
-        cross pair have in the third part.  ``rows_a`` holds part a's
-        blocks; part b's are made one at a time."""
-        red_ab = red.adjacency(idx[a], idx[b])
-        blue_ab = ~red_ab
-        if a == b:
-            # each unordered pair once; the diagonal is no edge
-            upper = np.triu(np.ones(red_ab.shape, dtype=bool), k=1)
-            red_ab &= upper
-            blue_ab &= upper
-        cr = np.zeros(red_ab.shape, dtype=np.float32)
-        third = 0
-        for k in range(3):
-            pages = rows_a[k] @ (rows_a[k] if a == b else block(b, k)).T
-            cr += pages
-            if a != b and k == 3 - a - b:
-                third = int(pages[red_ab].sum(dtype=np.int64))
-        cb = n - 2 - red_degree[idx[a], None] - red_degree[None, idx[b]]
-        cb += cr
-        return cr[red_ab], cb[blue_ab], third
-
-    intra_edges = intra_total = blue_edges = blue_total = 0
-    cross_edges = cross_total = third_total = 0
-    bk_red = bk_blue = 0
-    for a in range(3):
-        rows_a = [block(a, k) for k in range(3)]
-        for b in range(a, 3):
-            red_cr, blue_cb, third = pair_codegrees(a, b, rows_a)
-            if red_cr.size:
-                bk_red = max(bk_red, int(red_cr.max()))
-            if blue_cb.size:
-                bk_blue = max(bk_blue, int(blue_cb.max()))
-            if a == b:
-                intra_edges += red_cr.size
-                intra_total += int(red_cr.sum(dtype=np.int64))
-            else:
-                blue_edges += blue_cb.size
-                blue_total += int(blue_cb.sum(dtype=np.int64))
-                cross_edges += red_cr.size
-                cross_total += int(red_cr.sum(dtype=np.int64))
-                third_total += third
-
+    # each class: [pairs, codegree total, largest codegree, third-part pages]
+    red_in, red_cross, blue_in, blue_cross = c.red.part_codegrees([p1, p2, p3])
+    bk_red, bk_blue = max(red_in[2], red_cross[2]), max(blue_in[2], blue_cross[2])
+    cross_edges, cross_total, third_total = red_cross[0], red_cross[1], red_cross[3]
     return {
         "n": n,
         "part_sizes": [len(p1), len(p2), len(p3)],
-        "red_intra": {"edges": intra_edges, "mean_codegree": _mean(intra_total, intra_edges)},
-        "blue_cross": {"edges": blue_edges, "mean_codegree": _mean(blue_total, blue_edges)},
+        "red_intra": {"edges": red_in[0], "mean_codegree": _mean(red_in[1], red_in[0])},
+        "blue_cross": {"edges": blue_cross[0], "mean_codegree": _mean(blue_cross[1], blue_cross[0])},
         "red_cross": {
             "edges": cross_edges,
             "mean_codegree": _mean(cross_total, cross_edges),

@@ -11,7 +11,9 @@ reads the books of the graph and of its complement
 (both booksizes, or the red-first book search behind
 ``ramsey.check_coloring``) from one tiled float32 codegree product over
 all pairs, exact whatever the BLAS summation order or thread count
-because its sums are integers below 2**24.  ``Graph(n, rows)`` checks
+because its sums are integers below 2**24.  ``part_codegrees`` (the
+``stats`` command) shares that tile walk, ``_row_stripes``, and sums
+the codegrees by part pair.  ``Graph(n, rows)`` checks
 outside int rows once; decoding and the constructions build valid words
 and skip the check.  Graphs are immutable; share them freely.
 
@@ -260,6 +262,68 @@ class Graph:
         red = red and BookCertificate.from_base(self.complement(), *red)
         return tuple((cert.size, cert) if cert else (0, None) for cert in (blue, red))
 
+    def part_codegrees(self, parts: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Codegree totals over the pairs u < v against a split of the
+        vertices into three parts, class by class: edges inside a part,
+        edges across two, then non-edges inside and across, whose
+        codegrees are counted in the complement.  Each class gives
+        [pairs, codegree sum, largest codegree or 0, pages in the part
+        that holds neither end], the last 0 inside a part.
+
+        The vertices are relabelled, a stripe at a time, so that the
+        parts are contiguous, and the pairs go tile by tile through
+        ``_row_stripes`` as in ``books``.  A tile's codegrees are the sum
+        of three float32 products, one over each part's columns.  Cut at
+        the part boundaries into sub-tiles of parts (a, b), the product
+        over part 3 - a - b gives the third-part pages of a cross pair,
+        and a non-edge takes n - 2 - d(u) - d(v) plus its codegree.  The
+        totals are int64 sums, exact.
+        """
+        n = self.n
+        order = np.concatenate([np.asarray(p, dtype=np.intp) for p in parts])
+        bounds = np.cumsum([0] + [len(p) for p in parts]).tolist()
+        words = np.empty_like(self.words)
+        for r0 in range(0, n, _STRIPE):
+            words[r0 : r0 + _STRIPE] = _pack(self.adjacency(order[r0 : r0 + _STRIPE], order))
+        degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
+        s = min(_STRIPE, n)
+        scratch = np.empty((5, s * s), dtype=np.float32)  # one product per part, codegrees, non-edge codegrees
+        masks = np.empty((2, s * s), dtype=bool)
+        out = np.zeros((4, 4), dtype=np.int64)
+
+        def pieces(lo: int, hi: int) -> list[tuple[int, slice]]:
+            """(part, slice from lo) of each part that meets lo..hi-1."""
+            cuts = [(k, max(lo, bounds[k]), min(hi, bounds[k + 1])) for k in range(3)]
+            return [(k, slice(a - lo, b - lo)) for k, a, b in cuts if a < b]
+
+        for r0, r1, left, tiles in _row_stripes(words, n):
+            for c0, c1, right in tiles:
+                shape = (r1 - r0, c1 - c0)
+                *by_part, cr, co, edge, other = (a[: shape[0] * shape[1]].reshape(shape) for a in (*scratch, *masks))
+                for k in range(3):
+                    cols = slice(bounds[k], bounds[k + 1])
+                    np.matmul(left[:, cols], right[:, cols].T, out=by_part[k])
+                np.add(by_part[0], by_part[1], out=cr)
+                cr += by_part[2]
+                np.add(degree[r0:r1, None], degree[None, c0:c1] - (n - 2), out=co)
+                np.subtract(cr, co, out=co)
+                np.greater(left[:, c0:c1], 0, out=edge)
+                np.logical_not(edge, out=other)
+                if c0 == r0:
+                    low = np.tri(r1 - r0, dtype=bool)
+                    edge[low] = other[low] = False
+                for a, rows in pieces(r0, r1):
+                    for b, cols in pieces(c0, c1):
+                        cross = int(a != b)
+                        for total, mask, value in ((out[cross], edge, cr), (out[2 + cross], other, co)):
+                            picked = value[rows, cols][mask[rows, cols]]
+                            if picked.size:
+                                total[:2] += picked.size, picked.sum(dtype=np.int64)
+                                total[2] = max(total[2], picked.max())
+                        if cross:
+                            out[1, 3] += by_part[3 - a - b][rows, cols][edge[rows, cols]].sum(dtype=np.int64)
+        return out.tolist()
+
     def complement(self) -> "Graph":
         n, loops = self.n, np.arange(self.n)
         words = ~self.words & _pack(np.ones((1, n), dtype=bool))
@@ -438,62 +502,78 @@ def _book_scan(g: Graph) -> tuple[int, BookCertificate | None]:
     return (best[0], BookCertificate.from_base(g, best[1], best[2])) if best else (0, None)
 
 
-def _codegree_product(g: Graph, at_least: tuple[int, int] | None = None) -> list:
-    """Codegree scan of g (blue) and its complement (red) over all pairs
-    (u, v), u < v, in lexicographic order; see ``Graph.books``.
+def _row_stripes(words: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray, Iterator]]:
+    """The pairs (u, v), u < v, in tiles of _STRIPE rows by _STRIPE
+    columns over the upper triangle, as 0/1 float32 word rows.
 
-    Returns [blue, red], each a base (u, v) or None.  The pairs go in
-    blocks of _STRIPE rows by _STRIPE columns, upper triangle only.  A
-    block's 0/1 rows, unpacked to float32, give the blue codegrees
-    cb(u, v) as ``left @ right.T``.  One float32 array then holds both
-    colours: cb at blue pairs, -1 - cr at red ones, with the complement
-    identity cr(u, v) = n - 2 - d(u) - d(v) + cb(u, v) for non-adjacent
-    u, v, and -0.5 at v <= u.  The blue key is that value, or whether it
-    reaches the blue target; the red key is its negation, or whether it
-    reaches the red one.  Each row keeps the first column of its largest
-    key over the blocks, and a finished row stripe yields the first row
-    of its largest key, so ties go to the lexicographically least base
-    and a target is met at the first base that reaches it.  With targets
-    the scan stops at the row stripe of the first red hit and drops any
-    blue one.  Temporary memory is two float32 stripes of _STRIPE rows
-    and O(_STRIPE^2), allocated once.
+    Yields (r0, r1, left, tiles) per row stripe: ``left`` holds rows
+    r0..r1-1, and ``tiles`` yields (c0, c1, right) for the column
+    stripes c0 >= r0, ``right`` holding rows c0..c1-1; both are zero
+    past column n.  Rows are unpacked through a 256-entry byte table
+    into two stripe buffers allocated once, which the next yield of the
+    same kind overwrites, so the walk holds O(_STRIPE n) memory.
     """
-    n, words = g.n, g.words
-    # Every product sum and every term of the identity is an integer of
-    # magnitude at most 2n, so float32 is exact, in any summation order
-    # and so for any BLAS thread count.
+    # Every product of these rows, and every term of a complement
+    # identity over them, is an integer of magnitude at most 2n, so
+    # float32 is exact, in any summation order and so for any BLAS
+    # thread count.
     assert 2 * n < 1 << 24, "float32 codegrees are exact only below 2**24"
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     byte_bits = byte_bits.astype(np.float32)
-    # scratch is allocated once, so the loop makes no large allocation
-    # for the allocator to keep: two float32 stripes of rows and the flat
-    # buffers of one block
-    s, nbytes = min(_STRIPE, n), words.shape[1] * 8
-    stripes = np.empty((2, s, 8 * nbytes), dtype=np.float32)
-    scratch = np.empty((2, s * s), dtype=np.float32)
-    mask = np.empty(s * s, dtype=bool)
+    stripes = np.empty((2, min(_STRIPE, n), 64 * words.shape[1]), dtype=np.float32)
 
     def rows(r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        """Rows r0..r1-1 as 0/1 float32, zero past column n."""
         index = words[r0:r1].view(np.uint8)
         np.take(byte_bits, index, axis=0, out=out[: r1 - r0].reshape(*index.shape, 8), mode="clip")
         return out[: r1 - r0]
 
+    def tiles(r0: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        for c0 in range(r0, n, _STRIPE):
+            c1 = min(c0 + _STRIPE, n)
+            yield c0, c1, rows(c0, c1, stripes[1])
+
+    for r0 in range(0, n, _STRIPE):
+        r1 = min(r0 + _STRIPE, n)
+        yield r0, r1, rows(r0, r1, stripes[0]), tiles(r0)
+
+
+def _codegree_product(g: Graph, at_least: tuple[int, int] | None = None) -> list:
+    """Codegree scan of g (blue) and its complement (red) over all pairs
+    (u, v), u < v, in lexicographic order; see ``Graph.books``.
+
+    Returns [blue, red], each a base (u, v) or None.  The pairs go tile
+    by tile through ``_row_stripes``; a tile's rows give the blue
+    codegrees cb(u, v) as ``left @ right.T``.  One float32 array then
+    holds both colours: cb at blue pairs, -1 - cr at red ones, with the
+    complement identity cr(u, v) = n - 2 - d(u) - d(v) + cb(u, v) for
+    non-adjacent u, v, and -0.5 at v <= u.  The blue key is that value,
+    or whether it reaches the blue target; the red key is its negation,
+    or whether it reaches the red one.  Each row keeps the first column
+    of its largest key over the tiles, and a finished row stripe yields
+    the first row of its largest key, so ties go to the
+    lexicographically least base and a target is met at the first base
+    that reaches it.  With targets the scan stops at the row stripe of
+    the first red hit and drops any blue one.  Besides the walk's
+    stripes, temporary memory is O(_STRIPE^2), allocated once.
+    """
+    n, words = g.n, g.words
+    # scratch is allocated once, so the loop makes no large allocation
+    # for the allocator to keep
+    s = min(_STRIPE, n)
+    scratch = np.empty((2, s * s), dtype=np.float32)
+    mask = np.empty(s * s, dtype=bool)
     degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
     # a key must beat this to count: a blue pair (key cb >= 0), a red one
     # (key 1 + cr >= 1), or a reached target (key 1)
     best = [-0.5, 0.5] if at_least is None else [0.0, 0.0]
     found = [None, None]
-    for r0 in range(0, n, _STRIPE):
-        r1 = min(r0 + _STRIPE, n)
-        left = rows(r0, r1, stripes[0])
+    for r0, r1, left, tiles in _row_stripes(words, n):
         top = np.full((2, r1 - r0), -np.inf, dtype=np.float32)
         col = np.zeros((2, r1 - r0), dtype=np.intp)
-        for c0 in range(r0, n, _STRIPE):
-            c1 = min(c0 + _STRIPE, n)
+        for c0, c1, right in tiles:
             shape = (r1 - r0, c1 - c0)
             cb, value, blue = (a[: shape[0] * shape[1]].reshape(shape) for a in (*scratch, mask))
-            np.matmul(left, rows(c0, c1, stripes[1]).T, out=cb)
+            np.matmul(left, right.T, out=cb)
             np.add(degree[r0:r1, None], degree[None, c0:c1] - (n - 1), out=value)
             value -= cb
             np.copyto(value, cb, where=np.greater(left[:, c0:c1], 0, out=blue))

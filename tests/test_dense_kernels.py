@@ -6,6 +6,7 @@ package must agree with it exactly, including tie-breaking, scan order
 and error messages.
 """
 
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from bookramsey import graphs
 from bookramsey.colorings import (
+    ConstructionParams,
     TwoColoring,
     construction_statistics,
     edge_index,
     tripartite_parts,
+    tripartite_random,
 )
 from bookramsey.graphs import Graph, bits_of
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
@@ -425,17 +428,26 @@ def test_from_blue_index_edges():
 
 
 # ---------------------------------------------------------------- statistics
+# Statistics walk the same tiles as the two-colour scan, cut at the part
+# boundaries; 8-row stripes make tiles straddle both the part boundaries
+# and the diagonal.
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-def test_statistics_match_matrix_version_on_shuffled_parts(seed, t, density):
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    st.sampled_from([graphs._STRIPE, 8]),
+)
+def test_statistics_match_matrix_version_on_shuffled_parts(seed, t, density, stripe):
     rng = np.random.default_rng(seed)
     n = 3 * t
     c = coloring_of(Graph.from_bool_matrix(random_adjacency(rng, n, density)))
     perm = rng.permutation(n).tolist()
     parts = [perm[:t], perm[t : 2 * t], perm[2 * t :]]
-    assert construction_statistics(c, parts) == ref_statistics(c, parts)
+    with mock.patch.object(graphs, "_STRIPE", stripe):
+        assert construction_statistics(c, parts) == ref_statistics(c, parts)
 
 
 def test_statistics_match_matrix_version_at_n300():
@@ -445,3 +457,28 @@ def test_statistics_match_matrix_version_at_n300():
     assert construction_statistics(c, tripartite_parts(n)) == ref_statistics(c, tripartite_parts(n))
     parts = [list(range(k, n, 3)) for k in range(3)]  # interleaved, non-contiguous
     assert construction_statistics(c, parts) == ref_statistics(c, parts)
+
+
+def test_statistics_across_stripes_at_n300(monkeypatch):
+    # 64-row tiles against parts of 100: the part boundaries at 100 and
+    # 200 fall inside tiles, on and off the diagonal
+    monkeypatch.setattr(graphs, "_STRIPE", 64)
+    test_statistics_match_matrix_version_at_n300()
+
+
+def test_statistics_memory_stays_within_stripes():
+    # the walk's buffers: two float32 stripes of _STRIPE word rows, the
+    # red words and their relabelled copy, one stripe of bool rows and
+    # O(_STRIPE^2) tile scratch; half again is left for temporaries.
+    # Keeping (n/3)^2 float32 part blocks instead peaks at about 35 MB.
+    n, rows = 3000, graphs._STRIPE
+    c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
+    cols = 64 * -(-n // 64)  # word rows padded to whole words
+    buffers = 2 * 4 * rows * cols + 2 * n * cols // 8 + rows * n + 32 * rows**2
+    tracemalloc.start()
+    try:
+        construction_statistics(c, tripartite_parts(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * buffers, f"peak {peak} bytes against {buffers} bytes of buffers"
