@@ -157,10 +157,6 @@ class Graph:
         return cls.from_colex_bits(n, bits)
 
     @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
         left = np.arange(a + b) < a
         return cls._of_words(a + b, _pack(left[:, None] != left[None, :]))
@@ -597,8 +593,3 @@ def _codegree_product(g: Graph, at_least: tuple[int, int] | None = None) -> list
         if at_least is not None and found[1] is not None:
             return [None, found[1]]
     return found
-
-
-def write_graph6_file(path, g: Graph) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(g.to_graph6() + "\n")

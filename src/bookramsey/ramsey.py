@@ -4,21 +4,30 @@ A 2-coloring of K_N is encoded as the colex bitstring of its blue edge
 indicators, so the space of colorings is the integer range [0, 2^C(N,2))
 and "first counterexample" means lowest index.
 
-The scan is bit-sliced: a block of 2^BLOCK_BITS candidates is held as
-one uint64 word array per variable bit, lane i of word w standing for
-candidate start + 64*w + i.  Bits 0-5 are fixed lane patterns
-(0xAAAA..., 0xCCCC..., ...); a higher bit is an all-ones or all-zeros
-word, read off the word index below BLOCK_BITS and off the block's
-start above it.  Page w of base (u, v) is red where both bits of
-{(u,w),(v,w)} are 0, so it is the AND of their complemented words, and
-blue where both are 1, the AND of the words.  A saturating unary counter
-of at most p levels turns the pages into "at least p pages", which is
-ANDed with the base's colour and ORed into the block's hit word.  The
-first miss is the lowest clear bit of the first word that is not all
-ones.  Each bitwise operation covers 64 candidates.  Blocks run one
-after another on the calling thread: a block is a few milliseconds of
-short numpy calls, and a second thread only contends for the
-interpreter lock.
+The kernel is bit-sliced: a batch of candidates is held as one uint64
+word array per variable bit, lane i of word w standing for candidate
+64*w + i of the batch.  Bits 0-5 are fixed lane patterns (0xAAAA...,
+0xCCCC..., ...); a higher bit is an all-ones or all-zeros word.  Page w
+of base (u, v) is red where both bits of {(u,w),(v,w)} are 0, so it is
+the AND of their complemented words, and blue where both are 1, the AND
+of the words.  A saturating unary counter of at most p levels turns the
+pages into "at least p pages", which is ANDed with the base's colour and
+ORed into the batch's hit word.  Each bitwise operation covers 64
+candidates.
+
+The scan makes two passes with that kernel.  The top nvar - LOW_BITS
+variable bits form a prefix, the rest its offset.  The prefix pass runs
+over the prefixes in blocks of 2^BLOCK_BITS, with only the books whose
+base and pages the prefix and the fixed star decide.  Filling in the
+offset only adds pages, so a prefix that holds one of them holds it in
+every completion and is dropped.  The kernel pass takes the surviving
+prefixes in increasing order, 2^(BLOCK_BITS - LOW_BITS) to a batch, each
+with its 2^LOW_BITS offsets, and runs every book on them.  The first
+lane that no book hits is the lowest counterexample.
+Survivors are streamed one prefix block at a time, never held for the
+whole space.  Everything runs on the calling thread: a batch is a few
+milliseconds of short numpy calls, and a second thread only contends
+for the interpreter lock.
 
 Optional symmetry pruning fixes vertex 0's blue star to {1..d} for each
 d; every coloring is isomorphic to one of these, so the verdict is
@@ -27,7 +36,7 @@ unchanged while the enumeration shrinks by roughly 2^(N-1)/N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +47,9 @@ from .graphs import BookCertificate, bits_of
 DEFAULT_ORDER_CAP = 8
 KERNEL_BIT_LIMIT = 62
 BLOCK_BITS = 19
+# offset bits under each prefix: 6 to 12 were timed on the five benchmark
+# verifies and on N = 9 pruned, and 7 and 8 were fastest
+LOW_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -243,26 +255,81 @@ def _block_hit(
     return hit
 
 
-def _scan_scenario(nvar: int, specs: list[_EdgeSpec], p: int, q: int) -> int | None:
-    """Lowest variable-bit index whose coloring avoids both books."""
-    total = 1 << nvar
-    block = 1 << min(BLOCK_BITS, nvar)
+def _misses(hit: np.ndarray, count: int) -> np.ndarray:
+    """Increasing indices of the candidates, among the first `count`, that no book hits."""
+    clear = np.unpackbits((~hit).astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return np.flatnonzero(clear[:count])
+
+
+def _flat_misses(nbits: int, specs: list[_EdgeSpec], p: int, q: int):
+    """Scan [0, 2^nbits) a block at a time; yield each block's misses.
+
+    A miss is an index whose candidate avoids both books.  Blocks come
+    in increasing order and each yields an increasing index array.
+    """
+    block = 1 << min(BLOCK_BITS, nbits)
     words = max(1, block >> LANE_BITS)
     # bits below BLOCK_BITS spell the offset inside a block, the same in
     # every block; a higher bit is constant over a block
-    blue_low = _bit_words(words, min(nvar, BLOCK_BITS))
+    blue_low = _bit_words(words, min(nbits, BLOCK_BITS))
     red_low = [~x for x in blue_low]
     zeros, ones = np.zeros(words, dtype=np.uint64), np.full(words, _ALL_LANES)
-    for start in range(0, total, block):
-        high = [start >> b & 1 for b in range(BLOCK_BITS, nvar)]
+    for start in range(0, 1 << nbits, block):
+        high = [start >> b & 1 for b in range(BLOCK_BITS, nbits)]
         blue = blue_low + [ones if h else zeros for h in high]
         red = red_low + [zeros if h else ones for h in high]
-        hit = _block_hit(blue, red, words, specs, p, q)
-        missed = np.flatnonzero(hit != _ALL_LANES)
-        if missed.size:
-            w = int(missed[0])
-            word = int(hit[w])
-            return start + (w << LANE_BITS) + (~word & (word + 1)).bit_length() - 1
+        yield start + _misses(_block_hit(blue, red, words, specs, p, q), block)
+
+
+def _prefix_specs(specs: list[_EdgeSpec], low: int) -> list[_EdgeSpec]:
+    """The books that the bits from `low` up and the fixed star decide.
+
+    Bit b >= low becomes bit b - low of the prefix.  A spec stays only if
+    its base is fixed or a prefix bit, with only its all-prefix pages;
+    its consts are kept.  Filling in the low bits only adds pages, so a
+    prefix that holds one of these books holds it in every completion.
+    """
+
+    def high(pages):
+        return tuple(tuple(b - low for b in page) for page in pages if min(page) >= low)
+
+    return [
+        replace(
+            s,
+            base_var=None if s.base_var is None else s.base_var - low,
+            red_pages=high(s.red_pages),
+            blue_pages=high(s.blue_pages),
+        )
+        for s in specs
+        if s.base_var is None or s.base_var >= low
+    ]
+
+
+def _scan_scenario(nvar: int, specs: list[_EdgeSpec], p: int, q: int) -> int | None:
+    """Lowest variable-bit index whose coloring avoids both books."""
+    low = LOW_BITS
+    if nvar <= low:
+        return next((int(m[0]) for m in _flat_misses(nvar, specs, p, q) if m.size), None)
+    per = 1 << (low - LANE_BITS)  # words per prefix
+    batch = 1 << max(0, BLOCK_BITS - low)  # prefixes per kernel call
+    # word j*per + r of a batch is offset word r of its j-th prefix: the
+    # word index above the low bits is ignored, so the pattern tiles
+    blue_low = _bit_words(batch * per, low)
+    red_low = [~x for x in blue_low]
+    for survivors in _flat_misses(nvar - low, _prefix_specs(specs, low), p, q):
+        for i in range(0, survivors.size, batch):
+            prefixes = survivors[i : i + batch].astype(np.uint64)
+            words = prefixes.size * per
+            blue_high = [
+                np.repeat(np.uint64(0) - (prefixes >> np.uint64(b) & np.uint64(1)), per)
+                for b in range(nvar - low)
+            ]
+            blue = [x[:words] for x in blue_low] + blue_high
+            red = [x[:words] for x in red_low] + [~x for x in blue_high]
+            missed = _misses(_block_hit(blue, red, words, specs, p, q), words << LANE_BITS)
+            if missed.size:
+                k = int(missed[0])
+                return (int(prefixes[k >> low]) << low) + (k & ((1 << low) - 1))
     return None
 
 
@@ -276,8 +343,8 @@ def exhaustive_verify(
 
     colorings_examined counts candidates at or below the hit in the
     enumeration order actually used (so it shrinks under pruning); on a
-    forced verdict it is the full enumeration size.  The scan runs on
-    the calling thread, one block after another.
+    forced verdict it is the full enumeration size, however many
+    candidates the prefix pass dropped unseen.
     """
     N, p, q = query.N, query.p, query.q
     m = N * (N - 1) // 2

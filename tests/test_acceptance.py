@@ -20,6 +20,7 @@ import pytest
 
 from bookramsey.colorings import (
     ConstructionParams,
+    TwoColoring,
     construction_statistics,
     expected_book_sizes,
     margins,
@@ -29,7 +30,9 @@ from bookramsey.colorings import (
 )
 from bookramsey.graphs import Graph
 from bookramsey.ramsey import (
+    Neither,
     RamseyQuery,
+    check_coloring,
     exhaustive_verify,
 )
 from bookramsey.regularity import (
@@ -475,3 +478,26 @@ def test_criterion_8_thread_determinism(capsys, tmp_path):
 
     ok, detail = guarded(body)
     conclude(capsys, 8, "seeded thread determinism", ok, detail)
+
+
+def test_criterion_9_ramsey_at_order_nine(capsys):
+    # the figures were first taken from the one-pass block scan, which
+    # ran every candidate through the kernel
+    def body():
+        t0 = time.perf_counter()
+        code, report = run_cli("verify", 9, 2, 2, "--prune", "--force")
+        res = report["results"]
+        ok = code == 10 and res["verdict"] == "counterexample"
+        ok &= res["colorings_examined"] == 1182668429
+        ok &= (res["counterexample_n"], res["counterexample_hex"]) == (9, "d70aa0f66")
+        witness = TwoColoring.from_brc1(f"BRC1 9\n{res['counterexample_hex']}\n")
+        ok &= isinstance(check_coloring(witness, 2, 2), Neither)
+
+        code, report = run_cli("verify", 9, 1, 3, "--prune", "--force")
+        res = report["results"]
+        ok &= code == 0 and res == {"colorings_examined": 9 << 28, "verdict": "forced"}
+        elapsed = time.perf_counter() - t0
+        return ok, f"r(B2,B2) > 9 and r(B1,B3) <= 9 in {elapsed:.2f}s, two fresh processes"
+
+    ok, detail = guarded(body)
+    conclude(capsys, 9, "ramsey at K_9: r(B2,B2) > 9, r(B1,B3) <= 9", ok, detail)

@@ -23,7 +23,7 @@ from bookramsey.colorings import (
     two_cliques,
     write_coloring_file,
 )
-from bookramsey.graphs import Graph, write_graph6_file
+from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
 from bookramsey.ramsey import Neither, check_coloring
 
@@ -54,7 +54,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     out = {"root": root}
 
-    write_graph6_file(root / "k4.g6", Graph.complete(4))
+    (root / "k4.g6").write_text(Graph.complete(4).to_graph6() + "\n")
     out["k4"] = root / "k4.g6"
 
     write_coloring_file(root / "tc2.brc1", two_cliques(2))
@@ -130,7 +130,7 @@ def files(tmp_path_factory):
         )
     )
 
-    write_graph6_file(root / "kbb.g6", Graph.complete_bipartite(10, 10))
+    (root / "kbb.g6").write_text(Graph.complete_bipartite(10, 10).to_graph6() + "\n")
     out["kbb"] = root / "kbb.g6"
     out["candidate"] = root / "candidate.json"
     out["candidate"].write_text(json.dumps([list(range(10)), list(range(10, 20))]))

@@ -3,22 +3,29 @@
 `ref_block_all_hit` is the per-candidate kernel the scan used before it
 was bit-sliced: one candidate per uint64 and a uint8 page counter per
 candidate.  The scan must report the same lowest missing index in every
-scenario.  `test_lowest_counterexample_matches_brute_force` checks the
-whole route against `check_coloring` without going through the specs.
+scenario, at every split of its bits into a prefix pass and a kernel
+pass.  `test_lowest_counterexample_matches_brute_force` checks the whole
+route against `check_coloring` without going through the specs.
 """
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from bookramsey import ramsey
 from bookramsey.colorings import TwoColoring
 from bookramsey.ramsey import (
     BLOCK_BITS,
+    LANE_BITS,
+    LOW_BITS,
     Neither,
     RamseyQuery,
     _bit_words,
     _build_specs,
+    _flat_misses,
+    _prefix_specs,
     _scan_scenario,
     check_coloring,
     exhaustive_verify,
@@ -119,3 +126,69 @@ def test_short_block_reports_no_miss_in_unused_lanes():
         pruned = exhaustive_verify(RamseyQuery(N, 1, 1), prune=True)
         assert plain.verdict == pruned.verdict == "counterexample"
         assert isinstance(check_coloring(pruned.counterexample, 1, 1), Neither)
+
+
+# ------------------------------------------------------------ prefix pass
+
+
+def _scenarios(N):
+    for star_d in [None, *range(N)]:
+        nvar, _, specs = _build_specs(N, star_d)
+        yield star_d, nvar, specs
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_dropped_prefixes_hit_in_every_completion(N):
+    for star_d, nvar, specs in _scenarios(N):
+        for low in range(1, nvar):
+            high = nvar - low
+            prefix_specs = _prefix_specs(specs, low)
+            prefixes = np.arange(1 << high, dtype=np.uint64)
+            completions = np.arange(1 << low, dtype=np.uint64)
+            candidates = (prefixes[:, None] << np.uint64(low)) | completions
+            for p, q in product(range(1, 4), repeat=2):
+                dropped = ref_block_all_hit(prefixes, prefix_specs, p, q)
+                full = ref_block_all_hit(candidates, specs, p, q)
+                assert full[dropped].all(), (N, star_d, low, p, q)
+                survivors = np.concatenate(list(_flat_misses(high, prefix_specs, p, q)))
+                assert np.array_equal(survivors, np.flatnonzero(~dropped)), (N, star_d, low, p, q)
+
+
+@pytest.mark.parametrize("N, pruned", [(6, False), (6, True), (7, True)])
+def test_scan_matches_reference_at_every_low_width(N, pruned, monkeypatch):
+    # small blocks, so the kernel pass runs many prefixes per call below
+    # BLOCK_BITS, one at and above it, and usually a short last batch
+    block_bits = 9
+    monkeypatch.setattr(ramsey, "BLOCK_BITS", block_bits)
+    seen = set()
+    for star_d, nvar, specs in _scenarios(N):
+        if (star_d is not None) != pruned:
+            continue
+        for p, q in product(range(1, 4), repeat=2):
+            expect = ref_first_miss(nvar, specs, p, q)
+            for low in range(LANE_BITS, nvar + 1):
+                monkeypatch.setattr(ramsey, "LOW_BITS", low)
+                assert _scan_scenario(nvar, specs, p, q) == expect, (N, star_d, low, p, q)
+                if low == nvar:
+                    continue
+                batch = 1 << max(0, block_bits - low)
+                for survivors in _flat_misses(nvar - low, _prefix_specs(specs, low), p, q):
+                    if survivors.size:
+                        seen.add("one" if batch == 1 else "many")
+                    if survivors.size > batch and survivors.size % batch:
+                        seen.add("short last")
+    assert seen == {"one", "many", "short last"}
+
+
+def test_unpruned_scan_streams_its_prefixes():
+    # K_8 unpruned: 28 variable bits, so the prefix pass covers 2^20
+    # prefixes; only one block of them and its survivors may be live
+    assert 28 - LOW_BITS >= 20
+    tracemalloc.start()
+    try:
+        out = exhaustive_verify(RamseyQuery(8, 1, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out.verdict, out.colorings_examined) == ("forced", 1 << 28)
+    assert peak < 16 << 20, peak
