@@ -13,7 +13,6 @@ the high bit of the nibble, zero-padded at the end.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,18 +40,6 @@ def edge_index(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
-
-
-def edge_endpoints(k: int) -> tuple[int, int]:
-    """Inverse of edge_index."""
-    if k < 0:
-        raise ValueError("negative edge index")
-    j = int((1 + math.isqrt(1 + 8 * k)) // 2)
-    while j * (j - 1) // 2 > k:
-        j -= 1
-    while (j + 1) * j // 2 <= k:
-        j += 1
-    return k - j * (j - 1) // 2, j
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,19 @@ pages into "at least p pages", which is ANDed with the base's colour and
 ORed into the batch's hit word.  Each bitwise operation covers 64
 candidates.
 
-The scan makes two passes with that kernel.  The top nvar - LOW_BITS
-variable bits form a prefix, the rest its offset.  The prefix pass runs
-over the prefixes in blocks of 2^BLOCK_BITS, with only the books whose
-base and pages the prefix and the fixed star decide.  Filling in the
-offset only adds pages, so a prefix that holds one of them holds it in
-every completion and is dropped.  The kernel pass takes the surviving
-prefixes in increasing order, 2^(BLOCK_BITS - LOW_BITS) to a batch, each
-with its 2^LOW_BITS offsets, and runs every book on them.  The first
-lane that no book hits is the lowest counterexample.
-Survivors are streamed one prefix block at a time, never held for the
+The scan runs that kernel recursively.  Up to BLOCK_BITS variable bits,
+one call covers every candidate.  Above that, the top nvar - LOW_BITS
+bits form a prefix and the rest its offset.  The prefixes come from the
+same scan one level up, over nvar - LOW_BITS bits and with only the
+books whose base and pages the prefix and the fixed star decide.
+Filling in the offset only adds pages, so a prefix that holds one of
+them holds it in every completion and is dropped; the restrictions
+compose, so every level drops only such prefixes.  Each level takes the
+surviving prefixes in increasing order, 2^(BLOCK_BITS - LOW_BITS) to a
+batch, each with its 2^LOW_BITS offsets, runs every book on them and
+passes on the lanes that no book hits.  The first miss at the top is the
+lowest counterexample.  Every level is a generator, so one kernel batch
+per level is live at a time and no level holds its survivors for the
 whole space.  Everything runs on the calling thread: a batch is a few
 milliseconds of short numpy calls, and a second thread only contends
 for the interpreter lock.
@@ -48,8 +51,9 @@ DEFAULT_ORDER_CAP = 8
 KERNEL_BIT_LIMIT = 62
 BLOCK_BITS = 19
 # offset bits under each prefix: 6 to 12 were timed on the five benchmark
-# verifies and on N = 9 pruned, and 7 and 8 were fastest
-LOW_BITS = 8
+# verifies and on N = 9, 10 and 11 pruned; 6 to 8 tie on the first, and 6,
+# which recurses deepest, is fastest on the others
+LOW_BITS = 6
 
 
 @dataclass(frozen=True)
@@ -255,30 +259,10 @@ def _block_hit(
     return hit
 
 
-def _misses(hit: np.ndarray, count: int) -> np.ndarray:
+def _clear_lanes(hit: np.ndarray, count: int) -> np.ndarray:
     """Increasing indices of the candidates, among the first `count`, that no book hits."""
     clear = np.unpackbits((~hit).astype("<u8", copy=False).view(np.uint8), bitorder="little")
     return np.flatnonzero(clear[:count])
-
-
-def _flat_misses(nbits: int, specs: list[_EdgeSpec], p: int, q: int):
-    """Scan [0, 2^nbits) a block at a time; yield each block's misses.
-
-    A miss is an index whose candidate avoids both books.  Blocks come
-    in increasing order and each yields an increasing index array.
-    """
-    block = 1 << min(BLOCK_BITS, nbits)
-    words = max(1, block >> LANE_BITS)
-    # bits below BLOCK_BITS spell the offset inside a block, the same in
-    # every block; a higher bit is constant over a block
-    blue_low = _bit_words(words, min(nbits, BLOCK_BITS))
-    red_low = [~x for x in blue_low]
-    zeros, ones = np.zeros(words, dtype=np.uint64), np.full(words, _ALL_LANES)
-    for start in range(0, 1 << nbits, block):
-        high = [start >> b & 1 for b in range(BLOCK_BITS, nbits)]
-        blue = blue_low + [ones if h else zeros for h in high]
-        red = red_low + [zeros if h else ones for h in high]
-        yield start + _misses(_block_hit(blue, red, words, specs, p, q), block)
 
 
 def _prefix_specs(specs: list[_EdgeSpec], low: int) -> list[_EdgeSpec]:
@@ -305,32 +289,42 @@ def _prefix_specs(specs: list[_EdgeSpec], low: int) -> list[_EdgeSpec]:
     ]
 
 
-def _scan_scenario(nvar: int, specs: list[_EdgeSpec], p: int, q: int) -> int | None:
-    """Lowest variable-bit index whose coloring avoids both books."""
-    low = LOW_BITS
-    if nvar <= low:
-        return next((int(m[0]) for m in _flat_misses(nvar, specs, p, q) if m.size), None)
-    per = 1 << (low - LANE_BITS)  # words per prefix
-    batch = 1 << max(0, BLOCK_BITS - low)  # prefixes per kernel call
+def _misses(nvar: int, specs: list[_EdgeSpec], p: int, q: int):
+    """Yield increasing arrays of the indices in [0, 2^nvar) that no book hits.
+
+    Up to BLOCK_BITS bits, one kernel call covers the whole range.  Above
+    that, the top nvar - LOW_BITS bits are a prefix: the prefixes that
+    survive the books they decide come from this generator one level up,
+    and each batch of them runs with all its offsets through every book.
+    """
+    low = nvar if nvar <= BLOCK_BITS else LOW_BITS
+    per = max(1, (1 << low) >> LANE_BITS)  # words per prefix
+    if nvar > low:
+        prefix_misses = _misses(nvar - low, _prefix_specs(specs, low), p, q)
+        batch = 1 << max(0, BLOCK_BITS - low)  # prefixes per kernel call
+    else:
+        prefix_misses, batch = [np.zeros(1, dtype=np.int64)], 1
     # word j*per + r of a batch is offset word r of its j-th prefix: the
     # word index above the low bits is ignored, so the pattern tiles
     blue_low = _bit_words(batch * per, low)
     red_low = [~x for x in blue_low]
-    for survivors in _flat_misses(nvar - low, _prefix_specs(specs, low), p, q):
+    for survivors in prefix_misses:
         for i in range(0, survivors.size, batch):
-            prefixes = survivors[i : i + batch].astype(np.uint64)
+            prefixes = survivors[i : i + batch]
             words = prefixes.size * per
+            high = prefixes.astype(np.uint64)
             blue_high = [
-                np.repeat(np.uint64(0) - (prefixes >> np.uint64(b) & np.uint64(1)), per)
-                for b in range(nvar - low)
+                np.repeat(np.uint64(0) - (high >> np.uint64(b) & np.uint64(1)), per) for b in range(nvar - low)
             ]
             blue = [x[:words] for x in blue_low] + blue_high
             red = [x[:words] for x in red_low] + [~x for x in blue_high]
-            missed = _misses(_block_hit(blue, red, words, specs, p, q), words << LANE_BITS)
-            if missed.size:
-                k = int(missed[0])
-                return (int(prefixes[k >> low]) << low) + (k & ((1 << low) - 1))
-    return None
+            k = _clear_lanes(_block_hit(blue, red, words, specs, p, q), prefixes.size << low)
+            yield (prefixes[k >> low] << low) + (k & ((1 << low) - 1))
+
+
+def _scan_scenario(nvar: int, specs: list[_EdgeSpec], p: int, q: int) -> int | None:
+    """Lowest variable-bit index whose coloring avoids both books."""
+    return next((int(m[0]) for m in _misses(nvar, specs, p, q) if m.size), None)
 
 
 def exhaustive_verify(
@@ -344,7 +338,7 @@ def exhaustive_verify(
     colorings_examined counts candidates at or below the hit in the
     enumeration order actually used (so it shrinks under pruning); on a
     forced verdict it is the full enumeration size, however many
-    candidates the prefix pass dropped unseen.
+    candidates the prefix levels dropped unseen.
     """
     N, p, q = query.N, query.p, query.q
     m = N * (N - 1) // 2

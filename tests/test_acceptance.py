@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import traceback
 from fractions import Fraction
 
@@ -501,3 +502,35 @@ def test_criterion_9_ramsey_at_order_nine(capsys):
 
     ok, detail = guarded(body)
     conclude(capsys, 9, "ramsey at K_9: r(B2,B2) > 9, r(B1,B3) <= 9", ok, detail)
+
+
+def test_criterion_10_ramsey_at_order_ten(capsys):
+    # the figures were first taken from the scan whose prefix pass ran
+    # every prefix through the kernel, 2^28 of them per scenario
+    def body():
+        t0 = time.perf_counter()
+        code, report = run_cli("verify", 10, 2, 2, "--prune", "--force")
+        ok = code == 0 and report["results"] == {"colorings_examined": 10 << 36, "verdict": "forced"}
+
+        code, report = run_cli("verify", 10, 2, 3, "--prune", "--force")
+        res = report["results"]
+        ok &= code == 10 and res["verdict"] == "counterexample"
+        ok &= res["colorings_examined"] == 306008746036
+        ok &= (res["counterexample_n"], res["counterexample_hex"]) == (10, "fac05aa1f670")
+        witness = TwoColoring.from_brc1(f"BRC1 10\n{res['counterexample_hex']}\n")
+        ok &= isinstance(check_coloring(witness, 2, 3), Neither)
+        elapsed = time.perf_counter() - t0
+
+        # every level streams its prefixes: one kernel batch per level is live
+        tracemalloc.start()
+        try:
+            out = exhaustive_verify(RamseyQuery(10, 2, 2), force=True, prune=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ok &= (out.verdict, out.colorings_examined) == ("forced", 10 << 36)
+        ok &= peak < 16 << 20
+        return ok, f"r(B2,B2) <= 10 and r(B2,B3) > 10 in {elapsed:.2f}s, two fresh processes; peak {peak / 2**20:.1f} MB"
+
+    ok, detail = guarded(body)
+    conclude(capsys, 10, "ramsey at K_10: r(B2,B2) <= 10, r(B2,B3) > 10", ok, detail)

@@ -3,9 +3,10 @@
 `ref_block_all_hit` is the per-candidate kernel the scan used before it
 was bit-sliced: one candidate per uint64 and a uint8 page counter per
 candidate.  The scan must report the same lowest missing index in every
-scenario, at every split of its bits into a prefix pass and a kernel
-pass.  `test_lowest_counterexample_matches_brute_force` checks the whole
-route against `check_coloring` without going through the specs.
+scenario, at every split of its bits into prefix and offset, however
+many levels the prefixes recurse.
+`test_lowest_counterexample_matches_brute_force` checks the whole route
+against `check_coloring` without going through the specs.
 """
 
 import tracemalloc
@@ -24,7 +25,7 @@ from bookramsey.ramsey import (
     RamseyQuery,
     _bit_words,
     _build_specs,
-    _flat_misses,
+    _misses,
     _prefix_specs,
     _scan_scenario,
     check_coloring,
@@ -128,13 +129,24 @@ def test_short_block_reports_no_miss_in_unused_lanes():
         assert isinstance(check_coloring(pruned.counterexample, 1, 1), Neither)
 
 
-# ------------------------------------------------------------ prefix pass
+# ---------------------------------------------------------- prefix levels
 
 
 def _scenarios(N):
     for star_d in [None, *range(N)]:
         nvar, _, specs = _build_specs(N, star_d)
         yield star_d, nvar, specs
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_prefix_restrictions_compose(N):
+    # each level of the scan restricts the specs it was given, so a prefix
+    # two levels up must see the books that its own bits decide
+    for star_d, nvar, specs in _scenarios(N):
+        for a in range(1, nvar):
+            once = _prefix_specs(specs, a)
+            for b in range(1, nvar - a + 1):
+                assert _prefix_specs(once, b) == _prefix_specs(specs, a + b), (N, star_d, a, b)
 
 
 @pytest.mark.parametrize("N", range(2, 7))
@@ -150,39 +162,58 @@ def test_dropped_prefixes_hit_in_every_completion(N):
                 dropped = ref_block_all_hit(prefixes, prefix_specs, p, q)
                 full = ref_block_all_hit(candidates, specs, p, q)
                 assert full[dropped].all(), (N, star_d, low, p, q)
-                survivors = np.concatenate(list(_flat_misses(high, prefix_specs, p, q)))
+                survivors = np.concatenate(list(_misses(high, prefix_specs, p, q)))
                 assert np.array_equal(survivors, np.flatnonzero(~dropped)), (N, star_d, low, p, q)
 
 
-@pytest.mark.parametrize("N, pruned", [(6, False), (6, True), (7, True)])
+@pytest.mark.parametrize("N, pruned", [(6, False), (6, True), (7, False), (7, True)])
 def test_scan_matches_reference_at_every_low_width(N, pruned, monkeypatch):
-    # small blocks, so the kernel pass runs many prefixes per call below
-    # BLOCK_BITS, one at and above it, and usually a short last batch
+    # small blocks, so a kernel pass runs many prefixes per call below
+    # BLOCK_BITS, one at and above it, and usually a short last batch.
+    # N = 7 unpruned runs only width 6, where its 21 bits recurse three
+    # levels deep (21 -> 15 -> 9); its other widths add 10 s of small calls
     block_bits = 9
+    top = LANE_BITS if (N, pruned) == (7, False) else None
     monkeypatch.setattr(ramsey, "BLOCK_BITS", block_bits)
+    depth = [0, 0]  # generators live now, most ever live
+    misses = ramsey._misses
+
+    def traced(*args):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            yield from misses(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ramsey, "_misses", traced)
     seen = set()
     for star_d, nvar, specs in _scenarios(N):
         if (star_d is not None) != pruned:
             continue
         for p, q in product(range(1, 4), repeat=2):
             expect = ref_first_miss(nvar, specs, p, q)
-            for low in range(LANE_BITS, nvar + 1):
+            for low in range(LANE_BITS, (top or nvar) + 1):
                 monkeypatch.setattr(ramsey, "LOW_BITS", low)
                 assert _scan_scenario(nvar, specs, p, q) == expect, (N, star_d, low, p, q)
                 if low == nvar:
                     continue
                 batch = 1 << max(0, block_bits - low)
-                for survivors in _flat_misses(nvar - low, _prefix_specs(specs, low), p, q):
+                for survivors in misses(nvar - low, _prefix_specs(specs, low), p, q):
                     if survivors.size:
                         seen.add("one" if batch == 1 else "many")
                     if survivors.size > batch and survivors.size % batch:
                         seen.add("short last")
-    assert seen == {"one", "many", "short last"}
+    assert depth[0] == 0
+    if top:
+        assert depth[1] >= 3, depth
+    else:
+        assert seen == {"one", "many", "short last"}
 
 
 def test_unpruned_scan_streams_its_prefixes():
-    # K_8 unpruned: 28 variable bits, so the prefix pass covers 2^20
-    # prefixes; only one block of them and its survivors may be live
+    # K_8 unpruned: 28 variable bits, so its prefixes span 2^20 or more;
+    # only one kernel batch per level and its survivors may be live
     assert 28 - LOW_BITS >= 20
     tracemalloc.start()
     try:
