@@ -42,21 +42,18 @@ from .colorings import (
     write_coloring_file,
 )
 from .errors import CapacityError, ParseError
-from .graphs import Graph
+from .graphs import GRAPH6_ORDER_CAP, Graph
 from .numbers import as_fraction, fraction_str, round_sig
 from .ramsey import Neither, RamseyQuery, RedBook, check_coloring, exhaustive_verify
 from .regularity import (
     ORACLE_SIDE_CAP,
     BipartitePairView,
     MultiPairConfig,
-    bad_pair_count_cross,
-    bad_pair_count_shared,
-    book_bound_cross,
-    book_bound_shared,
+    bad_pair_count,
+    book_bound,
     classify_pairs,
     nonuniformity_search,
-    triangle_bound_cross,
-    triangle_bound_shared,
+    triangle_bound,
     uniformity_oracle,
 )
 from .stability import trichotomy_check
@@ -200,6 +197,9 @@ def cmd_construct(args):
     missing = [f"--{name}" for name in CONSTRUCT_REQUIRES[args.kind] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"construct {args.kind} requires {' and '.join(missing)}")
+    n = 2 * args.q + 2 if args.kind == "two-cliques" else args.n
+    if n > GRAPH6_ORDER_CAP:  # the file would be unreadable: refuse before any O(n^2) work
+        raise CapacityError(f"order {n} is above the BRC1 cap of {GRAPH6_ORDER_CAP} vertices")
     if args.kind == "two-cliques":
         c = two_cliques(args.q)
         write_coloring_file(args.out, c)
@@ -313,16 +313,13 @@ def cmd_lemma_check(args):
     )
     t, k = mp.t, mp.k
     form = "shared" if nbases == 1 else "cross"
-    bad_pairs, triangle_bound, book_bound = {
-        "shared": (bad_pair_count_shared, triangle_bound_shared, book_bound_shared),
-        "cross": (bad_pair_count_cross, triangle_bound_cross, book_bound_cross),
-    }[form]
 
     pairs = []
     all_uniform: bool | None = True
     for i in range(nbases):
         for j in range(k):
-            u = uniformity_oracle(mp.base_pair(i, j), eps).uniform if t <= ORACLE_SIDE_CAP else None
+            pair = mp.base_pair(i, j)  # at every t: a repeated vertex exits 2, not as a null row
+            u = uniformity_oracle(pair, eps).uniform if t <= ORACLE_SIDE_CAP else None
             if u is not True:
                 all_uniform = None if u is None else False
             pairs.append({"base": i, "page": j, "uniform": u})
@@ -343,10 +340,9 @@ def cmd_lemma_check(args):
 
     cap = 2 * eps * t * t
     for j in range(k):
-        pvs = [mp.base_pair(i, j) for i in range(nbases)]
         row = {"check": f"bad_pairs_{form}", "page": j, "bound": cap}
         try:
-            cnt = bad_pairs(*pvs, eps)
+            cnt = bad_pair_count(mp, j)
         except ValueError:
             checks.append({**row, "actual": None, "satisfied": None})
             continue

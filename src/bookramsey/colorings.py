@@ -243,6 +243,8 @@ def tripartite_random(params: ConstructionParams, check_margins: bool = True) ->
     output depends only on (params, seed), not on evaluation order.
     """
     n = params.n
+    if n < 0:
+        raise ValueError(f"order {n} is negative")
     if n % 3:
         raise ValueError("order must be divisible by 3")
     if check_margins:

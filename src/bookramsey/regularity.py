@@ -256,43 +256,6 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
     return None
 
 
-# -------------------------------------------------------------- bad pairs
-
-
-def bad_pair_count_shared(pair: BipartitePairView, eps) -> int:
-    """Unordered {u, v} in A whose codegree into B is <= (d - eps)^2 |B|."""
-    eps = as_fraction(eps)
-    d = pair.density
-    if not eps < d:
-        raise ValueError("requires eps < density")
-    thr = (d - eps) ** 2 * len(pair.B)
-    cross = pair.cross()
-    low = _codegrees(cross, cross) <= math.floor(thr)
-    return int(np.count_nonzero(np.triu(low, k=1)))
-
-
-def bad_pair_count_cross(pair1: BipartitePairView, pair2: BipartitePairView, eps) -> int:
-    """Ordered (u, v) in A1 x A2 with codegree into B <= (d1-eps)(d2-eps)|B|."""
-    eps = as_fraction(eps)
-    if pair1.host is not pair2.host and pair1.host != pair2.host:
-        raise ValueError("pairs must share a host graph")
-    if pair1.B != pair2.B:
-        raise ValueError("pairs must share the B side")
-    if vertex_mask(pair1.A) & vertex_mask(pair2.A):
-        raise ValueError("A sides must be disjoint")
-    d1, d2 = pair1.density, pair2.density
-    if not (2 * eps <= d1 <= 1 and 2 * eps <= d2 <= 1):
-        raise ValueError("requires 2 eps <= density <= 1 on both pairs")
-    thr = (d1 - eps) * (d2 - eps) * len(pair1.B)
-    return int(np.count_nonzero(_codegrees(pair1.cross(), pair2.cross()) <= math.floor(thr)))
-
-
-def _codegrees(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
-    """Common entries of each row of one bool matrix with each row of
-    another, as a float32 product (exact below 2**24 columns)."""
-    return rows1.astype(np.float32) @ rows2.T.astype(np.float32)
-
-
 # ------------------------------------------------------- multipair bounds
 
 
@@ -352,35 +315,30 @@ class MultiPairConfig:
         return [self.base_pair(i, j).density for j in range(self.k)]
 
 
-_FORMS = {
-    "shared": (1, "shared form takes a single base block", "base block spans no edges"),
-    "cross": (2, "cross form takes two base blocks", "no edges between the base blocks"),
-}
+def _codegrees(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """Common entries of each row of one bool matrix with each row of
+    another, as a float32 product (exact below 2**24 columns)."""
+    return rows1.astype(np.float32) @ rows2.T.astype(np.float32)
 
 
 def _form_terms(
-    cfg: MultiPairConfig, form: str, need_edges: bool
+    cfg: MultiPairConfig,
 ) -> tuple[list[tuple[int, int]], np.ndarray, list[int], Fraction]:
-    """(base edges, their page counts, pages, density term) of a form.
+    """(base edges, their page counts, pages, density term) of a config.
 
-    Shared: the edges inside A in lexicographic order and sum d_i^2.
-    Cross: the edges from A1 to A2, in A1's given order, and sum d_1i d_2i.
-    The page count of a base edge uv is |N(u) cap N(v) cap pages|.
+    One base: the edges inside A in lexicographic order and sum d_i^2.
+    Two bases: the edges from A1 to A2, in A1's given order, and
+    sum d_1i d_2i.  The page count of a base edge uv is
+    |N(u) cap N(v) cap pages|.
     """
-    nbases, wrong_count, no_edges = _FORMS[form]
-    if len(cfg.bases) != nbases:
-        raise ValueError(wrong_count)
-    if form == "shared":
-        rows = cols = sorted(set(cfg.bases[0]))
-        iu, iv = np.nonzero(np.triu(cfg.host.adjacency(rows, cols), k=1))
-    else:
-        rows, cols = list(cfg.bases[0]), sorted(set(cfg.bases[1]))
-        iu, iv = np.nonzero(cfg.host.adjacency(rows, cols))
+    shared = len(cfg.bases) == 1
+    cols = sorted(set(cfg.bases[-1]))
+    rows = cols if shared else list(cfg.bases[0])
+    adj = cfg.host.adjacency(rows, cols)
+    iu, iv = np.nonzero(np.triu(adj, k=1) if shared else adj)
     edges = [(rows[i], cols[j]) for i, j in zip(iu.tolist(), iv.tolist())]
-    if need_edges and not edges:
-        raise ValueError(no_edges)
-    # the shared form pairs its one base with itself: sum d_i * d_i
-    d = [cfg.densities(i) for i in range(nbases)]
+    # one base pairs with itself: sum d_i * d_i
+    d = [cfg.densities(i) for i in range(len(cfg.bases))]
     term = sum(a * b for a, b in zip(d[0], d[-1]))
     pages = sorted({v for p in cfg.pages for v in p})
     pages_of = [cfg.host.adjacency(side, pages) for side in (rows, cols)]
@@ -388,50 +346,51 @@ def _form_terms(
     return edges, counts, pages, term
 
 
-def _triangle_bound(cfg: MultiPairConfig, form: str) -> tuple[Fraction, int]:
-    edges, counts, _, term = _form_terms(cfg, form, need_edges=False)
+def bad_pair_count(cfg: MultiPairConfig, j: int) -> int:
+    """Pairs of base vertices whose codegree into page block j is at most
+    (d_1 - eps)(d_2 - eps) t, d_i the density from base i to page j.
+
+    One base (d_1 = d_2): unordered {u, v} in A, and eps < d is required.
+    Two bases: ordered (u, v) in A1 x A2, and 2 eps <= d_i for both.
+    """
+    eps = cfg.epsilon
+    pairs = [cfg.base_pair(i, j) for i in range(len(cfg.bases))]
+    d = [p.density for p in pairs]
+    if not (eps < d[0] if len(pairs) == 1 else 2 * eps <= min(d)):
+        raise ValueError("page density below the bad-pair precondition")
+    thr = (d[0] - eps) * (d[-1] - eps) * cfg.t
+    rows = [p.cross() for p in pairs]
+    low = _codegrees(rows[0], rows[-1]) <= math.floor(thr)
+    return int(np.count_nonzero(np.triu(low, k=1) if len(pairs) == 1 else low))
+
+
+def triangle_bound(cfg: MultiPairConfig) -> tuple[Fraction, int]:
+    """Lower bound vs exact count of triangles on a base edge and a page vertex.
+
+    bound = t (e - 2 eps t^2) sum d_1i d_2i  -  2 eps k t e, where e is
+    e(A) for one base (d_1i = d_2i) and e(A1, A2) for two.
+    """
+    edges, counts, _, term = _form_terms(cfg)
     t, k, eps, e = cfg.t, cfg.k, cfg.epsilon, len(edges)
     bound = t * (e - 2 * eps * t * t) * term - 2 * eps * k * t * e
     return bound, int(counts.sum())
 
 
-def _book_bound(cfg: MultiPairConfig, form: str) -> tuple[Fraction, BookCertificate]:
-    edges, counts, pages, term = _form_terms(cfg, form, need_edges=True)
+def book_bound(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate]:
+    """Averaged form: some base edge carries a page-block book of size at
+    least t (1 - 2 eps t^2 / e) sum d_1i d_2i - 2 eps k t, the terms as in
+    ``triangle_bound``; the certificate is the first largest book in the
+    base-edge order.  Raises ValueError when there are no base edges.
+    """
+    edges, counts, pages, term = _form_terms(cfg)
+    if not edges:
+        raise ValueError("no base edges")
     t, k, eps = cfg.t, cfg.k, cfg.epsilon
     bound = t * (1 - Fraction(2 * eps * t * t, len(edges))) * term - 2 * eps * k * t
-    # argmax keeps the first largest book in the base-edge order
     u, v = edges[int(counts.argmax())]
     both = cfg.host.adjacency([u, v], pages).all(axis=0)
     pages_of_uv = frozenset(np.asarray(pages)[both].tolist())
     return bound, BookCertificate(base=(min(u, v), max(u, v)), pages=pages_of_uv)
-
-
-def triangle_bound_shared(cfg: MultiPairConfig) -> tuple[Fraction, int]:
-    """Lower bound vs exact count of triangles with 2 vertices in A.
-
-    bound = t (e(A) - 2 eps t^2) sum d_i^2  -  2 eps k t e(A)
-    """
-    return _triangle_bound(cfg, "shared")
-
-
-def triangle_bound_cross(cfg: MultiPairConfig) -> tuple[Fraction, int]:
-    """Lower bound vs exact count of triangles with one vertex in each base.
-
-    bound = t (e(A1,A2) - 2 eps t^2) sum d_1i d_2i  -  2 eps k t e(A1,A2)
-    """
-    return _triangle_bound(cfg, "cross")
-
-
-def book_bound_shared(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate]:
-    """Averaged form: some base edge in A carries a page-block book of size
-    at least t (1 - 2 eps t^2 / e(A)) sum d_i^2 - 2 eps k t."""
-    return _book_bound(cfg, "shared")
-
-
-def book_bound_cross(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate]:
-    """Cross form: some base edge between A1 and A2 carries a book of size
-    at least t (1 - 2 eps t^2 / e(A1,A2)) sum d_1i d_2i - 2 eps k t."""
-    return _book_bound(cfg, "cross")
 
 
 # ---------------------------------------------------------- pair labeling

@@ -182,7 +182,7 @@ def _local_max_cut(g: Graph, side: np.ndarray, order: np.ndarray) -> None:
             i += 1
 
 
-def bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
+def bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
     """Heuristic hunt for a large induced bipartite subgraph.
 
     Each restart: random sides, single-vertex max-cut local search,
@@ -195,7 +195,6 @@ def bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
     parts are exactly independent; the xi thresholds are the caller's to
     judge.
     """
-    as_fraction(xi)  # validated for interface symmetry; thresholds live upstream
     if g.n == 0:
         return None
     n = g.n
@@ -278,7 +277,7 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
         U1, U2 = candidate
         source = "candidate"
     else:
-        found = bipartite_extract(g, xi, seed=seed)
+        found = bipartite_extract(g, seed=seed)
         U1, U2 = found if found is not None else ((), ())
         source = "extractor"
     cls = classify(g, U1, U2)

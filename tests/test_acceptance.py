@@ -39,13 +39,10 @@ from bookramsey.ramsey import (
 from bookramsey.regularity import (
     BipartitePairView,
     MultiPairConfig,
-    bad_pair_count_cross,
-    bad_pair_count_shared,
-    book_bound_cross,
-    book_bound_shared,
+    bad_pair_count,
+    book_bound,
     check_witness,
-    triangle_bound_cross,
-    triangle_bound_shared,
+    triangle_bound,
     uniformity_oracle,
 )
 from bookramsey.stability import (
@@ -279,38 +276,22 @@ def test_criterion_5_counting_lemma_suite(capsys):
         for cfg in certified:
             eps, t = cfg.epsilon, cfg.t
             bounds = []
-            if len(cfg.bases) == 1:
-                for j in range(cfg.k):
-                    pv = cfg.base_pair(0, j)
-                    if eps < pv.density:
-                        checks += 1
-                        if bad_pair_count_shared(pv, eps) > 2 * eps * t * t:
-                            violations += 1
-                tb, ta = triangle_bound_shared(cfg)
+            for j in range(cfg.k):
+                try:
+                    bad = bad_pair_count(cfg, j)
+                except ValueError:  # density precondition fails: no bound
+                    continue
                 checks += 1
-                violations += ta < tb
-                bounds.append(tb)
-                if cfg.host.edges_between(cfg.bases[0], cfg.bases[0]) > 0:
-                    bb, cert = book_bound_shared(cfg)
-                    checks += 1
-                    violations += cert.size < bb
-                    bounds.append(bb)
-            else:
-                for j in range(cfg.k):
-                    p1, p2 = cfg.base_pair(0, j), cfg.base_pair(1, j)
-                    if 2 * eps <= min(p1.density, p2.density) <= 1:
-                        checks += 1
-                        if bad_pair_count_cross(p1, p2, eps) > 2 * eps * t * t:
-                            violations += 1
-                tb, ta = triangle_bound_cross(cfg)
+                violations += bad > 2 * eps * t * t
+            tb, ta = triangle_bound(cfg)
+            checks += 1
+            violations += ta < tb
+            bounds.append(tb)
+            if cfg.host.edges_between(cfg.bases[0], cfg.bases[-1]) > 0:
+                bb, cert = book_bound(cfg)
                 checks += 1
-                violations += ta < tb
-                bounds.append(tb)
-                if cfg.host.edges_between(*cfg.bases) > 0:
-                    bb, cert = book_bound_cross(cfg)
-                    checks += 1
-                    violations += cert.size < bb
-                    bounds.append(bb)
+                violations += cert.size < bb
+                bounds.append(bb)
             positive_configs += all(b > 0 for b in bounds)
 
         ok = len(certified) >= 100 and violations == 0
@@ -384,9 +365,7 @@ def test_criterion_7_stability_bounds(capsys):
             n = int(rng.integers(8, 40))
             m = np.triu(rng.random((n, n)) < rng.uniform(0.15, 0.7), k=1).astype(np.uint8)
             g = Graph.from_bool_matrix(m | m.T)
-            U1, U2 = bipartite_extract(
-                g, Fraction(1, 10), seed=int(rng.integers(1 << 16))
-            )
+            U1, U2 = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
             cls = classify(g, U1, U2)
             flat = sorted(v for part in cls.parts().values() for v in part)
             if flat != list(range(n)):

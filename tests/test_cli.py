@@ -23,7 +23,7 @@ from bookramsey.colorings import (
     two_cliques,
     write_coloring_file,
 )
-from bookramsey.graphs import Graph
+from bookramsey.graphs import GRAPH6_ORDER_CAP, Graph
 from bookramsey.numbers import as_fraction
 from bookramsey.ramsey import Neither, check_coloring
 
@@ -323,6 +323,24 @@ def test_construct_tripartite_rejects_bad_order(files):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-cliques", "--q", GRAPH6_ORDER_CAP // 2],  # order cap + 2
+        ["tripartite", "--n", GRAPH6_ORDER_CAP + 1, "--epsilon", "1/200"],
+    ],
+)
+def test_construct_refuses_orders_the_file_readers_refuse(tmp_path, argv):
+    out = tmp_path / "big.brc1"
+    code, report, proc = run_cli("construct", *argv, "--out", out)
+    assert code == 3
+    assert report is None
+    assert proc.stderr.startswith("capacity error: order ")
+    assert f"above the BRC1 cap of {GRAPH6_ORDER_CAP} vertices" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_construct_two_cliques_requires_q(files):
     code, report, proc = run_cli("construct", "two-cliques", "--out", files["root"] / "noq.brc1")
     assert code == 2
@@ -617,6 +635,23 @@ HOSTILE = {
     "config-huge-vertex": (
         lambda f, t: ["uniformity", _config(f, t, blocks=[[0, 10**18], [10, 11]])],
         f"vertex {10**18} outside the 20-vertex graph",
+    ),
+    "lemma-repeated-vertex": (
+        lambda f, t: ["lemma-check", _config(f, t, blocks=[[0, 1, 0], [10, 11, 12]], bases=1)],
+        "repeated vertex in a side",
+    ),
+    "lemma-repeated-vertex-above-oracle-cap": (
+        lambda f, t: [
+            "lemma-check",
+            _config(
+                f, t, graph=Graph.complete(34).to_graph6(), blocks=[[*range(16), 3], list(range(17, 34))], bases=1
+            ),
+        ],
+        "repeated vertex in a side",
+    ),
+    "construct-negative-order": (
+        lambda f, t: ["construct", "tripartite", "--n", -3, "--epsilon", "1/200", "--out", t / "x.brc1"],
+        "order -3 is negative",
     ),
     "config-null-bases": (
         lambda f, t: ["lemma-check", _config(f, t, bases=None)],

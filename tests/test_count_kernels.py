@@ -19,13 +19,10 @@ from bookramsey.graphs import Graph, bits_of, vertex_mask
 from bookramsey.regularity import (
     BipartitePairView,
     MultiPairConfig,
-    bad_pair_count_cross,
-    bad_pair_count_shared,
-    book_bound_cross,
-    book_bound_shared,
+    bad_pair_count,
+    book_bound,
     check_witness,
-    triangle_bound_cross,
-    triangle_bound_shared,
+    triangle_bound,
 )
 from bookramsey.stability import blue_book_bound, classification_report, classify, red_book_bound
 
@@ -42,17 +39,20 @@ def ref_b_rows(pair):
     return [sum(1 << k for k, a in enumerate(pair.A) if rows[b] >> a & 1) for b in pair.B]
 
 
-def ref_bad_pairs_shared(pair, eps):
-    thr = (pair.density - eps) ** 2 * len(pair.B)
-    mb, rows = vertex_mask(pair.B), pair.host.rows
-    masked = [rows[a] & mb for a in pair.A]
-    return sum(1 for r1, r2 in itertools.combinations(masked, 2) if (r1 & r2).bit_count() <= thr)
-
-
-def ref_bad_pairs_cross(pair1, pair2, eps):
-    thr = (pair1.density - eps) * (pair2.density - eps) * len(pair1.B)
-    mb, rows = vertex_mask(pair1.B), pair1.host.rows
-    return sum(1 for u in pair1.A for v in pair2.A if (rows[u] & rows[v] & mb).bit_count() <= thr)
+def ref_bad_pairs(cfg, j):
+    """Bad pairs into page block j, or None where the density precondition
+    fails: unordered pairs in A with eps < d for one base, A1 x A2 with
+    2 eps <= d_i for two."""
+    eps, B, rows = cfg.epsilon, cfg.pages[j], cfg.host.rows
+    A1, A2 = cfg.bases[0], cfg.bases[-1]
+    d1, d2 = (Fraction(ref_cross_count(cfg.host, A, B), len(A) * len(B)) for A in (A1, A2))
+    one = len(cfg.bases) == 1
+    if not (eps < d1 if one else 2 * eps <= min(d1, d2)):
+        return None
+    thr = (d1 - eps) * (d2 - eps) * len(B)
+    mb = vertex_mask(B)
+    pairs = itertools.combinations(A1, 2) if one else itertools.product(A1, A2)
+    return sum(1 for u, v in pairs if (rows[u] & rows[v] & mb).bit_count() <= thr)
 
 
 def ref_books(cfg):
@@ -131,22 +131,23 @@ def graphs_with_parts(draw):
 @given(configs())
 def test_counting_bounds_match_the_bigint_loops(cfg):
     total, book = ref_books(cfg)
-    shared = len(cfg.bases) == 1
-    assert (triangle_bound_shared if shared else triangle_bound_cross)(cfg)[1] == total
+    assert triangle_bound(cfg)[1] == total
     if book is not None:
-        _, cert = (book_bound_shared if shared else book_bound_cross)(cfg)
+        _, cert = book_bound(cfg)
         assert (cert.base, cert.pages) == book
+    else:
+        with pytest.raises(ValueError):
+            book_bound(cfg)
     for j in range(cfg.k):
         pair = cfg.base_pair(0, j)
         assert pair.b_rows() == ref_b_rows(pair)
         assert pair.edge_count() == ref_cross_count(cfg.host, pair.A, pair.B)
-        if shared and cfg.epsilon < pair.density:
-            assert bad_pair_count_shared(pair, cfg.epsilon) == ref_bad_pairs_shared(pair, cfg.epsilon)
-        if not shared:
-            other = cfg.base_pair(1, j)
-            if 2 * cfg.epsilon <= min(pair.density, other.density):
-                got = bad_pair_count_cross(pair, other, cfg.epsilon)
-                assert got == ref_bad_pairs_cross(pair, other, cfg.epsilon)
+        want = ref_bad_pairs(cfg, j)
+        if want is None:
+            with pytest.raises(ValueError):
+                bad_pair_count(cfg, j)
+        else:
+            assert bad_pair_count(cfg, j) == want
 
 
 @settings(max_examples=200, deadline=None)

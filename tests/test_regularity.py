@@ -13,15 +13,12 @@ from bookramsey.regularity import (
     BipartitePairView,
     MultiPairConfig,
     UniformityVerdict,
-    bad_pair_count_cross,
-    bad_pair_count_shared,
-    book_bound_cross,
-    book_bound_shared,
+    bad_pair_count,
+    book_bound,
     check_witness,
     classify_pairs,
     nonuniformity_search,
-    triangle_bound_cross,
-    triangle_bound_shared,
+    triangle_bound,
     uniformity_oracle,
 )
 
@@ -191,13 +188,18 @@ def test_search_agrees_with_oracle_when_it_speaks():
 # ----------------------------------------------------------- bad pair counts
 
 
+def one_base(pair, eps):
+    """The pair as a config: A the one base block, B the one page block."""
+    return MultiPairConfig(pair.host, (pair.A,), (pair.B,), eps)
+
+
 def test_bad_pairs_complete_is_zero():
-    assert bad_pair_count_shared(complete_pair(10, 10), Fraction(1, 5)) == 0
+    assert bad_pair_count(one_base(complete_pair(10, 10), Fraction(1, 5)), 0) == 0
 
 
 def test_bad_pairs_precondition():
     with pytest.raises(ValueError):
-        bad_pair_count_shared(empty_pair(5, 5), Fraction(1, 10))  # d = 0
+        bad_pair_count(one_base(empty_pair(5, 5), Fraction(1, 10)), 0)  # d = 0
 
 
 def test_bad_pairs_cross_complete_and_precondition():
@@ -206,20 +208,16 @@ def test_bad_pairs_cross_complete_and_precondition():
         [(a, b) for a in range(0, 4) for b in range(8, 12)]
         + [(a, b) for a in range(4, 8) for b in range(8, 12)],
     )
-    p1 = BipartitePairView(host, (0, 1, 2, 3), (8, 9, 10, 11))
-    p2 = BipartitePairView(host, (4, 5, 6, 7), (8, 9, 10, 11))
-    assert bad_pair_count_cross(p1, p2, Fraction(1, 4)) == 0
+    bases, pages = ((0, 1, 2, 3), (4, 5, 6, 7)), ((8, 9, 10, 11),)
+    assert bad_pair_count(MultiPairConfig(host, bases, pages, Fraction(1, 4)), 0) == 0
     sparse_host = Graph.from_edges(
         12,
         [(a, a + 8) for a in range(4)] + [(a, a + 4) for a in range(4, 8)],
     )
-    s1 = BipartitePairView(sparse_host, (0, 1, 2, 3), (8, 9, 10, 11))
-    s2 = BipartitePairView(sparse_host, (4, 5, 6, 7), (8, 9, 10, 11))
-    assert s1.density == Fraction(1, 4)
+    sparse = MultiPairConfig(sparse_host, bases, pages, Fraction(1, 4))
+    assert sparse.densities(0) == [Fraction(1, 4)]
     with pytest.raises(ValueError):
-        bad_pair_count_cross(s1, s2, Fraction(1, 4))  # 2 eps > density
-    with pytest.raises(ValueError):
-        bad_pair_count_cross(p1, p1, Fraction(1, 4))  # A sides overlap
+        bad_pair_count(sparse, 0)  # 2 eps > density
 
 
 def test_bad_pairs_bounded_on_certified_pairs():
@@ -233,7 +231,7 @@ def test_bad_pairs_bounded_on_certified_pairs():
         if not eps < pair.density:
             continue
         checked += 1
-        assert bad_pair_count_shared(pair, eps) <= 2 * eps * 100
+        assert bad_pair_count(one_base(pair, eps), 0) <= 2 * eps * 100
     assert checked >= 5
 
 
@@ -282,7 +280,7 @@ def cross_config(eps):
 def test_triangle_bound_shared_frozen_value():
     cfg = shared_config(Fraction(1, 100))
     assert cfg.densities(0) == [Fraction(1, 2), Fraction(1, 2)]
-    bound, actual = triangle_bound_shared(cfg)
+    bound, actual = triangle_bound(cfg)
     assert bound == 82
     assert actual >= 0
 
@@ -291,29 +289,29 @@ def test_triangle_bound_cross_frozen_value():
     cfg = cross_config(Fraction(1, 100))
     assert cfg.densities(0) == [Fraction(3, 5)]
     assert cfg.densities(1) == [Fraction(3, 5)]
-    bound, _ = triangle_bound_cross(cfg)
+    bound, _ = triangle_bound(cfg)
     assert bound == Fraction(474, 5)  # 94.8
 
 
 def test_book_bound_shared_frozen_value():
-    bound, cert = book_bound_shared(shared_config(Fraction(1, 100)))
+    bound, cert = book_bound(shared_config(Fraction(1, 100)))
     assert bound == Fraction(41, 10)  # 4.1
     assert cert.base[0] < cert.base[1]
 
 
 def test_book_bound_cross_frozen_value():
-    bound, _ = book_bound_cross(cross_config(Fraction(1, 100)))
+    bound, _ = book_bound(cross_config(Fraction(1, 100)))
     assert bound == Fraction(79, 25)
 
 
 def test_bounds_at_epsilon_zero_lose_their_penalty_terms():
     cfg = shared_config(Fraction(0))
     t, ea, sq = 10, 20, Fraction(1, 2)
-    assert triangle_bound_shared(cfg)[0] == t * ea * sq
-    assert book_bound_shared(cfg)[0] == t * sq
+    assert triangle_bound(cfg)[0] == t * ea * sq
+    assert book_bound(cfg)[0] == t * sq
     xcfg = cross_config(Fraction(0))
-    assert triangle_bound_cross(xcfg)[0] == 10 * 30 * Fraction(9, 25)
-    assert book_bound_cross(xcfg)[0] == 10 * Fraction(9, 25)
+    assert triangle_bound(xcfg)[0] == 10 * 30 * Fraction(9, 25)
+    assert book_bound(xcfg)[0] == 10 * Fraction(9, 25)
 
 
 def test_config_validation():
@@ -324,10 +322,6 @@ def test_config_validation():
         MultiPairConfig(host, bases=((0, 1),), pages=((1, 2),), epsilon=0)
     with pytest.raises(ValueError):
         MultiPairConfig(host, bases=((0, 1),), pages=((2, 3, 4),), epsilon=0)
-    with pytest.raises(ValueError):
-        triangle_bound_cross(shared_config(Fraction(0)))
-    with pytest.raises(ValueError):
-        triangle_bound_shared(cross_config(Fraction(0)))
 
 
 def complete_pages_config(rng, eps, two_bases=False):
@@ -356,19 +350,19 @@ def test_positive_bounds_hold_on_complete_pages():
     rng = np.random.default_rng(21)
     for _ in range(5):
         cfg = complete_pages_config(rng, Fraction(1, 100))
-        bound, actual = triangle_bound_shared(cfg)
+        bound, actual = triangle_bound(cfg)
         assert bound > 0
         assert actual >= bound
-        bbound, cert = book_bound_shared(cfg)
+        bbound, cert = book_bound(cfg)
         assert bbound > 0
         assert cert.size >= bbound
         cert.validate(cfg.host)
 
         xcfg = complete_pages_config(rng, Fraction(1, 100), two_bases=True)
-        xbound, xactual = triangle_bound_cross(xcfg)
+        xbound, xactual = triangle_bound(xcfg)
         assert xbound > 0
         assert xactual >= xbound
-        xb, xcert = book_bound_cross(xcfg)
+        xb, xcert = book_bound(xcfg)
         assert xb > 0
         assert xcert.size >= xb
 
@@ -402,9 +396,9 @@ def test_bounds_never_violated_on_certified_random_configs():
         if not certified(cfg):
             continue
         seen += 1
-        bound, actual = triangle_bound_shared(cfg)
+        bound, actual = triangle_bound(cfg)
         assert actual >= bound
-        bbound, cert = book_bound_shared(cfg)
+        bbound, cert = book_bound(cfg)
         assert cert.size >= bbound
     assert seen >= 10
 

@@ -74,7 +74,7 @@ def test_classify_matches_naive_scan_on_random_instances():
     for _ in range(40):
         n = int(rng.integers(6, 40))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.7)))
-        found = bipartite_extract(g, Fraction(1, 10), seed=int(rng.integers(1 << 16)))
+        found = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
         assert found is not None
         U1, U2 = found
         cls = classify(g, U1, U2)
@@ -84,7 +84,7 @@ def test_classify_matches_naive_scan_on_random_instances():
 def test_report_cross_counts_vanish_by_definition():
     rng = np.random.default_rng(37)
     g = random_graph(rng, 25, 0.4)
-    U1, U2 = bipartite_extract(g, Fraction(1, 10), seed=3)
+    U1, U2 = bipartite_extract(g, seed=3)
     cls = classify(g, U1, U2)
     rep = classification_report(g, cls)
     assert rep["e_U1_V2"] == 0
@@ -127,7 +127,7 @@ def test_red_bound_never_exceeds_red_booksize():
     for _ in range(200):
         n = int(rng.integers(8, 36))
         g = random_graph(rng, n, float(rng.uniform(0.15, 0.7)))
-        found = bipartite_extract(g, Fraction(1, 10), seed=int(rng.integers(1 << 16)))
+        found = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
         U1, U2 = found
         cls = classify(g, U1, U2)
         if len(cls.U2) < 2:
@@ -161,7 +161,7 @@ def test_blue_bound_never_exceeds_blue_booksize():
     for _ in range(200):
         n = int(rng.integers(8, 36))
         g = random_graph(rng, n, float(rng.uniform(0.15, 0.7)))
-        U1, U2 = bipartite_extract(g, Fraction(1, 10), seed=int(rng.integers(1 << 16)))
+        U1, U2 = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
         cls = classify(g, U1, U2)
         if not cls.V3:
             continue
@@ -175,7 +175,7 @@ def test_blue_bound_never_exceeds_blue_booksize():
 
 def test_extractor_recovers_connected_bipartition():
     g = Graph.complete_bipartite(5, 7)
-    U1, U2 = bipartite_extract(g, Fraction(1, 10), seed=0)
+    U1, U2 = bipartite_extract(g, seed=0)
     assert {frozenset(U1), frozenset(U2)} == {
         frozenset(range(5)),
         frozenset(range(5, 12)),
@@ -183,7 +183,7 @@ def test_extractor_recovers_connected_bipartition():
 
 
 def test_extractor_on_complete_graph_degenerates():
-    U1, U2 = bipartite_extract(Graph.complete(6), Fraction(1, 10), seed=0)
+    U1, U2 = bipartite_extract(Graph.complete(6), seed=0)
     assert len(U1) <= 1 and len(U2) <= 1
 
 
@@ -192,7 +192,7 @@ def test_extractor_output_is_always_independent():
     for _ in range(25):
         n = int(rng.integers(5, 45))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
-        U1, U2 = bipartite_extract(g, Fraction(1, 10), seed=int(rng.integers(99999)))
+        U1, U2 = bipartite_extract(g, seed=int(rng.integers(99999)))
         for part in (U1, U2):
             for v in part:
                 assert not (set(g.neighbors(v)) & set(part))
@@ -213,8 +213,8 @@ def test_extractor_recovers_planted_bipartition_under_noise():
     good = sum(
         1
         for seed in range(10)
-        if len(bipartite_extract(g, Fraction(1, 10), seed=seed)[0])
-        + len(bipartite_extract(g, Fraction(1, 10), seed=seed)[1])
+        if len(bipartite_extract(g, seed=seed)[0])
+        + len(bipartite_extract(g, seed=seed)[1])
         >= 36
     )
     assert good >= 9

@@ -166,8 +166,7 @@ def ref_local_max_cut(g: Graph, side: list[bool], order: list[int]) -> None:
                 improved = True
 
 
-def ref_bipartite_extract(g: Graph, xi, seed: int = 0, restarts: int = 10):
-    as_fraction(xi)
+def ref_bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
     if g.n == 0:
         return None
     best = None
@@ -430,13 +429,12 @@ def test_extractor_matches_reference_on_random_graphs(n, p, graph_seed, seed, re
     rng = np.random.default_rng(graph_seed)
     upper = np.triu(rng.random((n, n)) < p, 1)
     g = Graph.from_bool_matrix(upper | upper.T)
-    xi = Fraction(1, 10)
-    got = bipartite_extract(g, xi, seed=seed, restarts=restarts)
-    assert got == ref_bipartite_extract(g, xi, seed=seed, restarts=restarts)
+    got = bipartite_extract(g, seed=seed, restarts=restarts)
+    assert got == ref_bipartite_extract(g, seed=seed, restarts=restarts)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_extractor_matches_reference_near_bipartite(seed):
     g = near_bipartite(seed)
-    got = bipartite_extract(g, Fraction(1, 5), seed=seed)
-    assert got == ref_bipartite_extract(g, Fraction(1, 5), seed=seed)
+    got = bipartite_extract(g, seed=seed)
+    assert got == ref_bipartite_extract(g, seed=seed)
