@@ -10,9 +10,8 @@ No command runs more than one thread of its own; --threads is accepted
 
 Exit codes: 0 success or forced verdict; 10 counterexample, witness, or
 bound violation found; 2 usage or parse error; 3 capacity error.
-Rationals are rendered as "num/den" strings, floats with 12 significant
-digits.  --format csv is accepted only by the tabular reports (stats,
-lemma-check).
+Rationals are rendered as "num/den" strings.  --format csv is accepted
+only by the tabular reports (stats, lemma-check).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .colorings import (
 )
 from .errors import CapacityError, ParseError
 from .graphs import GRAPH6_ORDER_CAP, Graph
-from .numbers import as_fraction, fraction_str, round_sig
+from .numbers import as_fraction, fraction_str
 from .ramsey import Neither, RamseyQuery, RedBook, check_coloring, exhaustive_verify
 from .regularity import (
     ORACLE_SIDE_CAP,
@@ -70,12 +69,8 @@ def jsonable(x):
         return fraction_str(x)
     if isinstance(x, bool) or x is None:
         return x
-    if isinstance(x, float):
-        return round_sig(x)
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, (np.floating,)):
-        return round_sig(float(x))
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -311,6 +306,8 @@ def cmd_lemma_check(args):
         tuple(cfg["blocks"][nbases:]),
         eps,
     )
+    if eps <= 0:  # the oracle's refusal, at every t and before any pair is scanned
+        raise ValueError("eps must be positive")
     t, k = mp.t, mp.k
     form = "shared" if nbases == 1 else "cross"
 

@@ -176,8 +176,9 @@ class ConstructionParams:
     """Parameters of the randomized tripartite coloring.
 
     ``delta`` defaults to the coupling delta = 8.25 * epsilon; passing it
-    explicitly decouples the two for exploration (including degenerate
-    settings used only in tests).
+    explicitly (``construct --delta``) decouples the two, and
+    ``tripartite_random`` still refuses a delta whose margins are not
+    positive.
     """
 
     n: int
@@ -235,20 +236,18 @@ def expected_book_sizes(params: ConstructionParams) -> tuple[Fraction, Fraction,
     return red_intra, blue_cross, red_cross
 
 
-def tripartite_random(params: ConstructionParams, check_margins: bool = True) -> TwoColoring:
+def tripartite_random(params: ConstructionParams) -> TwoColoring:
     """Random coloring: thirds A_1, A_2, A_3 all-red inside, cross edges
     red with probability p = 1/2 - delta.
 
     Each edge consults a counter-based value at its colex index, so the
     output depends only on (params, seed), not on evaluation order.
+    Parameters that ``params.validate()`` rejects are refused.
     """
     n = params.n
     if n < 0:
         raise ValueError(f"order {n} is negative")
-    if n % 3:
-        raise ValueError("order must be divisible by 3")
-    if check_margins:
-        params.validate()
+    params.validate()
     t = n // 3
     thr = probability_threshold(params.p)
     bits = np.zeros(n * (n - 1) // 2, dtype=bool)

@@ -5,17 +5,17 @@ words: bit v of row u is set iff u ~ v, and the padding bits past n stay
 zero.  Other modules never read the words bit by bit; they ask for
 codegrees, for edge counts between vertex sets (``edges_between``,
 ``degrees_into``), or for the bool matrix of a few rows against a few
-columns (``adjacency``).  ``booksize`` scans one graph's edges,
-ANDing word rows, so its cost grows with the edge count.  ``books``
-reads the books of the graph and of its complement
+columns (``adjacency``).  ``booksize`` (graph6 ``bk``) scans one
+graph's edges itself, ANDing word rows, so its cost grows with the edge
+count.  ``books`` reads the books of the graph and of its complement
 (both booksizes, or the red-first book search behind
 ``ramsey.check_coloring``) from one tiled float32 codegree product over
 all pairs, exact whatever the BLAS summation order or thread count
 because its sums are integers below 2**24.  ``part_codegrees`` (the
 ``stats`` command) shares that tile walk, ``_row_stripes``, and sums
-the codegrees by part pair.  ``Graph(n, rows)`` checks
-outside int rows once; decoding and the constructions build valid words
-and skip the check.  Graphs are immutable; share them freely.
+the codegrees by part pair.  ``Graph(n, rows)``, the one checked
+constructor, checks outside int rows once; decoding and the
+constructions build valid words and skip the check.  Graphs are immutable; share them freely.
 
 Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
 which is the row-major strict lower triangle of the matrix.  graph6
@@ -201,11 +201,9 @@ class Graph:
         return int(self.degrees_into(Y, X).sum())
 
     def min_degree_induced(self, U: Iterable[int]) -> int:
-        """Minimum degree of the subgraph induced by a nonempty set U."""
+        """Minimum degree of the subgraph induced by U; 0 when U is empty."""
         U = sorted(set(U))
-        if not U:
-            raise ValueError("min_degree_induced requires a nonempty set")
-        return int(self.degrees_into(U, U).min())
+        return int(self.degrees_into(U, U).min()) if U else 0
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -235,10 +233,22 @@ class Graph:
 
         Returns (0, None) for an edgeless graph.  Ties are broken toward
         the lexicographically least base edge, so output is deterministic.
-        One colour's scan costs O(e n / 64) word operations for e edges;
-        ``books`` asks for both colours in one pass.
+        Vertex u popcounts its word row ANDed with the row of each
+        neighbour v > u: O(e n / 64) word operations for e edges, with
+        temporary memory within O(n * ceil(n/64)) words.  ``books`` asks
+        for both colours in one pass.
         """
-        return _book_scan(self)
+        n, words = self.n, self.words
+        best = None
+        for u in range(n - 1):
+            later = np.flatnonzero(_unpack(words[u : u + 1], n)[0, u + 1 :]) + (u + 1)
+            if later.size == 0:
+                continue
+            counts = np.bitwise_count(words[later] & words[u]).sum(axis=1)
+            k = int(counts.argmax())
+            if best is None or counts[k] > best[0]:
+                best = (int(counts[k]), u, int(later[k]))
+        return (best[0], BookCertificate.from_base(self, best[1], best[2])) if best else (0, None)
 
     def books(self, at_least: tuple[int, int] | None = None) -> tuple[tuple, tuple]:
         """Books of this graph (blue) and of its complement (red) from one
@@ -325,19 +335,6 @@ class Graph:
         words = ~self.words & _pack(np.ones((1, n), dtype=bool))
         words[loops, loops >> 6] ^= np.left_shift(np.uint64(1), (loops & 63).astype(np.uint64))
         return Graph._of_words(n, words)
-
-    # ------------------------------------------------------------ bool matrix
-
-    @classmethod
-    def from_bool_matrix(cls, m: np.ndarray) -> "Graph":
-        """Graph of a square matrix whose nonzero entries are edges,
-        checked as the int-row constructor checks rows."""
-        adj = np.asarray(m) != 0
-        n = adj.shape[0]
-        if adj.shape != (n, n):
-            raise ValueError("adjacency matrix must be square")
-        _check_adjacency(adj)
-        return cls._of_words(n, _pack(adj))
 
     # ----------------------------------------------------------- colex codec
     # Pair (i, j), i < j, has colex index j(j-1)/2 + i.
@@ -455,7 +452,7 @@ def _stripes(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
         yield r0, r1, np.arange(n) < np.arange(r0, r1)[:, None]
 
 
-def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
+def _check_adjacency(adj: np.ndarray, wide: Sequence[int]) -> None:
     """Raise ValueError for the first bad row of a bool adjacency matrix.
 
     ``wide`` lists the rows that had bits beyond the vertex range; within
@@ -474,28 +471,6 @@ def _check_adjacency(adj: np.ndarray, wide: Sequence[int] = ()) -> None:
         raise ValueError(f"loop at vertex {u}")
     v = int((adj[u] > adj[:, u]).argmax())
     raise ValueError(f"adjacency not symmetric at ({u},{v})")
-
-
-def _book_scan(g: Graph) -> tuple[int, BookCertificate | None]:
-    """Largest codegree over the edges (u, v), u < v, at its
-    lexicographically least base, with its certificate; (0, None) for
-    an edgeless graph.
-
-    Vertex u ANDs its word row against the rows of its neighbours
-    v > u and popcounts each, so the work grows with the edge count and
-    temporary memory stays within O(n * ceil(n/64)) words.
-    """
-    n, words = g.n, g.words
-    best = None
-    for u in range(n - 1):
-        later = np.flatnonzero(_unpack(words[u : u + 1], n)[0, u + 1 :]) + (u + 1)
-        if later.size == 0:
-            continue
-        counts = np.bitwise_count(words[later] & words[u]).sum(axis=1)
-        k = int(counts.argmax())
-        if best is None or counts[k] > best[0]:
-            best = (int(counts[k]), u, int(later[k]))
-    return (best[0], BookCertificate.from_base(g, best[1], best[2])) if best else (0, None)
 
 
 def _row_stripes(words: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray, Iterator]]:

@@ -2,7 +2,7 @@
 
 Theorem-derived inequalities are compared in exact arithmetic, so user
 inputs (CLI decimals, JSON fields) are normalized to Fraction as early
-as possible and floats appear only in reports.
+as possible and floats appear only in the human summaries on stderr.
 """
 
 from __future__ import annotations
@@ -52,8 +52,3 @@ def fraction_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to a fixed number of significant digits for stable reports."""
-    return float(f"{x:.{digits}g}")

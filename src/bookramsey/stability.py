@@ -36,16 +36,6 @@ class VertexClassification:
     V3: tuple[int, ...]
     V_iso: tuple[int, ...]
 
-    def parts(self) -> dict[str, tuple[int, ...]]:
-        return {
-            "U1": self.U1,
-            "U2": self.U2,
-            "V1": self.V1,
-            "V2": self.V2,
-            "V3": self.V3,
-            "V_iso": self.V_iso,
-        }
-
 
 def _check_independent(g: Graph, part, name: str) -> None:
     inside = np.flatnonzero(g.degrees_into(part, part))
@@ -79,14 +69,6 @@ def classify(g: Graph, U1, U2) -> VertexClassification:
     )
 
 
-def induced_min_degree(g: Graph, cls: VertexClassification) -> int:
-    """Minimum degree of the induced bipartite graph on U1 and U2 (0 when empty)."""
-    Un = (*cls.U1, *cls.U2)
-    if not Un:
-        return 0
-    return g.min_degree_induced(Un)
-
-
 def red_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
     """Average red codegree over base pairs inside U2, as an exact bound.
 
@@ -117,7 +99,7 @@ def blue_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
     """
     if not cls.V3:
         raise ValueError("V3 is empty")
-    delta = induced_min_degree(g, cls)
+    delta = g.min_degree_induced(cls.U1 + cls.U2)
     n3 = len(cls.V3)
     best = None
     for part in (cls.U1, cls.U2):
@@ -126,21 +108,6 @@ def blue_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
         if best is None or val > best:
             best = val
     return best
-
-
-def classification_report(g: Graph, cls: VertexClassification) -> dict:
-    """Exact side data: part sizes, delta(G0), and the zero cross counts.
-
-    e(U1, V2) and e(U2, V1) vanish by definition of V1 and V2; they are
-    recomputed here as a self-check rather than assumed.
-    """
-    return {
-        "sizes": {k: len(v) for k, v in cls.parts().items()},
-        "delta_G0": induced_min_degree(g, cls),
-        "e_U1_V2": g.edges_between(cls.U1, cls.V2),
-        "e_U2_V1": g.edges_between(cls.U2, cls.V1),
-        "e_U_V3": g.edges_between(cls.U1 + cls.U2, cls.V3),
-    }
 
 
 # ------------------------------------------------------------- extraction
@@ -282,7 +249,7 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
         source = "extractor"
     cls = classify(g, U1, U2)
     order = len(cls.U1) + len(cls.U2)
-    delta = induced_min_degree(g, cls)
+    delta = g.min_degree_induced(cls.U1 + cls.U2)
     iii_holds = order >= (1 - xi) * n and delta > (Fraction(1, 2) - 2 * xi) * n
     iii: bool | str
     if iii_holds:

@@ -14,6 +14,7 @@ import sys
 import time
 import tracemalloc
 import traceback
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,8 @@ from bookramsey.stability import (
     classify,
     red_book_bound,
 )
+
+from helpers import graph_of
 
 ENTRY = "from bookramsey.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
 
@@ -364,10 +367,10 @@ def test_criterion_7_stability_bounds(capsys):
         for _ in range(200):
             n = int(rng.integers(8, 40))
             m = np.triu(rng.random((n, n)) < rng.uniform(0.15, 0.7), k=1).astype(np.uint8)
-            g = Graph.from_bool_matrix(m | m.T)
+            g = graph_of(m | m.T)
             U1, U2 = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
             cls = classify(g, U1, U2)
-            flat = sorted(v for part in cls.parts().values() for v in part)
+            flat = sorted(v for part in asdict(cls).values() for v in part)
             if flat != list(range(n)):
                 violations += 1
                 continue

@@ -550,7 +550,7 @@ def test_classify_two_blue_cliques(files):
 # ---------------------------------------------------------------- trichotomy
 
 
-def test_trichotomy_with_and_without_candidate(files):
+def test_trichotomy_with_and_without_candidate(files, tmp_path):
     code, report, _ = run_cli("trichotomy", files["kbb"], "--xi", "1/10")
     assert code == 0
     res = report["results"]
@@ -561,6 +561,13 @@ def test_trichotomy_with_and_without_candidate(files):
     )
     assert report["results"]["G0_source"] == "candidate"
     assert report["results"]["iii"] is True
+    # an empty G0 has minimum degree 0 and refutes branch (iii)
+    write_coloring_file(tmp_path / "tc5.brc1", two_cliques(5))
+    empty = _text_file(tmp_path, "[[], []]")
+    code, report, _ = run_cli("trichotomy", tmp_path / "tc5.brc1", "--xi", "1/10", "--candidate", empty)
+    assert code == 0
+    res = report["results"]
+    assert (res["G0_order"], res["delta_G0"], res["iii"]) == (0, 0, False)
 
 
 def test_trichotomy_reads_brc1(files, tmp_path):
@@ -648,6 +655,20 @@ HOSTILE = {
             ),
         ],
         "repeated vertex in a side",
+    ),
+    "lemma-epsilon-zero": (
+        lambda f, t: ["lemma-check", _config(f, t, blocks=[[0, 1, 2], [10, 11, 12]], bases=1, epsilon="0")],
+        "eps must be positive",
+    ),
+    "lemma-epsilon-zero-above-oracle-cap": (
+        lambda f, t: [
+            "lemma-check",
+            _config(
+                f, t, graph=Graph.complete(34).to_graph6(), blocks=[list(range(17)), list(range(17, 34))], bases=1,
+                epsilon="0",
+            ),
+        ],
+        "eps must be positive",
     ),
     "construct-negative-order": (
         lambda f, t: ["construct", "tripartite", "--n", -3, "--epsilon", "1/200", "--out", t / "x.brc1"],

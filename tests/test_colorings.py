@@ -296,8 +296,8 @@ def test_tripartite_parts():
 
 def test_tripartite_random_is_deterministic_and_intra_red():
     params = ConstructionParams(30, Fraction(1, 200), seed=4)
-    c1 = tripartite_random(params, check_margins=False)
-    c2 = tripartite_random(params, check_margins=False)
+    c1 = tripartite_random(params)
+    c2 = tripartite_random(params)
     assert c1 == c2
     parts = tripartite_parts(30)
     for part in parts:
@@ -306,25 +306,26 @@ def test_tripartite_random_is_deterministic_and_intra_red():
                 if i < j:
                     assert c1.red.has_edge(i, j)
     # a different seed moves at least one cross edge
-    c3 = tripartite_random(
-        ConstructionParams(30, Fraction(1, 200), seed=5), check_margins=False
-    )
+    c3 = tripartite_random(ConstructionParams(30, Fraction(1, 200), seed=5))
     assert c3 != c1
 
 
 def test_tripartite_cross_colors_follow_rng():
     params = ConstructionParams(12, Fraction(1, 200), seed=2)
-    c = tripartite_random(params, check_margins=False)
+    c = tripartite_random(params)
     thr = probability_threshold(params.p)
     for i, j in c.blue.edges():
         assert edge_value(params.seed, edge_index(i, j)) >= thr
 
 
 def test_degenerate_bias_forces_all_cross_blue():
-    # delta = 1/2 drives the red cross probability to zero; on n = 6 the
-    # blue graph is the complete tripartite K_{2,2,2}
+    # delta = 1/2 would drive the red cross probability to zero, which the
+    # second margin refuses; on n = 6 every cross edge blue is the complete
+    # tripartite K_{2,2,2}
     params = ConstructionParams(6, Fraction(1, 200), delta=Fraction(1, 2))
-    c = tripartite_random(params, check_margins=False)
+    with pytest.raises(ValueError, match="k2=-47/200"):
+        tripartite_random(params)
+    c = TwoColoring(6, Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]).complement())
     assert c.bk_blue()[0] == 2
     assert c.bk_red()[0] == 0
     stats = construction_statistics(c, tripartite_parts(6))
@@ -337,8 +338,7 @@ def test_margin_check_gates_construction():
     # once eps is this large, so validation must refuse
     params = ConstructionParams(12, Fraction(1, 50), seed=2)
     with pytest.raises(ValueError):
-        tripartite_random(params, check_margins=True)
-    tripartite_random(params, check_margins=False)
+        tripartite_random(params)
 
 
 # ----------------------------------------------------------------- statistics
@@ -352,7 +352,7 @@ def naive_codegree_mean(g: Graph, edges) -> Fraction:
 
 def test_construction_statistics_against_naive_counts():
     params = ConstructionParams(30, Fraction(1, 200), seed=11)
-    c = tripartite_random(params, check_margins=False)
+    c = tripartite_random(params)
     parts = tripartite_parts(30)
     stats = construction_statistics(c, parts)
 
@@ -382,7 +382,7 @@ def test_construction_statistics_against_naive_counts():
 
 def test_red_cross_page_split_adds_up():
     params = ConstructionParams(30, Fraction(1, 200), seed=3)
-    c = tripartite_random(params, check_margins=False)
+    c = tripartite_random(params)
     stats = construction_statistics(c, tripartite_parts(30))
     rc = stats["red_cross"]
     if rc["edges"]:

@@ -8,6 +8,7 @@ largest book, the same classes and the same errors.
 """
 
 import itertools
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bookramsey.graphs import Graph, bits_of, vertex_mask
+from bookramsey.graphs import bits_of, vertex_mask
 from bookramsey.regularity import (
     BipartitePairView,
     MultiPairConfig,
@@ -24,7 +25,9 @@ from bookramsey.regularity import (
     check_witness,
     triangle_bound,
 )
-from bookramsey.stability import blue_book_bound, classification_report, classify, red_book_bound
+from bookramsey.stability import blue_book_bound, classify, red_book_bound
+
+from helpers import classification_report, graph_of
 
 # ---------------------------------------------------------------- references
 
@@ -104,7 +107,7 @@ def configs(draw):
     k = draw(st.integers(1, 3))
     n = t * (nbases + k) + draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    host = Graph.from_bool_matrix(random_graph(rng, n, draw(st.floats(0.05, 0.95))))
+    host = graph_of(random_graph(rng, n, draw(st.floats(0.05, 0.95))))
     perm = rng.permutation(n).tolist()
     blocks = [perm[i * t : (i + 1) * t] for i in range(nbases + k)]
     eps = draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)]))
@@ -121,7 +124,7 @@ def graphs_with_parts(draw):
     if draw(st.booleans()):  # make both parts independent
         for part in (U1, U2):
             adj[np.ix_(part, part)] = False
-    return Graph.from_bool_matrix(adj), U1, U2
+    return graph_of(adj), U1, U2
 
 
 # ------------------------------------------------------------------ tests
@@ -161,7 +164,7 @@ def test_classification_matches_the_bigint_loops(case):
             classify(g, U1, U2)
         return
     cls = classify(g, U1, U2)
-    assert {k: v for k, v in cls.parts().items() if k.startswith("V")} == want
+    assert {k: v for k, v in asdict(cls).items() if k.startswith("V")} == want
     report = classification_report(g, cls)
     assert report["e_U1_V2"] == ref_cross_count(g, cls.U1, cls.V2)
     assert report["e_U2_V1"] == ref_cross_count(g, cls.U2, cls.V1)
@@ -182,7 +185,7 @@ def test_classification_matches_the_bigint_loops(case):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.data())
 def test_witness_check_counts_like_the_bigint_loop(seed, n, data):
     rng = np.random.default_rng(seed)
-    g = Graph.from_bool_matrix(random_graph(rng, n, float(rng.random())))
+    g = graph_of(random_graph(rng, n, float(rng.random())))
     perm = rng.permutation(n).tolist()
     cut = data.draw(st.integers(1, n - 1))
     pair = BipartitePairView(g, perm[:cut], perm[cut:])

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from bookramsey.colorings import TwoColoring
 from bookramsey.graphs import Graph, bits_of, vertex_mask
 
+from helpers import graph_of
+
 ORDERS = (0, 1, 2, 63, 64, 65, 127, 128, 129)
 
 
@@ -102,6 +104,6 @@ def test_equality_and_hash_follow_the_rows(case, data):
     assert (g == h) == (tuple(rows) == tuple(other))
     if g == h:
         assert hash(g) == hash(h)
-    same = Graph.from_bool_matrix(g.adjacency())
+    same = graph_of(g.adjacency())
     assert same == g and hash(same) == hash(g)
     assert g != Graph.empty(n + 1)

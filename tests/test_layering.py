@@ -33,14 +33,14 @@ def test_no_module_but_graphs_knows_the_adjacency_format():
 
 def test_guard_flags_row_reads_and_private_imports():
     source = (
-        "from .graphs import Graph, _book_scan\n"
+        "from .graphs import Graph, _unpack\n"
         "from bookramsey.graphs import _pack\n"
         "from .colorings import _private\n"
         "def f(g):\n"
         "    return g.rows[0] & g.host.rows[1]\n"
     )
     assert layering_violations(source) == [
-        "line 1: imports _book_scan",
+        "line 1: imports _unpack",
         "line 2: imports _pack",
         "line 5: reads .rows",
         "line 5: reads .rows",

@@ -5,6 +5,7 @@ bound functions are instance-level theorems, so every random instance is
 a hard assertion, not a statistical check.
 """
 
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -15,17 +16,17 @@ from bookramsey.stability import (
     VertexClassification,
     bipartite_extract,
     blue_book_bound,
-    classification_report,
     classify,
-    induced_min_degree,
     red_book_bound,
     trichotomy_check,
 )
 
+from helpers import classification_report, graph_of
+
 
 def random_graph(rng, n, p=0.5):
     m = np.triu(rng.random((n, n)) < p, k=1).astype(np.uint8)
-    return Graph.from_bool_matrix(m | m.T)
+    return graph_of(m | m.T)
 
 
 def assert_classification_matches_naive(g, cls):
@@ -34,7 +35,7 @@ def assert_classification_matches_naive(g, cls):
     ]
     assert sorted(everything) == list(range(g.n))
     s1, s2 = set(cls.U1), set(cls.U2)
-    buckets = {k: set(v) for k, v in cls.parts().items()}
+    buckets = {k: set(v) for k, v in asdict(cls).items()}
     for v in range(g.n):
         if v in s1 or v in s2:
             continue
@@ -51,7 +52,7 @@ def test_classify_full_bipartition_leaves_nothing_outside():
     g = Graph.complete_bipartite(4, 6)
     cls = classify(g, range(4), range(4, 10))
     assert cls.V1 == cls.V2 == cls.V3 == cls.V_iso == ()
-    assert induced_min_degree(g, cls) == 4
+    assert g.min_degree_induced(cls.U1 + cls.U2) == 4
 
 
 def test_classify_star_with_empty_second_part():
@@ -90,7 +91,7 @@ def test_report_cross_counts_vanish_by_definition():
     assert rep["e_U1_V2"] == 0
     assert rep["e_U2_V1"] == 0
     assert sum(rep["sizes"].values()) == 25
-    assert rep["delta_G0"] == induced_min_degree(g, cls)
+    assert rep["delta_G0"] == g.min_degree_induced(cls.U1 + cls.U2)
 
 
 # ------------------------------------------------------------ red book bound
@@ -152,7 +153,7 @@ def test_blue_bound_single_v3_vertex_hits_delta():
     g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 2), (4, 3), (4, 0)])
     cls = classify(g, [0, 1], [2, 3])
     assert cls.V3 == (4,)
-    assert blue_book_bound(g, cls) == induced_min_degree(g, cls) == 2
+    assert blue_book_bound(g, cls) == g.min_degree_induced(cls.U1 + cls.U2) == 2
 
 
 def test_blue_bound_never_exceeds_blue_booksize():

@@ -31,6 +31,8 @@ from bookramsey.regularity import (
 from bookramsey.rng import subset_sampler
 from bookramsey.stability import bipartite_extract
 
+from helpers import graph_of
+
 # ---------------------------------------------------------------- references
 
 
@@ -239,7 +241,7 @@ def shuffled_pair(rng, cross: np.ndarray, extra: int = 0, inside_p: float = 0.5)
     adj = upper | upper.T
     adj[np.ix_(A, B)] = cross
     adj[np.ix_(B, A)] = cross.T
-    host = Graph.from_bool_matrix(adj)
+    host = graph_of(adj)
     return BipartitePairView(host, tuple(A.tolist()), tuple(B.tolist()))
 
 
@@ -261,7 +263,7 @@ def near_bipartite(seed: int, n: int = 999) -> Graph:
     blue[V, :] = noise[V, :]
     blue[:, V] = noise[:, V]
     np.fill_diagonal(blue, False)
-    return Graph.from_bool_matrix(blue)
+    return graph_of(blue)
 
 
 EPSILONS = [
@@ -428,7 +430,7 @@ def test_uniformity_cli_at_epsilon_1e_minus_40(tmp_path, graph, sampled, code, r
 def test_extractor_matches_reference_on_random_graphs(n, p, graph_seed, seed, restarts):
     rng = np.random.default_rng(graph_seed)
     upper = np.triu(rng.random((n, n)) < p, 1)
-    g = Graph.from_bool_matrix(upper | upper.T)
+    g = graph_of(upper | upper.T)
     got = bipartite_extract(g, seed=seed, restarts=restarts)
     assert got == ref_bipartite_extract(g, seed=seed, restarts=restarts)
 
