@@ -533,6 +533,21 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         results, summary, code = args.handler(args)
+        wall_ms = int(round((time.perf_counter() - start) * 1000))
+        # built before anything is written: a value too long to print
+        # (ValueError) then leaves stdout empty
+        if args.format == "csv":
+            text = args.csv(results)
+        else:
+            report = {
+                "command": args.command,
+                "parameters": jsonable(_parameters(args)),
+                "results": jsonable(results),
+                "seed": args.seed if args.seeded else None,
+                "wall_time_ms": wall_ms,
+                "version": __version__,
+            }
+            text = json.dumps(report, sort_keys=True) + "\n"
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -542,21 +557,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    wall_ms = int(round((time.perf_counter() - start) * 1000))
-
-    if args.format == "csv":
-        sys.stdout.write(args.csv(results))
-    else:
-        report = {
-            "command": args.command,
-            "parameters": jsonable(_parameters(args)),
-            "results": jsonable(results),
-            "seed": args.seed if args.seeded else None,
-            "wall_time_ms": wall_ms,
-            "version": __version__,
-        }
-        json.dump(report, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+    sys.stdout.write(text)
     print(summary, file=sys.stderr)
     return code
 

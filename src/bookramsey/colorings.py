@@ -282,11 +282,11 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     terms of its expectation can be checked separately.
 
     The class totals come from ``Graph.part_codegrees`` of the red
-    graph, which walks the pairs in the same tiled float32 codegree
-    pass as ``bk`` and ``witness-check`` (``Graph.books``) and holds
-    float32 stripes of rows, not (n/3)^2 blocks.  A blue base takes its
-    codegree from the red one, cb = n - 2 - d_r(u) - d_r(v) + cr, and a
-    blue base inside a part counts towards bk_blue only.
+    graph, which reduces the same tiled codegree walk as ``bk`` and
+    ``witness-check`` (``Graph.books``) and holds float32 stripes of
+    rows, not (n/3)^2 blocks.  A blue base takes its codegree in the
+    complement of the red graph, and a blue base inside a part counts
+    towards bk_blue only.
     """
     n = c.n
     if n == 0:

@@ -7,15 +7,12 @@ codegrees, for edge counts between vertex sets (``edges_between``,
 ``degrees_into``), or for the bool matrix of a few rows against a few
 columns (``adjacency``).  ``booksize`` (graph6 ``bk``) scans one
 graph's edges itself, ANDing word rows, so its cost grows with the edge
-count.  ``books`` reads the books of the graph and of its complement
-(both booksizes, or the red-first book search behind
-``ramsey.check_coloring``) from one tiled float32 codegree product over
-all pairs, exact whatever the BLAS summation order or thread count
-because its sums are integers below 2**24.  ``part_codegrees`` (the
-``stats`` command) shares that tile walk, ``_row_stripes``, and sums
-the codegrees by part pair.  ``Graph(n, rows)``, the one checked
-constructor, checks outside int rows once; decoding and the
-constructions build valid words and skip the check.  Graphs are immutable; share them freely.
+count.  ``books`` (the books of both colours, or the red-first book
+search behind ``ramsey.check_coloring``) and ``part_codegrees`` (the
+``stats`` command) reduce one walk over the codegrees of all pairs,
+``_codegree_tiles``.  ``Graph(n, rows)``, the one checked constructor,
+checks outside int rows once; decoding and the constructions build
+valid words and skip the check.  Graphs are immutable; share them freely.
 
 Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
 which is the row-major strict lower triangle of the matrix.  graph6
@@ -252,7 +249,7 @@ class Graph:
 
     def books(self, at_least: tuple[int, int] | None = None) -> tuple[tuple, tuple]:
         """Books of this graph (blue) and of its complement (red) from one
-        codegree pass over all pairs: ((size, certificate) blue,
+        ``_codegree_tiles`` walk: ((size, certificate) blue,
         (size, certificate) red), with (0, None) where there is none.
 
         Without ``at_least``, each colour's largest book at its
@@ -262,10 +259,41 @@ class Graph:
         red target, where the scan stops; only when there is none, the
         first blue base edge whose book reaches the blue target.  The
         other colour reads (0, None).
+
+        Per tile, each row keeps the first column of its largest key: one
+        more than a pair's codegree in the colour (0 elsewhere) or, with
+        targets, whether it reaches its colour's target, clamped to n
+        since a book has at most n - 2 pages.  A finished row stripe keeps
+        its first row of the largest key.
         """
-        blue, red = _codegree_product(self, at_least)
-        blue = blue and BookCertificate.from_base(self, *blue)
-        red = red and BookCertificate.from_base(self.complement(), *red)
+        n = self.n
+        targets = None if at_least is None else [min(t, n) for t in at_least]
+        best = [0.5, 0.5]  # a key counts from 1 on
+        found = [None, None]
+        for r0, c0, c, cc, edge, other, _ in _codegree_tiles(self.words, n):
+            if c0 == r0:
+                top = np.zeros((2, len(c)), dtype=np.float32)
+                col = np.zeros((2, len(c)), dtype=np.intp)
+            for k, (value, mask) in enumerate(((c, edge), (cc, other))):
+                if targets is None:
+                    key = np.multiply(np.add(value, 1, out=value), mask, out=value)
+                else:
+                    key = np.logical_and(mask, value >= targets[k], out=mask)
+                most = key.max(axis=1)
+                better = most > top[k]
+                top[k][better] = most[better]
+                col[k][better] = key.argmax(axis=1)[better] + c0
+            if c0 + c.shape[1] < n:
+                continue
+            for k in (0, 1):
+                i = int(top[k].argmax())
+                if top[k][i] > best[k]:
+                    best[k], found[k] = top[k][i], (r0 + i, int(col[k][i]))
+            if targets is not None and found[1] is not None:
+                found[0] = None
+                break
+        blue = found[0] and BookCertificate.from_base(self, *found[0])
+        red = found[1] and BookCertificate.from_base(self.complement(), *found[1])
         return tuple((cert.size, cert) if cert else (0, None) for cert in (blue, red))
 
     def part_codegrees(self, parts: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -277,13 +305,12 @@ class Graph:
         that holds neither end], the last 0 inside a part.
 
         The vertices are relabelled, a stripe at a time, so that the
-        parts are contiguous, and the pairs go tile by tile through
-        ``_row_stripes`` as in ``books``.  A tile's codegrees are the sum
-        of three float32 products, one over each part's columns.  Cut at
-        the part boundaries into sub-tiles of parts (a, b), the product
-        over part 3 - a - b gives the third-part pages of a cross pair,
-        and a non-edge takes n - 2 - d(u) - d(v) plus its codegree.  The
-        totals are int64 sums, exact.
+        parts are contiguous, and ``_codegree_tiles`` cuts its products
+        at the part boundaries.  Each tile is split at those boundaries
+        into sub-tiles of parts (a, b); an edge class adds the count, sum
+        and maximum of its codegrees there, and a cross edge its pages in
+        part 3 - a - b from that part's product.  The totals are int64
+        sums, exact.
         """
         n = self.n
         order = np.concatenate([np.asarray(p, dtype=np.intp) for p in parts])
@@ -291,10 +318,6 @@ class Graph:
         words = np.empty_like(self.words)
         for r0 in range(0, n, _STRIPE):
             words[r0 : r0 + _STRIPE] = _pack(self.adjacency(order[r0 : r0 + _STRIPE], order))
-        degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
-        s = min(_STRIPE, n)
-        scratch = np.empty((5, s * s), dtype=np.float32)  # one product per part, codegrees, non-edge codegrees
-        masks = np.empty((2, s * s), dtype=bool)
         out = np.zeros((4, 4), dtype=np.int64)
 
         def pieces(lo: int, hi: int) -> list[tuple[int, slice]]:
@@ -302,32 +325,17 @@ class Graph:
             cuts = [(k, max(lo, bounds[k]), min(hi, bounds[k + 1])) for k in range(3)]
             return [(k, slice(a - lo, b - lo)) for k, a, b in cuts if a < b]
 
-        for r0, r1, left, tiles in _row_stripes(words, n):
-            for c0, c1, right in tiles:
-                shape = (r1 - r0, c1 - c0)
-                *by_part, cr, co, edge, other = (a[: shape[0] * shape[1]].reshape(shape) for a in (*scratch, *masks))
-                for k in range(3):
-                    cols = slice(bounds[k], bounds[k + 1])
-                    np.matmul(left[:, cols], right[:, cols].T, out=by_part[k])
-                np.add(by_part[0], by_part[1], out=cr)
-                cr += by_part[2]
-                np.add(degree[r0:r1, None], degree[None, c0:c1] - (n - 2), out=co)
-                np.subtract(cr, co, out=co)
-                np.greater(left[:, c0:c1], 0, out=edge)
-                np.logical_not(edge, out=other)
-                if c0 == r0:
-                    low = np.tri(r1 - r0, dtype=bool)
-                    edge[low] = other[low] = False
-                for a, rows in pieces(r0, r1):
-                    for b, cols in pieces(c0, c1):
-                        cross = int(a != b)
-                        for total, mask, value in ((out[cross], edge, cr), (out[2 + cross], other, co)):
-                            picked = value[rows, cols][mask[rows, cols]]
-                            if picked.size:
-                                total[:2] += picked.size, picked.sum(dtype=np.int64)
-                                total[2] = max(total[2], picked.max())
-                        if cross:
-                            out[1, 3] += by_part[3 - a - b][rows, cols][edge[rows, cols]].sum(dtype=np.int64)
+        for r0, c0, c, cc, edge, other, by_part in _codegree_tiles(words, n, bounds[1:3]):
+            for a, rows in pieces(r0, r0 + c.shape[0]):
+                for b, cols in pieces(c0, c0 + c.shape[1]):
+                    cross = int(a != b)
+                    for total, mask, value in ((out[cross], edge, c), (out[2 + cross], other, cc)):
+                        picked = value[rows, cols][mask[rows, cols]]
+                        if picked.size:
+                            total[:2] += picked.size, picked.sum(dtype=np.int64)
+                            total[2] = max(total[2], picked.max())
+                    if cross:
+                        out[1, 3] += by_part[3 - a - b][rows, cols][edge[rows, cols]].sum(dtype=np.int64)
         return out.tolist()
 
     def complement(self) -> "Graph":
@@ -473,98 +481,58 @@ def _check_adjacency(adj: np.ndarray, wide: Sequence[int]) -> None:
     raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
 
-def _row_stripes(words: np.ndarray, n: int) -> Iterator[tuple[int, int, np.ndarray, Iterator]]:
-    """The pairs (u, v), u < v, in tiles of _STRIPE rows by _STRIPE
-    columns over the upper triangle, as 0/1 float32 word rows.
+def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
+    """The codegrees of the pairs (u, v), u < v, of the graph with these
+    word rows, in tiles of _STRIPE rows by _STRIPE columns: row stripes
+    in order, each against the column stripes from its own on.
 
-    Yields (r0, r1, left, tiles) per row stripe: ``left`` holds rows
-    r0..r1-1, and ``tiles`` yields (c0, c1, right) for the column
-    stripes c0 >= r0, ``right`` holding rows c0..c1-1; both are zero
-    past column n.  Rows are unpacked through a 256-entry byte table
-    into two stripe buffers allocated once, which the next yield of the
-    same kind overwrites, so the walk holds O(_STRIPE n) memory.
+    Yields (r0, c0, c, cc, edge, other, parts) for the tile of rows
+    r0.. and columns c0..: the codegrees c, the codegrees in the
+    complement cc = n - 2 - d(u) - d(v) + c (meaningful at non-edges),
+    the masks of the edges and of the non-edges u < v, and the products
+    over the vertex ranges that ``cuts`` splits [0, n) into, which sum
+    to c (without cuts, parts is [c]).  Tile rows are unpacked to 0/1
+    float32 through a 256-entry byte table, and c is their product.
+    All arrays are buffers allocated once and rebuilt for each tile, so
+    a caller may overwrite them; the walk holds O(_STRIPE n) memory.
     """
-    # Every product of these rows, and every term of a complement
-    # identity over them, is an integer of magnitude at most 2n, so
-    # float32 is exact, in any summation order and so for any BLAS
-    # thread count.
+    # Every product of these rows, and every term of the complement
+    # identity, is an integer of magnitude at most 2n, so float32 is
+    # exact, in any summation order and so for any BLAS thread count.
     assert 2 * n < 1 << 24, "float32 codegrees are exact only below 2**24"
-    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    byte_bits = byte_bits.astype(np.float32)
-    stripes = np.empty((2, min(_STRIPE, n), 64 * words.shape[1]), dtype=np.float32)
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.float32)
+    degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
+    s = min(_STRIPE, n)
+    stripes = np.empty((2, s, 64 * words.shape[1]), dtype=np.float32)
+    scratch = np.empty((2 + (len(cuts) + 1 if cuts else 0), s * s), dtype=np.float32)
+    masks = np.empty((2, s * s), dtype=bool)
+    bounds = [0, *cuts, None]
+    ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    def rows(r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        index = words[r0:r1].view(np.uint8)
-        np.take(byte_bits, index, axis=0, out=out[: r1 - r0].reshape(*index.shape, 8), mode="clip")
-        return out[: r1 - r0]
-
-    def tiles(r0: int) -> Iterator[tuple[int, int, np.ndarray]]:
-        for c0 in range(r0, n, _STRIPE):
-            c1 = min(c0 + _STRIPE, n)
-            yield c0, c1, rows(c0, c1, stripes[1])
+    def rows(r0: int, out: np.ndarray) -> np.ndarray:
+        index = words[r0 : r0 + _STRIPE].view(np.uint8)
+        np.take(byte_bits, index, axis=0, out=out[: len(index)].reshape(*index.shape, 8), mode="clip")
+        return out[: len(index)]
 
     for r0 in range(0, n, _STRIPE):
-        r1 = min(r0 + _STRIPE, n)
-        yield r0, r1, rows(r0, r1, stripes[0]), tiles(r0)
-
-
-def _codegree_product(g: Graph, at_least: tuple[int, int] | None = None) -> list:
-    """Codegree scan of g (blue) and its complement (red) over all pairs
-    (u, v), u < v, in lexicographic order; see ``Graph.books``.
-
-    Returns [blue, red], each a base (u, v) or None.  The pairs go tile
-    by tile through ``_row_stripes``; a tile's rows give the blue
-    codegrees cb(u, v) as ``left @ right.T``.  One float32 array then
-    holds both colours: cb at blue pairs, -1 - cr at red ones, with the
-    complement identity cr(u, v) = n - 2 - d(u) - d(v) + cb(u, v) for
-    non-adjacent u, v, and -0.5 at v <= u.  The blue key is that value,
-    or whether it reaches the blue target; the red key is its negation,
-    or whether it reaches the red one.  Each row keeps the first column
-    of its largest key over the tiles, and a finished row stripe yields
-    the first row of its largest key, so ties go to the
-    lexicographically least base and a target is met at the first base
-    that reaches it.  With targets the scan stops at the row stripe of
-    the first red hit and drops any blue one.  Besides the walk's
-    stripes, temporary memory is O(_STRIPE^2), allocated once.
-    """
-    n, words = g.n, g.words
-    # scratch is allocated once, so the loop makes no large allocation
-    # for the allocator to keep
-    s = min(_STRIPE, n)
-    scratch = np.empty((2, s * s), dtype=np.float32)
-    mask = np.empty(s * s, dtype=bool)
-    degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
-    # a key must beat this to count: a blue pair (key cb >= 0), a red one
-    # (key 1 + cr >= 1), or a reached target (key 1)
-    best = [-0.5, 0.5] if at_least is None else [0.0, 0.0]
-    found = [None, None]
-    for r0, r1, left, tiles in _row_stripes(words, n):
-        top = np.full((2, r1 - r0), -np.inf, dtype=np.float32)
-        col = np.zeros((2, r1 - r0), dtype=np.intp)
-        for c0, c1, right in tiles:
-            shape = (r1 - r0, c1 - c0)
-            cb, value, blue = (a[: shape[0] * shape[1]].reshape(shape) for a in (*scratch, mask))
-            np.matmul(left, right.T, out=cb)
-            np.add(degree[r0:r1, None], degree[None, c0:c1] - (n - 1), out=value)
-            value -= cb
-            np.copyto(value, cb, where=np.greater(left[:, c0:c1], 0, out=blue))
+        left = rows(r0, stripes[0])
+        for c0 in range(r0, n, _STRIPE):
+            right = rows(c0, stripes[1])
+            shape = (len(left), len(right))
+            c, cc, *parts = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
+            edge, other = (a[: shape[0] * shape[1]].reshape(shape) for a in masks)
+            parts = parts or [c]  # without cuts, c is the one range product
+            for part, cols in zip(parts, ranges):
+                np.matmul(left[:, cols], right[:, cols].T, out=part)
+            if cuts:
+                np.add(parts[0], parts[1], out=c)
+                for part in parts[2:]:
+                    c += part
+            np.add(degree[r0 : r0 + shape[0], None], degree[None, c0 : c0 + shape[1]] - (n - 2), out=cc)
+            np.subtract(c, cc, out=cc)
+            np.greater(left[:, c0 : c0 + shape[1]], 0, out=edge)
+            np.logical_not(edge, out=other)
             if c0 == r0:
-                value[np.tri(r1 - r0, dtype=bool)] = -0.5
-            for k in (0, 1):
-                if at_least is None:
-                    key = value if k == 0 else np.negative(value, out=cb)
-                elif k == 0:
-                    key = np.greater_equal(value, at_least[0], out=blue)
-                else:
-                    key = np.less_equal(value, -1 - at_least[1], out=blue)
-                most = key.max(axis=1)
-                better = most > top[k]
-                top[k][better] = most[better]
-                col[k][better] = key.argmax(axis=1)[better] + c0
-        for k in (0, 1):
-            i = int(top[k].argmax())
-            if top[k][i] > best[k]:
-                best[k], found[k] = top[k][i], (r0 + i, int(col[k][i]))
-        if at_least is not None and found[1] is not None:
-            return [None, found[1]]
-    return found
+                low = np.tri(shape[0], dtype=bool)
+                edge[low] = other[low] = False
+            yield r0, c0, c, cc, edge, other, parts

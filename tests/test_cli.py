@@ -267,6 +267,19 @@ def test_witness_check_red_refutation_names_first_base(tmp_path):
     assert proc.stderr == "red book of size 2 at base (1, 2)\n"
 
 
+def test_witness_check_takes_page_targets_past_float_range(files):
+    # a book on n vertices has at most n - 2 pages, so a huge target
+    # gives the verdict of any target above that
+    code, report, _ = run_cli("witness-check", files["tc2"], 1, 10**400)
+    assert code == 0
+    assert report["results"]["verdict"] == "certificate"
+    assert report["results"]["claim"] == f"r(B_1,B_{10**400}) > 6"
+    code, report, _ = run_cli("witness-check", files["tc2"], 10**400, 1)
+    assert code == 10
+    assert report["results"]["book_color"] == "blue"
+    assert check_coloring(two_cliques(2), 10**400, 10**400) == Neither()
+
+
 # ----------------------------------------------------------------- construct
 
 
@@ -705,6 +718,31 @@ HOSTILE = {
     "candidate-vertex-outside-graph": (
         lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/10", "--candidate", _text_file(t, "[[0, 100], [10]]")],
         "vertex 100 outside the 20-vertex graph",
+    ),
+    # results whose rationals have more digits than str(int) allows
+    "xi-tiny": (
+        lambda f, t: ["trichotomy", f["kbb"], "--xi", "1e-1000"],
+        "for integer string conversion",
+    ),
+    "uniformity-epsilon-tiny": (
+        lambda f, t: ["uniformity", _config(f, t, epsilon="1e-4300")],
+        "for integer string conversion",
+    ),
+    "lemma-csv-bound-tiny": (
+        lambda f, t: [
+            "lemma-check",
+            _config(
+                f, t, graph=Graph.complete(12).to_graph6(), blocks=[list(range(6)), list(range(6, 12))], bases=1,
+                epsilon="1e-4300",
+            ),
+            "--format",
+            "csv",
+        ],
+        "for integer string conversion",
+    ),
+    "construct-epsilon-tiny": (
+        lambda f, t: ["construct", "tripartite", "--n", 30, "--epsilon", "1e-4300", "--out", t / "x.brc1"],
+        "for integer string conversion",
     ),
     "threads-zero": (
         lambda f, t: ["verify", 6, 1, 2, "--threads", 0],

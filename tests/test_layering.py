@@ -1,8 +1,11 @@
-"""Layering guard: the packed adjacency format stays inside graphs.py.
+"""Layering guards: the packed adjacency format stays inside graphs.py,
+and graphs.py multiplies codegrees in one place.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices; none reads the int rows or imports a private helper of
-``graphs``.
+``graphs``.  Inside ``graphs``, the one tile walk ``_codegree_tiles``
+holds the only matrix product, so ``books`` and ``part_codegrees``
+cannot grow a second walk.
 """
 
 import ast
@@ -44,4 +47,50 @@ def test_guard_flags_row_reads_and_private_imports():
         "line 2: imports _pack",
         "line 5: reads .rows",
         "line 5: reads .rows",
+    ]
+
+
+def matmul_sites(source: str) -> list[str]:
+    """Calls of ``np.matmul`` and uses of ``@``, each named by its
+    enclosing function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "matmul":
+                found.append(f"line {child.lineno}: np.matmul in {owner}")
+            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+                found.append(f"line {child.lineno}: @ in {owner}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_graphs_has_one_codegree_product():
+    sites = matmul_sites((PACKAGE / "graphs.py").read_text(encoding="utf-8"))
+    assert [site.split(": ")[1] for site in sites] == ["np.matmul in _codegree_tiles"]
+
+
+def test_guard_names_every_matmul_site():
+    source = (
+        "import numpy as np\n"
+        "def _codegree_tiles(a):\n"
+        "    return np.matmul(a, a.T)\n"
+        "class Graph:\n"
+        "    def books(self, a):\n"
+        "        def key(b):\n"
+        "            return np.matmul(b, b)\n"
+        "        return key(a)\n"
+        "np.matmul(1, 2)\n"
+        "x = y @ z\n"
+    )
+    assert matmul_sites(source) == [
+        "line 3: np.matmul in _codegree_tiles",
+        "line 7: np.matmul in key",
+        "line 9: np.matmul in <module>",
+        "line 10: @ in <module>",
     ]
