@@ -210,11 +210,11 @@ def cmd_construct(args):
         seed=args.seed,
         delta=as_fraction(args.delta) if args.delta is not None else None,
     )
-    c = tripartite_random(params)
-    write_coloring_file(args.out, c)
     k1, k2 = margins(params)
     ri, bc, rc = expected_book_sizes(params)
-    results = {
+    # the results depend on the parameters alone: rendered before the
+    # coloring is built, a value too long to print (ValueError) leaves no file
+    results = jsonable({
         "kind": "tripartite",
         "n": params.n,
         "epsilon": params.epsilon,
@@ -224,7 +224,8 @@ def cmd_construct(args):
         "margins": {"k1": k1, "k2": k2},
         "expected_book_sizes": {"red_intra": ri, "blue_cross": bc, "red_cross": rc},
         "file": args.out,
-    }
+    })
+    write_coloring_file(args.out, tripartite_random(params))
     summary = (
         f"wrote {params.n}-vertex tripartite coloring to {args.out}; "
         f"expected codegrees {float(ri):.4f} / {float(bc):.4f} / {float(rc):.4f}"

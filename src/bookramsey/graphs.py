@@ -26,7 +26,6 @@ words and O(_STRIPE n) bytes.
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -139,19 +138,6 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls.empty(n).complement()
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        index = array("q")  # colex indices, 8 bytes each
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            index.append(u * (u - 1) // 2 + v if u > v else v * (v - 1) // 2 + u)
-        bits = np.zeros(n * (n - 1) // 2, dtype=bool)
-        bits[np.frombuffer(index, dtype=np.int64)] = True
-        return cls.from_colex_bits(n, bits)
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
@@ -379,22 +365,6 @@ class Graph:
         return cls._of_words(n, out.view("<u8"))
 
     # ---------------------------------------------------------------- graph6
-
-    def to_graph6(self) -> str:
-        """Encode in graph6 format (no header, no trailing newline)."""
-        n = self.n
-        if n <= 62:
-            prefix = chr(n + 63)
-        elif n <= 258047:
-            prefix = "~" + "".join(
-                chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0)
-            )
-        else:
-            raise ValueError("graph6 supports at most 258047 vertices here")
-        bits = self.colex_bits()
-        six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
-        vals = np.packbits(six, axis=1).ravel() >> 2
-        return prefix + (vals + 63).tobytes().decode("ascii")
 
     @classmethod
     def from_graph6(cls, text: str, line: int = 1) -> "Graph":

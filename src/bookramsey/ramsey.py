@@ -4,42 +4,42 @@ A 2-coloring of K_N is encoded as the colex bitstring of its blue edge
 indicators, so the space of colorings is the integer range [0, 2^C(N,2))
 and "first counterexample" means lowest index.
 
+The scan covers one scenario after another.  A scenario is a fixed
+partial coloring; the edges it leaves open are the variable bits, in
+colex order.  Unpruned, nothing is fixed.  Symmetry pruning fixes vertex
+0's blue star to {1..d}, one scenario per d: every coloring is
+isomorphic to one of these, so the verdict is unchanged while the
+enumeration shrinks by roughly 2^(N-1)/N.  A scenario becomes a list of
+books, one per base edge and colour that the fixed edges leave
+reachable, each with the open pages that could still complete it.
+
 The kernel is bit-sliced: a batch of candidates is held as one uint64
 word array per variable bit, lane i of word w standing for candidate
 64*w + i of the batch.  Bits 0-5 are fixed lane patterns (0xAAAA...,
-0xCCCC..., ...); a higher bit is an all-ones or all-zeros word.  Page w
-of base (u, v) is red where both bits of {(u,w),(v,w)} are 0, so it is
-the AND of their complemented words, and blue where both are 1, the AND
-of the words.  A saturating unary counter of at most p levels turns the
-pages into "at least p pages", which is ANDed with the base's colour and
-ORed into the batch's hit word.  Each bitwise operation covers 64
-candidates.
+0xCCCC..., ...); a higher bit is an all-ones or all-zeros word.  A red
+page is the AND of its edges' complemented words, a blue page the AND
+of the words.  Per book, a saturating unary counter turns its pages into
+"at least need pages", which is ANDed with the base's word and ORed
+into the batch's hit word.  Each bitwise operation covers 64 candidates.
 
-The scan runs that kernel recursively.  Up to BLOCK_BITS variable bits,
-one call covers every candidate.  Above that, the top nvar - LOW_BITS
-bits form a prefix and the rest its offset.  The prefixes come from the
-same scan one level up, over nvar - LOW_BITS bits and with only the
-books whose base and pages the prefix and the fixed star decide.
-Filling in the offset only adds pages, so a prefix that holds one of
-them holds it in every completion and is dropped; the restrictions
-compose, so every level drops only such prefixes.  Each level takes the
-surviving prefixes in increasing order, 2^(BLOCK_BITS - LOW_BITS) to a
-batch, each with its 2^LOW_BITS offsets, runs every book on them and
-passes on the lanes that no book hits.  The first miss at the top is the
-lowest counterexample.  Every level is a generator, so one kernel batch
-per level is live at a time and no level holds its survivors for the
-whole space.  Everything runs on the calling thread: a batch is a few
-milliseconds of short numpy calls, and a second thread only contends
-for the interpreter lock.
-
-Optional symmetry pruning fixes vertex 0's blue star to {1..d} for each
-d; every coloring is isomorphic to one of these, so the verdict is
-unchanged while the enumeration shrinks by roughly 2^(N-1)/N.
+The kernel runs recursively.  Up to BLOCK_BITS variable bits, one call
+covers every candidate.  Above that, the top nvar - LOW_BITS bits form a
+prefix and the rest its offset.  The prefixes come from the same scan
+one level up, with only the books that the prefix and the fixed edges
+decide.  Filling in the offset only adds pages, so a prefix that holds
+one of them holds it in every completion and is dropped; the
+restrictions compose, so every level drops only such prefixes.  Each
+level takes the surviving prefixes in increasing order, a batch at a
+time with all their offsets, and passes on the lanes that no book hits;
+the first miss at the top is the lowest counterexample.  Every level is
+a generator, so one kernel batch per level is live at a time.  It all
+runs on the calling thread: a batch is a few milliseconds of short numpy
+calls, and a second thread only contends for the interpreter lock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,72 +127,56 @@ _ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)
-class _EdgeSpec:
-    # base_var: variable-bit index of the base edge, or None when fixed
-    base_var: int | None
-    base_blue: bool
-    red_const: int
-    red_pages: tuple[tuple[int, ...], ...]  # red page iff all these bits are 0
-    blue_const: int
-    blue_pages: tuple[tuple[int, ...], ...]  # blue page iff all these bits are 1
+class _Book:
+    """One base edge in one colour: there iff the base has it and `need` pages are wholly it."""
+
+    blue: bool
+    base: int | None  # variable bit of the base edge; None when fixed to this colour
+    need: int  # pages wanted beyond those that fixed edges complete
+    pages: tuple[tuple[int, ...], ...]  # the variable bits of each open page
 
 
-def _build_specs(N: int, star_d: int | None) -> tuple[int, list[int], list[_EdgeSpec]]:
-    """Edge specs for one enumeration scenario.
+def _books(N: int, p: int, q: int, fixed: dict[int, bool]) -> tuple[list[int], list[_Book]]:
+    """The variable edges and the reachable books of one scenario.
 
-    star_d = None enumerates all bitstrings; star_d = d fixes the blue
-    star of vertex 0 to exactly {1..d} and enumerates the remaining
-    C(N-1, 2) bits.  Returns (number of variable bits, the edge index of
-    each variable bit in enumeration order, per-edge specs).
+    `fixed` maps an edge index to "is blue".  A page with a fixed edge of
+    the other colour is lost to a book; a book is dropped when its base is
+    fixed to the other colour or too few of its pages are left.
     """
-    if star_d is None:
-        var_edges = [edge_index(i, j) for j in range(1, N) for i in range(j)]
-        fixed_blue: dict[int, bool] = {}
-    else:
-        var_edges = [edge_index(i, j) for j in range(2, N) for i in range(1, j)]
-        fixed_blue = {edge_index(0, j): j <= star_d for j in range(1, N)}
-    varbit = {e: k for k, e in enumerate(var_edges)}
-
-    specs = []
-    for u in range(N):
-        for v in range(u + 1, N):
-            e = edge_index(u, v)
-            red_const = blue_const = 0
-            red_pages: list[tuple[int, ...]] = []
-            blue_pages: list[tuple[int, ...]] = []
+    var_edges = [e for e in range(N * (N - 1) // 2) if e not in fixed]
+    bit = {e: k for k, e in enumerate(var_edges)}
+    books = []
+    for v in range(1, N):
+        for u in range(v):
+            red_pages, blue_pages = [], []
+            red_need, blue_need = p, q
             for w in range(N):
-                if w in (u, v):
+                if w == u or w == v:
                     continue
-                page: list[int] = []
-                n_fixed_blue = n_fixed_red = 0
+                page = []
+                fixed_red = fixed_blue = False
                 for f in (edge_index(u, w), edge_index(v, w)):
-                    if f in varbit:
-                        page.append(varbit[f])
-                    elif fixed_blue[f]:
-                        n_fixed_blue += 1
+                    if f in bit:
+                        page.append(bit[f])
+                    elif fixed[f]:
+                        fixed_blue = True
                     else:
-                        n_fixed_red += 1
-                if n_fixed_blue == 0:
-                    if page:
-                        red_pages.append(tuple(page))
-                    else:
-                        red_const += 1
-                if n_fixed_red == 0:
-                    if page:
-                        blue_pages.append(tuple(page))
-                    else:
-                        blue_const += 1
-            specs.append(
-                _EdgeSpec(
-                    base_var=varbit.get(e),
-                    base_blue=fixed_blue.get(e, False),
-                    red_const=red_const,
-                    red_pages=tuple(red_pages),
-                    blue_const=blue_const,
-                    blue_pages=tuple(blue_pages),
-                )
-            )
-    return len(var_edges), var_edges, specs
+                        fixed_red = True
+                if page:
+                    page = tuple(page)
+                    if not fixed_blue:
+                        red_pages.append(page)
+                    if not fixed_red:
+                        blue_pages.append(page)
+                else:  # both edges fixed: a page already there, or lost
+                    red_need -= not fixed_blue
+                    blue_need -= not fixed_red
+            e = edge_index(u, v)
+            base = bit.get(e)
+            for blue, need, pages in ((False, red_need, red_pages), (True, blue_need, blue_pages)):
+                if (base is not None or fixed[e] == blue) and need <= len(pages):
+                    books.append(_Book(blue, base, need, tuple(pages)))
+    return var_edges, books
 
 
 def _bit_words(words: int, nbits: int) -> list[np.ndarray]:
@@ -234,28 +218,18 @@ def _at_least(pages: tuple[tuple[int, ...], ...], need: int, colour: list[np.nda
     return level[need - 1]
 
 
-def _block_hit(
-    blue: list[np.ndarray], red: list[np.ndarray], words: int, specs: list[_EdgeSpec], p: int, q: int
-) -> np.ndarray:
-    """Word array: lane set iff that candidate contains a red B_p or blue B_q.
+def _block_hit(blue: list[np.ndarray], red: list[np.ndarray], words: int, books: list[_Book]) -> np.ndarray:
+    """Word array: lane set iff that candidate holds one of the books.
 
     blue[b] and red[b] are the words of variable bit b and its complement.
     """
     hit = np.zeros(words, dtype=np.uint64)
-    for s in specs:
-        for colour, pages, const, target, is_blue in (
-            (red, s.red_pages, s.red_const, p, False),
-            (blue, s.blue_pages, s.blue_const, q, True),
-        ):
-            if s.base_var is None and s.base_blue != is_blue:
-                continue
-            need = target - const
-            if need > len(pages):
-                continue
-            book = _at_least(pages, need, colour, words)
-            if s.base_var is not None:
-                book &= colour[s.base_var]
-            hit |= book
+    for b in books:
+        colour = blue if b.blue else red
+        book = _at_least(b.pages, b.need, colour, words)
+        if b.base is not None:
+            book &= colour[b.base]
+        hit |= book
     return hit
 
 
@@ -265,31 +239,23 @@ def _clear_lanes(hit: np.ndarray, count: int) -> np.ndarray:
     return np.flatnonzero(clear[:count])
 
 
-def _prefix_specs(specs: list[_EdgeSpec], low: int) -> list[_EdgeSpec]:
-    """The books that the bits from `low` up and the fixed star decide.
+def _prefix_books(books: list[_Book], low: int) -> list[_Book]:
+    """The books that the bits from `low` up and the fixed edges decide.
 
-    Bit b >= low becomes bit b - low of the prefix.  A spec stays only if
-    its base is fixed or a prefix bit, with only its all-prefix pages;
-    its consts are kept.  Filling in the low bits only adds pages, so a
-    prefix that holds one of these books holds it in every completion.
+    Bit b >= low becomes bit b - low of the prefix.  A book stays, with
+    its all-prefix pages, if its base is fixed or a prefix bit and those
+    pages can still reach its need.  Filling in the low bits only adds
+    pages, so a prefix that holds one of these holds it in every completion.
     """
-
-    def high(pages):
-        return tuple(tuple(b - low for b in page) for page in pages if min(page) >= low)
-
-    return [
-        replace(
-            s,
-            base_var=None if s.base_var is None else s.base_var - low,
-            red_pages=high(s.red_pages),
-            blue_pages=high(s.blue_pages),
-        )
-        for s in specs
-        if s.base_var is None or s.base_var >= low
-    ]
+    out = []
+    for b in books:
+        pages = tuple(tuple(x - low for x in page) for page in b.pages if min(page) >= low)
+        if (b.base is None or b.base >= low) and b.need <= len(pages):
+            out.append(_Book(b.blue, None if b.base is None else b.base - low, b.need, pages))
+    return out
 
 
-def _misses(nvar: int, specs: list[_EdgeSpec], p: int, q: int):
+def _misses(nvar: int, books: list[_Book]):
     """Yield increasing arrays of the indices in [0, 2^nvar) that no book hits.
 
     Up to BLOCK_BITS bits, one kernel call covers the whole range.  Above
@@ -300,7 +266,7 @@ def _misses(nvar: int, specs: list[_EdgeSpec], p: int, q: int):
     low = nvar if nvar <= BLOCK_BITS else LOW_BITS
     per = max(1, (1 << low) >> LANE_BITS)  # words per prefix
     if nvar > low:
-        prefix_misses = _misses(nvar - low, _prefix_specs(specs, low), p, q)
+        prefix_misses = _misses(nvar - low, _prefix_books(books, low))
         batch = 1 << max(0, BLOCK_BITS - low)  # prefixes per kernel call
     else:
         prefix_misses, batch = [np.zeros(1, dtype=np.int64)], 1
@@ -318,21 +284,16 @@ def _misses(nvar: int, specs: list[_EdgeSpec], p: int, q: int):
             ]
             blue = [x[:words] for x in blue_low] + blue_high
             red = [x[:words] for x in red_low] + [~x for x in blue_high]
-            k = _clear_lanes(_block_hit(blue, red, words, specs, p, q), prefixes.size << low)
+            k = _clear_lanes(_block_hit(blue, red, words, books), prefixes.size << low)
             yield (prefixes[k >> low] << low) + (k & ((1 << low) - 1))
 
 
-def _scan_scenario(nvar: int, specs: list[_EdgeSpec], p: int, q: int) -> int | None:
-    """Lowest variable-bit index whose coloring avoids both books."""
-    return next((int(m[0]) for m in _misses(nvar, specs, p, q) if m.size), None)
+def _scan_scenario(nvar: int, books: list[_Book]) -> int | None:
+    """Lowest variable-bit index whose coloring holds none of the books."""
+    return next((int(m[0]) for m in _misses(nvar, books) if m.size), None)
 
 
-def exhaustive_verify(
-    query: RamseyQuery,
-    *,
-    force: bool = False,
-    prune: bool = False,
-) -> SearchOutcome:
+def exhaustive_verify(query: RamseyQuery, *, force: bool = False, prune: bool = False) -> SearchOutcome:
     """Scan every 2-coloring of K_N for one avoiding red B_p and blue B_q.
 
     colorings_examined counts candidates at or below the hit in the
@@ -350,19 +311,17 @@ def exhaustive_verify(
     if nvar_max > KERNEL_BIT_LIMIT:
         raise CapacityError(f"enumeration index needs {nvar_max} bits; kernel is capped at {KERNEL_BIT_LIMIT}")
 
-    scenarios: list[int | None] = list(range(N)) if prune else [None]
+    scenarios = [{edge_index(0, j): j <= d for j in range(1, N)} for d in range(N)] if prune else [{}]
     per_scenario = 1 << nvar_max
-    for si, star_d in enumerate(scenarios):
-        nvar, var_edges, specs = _build_specs(N, star_d)
-        k = _scan_scenario(nvar, specs, p, q)
+    for si, fixed in enumerate(scenarios):
+        var_edges, books = _books(N, p, q, fixed)
+        k = _scan_scenario(len(var_edges), books)
         if k is None:
             continue
-        blue_index = sum(1 << var_edges[b] for b in bits_of(k))
-        if star_d is not None:
-            blue_index += sum(1 << edge_index(0, j) for j in range(1, star_d + 1))
+        blue_edges = [var_edges[b] for b in bits_of(k)] + [e for e, blue in fixed.items() if blue]
         return SearchOutcome(
             verdict="counterexample",
-            counterexample=TwoColoring.from_blue_index(N, blue_index),
+            counterexample=TwoColoring.from_blue_index(N, sum(1 << e for e in blue_edges)),
             colorings_examined=si * per_scenario + k + 1,
         )
     return SearchOutcome(

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, vertex_mask
+from .graphs import Graph
 from .numbers import as_fraction
 from .rng import subset_sampler
 
@@ -52,9 +52,8 @@ def classify(g: Graph, U1, U2) -> VertexClassification:
     rely on it should check.
     """
     U1, U2 = tuple(sorted(U1)), tuple(sorted(U2))
-    m1, m2 = vertex_mask(U1), vertex_mask(U2)
-    if m1 & m2:
-        raise ValueError("U1 and U2 overlap")
+    if len(set(U1 + U2)) < len(U1) + len(U2):  # a repeat inside a part, or an overlap
+        raise ValueError("repeated vertex in U1 and U2")
     _check_independent(g, U1, "U1")
     _check_independent(g, U2, "U2")
     outside = np.ones(g.n, dtype=bool)

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
+from array import array
 from dataclasses import asdict
+from typing import Iterable
 
 import numpy as np
 
@@ -12,6 +14,35 @@ def graph_of(m) -> Graph:
     through the checked int-row constructor ``Graph(n, rows)``."""
     packed = np.packbits(np.asarray(m) != 0, axis=1, bitorder="little")
     return Graph(len(packed), [int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Graph on [n] with the given edges, checked for loops and range."""
+    index = array("q")  # colex indices, 8 bytes each
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        index.append(u * (u - 1) // 2 + v if u > v else v * (v - 1) // 2 + u)
+    bits = np.zeros(n * (n - 1) // 2, dtype=bool)
+    bits[np.frombuffer(index, dtype=np.int64)] = True
+    return Graph.from_colex_bits(n, bits)
+
+
+def to_graph6(g: Graph) -> str:
+    """Encode in graph6 format (no header, no trailing newline)."""
+    n = g.n
+    if n <= 62:
+        prefix = chr(n + 63)
+    elif n <= 258047:
+        prefix = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+    else:
+        raise ValueError("graph6 supports at most 258047 vertices here")
+    bits = g.colex_bits()
+    six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
+    vals = np.packbits(six, axis=1).ravel() >> 2
+    return prefix + (vals + 63).tobytes().decode("ascii")
 
 
 def classification_report(g: Graph, cls) -> dict:

@@ -53,7 +53,7 @@ from bookramsey.stability import (
     red_book_bound,
 )
 
-from helpers import graph_of
+from helpers import from_edges, graph_of, to_graph6
 
 ENTRY = "from bookramsey.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
 
@@ -215,7 +215,7 @@ def _random_host(rng, n, p=0.5):
     edges = [
         (u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p
     ]
-    return Graph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 def _certified(cfg):
@@ -252,7 +252,7 @@ def test_criterion_5_counting_lemma_suite(capsys):
                 edges += [(a, b) for a in range(10) for b in range(10, 30)]
                 configs.append(
                     MultiPairConfig(
-                        Graph.from_edges(30, edges), blocks3[:1], blocks3[1:], eps
+                        from_edges(30, edges), blocks3[:1], blocks3[1:], eps
                     )
                 )
         for _ in range(10):  # structured cross, complete pages
@@ -265,7 +265,7 @@ def test_criterion_5_counting_lemma_suite(capsys):
             edges += [(v, b) for v in range(20) for b in range(20, 30)]
             configs.append(
                 MultiPairConfig(
-                    Graph.from_edges(30, edges),
+                    from_edges(30, edges),
                     blocks3[:2],
                     blocks3[2:],
                     Fraction(1, 100),
@@ -317,7 +317,7 @@ def test_criterion_6_uniformity_oracle(capsys):
         def pair_of(host, ta, tb):
             return BipartitePairView(host, tuple(range(ta)), tuple(range(ta, ta + tb)))
 
-        complete = Graph.from_edges(
+        complete = from_edges(
             20, [(a, b) for a in range(10) for b in range(10, 20)]
         )
         empty = Graph.empty(20)
@@ -325,7 +325,7 @@ def test_criterion_6_uniformity_oracle(capsys):
             ok &= uniformity_oracle(pair_of(complete, 10, 10), eps).uniform
             ok &= uniformity_oracle(pair_of(empty, 10, 10), eps).uniform
 
-        half = Graph.from_edges(
+        half = from_edges(
             20, [(i, 10 + j) for i in range(10) for j in range(10) if i <= j]
         )
         hp = pair_of(half, 10, 10)
@@ -344,7 +344,7 @@ def test_criterion_6_uniformity_oracle(capsys):
                 if rng.random() < rng.uniform(0.2, 0.8)
             ]
             pv = BipartitePairView(
-                Graph.from_edges(na + nb, edges),
+                from_edges(na + nb, edges),
                 tuple(range(na)),
                 tuple(range(na, na + nb)),
             )
@@ -395,7 +395,7 @@ def test_criterion_7_stability_bounds(capsys):
 
 def test_criterion_8_thread_determinism(capsys, tmp_path):
     def body():
-        half = Graph.from_edges(
+        half = from_edges(
             200,
             [(i, 100 + j) for i in range(100) for j in range(100) if i <= j],
         )
@@ -403,7 +403,7 @@ def test_criterion_8_thread_determinism(capsys, tmp_path):
         half_cfg.write_text(
             json.dumps(
                 {
-                    "graph": half.to_graph6(),
+                    "graph": to_graph6(half),
                     "blocks": [list(range(100)), list(range(100, 200))],
                     "epsilon": "1/10",
                 }
@@ -420,7 +420,7 @@ def test_criterion_8_thread_determinism(capsys, tmp_path):
         cls_cfg.write_text(
             json.dumps(
                 {
-                    "graph": Graph.from_edges(10, cliques).to_graph6(),
+                    "graph": to_graph6(from_edges(10, cliques)),
                     "blocks": [list(range(5)), list(range(5, 10))],
                     "epsilon": "1/5",
                     "beta": "1/4",
@@ -429,7 +429,7 @@ def test_criterion_8_thread_determinism(capsys, tmp_path):
             )
         )
         kbb = tmp_path / "kbb.g6"
-        kbb.write_text(Graph.complete_bipartite(10, 10).to_graph6() + "\n")
+        kbb.write_text(to_graph6(Graph.complete_bipartite(10, 10)) + "\n")
 
         commands = [
             ("construct", "tripartite", "--n", 30, "--epsilon", "1/200",

@@ -27,6 +27,8 @@ from bookramsey.graphs import GRAPH6_ORDER_CAP, Graph
 from bookramsey.numbers import as_fraction
 from bookramsey.ramsey import Neither, check_coloring
 
+from helpers import from_edges, to_graph6
+
 SCHEMA = json.loads(
     resources.files("bookramsey").joinpath("schemas/runreport.schema.json").read_text()
 )
@@ -54,7 +56,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     out = {"root": root}
 
-    (root / "k4.g6").write_text(Graph.complete(4).to_graph6() + "\n")
+    (root / "k4.g6").write_text(to_graph6(Graph.complete(4)) + "\n")
     out["k4"] = root / "k4.g6"
 
     write_coloring_file(root / "tc2.brc1", two_cliques(2))
@@ -64,12 +66,12 @@ def files(tmp_path_factory):
     out["broken"] = root / "broken.g6"
 
     half_edges = [(i, 10 + j) for i in range(10) for j in range(10) if i <= j]
-    half = Graph.from_edges(20, half_edges)
+    half = from_edges(20, half_edges)
     out["half_cfg"] = root / "half.json"
     out["half_cfg"].write_text(
         json.dumps(
             {
-                "graph": half.to_graph6(),
+                "graph": to_graph6(half),
                 "blocks": [list(range(10)), list(range(10, 20))],
                 "epsilon": "1/10",
             }
@@ -81,7 +83,7 @@ def files(tmp_path_factory):
     out["complete_cfg"].write_text(
         json.dumps(
             {
-                "graph": comp.to_graph6(),
+                "graph": to_graph6(comp),
                 "blocks": [list(range(8)), list(range(8, 16))],
                 "epsilon": "1/10",
             }
@@ -97,12 +99,12 @@ def files(tmp_path_factory):
     for a in range(10):
         for b in range(10, 30):
             edges.append((a, b))
-    lemma_host = Graph.from_edges(30, edges)
+    lemma_host = from_edges(30, edges)
     out["lemma_cfg"] = root / "lemma.json"
     out["lemma_cfg"].write_text(
         json.dumps(
             {
-                "graph": lemma_host.to_graph6(),
+                "graph": to_graph6(lemma_host),
                 "blocks": [list(range(10)), list(range(10, 20)), list(range(20, 30))],
                 "epsilon": "1/100",
                 "bases": 1,
@@ -121,7 +123,7 @@ def files(tmp_path_factory):
     out["classify_cfg"].write_text(
         json.dumps(
             {
-                "graph": Graph.from_edges(10, cliques).to_graph6(),
+                "graph": to_graph6(from_edges(10, cliques)),
                 "blocks": [list(range(5)), list(range(5, 10))],
                 "epsilon": "1/5",
                 "beta": "1/4",
@@ -130,7 +132,7 @@ def files(tmp_path_factory):
         )
     )
 
-    (root / "kbb.g6").write_text(Graph.complete_bipartite(10, 10).to_graph6() + "\n")
+    (root / "kbb.g6").write_text(to_graph6(Graph.complete_bipartite(10, 10)) + "\n")
     out["kbb"] = root / "kbb.g6"
     out["candidate"] = root / "candidate.json"
     out["candidate"].write_text(json.dumps([list(range(10)), list(range(10, 20))]))
@@ -255,7 +257,7 @@ def test_witness_check_red_refutation_names_first_base(tmp_path):
     # blue edges 01 and 02; the red bases 03 and 04 carry one page each,
     # so the first red base with two pages is 12 (pages 3 and 4)
     path = tmp_path / "red.brc1"
-    write_coloring_file(path, TwoColoring(5, Graph.from_edges(5, [(0, 1), (0, 2)])))
+    write_coloring_file(path, TwoColoring(5, from_edges(5, [(0, 1), (0, 2)])))
     code, report, proc = run_cli("witness-check", path, 2, 5)
     assert code == 10
     assert report["results"] == {
@@ -473,7 +475,7 @@ def cross_lemma_cfg(tmp_path_factory):
     path.write_text(
         json.dumps(
             {
-                "graph": Graph.from_edges(20, sorted(edges)).to_graph6(),
+                "graph": to_graph6(from_edges(20, sorted(edges))),
                 "blocks": [list(A1)[::-1], list(A2), list(P1), list(P2)],
                 "epsilon": "1/20",
                 "bases": 2,
@@ -524,7 +526,7 @@ def test_lemma_check_bad_pair_hypothesis_fails(tmp_path):
     cfg.write_text(
         json.dumps(
             {
-                "graph": Graph.from_edges(18, edges).to_graph6(),
+                "graph": to_graph6(from_edges(18, edges)),
                 "blocks": [list(A), list(Q1), list(Q2)],
                 "epsilon": "1/10",
                 "bases": 1,
@@ -664,7 +666,7 @@ HOSTILE = {
         lambda f, t: [
             "lemma-check",
             _config(
-                f, t, graph=Graph.complete(34).to_graph6(), blocks=[[*range(16), 3], list(range(17, 34))], bases=1
+                f, t, graph=to_graph6(Graph.complete(34)), blocks=[[*range(16), 3], list(range(17, 34))], bases=1
             ),
         ],
         "repeated vertex in a side",
@@ -677,7 +679,7 @@ HOSTILE = {
         lambda f, t: [
             "lemma-check",
             _config(
-                f, t, graph=Graph.complete(34).to_graph6(), blocks=[list(range(17)), list(range(17, 34))], bases=1,
+                f, t, graph=to_graph6(Graph.complete(34)), blocks=[list(range(17)), list(range(17, 34))], bases=1,
                 epsilon="0",
             ),
         ],
@@ -715,6 +717,13 @@ HOSTILE = {
         lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/10", "--candidate", _text_file(t, '[["3"], [10]]')],
         "candidate file must hold [U1, U2]",
     ),
+    "candidate-repeated-vertex": (
+        lambda f, t: [
+            "trichotomy", f["kbb"], "--xi", "3/20",
+            "--candidate", _text_file(t, json.dumps([[0, 1, 2, 3, 4] * 2, list(range(10, 20))])),
+        ],
+        "repeated vertex in U1 and U2",
+    ),
     "candidate-vertex-outside-graph": (
         lambda f, t: ["trichotomy", f["kbb"], "--xi", "1/10", "--candidate", _text_file(t, "[[0, 100], [10]]")],
         "vertex 100 outside the 20-vertex graph",
@@ -732,7 +741,7 @@ HOSTILE = {
         lambda f, t: [
             "lemma-check",
             _config(
-                f, t, graph=Graph.complete(12).to_graph6(), blocks=[list(range(6)), list(range(6, 12))], bases=1,
+                f, t, graph=to_graph6(Graph.complete(12)), blocks=[list(range(6)), list(range(6, 12))], bases=1,
                 epsilon="1e-4300",
             ),
             "--format",
@@ -771,6 +780,8 @@ def test_hostile_input_exits_two_without_traceback(files, tmp_path, case):
     assert report is None
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    # nor is an output file left behind
+    assert not (tmp_path / "x.brc1").exists()
 
 
 def test_as_fraction_raises_value_error():

@@ -28,7 +28,9 @@ from hypothesis import strategies as st
 
 from bookramsey import cli
 from bookramsey.colorings import TwoColoring
-from bookramsey.graphs import GRAPH6_ORDER_CAP, Graph
+from bookramsey.graphs import GRAPH6_ORDER_CAP
+
+from helpers import from_edges, to_graph6
 
 SCHEMA = json.loads(
     resources.files("bookramsey").joinpath("schemas/runreport.schema.json").read_text()
@@ -63,7 +65,7 @@ def graphs(draw):
     n = draw(st.integers(0, 12))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @st.composite
@@ -100,7 +102,7 @@ def configs(draw):
     g = draw(graphs())
     good_rationals = st.sampled_from(GOOD_RATIONALS)
     cfg = {
-        "graph": g.to_graph6(),
+        "graph": to_graph6(g),
         "blocks": draw(blocks_of(g.n, draw(st.integers(2, 4)))),
         "epsilon": draw(good_rationals),
         "beta": draw(good_rationals),
@@ -108,7 +110,7 @@ def configs(draw):
         "bases": draw(st.sampled_from([1, 2])),
     }
     bad = {
-        "graph": damaged(g.to_graph6()) | json_scalars,
+        "graph": damaged(to_graph6(g)) | json_scalars,
         "blocks": vertex_lists | json_values,
         "epsilon": rationals | json_scalars | st.lists(st.integers(0, 2), max_size=2),
         "beta": rationals | json_scalars,
@@ -128,7 +130,7 @@ def invocations(draw):
     """(argv with {name} placeholders for input files, {name: file text})."""
     g = draw(graphs())
     files = {
-        "g6": draw(damaged(g.to_graph6() + "\n")),
+        "g6": draw(damaged(to_graph6(g) + "\n")),
         "brc1": draw(damaged(TwoColoring(g.n, g).to_brc1())),
         "config": draw(json_files(configs())),
         "parts": draw(json_files(blocks_of(g.n, 3) | vertex_lists)),

@@ -33,6 +33,8 @@ from bookramsey.rng import (
     probability_threshold,
 )
 
+from helpers import from_edges
+
 
 # ------------------------------------------------------------- edge indexing
 
@@ -325,7 +327,7 @@ def test_degenerate_bias_forces_all_cross_blue():
     params = ConstructionParams(6, Fraction(1, 200), delta=Fraction(1, 2))
     with pytest.raises(ValueError, match="k2=-47/200"):
         tripartite_random(params)
-    c = TwoColoring(6, Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]).complement())
+    c = TwoColoring(6, from_edges(6, [(0, 1), (2, 3), (4, 5)]).complement())
     assert c.bk_blue()[0] == 2
     assert c.bk_red()[0] == 0
     stats = construction_statistics(c, tripartite_parts(6))

@@ -27,7 +27,7 @@ from bookramsey.colorings import (
 from bookramsey.graphs import Graph, bits_of
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
-from helpers import graph_of
+from helpers import from_edges, graph_of, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -199,10 +199,10 @@ def test_booksize_matches_edge_loop(params):
 
 def test_booksize_ties_pick_least_base():
     # two disjoint triangles: every edge has codegree 1
-    g = Graph.from_edges(6, [(3, 4), (3, 5), (4, 5), (0, 1), (0, 2), (1, 2)])
+    g = from_edges(6, [(3, 4), (3, 5), (4, 5), (0, 1), (0, 2), (1, 2)])
     assert g.booksize()[1].base == (0, 1)
     perm = [5, 2, 4, 0, 3, 1]
-    h = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in g.edges()])
+    h = from_edges(6, [(perm[u], perm[v]) for u, v in g.edges()])
     assert h.booksize()[1].base == ref_booksize(h)[1]
 
 
@@ -261,7 +261,7 @@ def test_books_tie_across_stripes_picks_least_base(monkeypatch):
     edges = []
     for (u, v), pages in zip([(70, 80), (6, 10), (5, 100)], [(20, 21, 22), (30, 31, 32), (40, 41, 42)]):
         edges += [(u, v)] + [(w, page) for page in pages for w in (u, v)]
-    g = Graph.from_edges(150, edges)
+    g = from_edges(150, edges)
     assert base_of(g.books()[0]) == ref_booksize(g) == (3, (5, 100))
     assert base_of(g.complement().books()[1]) == (3, (5, 100))
     assert g.books((3, 150))[0][1].base == ref_first_book(g, 3) == (5, 100)
@@ -295,7 +295,7 @@ def test_books_stop_at_first_red_book(big_coloring, monkeypatch):
 
 def test_packed_decode_across_stripes_at_n300(big_coloring, monkeypatch):
     monkeypatch.setattr(graphs, "_STRIPE", 64)
-    assert Graph.from_graph6(big_coloring.blue.to_graph6()) == big_coloring.blue
+    assert Graph.from_graph6(to_graph6(big_coloring.blue)) == big_coloring.blue
     assert TwoColoring.from_brc1(big_coloring.to_brc1()) == big_coloring
 
 
@@ -332,7 +332,7 @@ def test_check_coloring_matches_edge_loop(params):
 def test_check_coloring_red_before_blue():
     # blue K_4 on {0..3} plus a red triangle elsewhere: both colours have
     # a book, red must still be reported first
-    blue = Graph.from_edges(7, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    blue = from_edges(7, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     c = TwoColoring(7, blue)
     assert verdict(check_coloring(c, 1, 1)) == ref_check_coloring(c, 1, 1) == ("red", (0, 4))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bookramsey.colorings import TwoColoring
 from bookramsey.graphs import Graph, bits_of, vertex_mask
 
-from helpers import graph_of
+from helpers import graph_of, to_graph6
 
 ORDERS = (0, 1, 2, 63, 64, 65, 127, 128, 129)
 
@@ -50,7 +50,7 @@ def test_int_rows_round_trip_through_the_constructor(case):
     assert g.rows == tuple(rows)
     assert g.words.shape == (n, (n + 63) // 64)
     assert g == TwoColoring.from_blue_index(n, index).blue
-    assert Graph.from_graph6(g.to_graph6()).rows == tuple(rows)
+    assert Graph.from_graph6(to_graph6(g)).rows == tuple(rows)
     assert g.edge_count() == sum(r.bit_count() for r in rows) // 2
 
 

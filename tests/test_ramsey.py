@@ -17,6 +17,8 @@ from bookramsey.ramsey import (
     exhaustive_verify,
 )
 
+from helpers import from_edges
+
 
 def random_coloring(rng, n):
     m = n * (n - 1) // 2
@@ -56,7 +58,7 @@ def test_check_coloring_two_cliques():
 def test_check_coloring_reports_first_red_base():
     # red graph: isolated edge (0,1) plus triangle {2,3,4}; the isolated
     # edge has codegree 0, so the scan must settle on (2,3)
-    red = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+    red = from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
     c = TwoColoring(5, red.complement())
     res = check_coloring(c, 1, 5)
     assert isinstance(res, RedBook)

@@ -22,9 +22,11 @@ from bookramsey.regularity import (
     uniformity_oracle,
 )
 
+from helpers import from_edges
+
 
 def complete_pair(ta, tb):
-    host = Graph.from_edges(
+    host = from_edges(
         ta + tb, [(a, b) for a in range(ta) for b in range(ta, ta + tb)]
     )
     return BipartitePairView(host, tuple(range(ta)), tuple(range(ta, ta + tb)))
@@ -39,7 +41,7 @@ def empty_pair(ta, tb):
 def half_graph_pair(t):
     # u_i ~ v_j iff i <= j (1-indexed); A = 0..t-1, B = t..2t-1
     edges = [(i, t + j) for i in range(t) for j in range(t) if i <= j]
-    host = Graph.from_edges(2 * t, edges)
+    host = from_edges(2 * t, edges)
     return BipartitePairView(host, tuple(range(t)), tuple(range(t, 2 * t)))
 
 
@@ -50,7 +52,7 @@ def random_pair(rng, na, nb, p=0.5):
         for b in range(nb)
         if rng.random() < p
     ]
-    host = Graph.from_edges(na + nb, edges)
+    host = from_edges(na + nb, edges)
     return BipartitePairView(host, tuple(range(na)), tuple(range(na, na + nb)))
 
 
@@ -203,14 +205,14 @@ def test_bad_pairs_precondition():
 
 
 def test_bad_pairs_cross_complete_and_precondition():
-    host = Graph.from_edges(
+    host = from_edges(
         12,
         [(a, b) for a in range(0, 4) for b in range(8, 12)]
         + [(a, b) for a in range(4, 8) for b in range(8, 12)],
     )
     bases, pages = ((0, 1, 2, 3), (4, 5, 6, 7)), ((8, 9, 10, 11),)
     assert bad_pair_count(MultiPairConfig(host, bases, pages, Fraction(1, 4)), 0) == 0
-    sparse_host = Graph.from_edges(
+    sparse_host = from_edges(
         12,
         [(a, a + 8) for a in range(4)] + [(a, a + 4) for a in range(4, 8)],
     )
@@ -250,7 +252,7 @@ def shared_config(eps, parity_pages=True):
         for b in range(10, 30):
             if not parity_pages or (a + b) % 2 == 0:
                 edges.append((a, b))
-    host = Graph.from_edges(30, edges)
+    host = from_edges(30, edges)
     return MultiPairConfig(
         host,
         bases=(tuple(range(10)),),
@@ -268,7 +270,7 @@ def cross_config(eps):
         for r in range(6):
             edges.append((u, 20 + (u + r) % 10))
             edges.append((10 + u, 20 + (u + r) % 10))
-    host = Graph.from_edges(30, edges)
+    host = from_edges(30, edges)
     return MultiPairConfig(
         host,
         bases=(tuple(range(10)), tuple(range(10, 20))),
@@ -340,7 +342,7 @@ def complete_pages_config(rng, eps, two_bases=False):
         for u in base_vs:
             for v in b:
                 edges.append((u, v))
-    host = Graph.from_edges(n, edges)
+    host = from_edges(n, edges)
     return MultiPairConfig(
         host, bases=tuple(blocks[:nb]), pages=tuple(blocks[nb:]), epsilon=eps
     )
@@ -386,7 +388,7 @@ def test_bounds_never_violated_on_certified_random_configs():
             for u, v in itertools.combinations(range(n), 2)
             if rng.random() < 0.5
         ]
-        host = Graph.from_edges(n, edges)
+        host = from_edges(n, edges)
         cfg = MultiPairConfig(
             host,
             bases=(tuple(range(10)),),

@@ -1,14 +1,17 @@
 """Differential tests: the bit-sliced exhaustive scan against references.
 
 `ref_block_all_hit` is the per-candidate kernel the scan used before it
-was bit-sliced: one candidate per uint64 and a uint8 page counter per
+was bit-sliced: one candidate per uint64 and a page counter per book and
 candidate.  The scan must report the same lowest missing index in every
 scenario, at every split of its bits into prefix and offset, however
-many levels the prefixes recurse.
-`test_lowest_counterexample_matches_brute_force` checks the whole route
-against `check_coloring` without going through the specs.
+many levels the prefixes recurse.  Both read the same books, so
+`test_books_match_brute_force_over_fixed_partial_colorings` checks the
+builder against `check_coloring` over random fixed partial colorings,
+and `test_lowest_counterexample_matches_brute_force` checks the whole
+unpruned route.
 """
 
+import random
 import tracemalloc
 from itertools import product
 
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from bookramsey import ramsey
-from bookramsey.colorings import TwoColoring
+from bookramsey.colorings import TwoColoring, edge_index
 from bookramsey.ramsey import (
     BLOCK_BITS,
     LANE_BITS,
@@ -24,9 +27,9 @@ from bookramsey.ramsey import (
     Neither,
     RamseyQuery,
     _bit_words,
-    _build_specs,
+    _books,
     _misses,
-    _prefix_specs,
+    _prefix_books,
     _scan_scenario,
     check_coloring,
     exhaustive_verify,
@@ -39,39 +42,41 @@ def _mask(bits) -> np.uint64:
     return np.uint64(sum(1 << b for b in bits))
 
 
-def ref_block_all_hit(M: np.ndarray, specs, p: int, q: int) -> np.ndarray:
-    """Boolean array: candidate M[i] contains a red B_p or blue B_q."""
+def ref_block_all_hit(M: np.ndarray, books) -> np.ndarray:
+    """Boolean array: candidate M[i] holds one of the books."""
     hit = np.zeros(M.shape, dtype=bool)
-    for s in specs:
-        want_red = s.base_var is not None or not s.base_blue
-        want_blue = s.base_var is not None or s.base_blue
-        if want_red and s.red_const + len(s.red_pages) >= p:
-            rc = np.full(M.shape, s.red_const, dtype=np.uint8)
-            for page in s.red_pages:
-                rc += (M & _mask(page)) == 0
-            red_hit = rc >= p
-            if s.base_var is not None:
-                red_hit &= (M & _mask([s.base_var])) == 0
-            hit |= red_hit
-        if want_blue and s.blue_const + len(s.blue_pages) >= q:
-            bc = np.full(M.shape, s.blue_const, dtype=np.uint8)
-            for page in s.blue_pages:
-                bc += (M & _mask(page)) == _mask(page)
-            blue_hit = bc >= q
-            if s.base_var is not None:
-                blue_hit &= (M & _mask([s.base_var])) != 0
-            hit |= blue_hit
+    for b in books:
+        count = np.zeros(M.shape, dtype=np.int64)  # pages wholly b's colour
+        for page in b.pages:
+            count += (M & _mask(page)) == (_mask(page) if b.blue else 0)
+        book = count >= b.need
+        if b.base is not None:
+            book &= ((M & _mask([b.base])) != 0) == b.blue
+        hit |= book
     return hit
 
 
-def ref_first_miss(nvar: int, specs, p: int, q: int) -> int | None:
+def ref_first_miss(nvar: int, books) -> int | None:
     total = 1 << nvar
     block = 1 << min(BLOCK_BITS, nvar)
     for start in range(0, total, block):
-        hit = ref_block_all_hit(np.arange(start, start + block, dtype=np.uint64), specs, p, q)
+        hit = ref_block_all_hit(np.arange(start, start + block, dtype=np.uint64), books)
         if not hit.all():
             return start + int(np.argmax(~hit))
     return None
+
+
+def _star(N: int, d: int) -> dict[int, bool]:
+    """Vertex 0's star fixed blue to {1..d} and red to the rest."""
+    return {edge_index(0, j): j <= d for j in range(1, N)}
+
+
+def _scenarios(N):
+    """Every scenario of K_N with its books for each p, q <= 3."""
+    for fixed in [{}, *(_star(N, d) for d in range(N))]:
+        for p, q in product(range(1, 4), repeat=2):
+            var_edges, books = _books(N, p, q, fixed)
+            yield fixed, p, q, len(var_edges), books
 
 
 # --------------------------------------------------------------------- tests
@@ -93,11 +98,8 @@ def test_bit_words_spell_candidate_indices(nbits):
 
 @pytest.mark.parametrize("N", range(2, 8))
 def test_scan_matches_reference_kernel(N):
-    for star_d in [None, *range(N)]:
-        nvar, _, specs = _build_specs(N, star_d)
-        for p, q in product(range(1, 4), repeat=2):
-            got = _scan_scenario(nvar, specs, p, q)
-            assert got == ref_first_miss(nvar, specs, p, q), (N, star_d, p, q)
+    for fixed, p, q, nvar, books in _scenarios(N):
+        assert _scan_scenario(nvar, books) == ref_first_miss(nvar, books), (N, fixed, p, q)
 
 
 @pytest.mark.parametrize("N", range(2, 6))
@@ -115,13 +117,43 @@ def test_lowest_counterexample_matches_brute_force(N):
             assert (out.counterexample.blue_index(), out.colorings_examined) == (expect, expect + 1), (N, p, q)
 
 
+def _completion(N: int, fixed: dict[int, bool], var_edges: list[int], k: int) -> TwoColoring:
+    """The coloring of K_N that keeps `fixed` and puts bit i of k on edge var_edges[i]."""
+    blue = [e for e, is_blue in fixed.items() if is_blue] + [e for i, e in enumerate(var_edges) if k >> i & 1]
+    return TwoColoring.from_blue_index(N, sum(1 << e for e in blue))
+
+
+def test_books_match_brute_force_over_fixed_partial_colorings():
+    # any fixed partial coloring, not only the stars: the lowest completion
+    # that the scan finds must be the lowest one check_coloring calls Neither
+    cases = 0
+    for seed in range(58):
+        rng = random.Random(seed)
+        N = rng.randint(2, 6)
+        m = N * (N - 1) // 2
+        fixed = {e: rng.random() < 0.5 for e in rng.sample(range(m), rng.randint(max(0, m - 12), m))}
+        for p, q in product(range(1, 4), repeat=2):
+            var_edges, books = _books(N, p, q, fixed)
+            expect = next(
+                (
+                    k
+                    for k in range(1 << len(var_edges))
+                    if isinstance(check_coloring(_completion(N, fixed, var_edges, k), p, q), Neither)
+                ),
+                None,
+            )
+            assert _scan_scenario(len(var_edges), books) == expect, (seed, N, fixed, p, q)
+            cases += 1
+    assert cases == 522
+
+
 def test_short_block_reports_no_miss_in_unused_lanes():
     # pruned K_4 with vertex 0 blue to all of 1, 2, 3: each of the 8
     # colorings of the triangle 123 makes a monochromatic triangle, so
     # none of the 56 unused lanes of the single word may read as a miss
-    nvar, _, specs = _build_specs(4, 3)
-    assert nvar == 3
-    assert _scan_scenario(nvar, specs, 1, 1) is None
+    var_edges, books = _books(4, 1, 1, _star(4, 3))
+    assert len(var_edges) == 3
+    assert _scan_scenario(3, books) is None
     for N in (3, 4):
         plain = exhaustive_verify(RamseyQuery(N, 1, 1))
         pruned = exhaustive_verify(RamseyQuery(N, 1, 1), prune=True)
@@ -132,38 +164,31 @@ def test_short_block_reports_no_miss_in_unused_lanes():
 # ---------------------------------------------------------- prefix levels
 
 
-def _scenarios(N):
-    for star_d in [None, *range(N)]:
-        nvar, _, specs = _build_specs(N, star_d)
-        yield star_d, nvar, specs
-
-
 @pytest.mark.parametrize("N", range(2, 8))
 def test_prefix_restrictions_compose(N):
-    # each level of the scan restricts the specs it was given, so a prefix
+    # each level of the scan restricts the books it was given, so a prefix
     # two levels up must see the books that its own bits decide
-    for star_d, nvar, specs in _scenarios(N):
+    for fixed, p, q, nvar, books in _scenarios(N):
         for a in range(1, nvar):
-            once = _prefix_specs(specs, a)
+            once = _prefix_books(books, a)
             for b in range(1, nvar - a + 1):
-                assert _prefix_specs(once, b) == _prefix_specs(specs, a + b), (N, star_d, a, b)
+                assert _prefix_books(once, b) == _prefix_books(books, a + b), (N, fixed, p, q, a, b)
 
 
 @pytest.mark.parametrize("N", range(2, 7))
 def test_dropped_prefixes_hit_in_every_completion(N):
-    for star_d, nvar, specs in _scenarios(N):
+    for fixed, p, q, nvar, books in _scenarios(N):
         for low in range(1, nvar):
             high = nvar - low
-            prefix_specs = _prefix_specs(specs, low)
+            prefix_books = _prefix_books(books, low)
             prefixes = np.arange(1 << high, dtype=np.uint64)
             completions = np.arange(1 << low, dtype=np.uint64)
             candidates = (prefixes[:, None] << np.uint64(low)) | completions
-            for p, q in product(range(1, 4), repeat=2):
-                dropped = ref_block_all_hit(prefixes, prefix_specs, p, q)
-                full = ref_block_all_hit(candidates, specs, p, q)
-                assert full[dropped].all(), (N, star_d, low, p, q)
-                survivors = np.concatenate(list(_misses(high, prefix_specs, p, q)))
-                assert np.array_equal(survivors, np.flatnonzero(~dropped)), (N, star_d, low, p, q)
+            dropped = ref_block_all_hit(prefixes, prefix_books)
+            full = ref_block_all_hit(candidates, books)
+            assert full[dropped].all(), (N, fixed, low, p, q)
+            survivors = np.concatenate(list(_misses(high, prefix_books)))
+            assert np.array_equal(survivors, np.flatnonzero(~dropped)), (N, fixed, low, p, q)
 
 
 @pytest.mark.parametrize("N, pruned", [(6, False), (6, True), (7, False), (7, True)])
@@ -188,22 +213,21 @@ def test_scan_matches_reference_at_every_low_width(N, pruned, monkeypatch):
 
     monkeypatch.setattr(ramsey, "_misses", traced)
     seen = set()
-    for star_d, nvar, specs in _scenarios(N):
-        if (star_d is not None) != pruned:
+    for fixed, p, q, nvar, books in _scenarios(N):
+        if bool(fixed) != pruned:
             continue
-        for p, q in product(range(1, 4), repeat=2):
-            expect = ref_first_miss(nvar, specs, p, q)
-            for low in range(LANE_BITS, (top or nvar) + 1):
-                monkeypatch.setattr(ramsey, "LOW_BITS", low)
-                assert _scan_scenario(nvar, specs, p, q) == expect, (N, star_d, low, p, q)
-                if low == nvar:
-                    continue
-                batch = 1 << max(0, block_bits - low)
-                for survivors in misses(nvar - low, _prefix_specs(specs, low), p, q):
-                    if survivors.size:
-                        seen.add("one" if batch == 1 else "many")
-                    if survivors.size > batch and survivors.size % batch:
-                        seen.add("short last")
+        expect = ref_first_miss(nvar, books)
+        for low in range(LANE_BITS, (top or nvar) + 1):
+            monkeypatch.setattr(ramsey, "LOW_BITS", low)
+            assert _scan_scenario(nvar, books) == expect, (N, fixed, low, p, q)
+            if low == nvar:
+                continue
+            batch = 1 << max(0, block_bits - low)
+            for survivors in misses(nvar - low, _prefix_books(books, low)):
+                if survivors.size:
+                    seen.add("one" if batch == 1 else "many")
+                if survivors.size > batch and survivors.size % batch:
+                    seen.add("short last")
     assert depth[0] == 0
     if top:
         assert depth[1] >= 3, depth

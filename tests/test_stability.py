@@ -21,7 +21,7 @@ from bookramsey.stability import (
     trichotomy_check,
 )
 
-from helpers import classification_report, graph_of
+from helpers import classification_report, from_edges, graph_of
 
 
 def random_graph(rng, n, p=0.5):
@@ -56,7 +56,7 @@ def test_classify_full_bipartition_leaves_nothing_outside():
 
 
 def test_classify_star_with_empty_second_part():
-    star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+    star = from_edges(5, [(0, i) for i in range(1, 5)])
     cls = classify(star, [0], [])
     assert cls.V1 == (1, 2, 3, 4)
     assert cls.V2 == cls.V3 == cls.V_iso == ()
@@ -68,6 +68,19 @@ def test_classify_rejects_dependent_or_overlapping_parts():
         classify(g, [0, 1], [2])  # 0-1 is an edge
     with pytest.raises(ValueError):
         classify(Graph.empty(4), [0, 1], [1, 2])
+
+
+def test_classify_rejects_a_repeated_vertex():
+    # a repeat would count twice in the order of G0 but once in its
+    # minimum degree, and so pass branch (iii) on a part too small
+    g = Graph.complete_bipartite(10, 10)
+    U2 = list(range(10, 20))
+    for U1, part2 in (([0, 1, 2, 3, 4] * 2, U2), ([0], [10, 11, 11])):
+        with pytest.raises(ValueError, match="repeated vertex"):
+            classify(g, U1, part2)
+    with pytest.raises(ValueError, match="repeated vertex"):
+        trichotomy_check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4] * 2, U2))
+    assert trichotomy_check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4], U2))["iii"] is False
 
 
 def test_classify_matches_naive_scan_on_random_instances():
@@ -106,7 +119,7 @@ def test_red_bound_requires_two_base_vertices():
 
 def test_red_bound_without_v3_is_a_size_count():
     # U2 plus isolated vertices: no V3, so the bound is |U2| - 2 + |V1|
-    g = Graph.from_edges(7, [(0, 3), (1, 3), (2, 3)])
+    g = from_edges(7, [(0, 3), (1, 3), (2, 3)])
     cls = classify(g, [3], [0, 1, 2])
     assert cls.V3 == ()
     assert cls.V_iso == (4, 5, 6)
@@ -150,7 +163,7 @@ def test_blue_bound_requires_v3():
 
 def test_blue_bound_single_v3_vertex_hits_delta():
     # v = 4 sees all of U2 and exactly one vertex of U1
-    g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 2), (4, 3), (4, 0)])
+    g = from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 2), (4, 3), (4, 0)])
     cls = classify(g, [0, 1], [2, 3])
     assert cls.V3 == (4,)
     assert blue_book_bound(g, cls) == g.min_degree_induced(cls.U1 + cls.U2) == 2
@@ -210,7 +223,7 @@ def test_extractor_recovers_planted_bipartition_under_noise():
             for v in verts[i + 1 :]:
                 if noise_rng.random() < 0.01:
                     edges.append((u, v))
-    g = Graph.from_edges(40, edges)
+    g = from_edges(40, edges)
     good = sum(
         1
         for seed in range(10)
@@ -241,7 +254,7 @@ def test_trichotomy_on_two_blue_cliques():
         for v in s
         if u < v
     ]
-    g = Graph.from_edges(n, edges)
+    g = from_edges(n, edges)
     out = trichotomy_check(g, Fraction(1, 100), seed=0)
     assert out["i"] is False  # complement is K_{12,12}, booksize 0
     assert out["ii"] is True  # bk = 10 clears n/12

@@ -31,7 +31,7 @@ from bookramsey.regularity import (
 from bookramsey.rng import subset_sampler
 from bookramsey.stability import bipartite_extract
 
-from helpers import graph_of
+from helpers import from_edges, graph_of, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -414,10 +414,10 @@ def test_uniformity_cli_at_epsilon_1e_minus_40(tmp_path, graph, sampled, code, r
     if graph == "complete":
         host, t = Graph.complete_bipartite(8, 8), 8
     else:
-        host, t = Graph.from_edges(20, [(i, 10 + j) for i in range(10) for j in range(10) if i <= j]), 10
+        host, t = from_edges(20, [(i, 10 + j) for i in range(10) for j in range(10) if i <= j]), 10
     cfg = tmp_path / "cfg.json"
     blocks = [list(range(t)), list(range(t, 2 * t))]
-    cfg.write_text(json.dumps({"graph": host.to_graph6(), "blocks": blocks, "epsilon": "1e-40"}))
+    cfg.write_text(json.dumps({"graph": to_graph6(host), "blocks": blocks, "epsilon": "1e-40"}))
     argv = ["uniformity", str(cfg)] + (["--sampled", "--seed", "3"] if sampled else [])
     assert run_main(argv) == (code, results)
 
