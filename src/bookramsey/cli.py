@@ -55,7 +55,7 @@ from .regularity import (
     triangle_bound,
     uniformity_oracle,
 )
-from .stability import trichotomy_check
+from .stability import trichotomy_check, trichotomy_floors
 
 EXIT_OK = 0
 EXIT_FOUND = 10
@@ -158,8 +158,7 @@ def cmd_bk(args):
         return {"booksize": size, "base": list(cert.base) if cert is not None else None}
 
     if isinstance(obj, TwoColoring):
-        b, bc = obj.bk_blue()
-        r, rc = obj.bk_red()
+        (b, bc), (r, rc) = obj.blue.books()
         results = {"kind": "coloring", "n": obj.n, "blue": side(b, bc), "red": side(r, rc)}
         summary = f"coloring on {obj.n} vertices: blue booksize {b}, red booksize {r}"
     else:
@@ -198,8 +197,7 @@ def cmd_construct(args):
     if args.kind == "two-cliques":
         c = two_cliques(args.q)
         write_coloring_file(args.out, c)
-        b, _ = c.bk_blue()
-        r, _ = c.bk_red()
+        (b, _), (r, _) = c.blue.books()
         results = {"kind": "two-cliques", "n": c.n, "q": args.q, "bk_blue": b, "bk_red": r, "file": args.out}
         summary = f"wrote {c.n}-vertex two-clique coloring to {args.out}"
         return results, summary, EXIT_OK
@@ -248,27 +246,23 @@ def cmd_stats(args):
     return report, summary, EXIT_OK
 
 
+STATS_MEANS = ("mean_codegree", "mean_pages_third_part", "mean_pages_own_parts")
+
+
 def stats_csv(report) -> str:
+    classes = ("red_intra", "blue_cross", "red_cross")
+    rows = [(name, report[name]["edges"], *map(report[name].get, STATS_MEANS)) for name in classes]
+    rows += [(name, None, report[name], None, None) for name in ("bk_red", "bk_blue")]
+    return _csv(("edge_class", "edges", *STATS_MEANS), rows)
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header row and data rows: None is an empty cell, a Fraction num/den."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["edge_class", "edges", "mean_codegree", "mean_pages_third_part", "mean_pages_own_parts"])
-
-    def cell(x):
-        return "" if x is None else fraction_str(x)
-
-    for name in ("red_intra", "blue_cross", "red_cross"):
-        row = report[name]
-        w.writerow(
-            [
-                name,
-                row["edges"],
-                cell(row["mean_codegree"]),
-                cell(row.get("mean_pages_third_part")),
-                cell(row.get("mean_pages_own_parts")),
-            ]
-        )
-    w.writerow(["bk_red", "", report["bk_red"], "", ""])
-    w.writerow(["bk_blue", "", report["bk_blue"], "", ""])
+    w.writerow(header)
+    for row in rows:
+        w.writerow("" if x is None else fraction_str(x) if isinstance(x, Fraction) else x for x in row)
     return buf.getvalue()
 
 
@@ -291,6 +285,9 @@ def cmd_uniformity(args):
         summary = "pair is uniform at the given epsilon" if uniform else "pair is not uniform; witness attached"
     results = {"method": method, "density": pair.density, "epsilon": eps, "uniform": uniform, "witness": witness}
     return results, summary, EXIT_FOUND if witness else EXIT_OK
+
+
+LEMMA_FIELDS = ("check", "page", "bound", "actual", "satisfied")
 
 
 def cmd_lemma_check(args):
@@ -316,51 +313,29 @@ def cmd_lemma_check(args):
     all_uniform: bool | None = True
     for i in range(nbases):
         for j in range(k):
-            pair = mp.base_pair(i, j)  # at every t: a repeated vertex exits 2, not as a null row
-            u = uniformity_oracle(pair, eps).uniform if t <= ORACLE_SIDE_CAP else None
+            u = uniformity_oracle(mp.base_pair(i, j), eps).uniform if t <= ORACLE_SIDE_CAP else None
             if u is not True:
                 all_uniform = None if u is None else False
             pairs.append({"base": i, "page": j, "uniform": u})
     certified = all_uniform is True
 
-    checks = []
-    violations = 0
-    positive = 0
-
-    def record(name, bound, actual):
-        nonlocal violations, positive
-        ok = Fraction(actual) >= bound
-        if bound > 0:
-            positive += 1
-        if certified and not ok:
-            violations += 1
-        checks.append({"check": name, "bound": bound, "actual": actual, "satisfied": ok})
-
+    # one LEMMA_FIELDS row per check, and all output read from the rows; a
+    # bad-pair bound that does not apply leaves actual and satisfied None
     cap = 2 * eps * t * t
+    rows = []
     for j in range(k):
-        row = {"check": f"bad_pairs_{form}", "page": j, "bound": cap}
-        try:
-            cnt = bad_pair_count(mp, j)
-        except ValueError:
-            checks.append({**row, "actual": None, "satisfied": None})
-            continue
-        ok = cnt <= cap
-        if certified and not ok:
-            violations += 1
-        checks.append({**row, "actual": cnt, "satisfied": ok})
+        cnt = bad_pair_count(mp, j)
+        rows.append((f"bad_pairs_{form}", j, cap, cnt, None if cnt is None else cnt <= cap))
     bound, actual = triangle_bound(mp)
-    record(f"triangle_{form}", bound, actual)
-    book_base = None
-    try:
-        bound, cert = book_bound(mp)
-    except ValueError:
-        # the triangle bound passed every other check, so the base
-        # block(s) span no edges and no book bound applies
-        pass
-    else:
-        record(f"book_{form}", bound, cert.size)
-        book_base = list(cert.base)
+    rows.append((f"triangle_{form}", None, bound, actual, actual >= bound))
+    book = book_bound(mp)
+    if book is not None:
+        bound, cert = book
+        rows.append((f"book_{form}", None, bound, cert.size, cert.size >= bound))
 
+    checks = [{f: v for f, v in zip(LEMMA_FIELDS, row) if f != "page" or v is not None} for row in rows]
+    violations = sum(certified and ok is False for *_, ok in rows)
+    positive = sum(page is None and bound > 0 for _, page, bound, *_ in rows)
     results = {
         "t": t,
         "k": k,
@@ -369,33 +344,20 @@ def cmd_lemma_check(args):
         "pairs_uniform": pairs,
         "all_pairs_uniform": all_uniform,
         "checks": checks,
-        "book_base": book_base,
+        "book_base": None if book is None else list(cert.base),
         "violations": violations,
-        "bounds_checked": len(checks),
+        "bounds_checked": len(rows),
         "positive_bounds": positive,
     }
     summary = (
-        f"{len(checks)} checks, {positive} positive bounds, "
+        f"{len(rows)} checks, {positive} positive bounds, "
         f"{violations} certified violations"
     )
     return results, summary, EXIT_OK if violations == 0 else EXIT_FOUND
 
 
 def lemma_csv(results) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["check", "page", "bound", "actual", "satisfied"])
-    for row in results["checks"]:
-        w.writerow(
-            [
-                row["check"],
-                row.get("page", ""),
-                fraction_str(row["bound"]),
-                "" if row["actual"] is None else row["actual"],
-                "" if row["satisfied"] is None else row["satisfied"],
-            ]
-        )
-    return buf.getvalue()
+    return _csv(LEMMA_FIELDS, ([row.get(f) for f in LEMMA_FIELDS] for row in results["checks"]))
 
 
 def cmd_classify(args):
@@ -432,7 +394,11 @@ def cmd_trichotomy(args):
     if args.candidate:
         raw = _read_json(args.candidate, "candidate file")
         candidate = _vertex_lists(raw, g.n, 2, "candidate file must hold [U1, U2]")
-    res = trichotomy_check(g, as_fraction(args.xi), candidate=candidate, seed=args.seed)
+    xi = as_fraction(args.xi)
+    # the floors are the report's longest exact values (threshold_ii holds
+    # xi^6): one too long to print (ValueError) exits before any O(n^2) work
+    jsonable(trichotomy_floors(g.n, xi))
+    res = trichotomy_check(g, xi, candidate=candidate, seed=args.seed)
     branches = ", ".join(f"({b}) {res[b]}" for b in ("i", "ii", "iii"))
     return res, branches, EXIT_OK
 

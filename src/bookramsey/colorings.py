@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ParseError
-from .graphs import GRAPH6_ORDER_CAP, BookCertificate, Graph
+from .graphs import GRAPH6_ORDER_CAP, Graph
 from .numbers import as_fraction
 from .rng import bernoulli_block, probability_threshold
 
@@ -56,16 +56,6 @@ class TwoColoring:
     @cached_property
     def red(self) -> Graph:
         return self.blue.complement()
-
-    @cached_property
-    def _books(self) -> tuple[tuple[int, BookCertificate | None], ...]:
-        return self.blue.books()
-
-    def bk_blue(self) -> tuple[int, BookCertificate | None]:
-        return self._books[0]
-
-    def bk_red(self) -> tuple[int, BookCertificate | None]:
-        return self._books[1]
 
     # ----------------------------------------------------------- bit vector
 

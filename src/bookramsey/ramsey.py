@@ -303,13 +303,13 @@ def exhaustive_verify(query: RamseyQuery, *, force: bool = False, prune: bool = 
     """
     N, p, q = query.N, query.p, query.q
     m = N * (N - 1) // 2
+    # the messages name N and the caps only: 2^m and nvar_max have about
+    # twice N's digits, and may be too long to print
     if N > DEFAULT_ORDER_CAP and not force:
-        raise CapacityError(
-            f"order {N} needs 2^{m} colorings; pass force to run beyond N={DEFAULT_ORDER_CAP}"
-        )
+        raise CapacityError(f"order {N} is above the default cap; pass force to run beyond N={DEFAULT_ORDER_CAP}")
     nvar_max = m if not prune else (N - 1) * (N - 2) // 2
     if nvar_max > KERNEL_BIT_LIMIT:
-        raise CapacityError(f"enumeration index needs {nvar_max} bits; kernel is capped at {KERNEL_BIT_LIMIT}")
+        raise CapacityError(f"order {N} needs more enumeration bits than the kernel's cap of {KERNEL_BIT_LIMIT}")
 
     scenarios = [{edge_index(0, j): j <= d for j in range(1, N)} for d in range(N)] if prune else [{}]
     per_scenario = 1 << nvar_max

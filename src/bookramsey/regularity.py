@@ -346,18 +346,19 @@ def _form_terms(
     return edges, counts, pages, term
 
 
-def bad_pair_count(cfg: MultiPairConfig, j: int) -> int:
+def bad_pair_count(cfg: MultiPairConfig, j: int) -> int | None:
     """Pairs of base vertices whose codegree into page block j is at most
     (d_1 - eps)(d_2 - eps) t, d_i the density from base i to page j.
 
     One base (d_1 = d_2): unordered {u, v} in A, and eps < d is required.
     Two bases: ordered (u, v) in A1 x A2, and 2 eps <= d_i for both.
+    None when page j's density misses that precondition: no bound applies.
     """
     eps = cfg.epsilon
     pairs = [cfg.base_pair(i, j) for i in range(len(cfg.bases))]
     d = [p.density for p in pairs]
     if not (eps < d[0] if len(pairs) == 1 else 2 * eps <= min(d)):
-        raise ValueError("page density below the bad-pair precondition")
+        return None
     thr = (d[0] - eps) * (d[-1] - eps) * cfg.t
     rows = [p.cross() for p in pairs]
     low = _codegrees(rows[0], rows[-1]) <= math.floor(thr)
@@ -376,15 +377,16 @@ def triangle_bound(cfg: MultiPairConfig) -> tuple[Fraction, int]:
     return bound, int(counts.sum())
 
 
-def book_bound(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate]:
+def book_bound(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate] | None:
     """Averaged form: some base edge carries a page-block book of size at
     least t (1 - 2 eps t^2 / e) sum d_1i d_2i - 2 eps k t, the terms as in
     ``triangle_bound``; the certificate is the first largest book in the
-    base-edge order.  Raises ValueError when there are no base edges.
+    base-edge order.  None when the base block(s) span no edges: no book
+    bound applies.
     """
     edges, counts, pages, term = _form_terms(cfg)
     if not edges:
-        raise ValueError("no base edges")
+        return None
     t, k, eps = cfg.t, cfg.k, cfg.epsilon
     bound = t * (1 - Fraction(2 * eps * t * t, len(edges))) * term - 2 * eps * k * t
     u, v = edges[int(counts.argmax())]

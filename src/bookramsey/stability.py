@@ -217,6 +217,18 @@ def bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
 # -------------------------------------------------------------- trichotomy
 
 
+def trichotomy_floors(n: int, xi: Fraction) -> dict:
+    """The xi-dependent thresholds of the three branches at order n:
+    threshold_ii, order_floor and delta_floor.  Requires 0 < xi < 1."""
+    if not 0 < xi < 1:
+        raise ValueError("xi must lie in (0, 1)")
+    return {
+        "threshold_ii": (Fraction(1, 12) - xi**6 * Fraction(1, 10**6)) * n,
+        "order_floor": (1 - xi) * n,
+        "delta_floor": (Fraction(1, 2) - 2 * xi) * n,
+    }
+
+
 def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     """Evaluate the three structure branches exactly.
 
@@ -233,11 +245,9 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     in play.
     """
     xi = as_fraction(xi)
-    if not 0 < xi < 1:
-        raise ValueError("xi must lie in (0, 1)")
     n = g.n
+    floors = trichotomy_floors(n, xi)
     (bk_blue, _), (bk_red, _) = g.books()
-    thr_ii = (Fraction(1, 12) - xi**6 * Fraction(1, 10**6)) * n
 
     if candidate is not None:
         U1, U2 = candidate
@@ -249,7 +259,7 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     cls = classify(g, U1, U2)
     order = len(cls.U1) + len(cls.U2)
     delta = g.min_degree_induced(cls.U1 + cls.U2)
-    iii_holds = order >= (1 - xi) * n and delta > (Fraction(1, 2) - 2 * xi) * n
+    iii_holds = order >= floors["order_floor"] and delta > floors["delta_floor"]
     iii: bool | str
     if iii_holds:
         iii = True
@@ -261,16 +271,14 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     e_u_v3 = g.edges_between(cls.U1 + cls.U2, cls.V3)
     return {
         "i": bk_red > Fraction(n, 2),
-        "ii": bk_blue > thr_ii,
+        "ii": bk_blue > floors["threshold_ii"],
         "iii": iii,
         "bk_blue": bk_blue,
         "bk_red": bk_red,
-        "threshold_ii": thr_ii,
+        **floors,
         "G0_source": source,
         "G0_order": order,
         "delta_G0": delta,
-        "order_floor": (1 - xi) * n,
-        "delta_floor": (Fraction(1, 2) - 2 * xi) * n,
         "e_U_V3": e_u_v3,
         "e_U_V3_reference": (1 - 2 * xi) * len(cls.V3) * Fraction(n, 4),
     }

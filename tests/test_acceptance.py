@@ -140,7 +140,7 @@ def test_criterion_3_two_clique_construction_invariants(capsys):
         bad = [
             q
             for q in range(1, 101)
-            if two_cliques(q).bk_blue()[0] != q - 1 or two_cliques(q).bk_red()[0] != 0
+            if [size for size, _ in two_cliques(q).blue.books()] != [q - 1, 0]
         ]
         return not bad, f"q=1..100, zero tolerance, failures: {bad or 'none'}"
 
@@ -280,9 +280,8 @@ def test_criterion_5_counting_lemma_suite(capsys):
             eps, t = cfg.epsilon, cfg.t
             bounds = []
             for j in range(cfg.k):
-                try:
-                    bad = bad_pair_count(cfg, j)
-                except ValueError:  # density precondition fails: no bound
+                bad = bad_pair_count(cfg, j)
+                if bad is None:  # density precondition fails: no bound
                     continue
                 checks += 1
                 violations += bad > 2 * eps * t * t

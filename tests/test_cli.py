@@ -17,7 +17,7 @@ import jsonschema
 import pytest
 
 import bookramsey
-from bookramsey import cli
+from bookramsey import cli, stability
 from bookramsey.colorings import (
     TwoColoring,
     two_cliques,
@@ -216,6 +216,16 @@ def test_verify_capacity_exit_three():
     assert "capacity" in proc.stderr
 
 
+@pytest.mark.parametrize("extra", [(), ("--force", "--prune")])
+def test_verify_capacity_exit_three_at_orders_of_thousands_of_digits(extra):
+    # N prints, but 2^C(N,2) and the enumeration bits have about twice its digits
+    code, report, proc = run_cli("verify", "1" + "0" * 3000, 1, 2, *extra)
+    assert code == 3
+    assert report is None
+    assert proc.stderr.startswith("capacity error: order 1000")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_thread_flag_after_subcommand(files):
     base = run_cli("verify", 6, 1, 2)[1]["results"]
     for threads in (4, 8):
@@ -398,6 +408,15 @@ def test_stats_json_and_csv(files):
     lines = proc.stdout.splitlines()
     assert lines[0] == "edge_class,edges,mean_codegree,mean_pages_third_part,mean_pages_own_parts"
     assert lines[1].startswith("red_intra,")
+    # the whole body: empty cells for absent means, num/den means, bk_* rows
+    assert proc.stdout == (
+        "edge_class,edges,mean_codegree,mean_pages_third_part,mean_pages_own_parts\n"
+        "red_intra,135,1756/135,,\n"
+        "blue_cross,150,64/25,,\n"
+        "red_cross,150,1703/150,117/50,676/75\n"
+        "bk_red,,18,,\n"
+        "bk_blue,,6,,\n"
+    )
 
 
 def test_csv_format_rejected_for_non_tabular(files):
@@ -599,6 +618,18 @@ def test_trichotomy_reads_brc1(files, tmp_path):
 def test_trichotomy_rejects_bad_xi(files):
     code, _, _ = run_cli("trichotomy", files["kbb"], "--xi", "3/2")
     assert code == 2
+
+
+def test_trichotomy_refuses_unprintable_xi_before_books_and_extraction(files, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("O(n^2) work ran before xi was refused")
+
+    monkeypatch.setattr(Graph, "books", refuse)
+    monkeypatch.setattr(stability, "bipartite_extract", refuse)
+    assert cli.main(["trichotomy", str(files["kbb"]), "--xi", "1e-1000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "for integer string conversion" in err
 
 
 # ------------------------------------------------------------ hostile input

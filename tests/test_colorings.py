@@ -83,8 +83,9 @@ def test_blue_index_round_trip():
 def test_two_cliques_book_sizes():
     for q in (1, 2, 4, 50):
         c = two_cliques(q)
-        assert c.bk_blue()[0] == q - 1
-        assert c.bk_red()[0] == 0
+        (blue, _), (red, _) = c.blue.books()
+        assert blue == q - 1
+        assert red == 0
         assert c.n == 2 * q + 2
 
 
@@ -328,8 +329,9 @@ def test_degenerate_bias_forces_all_cross_blue():
     with pytest.raises(ValueError, match="k2=-47/200"):
         tripartite_random(params)
     c = TwoColoring(6, from_edges(6, [(0, 1), (2, 3), (4, 5)]).complement())
-    assert c.bk_blue()[0] == 2
-    assert c.bk_red()[0] == 0
+    (blue, _), (red, _) = c.blue.books()
+    assert blue == 2
+    assert red == 0
     stats = construction_statistics(c, tripartite_parts(6))
     assert stats["blue_cross"]["mean_codegree"] == 2  # n/3 exactly
     assert stats["red_cross"]["edges"] == 0
@@ -377,8 +379,9 @@ def test_construction_statistics_against_naive_counts():
         c.blue, blue_edges
     )
     assert stats["red_cross"]["mean_codegree"] == naive_codegree_mean(c.red, red_cross)
-    assert stats["bk_red"] == c.bk_red()[0]
-    assert stats["bk_blue"] == c.bk_blue()[0]
+    (bk_blue, _), (bk_red, _) = c.blue.books()
+    assert stats["bk_red"] == bk_red
+    assert stats["bk_blue"] == bk_blue
     assert stats["bk_red_over_n"] == Fraction(stats["bk_red"], 30)
 
 

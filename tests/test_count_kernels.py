@@ -139,16 +139,14 @@ def test_counting_bounds_match_the_bigint_loops(cfg):
         _, cert = book_bound(cfg)
         assert (cert.base, cert.pages) == book
     else:
-        with pytest.raises(ValueError):
-            book_bound(cfg)
+        assert book_bound(cfg) is None
     for j in range(cfg.k):
         pair = cfg.base_pair(0, j)
         assert pair.b_rows() == ref_b_rows(pair)
         assert pair.edge_count() == ref_cross_count(cfg.host, pair.A, pair.B)
         want = ref_bad_pairs(cfg, j)
         if want is None:
-            with pytest.raises(ValueError):
-                bad_pair_count(cfg, j)
+            assert bad_pair_count(cfg, j) is None
         else:
             assert bad_pair_count(cfg, j) == want
 

@@ -73,7 +73,8 @@ def test_check_coloring_matches_booksize_thresholds():
         p = int(rng.integers(1, 5))
         q = int(rng.integers(1, 5))
         res = check_coloring(c, p, q)
-        expect_neither = c.bk_red()[0] < p and c.bk_blue()[0] < q
+        (bk_blue, _), (bk_red, _) = c.blue.books()
+        expect_neither = bk_red < p and bk_blue < q
         assert isinstance(res, Neither) == expect_neither
         if isinstance(res, RedBook):
             res.certificate.validate(c.red)
