@@ -1,20 +1,13 @@
 """Book Ramsey toolkit: booksizes of dense graphs, exhaustive small-order
-verification, lower-bound colorings, and uniform-pair counting checks."""
+verification, lower-bound colorings, and uniform-pair counting checks.
 
-from .colorings import ConstructionParams, TwoColoring, two_cliques, tripartite_random
+The library lives in the submodules (``bookramsey.graphs``,
+``bookramsey.colorings``, ``bookramsey.ramsey``, ...); the package root
+holds only the version and the error types, so that importing it, as
+the command line does, loads neither numpy nor the numeric modules."""
+
 from .errors import CapacityError, ParseError
-from .graphs import BookCertificate, Graph
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BookCertificate",
-    "CapacityError",
-    "ConstructionParams",
-    "Graph",
-    "ParseError",
-    "TwoColoring",
-    "tripartite_random",
-    "two_cliques",
-    "__version__",
-]
+__all__ = ["CapacityError", "ParseError", "__version__"]

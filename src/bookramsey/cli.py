@@ -12,50 +12,28 @@ Exit codes: 0 success or forced verdict; 10 counterexample, witness, or
 bound violation found; 2 usage or parse error; 3 capacity error.
 Rationals are rendered as "num/den" strings.  --format csv is accepted
 only by the tabular reports (stats, lemma-check).
+
+Start-up is lazy: this module imports only the standard library and the
+package's error and number helpers, and each handler imports the library
+modules it uses (numpy with them) when it runs, so wall_time_ms includes
+loading them.  The process entry ``entry`` runs ``main`` and then
+freezes the garbage collector before exiting; ``main(argv)`` itself, as
+tests and in-process callers use it, leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import gc
 import json
 import sys
 import time
 from fractions import Fraction
-
-import numpy as np
+from numbers import Integral
 
 from . import __version__
-from .colorings import (
-    ConstructionParams,
-    TwoColoring,
-    construction_statistics,
-    expected_book_sizes,
-    margins,
-    pack_bits_hex,
-    read_coloring_file,
-    tripartite_parts,
-    tripartite_random,
-    two_cliques,
-    write_coloring_file,
-)
 from .errors import CapacityError, ParseError
-from .graphs import GRAPH6_ORDER_CAP, Graph
 from .numbers import as_fraction, fraction_str
-from .ramsey import Neither, RamseyQuery, RedBook, check_coloring, exhaustive_verify
-from .regularity import (
-    ORACLE_SIDE_CAP,
-    BipartitePairView,
-    MultiPairConfig,
-    bad_pair_count,
-    book_bound,
-    classify_pairs,
-    nonuniformity_search,
-    triangle_bound,
-    uniformity_oracle,
-)
-from .stability import trichotomy_check, trichotomy_floors
 
 EXIT_OK = 0
 EXIT_FOUND = 10
@@ -69,7 +47,7 @@ def jsonable(x):
         return fraction_str(x)
     if isinstance(x, bool) or x is None:
         return x
-    if isinstance(x, np.integer):
+    if isinstance(x, Integral):  # numpy integers too; bools were returned above
         return int(x)
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
@@ -82,6 +60,9 @@ def jsonable(x):
 
 def read_any_file(path):
     """Graph6 or BRC1 file, detected by header."""
+    from .colorings import TwoColoring
+    from .graphs import Graph
+
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     if text.lstrip().startswith("BRC1"):
@@ -118,6 +99,8 @@ def _vertex_lists(raw, n, count, message):
 
 def load_config(path, required=()) -> dict:
     """JSON descriptor: {graph: graph6, blocks: [[...],...], epsilon, ...} plus `required` fields."""
+    from .graphs import Graph
+
     cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ParseError("config must be a JSON object", line=1)
@@ -133,6 +116,9 @@ def load_config(path, required=()) -> dict:
 
 
 def cmd_verify(args):
+    from .colorings import pack_bits_hex
+    from .ramsey import RamseyQuery, exhaustive_verify
+
     query = RamseyQuery(args.N, args.p, args.q)
     outcome = exhaustive_verify(query, force=args.force, prune=args.prune)
     results = {
@@ -152,6 +138,8 @@ def cmd_verify(args):
 
 
 def cmd_bk(args):
+    from .colorings import TwoColoring
+
     obj = read_any_file(args.file)
 
     def side(size, cert):
@@ -169,6 +157,9 @@ def cmd_bk(args):
 
 
 def cmd_witness_check(args):
+    from .colorings import read_coloring_file
+    from .ramsey import Neither, RedBook, check_coloring
+
     c = read_coloring_file(args.file)
     res = check_coloring(c, args.p, args.q)
     if isinstance(res, Neither):
@@ -188,6 +179,16 @@ CONSTRUCT_REQUIRES = {"two-cliques": ("q",), "tripartite": ("n", "epsilon")}
 
 
 def cmd_construct(args):
+    from .colorings import (
+        ConstructionParams,
+        expected_book_sizes,
+        margins,
+        tripartite_random,
+        two_cliques,
+        write_coloring_file,
+    )
+    from .graphs import GRAPH6_ORDER_CAP
+
     missing = [f"--{name}" for name in CONSTRUCT_REQUIRES[args.kind] if getattr(args, name) is None]
     if missing:
         raise ValueError(f"construct {args.kind} requires {' and '.join(missing)}")
@@ -232,6 +233,8 @@ def cmd_construct(args):
 
 
 def cmd_stats(args):
+    from .colorings import construction_statistics, read_coloring_file, tripartite_parts
+
     c = read_coloring_file(args.file)
     if args.parts is not None:
         raw = _read_json(args.parts, "parts file")
@@ -258,6 +261,9 @@ def stats_csv(report) -> str:
 
 def _csv(header, rows) -> str:
     """CSV text of a header row and data rows: None is an empty cell, a Fraction num/den."""
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -270,11 +276,14 @@ def _csv(header, rows) -> str:
 
 
 def cmd_uniformity(args):
+    from .regularity import BipartitePairView, nonuniformity_search, uniformity_oracle
+
     cfg = load_config(args.config)
     if len(cfg["blocks"]) != 2:
         raise ValueError("uniformity needs exactly two blocks")
     eps = as_fraction(cfg["epsilon"])
     pair = BipartitePairView(cfg["graph"], *cfg["blocks"])
+    jsonable(eps)  # an epsilon too long to print (ValueError) exits before the scan
     if args.sampled:
         method, uniform = "search", None
         witness = nonuniformity_search(pair, eps, samples=args.samples, seed=args.seed)
@@ -291,6 +300,15 @@ LEMMA_FIELDS = ("check", "page", "bound", "actual", "satisfied")
 
 
 def cmd_lemma_check(args):
+    from .regularity import (
+        ORACLE_SIDE_CAP,
+        MultiPairConfig,
+        bad_pair_count,
+        book_bound,
+        triangle_bound,
+        uniformity_oracle,
+    )
+
     cfg = load_config(args.config)
     eps = as_fraction(cfg["epsilon"])
     nbases = cfg.get("bases", 1)
@@ -306,6 +324,8 @@ def cmd_lemma_check(args):
     )
     if eps <= 0:  # the oracle's refusal, at every t and before any pair is scanned
         raise ValueError("eps must be positive")
+    if args.format == "json":  # the CSV rows print no epsilon
+        jsonable(eps)
     t, k = mp.t, mp.k
     form = "shared" if nbases == 1 else "cross"
 
@@ -361,6 +381,9 @@ def lemma_csv(results) -> str:
 
 
 def cmd_classify(args):
+    from .colorings import TwoColoring
+    from .regularity import classify_pairs
+
     cfg = load_config(args.config, required=("beta", "gamma"))
     blue = cfg["graph"]
     c = TwoColoring(blue.n, blue)
@@ -387,6 +410,9 @@ def cmd_classify(args):
 
 
 def cmd_trichotomy(args):
+    from .colorings import TwoColoring
+    from .stability import trichotomy_check, trichotomy_floors
+
     g = read_any_file(args.file)
     if isinstance(g, TwoColoring):
         g = g.blue
@@ -529,5 +555,16 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> None:
+    """Process entry: run main, then exit without a last full collection.
+
+    Frozen objects are left out of the collection that interpreter
+    shutdown runs; the process frees all its memory on exit anyway.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

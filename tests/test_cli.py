@@ -7,6 +7,7 @@ would see them.
 
 import concurrent.futures
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -14,10 +15,11 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import bookramsey
-from bookramsey import cli, stability
+from bookramsey import cli, regularity, stability
 from bookramsey.colorings import (
     TwoColoring,
     two_cliques,
@@ -632,6 +634,62 @@ def test_trichotomy_refuses_unprintable_xi_before_books_and_extraction(files, mo
     assert err.startswith("error: ") and "for integer string conversion" in err
 
 
+def _refuse_scans(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan ran before epsilon was refused")
+
+    monkeypatch.setattr(regularity, "uniformity_oracle", refuse)
+    monkeypatch.setattr(regularity, "nonuniformity_search", refuse)
+    # both scans count the pair's edges first, whichever name they were called by
+    monkeypatch.setattr(regularity.BipartitePairView, "edge_count", refuse)
+
+
+@pytest.mark.parametrize("sampled", [(), ("--sampled",)])
+def test_uniformity_refuses_unprintable_epsilon_before_the_scan(files, tmp_path, monkeypatch, capsys, sampled):
+    _refuse_scans(monkeypatch)
+    assert cli.main(["uniformity", str(_config(files, tmp_path, epsilon="1e-4300")), *sampled]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "for integer string conversion" in err
+
+
+def _complete_lemma_cfg(tmp_path, t, epsilon):
+    blocks = [list(range(t)), list(range(t, 2 * t))]
+    cfg = {"graph": to_graph6(Graph.complete(2 * t)), "blocks": blocks, "bases": 1, "epsilon": epsilon}
+    return _text_file(tmp_path, json.dumps(cfg))
+
+
+def test_lemma_check_refuses_unprintable_epsilon_before_the_oracle(tmp_path, monkeypatch, capsys):
+    _refuse_scans(monkeypatch)
+    assert cli.main(["lemma-check", str(_complete_lemma_cfg(tmp_path, 5, "1e-4300"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "for integer string conversion" in err
+
+
+def test_lemma_check_csv_prints_rows_of_an_unprintable_epsilon(tmp_path):
+    # the CSV rows hold 2 eps t^2 = 1/(2*10^4298), which prints, and not eps
+    code, _, proc = run_cli("lemma-check", _complete_lemma_cfg(tmp_path, 5, "1e-4300"), "--format", "csv")
+    assert code == 0
+    assert proc.stdout.splitlines()[1].startswith("bad_pairs_shared,0,1/2" + "0" * 4298 + ",")
+
+
+def test_jsonable_renders_numpy_integers_as_int():
+    value = {
+        "a": np.int64(3),
+        7: [np.uint8(255), (np.intp(-4), True)],
+        "s": {np.int64(2), np.int64(1)},
+        "flag": False,
+        "f": Fraction(1, 3),
+    }
+    out = cli.jsonable(value)
+    assert out == {"a": 3, "7": [255, [-4, True]], "s": [1, 2], "flag": False, "f": "1/3"}
+    # json.dumps refuses numpy integers and tells a bool from the int 1
+    assert json.dumps(out, sort_keys=True) == (
+        '{"7": [255, [-4, true]], "a": 3, "f": "1/3", "flag": false, "s": [1, 2]}'
+    )
+
+
 # ------------------------------------------------------------ hostile input
 
 
@@ -864,3 +922,36 @@ def test_seeded_reports_reproduce_byte_identical_results(files):
         a = run_cli(*argv)[1]["results"]
         b = run_cli(*argv)[1]["results"]
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# ------------------------------------------------------------- process entry
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", 7, 1, 2], 0),
+        (["verify", 6, 1, 2], 10),
+        (["verify", 6, 1, 2, "--threads", 0], 2),
+        (["no-such-command"], 2),
+        (["verify", 9, 1, 2], 3),
+        (["construct", "two-cliques", "--q", 3, "--out", "{out}"], 0),
+    ],
+)
+def test_module_entry_matches_main(tmp_path, argv, code):
+    """`python -m bookramsey.cli`, which freezes the collector before it
+    exits, prints and writes what main() does."""
+    runs = []
+    for label, head in (("module", ["-m", "bookramsey.cli"]), ("main", ["-c", ENTRY])):
+        out = tmp_path / f"{label}.brc1"
+        proc = subprocess.run(
+            [sys.executable, *head, *(str(a).format(out=out) for a in argv)],
+            capture_output=True, text=True, timeout=300,
+        )
+        stdout = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', proc.stdout)
+        stdout = stdout.replace(str(out), "OUT")
+        runs.append((proc.returncode, stdout, proc.stderr.replace(str(out), "OUT"),
+                     out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    assert (runs[0][3] is not None) == (argv[0] == "construct")

@@ -1,5 +1,6 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
-and graphs.py multiplies codegrees in one place.
+graphs.py multiplies codegrees in one place, and the command line
+starts without loading the numeric modules.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices; none reads the int rows or imports a private helper of
@@ -9,6 +10,9 @@ cannot grow a second walk.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import bookramsey
@@ -94,3 +98,36 @@ def test_guard_names_every_matmul_site():
         "line 9: np.matmul in <module>",
         "line 10: @ in <module>",
     ]
+
+
+# one argv per subcommand; parsing reads no file
+PARSED_ARGVS = [
+    ["bk", "g.g6"],
+    ["verify", "7", "1", "2"],
+    ["witness-check", "c.brc1", "1", "2"],
+    ["construct", "two-cliques", "--q", "3", "--out", "c.brc1"],
+    ["stats", "c.brc1", "--format", "csv"],
+    ["uniformity", "cfg.json", "--sampled"],
+    ["lemma-check", "cfg.json"],
+    ["classify", "cfg.json"],
+    ["trichotomy", "g.g6", "--xi", "1/5"],
+]
+LIBRARY_MODULES = ("graphs", "colorings", "ramsey", "regularity", "stability", "rng")
+
+
+def test_cli_start_up_loads_no_numeric_module():
+    script = (
+        "import json, sys\n"
+        "from bookramsey import cli\n"
+        "commands = [cli.build_parser().parse_args(argv).command for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'commands': commands, 'modules': sorted(sys.modules)}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(PARSED_ARGVS)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen["commands"] == [argv[0] for argv in PARSED_ARGVS]
+    loaded = set(seen["modules"])
+    assert "numpy" not in loaded
+    assert sorted(loaded & {f"bookramsey.{m}" for m in LIBRARY_MODULES}) == []
