@@ -125,12 +125,13 @@ def _hex_bytes(payload: str, nbits: int, line: int = 1) -> np.ndarray:
             f"expected {nchars} hex characters for {nbits} edge bits, got {len(payload)}",
             line=line,
         )
-    bad = _NOT_HEX.search(payload)
-    if bad:
+    try:
+        raw = np.frombuffer(bytes.fromhex(payload + "0" * (nchars % 2)), dtype=np.uint8)
+    except ValueError:
+        raw = None
+    if raw is None or raw.size != (nchars + 1) // 2:  # fromhex also skips ASCII whitespace
+        bad = _NOT_HEX.search(payload)
         raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=bad.start())
-    if nchars % 2:
-        payload = payload + "0"
-    raw = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)
     pad = 8 * raw.size - nbits  # below 8, all in the last byte
     if raw.size and raw[-1] & ((1 << pad) - 1):
         raise ParseError("nonzero padding bits", line=line, offset=nchars - 1)

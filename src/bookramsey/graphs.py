@@ -10,9 +10,13 @@ graph's edges itself, ANDing word rows, so its cost grows with the edge
 count.  ``books`` (the books of both colours, or the red-first book
 search behind ``ramsey.check_coloring``) and ``part_codegrees`` (the
 ``stats`` command) reduce one walk over the codegrees of all pairs,
-``_codegree_tiles``.  ``Graph(n, rows)``, the one checked constructor,
-checks outside int rows once; decoding and the constructions build
-valid words and skip the check.  Graphs are immutable; share them freely.
+``_codegree_tiles``, a float32 product of row stripes.  A codegree is
+at most n - 2, so while n <= 4097 the walk folds two rows into one
+operand row as lo + 4096 hi and multiplies half as many rows; every sum
+stays an integer below 2**24, exact in float32.  ``Graph(n, rows)``,
+the one checked constructor, checks outside int rows once; decoding and
+the constructions build valid words and skip the check.  Graphs are
+immutable; share them freely.
 
 Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
 which is the row-major strict lower triangle of the matrix.  graph6
@@ -37,6 +41,7 @@ GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_ORDER_CAP = 1 << 13  # decoding at the cap: ~0.6 s, 61 MB peak RSS (2 cores, numpy 2.4)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _STRIPE = 256  # rows per codec step and per codegree-product tile; a multiple of 8
+_FOLD = 4096  # codegree tiles fold two rows into one while every codegree, at most n - 2, is below this
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -291,19 +296,25 @@ class Graph:
         that holds neither end], the last 0 inside a part.
 
         The vertices are relabelled, a stripe at a time, so that the
-        parts are contiguous, and ``_codegree_tiles`` cuts its products
-        at the part boundaries.  Each tile is split at those boundaries
-        into sub-tiles of parts (a, b); an edge class adds the count, sum
-        and maximum of its codegrees there, and a cross edge its pages in
-        part 3 - a - b from that part's product.  The totals are int64
-        sums, exact.
+        parts are contiguous (no copy when they already are), and
+        ``_codegree_tiles`` cuts its products at the part boundaries,
+        folding each cut range as it folds the whole row.  Each tile is
+        masked in place to the codegrees of its edges (c) and non-edges
+        (cc), 0 elsewhere, and split at those boundaries into sub-tiles of
+        parts (a, b); an edge class adds the count of its mask there, the
+        float64 sum of its masked codegrees and their maximum, which is
+        that of the class since codegrees are nonnegative, and a cross
+        edge its pages in part 3 - a - b from that part's product.  The
+        float64 sums are of integers below 2**53, so every total is exact.
         """
         n = self.n
         order = np.concatenate([np.asarray(p, dtype=np.intp) for p in parts])
         bounds = np.cumsum([0] + [len(p) for p in parts]).tolist()
-        words = np.empty_like(self.words)
-        for r0 in range(0, n, _STRIPE):
-            words[r0 : r0 + _STRIPE] = _pack(self.adjacency(order[r0 : r0 + _STRIPE], order))
+        words = self.words
+        if not np.array_equal(order, np.arange(n)):
+            words = np.empty_like(words)
+            for r0 in range(0, n, _STRIPE):
+                words[r0 : r0 + _STRIPE] = _pack(self.adjacency(order[r0 : r0 + _STRIPE], order))
         out = np.zeros((4, 4), dtype=np.int64)
 
         def pieces(lo: int, hi: int) -> list[tuple[int, slice]]:
@@ -312,16 +323,17 @@ class Graph:
             return [(k, slice(a - lo, b - lo)) for k, a, b in cuts if a < b]
 
         for r0, c0, c, cc, edge, other, by_part in _codegree_tiles(words, n, bounds[1:3]):
+            c *= edge
+            cc *= other
             for a, rows in pieces(r0, r0 + c.shape[0]):
                 for b, cols in pieces(c0, c0 + c.shape[1]):
                     cross = int(a != b)
                     for total, mask, value in ((out[cross], edge, c), (out[2 + cross], other, cc)):
-                        picked = value[rows, cols][mask[rows, cols]]
-                        if picked.size:
-                            total[:2] += picked.size, picked.sum(dtype=np.int64)
-                            total[2] = max(total[2], picked.max())
+                        block = value[rows, cols]
+                        total[:2] += np.count_nonzero(mask[rows, cols]), int(block.sum(dtype=np.float64))
+                        total[2] = max(total[2], block.max())
                     if cross:
-                        out[1, 3] += by_part[3 - a - b][rows, cols][edge[rows, cols]].sum(dtype=np.int64)
+                        out[1, 3] += int((by_part[3 - a - b][rows, cols] * edge[rows, cols]).sum(dtype=np.float64))
         return out.tolist()
 
     def complement(self) -> "Graph":
@@ -361,7 +373,7 @@ class Graph:
             stripe = np.zeros(lower.shape, dtype=bool)
             stripe[lower] = take(r0 * (r0 - 1) // 2, r1 * (r1 - 1) // 2)
             out[r0:r1, : (n + 7) // 8] |= np.packbits(stripe, axis=1, bitorder="little")
-            out[:, r0 // 8 : (r1 + 7) // 8] |= np.packbits(stripe.T, axis=1, bitorder="little")
+            out[:, r0 // 8 : (r1 + 7) // 8] |= np.packbits(stripe.T.copy(), axis=1, bitorder="little")
         return cls._of_words(n, out.view("<u8"))
 
     # ---------------------------------------------------------------- graph6
@@ -461,21 +473,31 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
     complement cc = n - 2 - d(u) - d(v) + c (meaningful at non-edges),
     the masks of the edges and of the non-edges u < v, and the products
     over the vertex ranges that ``cuts`` splits [0, n) into, which sum
-    to c (without cuts, parts is [c]).  Tile rows are unpacked to 0/1
-    float32 through a 256-entry byte table, and c is their product.
-    All arrays are buffers allocated once and rebuilt for each tile, so
-    a caller may overwrite them; the walk holds O(_STRIPE n) memory.
+    to c (without cuts, parts is [c]).  Stripe rows are unpacked to 0/1
+    float32 through a 256-entry byte table, and the edge masks of a tile
+    from its words.
+
+    While n <= 4097, every codegree is below _FOLD = 4096, and the m rows
+    of a row stripe are folded in place into its first h = ceil(m/2):
+    row i becomes lo + 4096 hi for lo row i and hi row h + i (at odd m,
+    row h - 1 stands alone).  Row i of the product p of those h rows is
+    decoded as hi = floor(p / 4096) into row h + i and lo = p - 4096 hi
+    into row i, in each cut range.  Above, the fold factor is 1 and
+    h = m: the plain product on the same path.  All arrays are rebuilt
+    for each tile, so a caller may overwrite them; the walk holds
+    O(_STRIPE n) memory.
     """
     # Every product of these rows, and every term of the complement
     # identity, is an integer of magnitude at most 2n, so float32 is
     # exact, in any summation order and so for any BLAS thread count.
+    # A folded product is lo + 4096 hi with lo, hi <= n - 2 <= 4095, so it
+    # and its partial sums stay below 2**24 and are exact as well.
     assert 2 * n < 1 << 24, "float32 codegrees are exact only below 2**24"
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.float32)
     degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
     s = min(_STRIPE, n)
     stripes = np.empty((2, s, 64 * words.shape[1]), dtype=np.float32)
     scratch = np.empty((2 + (len(cuts) + 1 if cuts else 0), s * s), dtype=np.float32)
-    masks = np.empty((2, s * s), dtype=bool)
     bounds = [0, *cuts, None]
     ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -486,23 +508,28 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
 
     for r0 in range(0, n, _STRIPE):
         left = rows(r0, stripes[0])
+        m = len(left)
+        h = -(-m // (2 if n - 2 < _FOLD else 1))
+        left[h:] *= _FOLD
+        left[: m - h] += left[h:]
         for c0 in range(r0, n, _STRIPE):
             right = rows(c0, stripes[1])
-            shape = (len(left), len(right))
+            shape = (m, len(right))
             c, cc, *parts = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
-            edge, other = (a[: shape[0] * shape[1]].reshape(shape) for a in masks)
             parts = parts or [c]  # without cuts, c is the one range product
             for part, cols in zip(parts, ranges):
-                np.matmul(left[:, cols], right[:, cols].T, out=part)
+                np.matmul(left[:h, cols], right[:, cols].T, out=part[:h])
+                np.floor(part[: m - h] / _FOLD, out=part[h:])
+                part[: m - h] -= part[h:] * _FOLD
             if cuts:
                 np.add(parts[0], parts[1], out=c)
                 for part in parts[2:]:
                     c += part
-            np.add(degree[r0 : r0 + shape[0], None], degree[None, c0 : c0 + shape[1]] - (n - 2), out=cc)
+            np.add(degree[r0 : r0 + m, None], degree[None, c0 : c0 + shape[1]] - (n - 2), out=cc)
             np.subtract(c, cc, out=cc)
-            np.greater(left[:, c0 : c0 + shape[1]], 0, out=edge)
-            np.logical_not(edge, out=other)
+            edge = _unpack(words[r0 : r0 + m, c0 >> 6 :], c0 % 64 + shape[1])[:, c0 % 64 :]
+            other = ~edge
             if c0 == r0:
-                low = np.tri(shape[0], dtype=bool)
+                low = np.tri(m, dtype=bool)
                 edge[low] = other[low] = False
             yield r0, c0, c, cc, edge, other, parts

@@ -23,6 +23,7 @@ from bookramsey.colorings import (
     two_cliques,
     write_coloring_file,
 )
+from bookramsey import colorings
 from bookramsey.errors import ParseError
 from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
@@ -134,6 +135,44 @@ def test_brc1_reports_offset_of_bad_hex_character():
             TwoColoring.from_brc1(text)
         assert (exc.value.line, exc.value.offset) == (2, 4)
 
+
+# the characters a BRC1 payload drops, and the hex digits it accepts
+PAYLOAD_DROPS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029 \t"
+HEX_DIGITS = "0123456789abcdefABCDEF"
+ODD_CHARACTERS = [chr(i) for i in range(128)]
+ODD_CHARACTERS += ["\x80", "\x85", "\xa0", "\u00e9", "\u0663", "\u2028", "\u3000", "\ud800", "\U0001f600"]
+
+
+def refusal(read, *args):
+    """(message, line, offset) of the ParseError ``read`` raises, else None."""
+    try:
+        read(*args)
+    except ParseError as exc:
+        return str(exc).split(" (line")[0], exc.line, exc.offset
+    return None
+
+
+def test_brc1_refuses_every_odd_character_where_it_stands():
+    # each character in turn replaces payload character 0, 3 or 6: a
+    # dropped one leaves the payload a character short, a hex digit is
+    # read, any other is named with its offset, and of two the first
+    payload = two_cliques(3).to_brc1().splitlines()[1]  # 28 bits, 7 characters
+    short = ("expected 7 hex characters for 28 edge bits, got 6", 2, None)
+    for ch in ODD_CHARACTERS:
+        for pos in (0, 3, 6):
+            raw = payload[:pos] + ch + payload[pos + 1 :]
+            named = None if ch in HEX_DIGITS else (f"invalid hex character {ch!r}", 2, pos)
+            got = refusal(TwoColoring.from_brc1, f"BRC1 8\n{raw}\n")
+            assert got == (short if ch in PAYLOAD_DROPS else named), (ch, pos)
+            # unstripped, as bytes.fromhex would skip ASCII whitespace
+            assert refusal(colorings._hex_bytes, raw, 28, 2) == named, (ch, pos)
+            if pos < 5:
+                first = refusal(colorings._hex_bytes, raw[:5] + "g" + raw[6:], 28, 2)
+                assert first[2] == (5 if ch in HEX_DIGITS else pos), (ch, pos)
+        # two together between byte pairs, which bytes.fromhex would skip
+        pair = payload[:2] + 2 * ch + payload[4:]
+        named = None if ch in HEX_DIGITS else (f"invalid hex character {ch!r}", 2, 2)
+        assert refusal(colorings._hex_bytes, pair, 28, 2) == named, ch
 
 def test_pack_unpack_hex():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)

@@ -135,6 +135,35 @@ def ref_statistics(c: TwoColoring, parts) -> dict:
     }
 
 
+def ref_part_codegrees(g: Graph, parts) -> list[list[int]]:
+    """``part_codegrees`` from full n x n codegree matrices of g and of its
+    complement: edges inside a part, across two, then non-edges inside
+    and across, each [pairs, codegree sum, largest codegree or 0, pages
+    in the third part (edges across only)]."""
+    n = g.n
+    pid = np.empty(n, dtype=np.int64)
+    for k, part in enumerate(parts):
+        pid[list(part)] = k
+
+    def codegrees(adj, cols=slice(None)):
+        a = adj[:, cols].astype(np.float64)
+        return np.rint(a @ a.T).astype(np.int64)
+
+    adj, comp = g.adjacency(), g.complement().adjacency()
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = pid[:, None] == pid[None, :]
+    third = np.zeros((n, n), dtype=np.int64)
+    for k in range(3):
+        across = ~same & (pid[:, None] != k) & (pid[None, :] != k)
+        third[across] = codegrees(adj, pid == k)[across]
+    out = []
+    for m, cod in ((adj, codegrees(adj)), (comp, codegrees(comp))):
+        for sel in (upper & same & m, upper & ~same & m):
+            out.append([int(sel.sum()), int(cod[sel].sum()), int(cod[sel].max(initial=0)), 0])
+    out[1][3] = int(third[upper & ~same & adj].sum())
+    return out
+
+
 # ---------------------------------------------------------------- generators
 
 
@@ -476,3 +505,82 @@ def test_statistics_memory_stays_within_stripes():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * buffers, f"peak {peak} bytes against {buffers} bytes of buffers"
+
+
+def test_books_memory_adds_no_stripe_buffer():
+    # the walk's buffers: two float32 stripes of _STRIPE word rows, the
+    # intp copy np.take makes of one stripe's bytes and O(_STRIPE^2) tile
+    # scratch.  The fold works in place and the edge masks come from the
+    # words, so less than half a bool stripe is left for temporaries.
+    n, rows = 3000, graphs._STRIPE
+    c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
+    cols = 64 * -(-n // 64)  # word rows padded to whole words
+    buffers = 2 * 4 * rows * cols + rows * cols + 12 * rows**2
+    tracemalloc.start()
+    try:
+        c.blue.books()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + rows * n // 2, f"peak {peak} bytes against {buffers} bytes of buffers"
+
+
+# ---------------------------------------------------------------------- fold
+# While n <= 4097 a codegree is at most 4095, and the walk folds the
+# second half of each row stripe onto the first as lo + 4096 hi: one
+# product of half height, decoded, gives the codegrees of both halves.
+# From n = 4098 on the fold factor is 1.
+
+
+def complete_part_codegrees(n: int, sizes) -> list[list[int]]:
+    """``part_codegrees`` of K_n, where every codegree is n - 2."""
+    intra = sum(s * (s - 1) // 2 for s in sizes)
+    pairs = [(sizes[a], sizes[b], sizes[3 - a - b]) for a, b in ((0, 1), (0, 2), (1, 2))]
+    cross = sum(x * y for x, y, _ in pairs)
+    pages = sum(x * y * z for x, y, z in pairs)
+    return [[intra, intra * (n - 2), n - 2, 0], [cross, cross * (n - 2), n - 2, pages], [0] * 4, [0] * 4]
+
+
+@pytest.mark.parametrize("n", [4097, 4098])
+def test_walk_at_the_fold_limit(n):
+    # K_4097 folds every product to 4095 + 4096 * 4095 = 2**24 - 1; the
+    # cuts fall in the second half of stripe 0 (200) and in the first
+    # half of stripe 8 (2100)
+    sizes = [200, 1900, n - 2100]
+    parts = [range(200), range(200, 2100), range(2100, n)]
+    perm = np.random.default_rng(n).permutation(n).tolist()
+    shuffled = [perm[:200], perm[200:2100], perm[2100:]]
+    complete = Graph.complete(n)
+    assert [base_of(b) for b in complete.books()] == [(n - 2, (0, 1)), (0, None)]
+    want = complete_part_codegrees(n, sizes)
+    assert complete.part_codegrees(parts) == complete.part_codegrees(shuffled) == want
+    assert Graph.empty(n).part_codegrees(parts) == [[0] * 4, [0] * 4, want[0], want[1][:3] + [0]]
+
+    # K_n less a matching that leaves out 200 and 201 (and n - 1 at odd n):
+    # blue codegrees n - 4 to n - 2, and the first base of the largest
+    # possible book, n - 2 pages, is (200, 201) in the second half of stripe 0
+    rest = [v for v in range(n - n % 2) if v not in (200, 201)]
+    red = from_edges(n, zip(rest[::2], rest[1::2]))
+    blue = red.complement()
+    first = ref_first_book(blue, n - 2)
+    books = [base_of(b) for b in blue.books()]
+    assert books == [(n - 2, first), ref_booksize(red)] == [(n - 2, (200, 201)), (0, (0, 1))]
+    c = coloring_of(blue)
+    assert verdict(check_coloring(c, 1, n - 2)) == ref_check_coloring(c, 1, n - 2) == ("blue", (200, 201))
+    assert isinstance(check_coloring(c, 1, n - 1), Neither)  # the largest blue book has n - 2 pages
+
+
+@pytest.mark.parametrize("stripe", [63, 65])
+def test_walk_with_odd_stripe_heights_at_n1001(stripe, monkeypatch):
+    # a stripe of odd height leaves its middle row out of the fold; the
+    # part cuts at 360 and 700 fall inside folded halves of both widths
+    rng = np.random.default_rng(1001)
+    n = 1001
+    g = graph_of(random_adjacency(rng, n, 0.5))  # built before the stripes shrink
+    h = g.complement()
+    perm = rng.permutation(n).tolist()
+    monkeypatch.setattr(graphs, "_STRIPE", stripe)
+    assert [base_of(b) for b in g.books()] == [ref_booksize(g), ref_booksize(h)]
+    check_thresholds(coloring_of(g))
+    for parts in ([range(360), range(360, 700), range(700, n)], [perm[:360], perm[360:700], perm[700:]]):
+        assert g.part_codegrees(parts) == ref_part_codegrees(g, parts)
