@@ -15,10 +15,12 @@ only by the tabular reports (stats, lemma-check).
 
 Start-up is lazy: this module imports only the standard library and the
 package's error and number helpers, and each handler imports the library
-modules it uses (numpy with them) when it runs, so wall_time_ms includes
-loading them.  The process entry ``entry`` runs ``main`` and then
-freezes the garbage collector before exiting; ``main(argv)`` itself, as
-tests and in-process callers use it, leaves the collector alone.
+modules it uses when it runs, so wall_time_ms includes loading them.
+``verify`` loads ``ramsey`` and ``colex`` only, and so never numpy; the
+other commands load numpy with the modules they use.  The process entry
+``entry`` runs ``main`` and then freezes the garbage collector before
+exiting; ``main(argv)`` itself, as tests and in-process callers use it,
+leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def load_config(path, required=()) -> dict:
 
 
 def cmd_verify(args):
-    from .colorings import pack_bits_hex
+    from .colex import index_hex
     from .ramsey import RamseyQuery, exhaustive_verify
 
     query = RamseyQuery(args.N, args.p, args.q)
@@ -125,9 +127,9 @@ def cmd_verify(args):
         "verdict": outcome.verdict,
         "colorings_examined": outcome.colorings_examined,
     }
-    if outcome.counterexample is not None:
-        results["counterexample_n"] = outcome.counterexample.n
-        results["counterexample_hex"] = pack_bits_hex(outcome.counterexample.blue_bits())
+    if outcome.counterexample_index is not None:
+        results["counterexample_n"] = args.N
+        results["counterexample_hex"] = index_hex(outcome.counterexample_index, args.N * (args.N - 1) // 2)
     summary = (
         f"every 2-coloring of K_{args.N} has a red {args.p}-book or blue {args.q}-book"
         if outcome.verdict == "forced"

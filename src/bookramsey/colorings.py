@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .colex import edge_index  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 from .graphs import GRAPH6_ORDER_CAP, Graph
 from .numbers import as_fraction
@@ -31,15 +32,6 @@ _NOT_HEX = re.compile("[^0-9a-fA-F]")
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
 _PAYLOAD_SPACE = dict.fromkeys(map(ord, _BREAKS + " \t"))
-
-
-def edge_index(i: int, j: int) -> int:
-    """Colex index of edge (i, j), i < j."""
-    if i == j:
-        raise ValueError("no loops")
-    if i > j:
-        i, j = j, i
-    return j * (j - 1) // 2 + i
 
 
 @dataclass(frozen=True)

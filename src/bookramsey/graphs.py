@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .colex import bits_of  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -50,14 +51,6 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def bits_of(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

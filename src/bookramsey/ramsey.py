@@ -13,14 +13,15 @@ enumeration shrinks by roughly 2^(N-1)/N.  A scenario becomes a list of
 books, one per base edge and colour that the fixed edges leave
 reachable, each with the open pages that could still complete it.
 
-The kernel is bit-sliced: a batch of candidates is held as one uint64
-word array per variable bit, lane i of word w standing for candidate
-64*w + i of the batch.  Bits 0-5 are fixed lane patterns (0xAAAA...,
-0xCCCC..., ...); a higher bit is an all-ones or all-zeros word.  A red
-page is the AND of its edges' complemented words, a blue page the AND
-of the words.  Per book, a saturating unary counter turns its pages into
-"at least need pages", which is ANDed with the base's word and ORed
-into the batch's hit word.  Each bitwise operation covers 64 candidates.
+The kernel is bit-sliced on Python ints, and imports no numpy: a batch
+of candidates is held as one int per variable bit, bit i standing for
+candidate i of the batch.  The offset bits (below) are fixed patterns,
+built from repeated bytes (0xAA, 0xCC, 0xF0, then runs of 0x00 and
+0xFF); a prefix bit fills each prefix's whole span with its value.  A
+red page is the AND of its edges' complemented ints, a blue page the AND
+of the ints.  Per book, a saturating unary counter turns its pages into
+"at least need pages", which is ANDed with the base's int and ORed into
+the batch's hit int.  Each bitwise operation covers the whole batch.
 
 The kernel runs recursively.  Up to BLOCK_BITS variable bits, one call
 covers every candidate.  Above that, the top nvar - LOW_BITS bits form a
@@ -30,24 +31,32 @@ decide.  Filling in the offset only adds pages, so a prefix that holds
 one of them holds it in every completion and is dropped; the
 restrictions compose, so every level drops only such prefixes.  Each
 level takes the surviving prefixes in increasing order, a batch at a
-time with all their offsets, and passes on the lanes that no book hits;
-the first miss at the top is the lowest counterexample.  Every level is
-a generator, so one kernel batch per level is live at a time.  It all
-runs on the calling thread: a batch is a few milliseconds of short numpy
-calls, and a second thread only contends for the interpreter lock.
+time with all their offsets, and passes on the candidates that no book
+hits, read off 64 bits at a time; the first miss at the top is the
+lowest counterexample.  Every level is a generator, so one kernel batch
+per level is live at a time.  It all runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import and_, or_
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .colorings import TwoColoring, edge_index
+from .colex import bits_of, edge_index
 from .errors import CapacityError
-from .graphs import BookCertificate, bits_of
+
+if TYPE_CHECKING:
+    from .colorings import TwoColoring
+    from .graphs import BookCertificate
 
 DEFAULT_ORDER_CAP = 8
+# most variable bits a scan may have: surviving candidates pass between
+# levels as unsigned 64-bit words, and 2^62 candidates would never finish
 KERNEL_BIT_LIMIT = 62
 BLOCK_BITS = 19
 # offset bits under each prefix: 6 to 12 were timed on the five benchmark
@@ -89,8 +98,18 @@ class Neither:
 @dataclass(frozen=True)
 class SearchOutcome:
     verdict: str  # "forced" | "counterexample"
-    counterexample: TwoColoring | None
+    N: int
+    counterexample_index: int | None  # blue index of the counterexample
     colorings_examined: int
+
+    @property
+    def counterexample(self) -> TwoColoring | None:
+        """The counterexample, decoded from its index on each access."""
+        if self.counterexample_index is None:
+            return None
+        from .colorings import TwoColoring
+
+        return TwoColoring.from_blue_index(self.N, self.counterexample_index)
 
 
 def check_coloring(c: TwoColoring, p: int, q: int):
@@ -113,17 +132,8 @@ def check_coloring(c: TwoColoring, p: int, q: int):
 
 # ------------------------------------------------------------------ kernel
 
-LANE_BITS = 6  # 64 candidates per uint64 word
-# word pattern of variable bit b < 6: lane i holds bit b of i
-_LANE_PATTERNS = (
-    0xAAAAAAAAAAAAAAAA,
-    0xCCCCCCCCCCCCCCCC,
-    0xF0F0F0F0F0F0F0F0,
-    0xFF00FF00FF00FF00,
-    0xFFFF0000FFFF0000,
-    0xFFFFFFFF00000000,
-)
-_ALL_LANES = np.uint64(0xFFFFFFFFFFFFFFFF)
+LANE_BITS = 6  # bits per word of the miss scan; a prefix spans whole words
+_FULL_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -179,64 +189,70 @@ def _books(N: int, p: int, q: int, fixed: dict[int, bool]) -> tuple[list[int], l
     return var_edges, books
 
 
-def _bit_words(words: int, nbits: int) -> list[np.ndarray]:
-    """Entry b < nbits: bit b of candidate 64*w + i, at lane i of word w.
+@lru_cache(maxsize=4)
+def _bit_words(width: int, nbits: int) -> tuple[int, ...]:
+    """Entry b < nbits: the int whose bit i is bit b of i mod 2^nbits, i < width.
 
-    With fewer than 64 candidates (nbits < 6) lane i repeats candidate
-    i mod 2^nbits, so an unused lane is hit exactly when a used one is
-    and never reports the first miss.
+    `width` is a multiple of 2^nbits.  Bits 0-2 repeat one byte (0xAA,
+    0xCC, 0xF0); bit b >= 3 repeats 2^(b-3) zero bytes, then as many 0xFF.
+    Cached: a level's full batches all have the same width.
     """
-    lanes = [np.full(words, pattern, dtype=np.uint64) for pattern in _LANE_PATTERNS[:nbits]]
-    word_index = np.arange(words, dtype=np.uint64)
-    # a bit above the lane bits is one bit of the word index, spread over all lanes
-    return lanes + [
-        np.uint64(0) - ((word_index >> np.uint64(b - LANE_BITS)) & np.uint64(1))
-        for b in range(LANE_BITS, nbits)
-    ]
+    nbytes = max(1, width >> 3)
+    runs = [bytes([pattern]) for pattern in (0xAA, 0xCC, 0xF0)[:nbits]]
+    runs += [bytes(1 << b - 3) + b"\xff" * (1 << b - 3) for b in range(3, nbits)]
+    ones = (1 << width) - 1  # cuts a pattern short of one byte
+    return tuple(int.from_bytes(run * (nbytes // len(run)), "little") & ones for run in runs)
 
 
-def _at_least(pages: tuple[tuple[int, ...], ...], need: int, colour: list[np.ndarray], words: int) -> np.ndarray:
-    """Fresh word array: lanes where at least `need` pages are wholly `colour`.
+def _at_least(pages: tuple[tuple[int, ...], ...], need: int, colour: list[int], ones: int) -> int:
+    """The candidates with at least `need` pages wholly `colour`.
 
-    A saturating unary counter: level[j] holds the lanes with at least
-    j + 1 pages so far.  Levels are raised top down, so a page lifts a
-    lane by one level at most.
+    A saturating unary counter: level[j] holds the candidates with at
+    least j + 1 pages so far.  Levels are raised top down, so a page
+    lifts a candidate by one level at most.
     """
     if need <= 0:
-        return np.full(words, _ALL_LANES)
-    level = [np.zeros(words, dtype=np.uint64) for _ in range(need)]
-    page = np.empty(words, dtype=np.uint64)
-    carry = np.empty(words, dtype=np.uint64)
+        return ones
+    level = [0] * need
     for bits in pages:
-        if len(bits) == 1:
-            word = colour[bits[0]]
-        else:
-            word = np.bitwise_and(colour[bits[0]], colour[bits[1]], out=page)
+        word = colour[bits[0]] if len(bits) == 1 else colour[bits[0]] & colour[bits[1]]
         for j in range(need - 1, 0, -1):
-            level[j] |= np.bitwise_and(level[j - 1], word, out=carry)
+            level[j] |= level[j - 1] & word
         level[0] |= word
-    return level[need - 1]
+    return level[-1]
 
 
-def _block_hit(blue: list[np.ndarray], red: list[np.ndarray], words: int, books: list[_Book]) -> np.ndarray:
-    """Word array: lane set iff that candidate holds one of the books.
+def _block_hit(blue: list[int], red: list[int], ones: int, books: list[_Book]) -> int:
+    """The candidates that hold one of the books.
 
-    blue[b] and red[b] are the words of variable bit b and its complement.
+    blue[b] and red[b] are the ints of variable bit b and its complement.
     """
-    hit = np.zeros(words, dtype=np.uint64)
+    hit = 0
     for b in books:
         colour = blue if b.blue else red
-        book = _at_least(b.pages, b.need, colour, words)
+        book = _at_least(b.pages, b.need, colour, ones)
         if b.base is not None:
             book &= colour[b.base]
         hit |= book
+        if hit == ones:  # every candidate is hit: the other books change nothing
+            break
     return hit
 
 
-def _clear_lanes(hit: np.ndarray, count: int) -> np.ndarray:
-    """Increasing indices of the candidates, among the first `count`, that no book hits."""
-    clear = np.unpackbits((~hit).astype("<u8", copy=False).view(np.uint8), bitorder="little")
-    return np.flatnonzero(clear[:count])
+def _words(x: int, count: int) -> array:
+    """The `count` 64-bit words of x, least significant first."""
+    words = array("Q", x.to_bytes(count << 3, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _from_words(words: array) -> int:
+    """The int whose 64-bit words, least significant first, are `words`."""
+    if sys.byteorder == "big":
+        words = array("Q", words)
+        words.byteswap()
+    return int.from_bytes(words, "little")
 
 
 def _prefix_books(books: list[_Book], low: int) -> list[_Book]:
@@ -264,33 +280,54 @@ def _misses(nvar: int, books: list[_Book]):
     and each batch of them runs with all its offsets through every book.
     """
     low = nvar if nvar <= BLOCK_BITS else LOW_BITS
-    per = max(1, (1 << low) >> LANE_BITS)  # words per prefix
+    span = 1 << low  # candidates per prefix
+    per = max(1, span >> LANE_BITS)  # words per prefix
     if nvar > low:
         prefix_misses = _misses(nvar - low, _prefix_books(books, low))
         batch = 1 << max(0, BLOCK_BITS - low)  # prefixes per kernel call
     else:
-        prefix_misses, batch = [np.zeros(1, dtype=np.int64)], 1
-    # word j*per + r of a batch is offset word r of its j-th prefix: the
-    # word index above the low bits is ignored, so the pattern tiles
-    blue_low = _bit_words(batch * per, low)
-    red_low = [~x for x in blue_low]
+        prefix_misses, batch = [array("Q", [0])], 1
+    # candidate j*span + r of a batch is offset r of its j-th prefix: the
+    # offset bits repeat every span, and a prefix bit fills its whole span
     for survivors in prefix_misses:
-        for i in range(0, survivors.size, batch):
+        for i in range(0, len(survivors), batch):
             prefixes = survivors[i : i + batch]
-            words = prefixes.size * per
-            high = prefixes.astype(np.uint64)
-            blue_high = [
-                np.repeat(np.uint64(0) - (high >> np.uint64(b) & np.uint64(1)), per) for b in range(nvar - low)
-            ]
-            blue = [x[:words] for x in blue_low] + blue_high
-            red = [x[:words] for x in red_low] + [~x for x in blue_high]
-            k = _clear_lanes(_block_hit(blue, red, words, books), prefixes.size << low)
-            yield (prefixes[k >> low] << low) + (k & ((1 << low) - 1))
+            width = len(prefixes) << low
+            ones = (1 << width) - 1
+            blue = list(_bit_words(width, low))
+            if nvar > low:
+                slots = array("Q", bytes(width >> 3))
+                slots[::per] = prefixes
+                packed = _from_words(slots)
+                # the first and the last offset of each prefix: per span,
+                # (last - first bit) ^ last is all ones if the bit is set, else 0
+                first, last = ones ^ reduce(or_, blue), reduce(and_, blue)
+                # the prefixes increase, so the bits above the highest one
+                # in which the first and the last differ are the same in all
+                varying = (prefixes[0] ^ prefixes[-1]).bit_length()
+                for b in range(varying):
+                    blue.append(last - (packed >> b & first) ^ last)
+                blue += [ones if prefixes[0] >> b & 1 else 0 for b in range(varying, nvar - low)]
+            red = [ones ^ x for x in blue]
+            words = _words(ones ^ _block_hit(blue, red, ones, books), max(1, width >> LANE_BITS))
+            del blue, red  # only the survivors stay live across the yield
+            out = array("Q")
+            append = out.append
+            for w in compress(range(len(words)), words):
+                word, head = words[w], prefixes[w // per] << low | (w % per) << LANE_BITS
+                if word == _FULL_WORD:
+                    out.extend(range(head, head + 64))
+                    continue
+                while word:
+                    lowest = word & -word
+                    append(head | lowest.bit_length() - 1)
+                    word ^= lowest
+            yield out
 
 
 def _scan_scenario(nvar: int, books: list[_Book]) -> int | None:
     """Lowest variable-bit index whose coloring holds none of the books."""
-    return next((int(m[0]) for m in _misses(nvar, books) if m.size), None)
+    return next((m[0] for m in _misses(nvar, books) if m), None)
 
 
 def exhaustive_verify(query: RamseyQuery, *, force: bool = False, prune: bool = False) -> SearchOutcome:
@@ -321,11 +358,13 @@ def exhaustive_verify(query: RamseyQuery, *, force: bool = False, prune: bool = 
         blue_edges = [var_edges[b] for b in bits_of(k)] + [e for e, blue in fixed.items() if blue]
         return SearchOutcome(
             verdict="counterexample",
-            counterexample=TwoColoring.from_blue_index(N, sum(1 << e for e in blue_edges)),
+            N=N,
+            counterexample_index=sum(1 << e for e in blue_edges),
             colorings_examined=si * per_scenario + k + 1,
         )
     return SearchOutcome(
         verdict="forced",
-        counterexample=None,
+        N=N,
+        counterexample_index=None,
         colorings_examined=len(scenarios) * per_scenario,
     )

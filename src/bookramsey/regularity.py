@@ -21,9 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .colex import bits_of
 from .colorings import TwoColoring
 from .errors import CapacityError
-from .graphs import BookCertificate, Graph, bits_of, vertex_mask
+from .graphs import BookCertificate, Graph, vertex_mask
 from .numbers import as_fraction
 from .rng import subset_sampler
 

@@ -211,6 +211,14 @@ def test_verify_counterexample_exit_ten(files):
     assert isinstance(check_coloring(c, 1, 2), Neither)
 
 
+def test_verify_smallest_counterexample_hex():
+    # K_2 has one edge: its lowest coloring, all red, prints as one nibble
+    code, report, _ = run_cli("verify", 2, 1, 1)
+    assert code == 10
+    res = report["results"]
+    assert (res["counterexample_n"], res["counterexample_hex"], res["colorings_examined"]) == (2, "0", 1)
+
+
 def test_verify_capacity_exit_three():
     code, report, proc = run_cli("verify", 12, 1, 4)
     assert code == 3

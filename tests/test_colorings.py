@@ -2,6 +2,7 @@
 tripartite construction with its expected-value bookkeeping."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from bookramsey.colorings import (
     write_coloring_file,
 )
 from bookramsey import colorings
+from bookramsey.colex import index_hex
 from bookramsey.errors import ParseError
 from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
@@ -185,6 +187,18 @@ def test_pack_unpack_hex():
     assert np.array_equal(TwoColoring.from_brc1(f"BRC1 4\n{payload}\n").blue_bits(), bits)
     with pytest.raises(ParseError, match="nonzero padding bits"):
         TwoColoring.from_brc1("BRC1 4\nb5\n")  # padding bit set
+
+
+@pytest.mark.parametrize("N", range(2, 18))
+def test_index_hex_matches_pack_bits_hex(N):
+    # C(N, 2) for N = 2..17 meets every residue mod 8, so every padding
+    # of the last byte and nibble; 0 first at N = 16
+    m = N * (N - 1) // 2
+    rng = random.Random(N)
+    lowest_blue = [(1 << j) - 1 for j in range(m + 1)]  # 0 .. 2^m - 1: the lowest j edges blue
+    for k in lowest_blue + [rng.getrandbits(m) for _ in range(20)]:
+        expect = pack_bits_hex(TwoColoring.from_blue_index(N, k).blue_bits())
+        assert index_hex(k, m) == expect, (N, k)
 
 
 def test_coloring_file_io(tmp_path):

@@ -1,6 +1,6 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
-graphs.py multiplies codegrees in one place, and the command line
-starts without loading the numeric modules.
+graphs.py multiplies codegrees in one place, the command line starts
+without loading the numeric modules, and ``verify`` runs without them.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices; none reads the int rows or imports a private helper of
@@ -131,3 +131,53 @@ def test_cli_start_up_loads_no_numeric_module():
     loaded = set(seen["modules"])
     assert "numpy" not in loaded
     assert sorted(loaded & {f"bookramsey.{m}" for m in LIBRARY_MODULES}) == []
+
+
+# (argv, exit code): one forced verdict and one counterexample
+VERIFY_RUNS = [(["verify", "6", "1", "1"], 0), (["verify", "7", "2", "2", "--prune"], 10)]
+NUMERIC_MODULES = ("numpy", "bookramsey.graphs", "bookramsey.colorings", "bookramsey.rng")
+
+
+def test_verify_loads_no_numeric_module():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from bookramsey import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([argv for argv, _ in VERIFY_RUNS])],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen["codes"] == [code for _, code in VERIFY_RUNS]
+    loaded = set(seen["modules"])
+    assert "bookramsey.ramsey" in loaded
+    assert sorted(loaded & set(NUMERIC_MODULES)) == []
+
+
+def definitions(source: str) -> set[str]:
+    """Names of the module-level functions of a source file."""
+    return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
+def module_imports(source: str) -> set[str]:
+    """Top-level module names that a source file imports anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+def test_colex_helpers_have_one_numpy_free_definition():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    owners = {name: sorted(f for f, src in sources.items() if name in definitions(src)) for name in ("edge_index", "bits_of")}
+    assert owners == {"edge_index": ["colex.py"], "bits_of": ["colex.py"]}
+    assert "numpy" not in module_imports(sources["colex.py"])
+    assert "numpy" not in module_imports(sources["ramsey.py"])

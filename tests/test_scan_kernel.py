@@ -1,8 +1,7 @@
 """Differential tests: the bit-sliced exhaustive scan against references.
 
-`ref_block_all_hit` is the per-candidate kernel the scan used before it
-was bit-sliced: one candidate per uint64 and a page counter per book and
-candidate.  The scan must report the same lowest missing index in every
+`ref_block_all_hit` is an independent per-candidate kernel in numpy: one
+candidate per uint64 and a page counter per book and candidate.  The scan must report the same lowest missing index in every
 scenario, at every split of its bits into prefix and offset, however
 many levels the prefixes recurse.  Both read the same books, so
 `test_books_match_brute_force_over_fixed_partial_colorings` checks the
@@ -82,18 +81,24 @@ def _scenarios(N):
 # --------------------------------------------------------------------- tests
 
 
+def _int_bits(x: int, width: int) -> np.ndarray:
+    """Bits 0 .. width - 1 of x, as a uint64 array."""
+    raw = np.frombuffer(x.to_bytes(max(1, (width + 7) // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:width].astype(np.uint64)
+
+
 @pytest.mark.parametrize("nbits", [0, 1, 3, 5, 6, 7, 13, BLOCK_BITS])
 def test_bit_words_spell_candidate_indices(nbits):
-    words = max(1, (1 << nbits) >> 6)
-    bits = _bit_words(words, nbits)
-    assert len(bits) == nbits
-    lanes = np.arange(64, dtype=np.uint64)
-    index = np.zeros((words, 64), dtype=np.uint64)
-    for b, word in enumerate(bits):
-        index |= ((word[:, None] >> lanes) & np.uint64(1)) << np.uint64(b)
-    # fewer than 64 candidates repeat across the word
-    expect = np.arange(words * 64, dtype=np.uint64) % np.uint64(1 << nbits)
-    assert np.array_equal(index.ravel(), expect)
+    # one prefix's candidates, and three prefixes' side by side
+    for width in (1 << nbits, 3 << nbits):
+        bits = _bit_words(width, nbits)
+        assert len(bits) == nbits
+        assert all(0 <= x < 1 << width for x in bits)
+        index = np.zeros(width, dtype=np.uint64)
+        for b, x in enumerate(bits):
+            index |= _int_bits(x, width) << np.uint64(b)
+        expect = np.arange(width, dtype=np.uint64) % np.uint64(1 << nbits)
+        assert np.array_equal(index, expect), width
 
 
 @pytest.mark.parametrize("N", range(2, 8))
@@ -150,7 +155,8 @@ def test_books_match_brute_force_over_fixed_partial_colorings():
 def test_short_block_reports_no_miss_in_unused_lanes():
     # pruned K_4 with vertex 0 blue to all of 1, 2, 3: each of the 8
     # colorings of the triangle 123 makes a monochromatic triangle, so
-    # none of the 56 unused lanes of the single word may read as a miss
+    # none of the 56 bits above them in the single 64-bit word that the
+    # miss scan reads may read as a miss
     var_edges, books = _books(4, 1, 1, _star(4, 3))
     assert len(var_edges) == 3
     assert _scan_scenario(3, books) is None
@@ -187,8 +193,8 @@ def test_dropped_prefixes_hit_in_every_completion(N):
             dropped = ref_block_all_hit(prefixes, prefix_books)
             full = ref_block_all_hit(candidates, books)
             assert full[dropped].all(), (N, fixed, low, p, q)
-            survivors = np.concatenate(list(_misses(high, prefix_books)))
-            assert np.array_equal(survivors, np.flatnonzero(~dropped)), (N, fixed, low, p, q)
+            survivors = [k for batch in _misses(high, prefix_books) for k in batch]
+            assert survivors == np.flatnonzero(~dropped).tolist(), (N, fixed, low, p, q)
 
 
 @pytest.mark.parametrize("N, pruned", [(6, False), (6, True), (7, False), (7, True)])
@@ -224,9 +230,9 @@ def test_scan_matches_reference_at_every_low_width(N, pruned, monkeypatch):
                 continue
             batch = 1 << max(0, block_bits - low)
             for survivors in misses(nvar - low, _prefix_books(books, low)):
-                if survivors.size:
+                if survivors:
                     seen.add("one" if batch == 1 else "many")
-                if survivors.size > batch and survivors.size % batch:
+                if len(survivors) > batch and len(survivors) % batch:
                     seen.add("short last")
     assert depth[0] == 0
     if top:
