@@ -119,10 +119,9 @@ def load_config(path, required=()) -> dict:
 
 def cmd_verify(args):
     from .colex import index_hex
-    from .ramsey import RamseyQuery, exhaustive_verify
+    from .ramsey import exhaustive_verify
 
-    query = RamseyQuery(args.N, args.p, args.q)
-    outcome = exhaustive_verify(query, force=args.force, prune=args.prune)
+    outcome = exhaustive_verify(args.N, args.p, args.q, force=args.force, prune=args.prune)
     results = {
         "verdict": outcome.verdict,
         "colorings_examined": outcome.colorings_examined,
@@ -387,10 +386,8 @@ def cmd_classify(args):
     from .regularity import classify_pairs
 
     cfg = load_config(args.config, required=("beta", "gamma"))
-    blue = cfg["graph"]
-    c = TwoColoring(blue.n, blue)
     labels = classify_pairs(
-        c,
+        TwoColoring(cfg["graph"]),
         cfg["blocks"],
         as_fraction(cfg["epsilon"]),
         as_fraction(cfg["beta"]),

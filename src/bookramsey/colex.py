@@ -1,17 +1,25 @@
-"""The colex edge order and bit sets, on plain ints.
+"""The colex edge order, bit sets on plain ints, and the BRC1 payload.
 
 Edge (i, j), i < j, of K_n sits at index j(j-1)/2 + i; a coloring's blue
-edges are one int with bit e set for each blue edge e.  This module
-imports no numpy, so the exhaustive scan (``ramsey``) and the ``verify``
-command run without it.
+edges are one int with bit e set for each blue edge e.  The BRC1 bytes
+of a coloring hold its C(n, 2) blue bits in that order, 8 to a byte, the
+first in the high bit, zero-padded at the end; its payload is their
+lowercase hex, cut to ceil(C(n, 2) / 4) characters.  These bytes are
+the one packed form of a coloring between modules.  This module imports
+no numpy, so the exhaustive scan (``ramsey``) and the ``verify`` command
+run without it.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
+
+from .errors import ParseError
 
 # byte b with its bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_NOT_HEX = re.compile("[^0-9a-fA-F]")
 
 
 def edge_index(i: int, j: int) -> int:
@@ -31,8 +39,43 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def index_hex(index: int, nbits: int) -> str:
-    """The BRC1 payload of the ``nbits`` bits of ``index``, bit k the
-    k-th bit: lowercase hex, first bit high in each nibble."""
-    raw = index.to_bytes((nbits + 7) // 8, "little").translate(_BIT_REVERSE)
+def index_bytes(index: int, nbits: int) -> bytes:
+    """The BRC1 bytes of the ``nbits`` bits of ``index``, bit k the k-th."""
+    return index.to_bytes((nbits + 7) // 8, "little").translate(_BIT_REVERSE)
+
+
+def bytes_index(raw: bytes) -> int:
+    """The int whose bit k is the k-th bit of BRC1 bytes."""
+    return int.from_bytes(raw.translate(_BIT_REVERSE), "little")
+
+
+def bytes_hex(raw: bytes, nbits: int) -> str:
+    """The BRC1 payload of the BRC1 bytes of ``nbits`` bits."""
     return raw.hex()[: (nbits + 3) // 4]
+
+
+def index_hex(index: int, nbits: int) -> str:
+    """The BRC1 payload of the ``nbits`` bits of ``index``, bit k the k-th."""
+    return bytes_hex(index_bytes(index, nbits), nbits)
+
+
+def hex_bytes(payload: str, nbits: int, line: int = 1) -> bytes:
+    """The BRC1 bytes of a payload of ``nbits`` bits, checked for length,
+    characters and zero padding."""
+    nchars = (nbits + 3) // 4
+    if len(payload) != nchars:
+        raise ParseError(
+            f"expected {nchars} hex characters for {nbits} edge bits, got {len(payload)}",
+            line=line,
+        )
+    try:
+        raw = bytes.fromhex(payload + "0" * (nchars % 2))
+    except ValueError:
+        raw = None
+    if raw is None or len(raw) != (nchars + 1) // 2:  # fromhex also skips ASCII whitespace
+        bad = _NOT_HEX.search(payload)
+        raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=bad.start())
+    pad = 8 * len(raw) - nbits  # below 8, all in the last byte
+    if raw and raw[-1] & ((1 << pad) - 1):
+        raise ParseError("nonzero padding bits", line=line, offset=nchars - 1)
+    return raw

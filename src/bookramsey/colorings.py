@@ -5,10 +5,10 @@ Large-book statistics for the randomized tripartite construction are
 computed with exact rational means so expectation formulas can be checked
 without float slack.
 
-Interchange format BRC1: a header line ``BRC1 <n>`` followed by the blue
-edge indicator bits in colex order (edge (i, j) with i < j sits at index
-j(j-1)/2 + i), packed four bits per lowercase hex character, first bit in
-the high bit of the nibble, zero-padded at the end.
+Interchange format BRC1: a header line ``BRC1 <n>`` followed by the
+coloring's payload, the lowercase hex of its BRC1 bytes (``colex``): the
+blue edge bits in colex order, four to a character, first bit in the
+high bit of the nibble, zero-padded at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .colex import bytes_hex, bytes_index, hex_bytes, index_bytes
 from .colex import edge_index  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 from .graphs import GRAPH6_ORDER_CAP, Graph
@@ -27,7 +28,6 @@ from .numbers import as_fraction
 from .rng import bernoulli_block, probability_threshold
 
 BRC1_MAGIC = "BRC1"
-_NOT_HEX = re.compile("[^0-9a-fA-F]")
 # the line breaks of str.splitlines, and the characters a payload drops
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
@@ -38,26 +38,17 @@ _PAYLOAD_SPACE = dict.fromkeys(map(ord, _BREAKS + " \t"))
 class TwoColoring:
     """A 2-coloring of E(K_n), held as its blue graph."""
 
-    n: int
     blue: Graph
 
-    def __post_init__(self):
-        if self.blue.n != self.n:
-            raise ValueError("blue graph order does not match n")
+    @property
+    def n(self) -> int:
+        return self.blue.n
 
     @cached_property
     def red(self) -> Graph:
         return self.blue.complement()
 
-    # ----------------------------------------------------------- bit vector
-
-    def blue_bits(self) -> np.ndarray:
-        """Blue indicators over all C(n, 2) edges in colex order."""
-        return self.blue.colex_bits()
-
-    @classmethod
-    def from_blue_bits(cls, n: int, bits: np.ndarray) -> "TwoColoring":
-        return cls(n, Graph.from_colex_bits(n, bits))
+    # ---------------------------------------------------------- blue index
 
     @classmethod
     def from_blue_index(cls, n: int, index: int) -> "TwoColoring":
@@ -65,19 +56,15 @@ class TwoColoring:
         m = n * (n - 1) // 2
         if not 0 <= index < 1 << m:
             raise ValueError("index outside the coloring range")
-        raw = np.frombuffer(index.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=m, bitorder="little").view(bool)
-        return cls.from_blue_bits(n, bits)
+        return cls(Graph.from_colex_bits(n, index_bytes(index, m), width=8))
 
     def blue_index(self) -> int:
-        packed = np.packbits(self.blue_bits(), bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
+        return bytes_index(self.blue.colex_bytes())
 
     # ----------------------------------------------------------------- BRC1
 
     def to_brc1(self) -> str:
-        bits = self.blue_bits()
-        hexpart = pack_bits_hex(bits)
+        hexpart = bytes_hex(self.blue.colex_bytes(), self.n * (self.n - 1) // 2)
         return f"{BRC1_MAGIC} {self.n}\n{hexpart}\n"
 
     @classmethod
@@ -97,37 +84,8 @@ class TwoColoring:
         if n > GRAPH6_ORDER_CAP:
             raise CapacityError(f"BRC1 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
         payload = text[end.end() :].translate(_PAYLOAD_SPACE) if end else ""
-        raw = _hex_bytes(payload, n * (n - 1) // 2, line=2)
-        return cls(n, Graph.from_colex_bits(n, raw, width=8))
-
-
-def pack_bits_hex(bits: np.ndarray) -> str:
-    """Pack a bit vector into lowercase hex, first bit high in each nibble."""
-    nchars = (len(bits) + 3) // 4
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="big")
-    return packed.tobytes().hex()[:nchars]
-
-
-def _hex_bytes(payload: str, nbits: int, line: int = 1) -> np.ndarray:
-    """The bytes of a ``pack_bits_hex`` payload of ``nbits`` bits, checked
-    for length, characters and zero padding."""
-    nchars = (nbits + 3) // 4
-    if len(payload) != nchars:
-        raise ParseError(
-            f"expected {nchars} hex characters for {nbits} edge bits, got {len(payload)}",
-            line=line,
-        )
-    try:
-        raw = np.frombuffer(bytes.fromhex(payload + "0" * (nchars % 2)), dtype=np.uint8)
-    except ValueError:
-        raw = None
-    if raw is None or raw.size != (nchars + 1) // 2:  # fromhex also skips ASCII whitespace
-        bad = _NOT_HEX.search(payload)
-        raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=bad.start())
-    pad = 8 * raw.size - nbits  # below 8, all in the last byte
-    if raw.size and raw[-1] & ((1 << pad) - 1):
-        raise ParseError("nonzero padding bits", line=line, offset=nchars - 1)
-    return raw
+        raw = hex_bytes(payload, n * (n - 1) // 2, line=2)
+        return cls(Graph.from_colex_bits(n, raw, width=8))
 
 
 def read_coloring_file(path) -> TwoColoring:
@@ -151,7 +109,7 @@ def two_cliques(q: int) -> TwoColoring:
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    return TwoColoring(2 * q + 2, Graph.complete_bipartite(q + 1, q + 1).complement())
+    return TwoColoring(Graph.complete_bipartite(q + 1, q + 1).complement())
 
 
 @dataclass(frozen=True)
@@ -239,7 +197,7 @@ def tripartite_random(params: ConstructionParams) -> TwoColoring:
         cross = np.arange(j) // t != j // t
         red = bernoulli_block(params.seed, s, j, thr)
         bits[s : s + j] = cross & ~red
-    return TwoColoring.from_blue_bits(n, bits)
+    return TwoColoring(Graph.from_colex_bits(n, np.packbits(bits), width=8))
 
 
 def tripartite_parts(n: int) -> tuple[list[int], list[int], list[int]]:

@@ -18,13 +18,14 @@ the one checked constructor, checks outside int rows once; decoding and
 the constructions build valid words and skip the check.  Graphs are
 immutable; share them freely.
 
-Also owns the colex codec: the C(n, 2) vertex pairs in colex order,
-which is the row-major strict lower triangle of the matrix.  graph6
-(short form n <= 62, long form n <= 258047) and BRC1 (``colorings``)
-store their edge bits in this order; both read orders up to
-GRAPH6_ORDER_CAP.  The codec goes _STRIPE rows at a time and unpacks
-only the edge bits of the stripe at hand, so it holds the input, the
-words and O(_STRIPE n) bytes.
+Also owns the colex codec between words and packed bytes: the C(n, 2)
+vertex pairs in colex order, which is the row-major strict lower
+triangle of the matrix.  graph6 (short form n <= 62, long form
+n <= 258047) packs their bits 6 to a character, and the BRC1 bytes of
+``colex`` 8 to a byte; ``colex_bytes`` writes the latter and
+``from_colex_bits`` reads either, at orders up to GRAPH6_ORDER_CAP.  The
+codec goes _STRIPE rows at a time and unpacks only the edge bits of the
+stripe at hand, so it holds the input, the words and O(_STRIPE n) bytes.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 class BookCertificate:
     """Witness that a graph contains a book of the stated size.
 
-    ``pages`` is exactly the common neighborhood of the base endpoints,
-    so ``size == len(pages)`` and every page forms a triangle with the
-    base edge.
+    ``pages`` are common neighbours of the base endpoints, so every page
+    forms a triangle with the base edge; ``from_base`` takes all of
+    them, ``regularity.book_bound`` those in its page blocks.
     """
 
     base: tuple[int, int]
@@ -75,14 +76,6 @@ class BookCertificate:
             raise ValueError(f"base ({u},{v}) is not an edge")
         common = np.flatnonzero(g.adjacency([u, v]).all(axis=0))
         return cls(base=(min(u, v), max(u, v)), pages=frozenset(common.tolist()))
-
-    def validate(self, g: "Graph") -> None:
-        u, v = self.base
-        if not g.has_edge(u, v):
-            raise ValueError("certificate base is not an edge")
-        for w in self.pages:
-            if not (g.has_edge(u, w) and g.has_edge(v, w)):
-                raise ValueError(f"page {w} is not adjacent to both base endpoints")
 
 
 class Graph:
@@ -145,22 +138,10 @@ class Graph:
     # ---------------------------------------------------------------- query
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        for w in (u, v):
+            if not 0 <= w < self.n:
+                raise ValueError(f"vertex {w} out of range for n={self.n}")
         return bool(int(self.words[u, v >> 6]) >> (v & 63) & 1)
-
-    def degree(self, u: int) -> int:
-        self._check_vertex(u)
-        return int(np.bitwise_count(self.words[u]).sum())
-
-    def neighbors(self, u: int) -> Iterator[int]:
-        self._check_vertex(u)
-        return iter(np.flatnonzero(self.adjacency([u])[0]).tolist())
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges (u, v) with u < v, lexicographically ordered."""
-        for u in range(self.n):
-            yield from ((u, v) for v in self.neighbors(u) if v > u)
 
     def edge_count(self) -> int:
         return int(np.bitwise_count(self.words).sum()) // 2
@@ -186,10 +167,6 @@ class Graph:
         U = sorted(set(U))
         return int(self.degrees_into(U, U).min()) if U else 0
 
-    def _check_vertex(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for n={self.n}")
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(self.words, other.words)
 
@@ -200,14 +177,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
     # ------------------------------------------------------------ operations
-
-    def codegree(self, u: int, v: int) -> int:
-        """Number of common neighbors of two distinct vertices."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise ValueError("codegree requires two distinct vertices")
-        return int(np.bitwise_count(self.words[u] & self.words[v]).sum())
 
     def booksize(self) -> tuple[int, BookCertificate | None]:
         """Largest book size together with a witnessing certificate.
@@ -338,33 +307,32 @@ class Graph:
     # ----------------------------------------------------------- colex codec
     # Pair (i, j), i < j, has colex index j(j-1)/2 + i.
 
-    def colex_bits(self) -> np.ndarray:
-        """Edge indicators over all C(n, 2) pairs in colex order."""
-        bits = np.zeros(self.n * (self.n - 1) // 2, dtype=bool)
-        for r0, r1, lower in _stripes(self.n):
-            bits[r0 * (r0 - 1) // 2 : r1 * (r1 - 1) // 2] = self.adjacency(range(r0, r1))[lower]
-        return bits
+    def colex_bytes(self) -> bytes:
+        """The BRC1 bytes of the edges (``colex``): one bit per pair in
+        colex order, 8 to a byte, first in the high bit, zero-padded.  A
+        stripe starts at pair r0(r0-1)/2, a multiple of 8, so each packs
+        to its own bytes."""
+        return b"".join(
+            np.packbits(self.adjacency(range(r0, r1))[lower]).tobytes() for r0, r1, lower in _stripes(self.n)
+        )
 
     @classmethod
-    def from_colex_bits(cls, n: int, bits: np.ndarray, width: int | None = None) -> "Graph":
-        """Inverse of ``colex_bits``.  ``bits`` holds one indicator per pair
-        or, given ``width``, packs ``width`` of them into the low bits of
-        each uint8, first indicator highest (graph6 packs 6, BRC1 8); only
-        one stripe's range is then unpacked at a time.  Each stripe of the
-        lower triangle is packed into its own rows and, transposed, into
-        the same columns of every row, so the words are symmetric by
-        construction."""
+    def from_colex_bits(cls, n: int, packed: bytes | np.ndarray, width: int) -> "Graph":
+        """Inverse of ``colex_bytes``: the graph whose pair bits, in colex
+        order, are packed ``width`` to a byte into its low bits, first bit
+        highest (graph6 packs 6, BRC1 8).  Only one stripe's range is
+        unpacked at a time.  Each stripe of the lower triangle is packed
+        into its own rows and, transposed, into the same columns of every
+        row, so the words are symmetric by construction."""
+        packed = np.frombuffer(packed, dtype=np.uint8)
         nbits = n * (n - 1) // 2
-        if width is None:
-            size, take = nbits, lambda a, b: bits[a:b]
-        else:
-            size, take = -(-nbits // width), lambda a, b: _bit_range(bits, width, a, b)
-        if len(bits) != size:
-            raise ValueError(f"expected {size} entries for {nbits} edge bits, got {len(bits)}")
+        size = -(-nbits // width)
+        if len(packed) != size:
+            raise ValueError(f"expected {size} entries for {nbits} edge bits, got {len(packed)}")
         out = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
         for r0, r1, lower in _stripes(n):
             stripe = np.zeros(lower.shape, dtype=bool)
-            stripe[lower] = take(r0 * (r0 - 1) // 2, r1 * (r1 - 1) // 2)
+            stripe[lower] = _bit_range(packed, width, r0 * (r0 - 1) // 2, r1 * (r1 - 1) // 2)
             out[r0:r1, : (n + 7) // 8] |= np.packbits(stripe, axis=1, bitorder="little")
             out[:, r0 // 8 : (r1 + 7) // 8] |= np.packbits(stripe.T.copy(), axis=1, bitorder="little")
         return cls._of_words(n, out.view("<u8"))

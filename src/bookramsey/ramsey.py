@@ -66,21 +66,6 @@ LOW_BITS = 6
 
 
 @dataclass(frozen=True)
-class RamseyQuery:
-    """Ask whether every 2-coloring of K_N has a red B_p or blue B_q."""
-
-    N: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("order must be at least 2")
-        if self.p < 1 or self.q < 1:
-            raise ValueError("book page targets must be at least 1")
-
-
-@dataclass(frozen=True)
 class RedBook:
     certificate: BookCertificate
 
@@ -97,10 +82,13 @@ class Neither:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    verdict: str  # "forced" | "counterexample"
     N: int
     counterexample_index: int | None  # blue index of the counterexample
     colorings_examined: int
+
+    @property
+    def verdict(self) -> str:
+        return "forced" if self.counterexample_index is None else "counterexample"
 
     @property
     def counterexample(self) -> TwoColoring | None:
@@ -330,7 +318,7 @@ def _scan_scenario(nvar: int, books: list[_Book]) -> int | None:
     return next((m[0] for m in _misses(nvar, books) if m), None)
 
 
-def exhaustive_verify(query: RamseyQuery, *, force: bool = False, prune: bool = False) -> SearchOutcome:
+def exhaustive_verify(N: int, p: int, q: int, *, force: bool = False, prune: bool = False) -> SearchOutcome:
     """Scan every 2-coloring of K_N for one avoiding red B_p and blue B_q.
 
     colorings_examined counts candidates at or below the hit in the
@@ -338,7 +326,10 @@ def exhaustive_verify(query: RamseyQuery, *, force: bool = False, prune: bool = 
     forced verdict it is the full enumeration size, however many
     candidates the prefix levels dropped unseen.
     """
-    N, p, q = query.N, query.p, query.q
+    if N < 2:
+        raise ValueError("order must be at least 2")
+    if p < 1 or q < 1:
+        raise ValueError("book page targets must be at least 1")
     m = N * (N - 1) // 2
     # the messages name N and the caps only: 2^m and nvar_max have about
     # twice N's digits, and may be too long to print
@@ -356,15 +347,5 @@ def exhaustive_verify(query: RamseyQuery, *, force: bool = False, prune: bool = 
         if k is None:
             continue
         blue_edges = [var_edges[b] for b in bits_of(k)] + [e for e, blue in fixed.items() if blue]
-        return SearchOutcome(
-            verdict="counterexample",
-            N=N,
-            counterexample_index=sum(1 << e for e in blue_edges),
-            colorings_examined=si * per_scenario + k + 1,
-        )
-    return SearchOutcome(
-        verdict="forced",
-        N=N,
-        counterexample_index=None,
-        colorings_examined=len(scenarios) * per_scenario,
-    )
+        return SearchOutcome(N, sum(1 << e for e in blue_edges), si * per_scenario + k + 1)
+    return SearchOutcome(N, None, len(scenarios) * per_scenario)

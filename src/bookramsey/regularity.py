@@ -72,12 +72,11 @@ class BipartitePairView:
 
 @dataclass(frozen=True)
 class UniformityVerdict:
-    uniform: bool
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None
 
-    def __post_init__(self):
-        if self.uniform == (self.witness is not None):
-            raise ValueError("witness present iff not uniform")
+    @property
+    def uniform(self) -> bool:
+        return self.witness is None
 
 
 def _size_floor(eps: Fraction, side: int) -> int:
@@ -144,7 +143,7 @@ def uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
         raise CapacityError(f"oracle sides capped at {ORACLE_SIDE_CAP} vertices")
     a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
     if a0 > na or b0 > nb:
-        return UniformityVerdict(uniform=True, witness=None)
+        return UniformityVerdict(None)
     rows = np.array(pair.b_rows(), dtype=np.int32)
     enum = pair.edge_count()
     limits = _deviation_limits(eps, na, nb, b0, np.arange(na + 1))
@@ -165,7 +164,7 @@ def uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
         if hits.size:
             break
     else:
-        return UniformityVerdict(uniform=True, witness=None)
+        return UniformityVerdict(None)
     X, s = int(X[hits[0]]), int(s[hits[0]])
     # least Y: cross counts of every mask of B by subset sums
     esum = np.zeros(1 << nb, dtype=dtype)
@@ -180,7 +179,7 @@ def uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
             break
     wx = tuple(pair.A[k] for k in bits_of(X))
     wy = tuple(pair.B[k] for k in bits_of(Y))
-    return UniformityVerdict(uniform=False, witness=(wx, wy))
+    return UniformityVerdict((wx, wy))
 
 
 def check_witness(pair: BipartitePairView, eps, X: Iterable[int], Y: Iterable[int]) -> bool:

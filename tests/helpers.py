@@ -6,6 +6,7 @@ from typing import Iterable
 
 import numpy as np
 
+from bookramsey.colorings import TwoColoring
 from bookramsey.graphs import Graph
 
 
@@ -27,7 +28,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         index.append(u * (u - 1) // 2 + v if u > v else v * (v - 1) // 2 + u)
     bits = np.zeros(n * (n - 1) // 2, dtype=bool)
     bits[np.frombuffer(index, dtype=np.int64)] = True
-    return Graph.from_colex_bits(n, bits)
+    return Graph.from_colex_bits(n, np.packbits(bits), width=8)
+
+
+def coloring_of_bits(n: int, bits) -> TwoColoring:
+    """The coloring of K_n whose blue indicators, in colex order, are ``bits``."""
+    return TwoColoring(Graph.from_colex_bits(n, np.packbits(np.asarray(bits, dtype=bool)), width=8))
 
 
 def to_graph6(g: Graph) -> str:
@@ -39,10 +45,46 @@ def to_graph6(g: Graph) -> str:
         prefix = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
     else:
         raise ValueError("graph6 supports at most 258047 vertices here")
-    bits = g.colex_bits()
+    bits = colex_bools(g)
     six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
     vals = np.packbits(six, axis=1).ravel() >> 2
     return prefix + (vals + 63).tobytes().decode("ascii")
+
+
+# Vertex and edge queries over the bool matrix ``adjacency()``, not the
+# packed words that the package's own counts read.
+
+
+def degree(g: Graph, u: int) -> int:
+    return int(g.adjacency([u]).sum())
+
+
+def neighbors(g: Graph, u: int) -> list[int]:
+    return np.flatnonzero(g.adjacency([u])[0]).tolist()
+
+
+def codegree(g: Graph, u: int, v: int) -> int:
+    return int(g.adjacency([u, v]).all(axis=0).sum())
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in lexicographic order."""
+    return list(zip(*(a.tolist() for a in np.nonzero(np.triu(g.adjacency(), 1)))))
+
+
+def check_certificate(cert, g: Graph) -> None:
+    """Raise ValueError unless the base is an edge of g and every page is
+    adjacent to both of its ends."""
+    u, v = cert.base
+    rows = g.adjacency([u, v])
+    if not rows[0, v] or not cert.pages <= set(np.flatnonzero(rows.all(axis=0)).tolist()):
+        raise ValueError(f"{cert} is not a book of the graph")
+
+
+def colex_bools(g: Graph) -> np.ndarray:
+    """The edge indicators of the C(n, 2) pairs in colex order."""
+    lower = np.arange(g.n) < np.arange(g.n)[:, None]
+    return g.adjacency()[lower]
 
 
 def classification_report(g: Graph, cls) -> dict:

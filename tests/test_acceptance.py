@@ -33,7 +33,6 @@ from bookramsey.colorings import (
 from bookramsey.graphs import Graph
 from bookramsey.ramsey import (
     Neither,
-    RamseyQuery,
     check_coloring,
     exhaustive_verify,
 )
@@ -118,8 +117,8 @@ def test_criterion_1_ramsey_exactness_at_q2(capsys, tmp_path):
 def test_criterion_2_classical_triangle_consistency(capsys):
     def body():
         t0 = time.perf_counter()
-        forced = exhaustive_verify(RamseyQuery(6, 1, 1))
-        found = exhaustive_verify(RamseyQuery(5, 1, 1))
+        forced = exhaustive_verify(6, 1, 1)
+        found = exhaustive_verify(5, 1, 1)
         elapsed = time.perf_counter() - t0
         ok = forced.verdict == "forced"
         ok &= found.verdict == "counterexample"
@@ -505,7 +504,7 @@ def test_criterion_10_ramsey_at_order_ten(capsys):
         # every level streams its prefixes: one kernel batch per level is live
         tracemalloc.start()
         try:
-            out = exhaustive_verify(RamseyQuery(10, 2, 2), force=True, prune=True)
+            out = exhaustive_verify(10, 2, 2, force=True, prune=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -277,7 +277,7 @@ def test_witness_check_red_refutation_names_first_base(tmp_path):
     # blue edges 01 and 02; the red bases 03 and 04 carry one page each,
     # so the first red base with two pages is 12 (pages 3 and 4)
     path = tmp_path / "red.brc1"
-    write_coloring_file(path, TwoColoring(5, from_edges(5, [(0, 1), (0, 2)])))
+    write_coloring_file(path, TwoColoring(from_edges(5, [(0, 1), (0, 2)])))
     code, report, proc = run_cli("witness-check", path, 2, 5)
     assert code == 10
     assert report["results"] == {
@@ -617,7 +617,7 @@ def test_trichotomy_with_and_without_candidate(files, tmp_path):
 def test_trichotomy_reads_brc1(files, tmp_path):
     # the coloring whose blue graph is the graph6 file's graph
     path = tmp_path / "kbb.brc1"
-    write_coloring_file(path, TwoColoring(20, Graph.complete_bipartite(10, 10)))
+    write_coloring_file(path, TwoColoring(Graph.complete_bipartite(10, 10)))
     code, report, _ = run_cli("trichotomy", path, "--xi", "1/10", "--seed", 5)
     assert code == 0
     _, want, _ = run_cli("trichotomy", files["kbb"], "--xi", "1/10", "--seed", 5)

@@ -131,7 +131,7 @@ def invocations(draw):
     g = draw(graphs())
     files = {
         "g6": draw(damaged(to_graph6(g) + "\n")),
-        "brc1": draw(damaged(TwoColoring(g.n, g).to_brc1())),
+        "brc1": draw(damaged(TwoColoring(g).to_brc1())),
         "config": draw(json_files(configs())),
         "parts": draw(json_files(blocks_of(g.n, 3) | vertex_lists)),
         "candidate": draw(json_files(blocks_of(g.n, 2) | vertex_lists)),

@@ -17,15 +17,13 @@ from bookramsey.colorings import (
     edge_index,
     expected_book_sizes,
     margins,
-    pack_bits_hex,
     read_coloring_file,
     tripartite_parts,
     tripartite_random,
     two_cliques,
     write_coloring_file,
 )
-from bookramsey import colorings
-from bookramsey.colex import index_hex
+from bookramsey.colex import hex_bytes, index_hex
 from bookramsey.errors import ParseError
 from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
@@ -36,7 +34,7 @@ from bookramsey.rng import (
     probability_threshold,
 )
 
-from helpers import from_edges
+from helpers import codegree, colex_bools, coloring_of_bits, edge_list, from_edges
 
 
 # ------------------------------------------------------------- edge indexing
@@ -73,7 +71,7 @@ def test_coloring_red_is_complement():
 
 def test_blue_bits_round_trip():
     c = two_cliques(3)
-    again = TwoColoring.from_blue_bits(c.n, c.blue_bits())
+    again = TwoColoring(Graph.from_colex_bits(c.n, c.blue.colex_bytes(), width=8))
     assert again == c
 
 
@@ -103,14 +101,14 @@ def test_brc1_frozen_examples():
 def test_brc1_parse_frozen_example():
     c = TwoColoring.from_brc1("BRC1 6\ne046\n")
     # blue graph is two disjoint triangles
-    assert set(c.blue.edges()) == {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
+    assert set(edge_list(c.blue)) == {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
 
 
 @settings(max_examples=60)
 @given(st.integers(min_value=2, max_value=12), st.randoms(use_true_random=False))
 def test_brc1_round_trip(n, rnd):
     bits = np.array([rnd.randint(0, 1) for _ in range(n * (n - 1) // 2)], dtype=np.uint8)
-    c = TwoColoring.from_blue_bits(n, bits)
+    c = coloring_of_bits(n, bits)
     assert TwoColoring.from_brc1(c.to_brc1()) == c
 
 
@@ -167,14 +165,24 @@ def test_brc1_refuses_every_odd_character_where_it_stands():
             got = refusal(TwoColoring.from_brc1, f"BRC1 8\n{raw}\n")
             assert got == (short if ch in PAYLOAD_DROPS else named), (ch, pos)
             # unstripped, as bytes.fromhex would skip ASCII whitespace
-            assert refusal(colorings._hex_bytes, raw, 28, 2) == named, (ch, pos)
+            assert refusal(hex_bytes, raw, 28, 2) == named, (ch, pos)
             if pos < 5:
-                first = refusal(colorings._hex_bytes, raw[:5] + "g" + raw[6:], 28, 2)
+                first = refusal(hex_bytes, raw[:5] + "g" + raw[6:], 28, 2)
                 assert first[2] == (5 if ch in HEX_DIGITS else pos), (ch, pos)
         # two together between byte pairs, which bytes.fromhex would skip
         pair = payload[:2] + 2 * ch + payload[4:]
         named = None if ch in HEX_DIGITS else (f"invalid hex character {ch!r}", 2, 2)
-        assert refusal(colorings._hex_bytes, pair, 28, 2) == named, ch
+        assert refusal(hex_bytes, pair, 28, 2) == named, ch
+
+
+def pack_bits_hex(bits) -> str:
+    """The BRC1 payload of a bit sequence, from the spec: each run of four
+    bits is one lowercase hex digit, the first bit worth 8, and the last
+    run is padded with zeros."""
+    bits = np.asarray(bits, dtype=np.int64)
+    nibbles = np.pad(bits, (0, -len(bits) % 4)).reshape(-1, 4) @ np.array([8, 4, 2, 1])
+    return "".join(np.array(list("0123456789abcdef"))[nibbles])
+
 
 def test_pack_unpack_hex():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
@@ -184,21 +192,28 @@ def test_pack_unpack_hex():
     bits = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
     payload = pack_bits_hex(bits)
     assert payload == "b4"
-    assert np.array_equal(TwoColoring.from_brc1(f"BRC1 4\n{payload}\n").blue_bits(), bits)
+    assert np.array_equal(colex_bools(TwoColoring.from_brc1(f"BRC1 4\n{payload}\n").blue), bits)
     with pytest.raises(ParseError, match="nonzero padding bits"):
         TwoColoring.from_brc1("BRC1 4\nb5\n")  # padding bit set
 
 
-@pytest.mark.parametrize("N", range(2, 18))
+@pytest.mark.parametrize("N", range(18))
 def test_index_hex_matches_pack_bits_hex(N):
-    # C(N, 2) for N = 2..17 meets every residue mod 8, so every padding
-    # of the last byte and nibble; 0 first at N = 16
+    # C(N, 2) for N = 0..12 meets every residue mod 8, so every padding of
+    # the last byte and nibble; N = 13..17 add 0 again at N = 16.  The int
+    # route (index_hex) and the graph route (to_brc1) both match the spec.
     m = N * (N - 1) // 2
     rng = random.Random(N)
     lowest_blue = [(1 << j) - 1 for j in range(m + 1)]  # 0 .. 2^m - 1: the lowest j edges blue
     for k in lowest_blue + [rng.getrandbits(m) for _ in range(20)]:
-        expect = pack_bits_hex(TwoColoring.from_blue_index(N, k).blue_bits())
+        expect = pack_bits_hex([k >> e & 1 for e in range(m)])
         assert index_hex(k, m) == expect, (N, k)
+        assert TwoColoring.from_blue_index(N, k).to_brc1() == f"BRC1 {N}\n{expect}\n", (N, k)
+
+
+def test_tripartite_file_at_n3000_matches_pack_bits_hex():
+    c = tripartite_random(ConstructionParams(3000, Fraction(1, 200), seed=3))
+    assert c.to_brc1() == f"BRC1 3000\n{pack_bits_hex(colex_bools(c.blue))}\n"
 
 
 def test_coloring_file_io(tmp_path):
@@ -370,7 +385,7 @@ def test_tripartite_cross_colors_follow_rng():
     params = ConstructionParams(12, Fraction(1, 200), seed=2)
     c = tripartite_random(params)
     thr = probability_threshold(params.p)
-    for i, j in c.blue.edges():
+    for i, j in edge_list(c.blue):
         assert edge_value(params.seed, edge_index(i, j)) >= thr
 
 
@@ -381,7 +396,7 @@ def test_degenerate_bias_forces_all_cross_blue():
     params = ConstructionParams(6, Fraction(1, 200), delta=Fraction(1, 2))
     with pytest.raises(ValueError, match="k2=-47/200"):
         tripartite_random(params)
-    c = TwoColoring(6, from_edges(6, [(0, 1), (2, 3), (4, 5)]).complement())
+    c = TwoColoring(from_edges(6, [(0, 1), (2, 3), (4, 5)]).complement())
     (blue, _), (red, _) = c.blue.books()
     assert blue == 2
     assert red == 0
@@ -404,7 +419,7 @@ def test_margin_check_gates_construction():
 def naive_codegree_mean(g: Graph, edges) -> Fraction:
     if not edges:
         return None
-    return Fraction(sum(g.codegree(u, v) for u, v in edges), len(edges))
+    return Fraction(sum(codegree(g, u, v) for u, v in edges), len(edges))
 
 
 def test_construction_statistics_against_naive_counts():
@@ -417,8 +432,8 @@ def test_construction_statistics_against_naive_counts():
     for k, part in enumerate(parts):
         for v in part:
             part_of[v] = k
-    red_edges = list(c.red.edges())
-    blue_edges = list(c.blue.edges())
+    red_edges = edge_list(c.red)
+    blue_edges = edge_list(c.blue)
     red_intra = [(u, v) for u, v in red_edges if part_of[u] == part_of[v]]
     red_cross = [(u, v) for u, v in red_edges if part_of[u] != part_of[v]]
 

@@ -1,6 +1,7 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
 graphs.py multiplies codegrees in one place, the command line starts
-without loading the numeric modules, and ``verify`` runs without them.
+without loading the numeric modules, ``verify`` runs without them, and
+only colex.py writes or reads the hex of a BRC1 payload.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices; none reads the int rows or imports a private helper of
@@ -181,3 +182,42 @@ def test_colex_helpers_have_one_numpy_free_definition():
     assert owners == {"edge_index": ["colex.py"], "bits_of": ["colex.py"]}
     assert "numpy" not in module_imports(sources["colex.py"])
     assert "numpy" not in module_imports(sources["ramsey.py"])
+
+
+def brc1_hex_sites(source: str) -> list[str]:
+    """Uses of ``hex``, ``fromhex`` and the bit-reverse table, the makings
+    of a BRC1 payload, as names, attributes or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ("hex", "fromhex", "_BIT_REVERSE"):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_only_colex_makes_or_reads_brc1_hex():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    sites = {name: brc1_hex_sites(src) for name, src in sources.items()}
+    assert {name: found for name, found in sites.items() if found and name != "colex.py"} == {}
+    assert {site.split(": ")[1] for site in sites["colex.py"]} == {"hex", "fromhex", "_BIT_REVERSE"}
+
+
+def test_hex_guard_flags_every_use():
+    source = (
+        "from .colex import _BIT_REVERSE\n"
+        "def f(raw, text):\n"
+        "    return raw.hex(), bytes.fromhex(text), hex(3)\n"
+    )
+    assert brc1_hex_sites(source) == [
+        "line 1: _BIT_REVERSE",
+        "line 3: hex",
+        "line 3: fromhex",
+        "line 3: hex",
+    ]

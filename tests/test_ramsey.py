@@ -11,33 +11,34 @@ from bookramsey.graphs import Graph
 from bookramsey.ramsey import (
     BlueBook,
     Neither,
-    RamseyQuery,
     RedBook,
     check_coloring,
     exhaustive_verify,
 )
 
-from helpers import from_edges
+from helpers import check_certificate, coloring_of_bits, degree, edge_list, from_edges
 
 
 def random_coloring(rng, n):
     m = n * (n - 1) // 2
-    bits = (rng.random(m) < rng.uniform(0.2, 0.8)).astype(np.uint8)
-    return TwoColoring.from_blue_bits(n, bits)
+    return coloring_of_bits(n, rng.random(m) < rng.uniform(0.2, 0.8))
 
 
 def all_red(n):
-    return TwoColoring(n, Graph.empty(n))
+    return TwoColoring(Graph.empty(n))
 
 
 # ------------------------------------------------------------ check_coloring
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        RamseyQuery(1, 1, 1)
-    with pytest.raises(ValueError):
-        RamseyQuery(5, 0, 1)
+    # the order first, then the page targets, both before any capacity check
+    with pytest.raises(ValueError, match="^order must be at least 2$"):
+        exhaustive_verify(1, 0, 1)
+    with pytest.raises(ValueError, match="^book page targets must be at least 1$"):
+        exhaustive_verify(5, 0, 1)
+    with pytest.raises(ValueError, match="^book page targets must be at least 1$"):
+        exhaustive_verify(100, 1, 0)
 
 
 def test_check_coloring_all_red_k4():
@@ -59,7 +60,7 @@ def test_check_coloring_reports_first_red_base():
     # red graph: isolated edge (0,1) plus triangle {2,3,4}; the isolated
     # edge has codegree 0, so the scan must settle on (2,3)
     red = from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
-    c = TwoColoring(5, red.complement())
+    c = TwoColoring(red.complement())
     res = check_coloring(c, 1, 5)
     assert isinstance(res, RedBook)
     assert res.certificate.base == (2, 3)
@@ -77,10 +78,10 @@ def test_check_coloring_matches_booksize_thresholds():
         expect_neither = bk_red < p and bk_blue < q
         assert isinstance(res, Neither) == expect_neither
         if isinstance(res, RedBook):
-            res.certificate.validate(c.red)
+            check_certificate(res.certificate, c.red)
             assert res.certificate.size >= p
         elif isinstance(res, BlueBook):
-            res.certificate.validate(c.blue)
+            check_certificate(res.certificate, c.blue)
             assert res.certificate.size >= q
 
 
@@ -95,14 +96,14 @@ def test_witness_certificate_for_two_cliques():
 
 def test_witness_refutation_names_color():
     assert isinstance(check_coloring(all_red(4), 1, 1), RedBook)
-    assert isinstance(check_coloring(TwoColoring(4, Graph.complete(4)), 1, 1), BlueBook)
+    assert isinstance(check_coloring(TwoColoring(Graph.complete(4)), 1, 1), BlueBook)
 
 
 # ---------------------------------------------------------- exhaustive search
 
 
 def test_verify_k5_triangle_vs_triangle():
-    out = exhaustive_verify(RamseyQuery(5, 1, 1))
+    out = exhaustive_verify(5, 1, 1)
     assert out.verdict == "counterexample"
     assert out.colorings_examined == 237
     assert out.counterexample.blue_index() == 236
@@ -111,28 +112,28 @@ def test_verify_k5_triangle_vs_triangle():
     # the classical witness: both color classes are 5-cycles
     assert ce.blue.booksize()[0] == 0
     assert ce.red.booksize()[0] == 0
-    assert all(ce.blue.degree(v) == 2 for v in range(5))
+    assert all(degree(ce.blue, v) == 2 for v in range(5))
 
 
 def test_verify_k6_forces_monochromatic_triangle():
-    out = exhaustive_verify(RamseyQuery(6, 1, 1))
+    out = exhaustive_verify(6, 1, 1)
     assert out.verdict == "forced"
     assert out.colorings_examined == 1 << 15
     assert out.counterexample is None
 
 
 def test_verify_first_counterexample_for_one_two():
-    out = exhaustive_verify(RamseyQuery(6, 1, 2))
+    out = exhaustive_verify(6, 1, 2)
     assert out.verdict == "counterexample"
     assert out.colorings_examined == 3874
     assert out.counterexample.blue_index() == 3873
-    blue_edges = set(out.counterexample.blue.edges())
+    blue_edges = set(edge_list(out.counterexample.blue))
     assert blue_edges == {(0, 1), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)}
 
 
 def test_verify_counterexamples_always_validate():
     for n, p, q in [(4, 1, 1), (5, 1, 2), (6, 2, 2), (7, 2, 3)]:
-        out = exhaustive_verify(RamseyQuery(n, p, q), prune=True)
+        out = exhaustive_verify(n, p, q, prune=True)
         assert out.verdict == "counterexample"
         assert isinstance(check_coloring(out.counterexample, p, q), Neither)
 
@@ -140,8 +141,8 @@ def test_verify_counterexamples_always_validate():
 def test_pruning_preserves_verdict_and_shrinks_work():
     for N in (4, 5, 6):
         for p, q in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-            plain = exhaustive_verify(RamseyQuery(N, p, q))
-            pruned = exhaustive_verify(RamseyQuery(N, p, q), prune=True)
+            plain = exhaustive_verify(N, p, q)
+            pruned = exhaustive_verify(N, p, q, prune=True)
             assert plain.verdict == pruned.verdict
             assert pruned.colorings_examined <= plain.colorings_examined
             if pruned.verdict == "counterexample":
@@ -154,7 +155,7 @@ def test_forced_verdicts_persist_as_order_grows():
     for p, q in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         forced_at = {}
         for N in (5, 6, 7, 8):
-            out = exhaustive_verify(RamseyQuery(N, p, q), prune=True)
+            out = exhaustive_verify(N, p, q, prune=True)
             forced_at[N] = out.verdict == "forced"
         for N in (5, 6, 7):
             if forced_at[N]:
@@ -163,28 +164,28 @@ def test_forced_verdicts_persist_as_order_grows():
 
 def test_known_small_book_ramsey_numbers():
     # r(B_1,B_1) = 6 and r(B_1,B_2) = 7
-    assert exhaustive_verify(RamseyQuery(5, 1, 1), prune=True).verdict == "counterexample"
-    assert exhaustive_verify(RamseyQuery(6, 1, 1), prune=True).verdict == "forced"
-    assert exhaustive_verify(RamseyQuery(6, 1, 2), prune=True).verdict == "counterexample"
-    assert exhaustive_verify(RamseyQuery(7, 1, 2), prune=True).verdict == "forced"
+    assert exhaustive_verify(5, 1, 1, prune=True).verdict == "counterexample"
+    assert exhaustive_verify(6, 1, 1, prune=True).verdict == "forced"
+    assert exhaustive_verify(6, 1, 2, prune=True).verdict == "counterexample"
+    assert exhaustive_verify(7, 1, 2, prune=True).verdict == "forced"
 
 
 def test_capacity_guards():
     with pytest.raises(CapacityError):
-        exhaustive_verify(RamseyQuery(9, 1, 1))
+        exhaustive_verify(9, 1, 1)
     with pytest.raises(CapacityError):
-        exhaustive_verify(RamseyQuery(13, 1, 1), force=True)
+        exhaustive_verify(13, 1, 1, force=True)
 
 
 def test_counterexample_index_conventions():
     # unpruned: the enumeration order is the blue-index order, so the
     # witness's index equals examined-1 and decodes back to the witness
-    plain = exhaustive_verify(RamseyQuery(5, 1, 1))
+    plain = exhaustive_verify(5, 1, 1)
     index = plain.counterexample.blue_index()
     assert index == plain.colorings_examined - 1
     decoded = TwoColoring.from_blue_index(5, index)
     assert decoded == plain.counterexample
     # pruned: the order is scenario-local
-    pruned = exhaustive_verify(RamseyQuery(5, 2, 2), prune=True)
+    pruned = exhaustive_verify(5, 2, 2, prune=True)
     assert pruned.verdict == "counterexample"
     assert pruned.colorings_examined == 31

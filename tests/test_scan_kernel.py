@@ -24,7 +24,6 @@ from bookramsey.ramsey import (
     LANE_BITS,
     LOW_BITS,
     Neither,
-    RamseyQuery,
     _bit_words,
     _books,
     _misses,
@@ -115,7 +114,7 @@ def test_lowest_counterexample_matches_brute_force(N):
             (k for k in range(1 << m) if isinstance(check_coloring(TwoColoring.from_blue_index(N, k), p, q), Neither)),
             None,
         )
-        out = exhaustive_verify(RamseyQuery(N, p, q))
+        out = exhaustive_verify(N, p, q)
         if expect is None:
             assert (out.verdict, out.colorings_examined) == ("forced", 1 << m)
         else:
@@ -161,8 +160,8 @@ def test_short_block_reports_no_miss_in_unused_lanes():
     assert len(var_edges) == 3
     assert _scan_scenario(3, books) is None
     for N in (3, 4):
-        plain = exhaustive_verify(RamseyQuery(N, 1, 1))
-        pruned = exhaustive_verify(RamseyQuery(N, 1, 1), prune=True)
+        plain = exhaustive_verify(N, 1, 1)
+        pruned = exhaustive_verify(N, 1, 1, prune=True)
         assert plain.verdict == pruned.verdict == "counterexample"
         assert isinstance(check_coloring(pruned.counterexample, 1, 1), Neither)
 
@@ -247,7 +246,7 @@ def test_unpruned_scan_streams_its_prefixes():
     assert 28 - LOW_BITS >= 20
     tracemalloc.start()
     try:
-        out = exhaustive_verify(RamseyQuery(8, 1, 1))
+        out = exhaustive_verify(8, 1, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -21,7 +21,7 @@ from bookramsey.stability import (
     trichotomy_check,
 )
 
-from helpers import classification_report, from_edges, graph_of
+from helpers import classification_report, from_edges, graph_of, neighbors
 
 
 def random_graph(rng, n, p=0.5):
@@ -39,7 +39,7 @@ def assert_classification_matches_naive(g, cls):
     for v in range(g.n):
         if v in s1 or v in s2:
             continue
-        nb = set(g.neighbors(v))
+        nb = set(neighbors(g, v))
         in1, in2 = bool(nb & s1), bool(nb & s2)
         want = "V3" if (in1 and in2) else "V1" if in1 else "V2" if in2 else "V_iso"
         assert v in buckets[want], (v, want)
@@ -209,7 +209,7 @@ def test_extractor_output_is_always_independent():
         U1, U2 = bipartite_extract(g, seed=int(rng.integers(99999)))
         for part in (U1, U2):
             for v in part:
-                assert not (set(g.neighbors(v)) & set(part))
+                assert not (set(neighbors(g, v)) & set(part))
 
 
 def test_extractor_recovers_planted_bipartition_under_noise():

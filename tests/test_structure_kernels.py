@@ -55,7 +55,7 @@ def ref_uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
         raise CapacityError(f"oracle sides capped at {ORACLE_SIDE_CAP} vertices")
     a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
     if a0 > na or b0 > nb:
-        return UniformityVerdict(uniform=True, witness=None)
+        return UniformityVerdict(None)
     rows = pair.b_rows()
     enum = pair.edge_count()
 
@@ -88,9 +88,9 @@ def ref_uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
             if sy >= b0 and _deviates(esum[Y], s, sy, enum, na, nb, eps):
                 wx = tuple(pair.A[k] for k in bits_of(X))
                 wy = tuple(pair.B[k] for k in bits_of(Y))
-                return UniformityVerdict(uniform=False, witness=(wx, wy))
+                return UniformityVerdict((wx, wy))
         raise AssertionError("prefix scan found a deviation but mask scan did not")
-    return UniformityVerdict(uniform=True, witness=None)
+    return UniformityVerdict(None)
 
 
 def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed: int = 0):
