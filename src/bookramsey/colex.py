@@ -13,13 +13,14 @@ run without it.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 
 # byte b with its bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _NOT_HEX = re.compile("[^0-9a-fA-F]")
+_HEX_PIECE = 1 << 16  # payload characters per decoding step; even
 
 
 def edge_index(i: int, j: int) -> int:
@@ -49,32 +50,44 @@ def bytes_index(raw: bytes) -> int:
     return int.from_bytes(raw.translate(_BIT_REVERSE), "little")
 
 
-def bytes_hex(raw: bytes, nbits: int) -> str:
-    """The BRC1 payload of the BRC1 bytes of ``nbits`` bits."""
-    return raw.hex()[: (nbits + 3) // 4]
+def hex_pieces(chunks: Iterable[bytes], nbits: int) -> Iterator[str]:
+    """The BRC1 payload of the BRC1 bytes of ``nbits`` bits, given in
+    chunks: the hex of each chunk, cut to ceil(nbits / 4) characters in
+    all."""
+    left = (nbits + 3) // 4
+    for raw in chunks:
+        text = raw.hex()[:left]
+        left -= len(text)
+        yield text
 
 
 def index_hex(index: int, nbits: int) -> str:
     """The BRC1 payload of the ``nbits`` bits of ``index``, bit k the k-th."""
-    return bytes_hex(index_bytes(index, nbits), nbits)
+    return "".join(hex_pieces([index_bytes(index, nbits)], nbits))
 
 
-def hex_bytes(payload: str, nbits: int, line: int = 1) -> bytes:
-    """The BRC1 bytes of a payload of ``nbits`` bits, checked for length,
-    characters and zero padding."""
+def hex_bytes(text: str, nbits: int, line: int = 1, start: int = 0) -> bytearray:
+    """The BRC1 bytes of the payload text[start:] of ``nbits`` bits,
+    checked for length, characters and zero padding; offsets count from
+    ``start``.  The payload is decoded _HEX_PIECE characters at a time,
+    so only one piece of it is copied at once."""
     nchars = (nbits + 3) // 4
-    if len(payload) != nchars:
+    if len(text) - start != nchars:
         raise ParseError(
-            f"expected {nchars} hex characters for {nbits} edge bits, got {len(payload)}",
+            f"expected {nchars} hex characters for {nbits} edge bits, got {len(text) - start}",
             line=line,
         )
-    try:
-        raw = bytes.fromhex(payload + "0" * (nchars % 2))
-    except ValueError:
-        raw = None
-    if raw is None or len(raw) != (nchars + 1) // 2:  # fromhex also skips ASCII whitespace
-        bad = _NOT_HEX.search(payload)
-        raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=bad.start())
+    raw = bytearray((nchars + 1) // 2)
+    for a in range(0, nchars, _HEX_PIECE):
+        piece = text[start + a : start + a + _HEX_PIECE]
+        try:
+            chunk = bytes.fromhex(piece + "0" * (len(piece) % 2))
+        except ValueError:
+            chunk = b""
+        if len(chunk) != (len(piece) + 1) // 2:  # fromhex also skips ASCII whitespace
+            bad = _NOT_HEX.search(text, start)
+            raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=bad.start() - start)
+        raw[a // 2 : a // 2 + len(chunk)] = chunk
     pad = 8 * len(raw) - nbits  # below 8, all in the last byte
     if raw and raw[-1] & ((1 << pad) - 1):
         raise ParseError("nonzero padding bits", line=line, offset=nchars - 1)

@@ -17,10 +17,11 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from .colex import bytes_hex, bytes_index, hex_bytes, index_bytes
+from .colex import bytes_index, hex_bytes, hex_pieces, index_bytes
 from .colex import edge_index  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 from .graphs import GRAPH6_ORDER_CAP, Graph
@@ -32,6 +33,9 @@ BRC1_MAGIC = "BRC1"
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
 _PAYLOAD_SPACE = dict.fromkeys(map(ord, _BREAKS + " \t"))
+# rows of colex bits that tripartite_random packs at a time: a multiple of
+# 16, so that each step starts on a byte (16k(16k - 1)/2 is divisible by 8)
+_PACK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,14 @@ class TwoColoring:
     # ----------------------------------------------------------------- BRC1
 
     def to_brc1(self) -> str:
-        hexpart = bytes_hex(self.blue.colex_bytes(), self.n * (self.n - 1) // 2)
-        return f"{BRC1_MAGIC} {self.n}\n{hexpart}\n"
+        return "".join(self.brc1_pieces())
+
+    def brc1_pieces(self) -> Iterator[str]:
+        """The BRC1 text in pieces: the header line, the payload a codec
+        stripe at a time, and the closing line break."""
+        yield f"{BRC1_MAGIC} {self.n}\n"
+        yield from hex_pieces(self.blue.colex_chunks(), self.n * (self.n - 1) // 2)
+        yield "\n"
 
     @classmethod
     def from_brc1(cls, text: str) -> "TwoColoring":
@@ -83,8 +93,13 @@ class TwoColoring:
             raise ParseError("negative vertex count", line=1)
         if n > GRAPH6_ORDER_CAP:
             raise CapacityError(f"BRC1 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
-        payload = text[end.end() :].translate(_PAYLOAD_SPACE) if end else ""
-        raw = hex_bytes(payload, n * (n - 1) // 2, line=2)
+        # the payload is what follows the header line, less its spaces and
+        # line breaks: the tail of the whole text so translated, which is
+        # the one copy made and is gone before the decode
+        body = text.translate(_PAYLOAD_SPACE) if end else ""
+        start = len(text[: end.start()].translate(_PAYLOAD_SPACE)) if end else 0
+        raw = hex_bytes(body, n * (n - 1) // 2, line=2, start=start)
+        del body
         return cls(Graph.from_colex_bits(n, raw, width=8))
 
 
@@ -95,7 +110,7 @@ def read_coloring_file(path) -> TwoColoring:
 
 def write_coloring_file(path, c: TwoColoring) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(c.to_brc1())
+        fh.writelines(c.brc1_pieces())
 
 
 # ------------------------------------------------------------- constructions
@@ -105,7 +120,9 @@ def two_cliques(q: int) -> TwoColoring:
     """Blue = two disjoint K_{q+1}; the classical lower-bound coloring.
 
     On n = 2q + 2 vertices the largest blue book has q - 1 pages and the
-    red graph is complete bipartite, hence triangle-free.
+    red graph is complete bipartite, hence triangle-free: B_p is red, as
+    ``check_coloring`` reads it, and the coloring certifies
+    r(B_1, B_q) > 2q + 2.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -183,7 +200,11 @@ def tripartite_random(params: ConstructionParams) -> TwoColoring:
 
     Each edge consults a counter-based value at its colex index, so the
     output depends only on (params, seed), not on evaluation order.
-    Parameters that ``params.validate()`` rejects are refused.
+    Parameters that ``params.validate()`` rejects are refused.  The
+    small books are blue here (at n = 999, epsilon = 1/200: blue bk 135,
+    red bk 521), the other way round from ``two_cliques`` and
+    ``check_coloring``.  The colex bits are packed _PACK_ROWS rows at a
+    time into the BRC1 bytes, which are decoded to words.
     """
     n = params.n
     if n < 0:
@@ -191,13 +212,19 @@ def tripartite_random(params: ConstructionParams) -> TwoColoring:
     params.validate()
     t = n // 3
     thr = probability_threshold(params.p)
-    bits = np.zeros(n * (n - 1) // 2, dtype=bool)
-    for j in range(1, n):
-        s = j * (j - 1) // 2
-        cross = np.arange(j) // t != j // t
-        red = bernoulli_block(params.seed, s, j, thr)
-        bits[s : s + j] = cross & ~red
-    return TwoColoring(Graph.from_colex_bits(n, np.packbits(bits), width=8))
+    packed = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
+    for r0 in range(0, n, _PACK_ROWS):
+        r1 = min(r0 + _PACK_ROWS, n)
+        s0 = r0 * (r0 - 1) // 2
+        bits = np.empty(r1 * (r1 - 1) // 2 - s0, dtype=bool)
+        for j in range(max(r0, 1), r1):
+            s = j * (j - 1) // 2
+            cross = np.arange(j) // t != j // t
+            red = bernoulli_block(params.seed, s, j, thr)
+            np.greater(cross, red, out=bits[s - s0 : s - s0 + j])  # cross and not red
+        chunk = np.packbits(bits)
+        packed[s0 // 8 : s0 // 8 + len(chunk)] = chunk
+    return TwoColoring(Graph.from_colex_bits(n, packed, width=8))
 
 
 def tripartite_parts(n: int) -> tuple[list[int], list[int], list[int]]:
@@ -222,12 +249,13 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     by page origin (third part vs the two endpoint parts) so the two
     terms of its expectation can be checked separately.
 
-    The class totals come from ``Graph.part_codegrees`` of the red
+    The class totals come from ``Graph.part_codegrees`` of the blue
     graph, which reduces the same tiled codegree walk as ``bk`` and
     ``witness-check`` (``Graph.books``) and holds float32 stripes of
-    rows, not (n/3)^2 blocks.  A blue base takes its codegree in the
-    complement of the red graph, and a blue base inside a part counts
-    towards bk_blue only.
+    rows, not (n/3)^2 blocks, and no words of the red graph.  A red base
+    takes its codegree and third-part pages in the complement of the
+    blue graph, and a blue base inside a part counts towards bk_blue
+    only.
     """
     n = c.n
     if n == 0:
@@ -238,7 +266,7 @@ def construction_statistics(c: TwoColoring, parts) -> dict:
     if not len(p1) == len(p2) == len(p3):
         raise ValueError("parts must be equal thirds")
     # each class: [pairs, codegree total, largest codegree, third-part pages]
-    red_in, red_cross, blue_in, blue_cross = c.red.part_codegrees([p1, p2, p3])
+    blue_in, blue_cross, red_in, red_cross = c.blue.part_codegrees([p1, p2, p3])
     bk_red, bk_blue = max(red_in[2], red_cross[2]), max(blue_in[2], blue_cross[2])
     cross_edges, cross_total, third_total = red_cross[0], red_cross[1], red_cross[3]
     return {

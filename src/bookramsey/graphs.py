@@ -13,7 +13,9 @@ search behind ``ramsey.check_coloring``) and ``part_codegrees`` (the
 ``_codegree_tiles``, a float32 product of row stripes.  A codegree is
 at most n - 2, so while n <= 4097 the walk folds two rows into one
 operand row as lo + 4096 hi and multiplies half as many rows; every sum
-stays an integer below 2**24, exact in float32.  ``Graph(n, rows)``,
+stays an integer below 2**24, exact in float32.  Besides the words, the
+walk holds the folded rows of one stripe at full width and O(_STRIPE^2)
+floats more.  ``Graph(n, rows)``,
 the one checked constructor, checks outside int rows once; decoding and
 the constructions build valid words and skip the check.  Graphs are
 immutable; share them freely.
@@ -24,8 +26,9 @@ triangle of the matrix.  graph6 (short form n <= 62, long form
 n <= 258047) packs their bits 6 to a character, and the BRC1 bytes of
 ``colex`` 8 to a byte; ``colex_bytes`` writes the latter and
 ``from_colex_bits`` reads either, at orders up to GRAPH6_ORDER_CAP.  The
-codec goes _STRIPE rows at a time and unpacks only the edge bits of the
-stripe at hand, so it holds the input, the words and O(_STRIPE n) bytes.
+codec goes _STRIPE / 4 rows at a time and unpacks only the edge bits of
+the stripe at hand, so it holds the input, the words and O(_STRIPE n)
+bytes.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from .colex import bits_of  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
-GRAPH6_ORDER_CAP = 1 << 13  # decoding at the cap: ~0.6 s, 61 MB peak RSS (2 cores, numpy 2.4)
+GRAPH6_ORDER_CAP = 1 << 13  # decoding n = 8190: ~0.6 s, 57 MB peak RSS (2 cores, numpy 2.4)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
-_STRIPE = 256  # rows per codec step and per codegree-product tile; a multiple of 8
+_STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 rows, rounded to 8
 _FOLD = 4096  # codegree tiles fold two rows into one while every codegree, at most n - 2, is below this
 
 
@@ -232,10 +235,11 @@ class Graph:
                     key = np.multiply(np.add(value, 1, out=value), mask, out=value)
                 else:
                     key = np.logical_and(mask, value >= targets[k], out=mask)
-                most = key.max(axis=1)
+                first = key.argmax(axis=1)
+                most = key[np.arange(len(key)), first]  # one pass, where max(axis=1) is slow
                 better = most > top[k]
                 top[k][better] = most[better]
-                col[k][better] = key.argmax(axis=1)[better] + c0
+                col[k][better] = first[better] + c0
             if c0 + c.shape[1] < n:
                 continue
             for k in (0, 1):
@@ -253,9 +257,9 @@ class Graph:
         """Codegree totals over the pairs u < v against a split of the
         vertices into three parts, class by class: edges inside a part,
         edges across two, then non-edges inside and across, whose
-        codegrees are counted in the complement.  Each class gives
-        [pairs, codegree sum, largest codegree or 0, pages in the part
-        that holds neither end], the last 0 inside a part.
+        codegrees and pages are counted in the complement.  Each class
+        gives [pairs, codegree sum, largest codegree or 0, pages in the
+        part that holds neither end], the last 0 inside a part.
 
         The vertices are relabelled, a stripe at a time, so that the
         parts are contiguous (no copy when they already are), and
@@ -263,15 +267,28 @@ class Graph:
         folding each cut range as it folds the whole row.  Each tile is
         masked in place to the codegrees of its edges (c) and non-edges
         (cc), 0 elsewhere, and split at those boundaries into sub-tiles of
-        parts (a, b); an edge class adds the count of its mask there, the
+        parts (a, b); a class adds the count of its mask there, the
         float64 sum of its masked codegrees and their maximum, which is
-        that of the class since codegrees are nonnegative, and a cross
-        edge its pages in part 3 - a - b from that part's product.  The
-        float64 sums are of integers below 2**53, so every total is exact.
+        that of the class since codegrees are nonnegative, and an edge
+        across its pages in part 3 - a - b from that part's product.  A
+        sub-tile's sums are float32 row sums, at most _STRIPE (n - 2) and
+        so exact below 2**24, added in float64: every total is exact.
+
+        The pages of the non-edges across come from the neighbour counts
+        d_k(u) of each vertex in each part k: a non-edge uv, u in P_a and
+        v in P_b, has |P_t| - d_t(u) - d_t(v) + c_t(u, v) pages in
+        P_t, t = 3 - a - b, where c_t counts common neighbours in P_t.
+        Summed over the non-edges between P_a and P_b, the first term is
+        |P_t| times their number, the second sums d_t(u) (|P_b| - d_b(u))
+        over u in P_a and likewise over P_b, and the third is the sum of
+        d_a(w) d_b(w) over w in P_t, which counts c_t over all pairs,
+        less the edges' pages.
         """
         n = self.n
+        assert _STRIPE * n < 1 << 24, "float32 row sums are exact only below 2**24"
         order = np.concatenate([np.asarray(p, dtype=np.intp) for p in parts])
-        bounds = np.cumsum([0] + [len(p) for p in parts]).tolist()
+        sizes = [len(p) for p in parts]
+        bounds = np.cumsum([0] + sizes).tolist()
         words = self.words
         if not np.array_equal(order, np.arange(n)):
             words = np.empty_like(words)
@@ -284,18 +301,33 @@ class Graph:
             cuts = [(k, max(lo, bounds[k]), min(hi, bounds[k + 1])) for k in range(3)]
             return [(k, slice(a - lo, b - lo)) for k, a, b in cuts if a < b]
 
+        def total(block: np.ndarray) -> int:
+            return int(block.sum(axis=1).sum(dtype=np.float64))
+
         for r0, c0, c, cc, edge, other, by_part in _codegree_tiles(words, n, bounds[1:3]):
             c *= edge
             cc *= other
             for a, rows in pieces(r0, r0 + c.shape[0]):
                 for b, cols in pieces(c0, c0 + c.shape[1]):
                     cross = int(a != b)
-                    for total, mask, value in ((out[cross], edge, c), (out[2 + cross], other, cc)):
+                    for sums, mask, value in ((out[cross], edge, c), (out[2 + cross], other, cc)):
                         block = value[rows, cols]
-                        total[:2] += np.count_nonzero(mask[rows, cols]), int(block.sum(dtype=np.float64))
-                        total[2] = max(total[2], block.max())
+                        sums[:2] += np.count_nonzero(mask[rows, cols]), total(block)
+                        sums[2] = max(sums[2], block.max())
                     if cross:
-                        out[1, 3] += int((by_part[3 - a - b][rows, cols] * edge[rows, cols]).sum(dtype=np.float64))
+                        third = by_part[3 - a - b][rows, cols]
+                        out[1, 3] += total(np.multiply(third, edge[rows, cols], out=third))
+
+        member = _pack(np.repeat(np.arange(3), sizes) == np.arange(3)[:, None])
+        d = np.zeros((n, 3), dtype=np.int64)  # d[u, k] = d_k(u)
+        for r0 in range(0, n, _STRIPE):
+            d[r0 : r0 + _STRIPE] = np.bitwise_count(words[r0 : r0 + _STRIPE, None] & member).sum(axis=2)
+        P = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            t = 3 - a - b
+            out[3, 3] += sizes[t] * (sizes[a] * sizes[b] - d[P[a], b].sum()) + (d[P[t], a] * d[P[t], b]).sum()
+            out[3, 3] -= (d[P[a], t] * (sizes[b] - d[P[a], b])).sum() + (d[P[b], t] * (sizes[a] - d[P[b], a])).sum()
+        out[3, 3] -= out[1, 3]
         return out.tolist()
 
     def complement(self) -> "Graph":
@@ -309,21 +341,29 @@ class Graph:
 
     def colex_bytes(self) -> bytes:
         """The BRC1 bytes of the edges (``colex``): one bit per pair in
-        colex order, 8 to a byte, first in the high bit, zero-padded.  A
-        stripe starts at pair r0(r0-1)/2, a multiple of 8, so each packs
-        to its own bytes."""
-        return b"".join(
-            np.packbits(self.adjacency(range(r0, r1))[lower]).tobytes() for r0, r1, lower in _stripes(self.n)
-        )
+        colex order, 8 to a byte, first in the high bit, zero-padded."""
+        return b"".join(self.colex_chunks())
+
+    def colex_chunks(self) -> Iterator[bytes]:
+        """``colex_bytes`` in pieces, one per codec stripe and the last
+        byte: a stripe's bits follow the bits that the one before left
+        short of a whole byte, so stripes of any height pack alike."""
+        carry = np.zeros(0, dtype=bool)
+        for r0, r1, lower in _stripes(self.n):
+            bits = np.concatenate([carry, self.adjacency(range(r0, r1))[lower]])
+            whole = len(bits) - len(bits) % 8
+            yield np.packbits(bits[:whole]).tobytes()
+            carry = bits[whole:]
+        yield np.packbits(carry).tobytes()
 
     @classmethod
     def from_colex_bits(cls, n: int, packed: bytes | np.ndarray, width: int) -> "Graph":
         """Inverse of ``colex_bytes``: the graph whose pair bits, in colex
         order, are packed ``width`` to a byte into its low bits, first bit
-        highest (graph6 packs 6, BRC1 8).  Only one stripe's range is
-        unpacked at a time.  Each stripe of the lower triangle is packed
-        into its own rows and, transposed, into the same columns of every
-        row, so the words are symmetric by construction."""
+        highest (graph6 packs 6, BRC1 8).  Only one codec stripe's range
+        is unpacked at a time.  Each stripe of the lower triangle is
+        packed into its own rows and, transposed, into the same columns of
+        every row, so the words are symmetric by construction."""
         packed = np.frombuffer(packed, dtype=np.uint8)
         nbits = n * (n - 1) // 2
         size = -(-nbits // width)
@@ -397,9 +437,12 @@ def _bit_range(packed: np.ndarray, width: int, a: int, b: int) -> np.ndarray:
 
 
 def _stripes(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(r0, r1, mask of the strict lower triangle in rows r0..r1-1)."""
-    for r0 in range(0, n, _STRIPE):
-        r1 = min(r0 + _STRIPE, n)
+    """(r0, r1, mask of the strict lower triangle in rows r0..r1-1) for
+    the codec stripes: _STRIPE / 4 rows, a multiple of 8, so that a
+    stripe's columns start on a byte of the word rows."""
+    rows = 8 * max(1, _STRIPE // 32)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
         yield r0, r1, np.arange(n) < np.arange(r0, r1)[:, None]
 
 
@@ -435,18 +478,27 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
     the masks of the edges and of the non-edges u < v, and the products
     over the vertex ranges that ``cuts`` splits [0, n) into, which sum
     to c (without cuts, parts is [c]).  Stripe rows are unpacked to 0/1
-    float32 through a 256-entry byte table, and the edge masks of a tile
-    from its words.
+    float32 through a 256-entry byte table in column chunks of whole
+    words, 4 _STRIPE bits wide (64 at least), so that np.take's intp copy
+    of a chunk's bytes stays small; the edge masks of a tile come from
+    its words.  A tile makes one product per chunk and cut range that
+    meet, and sums a range's products (exact, as below).
 
     While n <= 4097, every codegree is below _FOLD = 4096, and the m rows
-    of a row stripe are folded in place into its first h = ceil(m/2):
-    row i becomes lo + 4096 hi for lo row i and hi row h + i (at odd m,
-    row h - 1 stands alone).  Row i of the product p of those h rows is
-    decoded as hi = floor(p / 4096) into row h + i and lo = p - 4096 hi
-    into row i, in each cut range.  Above, the fold factor is 1 and
-    h = m: the plain product on the same path.  All arrays are rebuilt
-    for each tile, so a caller may overwrite them; the walk holds
-    O(_STRIPE n) memory.
+    of a row stripe are folded into h = ceil(m/2) operand rows: row i is
+    lo + 4096 hi for lo row i and hi row h + i (at odd m, row h - 1
+    stands alone); the hi rows are unpacked into the column chunk buffer
+    before the column stripes need it.  Row i of the product p of those h
+    rows is decoded as hi = floor(p / 4096) into row h + i and
+    lo = p - 4096 hi into row i, in each cut range.  Above, the fold
+    factor is 1 and h = m: the plain product on the same path.  All
+    arrays are rebuilt for each tile, so a caller may overwrite them.
+
+    Memory: the h folded rows at full width, one chunk of a stripe's
+    rows with its intp index copy, and two float32 tiles plus one per
+    cut range.  At n = 3000 that is 1.5, 1.0, 0.26 and 0.26 MB per tile,
+    and ``books`` peaks at 3.6 MB under tracemalloc, ``part_codegrees``
+    at 4.5 MB.
     """
     # Every product of these rows, and every term of the complement
     # identity, is an integer of magnitude at most 2n, so float32 is
@@ -457,31 +509,46 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.float32)
     degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
     s = min(_STRIPE, n)
-    stripes = np.empty((2, s, 64 * words.shape[1]), dtype=np.float32)
+    fold = 2 if n - 2 < _FOLD else 1
+    width, span = 64 * words.shape[1], 64 * max(1, _STRIPE // 16)
+    chunks = [(x, min(x + span, width)) for x in range(0, n, span)]
+    ranges = list(zip([0, *cuts], [*cuts, n]))
+    # per chunk: (range, first column, end) for each range that meets it
+    pieces = [[(k, max(a, x), min(b, y)) for k, (a, b) in enumerate(ranges) if max(a, x) < min(b, y)] for x, y in chunks]
+    rows = -(-s // fold)
+    flat = np.empty(rows * width, dtype=np.float32)
+    left = [flat[rows * x : rows * y].reshape(rows, y - x) for x, y in chunks]
+    chunk = np.empty(s * min(span, width), dtype=np.float32)
     scratch = np.empty((2 + (len(cuts) + 1 if cuts else 0), s * s), dtype=np.float32)
-    bounds = [0, *cuts, None]
-    ranges = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    def rows(r0: int, out: np.ndarray) -> np.ndarray:
-        index = words[r0 : r0 + _STRIPE].view(np.uint8)
-        np.take(byte_bits, index, axis=0, out=out[: len(index)].reshape(*index.shape, 8), mode="clip")
-        return out[: len(index)]
+    def unpack(r0: int, r1: int, x: int, y: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Columns x..y-1, whole words, of word rows r0..r1-1 as 0/1 in out."""
+        index = words[r0:r1, x >> 6 : y >> 6].view(np.uint8)
+        out = chunk[: (r1 - r0) * (y - x)].reshape(r1 - r0, y - x) if out is None else out
+        np.take(byte_bits, index, axis=0, out=out.reshape(*index.shape, 8), mode="clip")
+        return out
 
     for r0 in range(0, n, _STRIPE):
-        left = rows(r0, stripes[0])
-        m = len(left)
-        h = -(-m // (2 if n - 2 < _FOLD else 1))
-        left[h:] *= _FOLD
-        left[: m - h] += left[h:]
+        m = min(_STRIPE, n - r0)
+        h = -(-m // fold)
+        for (x, y), part in zip(chunks, left):
+            unpack(r0, r0 + h, x, y, part[:h])
+            hi = unpack(r0 + h, r0 + m, x, y)
+            hi *= _FOLD
+            part[: m - h] += hi
         for c0 in range(r0, n, _STRIPE):
-            right = rows(c0, stripes[1])
-            shape = (m, len(right))
+            shape = (m, min(_STRIPE, n - c0))
             c, cc, *parts = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
             parts = parts or [c]  # without cuts, c is the one range product
-            for part, cols in zip(parts, ranges):
-                np.matmul(left[:h, cols], right[:, cols].T, out=part[:h])
-                np.floor(part[: m - h] / _FOLD, out=part[h:])
-                part[: m - h] -= part[h:] * _FOLD
+            for part in parts:
+                part[:h] = 0
+            for (x, y), lhs, cut in zip(chunks, left, pieces):
+                rhs = unpack(c0, c0 + shape[1], x, y)
+                for k, a, b in cut:
+                    parts[k][:h] += np.matmul(lhs[:h, a - x : b - x], rhs[:, a - x : b - x].T, out=cc[:h])
+            for part in parts:
+                np.floor(np.divide(part[: m - h], _FOLD, out=part[h:]), out=part[h:])
+                part[: m - h] -= np.multiply(part[h:], _FOLD, out=cc[: m - h])
             if cuts:
                 np.add(parts[0], parts[1], out=c)
                 for part in parts[2:]:

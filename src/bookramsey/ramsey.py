@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, or_
@@ -52,7 +51,6 @@ from .errors import CapacityError
 
 if TYPE_CHECKING:
     from .colorings import TwoColoring
-    from .graphs import BookCertificate
 
 DEFAULT_ORDER_CAP = 8
 # most variable bits a scan may have: surviving candidates pass between
@@ -65,26 +63,51 @@ BLOCK_BITS = 19
 LOW_BITS = 6
 
 
-@dataclass(frozen=True)
-class RedBook:
-    certificate: BookCertificate
+class _Record:
+    """An immutable record of the fields named in ``__slots__``, given in
+    that order; equal to a record of the same class with equal fields.
+    Plain slots rather than dataclasses, whose import would be most of a
+    ``verify`` process's start-up."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._fields()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self._fields()))})"
 
 
-@dataclass(frozen=True)
-class BlueBook:
-    certificate: BookCertificate
+class RedBook(_Record):
+    __slots__ = ("certificate",)  # a BookCertificate
 
 
-@dataclass(frozen=True)
-class Neither:
-    pass
+class BlueBook(_Record):
+    __slots__ = ("certificate",)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    N: int
-    counterexample_index: int | None  # blue index of the counterexample
-    colorings_examined: int
+class Neither(_Record):
+    __slots__ = ()
+
+
+class SearchOutcome(_Record):
+    # N, the blue index of the counterexample (None when forced), colorings_examined
+    __slots__ = ("N", "counterexample_index", "colorings_examined")
 
     @property
     def verdict(self) -> str:
@@ -106,7 +129,9 @@ def check_coloring(c: TwoColoring, p: int, q: int):
     Both colours come from one scan in lexicographic edge order, which
     stops at the first red book; the red-before-blue priority is
     arbitrary but fixed.  Neither certifies the lower bound
-    r(B_p, B_q) > c.n.
+    r(B_p, B_q) > c.n.  Red carries B_p: ``colorings.two_cliques`` has
+    its small books in red, ``colorings.tripartite_random`` in blue, so
+    there p is the target above the red booksize, the larger one.
     """
     if p < 1 or q < 1:
         raise ValueError("book page targets must be at least 1")
@@ -124,14 +149,15 @@ LANE_BITS = 6  # bits per word of the miss scan; a prefix spans whole words
 _FULL_WORD = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class _Book:
-    """One base edge in one colour: there iff the base has it and `need` pages are wholly it."""
+class _Book(_Record):
+    """One base edge in one colour: there iff the base has it and `need` pages are wholly it.
 
-    blue: bool
-    base: int | None  # variable bit of the base edge; None when fixed to this colour
-    need: int  # pages wanted beyond those that fixed edges complete
-    pages: tuple[tuple[int, ...], ...]  # the variable bits of each open page
+    Fields: blue; base, the variable bit of the base edge, None when fixed
+    to this colour; need, the pages wanted beyond those that fixed edges
+    complete; pages, the variable bits of each open page.
+    """
+
+    __slots__ = ("blue", "base", "need", "pages")
 
 
 def _books(N: int, p: int, q: int, fixed: dict[int, bool]) -> tuple[list[int], list[_Book]]:

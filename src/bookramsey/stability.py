@@ -232,6 +232,11 @@ def trichotomy_floors(n: int, xi: Fraction) -> dict:
 def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     """Evaluate the three structure branches exactly.
 
+    ``g`` is the blue graph of a coloring (``trichotomy`` passes a BRC1
+    file's blue graph), so (iii) looks for a near-bipartite blue graph:
+    for ``two_cliques``, whose near-bipartite graph is red, it reports
+    "unknown".
+
     (i)  complement booksize exceeds n/2;
     (ii) booksize exceeds (1/12 - 1e-6 xi^6) n;
     (iii) some induced bipartite subgraph has order >= (1 - xi) n with

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookramsey import colex
 from bookramsey.colorings import (
     ConstructionParams,
     TwoColoring,
@@ -173,6 +174,25 @@ def test_brc1_refuses_every_odd_character_where_it_stands():
         pair = payload[:2] + 2 * ch + payload[4:]
         named = None if ch in HEX_DIGITS else (f"invalid hex character {ch!r}", 2, 2)
         assert refusal(hex_bytes, pair, 28, 2) == named, ch
+
+
+def decoded(text: str, start: int = 0):
+    """hex_bytes of text[start:] as 28 bits on line 2, or its refusal."""
+    return refusal(hex_bytes, text, 28, 2, start) or bytes(hex_bytes(text, 28, 2, start))
+
+
+@pytest.mark.parametrize("piece", [2, 4])
+def test_hex_bytes_decodes_piece_by_piece(piece, monkeypatch):
+    # the payload is decoded a few characters at a time: the pieces change
+    # neither the bytes nor the character named, nor its offset, and a
+    # payload that starts past a header counts its offsets from there
+    payload = two_cliques(3).to_brc1().splitlines()[1]
+    cases = [payload, payload[:2] + "  " + payload[4:], payload[:4] + "\x1f\x1f" + payload[6:]]
+    cases += [payload[:pos] + ch + payload[pos + 1 :] for pos in range(7) for ch in ODD_CHARACTERS]
+    want = [decoded(text) for text in cases]
+    monkeypatch.setattr(colex, "_HEX_PIECE", piece)
+    assert [decoded(text) for text in cases] == want
+    assert [decoded("BRC18" + text, 5) for text in cases] == want
 
 
 def pack_bits_hex(bits) -> str:

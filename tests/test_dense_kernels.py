@@ -21,8 +21,10 @@ from bookramsey.colorings import (
     TwoColoring,
     construction_statistics,
     edge_index,
+    read_coloring_file,
     tripartite_parts,
     tripartite_random,
+    write_coloring_file,
 )
 from bookramsey.graphs import Graph, bits_of
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
@@ -139,7 +141,8 @@ def ref_part_codegrees(g: Graph, parts) -> list[list[int]]:
     """``part_codegrees`` from full n x n codegree matrices of g and of its
     complement: edges inside a part, across two, then non-edges inside
     and across, each [pairs, codegree sum, largest codegree or 0, pages
-    in the third part (edges across only)]."""
+    in the third part (pairs across only)], non-edges counted in the
+    complement."""
     n = g.n
     pid = np.empty(n, dtype=np.int64)
     for k, part in enumerate(parts):
@@ -152,15 +155,15 @@ def ref_part_codegrees(g: Graph, parts) -> list[list[int]]:
     adj, comp = g.adjacency(), g.complement().adjacency()
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     same = pid[:, None] == pid[None, :]
-    third = np.zeros((n, n), dtype=np.int64)
-    for k in range(3):
-        across = ~same & (pid[:, None] != k) & (pid[None, :] != k)
-        third[across] = codegrees(adj, pid == k)[across]
     out = []
-    for m, cod in ((adj, codegrees(adj)), (comp, codegrees(comp))):
+    for m in (adj, comp):
+        cod = codegrees(m)
+        third = np.zeros((n, n), dtype=np.int64)
+        for k in range(3):
+            across = ~same & (pid[:, None] != k) & (pid[None, :] != k)
+            third[across] = codegrees(m, pid == k)[across]
         for sel in (upper & same & m, upper & ~same & m):
-            out.append([int(sel.sum()), int(cod[sel].sum()), int(cod[sel].max(initial=0)), 0])
-    out[1][3] = int(third[upper & ~same & adj].sum())
+            out.append([int(sel.sum()), int(cod[sel].sum()), int(cod[sel].max(initial=0)), int(third[sel].sum())])
     return out
 
 
@@ -311,7 +314,8 @@ def test_first_books_in_different_stripes_at_n300(big_coloring, monkeypatch):
 
 def test_books_stop_at_first_red_book(big_coloring, monkeypatch):
     # a red book in stripe 0 decides check_coloring whatever blue holds,
-    # so the scan must not multiply past that stripe's column blocks
+    # so the scan must not multiply past that stripe's column blocks; at
+    # 8-row stripes a tile makes one product per 64-column chunk
     monkeypatch.setattr(graphs, "_STRIPE", 8)
     c = big_coloring
     q = ref_booksize(c.blue)[0] + 1
@@ -319,7 +323,7 @@ def test_books_stop_at_first_red_book(big_coloring, monkeypatch):
     with mock.patch.object(graphs.np, "matmul", wraps=np.matmul) as matmul:
         res = check_coloring(c, 1, q)
     assert verdict(res) == ref_check_coloring(c, 1, q)
-    assert matmul.call_count == -(-c.n // 8)
+    assert matmul.call_count == -(-c.n // 8) * -(-c.n // 64)
 
 
 def test_packed_decode_across_stripes_at_n300(big_coloring, monkeypatch):
@@ -489,40 +493,82 @@ def test_statistics_across_stripes_at_n300(monkeypatch):
     test_statistics_match_matrix_version_at_n300()
 
 
+def traced_peak(f) -> int:
+    """Peak bytes that tracemalloc sees allocated while f runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def walk_buffers(rows: int, cols: int) -> int:
+    """The walk's buffers: the folded half of a row stripe at full width,
+    one column chunk of 4 rows bits for a stripe of rows, and the intp
+    copy np.take makes of that chunk's bytes, all float32 but the last."""
+    return 4 * (rows // 2) * cols + 4 * rows * (4 * rows) + rows * (4 * rows)
+
+
 def test_statistics_memory_stays_within_stripes():
-    # the walk's buffers: two float32 stripes of _STRIPE word rows, the
-    # red words and their relabelled copy, one stripe of bool rows and
-    # O(_STRIPE^2) tile scratch; half again is left for temporaries.
-    # Keeping (n/3)^2 float32 part blocks instead peaks at about 35 MB.
+    # the walk's buffers and five float32 tiles (c, cc and the product of
+    # each part); the blue words are walked, so no red words are made,
+    # and one bool stripe is left for temporaries.  Keeping (n/3)^2
+    # float32 part blocks instead peaks at about 35 MB.
     n, rows = 3000, graphs._STRIPE
     c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
     cols = 64 * -(-n // 64)  # word rows padded to whole words
-    buffers = 2 * 4 * rows * cols + 2 * n * cols // 8 + rows * n + 32 * rows**2
-    tracemalloc.start()
-    try:
-        construction_statistics(c, tripartite_parts(n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * buffers, f"peak {peak} bytes against {buffers} bytes of buffers"
+    buffers = walk_buffers(rows, cols) + 5 * 4 * rows**2
+    peak = traced_peak(lambda: construction_statistics(c, tripartite_parts(n)))
+    assert peak <= buffers + rows * n, f"peak {peak} bytes against {buffers} bytes of buffers"
 
 
 def test_books_memory_adds_no_stripe_buffer():
-    # the walk's buffers: two float32 stripes of _STRIPE word rows, the
-    # intp copy np.take makes of one stripe's bytes and O(_STRIPE^2) tile
-    # scratch.  The fold works in place and the edge masks come from the
-    # words, so less than half a bool stripe is left for temporaries.
+    # the walk's buffers and two float32 tiles (c and cc).  The fold
+    # works in place and the edge masks come from the words, so less than
+    # half a bool stripe is left for temporaries.
     n, rows = 3000, graphs._STRIPE
     c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
     cols = 64 * -(-n // 64)  # word rows padded to whole words
-    buffers = 2 * 4 * rows * cols + rows * cols + 12 * rows**2
-    tracemalloc.start()
-    try:
-        c.blue.books()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    buffers = walk_buffers(rows, cols) + 2 * 4 * rows**2
+    peak = traced_peak(lambda: c.blue.books())
     assert peak <= buffers + rows * n // 2, f"peak {peak} bytes against {buffers} bytes of buffers"
+
+
+def test_coloring_build_and_files_stay_within_stripes(tmp_path):
+    # the construction holds its words, its packed colex bits and two
+    # bool stripes; writing streams the payload a codec stripe at a time;
+    # reading holds the file's text, its BRC1 bytes, the words and one
+    # bool stripe (a whole-payload bool array alone would be 4.5 MB)
+    n, rows = 3000, graphs._STRIPE
+    words, packed = n * (64 * -(-n // 64)) // 8, (n * (n - 1) // 2 + 7) // 8
+    params = ConstructionParams(n, Fraction(1, 200), seed=1)
+    peak = traced_peak(lambda: tripartite_random(params))
+    assert peak <= words + packed + 2 * rows * n, f"construction peak {peak} bytes"
+    c = tripartite_random(params)
+    path = tmp_path / "t.brc1"
+    peak = traced_peak(lambda: write_coloring_file(path, c))
+    assert peak <= 2 * rows * n, f"write peak {peak} bytes"
+    text = path.stat().st_size
+    peak = traced_peak(lambda: read_coloring_file(path))
+    assert peak <= text + packed + words + rows * n, f"read peak {peak} bytes"
+    assert read_coloring_file(path) == c
+
+
+@pytest.mark.parametrize("stripe", [8, 24, 64])
+def test_colex_codec_round_trip_at_any_stripe(stripe, monkeypatch):
+    # codec stripes of _STRIPE / 4 rows (8 or 16 here) start at pair
+    # r0(r0-1)/2, which is not always on a byte (r0 = 8, 24, 40, ...):
+    # each stripe's bits follow those the one before left short of a byte
+    rng = np.random.default_rng(stripe)
+    colorings = [coloring_of(graph_of(random_adjacency(rng, n, 0.5))) for n in (1, 2, 9, 40, 41, 77, 130)]
+    monkeypatch.setattr(graphs, "_STRIPE", stripe)
+    for c in colorings:
+        raw = c.blue.colex_bytes()
+        assert raw == np.packbits(ref_blue_bits(c)).tobytes(), c.n
+        assert Graph.from_colex_bits(c.n, raw, width=8) == c.blue
+        assert TwoColoring.from_brc1(c.to_brc1()) == c
+        assert Graph.from_graph6(to_graph6(c.blue)) == c.blue
 
 
 # ---------------------------------------------------------------------- fold
@@ -554,7 +600,7 @@ def test_walk_at_the_fold_limit(n):
     assert [base_of(b) for b in complete.books()] == [(n - 2, (0, 1)), (0, None)]
     want = complete_part_codegrees(n, sizes)
     assert complete.part_codegrees(parts) == complete.part_codegrees(shuffled) == want
-    assert Graph.empty(n).part_codegrees(parts) == [[0] * 4, [0] * 4, want[0], want[1][:3] + [0]]
+    assert Graph.empty(n).part_codegrees(parts) == [[0] * 4, [0] * 4, *want[:2]]
 
     # K_n less a matching that leaves out 200 and 201 (and n - 1 at odd n):
     # blue codegrees n - 4 to n - 2, and the first base of the largest

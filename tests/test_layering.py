@@ -184,6 +184,18 @@ def test_colex_helpers_have_one_numpy_free_definition():
     assert "numpy" not in module_imports(sources["ramsey.py"])
 
 
+# the modules a ``verify`` process loads from the package
+VERIFY_MODULES = ("__init__", "cli", "ramsey", "colex", "numbers", "errors")
+
+
+def test_verify_modules_import_no_dataclasses():
+    # importing dataclasses (with inspect, ast and dis) was most of the
+    # start-up of a verify process; its records are plain slot classes
+    sources = {name: (PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in VERIFY_MODULES}
+    assert {name for name, src in sources.items() if "dataclasses" in module_imports(src)} == set()
+    assert "dataclasses" in module_imports("def f():\n    from dataclasses import dataclass\n")
+
+
 def brc1_hex_sites(source: str) -> list[str]:
     """Uses of ``hex``, ``fromhex`` and the bit-reverse table, the makings
     of a BRC1 payload, as names, attributes or imports."""
