@@ -15,10 +15,10 @@ at most n - 2, so while n <= 4097 the walk folds two rows into one
 operand row as lo + 4096 hi and multiplies half as many rows; every sum
 stays an integer below 2**24, exact in float32.  Besides the words, the
 walk holds the folded rows of one stripe at full width and O(_STRIPE^2)
-floats more.  ``Graph(n, rows)``,
-the one checked constructor, checks outside int rows once; decoding and
-the constructions build valid words and skip the check.  Graphs are
-immutable; share them freely.
+floats more: one 512-bit column chunk of a stripe's rows and the tiles.
+``Graph(n, rows)``, the one checked constructor, checks outside int rows
+once; decoding and the constructions build valid words and skip the
+check.  Graphs are immutable; share them freely.
 
 Also owns the colex codec between words and packed bytes: the C(n, 2)
 vertex pairs in colex order, which is the row-major strict lower
@@ -250,8 +250,15 @@ class Graph:
                 found[0] = None
                 break
         blue = found[0] and BookCertificate.from_base(self, *found[0])
-        red = found[1] and BookCertificate.from_base(self.complement(), *found[1])
+        red = found[1] and self._red_book(*found[1])
         return tuple((cert.size, cert) if cert else (0, None) for cert in (blue, red))
+
+    def _red_book(self, u: int, v: int) -> BookCertificate:
+        """The book of the complement on the non-edge u < v, read from two
+        word rows: its pages are the common non-neighbours but u and v."""
+        pages = _unpack(~(self.words[u] | self.words[v])[None], self.n)[0]
+        pages[[u, v]] = False
+        return BookCertificate(base=(u, v), pages=frozenset(np.flatnonzero(pages).tolist()))
 
     def part_codegrees(self, parts: Sequence[Sequence[int]]) -> list[list[int]]:
         """Codegree totals over the pairs u < v against a split of the
@@ -479,10 +486,10 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
     over the vertex ranges that ``cuts`` splits [0, n) into, which sum
     to c (without cuts, parts is [c]).  Stripe rows are unpacked to 0/1
     float32 through a 256-entry byte table in column chunks of whole
-    words, 4 _STRIPE bits wide (64 at least), so that np.take's intp copy
-    of a chunk's bytes stays small; the edge masks of a tile come from
-    its words.  A tile makes one product per chunk and cut range that
-    meet, and sums a range's products (exact, as below).
+    words, 2 _STRIPE bits wide (512; 64 at least), so that np.take's
+    intp copy of a chunk's bytes stays small; the edge masks of a tile
+    come from its words.  A tile makes one product per chunk and cut
+    range that meet, and sums a range's products (exact, as below).
 
     While n <= 4097, every codegree is below _FOLD = 4096, and the m rows
     of a row stripe are folded into h = ceil(m/2) operand rows: row i is
@@ -496,9 +503,9 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
 
     Memory: the h folded rows at full width, one chunk of a stripe's
     rows with its intp index copy, and two float32 tiles plus one per
-    cut range.  At n = 3000 that is 1.5, 1.0, 0.26 and 0.26 MB per tile,
-    and ``books`` peaks at 3.6 MB under tracemalloc, ``part_codegrees``
-    at 4.5 MB.
+    cut range.  At n = 3000 that is 1.5, 0.5, 0.13 and 0.26 MB per tile,
+    and ``books`` peaks at 3.0 MB under tracemalloc, ``part_codegrees``
+    at 3.8 MB.
     """
     # Every product of these rows, and every term of the complement
     # identity, is an integer of magnitude at most 2n, so float32 is
@@ -510,7 +517,7 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
     degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
     s = min(_STRIPE, n)
     fold = 2 if n - 2 < _FOLD else 1
-    width, span = 64 * words.shape[1], 64 * max(1, _STRIPE // 16)
+    width, span = 64 * words.shape[1], 64 * max(1, _STRIPE // 32)
     chunks = [(x, min(x + span, width)) for x in range(0, n, span)]
     ranges = list(zip([0, *cuts], [*cuts, n]))
     # per chunk: (range, first column, end) for each range that meets it

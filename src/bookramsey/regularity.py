@@ -14,6 +14,7 @@ arrays against limits computed from eps in Python ints.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .colorings import TwoColoring
 from .errors import CapacityError
 from .graphs import BookCertificate, Graph, vertex_mask
 from .numbers import as_fraction
-from .rng import subset_sampler
+from .rng import stream_values
 
 ORACLE_SIDE_CAP = 16
 ORACLE_CHUNK = 1 << 10  # X masks per oracle step; bounds its temporary arrays
@@ -230,10 +231,13 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
             rest = np.flatnonzero(~cross[:, j])
             if len(rest) >= a0:
                 yield rest
-        rng = subset_sampler(seed, stream=1)
-        while True:
-            m = int(rng.integers(a0, na + 1))
-            yield rng.choice(na, size=m, replace=False)
+        # random sample i reads na + 1 values of stream 1: the first sets
+        # m = |X| in [a0, na], and X is the m positions of A whose own
+        # values sort first
+        for i in itertools.count():
+            values = stream_values(seed, 1, i * (na + 1), na + 1)
+            m = a0 + ((int(values[0]) * (na - a0 + 1)) >> 64)
+            yield np.argsort(values[1:], kind="stable")[:m]
 
     for _, xs in zip(range(samples), candidate_xs()):
         s = len(xs)

@@ -1,14 +1,18 @@
-"""Counter-based pseudorandom edge values.
+"""Counter-based pseudorandom values: the package's one generator.
 
-Randomized constructions decide each edge color from a pure function of
-(seed, edge index) rather than from a stateful stream, so any subset of
-edges can be generated in any order, split across threads, or revisited
-later with bit-identical results.
+Every random draw is a pure function of (seed, counter) rather than the
+state of a stream, so any range of values can be generated in any
+order, split across threads, or revisited later with bit-identical
+results.  Edge colours of the randomized constructions read the
+counters of ``seed`` itself, one per edge; the auxiliary draws of the
+sampled witness search and of the bipartite extractor read a keyed
+stream, the counters of edge_value(seed, stream) (``stream_values``).
 
 The generator is splitmix64: value(seed, k) = mix64(seed + (k+1)*GAMMA)
-over 64-bit wrapping arithmetic.  An event of probability ``p`` fires
-iff the value is below floor(p * 2**64); with a rational ``p`` this is
-exact to the full 64-bit resolution.
+over 64-bit wrapping arithmetic (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014).  An event of probability
+``p`` fires iff the value is below floor(p * 2**64); with a rational
+``p`` this is exact to the full 64-bit resolution.
 
 Two implementations are provided on purpose: a scalar pure-Python
 reference and a vectorized numpy kernel.  Tests hold them equal.
@@ -70,10 +74,8 @@ def bernoulli_block(seed: int, start: int, count: int, threshold: int) -> np.nda
     return vals < np.uint64(threshold)
 
 
-def subset_sampler(seed: int, stream: int = 0):
-    """numpy Generator for auxiliary sampling (not edge colors).
-
-    Distinct streams are decorrelated by running the seed through the
-    same mixer with the stream index as counter.
-    """
-    return np.random.default_rng(edge_value(seed, stream))
+def stream_values(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Values start .. start+count-1 of auxiliary stream ``stream``: the
+    counters of the key edge_value(seed, stream), so distinct streams
+    are decorrelated by the mixer."""
+    return edge_values_block(edge_value(seed, stream), start, count)

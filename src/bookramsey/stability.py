@@ -19,7 +19,7 @@ import numpy as np
 
 from .graphs import Graph
 from .numbers import as_fraction
-from .rng import subset_sampler
+from .rng import stream_values
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,11 @@ def bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
     best = None
     best_score = None
     for r in range(restarts):
-        rng = subset_sampler(seed, stream=r)
-        side = rng.integers(0, 2, size=n).astype(np.int8)
-        order = rng.permutation(n)
+        # 2n values of stream r: a vertex's side is the top bit of its
+        # first value, the scan order sorts the second
+        values = stream_values(seed, r, 0, 2 * n)
+        side = (values[:n] >> np.uint64(63)).astype(np.int8)
+        order = np.argsort(values[n:], kind="stable")
         _local_max_cut(g, side, order)
         # delete the most conflicted vertex until both sides are independent;
         # conflicts are kept in scan order: side 0 ascending, then side 1

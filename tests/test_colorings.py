@@ -33,6 +33,7 @@ from bookramsey.rng import (
     edge_value,
     edge_values_block,
     probability_threshold,
+    stream_values,
 )
 
 from helpers import codegree, colex_bools, coloring_of_bits, edge_list, from_edges
@@ -267,6 +268,14 @@ def test_block_matches_scalar():
     assert block.dtype == np.uint64
     for off in (0, 1, 100, 256):
         assert int(block[off]) == edge_value(seed, start + off)
+
+
+@pytest.mark.parametrize("seed", [-3, 0, 2**64 + 5, 2**65])
+def test_stream_values_match_scalar_composition(seed):
+    for stream in (0, 1, 9):
+        block = stream_values(seed, stream, 40, 70)
+        key = edge_value(seed, stream)
+        assert block.tolist() == [edge_value(key, 40 + k) for k in range(70)]
 
 
 def test_bernoulli_block_matches_threshold_comparison():

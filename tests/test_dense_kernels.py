@@ -26,7 +26,7 @@ from bookramsey.colorings import (
     tripartite_random,
     write_coloring_file,
 )
-from bookramsey.graphs import Graph, bits_of
+from bookramsey.graphs import BookCertificate, Graph, bits_of
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
 from helpers import check_certificate, edge_list, from_edges, graph_of, to_graph6
@@ -274,6 +274,7 @@ def test_two_colour_books_match_edge_loops(params, stripe, q, p):
     for (size, cert), graph in zip(books + firsts, (g, h, g, h)):
         if cert:
             check_certificate(cert, graph)
+            assert cert == BookCertificate.from_base(graph, *cert.base)
             assert cert.size == size
     assert [cert and cert.base for _, cert in firsts] == first_books(g, q, p)
 
@@ -505,9 +506,9 @@ def traced_peak(f) -> int:
 
 def walk_buffers(rows: int, cols: int) -> int:
     """The walk's buffers: the folded half of a row stripe at full width,
-    one column chunk of 4 rows bits for a stripe of rows, and the intp
+    one column chunk of 2 rows bits for a stripe of rows, and the intp
     copy np.take makes of that chunk's bytes, all float32 but the last."""
-    return 4 * (rows // 2) * cols + 4 * rows * (4 * rows) + rows * (4 * rows)
+    return 4 * (rows // 2) * cols + 4 * rows * (2 * rows) + rows * (2 * rows)
 
 
 def test_statistics_memory_stays_within_stripes():

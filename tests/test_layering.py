@@ -1,7 +1,8 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
 graphs.py multiplies codegrees in one place, the command line starts
-without loading the numeric modules, ``verify`` runs without them, and
-only colex.py writes or reads the hex of a BRC1 payload.
+without loading the numeric modules, ``verify`` runs without them, no
+random draw loads numpy's random module (the package's one generator is
+``rng``), and only colex.py writes or reads the hex of a BRC1 payload.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices; none reads the int rows or imports a private helper of
@@ -17,6 +18,10 @@ import sys
 from pathlib import Path
 
 import bookramsey
+from bookramsey.graphs import Graph
+from bookramsey.regularity import ORACLE_SIDE_CAP
+
+from helpers import to_graph6
 
 PACKAGE = Path(bookramsey.__file__).parent
 
@@ -139,7 +144,9 @@ VERIFY_RUNS = [(["verify", "6", "1", "1"], 0), (["verify", "7", "2", "2", "--pru
 NUMERIC_MODULES = ("numpy", "bookramsey.graphs", "bookramsey.colorings", "bookramsey.rng")
 
 
-def test_verify_loads_no_numeric_module():
+def run_in_one_process(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
+    """Exit codes of ``cli.main`` on each argv, run in one fresh process,
+    and the modules that process loaded."""
     script = (
         "import contextlib, io, json, sys\n"
         "from bookramsey import cli\n"
@@ -150,14 +157,81 @@ def test_verify_loads_no_numeric_module():
         "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([argv for argv, _ in VERIFY_RUNS])],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, check=True, timeout=120,
     )
     seen = json.loads(proc.stdout)
-    assert seen["codes"] == [code for _, code in VERIFY_RUNS]
-    loaded = set(seen["modules"])
+    return seen["codes"], set(seen["modules"])
+
+
+def test_verify_loads_no_numeric_module():
+    codes, loaded = run_in_one_process([argv for argv, _ in VERIFY_RUNS])
+    assert codes == [code for _, code in VERIFY_RUNS]
     assert "bookramsey.ramsey" in loaded
     assert sorted(loaded & set(NUMERIC_MODULES)) == []
+
+
+def test_random_draws_load_no_numpy_random(tmp_path):
+    # a complete pair holds no witness, so the sampled search and the
+    # search behind classify (blocks above the oracle cap) reach their
+    # random samples; trichotomy without a candidate runs the extractor
+    t = ORACLE_SIDE_CAP + 1
+    pair = {
+        "graph": to_graph6(Graph.complete_bipartite(t, t)),
+        "blocks": [list(range(t)), list(range(t, 2 * t))],
+        "epsilon": "1/10",
+    }
+    (tmp_path / "pair.json").write_text(json.dumps(pair))
+    (tmp_path / "classify.json").write_text(json.dumps({**pair, "beta": "1/4", "gamma": "1/4"}))
+    (tmp_path / "g.g6").write_text(to_graph6(Graph.complete_bipartite(10, 10)) + "\n")
+    codes, loaded = run_in_one_process([
+        ["uniformity", str(tmp_path / "pair.json"), "--sampled", "--samples", "100"],
+        ["classify", str(tmp_path / "classify.json"), "--samples", "100"],
+        ["trichotomy", str(tmp_path / "g.g6"), "--xi", "1/10"],
+    ])
+    assert codes == [0, 0, 0]
+    assert {"numpy", "bookramsey.regularity", "bookramsey.stability"} <= loaded
+    assert "numpy.random" not in loaded
+
+
+def random_module_uses(source: str) -> list[str]:
+    """Names of numpy's random module: ``np.random``, ``numpy.random``
+    and imports from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(f"line {node.lineno}: {node.value.id}.random")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            found.append(f"line {node.lineno}: from {node.module}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(a.name == "random" for a in node.names):
+            found.append(f"line {node.lineno}: from numpy import random")
+    return found
+
+
+def test_package_never_names_numpy_random():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert {name: found for name, src in sources.items() if (found := random_module_uses(src))} == {}
+
+
+def test_random_guard_flags_every_form():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random\n"
+        "rng = np.random.default_rng(numpy.random.SeedSequence(1))\n"
+        "x = rng.random()\n"
+    )
+    assert random_module_uses(source) == [
+        "line 2: import numpy.random",
+        "line 3: from numpy.random",
+        "line 4: from numpy import random",
+        "line 5: np.random",
+        "line 5: numpy.random",
+    ]
 
 
 def definitions(source: str) -> set[str]:

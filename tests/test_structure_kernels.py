@@ -8,6 +8,7 @@ the same (X, Y) witness, the same extracted parts.
 
 import contextlib
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from bookramsey.regularity import (
     nonuniformity_search,
     uniformity_oracle,
 )
-from bookramsey.rng import subset_sampler
+from bookramsey.rng import edge_value
 from bookramsey.stability import bipartite_extract
 
 from helpers import from_edges, graph_of, to_graph6
@@ -120,10 +121,13 @@ def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, 
             rest = sorted(sa.difference(hood))
             if len(rest) >= a0:
                 yield rest
-        rng = subset_sampler(seed, stream=1)
-        while True:
-            m = int(rng.integers(a0, na + 1))
-            yield sorted(int(v) for v in rng.choice(pair.A, size=m, replace=False))
+        # random sample i: na + 1 values of stream 1 from counter i (na + 1)
+        key = edge_value(seed, 1)
+        for i in itertools.count():
+            v0, *values = (edge_value(key, i * (na + 1) + k) for k in range(na + 1))
+            m = a0 + ((v0 * (na - a0 + 1)) >> 64)
+            first = sorted(range(na), key=lambda k: (values[k], k))[:m]
+            yield sorted(pair.A[k] for k in first)
 
     tried = 0
     for X in candidate_xs():
@@ -175,9 +179,11 @@ def ref_bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
     best_score = None
     rows = g.rows
     for r in range(restarts):
-        rng = subset_sampler(seed, stream=r)
-        side = [bool(b) for b in rng.integers(0, 2, size=g.n)]
-        order = [int(v) for v in rng.permutation(g.n)]
+        # 2n values of stream r: sides from the top bits, then a scan order
+        key = edge_value(seed, r)
+        values = [edge_value(key, k) for k in range(2 * g.n)]
+        side = [bool(x >> 63) for x in values[: g.n]]
+        order = sorted(range(g.n), key=lambda v: (values[g.n + v], v))
         ref_local_max_cut(g, side, order)
         masks = [0, 0]
         for v in range(g.n):
