@@ -10,12 +10,13 @@ graph's edges itself, ANDing word rows, so its cost grows with the edge
 count.  ``books`` (the books of both colours, or the red-first book
 search behind ``ramsey.check_coloring``) and ``part_codegrees`` (the
 ``stats`` command) reduce one walk over the codegrees of all pairs,
-``_codegree_tiles``, a float32 product of row stripes.  A codegree is
-at most n - 2, so while n <= 4097 the walk folds two rows into one
-operand row as lo + 4096 hi and multiplies half as many rows; every sum
-stays an integer below 2**24, exact in float32.  Besides the words, the
-walk holds the folded rows of one stripe at full width and O(_STRIPE^2)
-floats more: one 512-bit column chunk of a stripe's rows and the tiles.
+``_codegree_tiles``, a float32 product of row stripes.  A product entry
+is a codegree, at most n - 2, or a degree, at most n - 1, so while
+n <= 4096 the walk folds two rows into one operand row as lo + 4096 hi
+and multiplies half as many rows; every sum stays an integer below
+2**24, exact in float32.  Besides the words, the walk holds the folded
+rows of one stripe at full width and O(_STRIPE^2) floats more: one
+512-bit column chunk of a stripe's rows and the tiles.
 ``Graph(n, rows)``, the one checked constructor, checks outside int rows
 once; decoding and the constructions build valid words and skip the
 check.  Graphs are immutable; share them freely.
@@ -46,7 +47,7 @@ GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_ORDER_CAP = 1 << 13  # decoding n = 8190: ~0.6 s, 57 MB peak RSS (2 cores, numpy 2.4)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 rows, rounded to 8
-_FOLD = 4096  # codegree tiles fold two rows into one while every codegree, at most n - 2, is below this
+_FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every product entry, at most n - 1, is below it
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
@@ -226,7 +227,7 @@ class Graph:
         targets = None if at_least is None else [min(t, n) for t in at_least]
         best = [0.5, 0.5]  # a key counts from 1 on
         found = [None, None]
-        for r0, c0, c, cc, edge, other, _ in _codegree_tiles(self.words, n):
+        for r0, c0, c, cc, edge, other in _codegree_tiles(self.words, n):
             if c0 == r0:
                 top = np.zeros((2, len(c)), dtype=np.float32)
                 col = np.zeros((2, len(c)), dtype=np.intp)
@@ -269,27 +270,28 @@ class Graph:
         part that holds neither end], the last 0 inside a part.
 
         The vertices are relabelled, a stripe at a time, so that the
-        parts are contiguous (no copy when they already are), and
-        ``_codegree_tiles`` cuts its products at the part boundaries,
-        folding each cut range as it folds the whole row.  Each tile is
-        masked in place to the codegrees of its edges (c) and non-edges
-        (cc), 0 elsewhere, and split at those boundaries into sub-tiles of
-        parts (a, b); a class adds the count of its mask there, the
-        float64 sum of its masked codegrees and their maximum, which is
-        that of the class since codegrees are nonnegative, and an edge
-        across its pages in part 3 - a - b from that part's product.  A
-        sub-tile's sums are float32 row sums, at most _STRIPE (n - 2) and
-        so exact below 2**24, added in float64: every total is exact.
+        parts are contiguous (no copy when they already are).  Each tile
+        of ``_codegree_tiles`` is masked in place to the codegrees of its
+        edges (c) and non-edges (cc), 0 elsewhere, and split at the part
+        boundaries into sub-tiles of parts (a, b); a class adds the count
+        of its mask there, the float64 sum of its masked codegrees and
+        their maximum, which is that of the class since codegrees are
+        nonnegative.  A sub-tile's sums are float32 row sums, at most
+        _STRIPE (n - 2) and so exact below 2**24, added in float64: every
+        total is exact.
 
-        The pages of the non-edges across come from the neighbour counts
-        d_k(u) of each vertex in each part k: a non-edge uv, u in P_a and
-        v in P_b, has |P_t| - d_t(u) - d_t(v) + c_t(u, v) pages in
-        P_t, t = 3 - a - b, where c_t counts common neighbours in P_t.
-        Summed over the non-edges between P_a and P_b, the first term is
-        |P_t| times their number, the second sums d_t(u) (|P_b| - d_b(u))
-        over u in P_a and likewise over P_b, and the third is the sum of
-        d_a(w) d_b(w) over w in P_t, which counts c_t over all pairs,
-        less the edges' pages.
+        The pages in the third part of the edges across sum to three times
+        the number of triangles with one vertex in each part: for each w
+        in P_2 and its neighbours u in P_0, the popcount of the P_1 words
+        of u ANDed with those of w.  The pages of the non-edges across
+        come from the neighbour counts d_k(u) of each vertex in each part
+        k: a non-edge uv, u in P_a and v in P_b, has
+        |P_t| - d_t(u) - d_t(v) + c_t(u, v) pages in P_t, t = 3 - a - b,
+        where c_t counts common neighbours in P_t.  Summed over the
+        non-edges between P_a and P_b, the first term is |P_t| times their
+        number, the second sums d_t(u) (|P_b| - d_b(u)) over u in P_a and
+        likewise over P_b, and the third is the sum of d_a(w) d_b(w) over
+        w in P_t, which counts c_t over all pairs, less the edges' pages.
         """
         n = self.n
         assert _STRIPE * n < 1 << 24, "float32 row sums are exact only below 2**24"
@@ -308,10 +310,7 @@ class Graph:
             cuts = [(k, max(lo, bounds[k]), min(hi, bounds[k + 1])) for k in range(3)]
             return [(k, slice(a - lo, b - lo)) for k, a, b in cuts if a < b]
 
-        def total(block: np.ndarray) -> int:
-            return int(block.sum(axis=1).sum(dtype=np.float64))
-
-        for r0, c0, c, cc, edge, other, by_part in _codegree_tiles(words, n, bounds[1:3]):
+        for r0, c0, c, cc, edge, other in _codegree_tiles(words, n):
             c *= edge
             cc *= other
             for a, rows in pieces(r0, r0 + c.shape[0]):
@@ -319,13 +318,15 @@ class Graph:
                     cross = int(a != b)
                     for sums, mask, value in ((out[cross], edge, c), (out[2 + cross], other, cc)):
                         block = value[rows, cols]
-                        sums[:2] += np.count_nonzero(mask[rows, cols]), total(block)
+                        sums[:2] += np.count_nonzero(mask[rows, cols]), int(block.sum(axis=1).sum(dtype=np.float64))
                         sums[2] = max(sums[2], block.max())
-                    if cross:
-                        third = by_part[3 - a - b][rows, cols]
-                        out[1, 3] += total(np.multiply(third, edge[rows, cols], out=third))
 
         member = _pack(np.repeat(np.arange(3), sizes) == np.arange(3)[:, None])
+        lo, hi = bounds[1] >> 6, -(-bounds[2] // 64)
+        cols1 = words[:, lo:hi] & member[1, lo:hi]
+        for w in range(bounds[2], n):
+            u = np.flatnonzero(_unpack(words[w : w + 1], bounds[1])[0])
+            out[1, 3] += 3 * int(np.bitwise_count(cols1[u] & cols1[w]).sum())
         d = np.zeros((n, 3), dtype=np.int64)  # d[u, k] = d_k(u)
         for r0 in range(0, n, _STRIPE):
             d[r0 : r0 + _STRIPE] = np.bitwise_count(words[r0 : r0 + _STRIPE, None] & member).sum(axis=2)
@@ -474,59 +475,53 @@ def _check_adjacency(adj: np.ndarray, wide: Sequence[int]) -> None:
     raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
 
-def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iterator[tuple]:
+def _codegree_tiles(words: np.ndarray, n: int) -> Iterator[tuple]:
     """The codegrees of the pairs (u, v), u < v, of the graph with these
     word rows, in tiles of _STRIPE rows by _STRIPE columns: row stripes
     in order, each against the column stripes from its own on.
 
-    Yields (r0, c0, c, cc, edge, other, parts) for the tile of rows
-    r0.. and columns c0..: the codegrees c, the codegrees in the
-    complement cc = n - 2 - d(u) - d(v) + c (meaningful at non-edges),
-    the masks of the edges and of the non-edges u < v, and the products
-    over the vertex ranges that ``cuts`` splits [0, n) into, which sum
-    to c (without cuts, parts is [c]).  Stripe rows are unpacked to 0/1
-    float32 through a 256-entry byte table in column chunks of whole
-    words, 2 _STRIPE bits wide (512; 64 at least), so that np.take's
-    intp copy of a chunk's bytes stays small; the edge masks of a tile
-    come from its words.  A tile makes one product per chunk and cut
-    range that meet, and sums a range's products (exact, as below).
+    Yields (r0, c0, c, cc, edge, other) for the tile of rows r0.. and
+    columns c0..: the codegrees c, the codegrees in the complement
+    cc = n - 2 - d(u) - d(v) + c (meaningful at non-edges), and the masks
+    of the edges and of the non-edges u < v.  Stripe rows are unpacked
+    to 0/1 float32 through a 256-entry byte table in column chunks of
+    whole words, 2 _STRIPE bits wide (512; 64 at least), so that
+    np.take's intp copy of a chunk's bytes stays small; the edge masks of
+    a tile come from its words.  A tile adds one product per chunk.
 
-    While n <= 4097, every codegree is below _FOLD = 4096, and the m rows
-    of a row stripe are folded into h = ceil(m/2) operand rows: row i is
-    lo + 4096 hi for lo row i and hi row h + i (at odd m, row h - 1
-    stands alone); the hi rows are unpacked into the column chunk buffer
-    before the column stripes need it.  Row i of the product p of those h
-    rows is decoded as hi = floor(p / 4096) into row h + i and
-    lo = p - 4096 hi into row i, in each cut range.  Above, the fold
-    factor is 1 and h = m: the plain product on the same path.  All
-    arrays are rebuilt for each tile, so a caller may overwrite them.
+    While n <= _FOLD = 4096, the m rows of a row stripe are folded into
+    h = ceil(m/2) operand rows: row i is lo + 4096 hi for lo row i and hi
+    row h + i (at odd m, row h - 1 stands alone); the hi rows are
+    unpacked into the column chunk buffer before the column stripes need
+    it.  Row i of the product p of those h rows is decoded as
+    hi = floor(p / 4096) into row h + i and lo = p - 4096 hi into row i.
+    From n = 4097 on, the fold factor is 1 and h = m: the plain product
+    on the same path.  All arrays are rebuilt for each tile, so a caller
+    may overwrite them.
 
     Memory: the h folded rows at full width, one chunk of a stripe's
-    rows with its intp index copy, and two float32 tiles plus one per
-    cut range.  At n = 3000 that is 1.5, 0.5, 0.13 and 0.26 MB per tile,
-    and ``books`` peaks at 3.0 MB under tracemalloc, ``part_codegrees``
-    at 3.8 MB.
+    rows with its intp index copy, and two float32 tiles.  At n = 3000
+    that is 1.5, 0.5, 0.13 and 2 x 0.26 MB, and ``books`` and
+    ``part_codegrees`` each peak at 3.0 MB under tracemalloc.
     """
     # Every product of these rows, and every term of the complement
     # identity, is an integer of magnitude at most 2n, so float32 is
     # exact, in any summation order and so for any BLAS thread count.
-    # A folded product is lo + 4096 hi with lo, hi <= n - 2 <= 4095, so it
-    # and its partial sums stay below 2**24 and are exact as well.
+    # A folded product is lo + 4096 hi, where lo and hi are codegrees or,
+    # where a row of a diagonal tile meets itself, its degree: at most
+    # n - 1 <= 4095, so it and its partial sums stay below 2**24, exact.
     assert 2 * n < 1 << 24, "float32 codegrees are exact only below 2**24"
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.float32)
     degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
     s = min(_STRIPE, n)
-    fold = 2 if n - 2 < _FOLD else 1
+    fold = 2 if n <= _FOLD else 1
     width, span = 64 * words.shape[1], 64 * max(1, _STRIPE // 32)
     chunks = [(x, min(x + span, width)) for x in range(0, n, span)]
-    ranges = list(zip([0, *cuts], [*cuts, n]))
-    # per chunk: (range, first column, end) for each range that meets it
-    pieces = [[(k, max(a, x), min(b, y)) for k, (a, b) in enumerate(ranges) if max(a, x) < min(b, y)] for x, y in chunks]
     rows = -(-s // fold)
     flat = np.empty(rows * width, dtype=np.float32)
     left = [flat[rows * x : rows * y].reshape(rows, y - x) for x, y in chunks]
     chunk = np.empty(s * min(span, width), dtype=np.float32)
-    scratch = np.empty((2 + (len(cuts) + 1 if cuts else 0), s * s), dtype=np.float32)
+    scratch = np.empty((2, s * s), dtype=np.float32)
 
     def unpack(r0: int, r1: int, x: int, y: int, out: np.ndarray | None = None) -> np.ndarray:
         """Columns x..y-1, whole words, of word rows r0..r1-1 as 0/1 in out."""
@@ -545,21 +540,12 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
             part[: m - h] += hi
         for c0 in range(r0, n, _STRIPE):
             shape = (m, min(_STRIPE, n - c0))
-            c, cc, *parts = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
-            parts = parts or [c]  # without cuts, c is the one range product
-            for part in parts:
-                part[:h] = 0
-            for (x, y), lhs, cut in zip(chunks, left, pieces):
-                rhs = unpack(c0, c0 + shape[1], x, y)
-                for k, a, b in cut:
-                    parts[k][:h] += np.matmul(lhs[:h, a - x : b - x], rhs[:, a - x : b - x].T, out=cc[:h])
-            for part in parts:
-                np.floor(np.divide(part[: m - h], _FOLD, out=part[h:]), out=part[h:])
-                part[: m - h] -= np.multiply(part[h:], _FOLD, out=cc[: m - h])
-            if cuts:
-                np.add(parts[0], parts[1], out=c)
-                for part in parts[2:]:
-                    c += part
+            c, cc = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
+            c[:h] = 0
+            for (x, y), lhs in zip(chunks, left):
+                c[:h] += np.matmul(lhs[:h], unpack(c0, c0 + shape[1], x, y).T, out=cc[:h])
+            np.floor(np.divide(c[: m - h], _FOLD, out=c[h:]), out=c[h:])
+            c[: m - h] -= np.multiply(c[h:], _FOLD, out=cc[: m - h])
             np.add(degree[r0 : r0 + m, None], degree[None, c0 : c0 + shape[1]] - (n - 2), out=cc)
             np.subtract(c, cc, out=cc)
             edge = _unpack(words[r0 : r0 + m, c0 >> 6 :], c0 % 64 + shape[1])[:, c0 % 64 :]
@@ -567,4 +553,4 @@ def _codegree_tiles(words: np.ndarray, n: int, cuts: Sequence[int] = ()) -> Iter
             if c0 == r0:
                 low = np.tri(m, dtype=bool)
                 edge[low] = other[low] = False
-            yield r0, c0, c, cc, edge, other, parts
+            yield r0, c0, c, cc, edge, other

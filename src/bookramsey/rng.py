@@ -28,6 +28,7 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX_M1 = 0xBF58476D1CE4E5B9
 MIX_M2 = 0x94D049BB133111EB
+_GAMMA, _M1, _M2 = np.uint64(GAMMA), np.uint64(MIX_M1), np.uint64(MIX_M2)
 
 
 def mix64(z: int) -> int:
@@ -59,11 +60,15 @@ def edge_values_block(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized edge_value for counters start .. start+count-1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_M2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def bernoulli_block(seed: int, start: int, count: int, threshold: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bookramsey import graphs
@@ -456,9 +456,9 @@ def test_from_blue_index_edges():
 
 
 # ---------------------------------------------------------------- statistics
-# Statistics walk the same tiles as the two-colour scan, cut at the part
-# boundaries; 8-row stripes make tiles straddle both the part boundaries
-# and the diagonal.
+# Statistics walk the same tiles as the two-colour scan and split them at
+# the part boundaries; 8-row stripes make tiles straddle both the part
+# boundaries and the diagonal.
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,6 +494,32 @@ def test_statistics_across_stripes_at_n300(monkeypatch):
     test_statistics_match_matrix_version_at_n300()
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 70),
+    st.tuples(st.integers(0, 70), st.integers(0, 70)),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    st.booleans(),
+    st.sampled_from([graphs._STRIPE, 8]),
+)
+@example(1, 70, (64, 64), 0.5, False, graphs._STRIPE)  # P_1 empty, on a word boundary
+@example(2, 70, (0, 64), 0.5, False, graphs._STRIPE)  # P_0 empty, P_1 one whole word
+@example(3, 70, (64, 70), 0.5, True, graphs._STRIPE)
+@example(4, 70, (5, 69), 0.5, True, 8)
+@example(5, 64, (64, 64), 1.0, False, graphs._STRIPE)  # P_1 and P_2 empty
+def test_part_codegrees_match_matrix_version_on_any_split(seed, n, cuts, density, shuffled, stripe):
+    # three parts of any sizes, empty ones included, with bounds on and
+    # off word boundaries, in vertex order or shuffled
+    rng = np.random.default_rng(seed)
+    g = graph_of(random_adjacency(rng, n, density))
+    a, b = sorted(min(x, n) for x in cuts)
+    order = (rng.permutation(n) if shuffled else np.arange(n)).tolist()
+    parts = [order[:a], order[a:b], order[b:]]
+    with mock.patch.object(graphs, "_STRIPE", stripe):
+        assert g.part_codegrees(parts) == ref_part_codegrees(g, parts)
+
+
 def traced_peak(f) -> int:
     """Peak bytes that tracemalloc sees allocated while f runs."""
     tracemalloc.start()
@@ -512,10 +538,11 @@ def walk_buffers(rows: int, cols: int) -> int:
 
 
 def test_statistics_memory_stays_within_stripes():
-    # the walk's buffers and five float32 tiles (c, cc and the product of
-    # each part); the blue words are walked, so no red words are made,
-    # and one bool stripe is left for temporaries.  Keeping (n/3)^2
-    # float32 part blocks instead peaks at about 35 MB.
+    # the walk's buffers and, within five float32 tiles, its two tiles (c
+    # and cc) and the second part's columns of the words, which the
+    # triangle count reads; the blue words are walked, so no red words
+    # are made, and one bool stripe is left for temporaries.  Keeping
+    # (n/3)^2 float32 part blocks instead peaks at about 35 MB.
     n, rows = 3000, graphs._STRIPE
     c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
     cols = 64 * -(-n // 64)  # word rows padded to whole words
@@ -573,10 +600,11 @@ def test_colex_codec_round_trip_at_any_stripe(stripe, monkeypatch):
 
 
 # ---------------------------------------------------------------------- fold
-# While n <= 4097 a codegree is at most 4095, and the walk folds the
-# second half of each row stripe onto the first as lo + 4096 hi: one
-# product of half height, decoded, gives the codegrees of both halves.
-# From n = 4098 on the fold factor is 1.
+# While n <= 4096 a codegree is at most 4094 and a degree, which a row
+# of a diagonal tile meets, at most 4095, and the walk folds the second
+# half of each row stripe onto the first as lo + 4096 hi: one product of
+# half height, decoded, gives the codegrees of both halves.  From
+# n = 4097 on the fold factor is 1.
 
 
 def complete_part_codegrees(n: int, sizes) -> list[list[int]]:
@@ -588,11 +616,12 @@ def complete_part_codegrees(n: int, sizes) -> list[list[int]]:
     return [[intra, intra * (n - 2), n - 2, 0], [cross, cross * (n - 2), n - 2, pages], [0] * 4, [0] * 4]
 
 
-@pytest.mark.parametrize("n", [4097, 4098])
+@pytest.mark.parametrize("n", [4096, 4097, 4098])
 def test_walk_at_the_fold_limit(n):
-    # K_4097 folds every product to 4095 + 4096 * 4095 = 2**24 - 1; the
-    # cuts fall in the second half of stripe 0 (200) and in the first
-    # half of stripe 8 (2100)
+    # K_4096 is the last folded order: where a hi row of a diagonal tile
+    # meets itself, its product is 4094 + 4096 * 4095 = 2**24 - 2.  The
+    # part bounds fall in the second half of stripe 0 (200) and in the
+    # first half of stripe 8 (2100)
     sizes = [200, 1900, n - 2100]
     parts = [range(200), range(200, 2100), range(2100, n)]
     perm = np.random.default_rng(n).permutation(n).tolist()
@@ -617,10 +646,27 @@ def test_walk_at_the_fold_limit(n):
     assert isinstance(check_coloring(c, 1, n - 1), Neither)  # the largest blue book has n - 2 pages
 
 
+def test_two_hubs_at_the_first_unfolded_order():
+    # vertices 0 and 128 are blue to every vertex, and no other pair is.
+    # Row 128 is the first hi row of stripe 0, so a fold at n = 4097
+    # would hold its degree, 4096, in 4095 + 4096 * 4096 > 2**24: the
+    # blue book on (0, 128) would be lost and B_2 missed.
+    n = 4097
+    blue = from_edges(n, [(u, v) for u in (0, 128) for v in range(n) if v != u])
+    books = [base_of(b) for b in blue.books()]
+    assert books == [base_of(blue.booksize()), (4093, (1, 2))] == [(4095, (0, 128)), (4093, (1, 2))]
+    # red is K_4095 and two isolated vertices, with no book of 4094 pages,
+    # so ref_check_coloring (which would list the 8.4M red edges as Python
+    # tuples first) reduces to its blue edge loop
+    res = check_coloring(coloring_of(blue), 4094, 2)
+    assert isinstance(res, BlueBook)
+    assert verdict(res) == ("blue", ref_first_book(blue, 2)) == ("blue", (0, 128))
+
+
 @pytest.mark.parametrize("stripe", [63, 65])
 def test_walk_with_odd_stripe_heights_at_n1001(stripe, monkeypatch):
     # a stripe of odd height leaves its middle row out of the fold; the
-    # part cuts at 360 and 700 fall inside folded halves of both widths
+    # part bounds at 360 and 700 fall inside folded halves of both widths
     rng = np.random.default_rng(1001)
     n = 1001
     g = graph_of(random_adjacency(rng, n, 0.5))  # built before the stripes shrink
