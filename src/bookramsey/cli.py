@@ -61,18 +61,10 @@ def jsonable(x):
 
 
 def read_any_file(path):
-    """Graph6 or BRC1 file, detected by header."""
-    from .colorings import TwoColoring
-    from .graphs import Graph
+    """Graph6 or BRC1 file, detected by header (``colorings.read_any_file``)."""
+    from . import colorings
 
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("BRC1"):
-        return TwoColoring.from_brc1(text)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip():
-            return Graph.from_graph6(raw.strip(), line=lineno)
-    raise ParseError("empty input file", line=1)
+    return colorings.read_any_file(path)
 
 
 def _read_json(path, what):

@@ -13,6 +13,7 @@ run without it.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import ParseError
@@ -20,7 +21,6 @@ from .errors import ParseError
 # byte b with its bits in reverse order
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _NOT_HEX = re.compile("[^0-9a-fA-F]")
-_HEX_PIECE = 1 << 16  # payload characters per decoding step; even
 
 
 def edge_index(i: int, j: int) -> int:
@@ -66,29 +66,29 @@ def index_hex(index: int, nbits: int) -> str:
     return "".join(hex_pieces([index_bytes(index, nbits)], nbits))
 
 
-def hex_bytes(text: str, nbits: int, line: int = 1, start: int = 0) -> bytearray:
-    """The BRC1 bytes of the payload text[start:] of ``nbits`` bits,
-    checked for length, characters and zero padding; offsets count from
-    ``start``.  The payload is decoded _HEX_PIECE characters at a time,
-    so only one piece of it is copied at once."""
-    nchars = (nbits + 3) // 4
-    if len(text) - start != nchars:
-        raise ParseError(
-            f"expected {nchars} hex characters for {nbits} edge bits, got {len(text) - start}",
-            line=line,
-        )
-    raw = bytearray((nchars + 1) // 2)
-    for a in range(0, nchars, _HEX_PIECE):
-        piece = text[start + a : start + a + _HEX_PIECE]
-        try:
-            chunk = bytes.fromhex(piece + "0" * (len(piece) % 2))
-        except ValueError:
-            chunk = b""
-        if len(chunk) != (len(piece) + 1) // 2:  # fromhex also skips ASCII whitespace
-            bad = _NOT_HEX.search(text, start)
-            raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=bad.start() - start)
-        raw[a // 2 : a // 2 + len(chunk)] = chunk
-    pad = 8 * len(raw) - nbits  # below 8, all in the last byte
-    if raw and raw[-1] & ((1 << pad) - 1):
+def hex_bytes(pieces: Iterable[str], nbits: int, line: int = 1) -> Iterator[bytes]:
+    """The BRC1 bytes of a payload of ``nbits`` bits, yielded as each of
+    its pieces is decoded.  After the last piece the payload is checked
+    for length, then for a character that is not a hex digit (offsets
+    count from its start), then for zero padding."""
+    nchars, seen, carry, bad, last = (nbits + 3) // 4, 0, "", None, 0
+    for piece in chain(pieces, ["0"]):  # the "0" completes an odd last digit pair
+        seen += len(piece)
+        if bad is None:
+            text = carry + piece
+            whole = len(text) - len(text) % 2
+            try:
+                chunk = bytes.fromhex(text[:whole])
+            except ValueError:
+                chunk = b""
+            if 2 * len(chunk) != whole:  # fromhex also skips ASCII whitespace
+                bad, start = _NOT_HEX.search(text), seen - len(text)
+                continue
+            carry, last = text[whole:], chunk[-1] if chunk else last
+            yield chunk
+    if seen - 1 != nchars:
+        raise ParseError(f"expected {nchars} hex characters for {nbits} edge bits, got {seen - 1}", line=line)
+    if bad is not None:
+        raise ParseError(f"invalid hex character {bad.group()!r}", line=line, offset=start + bad.start())
+    if last & ((1 << -nbits % 8) - 1):  # the padding bits, all in the last byte
         raise ParseError("nonzero padding bits", line=line, offset=nchars - 1)
-    return raw

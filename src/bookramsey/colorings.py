@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +34,8 @@ BRC1_MAGIC = "BRC1"
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
 _PAYLOAD_SPACE = dict.fromkeys(map(ord, _BREAKS + " \t"))
+_NOT_BLANK = re.compile(r"\S")  # a character that str.strip keeps
+_FILE_PIECE = 1 << 16  # bytes of a file read and decoded at a time
 # rows of colex bits that tripartite_random packs at a time: a multiple of
 # 16, so that each step starts on a byte (16k(16k - 1)/2 is divisible by 8)
 _PACK_ROWS = 64
@@ -78,34 +81,85 @@ class TwoColoring:
         yield "\n"
 
     @classmethod
-    def from_brc1(cls, text: str) -> "TwoColoring":
-        if not text:
-            raise ParseError("empty coloring file", line=1)
-        end = _LINE_BREAK.search(text)
-        head = (text[: end.start()] if end else text).split()
-        if len(head) != 2 or head[0] != BRC1_MAGIC:
-            raise ParseError(f"expected header '{BRC1_MAGIC} <n>'", line=1)
+    def from_brc1(cls, text: str | Iterable[str]) -> "TwoColoring":
+        """The coloring of a BRC1 text, whole or in pieces of any length
+        (``text_pieces``).  The header line is gathered; the payload after
+        it goes from hex (``hex_bytes``) to the words as it comes, less
+        its spaces and line breaks, so only one piece of text and one
+        codec stripe of bytes are held besides the words.  Every piece is
+        read before a refusal."""
+        pieces = iter([text] if isinstance(text, str) else text)
+        head = ""
         try:
-            n = int(head[1])
-        except ValueError:
-            raise ParseError(f"bad vertex count {head[1]!r}", line=1) from None
-        if n < 0:
-            raise ParseError("negative vertex count", line=1)
-        if n > GRAPH6_ORDER_CAP:
-            raise CapacityError(f"BRC1 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
-        # the payload is what follows the header line, less its spaces and
-        # line breaks: the tail of the whole text so translated, which is
-        # the one copy made and is gone before the decode
-        body = text.translate(_PAYLOAD_SPACE) if end else ""
-        start = len(text[: end.start()].translate(_PAYLOAD_SPACE)) if end else 0
-        raw = hex_bytes(body, n * (n - 1) // 2, line=2, start=start)
-        del body
-        return cls(Graph.from_colex_bits(n, raw, width=8))
+            for piece in pieces:
+                head += piece
+                if _LINE_BREAK.search(head, len(head) - len(piece)):
+                    break
+            if not head:
+                raise ParseError("empty coloring file", line=1)
+            line, *rest = _LINE_BREAK.split(head, maxsplit=1)
+            head = line.split()
+            if len(head) != 2 or head[0] != BRC1_MAGIC:
+                raise ParseError(f"expected header '{BRC1_MAGIC} <n>'", line=1)
+            try:
+                n = int(head[1])
+            except ValueError:
+                raise ParseError(f"bad vertex count {head[1]!r}", line=1) from None
+            if n < 0:
+                raise ParseError("negative vertex count", line=1)
+            if n > GRAPH6_ORDER_CAP:
+                raise CapacityError(f"BRC1 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
+            payload = (piece.translate(_PAYLOAD_SPACE) for piece in chain(rest, pieces))
+            return cls(Graph.from_colex_bits(n, hex_bytes(payload, n * (n - 1) // 2, line=2), width=8))
+        except (ParseError, CapacityError):
+            for _ in pieces:  # as for the payload, the whole text is read first
+                pass
+            raise
+
+
+def text_pieces(fh: BinaryIO) -> Iterator[str]:
+    """The text of an ASCII file opened in binary mode, _FILE_PIECE
+    characters at a time.  A byte that is not ASCII is refused
+    (ValueError) as decoding the whole file would: at its position in
+    the file."""
+    done = 0
+    while piece := fh.read(_FILE_PIECE):
+        try:
+            text = piece.decode("ascii")
+        except UnicodeDecodeError as exc:
+            where = f"byte {piece[exc.start]:#04x} in position {done + exc.start}"
+            raise ValueError(f"'ascii' codec can't decode {where}: {exc.reason}") from None
+        yield text
+        done += len(piece)
 
 
 def read_coloring_file(path) -> TwoColoring:
-    with open(path, "r", encoding="ascii") as fh:
-        return TwoColoring.from_brc1(fh.read())
+    with open(path, "rb") as fh:
+        return TwoColoring.from_brc1(text_pieces(fh))
+
+
+def read_any_file(path) -> TwoColoring | Graph:
+    """The coloring of a BRC1 file, or the graph on the first line of a
+    graph6 file that is not blank, told apart by the first four
+    characters that are not whitespace.  A BRC1 file is decoded as it is
+    read; a graph6 file is read whole, and its line found and numbered
+    as ``str.splitlines`` would, without splitting the text."""
+    with open(path, "rb") as fh:
+        pieces = text_pieces(fh)
+        head = ""
+        for piece in pieces:
+            head += piece
+            if len(head.lstrip()) >= len(BRC1_MAGIC):
+                break
+        if head.lstrip().startswith(BRC1_MAGIC):
+            return TwoColoring.from_brc1(chain([head], pieces))
+        text = "".join(chain([head], pieces))
+    first = _NOT_BLANK.search(text)
+    if first is None:
+        raise ParseError("empty input file", line=1)
+    end = _LINE_BREAK.search(text, first.start())
+    line = 1 + len(_LINE_BREAK.findall(text, 0, first.start()))
+    return Graph.from_graph6(text[first.start() : end.start() if end else len(text)].strip(), line=line)
 
 
 def write_coloring_file(path, c: TwoColoring) -> None:

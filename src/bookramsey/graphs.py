@@ -14,9 +14,9 @@ search behind ``ramsey.check_coloring``) and ``part_codegrees`` (the
 is a codegree, at most n - 2, or a degree, at most n - 1, so while
 n <= 4096 the walk folds two rows into one operand row as lo + 4096 hi
 and multiplies half as many rows; every sum stays an integer below
-2**24, exact in float32.  Besides the words, the walk holds the folded
-rows of one stripe at full width and O(_STRIPE^2) floats more: one
-512-bit column chunk of a stripe's rows and the tiles.
+2**24, exact in float32.  Besides the words, the walk holds
+O(_STRIPE^2) floats: for one 256-bit column chunk, the folded rows of a
+stripe and the rows of another, and the tiles.
 ``Graph(n, rows)``, the one checked constructor, checks outside int rows
 once; decoding and the constructions build valid words and skip the
 check.  Graphs are immutable; share them freely.
@@ -28,8 +28,8 @@ n <= 258047) packs their bits 6 to a character, and the BRC1 bytes of
 ``colex`` 8 to a byte; ``colex_bytes`` writes the latter and
 ``from_colex_bits`` reads either, at orders up to GRAPH6_ORDER_CAP.  The
 codec goes _STRIPE / 4 rows at a time and unpacks only the edge bits of
-the stripe at hand, so it holds the input, the words and O(_STRIPE n)
-bytes.
+the stripe at hand, so it holds the words and O(_STRIPE n) bytes
+besides its input, which it reads a piece at a time when given so.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .colex import bits_of  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
-GRAPH6_ORDER_CAP = 1 << 13  # decoding n = 8190: ~0.6 s, 57 MB peak RSS (2 cores, numpy 2.4)
+GRAPH6_ORDER_CAP = 1 << 13  # decoding n = 8190: 0.2 s, 52 MB peak RSS (2 cores, numpy 2.4)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 rows, rounded to 8
 _FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every product entry, at most n - 1, is below it
@@ -323,10 +323,9 @@ class Graph:
 
         member = _pack(np.repeat(np.arange(3), sizes) == np.arange(3)[:, None])
         lo, hi = bounds[1] >> 6, -(-bounds[2] // 64)
-        cols1 = words[:, lo:hi] & member[1, lo:hi]
         for w in range(bounds[2], n):
             u = np.flatnonzero(_unpack(words[w : w + 1], bounds[1])[0])
-            out[1, 3] += 3 * int(np.bitwise_count(cols1[u] & cols1[w]).sum())
+            out[1, 3] += 3 * int(np.bitwise_count(words[u, lo:hi] & (words[w, lo:hi] & member[1, lo:hi])).sum())
         d = np.zeros((n, 3), dtype=np.int64)  # d[u, k] = d_k(u)
         for r0 in range(0, n, _STRIPE):
             d[r0 : r0 + _STRIPE] = np.bitwise_count(words[r0 : r0 + _STRIPE, None] & member).sum(axis=2)
@@ -365,24 +364,34 @@ class Graph:
         yield np.packbits(carry).tobytes()
 
     @classmethod
-    def from_colex_bits(cls, n: int, packed: bytes | np.ndarray, width: int) -> "Graph":
+    def from_colex_bits(cls, n: int, packed: bytes | np.ndarray | Iterable[bytes], width: int) -> "Graph":
         """Inverse of ``colex_bytes``: the graph whose pair bits, in colex
         order, are packed ``width`` to a byte into its low bits, first bit
-        highest (graph6 packs 6, BRC1 8).  Only one codec stripe's range
-        is unpacked at a time.  Each stripe of the lower triangle is
+        highest (graph6 packs 6, BRC1 8).  ``packed`` is one bytes-like
+        object or an iterator of them, which is read only as far as each
+        codec stripe needs and then to its end: only the entries of one
+        stripe are held at a time.  Each stripe of the lower triangle is
         packed into its own rows and, transposed, into the same columns of
         every row, so the words are symmetric by construction."""
-        packed = np.frombuffer(packed, dtype=np.uint8)
         nbits = n * (n - 1) // 2
-        size = -(-nbits // width)
-        if len(packed) != size:
-            raise ValueError(f"expected {size} entries for {nbits} edge bits, got {len(packed)}")
+        pieces = iter([packed] if isinstance(packed, (bytes, bytearray, np.ndarray)) else packed)
+        held, skipped = np.zeros(0, dtype=np.uint8), 0  # the entries from index skipped on
         out = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
         for r0, r1, lower in _stripes(n):
+            a, b = r0 * (r0 - 1) // 2 - width * skipped, r1 * (r1 - 1) // 2 - width * skipped
+            while len(held) < -(-b // width) and (piece := next(pieces, None)) is not None:
+                more = np.frombuffer(piece, dtype=np.uint8)
+                held = np.concatenate([held, more]) if len(held) else more
+            if len(held) < -(-b // width):
+                break
             stripe = np.zeros(lower.shape, dtype=bool)
-            stripe[lower] = _bit_range(packed, width, r0 * (r0 - 1) // 2, r1 * (r1 - 1) // 2)
+            stripe[lower] = _bit_range(held, width, a, b)
             out[r0:r1, : (n + 7) // 8] |= np.packbits(stripe, axis=1, bitorder="little")
             out[:, r0 // 8 : (r1 + 7) // 8] |= np.packbits(stripe.T.copy(), axis=1, bitorder="little")
+            held, skipped = held[b // width :], skipped + b // width
+        size, got = -(-nbits // width), skipped + len(held) + sum(map(len, pieces))
+        if got != size:
+            raise ValueError(f"expected {size} entries for {nbits} edge bits, got {got}")
         return cls._of_words(n, out.view("<u8"))
 
     # ---------------------------------------------------------------- graph6
@@ -485,24 +494,26 @@ def _codegree_tiles(words: np.ndarray, n: int) -> Iterator[tuple]:
     cc = n - 2 - d(u) - d(v) + c (meaningful at non-edges), and the masks
     of the edges and of the non-edges u < v.  Stripe rows are unpacked
     to 0/1 float32 through a 256-entry byte table in column chunks of
-    whole words, 2 _STRIPE bits wide (512; 64 at least), so that
+    whole words, _STRIPE bits wide (256; 64 at least), so that
     np.take's intp copy of a chunk's bytes stays small; the edge masks of
     a tile come from its words.  A tile adds one product per chunk.
 
     While n <= _FOLD = 4096, the m rows of a row stripe are folded into
     h = ceil(m/2) operand rows: row i is lo + 4096 hi for lo row i and hi
-    row h + i (at odd m, row h - 1 stands alone); the hi rows are
-    unpacked into the column chunk buffer before the column stripes need
-    it.  Row i of the product p of those h rows is decoded as
-    hi = floor(p / 4096) into row h + i and lo = p - 4096 hi into row i.
-    From n = 4097 on, the fold factor is 1 and h = m: the plain product
-    on the same path.  All arrays are rebuilt for each tile, so a caller
-    may overwrite them.
+    row h + i (at odd m, row h - 1 stands alone).  The folded operand is
+    built from the words for each tile and chunk: the lo rows through the
+    byte table, then the hi rows through the same table times 4096, added
+    in, before the column rows take the chunk buffer.  Row i of the
+    product p of those h rows is decoded as hi = floor(p / 4096) into row
+    h + i and lo = p - 4096 hi into row i.  From n = 4097 on, the fold
+    factor is 1 and h = m: the plain product on the same path.  All
+    arrays are rebuilt for each tile, so a caller may overwrite them.
 
-    Memory: the h folded rows at full width, one chunk of a stripe's
-    rows with its intp index copy, and two float32 tiles.  At n = 3000
-    that is 1.5, 0.5, 0.13 and 2 x 0.26 MB, and ``books`` and
-    ``part_codegrees`` each peak at 3.0 MB under tracemalloc.
+    Memory: the folded chunk of h rows, the chunk of a stripe's rows with
+    its intp index copy, and two float32 tiles; no buffer spans the full
+    width.  At n = 3000 that is 0.13, 0.26, 0.07 and 2 x 0.26 MB, and
+    ``books`` and ``part_codegrees`` each peak at 1.4 MB under
+    tracemalloc (1.5 and 1.9 MB at n = 8190).
     """
     # Every product of these rows, and every term of the complement
     # identity, is an integer of magnitude at most 2n, so float32 is
@@ -512,38 +523,36 @@ def _codegree_tiles(words: np.ndarray, n: int) -> Iterator[tuple]:
     # n - 1 <= 4095, so it and its partial sums stay below 2**24, exact.
     assert 2 * n < 1 << 24, "float32 codegrees are exact only below 2**24"
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.float32)
+    hi_bits = byte_bits * _FOLD
     degree = np.bitwise_count(words).sum(axis=1).astype(np.float32)
     s = min(_STRIPE, n)
     fold = 2 if n <= _FOLD else 1
-    width, span = 64 * words.shape[1], 64 * max(1, _STRIPE // 32)
+    width, span = 64 * words.shape[1], 64 * max(1, _STRIPE // 64)
     chunks = [(x, min(x + span, width)) for x in range(0, n, span)]
-    rows = -(-s // fold)
-    flat = np.empty(rows * width, dtype=np.float32)
-    left = [flat[rows * x : rows * y].reshape(rows, y - x) for x, y in chunks]
+    left = np.empty(-(-s // fold) * min(span, width), dtype=np.float32)
     chunk = np.empty(s * min(span, width), dtype=np.float32)
     scratch = np.empty((2, s * s), dtype=np.float32)
 
-    def unpack(r0: int, r1: int, x: int, y: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Columns x..y-1, whole words, of word rows r0..r1-1 as 0/1 in out."""
+    def unpack(r0: int, r1: int, x: int, y: int, out: np.ndarray = chunk, bits: np.ndarray = byte_bits) -> np.ndarray:
+        """Columns x..y-1, whole words, of word rows r0..r1-1 as bits
+        (0/1, or 0/4096 with hi_bits) in out."""
         index = words[r0:r1, x >> 6 : y >> 6].view(np.uint8)
-        out = chunk[: (r1 - r0) * (y - x)].reshape(r1 - r0, y - x) if out is None else out
-        np.take(byte_bits, index, axis=0, out=out.reshape(*index.shape, 8), mode="clip")
+        out = out[: (r1 - r0) * (y - x)].reshape(r1 - r0, y - x)
+        np.take(bits, index, axis=0, out=out.reshape(*index.shape, 8), mode="clip")
         return out
 
     for r0 in range(0, n, _STRIPE):
         m = min(_STRIPE, n - r0)
         h = -(-m // fold)
-        for (x, y), part in zip(chunks, left):
-            unpack(r0, r0 + h, x, y, part[:h])
-            hi = unpack(r0 + h, r0 + m, x, y)
-            hi *= _FOLD
-            part[: m - h] += hi
         for c0 in range(r0, n, _STRIPE):
             shape = (m, min(_STRIPE, n - c0))
             c, cc = (a[: shape[0] * shape[1]].reshape(shape) for a in scratch)
             c[:h] = 0
-            for (x, y), lhs in zip(chunks, left):
-                c[:h] += np.matmul(lhs[:h], unpack(c0, c0 + shape[1], x, y).T, out=cc[:h])
+            for x, y in chunks:
+                lhs = unpack(r0, r0 + h, x, y, left)
+                if m > h:
+                    lhs[: m - h] += unpack(r0 + h, r0 + m, x, y, bits=hi_bits)
+                c[:h] += np.matmul(lhs, unpack(c0, c0 + shape[1], x, y).T, out=cc[:h])
             np.floor(np.divide(c[: m - h], _FOLD, out=c[h:]), out=c[h:])
             c[: m - h] -= np.multiply(c[h:], _FOLD, out=cc[: m - h])
             np.add(degree[r0 : r0 + m, None], degree[None, c0 : c0 + shape[1]] - (n - 2), out=cc)

@@ -1,16 +1,20 @@
 """Two-colorings, BRC1 serialization, the counter-based RNG, and the
 tripartite construction with its expected-value bookkeeping."""
 
+import contextlib
+import io
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bookramsey import colex
 from bookramsey.colorings import (
     ConstructionParams,
     TwoColoring,
@@ -167,33 +171,46 @@ def test_brc1_refuses_every_odd_character_where_it_stands():
             got = refusal(TwoColoring.from_brc1, f"BRC1 8\n{raw}\n")
             assert got == (short if ch in PAYLOAD_DROPS else named), (ch, pos)
             # unstripped, as bytes.fromhex would skip ASCII whitespace
-            assert refusal(hex_bytes, raw, 28, 2) == named, (ch, pos)
+            assert refusal(hex_of, [raw]) == named, (ch, pos)
             if pos < 5:
-                first = refusal(hex_bytes, raw[:5] + "g" + raw[6:], 28, 2)
+                first = refusal(hex_of, [raw[:5] + "g" + raw[6:]])
                 assert first[2] == (5 if ch in HEX_DIGITS else pos), (ch, pos)
         # two together between byte pairs, which bytes.fromhex would skip
         pair = payload[:2] + 2 * ch + payload[4:]
         named = None if ch in HEX_DIGITS else (f"invalid hex character {ch!r}", 2, 2)
-        assert refusal(hex_bytes, pair, 28, 2) == named, ch
+        assert refusal(hex_of, [pair]) == named, ch
 
 
-def decoded(text: str, start: int = 0):
-    """hex_bytes of text[start:] as 28 bits on line 2, or its refusal."""
-    return refusal(hex_bytes, text, 28, 2, start) or bytes(hex_bytes(text, 28, 2, start))
+def hex_of(pieces) -> bytes:
+    """The bytes that hex_bytes decodes from a 28-bit payload on line 2."""
+    return b"".join(hex_bytes(pieces, 28, 2))
+
+
+def cut(text: str, piece: int) -> list[str]:
+    return [text[k : k + piece] for k in range(0, len(text), piece)]
+
+
+def decoded(text: str, piece: int | None = None):
+    """hex_bytes of text, whole or in pieces of ``piece`` characters, as
+    28 bits on line 2, or its refusal."""
+    pieces = [text] if piece is None else cut(text, piece)
+    return refusal(hex_of, pieces) or hex_of(pieces)
 
 
 @pytest.mark.parametrize("piece", [2, 4])
-def test_hex_bytes_decodes_piece_by_piece(piece, monkeypatch):
-    # the payload is decoded a few characters at a time: the pieces change
-    # neither the bytes nor the character named, nor its offset, and a
-    # payload that starts past a header counts its offsets from there
+def test_hex_bytes_decodes_piece_by_piece(piece):
+    # the payload is decoded as its pieces come: the pieces change neither
+    # the bytes nor the character named, nor its offset, and a payload
+    # read past a header counts its offsets from there
     payload = two_cliques(3).to_brc1().splitlines()[1]
     cases = [payload, payload[:2] + "  " + payload[4:], payload[:4] + "\x1f\x1f" + payload[6:]]
     cases += [payload[:pos] + ch + payload[pos + 1 :] for pos in range(7) for ch in ODD_CHARACTERS]
     want = [decoded(text) for text in cases]
-    monkeypatch.setattr(colex, "_HEX_PIECE", piece)
-    assert [decoded(text) for text in cases] == want
-    assert [decoded("BRC18" + text, 5) for text in cases] == want
+    assert [decoded(text, piece) for text in cases] == want
+    assert [decoded(text, 1) for text in cases] == want
+    texts = [f"BRC1 8\n{text}\n" for text in cases]
+    want = [refusal(TwoColoring.from_brc1, text) for text in texts]
+    assert [refusal(TwoColoring.from_brc1, cut(text, piece)) for text in texts] == want
 
 
 def pack_bits_hex(bits) -> str:
@@ -242,6 +259,113 @@ def test_coloring_file_io(tmp_path):
     path = tmp_path / "c.brc1"
     write_coloring_file(path, c)
     assert read_coloring_file(path) == c
+
+
+# The file readers decode a BRC1 file as they read it, _FILE_PIECE bytes
+# at a time; pieces of 1 to 7 characters put their boundaries inside a
+# "\r\n", between the two digits of a byte, on a dropped character and
+# on a bad one.
+
+ASCII_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+PAYLOAD_EDITS = [" ", "\t", "\r\n", "\n", "\r", "\x0b", "\x1f", "g", "G", "-", "A", "0", "f", ""]
+
+
+@st.composite
+def brc1_texts(draw):
+    """ASCII BRC1 texts of orders 0 to 9, most of them valid or nearly:
+    leading space, any line break after the header, the payload with
+    characters dropped, added or replaced, a count that is off."""
+    n = draw(st.integers(0, 9))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    payload = list(coloring_of_bits(n, bits).to_brc1().split("\n")[1])
+    for pos, ch, replace in draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from(PAYLOAD_EDITS), st.booleans()), max_size=3)):
+        pos = min(pos, len(payload))
+        payload[pos : pos + replace] = [ch]
+    lead = draw(st.sampled_from(["", "", " ", "  ", "\t", "\n", "\x1f"]))
+    magic = draw(st.sampled_from(["BRC1", "BRC1", "BRC1", "BRC2", "brc1"]))
+    count = draw(st.sampled_from([str(n), str(n), str(n + 1), "x", "-1", f"{n} 0", "", "9999"]))
+    sep, end = draw(st.sampled_from(ASCII_BREAKS)), draw(st.sampled_from(ASCII_BREAKS + [""]))
+    return f"{lead}{magic} {count}{sep}{''.join(payload)}{end}"
+
+
+def outcome(read, arg):
+    """What ``read(arg)`` gives: a coloring, or the kind and text (with
+    line and offset) of its refusal."""
+    try:
+        return read(arg)
+    except ValueError as exc:  # ParseError, CapacityError, and a byte that is not ASCII
+        return type(exc).__name__, str(exc)
+
+
+def file_outcomes(path, piece):
+    from bookramsey import cli, colorings
+
+    with mock.patch.object(colorings, "_FILE_PIECE", piece):
+        return outcome(read_coloring_file, path), outcome(cli.read_any_file, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brc1_texts(), st.integers(1, 7))
+@example("BRC1 4\r\n84\r\n", 7)  # "\r" ends piece 1, "\n" starts piece 2
+@example("BRC1 8\n0123\r\n456\n", 3)  # an odd piece ends on "\r"
+@example("BRC1 8\n01 23 45 6\n", 2)  # boundaries fall between a byte's digits and on spaces
+@example("BRC1 8\n012g456\n", 4)  # the bad character opens a piece
+@example("   BRC1 4\n84\n", 1)
+def test_file_readers_match_from_brc1_at_any_piece_size(text, piece):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.brc1")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("ascii"))
+        read, read_any = file_outcomes(path, piece)
+    want = outcome(TwoColoring.from_brc1, text)
+    assert read == want
+    if text.lstrip().startswith("BRC1"):
+        assert read_any == want
+
+
+def test_file_readers_read_past_a_payload_error_to_a_byte_that_is_not_ascii(tmp_path):
+    # a payload error and a header error are reported only once the whole
+    # file is read, so a byte that is not ASCII further on is refused
+    # first, at its position in the file, as decoding the whole file does
+    from bookramsey import cli
+
+    for raw in (b"BRC1 4\n8g\n\xc3\xa9\n", b"BRC1 4\n85\n" + b"0" * 70000 + b"\xff", b"BRC1 x\n84\n\x80"):
+        path = tmp_path / "c.brc1"
+        path.write_bytes(raw)
+        try:
+            raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            want = "UnicodeDecodeError", str(exc)
+        for piece in (1, 3, 7, 1 << 16):
+            assert [(kind.replace("ValueError", "UnicodeDecodeError"), text) for kind, text in file_outcomes(path, piece)] == [want, want]
+        for argv in (["bk", str(path)], ["witness-check", str(path), "1", "2"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 2
+            assert err.getvalue() == f"error: {want[1]}\n"
+
+
+def test_read_any_file_reads_brc1_after_leading_space_and_graph6_lines(tmp_path):
+    path = tmp_path / "f"
+    path.write_text("  \t BRC1 4\n84\n")
+    assert read_coloring_file(path) == two_cliques(1)
+    from bookramsey import cli
+
+    assert cli.read_any_file(path) == two_cliques(1)
+    # graph6: the first line that is not blank, numbered as str.splitlines
+    # numbers it, "\r\n" one break and "\x1f" blank but no break
+    for text in ("\n\r\n \x0b\x1f\x1c  Bw\n", "Bw", "\r\rBw\r\n?"):
+        path.write_text(text)
+        assert cli.read_any_file(path) == Graph.from_graph6("Bw")  # a triangle
+        bad = text.replace("Bw", "B!")
+        path.write_text(bad)
+        line = 1 + next(k for k, raw in enumerate(bad.splitlines()) if raw.strip())
+        with pytest.raises(ParseError) as exc:
+            cli.read_any_file(path)
+        assert (exc.value.line, exc.value.offset) == (line, 1)
+    path.write_text(" \n\x1f\r\n")
+    with pytest.raises(ParseError, match="empty input file"):
+        cli.read_any_file(path)
 
 
 # ----------------------------------------------------------------------- rng

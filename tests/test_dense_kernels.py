@@ -34,34 +34,39 @@ from helpers import check_certificate, edge_list, from_edges, graph_of, to_graph
 # ---------------------------------------------------------------- references
 
 
+def codegree_rows(g: Graph):
+    """(u, later, counts) for u = 0, 1, ...: the neighbours v > u of u in
+    order, and their codegrees, popcounts of word row u ANDed with each
+    later row, a row at a time: no tuple per edge and no codegree walk."""
+    for u in range(g.n):
+        later = np.flatnonzero(g.adjacency([u])[0, u + 1 :])
+        counts = np.bitwise_count(g.words[u + 1 :] & g.words[u]).sum(axis=1)
+        yield u, later + (u + 1), counts[later]
+
+
 def ref_booksize(g: Graph):
     best, best_base = -1, None
-    rows = g.rows
-    for u, v in edge_list(g):
-        c = (rows[u] & rows[v]).bit_count()
-        if c > best:
-            best, best_base = c, (u, v)
+    for u, later, counts in codegree_rows(g):
+        if later.size and counts.max() > best:
+            k = int(counts.argmax())  # the first largest, at the least v
+            best, best_base = int(counts[k]), (u, int(later[k]))
     return (0, None) if best_base is None else (best, best_base)
 
 
 def ref_first_book(g: Graph, at_least: int):
-    rows = g.rows
-    for u, v in edge_list(g):
-        if (rows[u] & rows[v]).bit_count() >= at_least:
-            return u, v
+    for u, later, counts in codegree_rows(g):
+        hits = np.flatnonzero(counts >= at_least)
+        if hits.size:
+            return u, int(later[hits[0]])
     return None
 
 
 def ref_check_coloring(c: TwoColoring, p: int, q: int):
-    red = c.blue.complement()
-    red_rows, blue_rows = red.rows, c.blue.rows
-    for u, v in edge_list(red):
-        if (red_rows[u] & red_rows[v]).bit_count() >= p:
-            return "red", (u, v)
-    for u, v in edge_list(c.blue):
-        if (blue_rows[u] & blue_rows[v]).bit_count() >= q:
-            return "blue", (u, v)
-    return None
+    red = ref_first_book(c.blue.complement(), p)
+    if red:
+        return "red", red
+    blue = ref_first_book(c.blue, q)
+    return ("blue", blue) if blue else None
 
 
 def ref_validate(n: int, rows) -> str | None:
@@ -530,44 +535,45 @@ def traced_peak(f) -> int:
         tracemalloc.stop()
 
 
-def walk_buffers(rows: int, cols: int) -> int:
-    """The walk's buffers: the folded half of a row stripe at full width,
-    one column chunk of 2 rows bits for a stripe of rows, and the intp
-    copy np.take makes of that chunk's bytes, all float32 but the last."""
-    return 4 * (rows // 2) * cols + 4 * rows * (2 * rows) + rows * (2 * rows)
+def walk_buffers(rows: int) -> int:
+    """The walk's buffers: the folded left operand and one column chunk
+    of ``rows`` bits for a stripe of rows, both float32, and the intp
+    copy np.take makes of that chunk's bytes.  No buffer spans the full
+    width."""
+    return 4 * (rows // 2) * rows + 4 * rows * rows + rows * rows
 
 
 def test_statistics_memory_stays_within_stripes():
-    # the walk's buffers and, within five float32 tiles, its two tiles (c
-    # and cc) and the second part's columns of the words, which the
-    # triangle count reads; the blue words are walked, so no red words
-    # are made, and one bool stripe is left for temporaries.  Keeping
-    # (n/3)^2 float32 part blocks instead peaks at about 35 MB.
+    # the walk's buffers and its two float32 tiles (c and cc); the blue
+    # words are walked, so no red words are made, the triangle count
+    # masks one row of words at a time, and one bool stripe is left for
+    # temporaries.  Keeping (n/3)^2 float32 part blocks instead peaks at
+    # about 35 MB, and a folded stripe at full width adds 1.5 MB.
     n, rows = 3000, graphs._STRIPE
     c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
-    cols = 64 * -(-n // 64)  # word rows padded to whole words
-    buffers = walk_buffers(rows, cols) + 5 * 4 * rows**2
+    buffers = walk_buffers(rows) + 2 * 4 * rows**2
     peak = traced_peak(lambda: construction_statistics(c, tripartite_parts(n)))
     assert peak <= buffers + rows * n, f"peak {peak} bytes against {buffers} bytes of buffers"
 
 
 def test_books_memory_adds_no_stripe_buffer():
     # the walk's buffers and two float32 tiles (c and cc).  The fold
-    # works in place and the edge masks come from the words, so less than
-    # half a bool stripe is left for temporaries.
+    # works in place and the edge masks come from the words, so one bool
+    # stripe is left for temporaries (the bool masks of a tile take
+    # about half of it), less than a folded stripe at full width.
     n, rows = 3000, graphs._STRIPE
     c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
-    cols = 64 * -(-n // 64)  # word rows padded to whole words
-    buffers = walk_buffers(rows, cols) + 2 * 4 * rows**2
+    buffers = walk_buffers(rows) + 2 * 4 * rows**2
     peak = traced_peak(lambda: c.blue.books())
-    assert peak <= buffers + rows * n // 2, f"peak {peak} bytes against {buffers} bytes of buffers"
+    assert peak <= buffers + rows * n, f"peak {peak} bytes against {buffers} bytes of buffers"
 
 
 def test_coloring_build_and_files_stay_within_stripes(tmp_path):
     # the construction holds its words, its packed colex bits and two
     # bool stripes; writing streams the payload a codec stripe at a time;
-    # reading holds the file's text, its BRC1 bytes, the words and one
-    # bool stripe (a whole-payload bool array alone would be 4.5 MB)
+    # reading streams it into the words, and holds besides them one piece
+    # of the file and two bool stripes (the file's text alone is 1.1 MB,
+    # its BRC1 bytes 0.56 MB)
     n, rows = 3000, graphs._STRIPE
     words, packed = n * (64 * -(-n // 64)) // 8, (n * (n - 1) // 2 + 7) // 8
     params = ConstructionParams(n, Fraction(1, 200), seed=1)
@@ -577,9 +583,8 @@ def test_coloring_build_and_files_stay_within_stripes(tmp_path):
     path = tmp_path / "t.brc1"
     peak = traced_peak(lambda: write_coloring_file(path, c))
     assert peak <= 2 * rows * n, f"write peak {peak} bytes"
-    text = path.stat().st_size
     peak = traced_peak(lambda: read_coloring_file(path))
-    assert peak <= text + packed + words + rows * n, f"read peak {peak} bytes"
+    assert peak <= words + 2 * rows * n, f"read peak {peak} bytes"
     assert read_coloring_file(path) == c
 
 
@@ -655,12 +660,11 @@ def test_two_hubs_at_the_first_unfolded_order():
     blue = from_edges(n, [(u, v) for u in (0, 128) for v in range(n) if v != u])
     books = [base_of(b) for b in blue.books()]
     assert books == [base_of(blue.booksize()), (4093, (1, 2))] == [(4095, (0, 128)), (4093, (1, 2))]
-    # red is K_4095 and two isolated vertices, with no book of 4094 pages,
-    # so ref_check_coloring (which would list the 8.4M red edges as Python
-    # tuples first) reduces to its blue edge loop
-    res = check_coloring(coloring_of(blue), 4094, 2)
+    # red is K_4095 and two isolated vertices, with no book of 4094 pages
+    c = coloring_of(blue)
+    res = check_coloring(c, 4094, 2)
     assert isinstance(res, BlueBook)
-    assert verdict(res) == ("blue", ref_first_book(blue, 2)) == ("blue", (0, 128))
+    assert verdict(res) == ref_check_coloring(c, 4094, 2) == ("blue", (0, 128))
 
 
 @pytest.mark.parametrize("stripe", [63, 65])
