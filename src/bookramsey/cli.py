@@ -16,11 +16,13 @@ only by the tabular reports (stats, lemma-check).
 Start-up is lazy: this module imports only the standard library and the
 package's error and number helpers, and each handler imports the library
 modules it uses when it runs, so wall_time_ms includes loading them.
-``verify`` loads ``ramsey`` and ``colex`` only, and so never numpy; the
-other commands load numpy with the modules they use.  The process entry
-``entry`` runs ``main`` and then freezes the garbage collector before
-exiting; ``main(argv)`` itself, as tests and in-process callers use it,
-leaves the collector alone.
+``verify`` loads ``ramsey`` and ``colex`` only, and ``uniformity``
+without ``--sampled`` loads ``oracle``, ``graph6`` and ``colex`` only,
+reading its pair's bits straight off the graph6 line: neither loads
+numpy.  The other commands load numpy with the modules they use.  The
+process entry ``entry`` runs ``main`` and then freezes the garbage
+collector before exiting; ``main(argv)`` itself, as tests and in-process
+callers use it, leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -91,18 +93,30 @@ def _vertex_lists(raw, n, count, message):
     return [tuple(b) for b in raw]
 
 
-def load_config(path, required=()) -> dict:
-    """JSON descriptor: {graph: graph6, blocks: [[...],...], epsilon, ...} plus `required` fields."""
-    from .graphs import Graph
+def load_config(path, required=(), decode=True) -> dict:
+    """JSON descriptor: {graph: graph6, blocks: [[...],...], epsilon, ...} plus `required` fields.
 
+    The graph becomes a ``Graph``; unless ``decode``, it stays the order
+    and the checked data of its graph6 line (``graph6.graph6_data``), and
+    no numpy is loaded.
+    """
     cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ParseError("config must be a JSON object", line=1)
     for field in ("graph", "blocks", "epsilon", *required):
         if field not in cfg:
             raise ParseError(f"config needs '{field}'", line=1)
-    cfg["graph"] = Graph.from_graph6(str(cfg["graph"]))
-    cfg["blocks"] = _vertex_lists(cfg["blocks"], cfg["graph"].n, None, "'blocks' must be a list of vertex lists")
+    if decode:
+        from .graphs import Graph
+
+        cfg["graph"] = Graph.from_graph6(str(cfg["graph"]))
+        n = cfg["graph"].n
+    else:
+        from .graph6 import graph6_data
+
+        cfg["graph"] = graph6_data(str(cfg["graph"]))
+        n = cfg["graph"][0]
+    cfg["blocks"] = _vertex_lists(cfg["blocks"], n, None, "'blocks' must be a list of vertex lists")
     return cfg
 
 
@@ -176,8 +190,9 @@ def cmd_construct(args):
         ConstructionParams,
         expected_book_sizes,
         margins,
-        tripartite_random,
+        tripartite_bytes,
         two_cliques,
+        write_brc1,
         write_coloring_file,
     )
     from .graphs import GRAPH6_ORDER_CAP
@@ -217,7 +232,7 @@ def cmd_construct(args):
         "expected_book_sizes": {"red_intra": ri, "blue_cross": bc, "red_cross": rc},
         "file": args.out,
     })
-    write_coloring_file(args.out, tripartite_random(params))
+    write_brc1(args.out, params.n, tripartite_bytes(params))  # the bytes as they are drawn, never the words
     summary = (
         f"wrote {params.n}-vertex tripartite coloring to {args.out}; "
         f"expected codegrees {float(ri):.4f} / {float(bc):.4f} / {float(rc):.4f}"
@@ -269,23 +284,35 @@ def _csv(header, rows) -> str:
 
 
 def cmd_uniformity(args):
-    from .regularity import BipartitePairView, nonuniformity_search, uniformity_oracle
-
-    cfg = load_config(args.config)
+    """The oracle reads only its pair's bits off the graph6 line and runs
+    the numpy-free kernel of ``oracle``; ``--sampled`` decodes the graph."""
+    cfg = load_config(args.config, decode=args.sampled)
     if len(cfg["blocks"]) != 2:
         raise ValueError("uniformity needs exactly two blocks")
     eps = as_fraction(cfg["epsilon"])
-    pair = BipartitePairView(cfg["graph"], *cfg["blocks"])
-    jsonable(eps)  # an epsilon too long to print (ValueError) exits before the scan
+    A, B = cfg["blocks"]
     if args.sampled:
-        method, uniform = "search", None
+        from .regularity import BipartitePairView, nonuniformity_search
+
+        pair = BipartitePairView(cfg["graph"], A, B)
+        jsonable(eps)  # an epsilon too long to print (ValueError) exits before the scan
+        method, uniform, density = "search", None, pair.density
         witness = nonuniformity_search(pair, eps, samples=args.samples, seed=args.seed)
         summary = "non-uniformity witness found" if witness else "no witness found (certifies nothing)"
     else:
-        method, verdict = "oracle", uniformity_oracle(pair, eps)
-        uniform, witness = verdict.uniform, verdict.witness
+        from .graph6 import graph6_pair_rows
+        from .oracle import check_sides, first_witness, oracle_floors
+
+        n, data = cfg["graph"]
+        check_sides(A, B, n)
+        jsonable(eps)  # as above
+        oracle_floors(eps, len(A), len(B))  # eps <= 0, then a side above the cap: refused before the pair is read
+        rows = graph6_pair_rows(data, A, B)
+        density = Fraction(sum(r.bit_count() for r in rows), len(A) * len(B))
+        method, witness = "oracle", first_witness(A, B, rows, eps)
+        uniform = witness is None
         summary = "pair is uniform at the given epsilon" if uniform else "pair is not uniform; witness attached"
-    results = {"method": method, "density": pair.density, "epsilon": eps, "uniform": uniform, "witness": witness}
+    results = {"method": method, "density": density, "epsilon": eps, "uniform": uniform, "witness": witness}
     return results, summary, EXIT_FOUND if witness else EXIT_OK
 
 

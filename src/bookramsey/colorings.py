@@ -74,11 +74,9 @@ class TwoColoring:
         return "".join(self.brc1_pieces())
 
     def brc1_pieces(self) -> Iterator[str]:
-        """The BRC1 text in pieces: the header line, the payload a codec
-        stripe at a time, and the closing line break."""
-        yield f"{BRC1_MAGIC} {self.n}\n"
-        yield from hex_pieces(self.blue.colex_chunks(), self.n * (self.n - 1) // 2)
-        yield "\n"
+        """The BRC1 text in pieces (``brc1_text``), the payload a codec
+        stripe at a time."""
+        return brc1_text(self.n, self.blue.colex_chunks())
 
     @classmethod
     def from_brc1(cls, text: str | Iterable[str]) -> "TwoColoring":
@@ -162,9 +160,23 @@ def read_any_file(path) -> TwoColoring | Graph:
     return Graph.from_graph6(text[first.start() : end.start() if end else len(text)].strip(), line=line)
 
 
+def brc1_text(n: int, chunks: Iterable[bytes]) -> Iterator[str]:
+    """The BRC1 text of an order and its BRC1 bytes, given in chunks, in
+    pieces: the header line, the payload a chunk at a time, and the
+    closing line break."""
+    yield f"{BRC1_MAGIC} {n}\n"
+    yield from hex_pieces(chunks, n * (n - 1) // 2)
+    yield "\n"
+
+
 def write_coloring_file(path, c: TwoColoring) -> None:
+    write_brc1(path, c.n, c.blue.colex_chunks())
+
+
+def write_brc1(path, n: int, chunks: Iterable[bytes]) -> None:
+    """Write the BRC1 file of an order and its BRC1 bytes, given in chunks."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(c.brc1_pieces())
+        fh.writelines(brc1_text(n, chunks))
 
 
 # ------------------------------------------------------------- constructions
@@ -257,16 +269,26 @@ def tripartite_random(params: ConstructionParams) -> TwoColoring:
     Parameters that ``params.validate()`` rejects are refused.  The
     small books are blue here (at n = 999, epsilon = 1/200: blue bk 135,
     red bk 521), the other way round from ``two_cliques`` and
-    ``check_coloring``.  The colex bits are packed _PACK_ROWS rows at a
-    time into the BRC1 bytes, which are decoded to words.
+    ``check_coloring``.  The words are decoded from the BRC1 bytes of
+    ``tripartite_bytes``, which ``construct`` writes as they come.
     """
+    return TwoColoring(Graph.from_colex_bits(params.n, tripartite_bytes(params), width=8))
+
+
+def tripartite_bytes(params: ConstructionParams) -> Iterator[bytes]:
+    """The BRC1 bytes of ``tripartite_random``, refused as it refuses
+    them before any is drawn, then packed and yielded _PACK_ROWS rows of
+    colex bits at a time: each piece ends on a byte, the last one
+    zero-padded."""
     n = params.n
     if n < 0:
         raise ValueError(f"order {n} is negative")
     params.validate()
+    return _tripartite_pieces(n, params.seed, probability_threshold(params.p))
+
+
+def _tripartite_pieces(n: int, seed: int, thr: int) -> Iterator[bytes]:
     t = n // 3
-    thr = probability_threshold(params.p)
-    packed = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
     for r0 in range(0, n, _PACK_ROWS):
         r1 = min(r0 + _PACK_ROWS, n)
         s0 = r0 * (r0 - 1) // 2
@@ -274,11 +296,9 @@ def tripartite_random(params: ConstructionParams) -> TwoColoring:
         for j in range(max(r0, 1), r1):
             s = j * (j - 1) // 2
             cross = np.arange(j) // t != j // t
-            red = bernoulli_block(params.seed, s, j, thr)
+            red = bernoulli_block(seed, s, j, thr)
             np.greater(cross, red, out=bits[s - s0 : s - s0 + j])  # cross and not red
-        chunk = np.packbits(bits)
-        packed[s0 // 8 : s0 // 8 + len(chunk)] = chunk
-    return TwoColoring(Graph.from_colex_bits(n, packed, width=8))
+        yield np.packbits(bits).tobytes()
 
 
 def tripartite_parts(n: int) -> tuple[list[int], list[int], list[int]]:

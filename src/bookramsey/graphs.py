@@ -34,18 +34,13 @@ besides its input, which it reads a piece at a time when given so.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .colex import bits_of  # noqa: F401  (part of this module's API)
-from .errors import CapacityError, ParseError
-
-GRAPH6_HEADER = ">>graph6<<"
-GRAPH6_ORDER_CAP = 1 << 13  # decoding n = 8190: 0.2 s, 52 MB peak RSS (2 cores, numpy 2.4)
-_NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
+from .graph6 import GRAPH6_ORDER_CAP, graph6_data  # noqa: F401  (GRAPH6_ORDER_CAP: part of this module's API)
 _STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 rows, rounded to 8
 _FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every product entry, at most n - 1, is below it
 
@@ -398,37 +393,13 @@ class Graph:
 
     @classmethod
     def from_graph6(cls, text: str, line: int = 1) -> "Graph":
-        """Decode one graph6 line; tolerates the optional format header."""
-        s = text.strip()
-        if s.startswith(GRAPH6_HEADER):
-            s = s[len(GRAPH6_HEADER) :]
-        if not s:
-            raise ParseError("empty graph6 string", line=line)
-        bad = _NOT_GRAPH6.search(s)
-        if bad:
-            msg = f"invalid graph6 character {bad.group()!r}"
-            raise ParseError(msg, line=line, offset=bad.start())
-        vals = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - 63
-        if vals[0] < 63:
-            n = int(vals[0])
-            data = vals[1:]
-        else:
-            if len(vals) < 4 or vals[1] == 63:
-                raise ParseError("truncated graph6 vertex count", line=line, offset=0)
-            n = int(vals[1]) << 12 | int(vals[2]) << 6 | int(vals[3])
-            data = vals[4:]
-        if n > GRAPH6_ORDER_CAP:
-            raise CapacityError(f"graph6 order {n} is above the cap of {GRAPH6_ORDER_CAP} vertices")
-        nbits = n * (n - 1) // 2
-        if len(data) != (nbits + 5) // 6:
-            raise ParseError(
-                f"graph6 data length {len(data)} does not match n={n}",
-                line=line,
-                offset=len(s),
-            )
-        if _bit_range(data, 6, nbits, 6 * len(data)).any():
-            raise ParseError("nonzero padding bits in graph6 data", line=line, offset=len(s))
-        return cls.from_colex_bits(n, data, width=6)
+        """Decode one graph6 line; tolerates the optional format header.
+        The line is checked and held once, as bytes (``graph6.graph6_data``),
+        and those less 63, in place, are the packed pair bits."""
+        n, data = graph6_data(text, line)
+        bits = np.frombuffer(data, dtype=np.uint8)
+        bits -= 63
+        return cls.from_colex_bits(n, bits, width=6)
 
 
 # ------------------------------------------------------------ word helpers

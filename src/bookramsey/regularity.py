@@ -7,9 +7,12 @@ deviation are fixed conventions here, chosen so the oracle and all bound
 validators agree with each other.
 
 All densities and bounds are exact rationals; "count >= bound" comparisons
-carry no floating-point tolerance.  Deviation tests inside the oracle and
-the search are cleared of denominators up front: they compare int64
-arrays against limits computed from eps in Python ints.
+carry no floating-point tolerance.  The exact oracle is the bit-sliced
+kernel of ``oracle``, which imports no numpy, run on the rows of a pair
+view; ``lemma-check`` and ``classify`` reach it through
+``uniformity_oracle``.  The sampled search's deviation tests are cleared
+of denominators up front: they compare int64 arrays against limits
+computed from eps in Python ints.
 """
 
 from __future__ import annotations
@@ -18,19 +21,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .colex import bits_of
-from .colorings import TwoColoring
 from .errors import CapacityError
 from .graphs import BookCertificate, Graph, vertex_mask
 from .numbers import as_fraction
+from .oracle import ORACLE_SIDE_CAP, check_sides, first_witness, oracle_floors, size_floor
 from .rng import stream_values
 
-ORACLE_SIDE_CAP = 16
-ORACLE_CHUNK = 1 << 10  # X masks per oracle step; bounds its temporary arrays
+if TYPE_CHECKING:
+    from .colorings import TwoColoring
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,7 @@ class BipartitePairView:
     def __post_init__(self):
         object.__setattr__(self, "A", tuple(self.A))
         object.__setattr__(self, "B", tuple(self.B))
-        if not self.A or not self.B:
-            raise ValueError("both sides must be nonempty")
-        ma, mb = vertex_mask(self.A), vertex_mask(self.B)
-        if ma & mb:
-            raise ValueError("sides must be disjoint")
-        for v in (*self.A, *self.B):
-            if not 0 <= v < self.host.n:
-                raise ValueError(f"vertex {v} outside the host graph")
-        if len(set(self.A)) != len(self.A) or len(set(self.B)) != len(self.B):
-            raise ValueError("repeated vertex in a side")
+        check_sides(self.A, self.B, self.host.n)
 
     def edge_count(self) -> int:
         return self.host.edges_between(self.A, self.B)
@@ -80,10 +73,6 @@ class UniformityVerdict:
         return self.witness is None
 
 
-def _size_floor(eps: Fraction, side: int) -> int:
-    return max(1, -((-eps.numerator * side) // eps.denominator))  # ceil(eps*side)
-
-
 def _count_dtype(na: int, nb: int):
     """Integer type of a pair's deviation tests: it must hold (na nb)^2,
     the largest |e na nb - e(A, B) |X| |Y|| and the largest limit."""
@@ -93,9 +82,8 @@ def _count_dtype(na: int, nb: int):
     return np.int32 if cap < 1 << 31 else np.int64
 
 
-def _deviation_limits(eps: Fraction, na: int, nb: int, b0: int, s) -> np.ndarray:
-    """Limits over |Y| = 0..nb for |X| = s (an int, or an array of them for
-    one row each): a cross count e deviates iff
+def _deviation_limits(eps: Fraction, na: int, nb: int, b0: int, s: int) -> np.ndarray:
+    """Limits over |Y| = 0..nb for |X| = s: a cross count e deviates iff
     |e na nb - e(A, B) s |Y|| > limit.
 
     The limit is floor(eps s |Y| na nb), the deviation test cleared of
@@ -104,83 +92,32 @@ def _deviation_limits(eps: Fraction, na: int, nb: int, b0: int, s) -> np.ndarray
     below the floor b0 get the clip, so they never deviate.
     """
     cap = (na * nb) ** 2
-    sizes = np.multiply.outer(np.asarray(s, dtype=object), np.arange(nb + 1, dtype=object))
-    limits = np.minimum(sizes * (eps.numerator * na * nb) // eps.denominator, cap)
+    limits = np.minimum(np.arange(nb + 1, dtype=object) * (s * eps.numerator * na * nb) // eps.denominator, cap)
     limits = limits.astype(_count_dtype(na, nb))
-    limits[..., :b0] = cap
+    limits[:b0] = cap
     return limits
 
 
 def _extreme_counts(degs: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest cross counts over |Y| = 1..nb, per row of degrees.
+    """Least and greatest cross counts over |Y| = 1..nb.
 
-    Each row holds |N(b) cap X| over b in B in ascending order; column
+    ``degs`` holds |N(b) cap X| over b in B in ascending order; entry
     sy - 1 sums its sy smallest (lo) and its sy largest (hi) entries.
     """
-    lo = np.cumsum(degs, axis=-1, dtype=dtype)
-    hi = np.cumsum(degs[..., ::-1], axis=-1, dtype=dtype)
-    return lo, hi
+    return np.cumsum(degs, dtype=dtype), np.cumsum(degs[::-1], dtype=dtype)
 
 
 def uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
-    """Exhaustive uniformity check over all floor-respecting subset pairs.
+    """Exhaustive uniformity check over all floor-respecting subset pairs:
+    the bit-sliced kernel ``oracle.first_witness`` on the pair's rows.
 
     Sides are capped at 16 vertices: larger inputs belong to
-    nonuniformity_search.  X runs over the masks of A in numeric order,
-    ORACLE_CHUNK at a time: each chunk's (chunk, |B|) degree matrix
-    |N(b) cap X| is sorted along its rows, and its ascending and
-    descending cumsums give the least and greatest cross count at every
-    |Y|, tested against ``_deviation_limits`` all at once.  The first
-    deviating X then gets its least Y from subset sums over the 2^|B|
-    masks of B, tested ORACLE_CHUNK masks at a time.  The returned
-    witness is the first (X bitmask, Y bitmask) in increasing numeric
-    order over the given side orderings.
+    nonuniformity_search.  The returned witness is the first (X bitmask,
+    Y bitmask) in increasing numeric order over the given side orderings.
     """
     eps = as_fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    na, nb = len(pair.A), len(pair.B)
-    if na > ORACLE_SIDE_CAP or nb > ORACLE_SIDE_CAP:
-        raise CapacityError(f"oracle sides capped at {ORACLE_SIDE_CAP} vertices")
-    a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
-    if a0 > na or b0 > nb:
-        return UniformityVerdict(None)
-    rows = np.array(pair.b_rows(), dtype=np.int32)
-    enum = pair.edge_count()
-    limits = _deviation_limits(eps, na, nb, b0, np.arange(na + 1))
-    limits[:a0] = (na * nb) ** 2  # below the floor nothing deviates
-    dtype = _count_dtype(na, nb)
-    sy = np.arange(1, nb + 1, dtype=dtype)
-
-    for start in range(1, 1 << na, ORACLE_CHUNK):
-        X = np.arange(start, min(start + ORACLE_CHUNK, 1 << na), dtype=np.int32)
-        s = np.bitwise_count(X).astype(dtype)
-        degs = np.bitwise_count(X[:, None] & rows)
-        degs.sort(axis=1)
-        lo, hi = _extreme_counts(degs, dtype)
-        mean = (enum * s)[:, None] * sy
-        lim = limits[s, 1:]
-        dev = (np.abs(lo * (na * nb) - mean) > lim) | (np.abs(hi * (na * nb) - mean) > lim)
-        hits = np.flatnonzero(dev.any(axis=1))
-        if hits.size:
-            break
-    else:
-        return UniformityVerdict(None)
-    X, s = int(X[hits[0]]), int(s[hits[0]])
-    # least Y: cross counts of every mask of B by subset sums
-    esum = np.zeros(1 << nb, dtype=dtype)
-    for k, d in enumerate(np.bitwise_count(rows & X).tolist()):
-        esum[1 << k : 2 << k] = esum[: 1 << k] + d
-    for start in range(0, 1 << nb, ORACLE_CHUNK):
-        Y = np.arange(start, min(start + ORACLE_CHUNK, 1 << nb), dtype=np.int32)
-        sizes = np.bitwise_count(Y).astype(dtype)
-        dev = np.abs(esum[Y] * (na * nb) - enum * s * sizes) > limits[s, sizes]
-        if dev.any():
-            Y = int(Y[dev.argmax()])
-            break
-    wx = tuple(pair.A[k] for k in bits_of(X))
-    wy = tuple(pair.B[k] for k in bits_of(Y))
-    return UniformityVerdict((wx, wy))
+    oracle_floors(eps, len(pair.A), len(pair.B))  # refuses before the rows are read
+    return UniformityVerdict(first_witness(pair.A, pair.B, pair.b_rows(), eps))
 
 
 def check_witness(pair: BipartitePairView, eps, X: Iterable[int], Y: Iterable[int]) -> bool:
@@ -189,7 +126,7 @@ def check_witness(pair: BipartitePairView, eps, X: Iterable[int], Y: Iterable[in
     X, Y = sorted(set(X)), sorted(set(Y))
     if not set(X) <= set(pair.A) or not set(Y) <= set(pair.B):
         return False
-    if len(X) < _size_floor(eps, len(pair.A)) or len(Y) < _size_floor(eps, len(pair.B)):
+    if len(X) < size_floor(eps, len(pair.A)) or len(Y) < size_floor(eps, len(pair.B)):
         return False
     e = pair.host.edges_between(X, Y)
     dxy = Fraction(e, len(X) * len(Y))
@@ -209,7 +146,7 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
     if eps <= 0:
         raise ValueError("eps must be positive")
     na, nb = len(pair.A), len(pair.B)
-    a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
+    a0, b0 = size_floor(eps, na), size_floor(eps, nb)
     if a0 > na or b0 > nb:
         return None
     enum = pair.edge_count()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import bookramsey
-from bookramsey import cli, regularity, stability
+from bookramsey import cli, graph6, oracle, regularity, stability
 from bookramsey.colorings import (
     TwoColoring,
     two_cliques,
@@ -650,6 +650,10 @@ def _refuse_scans(monkeypatch):
     monkeypatch.setattr(regularity, "nonuniformity_search", refuse)
     # both scans count the pair's edges first, whichever name they were called by
     monkeypatch.setattr(regularity.BipartitePairView, "edge_count", refuse)
+    # the uniformity command's oracle reads the pair's bits off the line and
+    # scans them itself
+    monkeypatch.setattr(graph6, "graph6_pair_rows", refuse)
+    monkeypatch.setattr(oracle, "first_witness", refuse)
 
 
 @pytest.mark.parametrize("sampled", [(), ("--sampled",)])

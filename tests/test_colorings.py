@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bookramsey import cli
 from bookramsey.colorings import (
     ConstructionParams,
     TwoColoring,
@@ -252,6 +253,26 @@ def test_index_hex_matches_pack_bits_hex(N):
 def test_tripartite_file_at_n3000_matches_pack_bits_hex():
     c = tripartite_random(ConstructionParams(3000, Fraction(1, 200), seed=3))
     assert c.to_brc1() == f"BRC1 3000\n{pack_bits_hex(colex_bools(c.blue))}\n"
+
+
+# orders whose C(n, 2) colex bits end inside a byte, with one pack stripe
+# of _PACK_ROWS = 64 rows (3, 30, 63) and more (66, 195, 300), and orders
+# whose bits end on a byte (129, 192)
+CONSTRUCT_ORDERS = [3, 30, 63, 66, 129, 192, 195, 300]
+
+
+@pytest.mark.parametrize("n", CONSTRUCT_ORDERS)
+def test_construct_writes_the_drawn_bytes_as_the_words_encode(tmp_path, n):
+    # construct writes the BRC1 bytes of tripartite_bytes as they are
+    # drawn, never decoding them to words; the file is the one that the
+    # words of tripartite_random encode to
+    path = tmp_path / "t.brc1"
+    argv = ["--seed", str(n), "construct", "tripartite", "--n", str(n), "--epsilon", "1/200", "--out", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=n))
+    assert path.read_text(encoding="ascii") == c.to_brc1()
+    assert TwoColoring.from_brc1(c.to_brc1()) == c
 
 
 def test_coloring_file_io(tmp_path):

@@ -588,6 +588,20 @@ def test_coloring_build_and_files_stay_within_stripes(tmp_path):
     assert read_coloring_file(path) == c
 
 
+def test_graph6_decode_holds_one_line_besides_the_words():
+    # the line is checked and held once, as bytes less 63 in place: with
+    # its line break (as read from a file) it is not first copied as a
+    # stripped str, then as ASCII bytes and as a uint8 array less 63.
+    # Besides, the codec holds four bool stripes of _STRIPE / 4 rows.
+    n, rows = 3000, graphs._STRIPE
+    words = n * (64 * -(-n // 64)) // 8
+    c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
+    line = to_graph6(c.blue) + "\n"  # about 0.75 MB
+    peak = traced_peak(lambda: Graph.from_graph6(line))
+    assert peak <= words + len(line) + rows * n, f"decode peak {peak} bytes"
+    assert Graph.from_graph6(line) == c.blue
+
+
 @pytest.mark.parametrize("stripe", [8, 24, 64])
 def test_colex_codec_round_trip_at_any_stripe(stripe, monkeypatch):
     # codec stripes of _STRIPE / 4 rows (8 or 16 here) start at pair

@@ -1,8 +1,9 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
 graphs.py multiplies codegrees in one place, the command line starts
-without loading the numeric modules, ``verify`` runs without them, no
-random draw loads numpy's random module (the package's one generator is
-``rng``), and only colex.py writes or reads the hex of a BRC1 payload.
+without loading the numeric modules, ``verify`` and the ``uniformity``
+oracle run without them, no random draw loads numpy's random module (the
+package's one generator is ``rng``), and only colex.py writes or reads
+the hex of a BRC1 payload.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices; none reads the int rows or imports a private helper of
@@ -21,7 +22,7 @@ import bookramsey
 from bookramsey.graphs import Graph
 from bookramsey.regularity import ORACLE_SIDE_CAP
 
-from helpers import to_graph6
+from helpers import from_edges, to_graph6
 
 PACKAGE = Path(bookramsey.__file__).parent
 
@@ -171,6 +172,29 @@ def test_verify_loads_no_numeric_module():
     assert sorted(loaded & set(NUMERIC_MODULES)) == []
 
 
+def test_uniformity_oracle_loads_no_numeric_module(tmp_path):
+    # the oracle reads its pair's bits off the graph6 line and scans them
+    # bit-sliced: no numpy, no Graph, no pair view
+    t = ORACLE_SIDE_CAP
+    half = from_edges(2 * t, [(i, t + j) for i in range(t) for j in range(t) if i <= j])
+    blocks = [list(range(t)), list(range(t, 2 * t))]
+    for name, g in (("uniform.json", Graph.empty(2 * t)), ("half.json", half)):
+        (tmp_path / name).write_text(json.dumps({"graph": to_graph6(g), "blocks": blocks, "epsilon": "1/10"}))
+    codes, loaded = run_in_one_process([["uniformity", str(tmp_path / name)] for name in ("uniform.json", "half.json")])
+    assert codes == [0, 10]
+    assert "bookramsey.oracle" in loaded
+    assert sorted(loaded & {*NUMERIC_MODULES, "bookramsey.regularity"}) == []
+
+
+def test_regularity_loads_no_colorings():
+    # regularity names TwoColoring in one annotation only
+    script = "import json, sys\nimport bookramsey.regularity\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120)
+    loaded = set(json.loads(proc.stdout))
+    assert {"numpy", "bookramsey.graphs", "bookramsey.oracle"} <= loaded
+    assert "bookramsey.colorings" not in loaded
+
+
 def test_random_draws_load_no_numpy_random(tmp_path):
     # a complete pair holds no witness, so the sampled search and the
     # search behind classify (blocks above the oracle cap) reach their
@@ -256,6 +280,12 @@ def test_colex_helpers_have_one_numpy_free_definition():
     assert owners == {"edge_index": ["colex.py"], "bits_of": ["colex.py"]}
     assert "numpy" not in module_imports(sources["colex.py"])
     assert "numpy" not in module_imports(sources["ramsey.py"])
+
+
+def test_oracle_imports_no_numpy():
+    for name in ("oracle.py", "graph6.py"):
+        assert "numpy" not in module_imports((PACKAGE / name).read_text(encoding="utf-8")), name
+    assert "numpy" in module_imports("def f():\n    import numpy.linalg\n")
 
 
 # the modules a ``verify`` process loads from the package

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookramsey.colorings import TwoColoring, two_cliques
 from bookramsey.errors import CapacityError
 from bookramsey.graphs import Graph
+from bookramsey.oracle import first_witness
 from bookramsey.regularity import (
     BipartitePairView,
     MultiPairConfig,
@@ -133,6 +136,22 @@ def test_oracle_matches_naive_enumeration():
         assert verdict.uniform == naive
         if not verdict.uniform:
             assert check_witness(pair, eps, *verdict.witness)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1, 10**30), Fraction(3, 2)]),
+)
+def test_kernel_verdict_matches_naive_enumeration(na, nb, p, seed, eps):
+    pair = random_pair(np.random.default_rng(seed), na, nb, p)
+    witness = first_witness(pair.A, pair.B, pair.b_rows(), eps)
+    assert (witness is None) == naive_uniform(pair, eps)
+    if witness is not None:
+        assert check_witness(pair, eps, *witness)
 
 
 def naive_uniform(pair, eps):

@@ -1,8 +1,9 @@
-"""Differential tests: the numpy structure-layer kernels against pure-Python loops.
+"""Differential tests: the structure-layer kernels against pure-Python loops.
 
 Each reference below is the bigint loop the package used before its
 uniformity oracle, sampled witness search and bipartite extractor were
-vectorized; the package must agree with it exactly: the same verdict,
+vectorized (the oracle is now bit-sliced on Python ints, in
+``oracle``); the package must agree with it exactly: the same verdict,
 the same (X, Y) witness, the same extracted parts.
 """
 
@@ -21,6 +22,7 @@ from bookramsey import cli
 from bookramsey.errors import CapacityError
 from bookramsey.graphs import Graph, bits_of, vertex_mask
 from bookramsey.numbers import as_fraction
+from bookramsey.oracle import first_witness
 from bookramsey.regularity import (
     ORACLE_SIDE_CAP,
     BipartitePairView,
@@ -310,16 +312,48 @@ def test_oracle_matches_reference_on_random_pairs(pair, eps):
     assert_oracle_matches(pair, eps)
 
 
-@pytest.mark.parametrize("kind", ["empty", "half", "random"])
+# size floors above both sides: nothing is tested, and every pair is uniform
+FLOOR_EPSILONS = [Fraction(101, 100), Fraction(3, 2)]
+
+
+@st.composite
+def dense_pairs(draw, max_side):
+    """Pairs of unequal sides at any density from 0 to 1."""
+    na = draw(st.integers(1, max_side))
+    nb = draw(st.integers(1, max_side))
+    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return shuffled_pair(rng, rng.random((na, nb)) < p, extra=draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_pairs(10), st.sampled_from(EPSILONS + HUGE_EPSILONS + FLOOR_EPSILONS))
+def test_kernel_matches_reference_on_dense_pairs(pair, eps):
+    want = ref_uniformity_oracle(pair, eps).witness
+    assert first_witness(pair.A, pair.B, pair.b_rows(), eps) == want
+    assert uniformity_oracle(pair, eps).witness == want
+
+
+@pytest.mark.parametrize("kind", ["empty", "complete", "half", "random"])
 def test_oracle_matches_reference_at_full_size(kind):
     rng = np.random.default_rng(16)
     t = 16
     cross = {
         "empty": np.zeros((t, t), dtype=bool),
+        "complete": np.ones((t, t), dtype=bool),
         "half": half_graph(t, t),
         "random": rng.random((t, t)) < 0.5,
     }[kind]
     assert_oracle_matches(shuffled_pair(rng, cross, extra=2), Fraction(1, 10))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("shape", [(16, 3), (3, 16)])
+def test_oracle_matches_reference_on_one_long_side(shape, p):
+    rng = np.random.default_rng(shape[1])
+    cross = half_graph(*shape) if p == 0.5 else np.full(shape, p == 1.0)
+    for eps in (Fraction(1, 10), Fraction(1, 3)):
+        assert_oracle_matches(shuffled_pair(rng, cross, extra=1), eps)
 
 
 @pytest.mark.parametrize("eps", HUGE_EPSILONS)
