@@ -16,10 +16,13 @@ only by the tabular reports (stats, lemma-check).
 Start-up is lazy: this module imports only the standard library and the
 package's error and number helpers, and each handler imports the library
 modules it uses when it runs, so wall_time_ms includes loading them.
-``verify`` loads ``ramsey`` and ``colex`` only, and ``uniformity``
+``verify`` loads ``ramsey`` and ``colex`` only.  ``uniformity``
 without ``--sampled`` loads ``oracle``, ``graph6`` and ``colex`` only,
-reading its pair's bits straight off the graph6 line: neither loads
-numpy.  The other commands load numpy with the modules they use.  The
+reading its pair's bits straight off the graph6 line, and so do
+``lemma-check`` and ``classify``, with ``counting``, while every block is
+within the oracle cap (16): none of these loads numpy.  Past the cap,
+those two decode the graph and load numpy and ``regularity``; the other
+commands load numpy with the modules they use.  The
 process entry ``entry`` runs ``main`` and then freezes the garbage
 collector before exiting; ``main(argv)`` itself, as tests and in-process
 callers use it, leaves the collector alone.
@@ -98,7 +101,8 @@ def load_config(path, required=(), decode=True) -> dict:
 
     The graph becomes a ``Graph``; unless ``decode``, it stays the order
     and the checked data of its graph6 line (``graph6.graph6_data``), and
-    no numpy is loaded.
+    no numpy is loaded.  ``decode`` may be a predicate on the blocks as
+    read, before they are checked.
     """
     cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
@@ -106,7 +110,7 @@ def load_config(path, required=(), decode=True) -> dict:
     for field in ("graph", "blocks", "epsilon", *required):
         if field not in cfg:
             raise ParseError(f"config needs '{field}'", line=1)
-    if decode:
+    if decode is True or decode and decode(cfg["blocks"]):
         from .graphs import Graph
 
         cfg["graph"] = Graph.from_graph6(str(cfg["graph"]))
@@ -320,28 +324,19 @@ LEMMA_FIELDS = ("check", "page", "bound", "actual", "satisfied")
 
 
 def cmd_lemma_check(args):
-    from .regularity import (
-        ORACLE_SIDE_CAP,
-        MultiPairConfig,
-        bad_pair_count,
-        book_bound,
-        triangle_bound,
-        uniformity_oracle,
-    )
+    """Counting bounds on Python-int rows (``counting.MultiPair``); blocks
+    within the oracle cap are read off the graph6 line, without numpy."""
+    from .counting import MultiPair, config_rows, past_cap
+    from .oracle import ORACLE_SIDE_CAP
 
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, decode=past_cap)
     eps = as_fraction(cfg["epsilon"])
     nbases = cfg.get("bases", 1)
     if type(nbases) is not int or nbases not in (1, 2):
         raise ValueError("'bases' must be 1 or 2")
     if len(cfg["blocks"]) < nbases + 1:
         raise ValueError("need at least one page block after the bases")
-    mp = MultiPairConfig(
-        cfg["graph"],
-        tuple(cfg["blocks"][:nbases]),
-        tuple(cfg["blocks"][nbases:]),
-        eps,
-    )
+    mp = MultiPair(*config_rows(cfg["graph"]), cfg["blocks"][:nbases], cfg["blocks"][nbases:], eps)
     if eps <= 0:  # the oracle's refusal, at every t and before any pair is scanned
         raise ValueError("eps must be positive")
     if args.format == "json":  # the CSV rows print no epsilon
@@ -353,7 +348,7 @@ def cmd_lemma_check(args):
     all_uniform: bool | None = True
     for i in range(nbases):
         for j in range(k):
-            u = uniformity_oracle(mp.base_pair(i, j), eps).uniform if t <= ORACLE_SIDE_CAP else None
+            u = mp.uniform(i, j) if t <= ORACLE_SIDE_CAP else None
             if u is not True:
                 all_uniform = None if u is None else False
             pairs.append({"base": i, "page": j, "uniform": u})
@@ -364,14 +359,14 @@ def cmd_lemma_check(args):
     cap = 2 * eps * t * t
     rows = []
     for j in range(k):
-        cnt = bad_pair_count(mp, j)
+        cnt = mp.bad_pair_count(j)
         rows.append((f"bad_pairs_{form}", j, cap, cnt, None if cnt is None else cnt <= cap))
-    bound, actual = triangle_bound(mp)
+    bound, actual = mp.triangle_bound()
     rows.append((f"triangle_{form}", None, bound, actual, actual >= bound))
-    book = book_bound(mp)
+    book = mp.book_bound()
     if book is not None:
-        bound, cert = book
-        rows.append((f"book_{form}", None, bound, cert.size, cert.size >= bound))
+        bound, base, pages = book
+        rows.append((f"book_{form}", None, bound, len(pages), len(pages) >= bound))
 
     checks = [{f: v for f, v in zip(LEMMA_FIELDS, row) if f != "page" or v is not None} for row in rows]
     violations = sum(certified and ok is False for *_, ok in rows)
@@ -384,7 +379,7 @@ def cmd_lemma_check(args):
         "pairs_uniform": pairs,
         "all_pairs_uniform": all_uniform,
         "checks": checks,
-        "book_base": None if book is None else list(cert.base),
+        "book_base": None if book is None else list(base),
         "violations": violations,
         "bounds_checked": len(rows),
         "positive_bounds": positive,
@@ -401,19 +396,21 @@ def lemma_csv(results) -> str:
 
 
 def cmd_classify(args):
-    from .colorings import TwoColoring
-    from .regularity import classify_pairs
+    """``counting.classify``: blocks within the oracle cap are read off the
+    graph6 line and labelled without numpy; larger ones go through
+    ``regularity.classify_pairs`` and its sampled search."""
+    from .counting import classify, config_rows, past_cap
 
-    cfg = load_config(args.config, required=("beta", "gamma"))
-    labels = classify_pairs(
-        TwoColoring(cfg["graph"]),
-        cfg["blocks"],
-        as_fraction(cfg["epsilon"]),
-        as_fraction(cfg["beta"]),
-        as_fraction(cfg["gamma"]),
-        samples=args.samples,
-        seed=args.seed,
-    )
+    cfg = load_config(args.config, required=("beta", "gamma"), decode=past_cap)
+    eps, beta, gamma = (as_fraction(cfg[name]) for name in ("epsilon", "beta", "gamma"))
+    if isinstance(cfg["graph"], tuple):
+        labels = classify(*config_rows(cfg["graph"]), cfg["blocks"], eps, beta, gamma)
+    else:
+        from .colorings import TwoColoring
+        from .regularity import classify_pairs
+
+        c = TwoColoring(cfg["graph"])
+        labels = classify_pairs(c, cfg["blocks"], eps, beta, gamma, samples=args.samples, seed=args.seed)
     counts = {"irr": 0, "blue": 0, "mid": 0, "red": 0}
     for row in labels:
         counts[row["label"]] += 1

@@ -157,7 +157,7 @@ def read_any_file(path) -> TwoColoring | Graph:
         raise ParseError("empty input file", line=1)
     end = _LINE_BREAK.search(text, first.start())
     line = 1 + len(_LINE_BREAK.findall(text, 0, first.start()))
-    return Graph.from_graph6(text[first.start() : end.start() if end else len(text)].strip(), line=line)
+    return Graph.from_graph6(text, line, first.start(), end.start() if end else len(text))
 
 
 def brc1_text(n: int, chunks: Iterable[bytes]) -> Iterator[str]:

@@ -27,11 +27,11 @@ _NOT_GRAPH6 = re.compile("[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _NOT_BLANK = re.compile(r"\S")  # a character that str.strip keeps
 
 
-def graph6_data(text: str, line: int = 1) -> tuple[int, memoryview]:
-    """The order n of one graph6 line and its data: the ceil(C(n, 2) / 6)
-    characters after the order, as a view of the one ``bytearray`` of
-    ASCII codes that it makes of the text, so a decoder may subtract 63
-    in place.  No other copy of the line is made.
+def graph6_data(text: str, line: int = 1, start: int = 0, end: int | None = None) -> tuple[int, memoryview]:
+    """The order n of one graph6 line, text[start:end] (the whole text by
+    default), and its data: the ceil(C(n, 2) / 6) characters after the
+    order, as a view of one ``bytearray`` of the line's ASCII codes, so a
+    decoder may subtract 63 in place.  No other copy of the line is held.
 
     Whitespace around the line and the optional format header are
     dropped.  Refused in this order: an empty line, a character outside
@@ -40,8 +40,9 @@ def graph6_data(text: str, line: int = 1) -> tuple[int, memoryview]:
     (CapacityError), a data length that does not match the order, and
     nonzero padding bits.
     """
-    first = _NOT_BLANK.search(text)
-    start, end = (first.start() if first else 0), len(text)
+    end = len(text) if end is None else end
+    first = _NOT_BLANK.search(text, start, end)
+    start = first.start() if first else end
     while end > start and text[end - 1].isspace():
         end -= 1
     if text.startswith(GRAPH6_HEADER, start, end):
@@ -51,10 +52,7 @@ def graph6_data(text: str, line: int = 1) -> tuple[int, memoryview]:
     bad = _NOT_GRAPH6.search(text, start, end)
     if bad:
         raise ParseError(f"invalid graph6 character {bad.group()!r}", line=line, offset=bad.start() - start)
-    if text.isascii():
-        raw = memoryview(bytearray(text, "ascii"))[start:end]
-    else:  # Unicode whitespace around the line
-        raw = memoryview(bytearray(text[start:end], "ascii"))
+    raw = memoryview(bytearray(text[start:end], "ascii"))  # the slice is the text itself when the line is all of it
     if raw[0] < 126:
         n, data = raw[0] - 63, raw[1:]
     else:
@@ -75,12 +73,13 @@ def graph6_pair_rows(data: Sequence[int], A: Sequence[int], B: Sequence[int]) ->
     """For each b in B, the bitmask of its neighbours over the positions
     of A, read from graph6 data (``graph6_data``): edge k is bit
     5 - k % 6 of character k // 6, less 63.  Only these |A| |B| bits are
-    read."""
+    read; the sides may meet, and a vertex is no neighbour of itself."""
     out = []
     for b in B:
         row = 0
         for pos, a in enumerate(A):
-            k = edge_index(a, b)
-            row |= (data[k // 6] - 63 >> 5 - k % 6 & 1) << pos
+            if a != b:
+                k = edge_index(a, b)
+                row |= (data[k // 6] - 63 >> 5 - k % 6 & 1) << pos
         out.append(row)
     return out

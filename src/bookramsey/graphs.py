@@ -45,14 +45,6 @@ _STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 row
 _FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every product entry, at most n - 1, is below it
 
 
-def vertex_mask(vertices: Iterable[int]) -> int:
-    """Bitmask with one bit per vertex index."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 @dataclass(frozen=True)
 class BookCertificate:
     """Witness that a graph contains a book of the stated size.
@@ -392,11 +384,12 @@ class Graph:
     # ---------------------------------------------------------------- graph6
 
     @classmethod
-    def from_graph6(cls, text: str, line: int = 1) -> "Graph":
-        """Decode one graph6 line; tolerates the optional format header.
-        The line is checked and held once, as bytes (``graph6.graph6_data``),
-        and those less 63, in place, are the packed pair bits."""
-        n, data = graph6_data(text, line)
+    def from_graph6(cls, text: str, line: int = 1, start: int = 0, end: int | None = None) -> "Graph":
+        """Decode one graph6 line, text[start:end]; tolerates the optional
+        format header.  The line is checked and held once, as bytes
+        (``graph6.graph6_data``), and those less 63, in place, are the
+        packed pair bits."""
+        n, data = graph6_data(text, line, start, end)
         bits = np.frombuffer(data, dtype=np.uint8)
         bits -= 63
         return cls.from_colex_bits(n, bits, width=6)

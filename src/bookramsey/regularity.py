@@ -1,4 +1,5 @@
-"""Uniform-pair machinery: exact oracle, counting bounds, pair labels.
+"""Uniform-pair machinery on a decoded graph: exact oracle, sampled
+search, and the adapters of the counting bounds and pair labels.
 
 A pair (A, B) is eps-uniform when every X in A, Y in B with |X| >= ceil(eps
 |A|), |Y| >= ceil(eps |B|) has |d(X, Y) - d(A, B)| <= eps; a witness to the
@@ -8,17 +9,21 @@ validators agree with each other.
 
 All densities and bounds are exact rationals; "count >= bound" comparisons
 carry no floating-point tolerance.  The exact oracle is the bit-sliced
-kernel of ``oracle``, which imports no numpy, run on the rows of a pair
-view; ``lemma-check`` and ``classify`` reach it through
-``uniformity_oracle``.  The sampled search's deviation tests are cleared
-of denominators up front: they compare int64 arrays against limits
-computed from eps in Python ints.
+kernel of ``oracle``, and the counting bounds and pair labels are the
+popcount loops of ``counting``; neither imports numpy.  This module runs
+them on the rows of a ``Graph`` (``pair_rows``): ``MultiPairConfig``,
+``bad_pair_count``, ``triangle_bound``, ``book_bound`` and
+``classify_pairs`` are thin adapters, which the command line uses once a
+block passes ``ORACLE_SIDE_CAP``.  Below it, ``lemma-check`` and
+``classify`` read their rows off the graph6 line and never load this
+module.  The sampled search, the fallback past the cap, is the one numpy
+scan here; its deviation tests are cleared of denominators up front: they
+compare int64 arrays against limits computed from eps in Python ints.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -26,13 +31,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .graphs import BookCertificate, Graph, vertex_mask
+from .graphs import BookCertificate, Graph
 from .numbers import as_fraction
-from .oracle import ORACLE_SIDE_CAP, check_sides, first_witness, oracle_floors, size_floor
+from .oracle import ORACLE_SIDE_CAP, check_sides, first_witness, oracle_floors, size_floor  # noqa: F401  (part of this module's API)
 from .rng import stream_values
 
 if TYPE_CHECKING:
     from .colorings import TwoColoring
+    from .counting import RowSource
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class BipartitePairView:
 
     def b_rows(self) -> list[int]:
         """For each b in B, the bitmask of its neighbors over A positions."""
-        return [sum(1 << k for k in np.flatnonzero(col).tolist()) for col in self.cross().T]
+        return pair_rows(self.host)(self.A, self.B)
 
 
 @dataclass(frozen=True)
@@ -198,31 +204,24 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
 
 
 # ------------------------------------------------------- multipair bounds
+# Adapters of ``counting`` on a decoded graph's rows.
 
 
-def _check_blocks(blocks: Sequence[Sequence[int]]) -> int:
-    """Common size t of a nonempty list of pairwise disjoint blocks."""
-    t = len(blocks[0])
-    if t == 0 or any(len(b) != t for b in blocks):
-        raise ValueError("all blocks must share one nonzero size")
-    seen = 0
-    for b in blocks:
-        mb = vertex_mask(b)
-        if mb & seen:
-            raise ValueError("blocks must be pairwise disjoint")
-        seen |= mb
-    return t
+def pair_rows(g: Graph) -> RowSource:
+    """The row source of a graph (``counting``): rows(A, B)[j] is the
+    bitmask of the neighbours of B[j] over the positions of A."""
+
+    def rows(A: Sequence[int], B: Sequence[int]) -> list[int]:
+        packed = np.packbits(g.adjacency(B, A), axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    return rows
 
 
 @dataclass(frozen=True)
 class MultiPairConfig:
-    """One or two base blocks plus k page blocks, all of size t.
-
-    Densities are taken from the host graph, so the counting hypotheses
-    e(A_i, B_j) >= d_ij t^2 hold with equality.  Whether each (base,
-    page) pair is eps-uniform is the caller's concern; the bound holds
-    whenever they are.
-    """
+    """One or two base blocks plus k page blocks, all of size t, of a
+    host graph: ``counting.MultiPair`` on its rows, refused alike."""
 
     host: Graph
     bases: tuple[tuple[int, ...], ...]
@@ -230,110 +229,43 @@ class MultiPairConfig:
     epsilon: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", tuple(tuple(b) for b in self.bases))
-        object.__setattr__(self, "pages", tuple(tuple(p) for p in self.pages))
+        from .counting import MultiPair  # imported when used: the sampled search needs none of counting
+
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        if len(self.bases) not in (1, 2):
-            raise ValueError("need one or two base blocks")
-        if not self.pages:
-            raise ValueError("need at least one page block")
-        _check_blocks([*self.bases, *self.pages])
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        counts = MultiPair(pair_rows(self.host), self.host.n, self.bases, self.pages, self.epsilon)
+        object.__setattr__(self, "bases", counts.bases)
+        object.__setattr__(self, "pages", counts.pages)
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def t(self) -> int:
-        return len(self.bases[0])
+        return self._counts.t
 
     @property
     def k(self) -> int:
-        return len(self.pages)
+        return self._counts.k
 
     def base_pair(self, i: int, j: int) -> BipartitePairView:
         return BipartitePairView(self.host, self.bases[i], self.pages[j])
 
     def densities(self, i: int) -> list[Fraction]:
-        return [self.base_pair(i, j).density for j in range(self.k)]
-
-
-def _codegrees(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
-    """Common entries of each row of one bool matrix with each row of
-    another, as a float32 product (exact below 2**24 columns)."""
-    return rows1.astype(np.float32) @ rows2.T.astype(np.float32)
-
-
-def _form_terms(
-    cfg: MultiPairConfig,
-) -> tuple[list[tuple[int, int]], np.ndarray, list[int], Fraction]:
-    """(base edges, their page counts, pages, density term) of a config.
-
-    One base: the edges inside A in lexicographic order and sum d_i^2.
-    Two bases: the edges from A1 to A2, in A1's given order, and
-    sum d_1i d_2i.  The page count of a base edge uv is
-    |N(u) cap N(v) cap pages|.
-    """
-    shared = len(cfg.bases) == 1
-    cols = sorted(set(cfg.bases[-1]))
-    rows = cols if shared else list(cfg.bases[0])
-    adj = cfg.host.adjacency(rows, cols)
-    iu, iv = np.nonzero(np.triu(adj, k=1) if shared else adj)
-    edges = [(rows[i], cols[j]) for i, j in zip(iu.tolist(), iv.tolist())]
-    # one base pairs with itself: sum d_i * d_i
-    d = [cfg.densities(i) for i in range(len(cfg.bases))]
-    term = sum(a * b for a, b in zip(d[0], d[-1]))
-    pages = sorted({v for p in cfg.pages for v in p})
-    pages_of = [cfg.host.adjacency(side, pages) for side in (rows, cols)]
-    counts = _codegrees(*pages_of)[iu, iv].astype(np.int64)
-    return edges, counts, pages, term
+        return self._counts.densities(i)
 
 
 def bad_pair_count(cfg: MultiPairConfig, j: int) -> int | None:
-    """Pairs of base vertices whose codegree into page block j is at most
-    (d_1 - eps)(d_2 - eps) t, d_i the density from base i to page j.
-
-    One base (d_1 = d_2): unordered {u, v} in A, and eps < d is required.
-    Two bases: ordered (u, v) in A1 x A2, and 2 eps <= d_i for both.
-    None when page j's density misses that precondition: no bound applies.
-    """
-    eps = cfg.epsilon
-    pairs = [cfg.base_pair(i, j) for i in range(len(cfg.bases))]
-    d = [p.density for p in pairs]
-    if not (eps < d[0] if len(pairs) == 1 else 2 * eps <= min(d)):
-        return None
-    thr = (d[0] - eps) * (d[-1] - eps) * cfg.t
-    rows = [p.cross() for p in pairs]
-    low = _codegrees(rows[0], rows[-1]) <= math.floor(thr)
-    return int(np.count_nonzero(np.triu(low, k=1) if len(pairs) == 1 else low))
+    """``counting.MultiPair.bad_pair_count``."""
+    return cfg._counts.bad_pair_count(j)
 
 
 def triangle_bound(cfg: MultiPairConfig) -> tuple[Fraction, int]:
-    """Lower bound vs exact count of triangles on a base edge and a page vertex.
-
-    bound = t (e - 2 eps t^2) sum d_1i d_2i  -  2 eps k t e, where e is
-    e(A) for one base (d_1i = d_2i) and e(A1, A2) for two.
-    """
-    edges, counts, _, term = _form_terms(cfg)
-    t, k, eps, e = cfg.t, cfg.k, cfg.epsilon, len(edges)
-    bound = t * (e - 2 * eps * t * t) * term - 2 * eps * k * t * e
-    return bound, int(counts.sum())
+    """``counting.MultiPair.triangle_bound``."""
+    return cfg._counts.triangle_bound()
 
 
 def book_bound(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate] | None:
-    """Averaged form: some base edge carries a page-block book of size at
-    least t (1 - 2 eps t^2 / e) sum d_1i d_2i - 2 eps k t, the terms as in
-    ``triangle_bound``; the certificate is the first largest book in the
-    base-edge order.  None when the base block(s) span no edges: no book
-    bound applies.
-    """
-    edges, counts, pages, term = _form_terms(cfg)
-    if not edges:
-        return None
-    t, k, eps = cfg.t, cfg.k, cfg.epsilon
-    bound = t * (1 - Fraction(2 * eps * t * t, len(edges))) * term - 2 * eps * k * t
-    u, v = edges[int(counts.argmax())]
-    both = cfg.host.adjacency([u, v], pages).all(axis=0)
-    pages_of_uv = frozenset(np.asarray(pages)[both].tolist())
-    return bound, BookCertificate(base=(min(u, v), max(u, v)), pages=pages_of_uv)
+    """``counting.MultiPair.book_bound``, its book as a certificate."""
+    book = cfg._counts.book_bound()
+    return None if book is None else (book[0], BookCertificate(base=book[1], pages=book[2]))
 
 
 # ---------------------------------------------------------- pair labeling
@@ -349,47 +281,15 @@ def classify_pairs(
     samples: int = 500,
     seed: int = 0,
 ) -> list[dict]:
-    """Label every block pair irr / blue / mid / red.
+    """``counting.classify`` on the blue graph's rows; blocks above the
+    oracle cap fall back to ``nonuniformity_search`` on the red graph.
+    Uniformity is judged on the red graph, which is equivalent to judging
+    the blue graph since complement densities deviate identically."""
+    from .counting import classify
 
-    A pair is irr when not eps-uniform; otherwise its red density d
-    decides: blue when d < beta, mid when beta <= d < 1 - gamma, red when
-    d >= 1 - gamma.  Uniformity is judged on the red graph, which is
-    equivalent to judging the blue graph since complement densities
-    deviate identically.  Blocks within the oracle cap are decided
-    exactly; larger ones fall back to the sampled search, recorded per
-    pair since finding no witness does not prove uniformity.
-    """
     eps, beta, gamma = as_fraction(eps), as_fraction(beta), as_fraction(gamma)
-    if not (0 < beta < 1 and 0 < gamma < 1):
-        raise ValueError("beta and gamma must lie in (0, 1)")
-    blocks = [tuple(b) for b in blocks]
-    if not blocks:
-        raise ValueError("need at least one block")
-    t = _check_blocks(blocks)
 
-    red = c.red
-    out = []
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            pair = BipartitePairView(red, blocks[i], blocks[j])
-            if t <= ORACLE_SIDE_CAP:
-                verdict = uniformity_oracle(pair, eps)
-                nonuniform = not verdict.uniform
-                method = "oracle"
-            else:
-                witness = nonuniformity_search(pair, eps, samples=samples, seed=seed)
-                nonuniform = witness is not None
-                method = "search"
-            d = pair.density
-            if nonuniform:
-                label = "irr"
-            elif d < beta:
-                label = "blue"
-            elif d < 1 - gamma:
-                label = "mid"
-            else:
-                label = "red"
-            out.append(
-                {"pair": (i, j), "label": label, "red_density": d, "method": method}
-            )
-    return out
+    def search(A, B):
+        return nonuniformity_search(BipartitePairView(c.red, A, B), eps, samples=samples, seed=seed)
+
+    return classify(pair_rows(c.blue), c.n, blocks, eps, beta, gamma, search)

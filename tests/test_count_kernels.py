@@ -4,30 +4,46 @@ vertex classification, against the bigint loops they replaced.
 Each reference below is the loop regularity.py and stability.py ran over
 Python-int adjacency rows before ``Graph`` stored packed words; the
 package must agree with it exactly: the same counts, the same first
-largest book, the same classes and the same errors.
+largest book, the same classes and the same errors.  The command line's
+``lemma-check`` and ``classify``, which read their rows off the graph6
+line while every block is within the oracle cap and decode the graph
+past it, must give the payloads that these references and the Graph API
+give.
 """
 
+import contextlib
+import csv
+import io
 import itertools
+import json
 from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bookramsey.graphs import bits_of, vertex_mask
+from bookramsey import cli
+from bookramsey.colorings import TwoColoring
+from bookramsey.counting import vertex_mask
+from bookramsey.graphs import bits_of
+from bookramsey.numbers import fraction_str
 from bookramsey.regularity import (
+    ORACLE_SIDE_CAP,
     BipartitePairView,
     MultiPairConfig,
     bad_pair_count,
     book_bound,
     check_witness,
+    classify_pairs,
     triangle_bound,
+    uniformity_oracle,
 )
 from bookramsey.stability import blue_book_bound, classify, red_book_bound
 
-from helpers import classification_report, graph_of
+from helpers import classification_report, graph_of, to_graph6
+from test_structure_kernels import ref_uniformity_oracle
 
 # ---------------------------------------------------------------- references
 
@@ -195,3 +211,213 @@ def test_witness_check_counts_like_the_bigint_loop(seed, n, data):
         -eps.numerator * (n - cut) // eps.denominator
     )
     assert check_witness(pair, eps, X, Y) == (floor_ok and abs(d - pair.density) > eps)
+
+
+# ------------------------------------------------- the command line's routes
+
+REF_ORACLE_SIDE = 10  # the reference oracle scans 2^t subsets per pair: past this, too slow to run often
+
+
+def run_main(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def planted_host(t, nbases, k, p_base, p_page, seed):
+    """A host on the blocks 0..t-1, t..2t-1, ...: edges among the bases
+    with probability p_base, from bases to pages with p_page, between
+    pages with 1/2; blocks[:nbases] are the bases."""
+    rng = np.random.default_rng(seed)
+    n = t * (nbases + k)
+    block = np.arange(n) // t
+    base = block < nbases
+    p = np.where(base[:, None] & base[None, :], p_base, np.where(base[:, None] | base[None, :], p_page, 0.5))
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    return graph_of(upper | upper.T), [list(range(i * t, (i + 1) * t)) for i in range(nbases + k)]
+
+
+def graph_api_lemma(host, blocks, nbases, eps) -> dict:
+    """The ``lemma-check`` results built from the Graph API: the
+    ``regularity`` adapters and ``uniformity_oracle`` on pair views."""
+    cfg = MultiPairConfig(host, blocks[:nbases], blocks[nbases:], eps)
+    t, k = cfg.t, cfg.k
+    form = "shared" if nbases == 1 else "cross"
+    pairs = [
+        {"base": i, "page": j, "uniform": uniformity_oracle(cfg.base_pair(i, j), eps).uniform if t <= ORACLE_SIDE_CAP else None}
+        for i in range(nbases)
+        for j in range(k)
+    ]
+    verdicts = {p["uniform"] for p in pairs}
+    all_uniform = None if None in verdicts else verdicts == {True}
+    cap = 2 * eps * t * t
+    rows = []
+    for j in range(k):
+        cnt = bad_pair_count(cfg, j)
+        rows.append({"check": f"bad_pairs_{form}", "page": j, "bound": cap, "actual": cnt, "satisfied": None if cnt is None else cnt <= cap})
+    bound, actual = triangle_bound(cfg)
+    rows.append({"check": f"triangle_{form}", "bound": bound, "actual": actual, "satisfied": actual >= bound})
+    book = book_bound(cfg)
+    if book is not None:
+        bound, cert = book
+        rows.append({"check": f"book_{form}", "bound": bound, "actual": cert.size, "satisfied": cert.size >= bound})
+    return {
+        "t": t,
+        "k": k,
+        "epsilon": eps,
+        "bases": nbases,
+        "pairs_uniform": pairs,
+        "all_pairs_uniform": all_uniform,
+        "checks": rows,
+        "book_base": None if book is None else list(cert.base),
+        "violations": sum(all_uniform is True and row["satisfied"] is False for row in rows),
+        "bounds_checked": len(rows),
+        "positive_bounds": sum("page" not in row and row["bound"] > 0 for row in rows),
+    }
+
+
+def check_against_references(host, blocks, nbases, eps, want) -> None:
+    """The Graph-API payload against the bigint loops: the bad pairs, the
+    triangle count and the first largest book, and (for small blocks)
+    the oracle verdicts."""
+    cfg = MultiPairConfig(host, blocks[:nbases], blocks[nbases:], eps)
+    t, k, A1, A2 = cfg.t, cfg.k, cfg.bases[0], cfg.bases[-1]
+    rows = {row["check"].split("_")[0] + str(row.get("page", "")): row for row in want["checks"]}
+    for j in range(k):
+        assert (rows[f"bad{j}"]["bound"], rows[f"bad{j}"]["actual"]) == (2 * eps * t * t, ref_bad_pairs(cfg, j))
+    # the bounds from their formulas, on densities and edge counts of the reference loops
+    d = [[Fraction(ref_cross_count(host, A, P), t * t) for P in cfg.pages] for A in cfg.bases]
+    term = sum(a * b for a, b in zip(d[0], d[-1]))
+    e = ref_cross_count(host, A1, A2) // (2 if nbases == 1 else 1)
+    total, book = ref_books(cfg)
+    assert rows["triangle"]["bound"] == t * (e - 2 * eps * t * t) * term - 2 * eps * k * t * e
+    assert rows["triangle"]["actual"] == total
+    if book is None:
+        assert e == 0 and "book" not in rows and want["book_base"] is None
+    else:
+        assert rows["book"]["bound"] == t * (1 - 2 * eps * t * t / e) * term - 2 * eps * k * t
+        assert (tuple(want["book_base"]), rows["book"]["actual"]) == (book[0], len(book[1]))
+    if cfg.t <= REF_ORACLE_SIDE:
+        for p in want["pairs_uniform"]:
+            assert p["uniform"] == ref_uniformity_oracle(cfg.base_pair(p["base"], p["page"]), eps).uniform
+
+
+def lemma_cli_matches(tmp_dir, host, blocks, nbases, eps) -> dict:
+    """Run ``lemma-check`` as JSON and as CSV and check both against the
+    Graph API; returns the results."""
+    path = tmp_dir / "lemma.json"
+    path.write_text(json.dumps({"graph": to_graph6(host), "blocks": blocks, "epsilon": str(eps), "bases": nbases}))
+    want = graph_api_lemma(host, blocks, nbases, eps)
+    code, out, _ = run_main("lemma-check", path)
+    assert code == (10 if want["violations"] else 0)
+    assert json.loads(out)["results"] == cli.jsonable(want)
+    code, out, _ = run_main("lemma-check", path, "--format", "csv")
+    table = list(csv.reader(io.StringIO(out)))
+    assert table[0] == ["check", "page", "bound", "actual", "satisfied"]
+    assert table[1:] == [
+        ["" if row.get(f) is None else fraction_str(row[f]) if isinstance(row[f], Fraction) else str(row[f])
+         for f in ("check", "page", "bound", "actual", "satisfied")]
+        for row in want["checks"]
+    ]
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, ORACLE_SIDE_CAP),
+    st.sampled_from([1, 2]),
+    st.integers(1, 2),
+    st.fractions(Fraction(1, 1000), Fraction(1, 2), max_denominator=1000),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.sampled_from([0.0, 0.2, 0.6, 0.95]),
+    st.integers(0, 2**32 - 1),
+)
+@example(t=5, nbases=1, k=2, eps=Fraction(1, 10), p_base=0.7, p_page=0.0, seed=1)  # pages fail the precondition
+@example(t=5, nbases=2, k=1, eps=Fraction(1, 10), p_base=0.0, p_page=0.6, seed=2)  # edgeless bases: no book row
+def test_lemma_check_cli_matches_the_graph_api_and_the_references(tmp_path_factory, t, nbases, k, eps, p_base, p_page, seed):
+    host, blocks = planted_host(t, nbases, k, p_base, p_page, seed)
+    tmp_dir = tmp_path_factory.mktemp("lemma")
+    want = lemma_cli_matches(tmp_dir, host, blocks, nbases, eps)
+    check_against_references(host, blocks, nbases, eps, want)
+
+
+@pytest.mark.parametrize(
+    "nbases, p_base, p_page, row",
+    [(1, 0.7, 0.0, "null actual"), (2, 0.0, 0.6, "no book")],
+)
+def test_lemma_check_cli_covers_the_rows_without_a_bound(tmp_path, nbases, p_base, p_page, row):
+    host, blocks = planted_host(5, nbases, 2, p_base, p_page, 1)
+    want = lemma_cli_matches(tmp_path, host, blocks, nbases, Fraction(1, 10))
+    check_against_references(host, blocks, nbases, Fraction(1, 10), want)
+    if row == "null actual":
+        assert [r["actual"] for r in want["checks"] if r["check"].startswith("bad")] == [None, None]
+    else:
+        assert want["book_base"] is None and not any(r["check"].startswith("book") for r in want["checks"])
+
+
+@pytest.mark.parametrize("t", [ORACLE_SIDE_CAP, ORACLE_SIDE_CAP + 1])
+@pytest.mark.parametrize("nbases", [1, 2])
+def test_lemma_check_on_both_sides_of_the_oracle_cap(tmp_path, t, nbases):
+    host, blocks = planted_host(t, nbases, 2, 0.5, 0.9, t + nbases)
+    want = lemma_cli_matches(tmp_path, host, blocks, nbases, Fraction(1, 50))
+    check_against_references(host, blocks, nbases, Fraction(1, 50), want)
+    assert (want["all_pairs_uniform"] is None) == (t > ORACLE_SIDE_CAP)
+
+
+def ref_labels(c, blocks, eps, beta, gamma) -> list[dict]:
+    """classify's labels from the reference oracle on the red graph."""
+    out = []
+    for (i, A), (j, B) in itertools.combinations(enumerate(blocks), 2):
+        pair = BipartitePairView(c.red, A, B)
+        d = Fraction(ref_cross_count(c.red, A, B), len(A) * len(B))
+        label = (
+            "irr" if not ref_uniformity_oracle(pair, eps).uniform
+            else "blue" if d < beta else "mid" if d < 1 - gamma else "red"
+        )
+        out.append({"pair": [i, j], "label": label, "red_density": fraction_str(d), "method": "oracle"})
+    return out
+
+
+def classify_cli(tmp_dir, host, blocks, eps, beta, gamma, seed=0, samples=100) -> dict:
+    path = tmp_dir / "classify.json"
+    cfg = {"graph": to_graph6(host), "blocks": blocks, "epsilon": str(eps), "beta": str(beta), "gamma": str(gamma)}
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_main("classify", path, "--seed", seed, "--samples", samples)
+    assert code == 0
+    return json.loads(out)["results"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, REF_ORACLE_SIDE),
+    st.integers(2, 4),
+    st.fractions(Fraction(1, 1000), Fraction(1, 2), max_denominator=1000),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+    st.sampled_from([Fraction(1, 5), Fraction(1, 4), Fraction(1, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_classify_cli_matches_the_references(tmp_path_factory, t, nblocks, eps, beta, gamma, seed):
+    rng = np.random.default_rng(seed)
+    host = graph_of(random_graph(rng, t * nblocks, float(rng.random())))
+    blocks = [list(range(i * t, (i + 1) * t)) for i in range(nblocks)]
+    res = classify_cli(tmp_path_factory.mktemp("classify"), host, blocks, eps, beta, gamma)
+    assert res["labels"] == ref_labels(TwoColoring(host), blocks, eps, beta, gamma)
+
+
+@pytest.mark.parametrize("t", [ORACLE_SIDE_CAP, ORACLE_SIDE_CAP + 1])
+def test_classify_on_both_sides_of_the_oracle_cap(tmp_path, t):
+    # block 0 has no blue edge to the others (two red pairs), and blocks 1
+    # and 2 span a half graph (an irr pair), on both sides of the cap
+    host, blocks = planted_host(t, 3, 0, 0.5, 0.5, 7)
+    adj = host.adjacency()
+    adj[:t, t:] = adj[t:, :t] = False
+    adj[t:2 * t, 2 * t:] = np.arange(t)[:, None] <= np.arange(t)[None, :]
+    adj[2 * t:, t:2 * t] = adj[t:2 * t, 2 * t:].T
+    host = graph_of(adj)
+    eps, beta, gamma = Fraction(1, 10), Fraction(1, 4), Fraction(1, 4)
+    res = classify_cli(tmp_path, host, blocks, eps, beta, gamma, seed=3)
+    labels = classify_pairs(TwoColoring(host), blocks, eps, beta, gamma, samples=100, seed=3)
+    assert res["labels"] == cli.jsonable(labels)
+    assert {row["method"] for row in labels} == {"oracle" if t <= ORACLE_SIDE_CAP else "search"}
+    assert [row["label"] for row in labels] == ["red", "red", "irr"]

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookramsey.colorings import TwoColoring
-from bookramsey.graphs import Graph, bits_of, vertex_mask
+from bookramsey.counting import vertex_mask
+from bookramsey.graphs import Graph, bits_of
 
 from helpers import graph_of, to_graph6
 

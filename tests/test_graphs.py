@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bookramsey.counting import vertex_mask
 from bookramsey.errors import ParseError
 from bookramsey.graphs import (
     BookCertificate,
     Graph,
     bits_of,
-    vertex_mask,
 )
 
 from helpers import check_certificate, codegree, degree, edge_list, from_edges, graph_of, to_graph6

@@ -1,7 +1,8 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
 graphs.py multiplies codegrees in one place, the command line starts
-without loading the numeric modules, ``verify`` and the ``uniformity``
-oracle run without them, no random draw loads numpy's random module (the
+without loading the numeric modules, ``verify``, the ``uniformity``
+oracle, and ``lemma-check`` and ``classify`` on blocks within the oracle
+cap run without them, no random draw loads numpy's random module (the
 package's one generator is ``rng``), and only colex.py writes or reads
 the hex of a BRC1 payload.
 
@@ -186,6 +187,31 @@ def test_uniformity_oracle_loads_no_numeric_module(tmp_path):
     assert sorted(loaded & {*NUMERIC_MODULES, "bookramsey.regularity"}) == []
 
 
+def test_lemma_check_and_classify_within_the_cap_load_no_numeric_module(tmp_path):
+    # blocks within the oracle cap: the counting bounds and pair labels run
+    # on bits read off the graph6 line, in a process without numpy
+    t = ORACLE_SIDE_CAP
+    host = from_edges(3 * t, [(i, j) for i in range(3 * t) for j in range(i + 1, 3 * t) if (i * j + i + j) % 3])
+    blocks = [list(range(i * t, (i + 1) * t)) for i in range(3)]
+    configs = {
+        "one_base.json": {"graph": to_graph6(host), "blocks": blocks, "epsilon": "1/20", "bases": 1},
+        "two_bases.json": {"graph": to_graph6(host), "blocks": blocks, "epsilon": "1/20", "bases": 2},
+        "zero_eps.json": {"graph": to_graph6(host), "blocks": blocks, "epsilon": "0", "bases": 1},
+        "classify.json": {"graph": to_graph6(host), "blocks": blocks, "epsilon": "1/4", "beta": "1/4", "gamma": "1/4"},
+    }
+    for name, cfg in configs.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
+    codes, loaded = run_in_one_process([
+        ["lemma-check", str(tmp_path / "one_base.json")],
+        ["lemma-check", str(tmp_path / "two_bases.json"), "--format", "csv"],
+        ["lemma-check", str(tmp_path / "zero_eps.json")],
+        ["classify", str(tmp_path / "classify.json")],
+    ])
+    assert codes == [0, 0, 2, 0]
+    assert {"bookramsey.counting", "bookramsey.oracle", "bookramsey.graph6"} <= loaded
+    assert sorted(loaded & {*NUMERIC_MODULES, "bookramsey.regularity", "bookramsey.stability"}) == []
+
+
 def test_regularity_loads_no_colorings():
     # regularity names TwoColoring in one annotation only
     script = "import json, sys\nimport bookramsey.regularity\nprint(json.dumps(sorted(sys.modules)))\n"
@@ -283,7 +309,7 @@ def test_colex_helpers_have_one_numpy_free_definition():
 
 
 def test_oracle_imports_no_numpy():
-    for name in ("oracle.py", "graph6.py"):
+    for name in ("oracle.py", "graph6.py", "counting.py"):
         assert "numpy" not in module_imports((PACKAGE / name).read_text(encoding="utf-8")), name
     assert "numpy" in module_imports("def f():\n    import numpy.linalg\n")
 

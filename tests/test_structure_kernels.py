@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookramsey import cli
+from bookramsey.counting import vertex_mask
 from bookramsey.errors import CapacityError
-from bookramsey.graphs import Graph, bits_of, vertex_mask
+from bookramsey.graphs import Graph, bits_of
 from bookramsey.numbers import as_fraction
 from bookramsey.oracle import first_witness
 from bookramsey.regularity import (
