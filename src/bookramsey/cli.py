@@ -18,11 +18,12 @@ package's error and number helpers, and each handler imports the library
 modules it uses when it runs, so wall_time_ms includes loading them.
 ``verify`` loads ``ramsey`` and ``colex`` only.  ``uniformity``
 without ``--sampled`` loads ``oracle``, ``graph6`` and ``colex`` only,
-reading its pair's bits straight off the graph6 line, and so do
-``lemma-check`` and ``classify``, with ``counting``, while every block is
-within the oracle cap (16): none of these loads numpy.  Past the cap,
-those two decode the graph and load numpy and ``regularity``; the other
-commands load numpy with the modules they use.  The
+reading its pair's rows straight off the graph6 line, and so does
+``lemma-check``, with ``counting``, at every block size: neither loads
+numpy.  ``classify`` reads its rows the same way; a block past the
+oracle cap (16) has it decode the graph, with numpy and ``regularity``,
+for its sampled search.  The other commands load numpy with the modules
+they use.  The
 process entry ``entry`` runs ``main`` and then freezes the garbage
 collector before exiting; ``main(argv)`` itself, as tests and in-process
 callers use it, leaves the collector alone.
@@ -36,6 +37,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from numbers import Integral
 
 from . import __version__
@@ -96,13 +98,12 @@ def _vertex_lists(raw, n, count, message):
     return [tuple(b) for b in raw]
 
 
-def load_config(path, required=(), decode=True) -> dict:
+def load_config(path, required=(), decode=False) -> dict:
     """JSON descriptor: {graph: graph6, blocks: [[...],...], epsilon, ...} plus `required` fields.
 
-    The graph becomes a ``Graph``; unless ``decode``, it stays the order
-    and the checked data of its graph6 line (``graph6.graph6_data``), and
-    no numpy is loaded.  ``decode`` may be a predicate on the blocks as
-    read, before they are checked.
+    The graph becomes the order and the checked data of its graph6 line
+    (``graph6.graph6_data``), read without numpy, and the line's text is
+    kept as "graph6"; with ``decode``, the graph becomes a ``Graph``.
     """
     cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
@@ -110,7 +111,7 @@ def load_config(path, required=(), decode=True) -> dict:
     for field in ("graph", "blocks", "epsilon", *required):
         if field not in cfg:
             raise ParseError(f"config needs '{field}'", line=1)
-    if decode is True or decode and decode(cfg["blocks"]):
+    if decode:
         from .graphs import Graph
 
         cfg["graph"] = Graph.from_graph6(str(cfg["graph"]))
@@ -118,7 +119,8 @@ def load_config(path, required=(), decode=True) -> dict:
     else:
         from .graph6 import graph6_data
 
-        cfg["graph"] = graph6_data(str(cfg["graph"]))
+        cfg["graph6"] = str(cfg["graph"])
+        cfg["graph"] = graph6_data(cfg["graph6"])
         n = cfg["graph"][0]
     cfg["blocks"] = _vertex_lists(cfg["blocks"], n, None, "'blocks' must be a list of vertex lists")
     return cfg
@@ -324,19 +326,21 @@ LEMMA_FIELDS = ("check", "page", "bound", "actual", "satisfied")
 
 
 def cmd_lemma_check(args):
-    """Counting bounds on Python-int rows (``counting.MultiPair``); blocks
-    within the oracle cap are read off the graph6 line, without numpy."""
-    from .counting import MultiPair, config_rows, past_cap
+    """Counting bounds on Python-int rows (``counting.MultiPair``), read
+    off the graph6 line at every block size, without numpy."""
+    from .counting import MultiPair
+    from .graph6 import graph6_pair_rows
     from .oracle import ORACLE_SIDE_CAP
 
-    cfg = load_config(args.config, decode=past_cap)
+    cfg = load_config(args.config)
     eps = as_fraction(cfg["epsilon"])
     nbases = cfg.get("bases", 1)
     if type(nbases) is not int or nbases not in (1, 2):
         raise ValueError("'bases' must be 1 or 2")
     if len(cfg["blocks"]) < nbases + 1:
         raise ValueError("need at least one page block after the bases")
-    mp = MultiPair(*config_rows(cfg["graph"]), cfg["blocks"][:nbases], cfg["blocks"][nbases:], eps)
+    n, data = cfg["graph"]
+    mp = MultiPair(partial(graph6_pair_rows, data), n, cfg["blocks"][:nbases], cfg["blocks"][nbases:], eps)
     if eps <= 0:  # the oracle's refusal, at every t and before any pair is scanned
         raise ValueError("eps must be positive")
     if args.format == "json":  # the CSV rows print no epsilon
@@ -396,21 +400,28 @@ def lemma_csv(results) -> str:
 
 
 def cmd_classify(args):
-    """``counting.classify``: blocks within the oracle cap are read off the
-    graph6 line and labelled without numpy; larger ones go through
-    ``regularity.classify_pairs`` and its sampled search."""
-    from .counting import classify, config_rows, past_cap
+    """``counting.classify`` on rows read off the graph6 line; a pair past
+    the oracle cap goes to ``regularity.nonuniformity_search`` on the red
+    graph, decoded from the config's text when the first one comes."""
+    from .counting import classify
+    from .graph6 import graph6_pair_rows
 
-    cfg = load_config(args.config, required=("beta", "gamma"), decode=past_cap)
+    cfg = load_config(args.config, required=("beta", "gamma"))
     eps, beta, gamma = (as_fraction(cfg[name]) for name in ("epsilon", "beta", "gamma"))
-    if isinstance(cfg["graph"], tuple):
-        labels = classify(*config_rows(cfg["graph"]), cfg["blocks"], eps, beta, gamma)
-    else:
-        from .colorings import TwoColoring
-        from .regularity import classify_pairs
+    red = []  # the red graph, once a pair needs it
 
-        c = TwoColoring(cfg["graph"])
-        labels = classify_pairs(c, cfg["blocks"], eps, beta, gamma, samples=args.samples, seed=args.seed)
+    def search(A, B):
+        from .regularity import BipartitePairView, nonuniformity_search
+
+        if not red:
+            from .graphs import Graph
+
+            # a fresh decode: Graph.from_graph6 rewrites the bytes it reads in place
+            red.append(Graph.from_graph6(cfg["graph6"]).complement())
+        return nonuniformity_search(BipartitePairView(red[0], A, B), eps, samples=args.samples, seed=args.seed)
+
+    n, data = cfg["graph"]
+    labels = classify(partial(graph6_pair_rows, data), n, cfg["blocks"], eps, beta, gamma, search)
     counts = {"irr": 0, "blue": 0, "mid": 0, "red": 0}
     for row in labels:
         counts[row["label"]] += 1

@@ -3,12 +3,9 @@
 Everything here is read from a row source ``rows(A, B)``: for each b in
 B, the bitmask of its neighbours over the positions of A (A and B may
 meet).  The command line passes ``graph6.graph6_pair_rows`` on the held
-graph6 line while every block is within ``ORACLE_SIDE_CAP``, so
-``lemma-check`` and ``classify`` then load no numpy; past it, the rows
-of the decoded ``Graph`` (``regularity.pair_rows``); ``config_rows``
-picks one.  ``regularity``'s ``MultiPairConfig``, ``bad_pair_count``,
-``triangle_bound``, ``book_bound`` and ``classify_pairs`` are adapters
-of this module.
+graph6 line at every block size, so ``lemma-check`` loads no numpy, and
+``classify`` loads it only for its sampled search, once a block passes
+``ORACLE_SIDE_CAP``.
 
 A config is one or two base blocks and k page blocks, all of size t.
 Densities are popcounts over t^2, so the counting hypotheses
@@ -30,28 +27,9 @@ from operator import add
 from typing import Callable, Sequence
 
 from .colex import bits_of
-from .graph6 import graph6_pair_rows
 from .oracle import ORACLE_SIDE_CAP, check_sides, first_witness
 
 RowSource = Callable[[Sequence[int], Sequence[int]], list[int]]
-
-
-def past_cap(blocks) -> bool:
-    """Whether some block of a config, as read and not yet checked, may
-    pass ORACLE_SIDE_CAP: then the command line decodes the graph."""
-    return not (isinstance(blocks, list) and all(isinstance(b, list) and len(b) <= ORACLE_SIDE_CAP for b in blocks))
-
-
-def config_rows(graph) -> tuple[RowSource, int]:
-    """(rows, n) of a config's graph: the bits of a held graph6 line
-    (``graph6.graph6_data``), or a decoded ``Graph``'s rows, which load
-    numpy (``regularity.pair_rows``)."""
-    if isinstance(graph, tuple):
-        n, data = graph
-        return (lambda A, B: graph6_pair_rows(data, A, B)), n
-    from .regularity import pair_rows
-
-    return pair_rows(graph), graph.n
 
 
 def vertex_mask(vertices) -> int:

@@ -7,10 +7,10 @@ form holds n <= 62 in one character; the long form, "~" and three
 characters, n <= 258047, of which orders up to GRAPH6_ORDER_CAP are
 read.  ``graph6_data`` checks a line and holds it once, as bytes;
 ``Graph.from_graph6`` decodes those to words, and ``graph6_pair_rows``
-reads only the bits between two vertex sets, so the ``uniformity``
-oracle runs without numpy and without the words.  It is a module of its
-own so that a ``verify`` process, which loads ``colex``, never compiles
-it.
+reads the rows of a pair of vertex sets off them at any size, so the
+``uniformity`` oracle, ``lemma-check`` and ``classify`` run without
+numpy and without the words.  It is a module of its own so that a
+``verify`` process never compiles it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .colex import edge_index
 from .errors import CapacityError, ParseError
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -71,15 +70,35 @@ def graph6_data(text: str, line: int = 1, start: int = 0, end: int | None = None
 
 def graph6_pair_rows(data: Sequence[int], A: Sequence[int], B: Sequence[int]) -> list[int]:
     """For each b in B, the bitmask of its neighbours over the positions
-    of A, read from graph6 data (``graph6_data``): edge k is bit
-    5 - k % 6 of character k // 6, less 63.  Only these |A| |B| bits are
-    read; the sides may meet, and a vertex is no neighbour of itself."""
+    of A, read from graph6 data (``graph6_data``).  The sides may meet,
+    and a vertex is no neighbour of itself.
+
+    The bits of the pairs (u, v), u < v, are one run of the line, from
+    colex index v (v - 1) / 2 on (``_run``); each vertex of A and B has
+    its run read once, and bit a of b's row is bit a of b's run when
+    a < b, bit b of a's run when a > b."""
+    runs = {v: _run(data, v) for v in {*A, *B}}
     out = []
     for b in B:
-        row = 0
-        for pos, a in enumerate(A):
-            if a != b:
-                k = edge_index(a, b)
-                row |= (data[k // 6] - 63 >> 5 - k % 6 & 1) << pos
-        out.append(row)
+        rb = runs[b]
+        out.append(int("0" + "".join([rb[a] if a < b else runs[a][b] if a > b else "0" for a in reversed(A)]), 2))
     return out
+
+
+# each graph6 character as two octal digits, high then low
+_HIGH = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (c >> 3) for c in range(64)))
+_LOW = bytes.maketrans(bytes(range(63, 127)), bytes(48 + (c & 7) for c in range(64)))
+
+
+def _run(data: Sequence[int], v: int) -> str:
+    """The bits of the pairs (u, v), u < v, of graph6 data as a string of
+    "0" and "1", u-th first: the characters that hold them become octal
+    digits behind a leading 1, which ``int`` and ``bin`` turn into six
+    bits each, leading zeros kept."""
+    start = v * (v - 1) // 2
+    first, skip = divmod(start, 6)
+    chars = bytes(data[first : -(-(start + v) // 6)])
+    octal = bytearray(2 * len(chars) + 1)
+    octal[0] = 49  # "1"
+    octal[1::2], octal[2::2] = chars.translate(_HIGH), chars.translate(_LOW)
+    return bin(int(octal, 8))[3 + skip : 3 + skip + v]

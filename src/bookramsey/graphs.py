@@ -50,8 +50,7 @@ class BookCertificate:
     """Witness that a graph contains a book of the stated size.
 
     ``pages`` are common neighbours of the base endpoints, so every page
-    forms a triangle with the base edge; ``from_base`` takes all of
-    them, ``regularity.book_bound`` those in its page blocks.
+    forms a triangle with the base edge; ``from_base`` takes all of them.
     """
 
     base: tuple[int, int]

@@ -20,9 +20,10 @@ the one before, so an early witness ends the scan early.  The lowest
 deviating lane is the first witness X; the same scan over the subsets of
 B, with the counts e(X, Y) as lanes, gives its least Y.
 
-This module imports no numpy: the ``uniformity`` command reads the bits
+This module imports no numpy: the ``uniformity`` command reads the rows
 of its pair off the graph6 line (``graph6.graph6_pair_rows``) and runs
-without it, and ``regularity`` calls the same kernel.
+without it, and ``counting`` calls the same kernel for ``lemma-check``
+and ``classify``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
-"""Uniform-pair machinery on a decoded graph: exact oracle, sampled
-search, and the adapters of the counting bounds and pair labels.
+"""The sampled non-uniformity search on a decoded graph.
 
 A pair (A, B) is eps-uniform when every X in A, Y in B with |X| >= ceil(eps
 |A|), |Y| >= ceil(eps |B|) has |d(X, Y) - d(A, B)| <= eps; a witness to the
@@ -7,17 +6,15 @@ contrary must violate the deviation strictly.  The size floor and the strict
 deviation are fixed conventions here, chosen so the oracle and all bound
 validators agree with each other.
 
-All densities and bounds are exact rationals; "count >= bound" comparisons
-carry no floating-point tolerance.  The exact oracle is the bit-sliced
-kernel of ``oracle``, and the counting bounds and pair labels are the
-popcount loops of ``counting``; neither imports numpy.  This module runs
-them on the rows of a ``Graph`` (``pair_rows``): ``MultiPairConfig``,
-``bad_pair_count``, ``triangle_bound``, ``book_bound`` and
-``classify_pairs`` are thin adapters, which the command line uses once a
-block passes ``ORACLE_SIDE_CAP``.  Below it, ``lemma-check`` and
-``classify`` read their rows off the graph6 line and never load this
-module.  The sampled search, the fallback past the cap, is the one numpy
-scan here; its deviation tests are cleared of denominators up front: they
+All densities are exact rationals; "count >= bound" comparisons carry no
+floating-point tolerance.  The exact oracle is the bit-sliced kernel of
+``oracle``, and the counting bounds and pair labels are the popcount
+loops of ``counting``, both on rows read off the graph6 line
+(``graph6.graph6_pair_rows``); none of them loads numpy.  This module
+holds the sampled search, the fallback past the oracle cap, which reads
+a decoded ``Graph`` through ``BipartitePairView``: the ``uniformity
+--sampled`` command and ``classify``'s blocks above ``ORACLE_SIDE_CAP``
+run it.  Its deviation tests are cleared of denominators up front: they
 compare int64 arrays against limits computed from eps in Python ints.
 """
 
@@ -26,19 +23,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CapacityError
-from .graphs import BookCertificate, Graph
+from .graphs import Graph
 from .numbers import as_fraction
-from .oracle import ORACLE_SIDE_CAP, check_sides, first_witness, oracle_floors, size_floor  # noqa: F401  (part of this module's API)
+from .oracle import check_sides, size_floor
 from .rng import stream_values
-
-if TYPE_CHECKING:
-    from .colorings import TwoColoring
-    from .counting import RowSource
 
 
 @dataclass(frozen=True)
@@ -64,19 +57,6 @@ class BipartitePairView:
     def cross(self) -> np.ndarray:
         """(|A|, |B|) bool matrix: entry [k, j] is set iff A[k] ~ B[j]."""
         return self.host.adjacency(self.A, self.B)
-
-    def b_rows(self) -> list[int]:
-        """For each b in B, the bitmask of its neighbors over A positions."""
-        return pair_rows(self.host)(self.A, self.B)
-
-
-@dataclass(frozen=True)
-class UniformityVerdict:
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-
-    @property
-    def uniform(self) -> bool:
-        return self.witness is None
 
 
 def _count_dtype(na: int, nb: int):
@@ -111,19 +91,6 @@ def _extreme_counts(degs: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     sy - 1 sums its sy smallest (lo) and its sy largest (hi) entries.
     """
     return np.cumsum(degs, dtype=dtype), np.cumsum(degs[::-1], dtype=dtype)
-
-
-def uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
-    """Exhaustive uniformity check over all floor-respecting subset pairs:
-    the bit-sliced kernel ``oracle.first_witness`` on the pair's rows.
-
-    Sides are capped at 16 vertices: larger inputs belong to
-    nonuniformity_search.  The returned witness is the first (X bitmask,
-    Y bitmask) in increasing numeric order over the given side orderings.
-    """
-    eps = as_fraction(eps)
-    oracle_floors(eps, len(pair.A), len(pair.B))  # refuses before the rows are read
-    return UniformityVerdict(first_witness(pair.A, pair.B, pair.b_rows(), eps))
 
 
 def check_witness(pair: BipartitePairView, eps, X: Iterable[int], Y: Iterable[int]) -> bool:
@@ -202,94 +169,3 @@ def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed
                         return tuple(X), tuple(Y)
     return None
 
-
-# ------------------------------------------------------- multipair bounds
-# Adapters of ``counting`` on a decoded graph's rows.
-
-
-def pair_rows(g: Graph) -> RowSource:
-    """The row source of a graph (``counting``): rows(A, B)[j] is the
-    bitmask of the neighbours of B[j] over the positions of A."""
-
-    def rows(A: Sequence[int], B: Sequence[int]) -> list[int]:
-        packed = np.packbits(g.adjacency(B, A), axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    return rows
-
-
-@dataclass(frozen=True)
-class MultiPairConfig:
-    """One or two base blocks plus k page blocks, all of size t, of a
-    host graph: ``counting.MultiPair`` on its rows, refused alike."""
-
-    host: Graph
-    bases: tuple[tuple[int, ...], ...]
-    pages: tuple[tuple[int, ...], ...]
-    epsilon: Fraction
-
-    def __post_init__(self):
-        from .counting import MultiPair  # imported when used: the sampled search needs none of counting
-
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        counts = MultiPair(pair_rows(self.host), self.host.n, self.bases, self.pages, self.epsilon)
-        object.__setattr__(self, "bases", counts.bases)
-        object.__setattr__(self, "pages", counts.pages)
-        object.__setattr__(self, "_counts", counts)
-
-    @property
-    def t(self) -> int:
-        return self._counts.t
-
-    @property
-    def k(self) -> int:
-        return self._counts.k
-
-    def base_pair(self, i: int, j: int) -> BipartitePairView:
-        return BipartitePairView(self.host, self.bases[i], self.pages[j])
-
-    def densities(self, i: int) -> list[Fraction]:
-        return self._counts.densities(i)
-
-
-def bad_pair_count(cfg: MultiPairConfig, j: int) -> int | None:
-    """``counting.MultiPair.bad_pair_count``."""
-    return cfg._counts.bad_pair_count(j)
-
-
-def triangle_bound(cfg: MultiPairConfig) -> tuple[Fraction, int]:
-    """``counting.MultiPair.triangle_bound``."""
-    return cfg._counts.triangle_bound()
-
-
-def book_bound(cfg: MultiPairConfig) -> tuple[Fraction, BookCertificate] | None:
-    """``counting.MultiPair.book_bound``, its book as a certificate."""
-    book = cfg._counts.book_bound()
-    return None if book is None else (book[0], BookCertificate(base=book[1], pages=book[2]))
-
-
-# ---------------------------------------------------------- pair labeling
-
-
-def classify_pairs(
-    c: TwoColoring,
-    blocks: Sequence[Sequence[int]],
-    eps,
-    beta,
-    gamma,
-    *,
-    samples: int = 500,
-    seed: int = 0,
-) -> list[dict]:
-    """``counting.classify`` on the blue graph's rows; blocks above the
-    oracle cap fall back to ``nonuniformity_search`` on the red graph.
-    Uniformity is judged on the red graph, which is equivalent to judging
-    the blue graph since complement densities deviate identically."""
-    from .counting import classify
-
-    eps, beta, gamma = as_fraction(eps), as_fraction(beta), as_fraction(gamma)
-
-    def search(A, B):
-        return nonuniformity_search(BipartitePairView(c.red, A, B), eps, samples=samples, seed=seed)
-
-    return classify(pair_rows(c.blue), c.n, blocks, eps, beta, gamma, search)

@@ -2,12 +2,16 @@
 
 from array import array
 from dataclasses import asdict
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 
 from bookramsey.colorings import TwoColoring
+from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
+from bookramsey.numbers import as_fraction
+from bookramsey.oracle import first_witness, oracle_floors
 
 
 def graph_of(m) -> Graph:
@@ -49,6 +53,23 @@ def to_graph6(g: Graph) -> str:
     six = np.pad(bits, (0, -len(bits) % 6)).reshape(-1, 6)
     vals = np.packbits(six, axis=1).ravel() >> 2
     return prefix + (vals + 63).tobytes().decode("ascii")
+
+
+def rows_of(g: Graph):
+    """The row source (``counting``) of g as the command line reads it:
+    ``graph6_pair_rows`` on g's graph6 line."""
+    _, data = graph6_data(to_graph6(g))
+    return partial(graph6_pair_rows, data)
+
+
+def oracle_witness(pair, eps):
+    """The exact oracle's first witness on a pair view, or None: the
+    command's ``oracle.first_witness`` on rows read by ``rows_of``, and
+    its refusals, eps <= 0 and then a side above the cap
+    (``oracle.oracle_floors``)."""
+    eps = as_fraction(eps)
+    oracle_floors(eps, len(pair.A), len(pair.B))
+    return first_witness(pair.A, pair.B, rows_of(pair.host)(pair.A, pair.B), eps)
 
 
 # Vertex and edge queries over the bool matrix ``adjacency()``, not the

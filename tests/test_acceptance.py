@@ -36,15 +36,8 @@ from bookramsey.ramsey import (
     check_coloring,
     exhaustive_verify,
 )
-from bookramsey.regularity import (
-    BipartitePairView,
-    MultiPairConfig,
-    bad_pair_count,
-    book_bound,
-    check_witness,
-    triangle_bound,
-    uniformity_oracle,
-)
+from bookramsey.counting import MultiPair
+from bookramsey.regularity import BipartitePairView, check_witness
 from bookramsey.stability import (
     bipartite_extract,
     blue_book_bound,
@@ -52,7 +45,7 @@ from bookramsey.stability import (
     red_book_bound,
 )
 
-from helpers import from_edges, graph_of, to_graph6
+from helpers import from_edges, graph_of, oracle_witness, rows_of, to_graph6
 
 ENTRY = "from bookramsey.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
 
@@ -217,11 +210,16 @@ def _random_host(rng, n, p=0.5):
     return from_edges(n, edges)
 
 
-def _certified(cfg):
+def _config(host, bases, pages, eps):
+    """(host, the counting bounds of its blocks on rows read off its line)."""
+    return host, MultiPair(rows_of(host), host.n, bases, pages, eps)
+
+
+def _certified(host, cfg):
     return all(
-        uniformity_oracle(cfg.base_pair(i, j), cfg.epsilon).uniform
-        for i in range(len(cfg.bases))
-        for j in range(cfg.k)
+        oracle_witness(BipartitePairView(host, A, P), cfg.epsilon) is None
+        for A in cfg.bases
+        for P in cfg.pages
     )
 
 
@@ -233,14 +231,10 @@ def test_criterion_5_counting_lemma_suite(capsys):
 
         for _ in range(50):  # random shared: 1 base, 2 pages
             host = _random_host(rng, 30)
-            configs.append(
-                MultiPairConfig(host, blocks3[:1], blocks3[1:], Fraction(9, 20))
-            )
+            configs.append(_config(host, blocks3[:1], blocks3[1:], Fraction(9, 20)))
         for _ in range(30):  # random cross: 2 bases, 1 page
             host = _random_host(rng, 30)
-            configs.append(
-                MultiPairConfig(host, blocks3[:2], blocks3[2:], Fraction(9, 20))
-            )
+            configs.append(_config(host, blocks3[:2], blocks3[2:], Fraction(9, 20)))
         for eps in (Fraction(1, 100), Fraction(1, 50)):  # structured shared
             for _ in range(10):
                 edges = [
@@ -249,11 +243,7 @@ def test_criterion_5_counting_lemma_suite(capsys):
                     if rng.random() < 0.5
                 ]
                 edges += [(a, b) for a in range(10) for b in range(10, 30)]
-                configs.append(
-                    MultiPairConfig(
-                        from_edges(30, edges), blocks3[:1], blocks3[1:], eps
-                    )
-                )
+                configs.append(_config(from_edges(30, edges), blocks3[:1], blocks3[1:], eps))
         for _ in range(10):  # structured cross, complete pages
             edges = [
                 (a, 10 + b)
@@ -262,36 +252,29 @@ def test_criterion_5_counting_lemma_suite(capsys):
                 if rng.random() < 0.5
             ]
             edges += [(v, b) for v in range(20) for b in range(20, 30)]
-            configs.append(
-                MultiPairConfig(
-                    from_edges(30, edges),
-                    blocks3[:2],
-                    blocks3[2:],
-                    Fraction(1, 100),
-                )
-            )
+            configs.append(_config(from_edges(30, edges), blocks3[:2], blocks3[2:], Fraction(1, 100)))
 
-        certified = [cfg for cfg in configs if _certified(cfg)]
+        certified = [(host, cfg) for host, cfg in configs if _certified(host, cfg)]
         violations = 0
         positive_configs = 0
         checks = 0
-        for cfg in certified:
+        for host, cfg in certified:
             eps, t = cfg.epsilon, cfg.t
             bounds = []
             for j in range(cfg.k):
-                bad = bad_pair_count(cfg, j)
+                bad = cfg.bad_pair_count(j)
                 if bad is None:  # density precondition fails: no bound
                     continue
                 checks += 1
                 violations += bad > 2 * eps * t * t
-            tb, ta = triangle_bound(cfg)
+            tb, ta = cfg.triangle_bound()
             checks += 1
             violations += ta < tb
             bounds.append(tb)
-            if cfg.host.edges_between(cfg.bases[0], cfg.bases[-1]) > 0:
-                bb, cert = book_bound(cfg)
+            if host.edges_between(cfg.bases[0], cfg.bases[-1]) > 0:
+                bb, _, pages = cfg.book_bound()
                 checks += 1
-                violations += cert.size < bb
+                violations += len(pages) < bb
                 bounds.append(bb)
             positive_configs += all(b > 0 for b in bounds)
 
@@ -320,16 +303,16 @@ def test_criterion_6_uniformity_oracle(capsys):
         )
         empty = Graph.empty(20)
         for eps in eps_grid:
-            ok &= uniformity_oracle(pair_of(complete, 10, 10), eps).uniform
-            ok &= uniformity_oracle(pair_of(empty, 10, 10), eps).uniform
+            ok &= oracle_witness(pair_of(complete, 10, 10), eps) is None
+            ok &= oracle_witness(pair_of(empty, 10, 10), eps) is None
 
         half = from_edges(
             20, [(i, 10 + j) for i in range(10) for j in range(10) if i <= j]
         )
         hp = pair_of(half, 10, 10)
-        verdict = uniformity_oracle(hp, Fraction(1, 10))
-        ok &= not verdict.uniform
-        ok &= check_witness(hp, Fraction(1, 10), *verdict.witness)
+        witness = oracle_witness(hp, Fraction(1, 10))
+        ok &= witness is not None
+        ok &= check_witness(hp, Fraction(1, 10), *witness)
 
         rng = np.random.default_rng(66)
         revalidated = 0
@@ -346,10 +329,10 @@ def test_criterion_6_uniformity_oracle(capsys):
                 tuple(range(na)),
                 tuple(range(na, na + nb)),
             )
-            v = uniformity_oracle(pv, Fraction(1, 5))
-            if not v.uniform:
+            witness = oracle_witness(pv, Fraction(1, 5))
+            if witness is not None:
                 revalidated += 1
-                ok &= check_witness(pv, Fraction(1, 5), *v.witness)
+                ok &= check_witness(pv, Fraction(1, 5), *witness)
         ok &= revalidated >= 10
         return ok, f"half-graph witness valid; {revalidated} random witnesses re-validated"
 

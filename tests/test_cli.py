@@ -646,12 +646,10 @@ def _refuse_scans(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scan ran before epsilon was refused")
 
-    monkeypatch.setattr(regularity, "uniformity_oracle", refuse)
     monkeypatch.setattr(regularity, "nonuniformity_search", refuse)
-    # both scans count the pair's edges first, whichever name they were called by
+    # the search counts the pair's edges first, whichever name it was called by
     monkeypatch.setattr(regularity.BipartitePairView, "edge_count", refuse)
-    # the uniformity command's oracle reads the pair's bits off the line and
-    # scans them itself
+    # the oracle reads the pair's rows off the line and scans them itself
     monkeypatch.setattr(graph6, "graph6_pair_rows", refuse)
     monkeypatch.setattr(oracle, "first_witness", refuse)
 

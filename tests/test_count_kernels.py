@@ -6,9 +6,8 @@ Python-int adjacency rows before ``Graph`` stored packed words; the
 package must agree with it exactly: the same counts, the same first
 largest book, the same classes and the same errors.  The command line's
 ``lemma-check`` and ``classify``, which read their rows off the graph6
-line while every block is within the oracle cap and decode the graph
-past it, must give the payloads that these references and the Graph API
-give.
+line at every block size, must give the payloads that these references
+and the library API give.
 """
 
 import contextlib
@@ -24,26 +23,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bookramsey import cli
+from bookramsey import cli, counting
 from bookramsey.colorings import TwoColoring
-from bookramsey.counting import vertex_mask
+from bookramsey.counting import MultiPair, vertex_mask
 from bookramsey.graphs import bits_of
 from bookramsey.numbers import fraction_str
-from bookramsey.regularity import (
-    ORACLE_SIDE_CAP,
-    BipartitePairView,
-    MultiPairConfig,
-    bad_pair_count,
-    book_bound,
-    check_witness,
-    classify_pairs,
-    triangle_bound,
-    uniformity_oracle,
-)
+from bookramsey.oracle import ORACLE_SIDE_CAP
+from bookramsey.regularity import BipartitePairView, check_witness, nonuniformity_search
 from bookramsey.stability import blue_book_bound, classify, red_book_bound
 
-from helpers import classification_report, graph_of, to_graph6
-from test_structure_kernels import ref_uniformity_oracle
+from helpers import classification_report, graph_of, oracle_witness, rows_of, to_graph6
+from test_structure_kernels import ref_b_rows, ref_uniformity_oracle
 
 # ---------------------------------------------------------------- references
 
@@ -53,18 +43,13 @@ def ref_cross_count(g, X, Y):
     return sum((rows[x] & my).bit_count() for x in X)
 
 
-def ref_b_rows(pair):
-    rows = pair.host.rows
-    return [sum(1 << k for k, a in enumerate(pair.A) if rows[b] >> a & 1) for b in pair.B]
-
-
-def ref_bad_pairs(cfg, j):
+def ref_bad_pairs(host, cfg, j):
     """Bad pairs into page block j, or None where the density precondition
     fails: unordered pairs in A with eps < d for one base, A1 x A2 with
     2 eps <= d_i for two."""
-    eps, B, rows = cfg.epsilon, cfg.pages[j], cfg.host.rows
+    eps, B, rows = cfg.epsilon, cfg.pages[j], host.rows
     A1, A2 = cfg.bases[0], cfg.bases[-1]
-    d1, d2 = (Fraction(ref_cross_count(cfg.host, A, B), len(A) * len(B)) for A in (A1, A2))
+    d1, d2 = (Fraction(ref_cross_count(host, A, B), len(A) * len(B)) for A in (A1, A2))
     one = len(cfg.bases) == 1
     if not (eps < d1 if one else 2 * eps <= min(d1, d2)):
         return None
@@ -74,9 +59,9 @@ def ref_bad_pairs(cfg, j):
     return sum(1 for u, v in pairs if (rows[u] & rows[v] & mb).bit_count() <= thr)
 
 
-def ref_books(cfg):
+def ref_books(host, cfg):
     """(triangle count, first largest book as (base, pages), or None without edges)."""
-    rows = cfg.host.rows
+    rows = host.rows
     if len(cfg.bases) == 1:
         ma = vertex_mask(cfg.bases[0])
         edges = [(u, v) for u in bits_of(ma) for v in bits_of(rows[u] & ma) if v > u]
@@ -127,7 +112,7 @@ def configs(draw):
     perm = rng.permutation(n).tolist()
     blocks = [perm[i * t : (i + 1) * t] for i in range(nbases + k)]
     eps = draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)]))
-    return MultiPairConfig(host, blocks[:nbases], blocks[nbases:], eps)
+    return host, MultiPair(rows_of(host), n, blocks[:nbases], blocks[nbases:], eps)
 
 
 @st.composite
@@ -148,23 +133,24 @@ def graphs_with_parts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(configs())
-def test_counting_bounds_match_the_bigint_loops(cfg):
-    total, book = ref_books(cfg)
-    assert triangle_bound(cfg)[1] == total
+def test_counting_bounds_match_the_bigint_loops(case):
+    host, cfg = case
+    total, book = ref_books(host, cfg)
+    assert cfg.triangle_bound()[1] == total
     if book is not None:
-        _, cert = book_bound(cfg)
-        assert (cert.base, cert.pages) == book
+        _, base, pages = cfg.book_bound()
+        assert (base, pages) == book
     else:
-        assert book_bound(cfg) is None
+        assert cfg.book_bound() is None
     for j in range(cfg.k):
-        pair = cfg.base_pair(0, j)
-        assert pair.b_rows() == ref_b_rows(pair)
-        assert pair.edge_count() == ref_cross_count(cfg.host, pair.A, pair.B)
-        want = ref_bad_pairs(cfg, j)
+        pair = BipartitePairView(host, cfg.bases[0], cfg.pages[j])
+        assert rows_of(host)(pair.A, pair.B) == ref_b_rows(pair)
+        assert pair.edge_count() == ref_cross_count(host, pair.A, pair.B)
+        want = ref_bad_pairs(host, cfg, j)
         if want is None:
-            assert bad_pair_count(cfg, j) is None
+            assert cfg.bad_pair_count(j) is None
         else:
-            assert bad_pair_count(cfg, j) == want
+            assert cfg.bad_pair_count(j) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,13 +225,19 @@ def planted_host(t, nbases, k, p_base, p_page, seed):
 
 
 def graph_api_lemma(host, blocks, nbases, eps) -> dict:
-    """The ``lemma-check`` results built from the Graph API: the
-    ``regularity`` adapters and ``uniformity_oracle`` on pair views."""
-    cfg = MultiPairConfig(host, blocks[:nbases], blocks[nbases:], eps)
+    """The ``lemma-check`` results built from the library API: the
+    bounds of ``counting.MultiPair`` and the oracle on (base, page) pair
+    views, each on rows read off the host's line."""
+    cfg = MultiPair(rows_of(host), host.n, blocks[:nbases], blocks[nbases:], eps)
     t, k = cfg.t, cfg.k
     form = "shared" if nbases == 1 else "cross"
     pairs = [
-        {"base": i, "page": j, "uniform": uniformity_oracle(cfg.base_pair(i, j), eps).uniform if t <= ORACLE_SIDE_CAP else None}
+        {
+            "base": i,
+            "page": j,
+            "uniform": oracle_witness(BipartitePairView(host, cfg.bases[i], cfg.pages[j]), eps) is None
+            if t <= ORACLE_SIDE_CAP else None,
+        }
         for i in range(nbases)
         for j in range(k)
     ]
@@ -254,14 +246,14 @@ def graph_api_lemma(host, blocks, nbases, eps) -> dict:
     cap = 2 * eps * t * t
     rows = []
     for j in range(k):
-        cnt = bad_pair_count(cfg, j)
+        cnt = cfg.bad_pair_count(j)
         rows.append({"check": f"bad_pairs_{form}", "page": j, "bound": cap, "actual": cnt, "satisfied": None if cnt is None else cnt <= cap})
-    bound, actual = triangle_bound(cfg)
+    bound, actual = cfg.triangle_bound()
     rows.append({"check": f"triangle_{form}", "bound": bound, "actual": actual, "satisfied": actual >= bound})
-    book = book_bound(cfg)
+    book = cfg.book_bound()
     if book is not None:
-        bound, cert = book
-        rows.append({"check": f"book_{form}", "bound": bound, "actual": cert.size, "satisfied": cert.size >= bound})
+        bound, base, pages = book
+        rows.append({"check": f"book_{form}", "bound": bound, "actual": len(pages), "satisfied": len(pages) >= bound})
     return {
         "t": t,
         "k": k,
@@ -270,7 +262,7 @@ def graph_api_lemma(host, blocks, nbases, eps) -> dict:
         "pairs_uniform": pairs,
         "all_pairs_uniform": all_uniform,
         "checks": rows,
-        "book_base": None if book is None else list(cert.base),
+        "book_base": None if book is None else list(base),
         "violations": sum(all_uniform is True and row["satisfied"] is False for row in rows),
         "bounds_checked": len(rows),
         "positive_bounds": sum("page" not in row and row["bound"] > 0 for row in rows),
@@ -278,19 +270,19 @@ def graph_api_lemma(host, blocks, nbases, eps) -> dict:
 
 
 def check_against_references(host, blocks, nbases, eps, want) -> None:
-    """The Graph-API payload against the bigint loops: the bad pairs, the
-    triangle count and the first largest book, and (for small blocks)
+    """The library-API payload against the bigint loops: the bad pairs,
+    the triangle count and the first largest book, and (for small blocks)
     the oracle verdicts."""
-    cfg = MultiPairConfig(host, blocks[:nbases], blocks[nbases:], eps)
+    cfg = MultiPair(rows_of(host), host.n, blocks[:nbases], blocks[nbases:], eps)
     t, k, A1, A2 = cfg.t, cfg.k, cfg.bases[0], cfg.bases[-1]
     rows = {row["check"].split("_")[0] + str(row.get("page", "")): row for row in want["checks"]}
     for j in range(k):
-        assert (rows[f"bad{j}"]["bound"], rows[f"bad{j}"]["actual"]) == (2 * eps * t * t, ref_bad_pairs(cfg, j))
+        assert (rows[f"bad{j}"]["bound"], rows[f"bad{j}"]["actual"]) == (2 * eps * t * t, ref_bad_pairs(host, cfg, j))
     # the bounds from their formulas, on densities and edge counts of the reference loops
     d = [[Fraction(ref_cross_count(host, A, P), t * t) for P in cfg.pages] for A in cfg.bases]
     term = sum(a * b for a, b in zip(d[0], d[-1]))
     e = ref_cross_count(host, A1, A2) // (2 if nbases == 1 else 1)
-    total, book = ref_books(cfg)
+    total, book = ref_books(host, cfg)
     assert rows["triangle"]["bound"] == t * (e - 2 * eps * t * t) * term - 2 * eps * k * t * e
     assert rows["triangle"]["actual"] == total
     if book is None:
@@ -300,12 +292,13 @@ def check_against_references(host, blocks, nbases, eps, want) -> None:
         assert (tuple(want["book_base"]), rows["book"]["actual"]) == (book[0], len(book[1]))
     if cfg.t <= REF_ORACLE_SIDE:
         for p in want["pairs_uniform"]:
-            assert p["uniform"] == ref_uniformity_oracle(cfg.base_pair(p["base"], p["page"]), eps).uniform
+            pair = BipartitePairView(host, cfg.bases[p["base"]], cfg.pages[p["page"]])
+            assert p["uniform"] == (ref_uniformity_oracle(pair, eps) is None)
 
 
 def lemma_cli_matches(tmp_dir, host, blocks, nbases, eps) -> dict:
     """Run ``lemma-check`` as JSON and as CSV and check both against the
-    Graph API; returns the results."""
+    library API; returns the results."""
     path = tmp_dir / "lemma.json"
     path.write_text(json.dumps({"graph": to_graph6(host), "blocks": blocks, "epsilon": str(eps), "bases": nbases}))
     want = graph_api_lemma(host, blocks, nbases, eps)
@@ -372,11 +365,21 @@ def ref_labels(c, blocks, eps, beta, gamma) -> list[dict]:
         pair = BipartitePairView(c.red, A, B)
         d = Fraction(ref_cross_count(c.red, A, B), len(A) * len(B))
         label = (
-            "irr" if not ref_uniformity_oracle(pair, eps).uniform
+            "irr" if ref_uniformity_oracle(pair, eps) is not None
             else "blue" if d < beta else "mid" if d < 1 - gamma else "red"
         )
         out.append({"pair": [i, j], "label": label, "red_density": fraction_str(d), "method": "oracle"})
     return out
+
+
+def graph_api_labels(c, blocks, eps, beta, gamma, samples, seed) -> list[dict]:
+    """``counting.classify`` on the blue rows read off the line, with the
+    sampled search on the red graph's pair views past the oracle cap."""
+
+    def search(A, B):
+        return nonuniformity_search(BipartitePairView(c.red, A, B), eps, samples=samples, seed=seed)
+
+    return counting.classify(rows_of(c.blue), c.n, blocks, eps, beta, gamma, search)
 
 
 def classify_cli(tmp_dir, host, blocks, eps, beta, gamma, seed=0, samples=100) -> dict:
@@ -417,7 +420,7 @@ def test_classify_on_both_sides_of_the_oracle_cap(tmp_path, t):
     host = graph_of(adj)
     eps, beta, gamma = Fraction(1, 10), Fraction(1, 4), Fraction(1, 4)
     res = classify_cli(tmp_path, host, blocks, eps, beta, gamma, seed=3)
-    labels = classify_pairs(TwoColoring(host), blocks, eps, beta, gamma, samples=100, seed=3)
+    labels = graph_api_labels(TwoColoring(host), blocks, eps, beta, gamma, samples=100, seed=3)
     assert res["labels"] == cli.jsonable(labels)
     assert {row["method"] for row in labels} == {"oracle" if t <= ORACLE_SIDE_CAP else "search"}
     assert [row["label"] for row in labels] == ["red", "red", "irr"]

@@ -1,8 +1,9 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
 graphs.py multiplies codegrees in one place, the command line starts
 without loading the numeric modules, ``verify``, the ``uniformity``
-oracle, and ``lemma-check`` and ``classify`` on blocks within the oracle
-cap run without them, no random draw loads numpy's random module (the
+oracle and ``lemma-check`` at every block size run without them, and so
+does ``classify`` on blocks within the oracle cap, no random draw loads
+numpy's random module (the
 package's one generator is ``rng``), and only colex.py writes or reads
 the hex of a BRC1 payload.
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import bookramsey
 from bookramsey.graphs import Graph
-from bookramsey.regularity import ORACLE_SIDE_CAP
+from bookramsey.oracle import ORACLE_SIDE_CAP
 
 from helpers import from_edges, to_graph6
 
@@ -146,28 +147,30 @@ VERIFY_RUNS = [(["verify", "6", "1", "1"], 0), (["verify", "7", "2", "2", "--pru
 NUMERIC_MODULES = ("numpy", "bookramsey.graphs", "bookramsey.colorings", "bookramsey.rng")
 
 
-def run_in_one_process(argvs: list[list[str]]) -> tuple[list[int], set[str]]:
+def run_in_one_process(argvs: list[list[str]]) -> tuple[list[int], set[str], list[str]]:
     """Exit codes of ``cli.main`` on each argv, run in one fresh process,
-    and the modules that process loaded."""
+    the modules that process loaded, and the stdout of each argv."""
     script = (
         "import contextlib, io, json, sys\n"
         "from bookramsey import cli\n"
-        "codes = []\n"
+        "codes, outs = [], []\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
         "        codes.append(cli.main(argv))\n"
-        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules), 'outs': outs}))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs)],
         capture_output=True, text=True, check=True, timeout=120,
     )
     seen = json.loads(proc.stdout)
-    return seen["codes"], set(seen["modules"])
+    return seen["codes"], set(seen["modules"]), seen["outs"]
 
 
 def test_verify_loads_no_numeric_module():
-    codes, loaded = run_in_one_process([argv for argv, _ in VERIFY_RUNS])
+    codes, loaded, _ = run_in_one_process([argv for argv, _ in VERIFY_RUNS])
     assert codes == [code for _, code in VERIFY_RUNS]
     assert "bookramsey.ramsey" in loaded
     assert sorted(loaded & set(NUMERIC_MODULES)) == []
@@ -181,7 +184,7 @@ def test_uniformity_oracle_loads_no_numeric_module(tmp_path):
     blocks = [list(range(t)), list(range(t, 2 * t))]
     for name, g in (("uniform.json", Graph.empty(2 * t)), ("half.json", half)):
         (tmp_path / name).write_text(json.dumps({"graph": to_graph6(g), "blocks": blocks, "epsilon": "1/10"}))
-    codes, loaded = run_in_one_process([["uniformity", str(tmp_path / name)] for name in ("uniform.json", "half.json")])
+    codes, loaded, _ = run_in_one_process([["uniformity", str(tmp_path / name)] for name in ("uniform.json", "half.json")])
     assert codes == [0, 10]
     assert "bookramsey.oracle" in loaded
     assert sorted(loaded & {*NUMERIC_MODULES, "bookramsey.regularity"}) == []
@@ -201,7 +204,7 @@ def test_lemma_check_and_classify_within_the_cap_load_no_numeric_module(tmp_path
     }
     for name, cfg in configs.items():
         (tmp_path / name).write_text(json.dumps(cfg))
-    codes, loaded = run_in_one_process([
+    codes, loaded, _ = run_in_one_process([
         ["lemma-check", str(tmp_path / "one_base.json")],
         ["lemma-check", str(tmp_path / "two_bases.json"), "--format", "csv"],
         ["lemma-check", str(tmp_path / "zero_eps.json")],
@@ -212,8 +215,65 @@ def test_lemma_check_and_classify_within_the_cap_load_no_numeric_module(tmp_path
     assert sorted(loaded & {*NUMERIC_MODULES, "bookramsey.regularity", "bookramsey.stability"}) == []
 
 
+def past_cap_host():
+    """Three blocks of ORACLE_SIDE_CAP + 1 vertices: block 0 all blue to
+    block 1 and all red to block 2, a half graph from block 1 to block 2,
+    and a residue rule inside the blocks."""
+    t = ORACLE_SIDE_CAP + 1
+
+    def blue(i, j):
+        if i < t <= j:
+            return j < 2 * t
+        if t <= i < 2 * t <= j:
+            return i - t <= j - 2 * t
+        return (i * j + i + j) % 3 != 0
+
+    host = from_edges(3 * t, [(i, j) for i in range(3 * t) for j in range(i + 1, 3 * t) if blue(i, j)])
+    return host, [list(range(i * t, (i + 1) * t)) for i in range(3)]
+
+
+def test_lemma_check_past_the_cap_loads_no_numeric_module(tmp_path):
+    # past the oracle cap the counting bounds still read their rows off the
+    # graph6 line: no pair is certified, and no numpy is loaded
+    host, blocks = past_cap_host()
+    for nbases in (1, 2):
+        cfg = {"graph": to_graph6(host), "blocks": blocks, "epsilon": "1/20", "bases": nbases}
+        (tmp_path / f"bases{nbases}.json").write_text(json.dumps(cfg))
+    codes, loaded, outs = run_in_one_process([["lemma-check", str(tmp_path / f"bases{nbases}.json")] for nbases in (1, 2)])
+    assert codes == [0, 0]
+    assert [json.loads(out)["results"]["all_pairs_uniform"] for out in outs] == [None, None]
+    assert {"bookramsey.counting", "bookramsey.graph6"} <= loaded
+    assert sorted(loaded & {*NUMERIC_MODULES, "bookramsey.regularity", "bookramsey.stability"}) == []
+
+
+# ``classify`` on past_cap_host, as recorded from the command when it
+# decoded the whole graph before labelling any pair past the cap
+PAST_CAP_LABELS = {
+    "blocks": 3,
+    "counts": {"blue": 1, "irr": 1, "mid": 0, "red": 1},
+    "labels": [
+        {"label": "blue", "method": "search", "pair": [0, 1], "red_density": "0"},
+        {"label": "red", "method": "search", "pair": [0, 2], "red_density": "1"},
+        {"label": "irr", "method": "search", "pair": [1, 2], "red_density": "8/17"},
+    ],
+    "t": 17,
+}
+
+
+def test_classify_past_the_cap_decodes_for_its_search_alone(tmp_path):
+    # the first pair's search decodes the graph; the pairs after it still
+    # read their rows off the graph6 line, which the decode left intact
+    host, blocks = past_cap_host()
+    cfg = {"graph": to_graph6(host), "blocks": blocks, "epsilon": "1/10", "beta": "1/4", "gamma": "1/4"}
+    (tmp_path / "classify.json").write_text(json.dumps(cfg))
+    codes, loaded, outs = run_in_one_process([["classify", str(tmp_path / "classify.json"), "--samples", "200"]])
+    assert codes == [0]
+    assert json.loads(outs[0])["results"] == PAST_CAP_LABELS
+    assert {"numpy", "bookramsey.graphs", "bookramsey.regularity"} <= loaded
+
+
 def test_regularity_loads_no_colorings():
-    # regularity names TwoColoring in one annotation only
+    # the sampled search needs nothing of colorings
     script = "import json, sys\nimport bookramsey.regularity\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120)
     loaded = set(json.loads(proc.stdout))
@@ -234,7 +294,7 @@ def test_random_draws_load_no_numpy_random(tmp_path):
     (tmp_path / "pair.json").write_text(json.dumps(pair))
     (tmp_path / "classify.json").write_text(json.dumps({**pair, "beta": "1/4", "gamma": "1/4"}))
     (tmp_path / "g.g6").write_text(to_graph6(Graph.complete_bipartite(10, 10)) + "\n")
-    codes, loaded = run_in_one_process([
+    codes, loaded, _ = run_in_one_process([
         ["uniformity", str(tmp_path / "pair.json"), "--sampled", "--samples", "100"],
         ["classify", str(tmp_path / "classify.json"), "--samples", "100"],
         ["trichotomy", str(tmp_path / "g.g6"), "--xi", "1/10"],

@@ -1,6 +1,6 @@
 """The numpy-free uniformity oracle: its sorting network, its lane
-blocks, the graph6 pair reader, and the ``uniformity`` command on
-malformed configs.
+blocks, the graph6 pair reader (against its former per-bit loop and the
+decoded graph), and the ``uniformity`` command on malformed configs.
 
 The refusals below were recorded from the command before its oracle
 left numpy (when it decoded the whole host graph and built a
@@ -16,13 +16,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookramsey import cli, oracle
+from bookramsey.colex import edge_index
 from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
-from bookramsey.regularity import BipartitePairView, uniformity_oracle
+from bookramsey.regularity import BipartitePairView
 
-from helpers import from_edges, graph_of, to_graph6
+from helpers import from_edges, graph_of, oracle_witness, to_graph6
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -80,22 +83,70 @@ def test_half_graph_witness_ends_the_scan_early(monkeypatch):
     monkeypatch.setattr(oracle, "_lane_blocks", recorded)
     t = 16
     pair = BipartitePairView(from_edges(2 * t, [(i, t + j) for i in range(t) for j in range(t) if i <= j]), range(t), range(t, 2 * t))
-    assert uniformity_oracle(pair, Fraction(1, 10)).witness == ((0, 1), (16, 17))
+    assert oracle_witness(pair, Fraction(1, 10)) == ((0, 1), (16, 17))
     x_blocks = [start for nweights, start in starts if nweights == t]
     assert max(x_blocks) < 1 << (t - 1)
 
 
-@pytest.mark.parametrize("n", [2, 9, 62, 63, 100])
+def ref_graph6_pair_rows(data, A, B):
+    """The reader as a per-bit loop: edge k is bit 5 - k % 6 of
+    character k // 6, less 63."""
+    out = []
+    for b in B:
+        row = 0
+        for pos, a in enumerate(A):
+            if a != b:
+                k = edge_index(a, b)
+                row |= (data[k // 6] - 63 >> 5 - k % 6 & 1) << pos
+        out.append(row)
+    return out
+
+
+def random_line(rng, n: int) -> str:
+    """The graph6 line of a random n-vertex graph, each pair an edge with
+    probability 1/2."""
+    nbits = n * (n - 1) // 2
+    six = rng.integers(0, 64, size=-(-nbits // 6), dtype=np.uint8)
+    if nbits % 6:
+        six[-1] &= 63 ^ ((1 << -nbits % 6) - 1)  # the padding bits are zero
+    return (chr(n + 63) if n <= 62 else long_form(n)) + (six + 63).tobytes().decode("ascii")
+
+
+def adjacency_rows(g: Graph, A, B) -> list[int]:
+    """The pair rows of a decoded graph, packed from ``Graph.adjacency``."""
+    packed = np.packbits(g.adjacency(B, A), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@pytest.mark.parametrize("n", [2, 9, 62, 63, 100, 4097])
 def test_pair_rows_read_off_graph6_match_the_decoded_graph(n):
     rng = np.random.default_rng(n)
-    upper = np.triu(rng.random((n, n)) < 0.4, 1)
-    g = graph_of(upper | upper.T)
-    order, data = graph6_data(">>graph6<<" + to_graph6(g) + "\n")
-    assert order == n
+    line = random_line(rng, n)
+    g = Graph.from_graph6(line)
+    order, data = graph6_data(">>graph6<<" + line + "\n")
+    assert order == n and to_graph6(g) == line
     perm = rng.permutation(n).tolist()
-    A, B = perm[: n // 2], perm[n // 2 :]
-    assert graph6_pair_rows(data, A, B) == BipartitePairView(g, A, B).b_rows()
-    assert Graph.from_graph6("\u2003" + to_graph6(g) + "\u2028") == g  # Unicode whitespace around
+    k = min(n // 2, 150)
+    A, B = perm[:k], perm[k : 2 * k]
+    cases = [
+        (A, B),
+        (B[::-1], A),  # sides in any order
+        (A + B[:3], B),  # sides that meet: a vertex's bit to itself reads 0
+        (list(range(n)), [n - 1, 0]),  # every run, the last one up to the padding
+    ]
+    for A, B in cases:
+        want = ref_graph6_pair_rows(data, A, B)
+        assert graph6_pair_rows(data, A, B) == want == adjacency_rows(g, A, B)
+    assert Graph.from_graph6("\u2003" + line + "\u2028") == g  # Unicode whitespace around
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80), st.integers(0, 2**32 - 1), st.data())
+def test_pair_rows_match_the_per_bit_loop_on_random_lines(n, seed, draw):
+    _, data = graph6_data(random_line(np.random.default_rng(seed), n))
+    vertices = st.lists(st.integers(0, n - 1), max_size=24)
+    A, B = draw.draw(vertices), draw.draw(vertices)
+    assert graph6_pair_rows(data, A, B) == ref_graph6_pair_rows(data, A, B)
 
 
 # --------------------------------------------------------------- the command
@@ -255,7 +306,7 @@ def test_command_and_pair_view_agree(tmp_path, na, nb):
         A, B = perm[:na], perm[na : na + nb]
         code, out, _ = run_uniformity(tmp_path, json.dumps({"graph": to_graph6(g), "blocks": [A, B], "epsilon": str(eps)}))
         pair = BipartitePairView(g, A, B)
-        witness = uniformity_oracle(pair, eps).witness
+        witness = oracle_witness(pair, eps)
         results = json.loads(out)["results"]
         assert results["density"] == cli.jsonable(pair.density)
         assert results["witness"] == cli.jsonable(witness)

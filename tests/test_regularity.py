@@ -1,4 +1,10 @@
-"""Uniform-pair oracle, counting bounds, and block-pair classification."""
+"""Uniform-pair oracle, counting bounds, and block-pair classification.
+
+The oracle (``oracle.first_witness``), the counting bounds
+(``counting.MultiPair``) and the labels (``counting.classify``) run here
+on rows read off each graph's graph6 line (``helpers.rows_of``), as the
+command line reads them; the sampled search runs on pair views.
+"""
 
 import itertools
 from fractions import Fraction
@@ -9,23 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookramsey.colorings import TwoColoring, two_cliques
+from bookramsey.counting import MultiPair, classify
 from bookramsey.errors import CapacityError
-from bookramsey.graphs import Graph
-from bookramsey.oracle import first_witness
+from bookramsey.graphs import BookCertificate, Graph
+from bookramsey.oracle import check_sides, first_witness
 from bookramsey.regularity import (
     BipartitePairView,
-    MultiPairConfig,
-    UniformityVerdict,
-    bad_pair_count,
-    book_bound,
     check_witness,
-    classify_pairs,
     nonuniformity_search,
-    triangle_bound,
-    uniformity_oracle,
 )
 
-from helpers import check_certificate, coloring_of_bits, from_edges
+from helpers import check_certificate, coloring_of_bits, from_edges, oracle_witness, rows_of
 
 
 def complete_pair(ta, tb):
@@ -70,6 +70,10 @@ def test_pair_view_validation():
         BipartitePairView(g, (), (1, 2))
     with pytest.raises(ValueError):
         BipartitePairView(g, (0, 0), (1, 2))
+    # the command line refuses the same sides before it reads their rows
+    for A, B in (((0, 1), (1, 2)), ((), (1, 2)), ((0, 0), (1, 2))):
+        with pytest.raises(ValueError):
+            check_sides(A, B, g.n)
 
 
 def test_density_examples():
@@ -85,28 +89,20 @@ def test_complement_pair_density():
     assert co.density == 1 - pair.density
 
 
-def test_verdict_shape_is_enforced():
-    # the verdict is read off the witness, so the two cannot disagree
-    assert UniformityVerdict(None).uniform is True
-    assert UniformityVerdict(((0,), (1,))).uniform is False
-    with pytest.raises(TypeError):
-        UniformityVerdict(uniform=True, witness=((0,), (1,)))
-
-
 # -------------------------------------------------------------------- oracle
 
 
 def test_oracle_complete_and_empty_are_uniform():
     for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 2)):
-        assert uniformity_oracle(complete_pair(8, 8), eps).uniform
-        assert uniformity_oracle(empty_pair(8, 8), eps).uniform
+        assert oracle_witness(complete_pair(8, 8), eps) is None
+        assert oracle_witness(empty_pair(8, 8), eps) is None
 
 
 def test_oracle_half_graph_witness():
     pair = half_graph_pair(10)
-    verdict = uniformity_oracle(pair, Fraction(1, 10))
-    assert not verdict.uniform
-    wx, wy = verdict.witness
+    witness = oracle_witness(pair, Fraction(1, 10))
+    assert witness is not None
+    wx, wy = witness
     assert check_witness(pair, Fraction(1, 10), wx, wy)
     # least witness in (X, Y) bitmask order: vertex u_1 alone is joined to
     # everything, so ({u_1}, {v_1}) already deviates by 0.45
@@ -118,9 +114,9 @@ def test_oracle_half_graph_witness():
 
 def test_oracle_rejects_oversized_sides():
     with pytest.raises(CapacityError):
-        uniformity_oracle(complete_pair(17, 4), Fraction(1, 10))
+        oracle_witness(complete_pair(17, 4), Fraction(1, 10))
     with pytest.raises(ValueError):
-        uniformity_oracle(complete_pair(4, 4), 0)
+        oracle_witness(complete_pair(4, 4), 0)
 
 
 def test_oracle_matches_naive_enumeration():
@@ -132,10 +128,10 @@ def test_oracle_matches_naive_enumeration():
         pair = random_pair(rng, na, nb, float(rng.uniform(0.2, 0.8)))
         eps = eps_pool[trial % len(eps_pool)]
         naive = naive_uniform(pair, eps)
-        verdict = uniformity_oracle(pair, eps)
-        assert verdict.uniform == naive
-        if not verdict.uniform:
-            assert check_witness(pair, eps, *verdict.witness)
+        witness = oracle_witness(pair, eps)
+        assert (witness is None) == naive
+        if witness is not None:
+            assert check_witness(pair, eps, *witness)
 
 
 @settings(max_examples=120, deadline=None)
@@ -148,7 +144,7 @@ def test_oracle_matches_naive_enumeration():
 )
 def test_kernel_verdict_matches_naive_enumeration(na, nb, p, seed, eps):
     pair = random_pair(np.random.default_rng(seed), na, nb, p)
-    witness = first_witness(pair.A, pair.B, pair.b_rows(), eps)
+    witness = first_witness(pair.A, pair.B, rows_of(pair.host)(pair.A, pair.B), eps)
     assert (witness is None) == naive_uniform(pair, eps)
     if witness is not None:
         assert check_witness(pair, eps, *witness)
@@ -158,7 +154,7 @@ def naive_uniform(pair, eps):
     na, nb = len(pair.A), len(pair.B)
     a0 = max(1, -((-eps.numerator * na) // eps.denominator))
     b0 = max(1, -((-eps.numerator * nb) // eps.denominator))
-    rows = pair.b_rows()
+    rows = rows_of(pair.host)(pair.A, pair.B)
     d = pair.density
     for X in range(1, 1 << na):
         s = X.bit_count()
@@ -203,24 +199,29 @@ def test_search_agrees_with_oracle_when_it_speaks():
         eps = Fraction(1, 5)
         found = nonuniformity_search(pair, eps, samples=2000, seed=3)
         if found is not None:
-            assert not uniformity_oracle(pair, eps).uniform
+            assert oracle_witness(pair, eps) is not None
             assert check_witness(pair, eps, *found)
 
 
 # ----------------------------------------------------------- bad pair counts
 
 
+def config(host, bases, pages, eps):
+    """The counting bounds of a host's blocks, on rows read off its line."""
+    return MultiPair(rows_of(host), host.n, bases, pages, eps)
+
+
 def one_base(pair, eps):
     """The pair as a config: A the one base block, B the one page block."""
-    return MultiPairConfig(pair.host, (pair.A,), (pair.B,), eps)
+    return config(pair.host, (pair.A,), (pair.B,), eps)
 
 
 def test_bad_pairs_complete_is_zero():
-    assert bad_pair_count(one_base(complete_pair(10, 10), Fraction(1, 5)), 0) == 0
+    assert one_base(complete_pair(10, 10), Fraction(1, 5)).bad_pair_count(0) == 0
 
 
 def test_bad_pairs_precondition():
-    assert bad_pair_count(one_base(empty_pair(5, 5), Fraction(1, 10)), 0) is None  # d = 0
+    assert one_base(empty_pair(5, 5), Fraction(1, 10)).bad_pair_count(0) is None  # d = 0
 
 
 def test_bad_pairs_cross_complete_and_precondition():
@@ -230,14 +231,14 @@ def test_bad_pairs_cross_complete_and_precondition():
         + [(a, b) for a in range(4, 8) for b in range(8, 12)],
     )
     bases, pages = ((0, 1, 2, 3), (4, 5, 6, 7)), ((8, 9, 10, 11),)
-    assert bad_pair_count(MultiPairConfig(host, bases, pages, Fraction(1, 4)), 0) == 0
+    assert config(host, bases, pages, Fraction(1, 4)).bad_pair_count(0) == 0
     sparse_host = from_edges(
         12,
         [(a, a + 8) for a in range(4)] + [(a, a + 4) for a in range(4, 8)],
     )
-    sparse = MultiPairConfig(sparse_host, bases, pages, Fraction(1, 4))
+    sparse = config(sparse_host, bases, pages, Fraction(1, 4))
     assert sparse.densities(0) == [Fraction(1, 4)]
-    assert bad_pair_count(sparse, 0) is None  # 2 eps > density
+    assert sparse.bad_pair_count(0) is None  # 2 eps > density
 
 
 def test_bad_pairs_bounded_on_certified_pairs():
@@ -246,12 +247,12 @@ def test_bad_pairs_bounded_on_certified_pairs():
     checked = 0
     for _ in range(30):
         pair = random_pair(rng, 10, 10, 0.55)
-        if not uniformity_oracle(pair, eps).uniform:
+        if oracle_witness(pair, eps) is not None:
             continue
         if not eps < pair.density:
             continue
         checked += 1
-        assert bad_pair_count(one_base(pair, eps), 0) <= 2 * eps * 100
+        assert one_base(pair, eps).bad_pair_count(0) <= 2 * eps * 100
     assert checked >= 5
 
 
@@ -271,12 +272,7 @@ def shared_config(eps, parity_pages=True):
             if not parity_pages or (a + b) % 2 == 0:
                 edges.append((a, b))
     host = from_edges(30, edges)
-    return MultiPairConfig(
-        host,
-        bases=(tuple(range(10)),),
-        pages=(tuple(range(10, 20)), tuple(range(20, 30))),
-        epsilon=eps,
-    )
+    return config(host, (tuple(range(10)),), (tuple(range(10, 20)), tuple(range(20, 30))), eps)
 
 
 def cross_config(eps):
@@ -289,18 +285,13 @@ def cross_config(eps):
             edges.append((u, 20 + (u + r) % 10))
             edges.append((10 + u, 20 + (u + r) % 10))
     host = from_edges(30, edges)
-    return MultiPairConfig(
-        host,
-        bases=(tuple(range(10)), tuple(range(10, 20))),
-        pages=(tuple(range(20, 30)),),
-        epsilon=eps,
-    )
+    return config(host, (tuple(range(10)), tuple(range(10, 20))), (tuple(range(20, 30)),), eps)
 
 
 def test_triangle_bound_shared_frozen_value():
     cfg = shared_config(Fraction(1, 100))
     assert cfg.densities(0) == [Fraction(1, 2), Fraction(1, 2)]
-    bound, actual = triangle_bound(cfg)
+    bound, actual = cfg.triangle_bound()
     assert bound == 82
     assert actual >= 0
 
@@ -309,45 +300,45 @@ def test_triangle_bound_cross_frozen_value():
     cfg = cross_config(Fraction(1, 100))
     assert cfg.densities(0) == [Fraction(3, 5)]
     assert cfg.densities(1) == [Fraction(3, 5)]
-    bound, _ = triangle_bound(cfg)
+    bound, _ = cfg.triangle_bound()
     assert bound == Fraction(474, 5)  # 94.8
 
 
 def test_book_bound_shared_frozen_value():
-    bound, cert = book_bound(shared_config(Fraction(1, 100)))
+    bound, base, _ = shared_config(Fraction(1, 100)).book_bound()
     assert bound == Fraction(41, 10)  # 4.1
-    assert cert.base[0] < cert.base[1]
+    assert base[0] < base[1]
 
 
 def test_book_bound_cross_frozen_value():
-    bound, _ = book_bound(cross_config(Fraction(1, 100)))
+    bound, *_ = cross_config(Fraction(1, 100)).book_bound()
     assert bound == Fraction(79, 25)
 
 
 def test_bounds_at_epsilon_zero_lose_their_penalty_terms():
     cfg = shared_config(Fraction(0))
     t, ea, sq = 10, 20, Fraction(1, 2)
-    assert triangle_bound(cfg)[0] == t * ea * sq
-    assert book_bound(cfg)[0] == t * sq
+    assert cfg.triangle_bound()[0] == t * ea * sq
+    assert cfg.book_bound()[0] == t * sq
     xcfg = cross_config(Fraction(0))
-    assert triangle_bound(xcfg)[0] == 10 * 30 * Fraction(9, 25)
-    assert book_bound(xcfg)[0] == 10 * Fraction(9, 25)
+    assert xcfg.triangle_bound()[0] == 10 * 30 * Fraction(9, 25)
+    assert xcfg.book_bound()[0] == 10 * Fraction(9, 25)
 
 
 def test_config_validation():
     host = Graph.empty(30)
     with pytest.raises(ValueError):
-        MultiPairConfig(host, bases=(), pages=((0, 1),), epsilon=0)
+        config(host, (), ((0, 1),), 0)
     with pytest.raises(ValueError):
-        MultiPairConfig(host, bases=((0, 1),), pages=((1, 2),), epsilon=0)
+        config(host, ((0, 1),), ((1, 2),), 0)
     with pytest.raises(ValueError):
-        MultiPairConfig(host, bases=((0, 1),), pages=((2, 3, 4),), epsilon=0)
+        config(host, ((0, 1),), ((2, 3, 4),), 0)
 
 
 def complete_pages_config(rng, eps, two_bases=False):
-    """Pages joined completely to the bases: every base-page pair is
-    uniform at any eps, so the counting bounds must hold and, at small
-    eps, sit well above zero."""
+    """(host, config) with pages joined completely to the bases: every
+    base-page pair is uniform at any eps, so the counting bounds must hold
+    and, at small eps, sit well above zero."""
     n = 40 if two_bases else 30
     blocks = [tuple(range(10 * i, 10 * i + 10)) for i in range(n // 10)]
     nb = 2 if two_bases else 1
@@ -361,37 +352,35 @@ def complete_pages_config(rng, eps, two_bases=False):
             for v in b:
                 edges.append((u, v))
     host = from_edges(n, edges)
-    return MultiPairConfig(
-        host, bases=tuple(blocks[:nb]), pages=tuple(blocks[nb:]), epsilon=eps
-    )
+    return host, config(host, tuple(blocks[:nb]), tuple(blocks[nb:]), eps)
 
 
 def test_positive_bounds_hold_on_complete_pages():
     rng = np.random.default_rng(21)
     for _ in range(5):
-        cfg = complete_pages_config(rng, Fraction(1, 100))
-        bound, actual = triangle_bound(cfg)
+        host, cfg = complete_pages_config(rng, Fraction(1, 100))
+        bound, actual = cfg.triangle_bound()
         assert bound > 0
         assert actual >= bound
-        bbound, cert = book_bound(cfg)
+        bbound, base, pages = cfg.book_bound()
         assert bbound > 0
-        assert cert.size >= bbound
-        check_certificate(cert, cfg.host)
+        assert len(pages) >= bbound
+        check_certificate(BookCertificate(base, pages), host)
 
-        xcfg = complete_pages_config(rng, Fraction(1, 100), two_bases=True)
-        xbound, xactual = triangle_bound(xcfg)
+        _, xcfg = complete_pages_config(rng, Fraction(1, 100), two_bases=True)
+        xbound, xactual = xcfg.triangle_bound()
         assert xbound > 0
         assert xactual >= xbound
-        xb, xcert = book_bound(xcfg)
+        xb, _, xpages = xcfg.book_bound()
         assert xb > 0
-        assert xcert.size >= xb
+        assert len(xpages) >= xb
 
 
-def certified(cfg):
+def certified(host, cfg):
     return all(
-        uniformity_oracle(cfg.base_pair(i, j), cfg.epsilon).uniform
-        for i in range(len(cfg.bases))
-        for j in range(cfg.k)
+        oracle_witness(BipartitePairView(host, A, P), cfg.epsilon) is None
+        for A in cfg.bases
+        for P in cfg.pages
     )
 
 
@@ -407,23 +396,24 @@ def test_bounds_never_violated_on_certified_random_configs():
             if rng.random() < 0.5
         ]
         host = from_edges(n, edges)
-        cfg = MultiPairConfig(
-            host,
-            bases=(tuple(range(10)),),
-            pages=(tuple(range(10, 20)), tuple(range(20, 30))),
-            epsilon=eps,
-        )
-        if not certified(cfg):
+        cfg = config(host, (tuple(range(10)),), (tuple(range(10, 20)), tuple(range(20, 30))), eps)
+        if not certified(host, cfg):
             continue
         seen += 1
-        bound, actual = triangle_bound(cfg)
+        bound, actual = cfg.triangle_bound()
         assert actual >= bound
-        bbound, cert = book_bound(cfg)
-        assert cert.size >= bbound
+        bbound, _, pages = cfg.book_bound()
+        assert len(pages) >= bbound
     assert seen >= 10
 
 
 # ------------------------------------------------------------ classification
+
+
+def classify_pairs(c, blocks, eps, beta, gamma):
+    """``counting.classify`` on the blue rows of a coloring, as the command
+    line reads them; every block here is within the oracle cap."""
+    return classify(rows_of(c.blue), c.n, blocks, eps, beta, gamma)
 
 
 def test_classify_monochromatic_colorings():

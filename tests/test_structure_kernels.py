@@ -23,19 +23,12 @@ from bookramsey.counting import vertex_mask
 from bookramsey.errors import CapacityError
 from bookramsey.graphs import Graph, bits_of
 from bookramsey.numbers import as_fraction
-from bookramsey.oracle import first_witness
-from bookramsey.regularity import (
-    ORACLE_SIDE_CAP,
-    BipartitePairView,
-    UniformityVerdict,
-    check_witness,
-    nonuniformity_search,
-    uniformity_oracle,
-)
+from bookramsey.oracle import ORACLE_SIDE_CAP, first_witness
+from bookramsey.regularity import BipartitePairView, check_witness, nonuniformity_search
 from bookramsey.rng import edge_value
 from bookramsey.stability import bipartite_extract
 
-from helpers import from_edges, graph_of, to_graph6
+from helpers import from_edges, graph_of, oracle_witness, rows_of, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -50,7 +43,15 @@ def _deviates(e: int, s: int, sy: int, enum: int, na: int, nb: int, eps: Fractio
     return lhs > eps.numerator * s * sy * na * nb
 
 
-def ref_uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
+def ref_b_rows(pair: BipartitePairView) -> list[int]:
+    """For each b in B, the bitmask of its neighbours over A's positions,
+    read off the host's int rows."""
+    rows = pair.host.rows
+    return [sum(1 << k for k, a in enumerate(pair.A) if rows[b] >> a & 1) for b in pair.B]
+
+
+def ref_uniformity_oracle(pair: BipartitePairView, eps):
+    """The first witness (X, Y) in (X bitmask, Y bitmask) order, or None."""
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -59,8 +60,8 @@ def ref_uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
         raise CapacityError(f"oracle sides capped at {ORACLE_SIDE_CAP} vertices")
     a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
     if a0 > na or b0 > nb:
-        return UniformityVerdict(None)
-    rows = pair.b_rows()
+        return None
+    rows = ref_b_rows(pair)
     enum = pair.edge_count()
 
     for X in range(1, 1 << na):
@@ -92,9 +93,9 @@ def ref_uniformity_oracle(pair: BipartitePairView, eps) -> UniformityVerdict:
             if sy >= b0 and _deviates(esum[Y], s, sy, enum, na, nb, eps):
                 wx = tuple(pair.A[k] for k in bits_of(X))
                 wy = tuple(pair.B[k] for k in bits_of(Y))
-                return UniformityVerdict((wx, wy))
+                return wx, wy
         raise AssertionError("prefix scan found a deviation but mask scan did not")
-    return UniformityVerdict(None)
+    return None
 
 
 def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed: int = 0):
@@ -302,9 +303,7 @@ def pairs(draw, max_side):
 
 
 def assert_oracle_matches(pair, eps):
-    got = uniformity_oracle(pair, eps)
-    want = ref_uniformity_oracle(pair, eps)
-    assert (got.uniform, got.witness) == (want.uniform, want.witness)
+    assert oracle_witness(pair, eps) == ref_uniformity_oracle(pair, eps)
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,9 +329,9 @@ def dense_pairs(draw, max_side):
 @settings(max_examples=300, deadline=None)
 @given(dense_pairs(10), st.sampled_from(EPSILONS + HUGE_EPSILONS + FLOOR_EPSILONS))
 def test_kernel_matches_reference_on_dense_pairs(pair, eps):
-    want = ref_uniformity_oracle(pair, eps).witness
-    assert first_witness(pair.A, pair.B, pair.b_rows(), eps) == want
-    assert uniformity_oracle(pair, eps).witness == want
+    want = ref_uniformity_oracle(pair, eps)
+    assert first_witness(pair.A, pair.B, rows_of(pair.host)(pair.A, pair.B), eps) == want
+    assert oracle_witness(pair, eps) == want
 
 
 @pytest.mark.parametrize("kind", ["empty", "complete", "half", "random"])
@@ -374,8 +373,7 @@ def test_oracle_witness_on_a_chunk_boundary():
     cross[t - 1] = True
     pair = shuffled_pair(np.random.default_rng(3), cross)
     eps = Fraction(1, 16)
-    verdict = uniformity_oracle(pair, eps)
-    assert verdict.witness[0] == (pair.A[t - 1],)
+    assert oracle_witness(pair, eps)[0] == (pair.A[t - 1],)
     assert_oracle_matches(pair, eps)
 
 
