@@ -16,17 +16,17 @@ only by the tabular reports (stats, lemma-check).
 Start-up is lazy: this module imports only the standard library and the
 package's error and number helpers, and each handler imports the library
 modules it uses when it runs, so wall_time_ms includes loading them.
-``verify`` loads ``ramsey`` and ``colex`` only.  ``uniformity``
-without ``--sampled`` loads ``oracle``, ``graph6`` and ``colex`` only,
-reading its pair's rows straight off the graph6 line, and so does
-``lemma-check``, with ``counting``, at every block size: neither loads
-numpy.  ``classify`` reads its rows the same way; a block past the
-oracle cap (16) has it decode the graph, with numpy and ``regularity``,
-for its sampled search.  The other commands load numpy with the modules
-they use.  The
-process entry ``entry`` runs ``main`` and then freezes the garbage
-collector before exiting; ``main(argv)`` itself, as tests and in-process
-callers use it, leaves the collector alone.
+``verify`` loads ``ramsey`` and ``colex`` only.  ``uniformity``,
+``lemma-check`` and ``classify`` read their pairs' rows straight off
+the graph6 line (``graph6``) at every block size, and none loads numpy:
+the exact oracle (``oracle``) runs on them, the counting bounds and
+labels (``counting``) too, and so does the sampled search
+(``regularity``) of ``uniformity --sampled`` and of ``classify``'s
+blocks past the oracle cap (16).  The other commands load numpy with
+the modules they use.  The process entry ``entry`` runs ``main`` and
+then freezes the garbage collector before exiting; ``main(argv)``
+itself, as tests and in-process callers use it, leaves the collector
+alone.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from numbers import Integral
 
 from . import __version__
@@ -98,12 +98,11 @@ def _vertex_lists(raw, n, count, message):
     return [tuple(b) for b in raw]
 
 
-def load_config(path, required=(), decode=False) -> dict:
+def load_config(path, required=()) -> dict:
     """JSON descriptor: {graph: graph6, blocks: [[...],...], epsilon, ...} plus `required` fields.
 
     The graph becomes the order and the checked data of its graph6 line
-    (``graph6.graph6_data``), read without numpy, and the line's text is
-    kept as "graph6"; with ``decode``, the graph becomes a ``Graph``.
+    (``graph6.graph6_data``), read without numpy.
     """
     cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
@@ -111,18 +110,10 @@ def load_config(path, required=(), decode=False) -> dict:
     for field in ("graph", "blocks", "epsilon", *required):
         if field not in cfg:
             raise ParseError(f"config needs '{field}'", line=1)
-    if decode:
-        from .graphs import Graph
+    from .graph6 import graph6_data
 
-        cfg["graph"] = Graph.from_graph6(str(cfg["graph"]))
-        n = cfg["graph"].n
-    else:
-        from .graph6 import graph6_data
-
-        cfg["graph6"] = str(cfg["graph"])
-        cfg["graph"] = graph6_data(cfg["graph6"])
-        n = cfg["graph"][0]
-    cfg["blocks"] = _vertex_lists(cfg["blocks"], n, None, "'blocks' must be a list of vertex lists")
+    cfg["graph"] = graph6_data(str(cfg["graph"]))
+    cfg["blocks"] = _vertex_lists(cfg["blocks"], cfg["graph"][0], None, "'blocks' must be a list of vertex lists")
     return cfg
 
 
@@ -290,34 +281,35 @@ def _csv(header, rows) -> str:
 
 
 def cmd_uniformity(args):
-    """The oracle reads only its pair's bits off the graph6 line and runs
-    the numpy-free kernel of ``oracle``; ``--sampled`` decodes the graph."""
-    cfg = load_config(args.config, decode=args.sampled)
+    """The oracle, or with ``--sampled`` the search, reads only its pair's
+    bits off the graph6 line and runs without numpy."""
+    from .graph6 import graph6_pair_rows
+    from .oracle import check_sides
+
+    cfg = load_config(args.config)
     if len(cfg["blocks"]) != 2:
         raise ValueError("uniformity needs exactly two blocks")
     eps = as_fraction(cfg["epsilon"])
     A, B = cfg["blocks"]
+    n, data = cfg["graph"]
+    check_sides(A, B, n)
+    jsonable(eps)  # an epsilon too long to print (ValueError) exits before the scan
     if args.sampled:
-        from .regularity import BipartitePairView, nonuniformity_search
+        from .regularity import nonuniformity_search
 
-        pair = BipartitePairView(cfg["graph"], A, B)
-        jsonable(eps)  # an epsilon too long to print (ValueError) exits before the scan
-        method, uniform, density = "search", None, pair.density
-        witness = nonuniformity_search(pair, eps, samples=args.samples, seed=args.seed)
+        read = cache(partial(graph6_pair_rows, data))  # the search reads the pair (A, B) again
+        rows, method, uniform = read(A, B), "search", None
+        witness = nonuniformity_search(read, A, B, eps, samples=args.samples, seed=args.seed)
         summary = "non-uniformity witness found" if witness else "no witness found (certifies nothing)"
     else:
-        from .graph6 import graph6_pair_rows
-        from .oracle import check_sides, first_witness, oracle_floors
+        from .oracle import first_witness, oracle_floors
 
-        n, data = cfg["graph"]
-        check_sides(A, B, n)
-        jsonable(eps)  # as above
         oracle_floors(eps, len(A), len(B))  # eps <= 0, then a side above the cap: refused before the pair is read
         rows = graph6_pair_rows(data, A, B)
-        density = Fraction(sum(r.bit_count() for r in rows), len(A) * len(B))
         method, witness = "oracle", first_witness(A, B, rows, eps)
         uniform = witness is None
         summary = "pair is uniform at the given epsilon" if uniform else "pair is not uniform; witness attached"
+    density = Fraction(sum(r.bit_count() for r in rows), len(A) * len(B))
     results = {"method": method, "density": density, "epsilon": eps, "uniform": uniform, "witness": witness}
     return results, summary, EXIT_FOUND if witness else EXIT_OK
 
@@ -401,24 +393,18 @@ def lemma_csv(results) -> str:
 
 def cmd_classify(args):
     """``counting.classify`` on rows read off the graph6 line; a pair past
-    the oracle cap goes to ``regularity.nonuniformity_search`` on the red
-    graph, decoded from the config's text when the first one comes."""
+    the oracle cap goes to ``regularity.nonuniformity_search`` on its red
+    rows."""
     from .counting import classify
     from .graph6 import graph6_pair_rows
 
     cfg = load_config(args.config, required=("beta", "gamma"))
     eps, beta, gamma = (as_fraction(cfg[name]) for name in ("epsilon", "beta", "gamma"))
-    red = []  # the red graph, once a pair needs it
 
-    def search(A, B):
-        from .regularity import BipartitePairView, nonuniformity_search
+    def search(red, A, B):
+        from .regularity import nonuniformity_search
 
-        if not red:
-            from .graphs import Graph
-
-            # a fresh decode: Graph.from_graph6 rewrites the bytes it reads in place
-            red.append(Graph.from_graph6(cfg["graph6"]).complement())
-        return nonuniformity_search(BipartitePairView(red[0], A, B), eps, samples=args.samples, seed=args.seed)
+        return nonuniformity_search(red, A, B, eps, samples=args.samples, seed=args.seed)
 
     n, data = cfg["graph"]
     labels = classify(partial(graph6_pair_rows, data), n, cfg["blocks"], eps, beta, gamma, search)

@@ -3,9 +3,9 @@
 Everything here is read from a row source ``rows(A, B)``: for each b in
 B, the bitmask of its neighbours over the positions of A (A and B may
 meet).  The command line passes ``graph6.graph6_pair_rows`` on the held
-graph6 line at every block size, so ``lemma-check`` loads no numpy, and
-``classify`` loads it only for its sampled search, once a block passes
-``ORACLE_SIDE_CAP``.
+graph6 line at every block size, so neither ``lemma-check`` nor
+``classify`` loads numpy; past ``ORACLE_SIDE_CAP`` ``classify`` hands
+the red rows (``complement``) to the sampled search of ``regularity``.
 
 A config is one or two base blocks and k page blocks, all of size t.
 Densities are popcounts over t^2, so the counting hypotheses
@@ -74,12 +74,15 @@ class MultiPair:
 
     @cached_property
     def page_rows(self) -> list[list[list[int]]]:
-        """[i][j]: for each vertex of base i, its mask over page j.  Read
-        first, it refuses a (base, page) pair as ``oracle.check_sides``."""
+        """[i][j]: for each vertex of base i, its mask over page j, cut
+        from one read of base i over all the pages.  Read first, it
+        refuses a (base, page) pair as ``oracle.check_sides``."""
         for A in self.bases:
             for P in self.pages:
                 check_sides(A, P, self.n)
-        return [[self.read(P, A) for P in self.pages] for A in self.bases]
+        t, full, pages = self.t, (1 << self.t) - 1, [v for P in self.pages for v in P]
+        reads = [self.read(pages, A) for A in self.bases]
+        return [[[m >> j * t & full for m in masks] for j in range(self.k)] for masks in reads]
 
     def uniform(self, i: int, j: int) -> bool:
         """Whether (base i, page j) is eps-uniform: the exact oracle
@@ -189,6 +192,17 @@ def _selectors(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_ZERO)
 
 
+def complement(rows: RowSource) -> RowSource:
+    """The row source of the complement graph: each row flipped over the
+    positions of A, where a vertex stays no neighbour of itself."""
+
+    def flipped(A: Sequence[int], B: Sequence[int]) -> list[int]:
+        full, at = (1 << len(A)) - 1, {a: k for k, a in enumerate(A)}
+        return [full ^ r ^ (1 << at[b] if b in at else 0) for b, r in zip(B, rows(A, B))]
+
+    return flipped
+
+
 def classify(
     rows: RowSource,
     n: int,
@@ -196,18 +210,18 @@ def classify(
     eps: Fraction,
     beta: Fraction,
     gamma: Fraction,
-    search: Callable[[tuple[int, ...], tuple[int, ...]], object] | None = None,
+    search: Callable[[RowSource, tuple[int, ...], tuple[int, ...]], object] | None = None,
 ) -> list[dict]:
     """Label every block pair irr / blue / mid / red; ``rows`` reads the
     blue graph.
 
     A pair is irr when not eps-uniform; otherwise its red density d
     decides: blue when d < beta, mid when beta <= d < 1 - gamma, red when
-    d >= 1 - gamma.  The red rows are the blue ones flipped over A.
-    Blocks within the oracle cap are decided exactly on them
-    (``oracle.first_witness``); larger ones by ``search(A, B)``, a
-    witness hunt on the red graph whose None certifies nothing, recorded
-    per pair as its method.
+    d >= 1 - gamma.  The red rows are the blue ones flipped
+    (``complement``).  Blocks within the oracle cap are decided exactly
+    on them (``oracle.first_witness``); larger ones by
+    ``search(red, A, B)``, a witness hunt on the red row source whose
+    None certifies nothing, recorded per pair as its method.
     """
     if not (0 < beta < 1 and 0 < gamma < 1):
         raise ValueError("beta and gamma must lie in (0, 1)")
@@ -215,15 +229,15 @@ def classify(
     if not blocks:
         raise ValueError("need at least one block")
     t = check_blocks(blocks)
-    full = (1 << t) - 1
+    red_rows = complement(rows)
     out = []
     for (i, A), (j, B) in combinations(enumerate(blocks), 2):
         check_sides(A, B, n)
-        red = [full ^ r for r in rows(A, B)]
+        red = red_rows(A, B)
         if t <= ORACLE_SIDE_CAP:
             nonuniform, method = first_witness(A, B, red, eps) is not None, "oracle"
         else:
-            nonuniform, method = search(A, B) is not None, "search"
+            nonuniform, method = search(red_rows, A, B) is not None, "search"
         d = Fraction(sum(map(int.bit_count, red)), t * t)
         if nonuniform:
             label = "irr"

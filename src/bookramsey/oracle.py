@@ -101,18 +101,32 @@ def first_witness(
     raise AssertionError("a deviating X has a deviating Y")
 
 
+def deviation_slopes(eps: Fraction, na: int, nb: int, edges: int, s: int) -> tuple[int, int, int]:
+    """(low, high, den) for an X of s vertices in a pair of sides na, nb
+    with ``edges`` cross edges: a cross count e = e(X, Y) with |Y| = sy
+    deviates iff e den < sy low or e den > sy high.
+
+    With eps = p / q and N = na nb, the thresholds ceil((m - lim) / N)
+    and floor((m + lim) / N) of m = e(A, B) s sy and lim = floor(eps s
+    sy N) are ceil(sy low / den) and floor(sy high / den), for
+    low, high = s (e(A, B) q -+ p N) and den = q N; an integer count is
+    below the first or above the second iff it is so against the
+    unrounded quotient."""
+    p, q, size = eps.numerator, eps.denominator, na * nb
+    return s * (edges * q - p * size), s * (edges * q + p * size), q * size
+
+
 def _thresholds(eps: Fraction, na: int, nb: int, edges: int, a0: int, b0: int) -> dict:
     """(low, high) for the sizes (s, sy) from the floors on: a cross count
     e of an X of s and a Y of sy vertices deviates iff e < low or
-    e > high.  A low of 0 or a high of s sy, which no count passes,
-    reads 0 or None: nothing to test."""
+    e > high (``deviation_slopes``).  A low of 0 or a high of s sy,
+    which no count passes, reads 0 or None: nothing to test."""
     out = {}
     for s in range(a0, na + 1):
+        low, high, den = deviation_slopes(eps, na, nb, edges, s)
         for sy in range(b0, nb + 1):
-            size = s * sy
-            mean, lim = edges * size, eps.numerator * size * na * nb // eps.denominator
-            low, high = -((lim - mean) // (na * nb)), (mean + lim) // (na * nb)
-            out[s, sy] = max(low, 0), high if high < size else None
+            top = (sy * high) // den
+            out[s, sy] = max(-((-sy * low) // den), 0), top if top < s * sy else None
     return out
 
 

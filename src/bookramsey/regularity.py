@@ -1,4 +1,4 @@
-"""The sampled non-uniformity search on a decoded graph.
+"""The sampled non-uniformity search, on Python-int pair rows.
 
 A pair (A, B) is eps-uniform when every X in A, Y in B with |X| >= ceil(eps
 |A|), |Y| >= ceil(eps |B|) has |d(X, Y) - d(A, B)| <= eps; a witness to the
@@ -9,163 +9,113 @@ validators agree with each other.
 All densities are exact rationals; "count >= bound" comparisons carry no
 floating-point tolerance.  The exact oracle is the bit-sliced kernel of
 ``oracle``, and the counting bounds and pair labels are the popcount
-loops of ``counting``, both on rows read off the graph6 line
-(``graph6.graph6_pair_rows``); none of them loads numpy.  This module
-holds the sampled search, the fallback past the oracle cap, which reads
-a decoded ``Graph`` through ``BipartitePairView``: the ``uniformity
---sampled`` command and ``classify``'s blocks above ``ORACLE_SIDE_CAP``
-run it.  Its deviation tests are cleared of denominators up front: they
-compare int64 arrays against limits computed from eps in Python ints.
+loops of ``counting``.  This module holds the sampled search, the
+fallback past the oracle cap, which the ``uniformity --sampled``
+command and ``classify``'s blocks above ``ORACLE_SIDE_CAP`` run.  Like
+the others it reads its pair from a row source (``counting.RowSource``),
+which the command line serves off the graph6 line
+(``graph6.graph6_pair_rows``), and it loads no numpy.  Its deviation
+test is the oracle's (``oracle.deviation_slopes``), cleared of
+denominators and taken in Python ints, so no eps overflows.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .errors import CapacityError
-from .graphs import Graph
+from .colex import bits_of
 from .numbers import as_fraction
-from .oracle import check_sides, size_floor
-from .rng import stream_values
+from .oracle import deviation_slopes, size_floor
+from .rng import stream_blocks
+
+if TYPE_CHECKING:  # the search's process need not compile counting
+    from .counting import RowSource
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-@dataclass(frozen=True)
-class BipartitePairView:
-    """Two disjoint vertex sets of a host graph with their cross edges."""
-
-    host: Graph
-    A: tuple[int, ...]
-    B: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", tuple(self.A))
-        object.__setattr__(self, "B", tuple(self.B))
-        check_sides(self.A, self.B, self.host.n)
-
-    def edge_count(self) -> int:
-        return self.host.edges_between(self.A, self.B)
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.edge_count(), len(self.A) * len(self.B))
-
-    def cross(self) -> np.ndarray:
-        """(|A|, |B|) bool matrix: entry [k, j] is set iff A[k] ~ B[j]."""
-        return self.host.adjacency(self.A, self.B)
-
-
-def _count_dtype(na: int, nb: int):
-    """Integer type of a pair's deviation tests: it must hold (na nb)^2,
-    the largest |e na nb - e(A, B) |X| |Y|| and the largest limit."""
-    cap = (na * nb) ** 2
-    if cap >= 1 << 62:
-        raise CapacityError("pair too large for the int64 deviation kernel")
-    return np.int32 if cap < 1 << 31 else np.int64
-
-
-def _deviation_limits(eps: Fraction, na: int, nb: int, b0: int, s: int) -> np.ndarray:
-    """Limits over |Y| = 0..nb for |X| = s: a cross count e deviates iff
-    |e na nb - e(A, B) s |Y|| > limit.
-
-    The limit is floor(eps s |Y| na nb), the deviation test cleared of
-    denominators, taken in Python ints so no eps overflows.  It is clipped
-    at (na nb)^2, which |e na nb - e(A, B) s |Y|| never exceeds, and sizes
-    below the floor b0 get the clip, so they never deviate.
-    """
-    cap = (na * nb) ** 2
-    limits = np.minimum(np.arange(nb + 1, dtype=object) * (s * eps.numerator * na * nb) // eps.denominator, cap)
-    limits = limits.astype(_count_dtype(na, nb))
-    limits[:b0] = cap
-    return limits
-
-
-def _extreme_counts(degs: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest cross counts over |Y| = 1..nb.
-
-    ``degs`` holds |N(b) cap X| over b in B in ascending order; entry
-    sy - 1 sums its sy smallest (lo) and its sy largest (hi) entries.
-    """
-    return np.cumsum(degs, dtype=dtype), np.cumsum(degs[::-1], dtype=dtype)
-
-
-def check_witness(pair: BipartitePairView, eps, X: Iterable[int], Y: Iterable[int]) -> bool:
-    """Exact re-validation of a claimed non-uniformity witness."""
+def check_witness(rows: RowSource, A: Sequence[int], B: Sequence[int], eps, X: Iterable[int], Y: Iterable[int]) -> bool:
+    """Exact re-validation of a claimed non-uniformity witness of the
+    pair (A, B), read from ``rows``."""
     eps = as_fraction(eps)
-    X, Y = sorted(set(X)), sorted(set(Y))
-    if not set(X) <= set(pair.A) or not set(Y) <= set(pair.B):
+    X, Y = tuple(sorted(set(X))), tuple(sorted(set(Y)))
+    if not set(X) <= set(A) or not set(Y) <= set(B):
         return False
-    if len(X) < size_floor(eps, len(pair.A)) or len(Y) < size_floor(eps, len(pair.B)):
+    if len(X) < size_floor(eps, len(A)) or len(Y) < size_floor(eps, len(B)):
         return False
-    e = pair.host.edges_between(X, Y)
-    dxy = Fraction(e, len(X) * len(Y))
-    return abs(dxy - pair.density) > eps
+    e, edges = (sum(map(int.bit_count, rows(P, Q))) for P, Q in ((X, Y), (A, B)))
+    return abs(Fraction(e, len(X) * len(Y)) - Fraction(edges, len(A) * len(B))) > eps
 
 
-def nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed: int = 0):
+def nonuniformity_search(rows: RowSource, A: Sequence[int], B: Sequence[int], eps, samples: int = 1000, seed: int = 0):
     """Heuristic witness hunt for pairs beyond the oracle cap.
 
     Degree-threshold prefixes of A are tried first, then neighborhoods of
     single B vertices, then seeded random subsets; for each candidate X
     the most extreme Y of every admissible size is examined, the least
     size first and the low-degree end before the high one.  A returned
-    witness is exactly re-validated; None certifies nothing.
+    witness is exactly re-validated; None certifies nothing.  The sides
+    are the caller's to check (``oracle.check_sides``).
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    na, nb = len(pair.A), len(pair.B)
+    na, nb = len(A), len(B)
     a0, b0 = size_floor(eps, na), size_floor(eps, nb)
     if a0 > na or b0 > nb:
         return None
-    enum = pair.edge_count()
-    limits: dict[int, np.ndarray] = {}  # by |X|
-    cross = pair.cross()
-    by_degree = np.argsort(cross.sum(axis=1), kind="stable")
-    sy = np.arange(1, nb + 1, dtype=_count_dtype(na, nb))
+    cross = rows(A, B)  # cross[j]: the neighbours of B[j] over A's positions
+    edges, full = sum(map(int.bit_count, cross)), (1 << na) - 1
 
     def candidate_xs():
-        # each candidate is an array of positions in A
-        sizes = sorted({a0, max(a0, na // 4), max(a0, na // 2), max(a0, (3 * na) // 4), na})
-        for m in sizes:
-            yield by_degree[:m]
-            yield by_degree[na - m :]
-        for j in range(min(nb, 50)):
-            hood = np.flatnonzero(cross[:, j])
-            if len(hood) >= a0:
-                yield hood
-            rest = np.flatnonzero(~cross[:, j])
-            if len(rest) >= a0:
-                yield rest
-        # random sample i reads na + 1 values of stream 1: the first sets
-        # m = |X| in [a0, na], and X is the m positions of A whose own
-        # values sort first
-        for i in itertools.count():
-            values = stream_values(seed, 1, i * (na + 1), na + 1)
-            m = a0 + ((int(values[0]) * (na - a0 + 1)) >> 64)
-            yield np.argsort(values[1:], kind="stable")[:m]
+        # each candidate is a mask over A's positions
+        deg_a = list(map(int.bit_count, rows(B, A)))
+        prefix, masks = 0, [0]
+        for k in sorted(range(na), key=deg_a.__getitem__):
+            prefix |= 1 << k
+            masks.append(prefix)  # masks[m]: the m positions of least degree
+        for m in sorted({a0, max(a0, na // 4), max(a0, na // 2), max(a0, (3 * na) // 4), na}):
+            yield masks[m]
+            yield full ^ masks[na - m]
+        for hood in cross[:50]:
+            for x in (hood, full ^ hood):
+                if x.bit_count() >= a0:
+                    yield x
+        # random sample i reads na + 1 values of stream 1 from counter
+        # i (na + 1): the first sets m = |X| in [a0, na], and X is the m
+        # positions of A whose own values sort first, ties to the lower one
+        for v0, *values in stream_blocks(seed, 1, na + 1):
+            m = a0 + ((v0 * (na - a0 + 1)) >> 64)
+            ranked = sorted(values)
+            cut = ranked[m - 1]
+            if m < na and ranked[m] == cut:
+                yield sum(1 << k for k in sorted(range(na), key=values.__getitem__)[:m])
+            else:  # the m least values are those up to the cut
+                yield int(bytes(map(cut.__ge__, values)).translate(_DIGITS)[::-1], 2)
 
-    for _, xs in zip(range(samples), candidate_xs()):
-        s = len(xs)
-        deg_b = cross[xs].sum(axis=0)
-        order = np.argsort(deg_b, kind="stable")
-        lo, hi = _extreme_counts(deg_b[order], sy.dtype)
-        mean = enum * s * sy
-        if s not in limits:
-            limits[s] = _deviation_limits(eps, na, nb, b0, s)[1:]
-        lim = limits[s]
-        dev_lo = np.abs(lo * (na * nb) - mean) > lim
-        dev_hi = np.abs(hi * (na * nb) - mean) > lim
-        for k in np.flatnonzero(dev_lo | dev_hi).tolist():
-            for dev, picks in ((dev_lo, order[: k + 1]), (dev_hi, order[nb - k - 1 :])):
-                if dev[k]:
-                    X = sorted(pair.A[i] for i in xs.tolist())
-                    Y = sorted(pair.B[i] for i in picks.tolist())
-                    if check_witness(pair, eps, X, Y):
-                        return tuple(X), tuple(Y)
+    for _, x in zip(range(samples), candidate_xs()):
+        s = x.bit_count()
+        low, high, den = deviation_slopes(eps, na, nb, edges, s)
+        deg_b = list(map(int.bit_count, map(x.__and__, cross)))
+        degs = sorted(deg_b)
+        # lo(k), the least e(X, Y) over |Y| = k, sums the k least degrees, so
+        # lo(k) den - k low is convex in k, least where the degrees reach
+        # low / den; hi(k) den - k high, of the k greatest, is concave and
+        # greatest where they pass high / den.  A size deviates iff one does.
+        k = max(b0, bisect_left(degs, -(-low // den)))
+        if sum(degs[:k]) * den >= k * low:
+            k = max(b0, nb - bisect_right(degs, high // den))
+            if sum(degs[nb - k :]) * den <= k * high:
+                continue
+        order = sorted(range(nb), key=deg_b.__getitem__)
+        lo, hi = list(accumulate(degs)), list(accumulate(reversed(degs)))
+        for k in range(b0, nb + 1):
+            for e, picks in ((lo[k - 1], order[:k]), (hi[k - 1], order[nb - k :])):
+                if not k * low <= e * den <= k * high:
+                    X, Y = tuple(sorted(A[i] for i in bits_of(x))), tuple(sorted(B[i] for i in picks))
+                    if check_witness(rows, A, B, eps, X, Y):  # on rows read afresh
+                        return X, Y
     return None
-

@@ -6,7 +6,8 @@ order, split across threads, or revisited later with bit-identical
 results.  Edge colours of the randomized constructions read the
 counters of ``seed`` itself, one per edge; the auxiliary draws of the
 sampled witness search and of the bipartite extractor read a keyed
-stream, the counters of edge_value(seed, stream) (``stream_values``).
+stream, the counters of edge_value(seed, stream) (``stream_values``;
+the search reads consecutive blocks of one, ``stream_blocks``).
 
 The generator is splitmix64: value(seed, k) = mix64(seed + (k+1)*GAMMA)
 over 64-bit wrapping arithmetic (Steele, Lea & Flood, "Fast splittable
@@ -14,13 +15,17 @@ pseudorandom number generators", OOPSLA 2014).  An event of probability
 ``p`` fires iff the value is below floor(p * 2**64); with a rational
 ``p`` this is exact to the full 64-bit resolution.
 
-Two implementations are provided on purpose: a scalar pure-Python
-reference and a vectorized numpy kernel.  Tests hold them equal.
+Three implementations are provided on purpose, and tests hold them
+equal: a scalar pure-Python reference, a vectorized numpy kernel for
+the edge colours, which alone import numpy, and a kernel on Python-int
+lanes for the streams, so the sampled search loads no numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+import struct
+from typing import Iterator
 
 from .numbers import as_fraction
 
@@ -28,7 +33,6 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX_M1 = 0xBF58476D1CE4E5B9
 MIX_M2 = 0x94D049BB133111EB
-_GAMMA, _M1, _M2 = np.uint64(GAMMA), np.uint64(MIX_M1), np.uint64(MIX_M2)
 
 
 def mix64(z: int) -> int:
@@ -56,31 +60,60 @@ def probability_threshold(p) -> int:
     return (f.numerator << 64) // f.denominator
 
 
-def edge_values_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized edge_value for counters start .. start+count-1."""
+def edge_values_block(seed: int, start: int, count: int):
+    """Vectorized edge_value for counters start .. start+count-1 (numpy)."""
+    import numpy as np
+
     if count < 0:
         raise ValueError("count must be nonnegative")
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= _GAMMA
+    z *= np.uint64(GAMMA)
     z += np.uint64(seed & MASK64)
     z ^= z >> np.uint64(30)
-    z *= _M1
+    z *= np.uint64(MIX_M1)
     z ^= z >> np.uint64(27)
-    z *= _M2
+    z *= np.uint64(MIX_M2)
     z ^= z >> np.uint64(31)
     return z
 
 
-def bernoulli_block(seed: int, start: int, count: int, threshold: int) -> np.ndarray:
-    """Boolean array: value below threshold, for a contiguous counter range."""
+def bernoulli_block(seed: int, start: int, count: int, threshold: int):
+    """Boolean numpy array: value below threshold, for a counter range."""
+    import numpy as np
+
     vals = edge_values_block(seed, start, count)
     if threshold >= 1 << 64:
         return np.ones(count, dtype=bool)
     return vals < np.uint64(threshold)
 
 
-def stream_values(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+def stream_values(seed: int, stream: int, start: int, count: int) -> list[int]:
     """Values start .. start+count-1 of auxiliary stream ``stream``: the
     counters of the key edge_value(seed, stream), so distinct streams
     are decorrelated by the mixer."""
-    return edge_values_block(edge_value(seed, stream), start, count)
+    return next(stream_blocks(seed, stream, count, start))
+
+
+def stream_blocks(seed: int, stream: int, count: int, start: int = 0) -> Iterator[list[int]]:
+    """Consecutive blocks of ``count`` values of stream ``stream``, from
+    counter ``start`` on: block i is stream_values(seed, stream, start +
+    i count, count).
+
+    Every step of mix64 runs on one int of 128-bit lanes, a value to
+    each, so no 64-bit product leaves its lane; a shift moves each lane's
+    low bits into the high half of the one below, and the lanes are cut
+    back to 64 bits before each product.  The lane ints are built once.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    lanes = "<" + "Q8x" * count  # a 64-bit value in the low half of each 128-bit lane
+    ones = int.from_bytes(struct.pack(lanes, *[1] * count), "little")
+    mask = ones * MASK64
+    steps = int.from_bytes(struct.pack(lanes, *range(1, count + 1)), "little") * GAMMA & mask  # (k + 1) GAMMA in lane k
+    key = edge_value(seed, stream)
+    for first in itertools.count(start, count):
+        z = (steps + ((first * GAMMA + key) & MASK64) * ones) & mask
+        z = ((z ^ z >> 30) & mask) * MIX_M1 & mask
+        z = ((z ^ z >> 27) & mask) * MIX_M2 & mask
+        z ^= z >> 31  # the bits this shifts into a lane's high half are dropped below
+        yield list(struct.unpack(lanes, z.to_bytes(16 * count, "little")))

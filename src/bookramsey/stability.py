@@ -169,7 +169,7 @@ def bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
     for r in range(restarts):
         # 2n values of stream r: a vertex's side is the top bit of its
         # first value, the scan order sorts the second
-        values = stream_values(seed, r, 0, 2 * n)
+        values = np.array(stream_values(seed, r, 0, 2 * n), dtype=np.uint64)
         side = (values[:n] >> np.uint64(63)).astype(np.int8)
         order = np.argsort(values[n:], kind="stable")
         _local_max_cut(g, side, order)

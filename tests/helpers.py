@@ -1,8 +1,9 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
 from array import array
-from dataclasses import asdict
-from functools import partial
+from dataclasses import asdict, dataclass
+from fractions import Fraction
+from functools import cached_property, partial
 from typing import Iterable
 
 import numpy as np
@@ -11,7 +12,7 @@ from bookramsey.colorings import TwoColoring
 from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
-from bookramsey.oracle import first_witness, oracle_floors
+from bookramsey.oracle import check_sides, first_witness, oracle_floors
 
 
 def graph_of(m) -> Graph:
@@ -62,14 +63,38 @@ def rows_of(g: Graph):
     return partial(graph6_pair_rows, data)
 
 
+@dataclass(frozen=True)
+class Pair:
+    """Two disjoint vertex lists of a graph (``oracle.check_sides``): the
+    sides of an oracle or search call, with the graph's row source."""
+
+    host: Graph
+    A: tuple[int, ...]
+    B: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", tuple(self.A))
+        object.__setattr__(self, "B", tuple(self.B))
+        check_sides(self.A, self.B, self.host.n)
+
+    @cached_property
+    def rows(self):
+        """``rows_of(host)``: the rows as the command line reads them."""
+        return rows_of(self.host)
+
+    @property
+    def density(self) -> Fraction:
+        return Fraction(sum(map(int.bit_count, self.rows(self.A, self.B))), len(self.A) * len(self.B))
+
+
 def oracle_witness(pair, eps):
-    """The exact oracle's first witness on a pair view, or None: the
+    """The exact oracle's first witness on a ``Pair``, or None: the
     command's ``oracle.first_witness`` on rows read by ``rows_of``, and
     its refusals, eps <= 0 and then a side above the cap
     (``oracle.oracle_floors``)."""
     eps = as_fraction(eps)
     oracle_floors(eps, len(pair.A), len(pair.B))
-    return first_witness(pair.A, pair.B, rows_of(pair.host)(pair.A, pair.B), eps)
+    return first_witness(pair.A, pair.B, pair.rows(pair.A, pair.B), eps)
 
 
 # Vertex and edge queries over the bool matrix ``adjacency()``, not the

@@ -37,7 +37,7 @@ from bookramsey.ramsey import (
     exhaustive_verify,
 )
 from bookramsey.counting import MultiPair
-from bookramsey.regularity import BipartitePairView, check_witness
+from bookramsey.regularity import check_witness
 from bookramsey.stability import (
     bipartite_extract,
     blue_book_bound,
@@ -45,7 +45,7 @@ from bookramsey.stability import (
     red_book_bound,
 )
 
-from helpers import from_edges, graph_of, oracle_witness, rows_of, to_graph6
+from helpers import Pair, from_edges, graph_of, oracle_witness, rows_of, to_graph6
 
 ENTRY = "from bookramsey.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
 
@@ -217,7 +217,7 @@ def _config(host, bases, pages, eps):
 
 def _certified(host, cfg):
     return all(
-        oracle_witness(BipartitePairView(host, A, P), cfg.epsilon) is None
+        oracle_witness(Pair(host, A, P), cfg.epsilon) is None
         for A in cfg.bases
         for P in cfg.pages
     )
@@ -296,7 +296,7 @@ def test_criterion_6_uniformity_oracle(capsys):
         eps_grid = [Fraction(1, 100), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]
 
         def pair_of(host, ta, tb):
-            return BipartitePairView(host, tuple(range(ta)), tuple(range(ta, ta + tb)))
+            return Pair(host, tuple(range(ta)), tuple(range(ta, ta + tb)))
 
         complete = from_edges(
             20, [(a, b) for a in range(10) for b in range(10, 20)]
@@ -312,7 +312,7 @@ def test_criterion_6_uniformity_oracle(capsys):
         hp = pair_of(half, 10, 10)
         witness = oracle_witness(hp, Fraction(1, 10))
         ok &= witness is not None
-        ok &= check_witness(hp, Fraction(1, 10), *witness)
+        ok &= check_witness(hp.rows, hp.A, hp.B, Fraction(1, 10), *witness)
 
         rng = np.random.default_rng(66)
         revalidated = 0
@@ -324,7 +324,7 @@ def test_criterion_6_uniformity_oracle(capsys):
                 for b in range(nb)
                 if rng.random() < rng.uniform(0.2, 0.8)
             ]
-            pv = BipartitePairView(
+            pv = Pair(
                 from_edges(na + nb, edges),
                 tuple(range(na)),
                 tuple(range(na, na + nb)),
@@ -332,7 +332,7 @@ def test_criterion_6_uniformity_oracle(capsys):
             witness = oracle_witness(pv, Fraction(1, 5))
             if witness is not None:
                 revalidated += 1
-                ok &= check_witness(pv, Fraction(1, 5), *witness)
+                ok &= check_witness(pv.rows, pv.A, pv.B, Fraction(1, 5), *witness)
         ok &= revalidated >= 10
         return ok, f"half-graph witness valid; {revalidated} random witnesses re-validated"
 

@@ -647,9 +647,9 @@ def _refuse_scans(monkeypatch):
         raise AssertionError("the scan ran before epsilon was refused")
 
     monkeypatch.setattr(regularity, "nonuniformity_search", refuse)
-    # the search counts the pair's edges first, whichever name it was called by
-    monkeypatch.setattr(regularity.BipartitePairView, "edge_count", refuse)
-    # the oracle reads the pair's rows off the line and scans them itself
+    # the search's deviation test, whichever name the search was called by
+    monkeypatch.setattr(regularity, "deviation_slopes", refuse)
+    # the oracle and the search read the pair's rows off the line, and the oracle scans them itself
     monkeypatch.setattr(graph6, "graph6_pair_rows", refuse)
     monkeypatch.setattr(oracle, "first_witness", refuse)
 

@@ -38,6 +38,7 @@ from bookramsey.rng import (
     edge_value,
     edge_values_block,
     probability_threshold,
+    stream_blocks,
     stream_values,
 )
 
@@ -417,10 +418,16 @@ def test_block_matches_scalar():
 
 @pytest.mark.parametrize("seed", [-3, 0, 2**64 + 5, 2**65])
 def test_stream_values_match_scalar_composition(seed):
+    # counts 0 and 1, a search sample's 301 and the extractor's 2 * 999
     for stream in (0, 1, 9):
-        block = stream_values(seed, stream, 40, 70)
         key = edge_value(seed, stream)
-        assert block.tolist() == [edge_value(key, 40 + k) for k in range(70)]
+        for start, count in ((40, 70), (40, 0), (40, 1), (301, 301), (0, 2 * 999)):
+            block = stream_values(seed, stream, start, count)
+            assert block == [edge_value(key, start + k) for k in range(count)]
+            assert block == edge_values_block(key, start, count).tolist()
+        # the search's consecutive blocks of one stream, as single reads
+        blocks = stream_blocks(seed, stream, 301, 40)
+        assert [next(blocks) for _ in range(3)] == [stream_values(seed, stream, 40 + 301 * i, 301) for i in range(3)]
 
 
 def test_bernoulli_block_matches_threshold_comparison():

@@ -29,10 +29,10 @@ from bookramsey.counting import MultiPair, vertex_mask
 from bookramsey.graphs import bits_of
 from bookramsey.numbers import fraction_str
 from bookramsey.oracle import ORACLE_SIDE_CAP
-from bookramsey.regularity import BipartitePairView, check_witness, nonuniformity_search
+from bookramsey.regularity import check_witness, nonuniformity_search
 from bookramsey.stability import blue_book_bound, classify, red_book_bound
 
-from helpers import classification_report, graph_of, oracle_witness, rows_of, to_graph6
+from helpers import Pair, classification_report, graph_of, oracle_witness, rows_of, to_graph6
 from test_structure_kernels import ref_b_rows, ref_uniformity_oracle
 
 # ---------------------------------------------------------------- references
@@ -143,9 +143,9 @@ def test_counting_bounds_match_the_bigint_loops(case):
     else:
         assert cfg.book_bound() is None
     for j in range(cfg.k):
-        pair = BipartitePairView(host, cfg.bases[0], cfg.pages[j])
-        assert rows_of(host)(pair.A, pair.B) == ref_b_rows(pair)
-        assert pair.edge_count() == ref_cross_count(host, pair.A, pair.B)
+        pair = Pair(host, cfg.bases[0], cfg.pages[j])
+        assert pair.rows(pair.A, pair.B) == ref_b_rows(pair)
+        assert host.edges_between(pair.A, pair.B) == ref_cross_count(host, pair.A, pair.B)
         want = ref_bad_pairs(host, cfg, j)
         if want is None:
             assert cfg.bad_pair_count(j) is None
@@ -188,7 +188,7 @@ def test_witness_check_counts_like_the_bigint_loop(seed, n, data):
     g = graph_of(random_graph(rng, n, float(rng.random())))
     perm = rng.permutation(n).tolist()
     cut = data.draw(st.integers(1, n - 1))
-    pair = BipartitePairView(g, perm[:cut], perm[cut:])
+    pair = Pair(g, perm[:cut], perm[cut:])
     X = data.draw(st.lists(st.sampled_from(pair.A), min_size=1, unique=True))
     Y = data.draw(st.lists(st.sampled_from(pair.B), min_size=1, unique=True))
     eps = Fraction(1, data.draw(st.integers(1, 20)))
@@ -196,7 +196,8 @@ def test_witness_check_counts_like_the_bigint_loop(seed, n, data):
     floor_ok = len(X) >= -(-eps.numerator * cut // eps.denominator) and len(Y) >= -(
         -eps.numerator * (n - cut) // eps.denominator
     )
-    assert check_witness(pair, eps, X, Y) == (floor_ok and abs(d - pair.density) > eps)
+    density = Fraction(ref_cross_count(g, pair.A, pair.B), cut * (n - cut))
+    assert check_witness(pair.rows, pair.A, pair.B, eps, X, Y) == (floor_ok and abs(d - density) > eps)
 
 
 # ------------------------------------------------- the command line's routes
@@ -235,7 +236,7 @@ def graph_api_lemma(host, blocks, nbases, eps) -> dict:
         {
             "base": i,
             "page": j,
-            "uniform": oracle_witness(BipartitePairView(host, cfg.bases[i], cfg.pages[j]), eps) is None
+            "uniform": oracle_witness(Pair(host, cfg.bases[i], cfg.pages[j]), eps) is None
             if t <= ORACLE_SIDE_CAP else None,
         }
         for i in range(nbases)
@@ -292,7 +293,7 @@ def check_against_references(host, blocks, nbases, eps, want) -> None:
         assert (tuple(want["book_base"]), rows["book"]["actual"]) == (book[0], len(book[1]))
     if cfg.t <= REF_ORACLE_SIDE:
         for p in want["pairs_uniform"]:
-            pair = BipartitePairView(host, cfg.bases[p["base"]], cfg.pages[p["page"]])
+            pair = Pair(host, cfg.bases[p["base"]], cfg.pages[p["page"]])
             assert p["uniform"] == (ref_uniformity_oracle(pair, eps) is None)
 
 
@@ -362,7 +363,7 @@ def ref_labels(c, blocks, eps, beta, gamma) -> list[dict]:
     """classify's labels from the reference oracle on the red graph."""
     out = []
     for (i, A), (j, B) in itertools.combinations(enumerate(blocks), 2):
-        pair = BipartitePairView(c.red, A, B)
+        pair = Pair(c.red, A, B)
         d = Fraction(ref_cross_count(c.red, A, B), len(A) * len(B))
         label = (
             "irr" if ref_uniformity_oracle(pair, eps) is not None
@@ -374,10 +375,11 @@ def ref_labels(c, blocks, eps, beta, gamma) -> list[dict]:
 
 def graph_api_labels(c, blocks, eps, beta, gamma, samples, seed) -> list[dict]:
     """``counting.classify`` on the blue rows read off the line, with the
-    sampled search on the red graph's pair views past the oracle cap."""
+    sampled search past the oracle cap on the rows of the red graph's own
+    line, not on the flipped blue rows that ``classify`` hands it."""
 
-    def search(A, B):
-        return nonuniformity_search(BipartitePairView(c.red, A, B), eps, samples=samples, seed=seed)
+    def search(red, A, B):
+        return nonuniformity_search(rows_of(c.red), A, B, eps, samples=samples, seed=seed)
 
     return counting.classify(rows_of(c.blue), c.n, blocks, eps, beta, gamma, search)
 

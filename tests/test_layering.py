@@ -1,11 +1,10 @@
 """Layering guards: the packed adjacency format stays inside graphs.py,
 graphs.py multiplies codegrees in one place, the command line starts
-without loading the numeric modules, ``verify``, the ``uniformity``
-oracle and ``lemma-check`` at every block size run without them, and so
-does ``classify`` on blocks within the oracle cap, no random draw loads
-numpy's random module (the
-package's one generator is ``rng``), and only colex.py writes or reads
-the hex of a BRC1 payload.
+without loading the numeric modules, ``verify``, ``uniformity`` (the
+oracle and the sampled search), ``lemma-check`` and ``classify`` at
+every block size run without them, no random draw loads numpy's random
+module (the package's one generator is ``rng``), and only colex.py
+writes or reads the hex of a BRC1 payload.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices; none reads the int rows or imports a private helper of
@@ -247,7 +246,7 @@ def test_lemma_check_past_the_cap_loads_no_numeric_module(tmp_path):
 
 
 # ``classify`` on past_cap_host, as recorded from the command when it
-# decoded the whole graph before labelling any pair past the cap
+# decoded the whole graph for its sampled search
 PAST_CAP_LABELS = {
     "blocks": 3,
     "counts": {"blue": 1, "irr": 1, "mid": 0, "red": 1},
@@ -260,31 +259,38 @@ PAST_CAP_LABELS = {
 }
 
 
-def test_classify_past_the_cap_decodes_for_its_search_alone(tmp_path):
-    # the first pair's search decodes the graph; the pairs after it still
-    # read their rows off the graph6 line, which the decode left intact
+def test_search_past_the_cap_loads_no_numeric_module(tmp_path):
+    # classify's pairs past the cap and uniformity --sampled run the
+    # sampled search on rows read off the graph6 line: no numpy, no Graph
     host, blocks = past_cap_host()
     cfg = {"graph": to_graph6(host), "blocks": blocks, "epsilon": "1/10", "beta": "1/4", "gamma": "1/4"}
     (tmp_path / "classify.json").write_text(json.dumps(cfg))
-    codes, loaded, outs = run_in_one_process([["classify", str(tmp_path / "classify.json"), "--samples", "200"]])
-    assert codes == [0]
+    (tmp_path / "pair.json").write_text(json.dumps({**cfg, "blocks": blocks[1:]}))
+    codes, loaded, outs = run_in_one_process([
+        ["classify", str(tmp_path / "classify.json"), "--samples", "200"],
+        ["uniformity", str(tmp_path / "pair.json"), "--sampled"],
+    ])
+    assert codes == [0, 10]
     assert json.loads(outs[0])["results"] == PAST_CAP_LABELS
-    assert {"numpy", "bookramsey.graphs", "bookramsey.regularity"} <= loaded
+    assert {"bookramsey.regularity", "bookramsey.rng", "bookramsey.graph6"} <= loaded
+    assert sorted(loaded & {"numpy", "bookramsey.graphs", "bookramsey.colorings", "bookramsey.stability"}) == []
 
 
 def test_regularity_loads_no_colorings():
-    # the sampled search needs nothing of colorings
+    # the sampled search needs nothing of colorings, nor numpy and Graph,
+    # and takes only a type from counting
     script = "import json, sys\nimport bookramsey.regularity\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120)
     loaded = set(json.loads(proc.stdout))
-    assert {"numpy", "bookramsey.graphs", "bookramsey.oracle"} <= loaded
-    assert "bookramsey.colorings" not in loaded
+    assert {"bookramsey.oracle", "bookramsey.rng"} <= loaded
+    assert sorted(loaded & {"numpy", "bookramsey.graphs", "bookramsey.colorings", "bookramsey.counting"}) == []
 
 
 def test_random_draws_load_no_numpy_random(tmp_path):
     # a complete pair holds no witness, so the sampled search and the
     # search behind classify (blocks above the oracle cap) reach their
-    # random samples; trichotomy without a candidate runs the extractor
+    # random samples, without numpy; trichotomy without a candidate runs
+    # the extractor, with numpy but not its random module
     t = ORACLE_SIDE_CAP + 1
     pair = {
         "graph": to_graph6(Graph.complete_bipartite(t, t)),
@@ -297,10 +303,13 @@ def test_random_draws_load_no_numpy_random(tmp_path):
     codes, loaded, _ = run_in_one_process([
         ["uniformity", str(tmp_path / "pair.json"), "--sampled", "--samples", "100"],
         ["classify", str(tmp_path / "classify.json"), "--samples", "100"],
-        ["trichotomy", str(tmp_path / "g.g6"), "--xi", "1/10"],
     ])
-    assert codes == [0, 0, 0]
-    assert {"numpy", "bookramsey.regularity", "bookramsey.stability"} <= loaded
+    assert codes == [0, 0]
+    assert {"bookramsey.regularity", "bookramsey.rng"} <= loaded
+    assert sorted(loaded & {"numpy", "bookramsey.graphs", "bookramsey.colorings"}) == []
+    codes, loaded, _ = run_in_one_process([["trichotomy", str(tmp_path / "g.g6"), "--xi", "1/10"]])
+    assert codes == [0]
+    assert {"numpy", "bookramsey.stability"} <= loaded
     assert "numpy.random" not in loaded
 
 
@@ -349,15 +358,25 @@ def definitions(source: str) -> set[str]:
     return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
 
 
-def module_imports(source: str) -> set[str]:
-    """Top-level module names that a source file imports anywhere."""
+def imported_names(nodes) -> set[str]:
+    """Top-level module names that the import statements among ``nodes`` import."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             found |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add((node.module or "").split(".")[0])
     return found
+
+
+def module_imports(source: str) -> set[str]:
+    """Top-level module names that a source file imports anywhere."""
+    return imported_names(ast.walk(ast.parse(source)))
+
+
+def top_level_imports(source: str) -> set[str]:
+    """Top-level module names that a source file imports at module level."""
+    return imported_names(ast.parse(source).body)
 
 
 def test_colex_helpers_have_one_numpy_free_definition():
@@ -369,9 +388,13 @@ def test_colex_helpers_have_one_numpy_free_definition():
 
 
 def test_oracle_imports_no_numpy():
-    for name in ("oracle.py", "graph6.py", "counting.py"):
+    for name in ("oracle.py", "graph6.py", "counting.py", "regularity.py"):
         assert "numpy" not in module_imports((PACKAGE / name).read_text(encoding="utf-8")), name
     assert "numpy" in module_imports("def f():\n    import numpy.linalg\n")
+    # rng's edge-colour kernels import numpy when they run, its streams never
+    assert "numpy" not in top_level_imports((PACKAGE / "rng.py").read_text(encoding="utf-8"))
+    assert "numpy" in module_imports((PACKAGE / "rng.py").read_text(encoding="utf-8"))
+    assert top_level_imports("import numpy as np\ndef f():\n    import re\n") == {"numpy"}
 
 
 # the modules a ``verify`` process loads from the package

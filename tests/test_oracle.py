@@ -3,9 +3,8 @@ blocks, the graph6 pair reader (against its former per-bit loop and the
 decoded graph), and the ``uniformity`` command on malformed configs.
 
 The refusals below were recorded from the command before its oracle
-left numpy (when it decoded the whole host graph and built a
-``BipartitePairView``): the stderr line and the exit code of each must
-not change.
+left numpy (when it decoded the whole host graph and built a pair view
+of it): the stderr line and the exit code of each must not change.
 """
 
 import contextlib
@@ -23,9 +22,8 @@ from bookramsey import cli, oracle
 from bookramsey.colex import edge_index
 from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
-from bookramsey.regularity import BipartitePairView
 
-from helpers import from_edges, graph_of, oracle_witness, to_graph6
+from helpers import Pair, from_edges, graph_of, oracle_witness, to_graph6
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -82,7 +80,7 @@ def test_half_graph_witness_ends_the_scan_early(monkeypatch):
 
     monkeypatch.setattr(oracle, "_lane_blocks", recorded)
     t = 16
-    pair = BipartitePairView(from_edges(2 * t, [(i, t + j) for i in range(t) for j in range(t) if i <= j]), range(t), range(t, 2 * t))
+    pair = Pair(from_edges(2 * t, [(i, t + j) for i in range(t) for j in range(t) if i <= j]), range(t), range(t, 2 * t))
     assert oracle_witness(pair, Fraction(1, 10)) == ((0, 1), (16, 17))
     x_blocks = [start for nweights, start in starts if nweights == t]
     assert max(x_blocks) < 1 << (t - 1)
@@ -305,9 +303,8 @@ def test_command_and_pair_view_agree(tmp_path, na, nb):
         perm = rng.permutation(na + nb + 2).tolist()
         A, B = perm[:na], perm[na : na + nb]
         code, out, _ = run_uniformity(tmp_path, json.dumps({"graph": to_graph6(g), "blocks": [A, B], "epsilon": str(eps)}))
-        pair = BipartitePairView(g, A, B)
-        witness = oracle_witness(pair, eps)
+        witness = oracle_witness(Pair(g, A, B), eps)
         results = json.loads(out)["results"]
-        assert results["density"] == cli.jsonable(pair.density)
+        assert results["density"] == cli.jsonable(Fraction(g.edges_between(A, B), na * nb))
         assert results["witness"] == cli.jsonable(witness)
         assert code == (10 if witness else 0)

@@ -3,7 +3,8 @@
 The oracle (``oracle.first_witness``), the counting bounds
 (``counting.MultiPair``) and the labels (``counting.classify``) run here
 on rows read off each graph's graph6 line (``helpers.rows_of``), as the
-command line reads them; the sampled search runs on pair views.
+command line reads them, and so does the sampled search
+(``regularity.nonuniformity_search``).
 """
 
 import itertools
@@ -15,28 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookramsey.colorings import TwoColoring, two_cliques
-from bookramsey.counting import MultiPair, classify
+from bookramsey.counting import MultiPair, classify, complement
 from bookramsey.errors import CapacityError
 from bookramsey.graphs import BookCertificate, Graph
 from bookramsey.oracle import check_sides, first_witness
-from bookramsey.regularity import (
-    BipartitePairView,
-    check_witness,
-    nonuniformity_search,
-)
+from bookramsey.regularity import check_witness, nonuniformity_search
 
-from helpers import check_certificate, coloring_of_bits, from_edges, oracle_witness, rows_of
+from helpers import Pair, check_certificate, coloring_of_bits, from_edges, oracle_witness, rows_of
 
 
 def complete_pair(ta, tb):
     host = from_edges(
         ta + tb, [(a, b) for a in range(ta) for b in range(ta, ta + tb)]
     )
-    return BipartitePairView(host, tuple(range(ta)), tuple(range(ta, ta + tb)))
+    return Pair(host, tuple(range(ta)), tuple(range(ta, ta + tb)))
 
 
 def empty_pair(ta, tb):
-    return BipartitePairView(
+    return Pair(
         Graph.empty(ta + tb), tuple(range(ta)), tuple(range(ta, ta + tb))
     )
 
@@ -45,7 +42,7 @@ def half_graph_pair(t):
     # u_i ~ v_j iff i <= j (1-indexed); A = 0..t-1, B = t..2t-1
     edges = [(i, t + j) for i in range(t) for j in range(t) if i <= j]
     host = from_edges(2 * t, edges)
-    return BipartitePairView(host, tuple(range(t)), tuple(range(t, 2 * t)))
+    return Pair(host, tuple(range(t)), tuple(range(t, 2 * t)))
 
 
 def random_pair(rng, na, nb, p=0.5):
@@ -56,21 +53,15 @@ def random_pair(rng, na, nb, p=0.5):
         if rng.random() < p
     ]
     host = from_edges(na + nb, edges)
-    return BipartitePairView(host, tuple(range(na)), tuple(range(na, na + nb)))
+    return Pair(host, tuple(range(na)), tuple(range(na, na + nb)))
 
 
 # --------------------------------------------------------------- pair basics
 
 
-def test_pair_view_validation():
+def test_side_validation():
+    # the command line refuses these sides before it reads their rows
     g = Graph.empty(4)
-    with pytest.raises(ValueError):
-        BipartitePairView(g, (0, 1), (1, 2))
-    with pytest.raises(ValueError):
-        BipartitePairView(g, (), (1, 2))
-    with pytest.raises(ValueError):
-        BipartitePairView(g, (0, 0), (1, 2))
-    # the command line refuses the same sides before it reads their rows
     for A, B in (((0, 1), (1, 2)), ((), (1, 2)), ((0, 0), (1, 2))):
         with pytest.raises(ValueError):
             check_sides(A, B, g.n)
@@ -85,8 +76,12 @@ def test_density_examples():
 def test_complement_pair_density():
     rng = np.random.default_rng(1)
     pair = random_pair(rng, 6, 7)
-    co = BipartitePairView(pair.host.complement(), pair.A, pair.B)
+    co = Pair(pair.host.complement(), pair.A, pair.B)
     assert co.density == 1 - pair.density
+    # the red rows of classify, the blue ones flipped, read the complement
+    assert complement(pair.rows)(pair.A, pair.B) == co.rows(pair.A, pair.B)
+    side = pair.A + pair.B  # a vertex stays no neighbour of itself
+    assert complement(pair.rows)(side, side) == co.rows(side, side)
 
 
 # -------------------------------------------------------------------- oracle
@@ -103,13 +98,13 @@ def test_oracle_half_graph_witness():
     witness = oracle_witness(pair, Fraction(1, 10))
     assert witness is not None
     wx, wy = witness
-    assert check_witness(pair, Fraction(1, 10), wx, wy)
+    assert check_witness(pair.rows, pair.A, pair.B, Fraction(1, 10), wx, wy)
     # least witness in (X, Y) bitmask order: vertex u_1 alone is joined to
     # everything, so ({u_1}, {v_1}) already deviates by 0.45
     assert (wx, wy) == ((0,), (10,))
     # the textbook witness deviates as well: top half of A misses the
     # bottom half of B entirely
-    assert check_witness(pair, Fraction(1, 10), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14))
+    assert check_witness(pair.rows, pair.A, pair.B, Fraction(1, 10), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14))
 
 
 def test_oracle_rejects_oversized_sides():
@@ -131,7 +126,7 @@ def test_oracle_matches_naive_enumeration():
         witness = oracle_witness(pair, eps)
         assert (witness is None) == naive
         if witness is not None:
-            assert check_witness(pair, eps, *witness)
+            assert check_witness(pair.rows, pair.A, pair.B, eps, *witness)
 
 
 @settings(max_examples=120, deadline=None)
@@ -147,7 +142,7 @@ def test_kernel_verdict_matches_naive_enumeration(na, nb, p, seed, eps):
     witness = first_witness(pair.A, pair.B, rows_of(pair.host)(pair.A, pair.B), eps)
     assert (witness is None) == naive_uniform(pair, eps)
     if witness is not None:
-        assert check_witness(pair, eps, *witness)
+        assert check_witness(pair.rows, pair.A, pair.B, eps, *witness)
 
 
 def naive_uniform(pair, eps):
@@ -174,8 +169,8 @@ def naive_uniform(pair, eps):
 def test_witness_checker_enforces_floors_and_membership():
     pair = half_graph_pair(10)
     eps = Fraction(3, 10)  # floors are 3 per side
-    assert not check_witness(pair, eps, (0, 1), (10, 11, 12))  # X too small
-    assert not check_witness(pair, eps, (0, 1, 99), (10, 11, 12))  # not in A
+    assert not check_witness(pair.rows, pair.A, pair.B, eps, (0, 1), (10, 11, 12))  # X too small
+    assert not check_witness(pair.rows, pair.A, pair.B, eps, (0, 1, 99), (10, 11, 12))  # not in A
 
 
 # ------------------------------------------------------------ sampled search
@@ -183,13 +178,14 @@ def test_witness_checker_enforces_floors_and_membership():
 
 def test_search_finds_half_graph_witness_at_scale():
     pair = half_graph_pair(100)
-    found = nonuniformity_search(pair, Fraction(1, 10), samples=10_000, seed=0)
+    found = nonuniformity_search(pair.rows, pair.A, pair.B, Fraction(1, 10), samples=10_000, seed=0)
     assert found is not None
-    assert check_witness(pair, Fraction(1, 10), *found)
+    assert check_witness(pair.rows, pair.A, pair.B, Fraction(1, 10), *found)
 
 
 def test_search_returns_none_on_complete():
-    assert nonuniformity_search(complete_pair(20, 20), Fraction(1, 10)) is None
+    pair = complete_pair(20, 20)
+    assert nonuniformity_search(pair.rows, pair.A, pair.B, Fraction(1, 10)) is None
 
 
 def test_search_agrees_with_oracle_when_it_speaks():
@@ -197,10 +193,10 @@ def test_search_agrees_with_oracle_when_it_speaks():
     for _ in range(10):
         pair = random_pair(rng, 12, 12, 0.5)
         eps = Fraction(1, 5)
-        found = nonuniformity_search(pair, eps, samples=2000, seed=3)
+        found = nonuniformity_search(pair.rows, pair.A, pair.B, eps, samples=2000, seed=3)
         if found is not None:
             assert oracle_witness(pair, eps) is not None
-            assert check_witness(pair, eps, *found)
+            assert check_witness(pair.rows, pair.A, pair.B, eps, *found)
 
 
 # ----------------------------------------------------------- bad pair counts
@@ -378,7 +374,7 @@ def test_positive_bounds_hold_on_complete_pages():
 
 def certified(host, cfg):
     return all(
-        oracle_witness(BipartitePairView(host, A, P), cfg.epsilon) is None
+        oracle_witness(Pair(host, A, P), cfg.epsilon) is None
         for A in cfg.bases
         for P in cfg.pages
     )

@@ -1,10 +1,12 @@
 """Differential tests: the structure-layer kernels against pure-Python loops.
 
-Each reference below is the bigint loop the package used before its
+Each bigint reference below is the loop the package used before its
 uniformity oracle, sampled witness search and bipartite extractor were
 vectorized (the oracle is now bit-sliced on Python ints, in
 ``oracle``); the package must agree with it exactly: the same verdict,
-the same (X, Y) witness, the same extracted parts.
+the same (X, Y) witness, the same extracted parts.  The sampled search,
+which now runs on rows read off the graph6 line, must also agree with
+the numpy kernel it replaced, kept here as ``ref_nonuniformity_search``.
 """
 
 import contextlib
@@ -19,16 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookramsey import cli
-from bookramsey.counting import vertex_mask
+from bookramsey.counting import complement, vertex_mask
 from bookramsey.errors import CapacityError
 from bookramsey.graphs import Graph, bits_of
 from bookramsey.numbers import as_fraction
-from bookramsey.oracle import ORACLE_SIDE_CAP, first_witness
-from bookramsey.regularity import BipartitePairView, check_witness, nonuniformity_search
-from bookramsey.rng import edge_value
+from bookramsey.oracle import ORACLE_SIDE_CAP, first_witness, size_floor
+from bookramsey.regularity import check_witness, nonuniformity_search
+from bookramsey.rng import edge_value, edge_values_block
 from bookramsey.stability import bipartite_extract
 
-from helpers import from_edges, graph_of, oracle_witness, rows_of, to_graph6
+from helpers import Pair, from_edges, graph_of, oracle_witness, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -43,14 +45,14 @@ def _deviates(e: int, s: int, sy: int, enum: int, na: int, nb: int, eps: Fractio
     return lhs > eps.numerator * s * sy * na * nb
 
 
-def ref_b_rows(pair: BipartitePairView) -> list[int]:
+def ref_b_rows(pair: Pair) -> list[int]:
     """For each b in B, the bitmask of its neighbours over A's positions,
     read off the host's int rows."""
     rows = pair.host.rows
     return [sum(1 << k for k, a in enumerate(pair.A) if rows[b] >> a & 1) for b in pair.B]
 
 
-def ref_uniformity_oracle(pair: BipartitePairView, eps):
+def ref_uniformity_oracle(pair: Pair, eps):
     """The first witness (X, Y) in (X bitmask, Y bitmask) order, or None."""
     eps = as_fraction(eps)
     if eps <= 0:
@@ -62,7 +64,7 @@ def ref_uniformity_oracle(pair: BipartitePairView, eps):
     if a0 > na or b0 > nb:
         return None
     rows = ref_b_rows(pair)
-    enum = pair.edge_count()
+    enum = sum(r.bit_count() for r in rows)
 
     for X in range(1, 1 << na):
         s = X.bit_count()
@@ -98,7 +100,20 @@ def ref_uniformity_oracle(pair: BipartitePairView, eps):
     return None
 
 
-def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, seed: int = 0):
+def ref_check_witness(pair: Pair, eps, X, Y) -> bool:
+    """The search's exact re-validation as it ran on the decoded graph."""
+    eps = as_fraction(eps)
+    X, Y = sorted(set(X)), sorted(set(Y))
+    if not set(X) <= set(pair.A) or not set(Y) <= set(pair.B):
+        return False
+    if len(X) < size_floor(eps, len(pair.A)) or len(Y) < size_floor(eps, len(pair.B)):
+        return False
+    e = pair.host.edges_between(X, Y)
+    dxy = Fraction(e, len(X) * len(Y))
+    return abs(dxy - Fraction(pair.host.edges_between(pair.A, pair.B), len(pair.A) * len(pair.B))) > eps
+
+
+def ref_bigint_search(pair: Pair, eps, samples: int = 1000, seed: int = 0):
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -106,10 +121,10 @@ def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, 
     a0, b0 = _size_floor(eps, na), _size_floor(eps, nb)
     if a0 > na or b0 > nb:
         return None
-    enum = pair.edge_count()
     mb = vertex_mask(pair.B)
     rows = pair.host.rows
     deg_a = [(rows[a] & mb).bit_count() for a in pair.A]
+    enum = sum(deg_a)
     by_degree = sorted(range(na), key=lambda k: (deg_a[k], k))
 
     def candidate_xs():
@@ -151,8 +166,112 @@ def ref_nonuniformity_search(pair: BipartitePairView, eps, samples: int = 1000, 
             for e, picks in ((lo, order[:sy]), (hi, order[nb - sy :])):
                 if _deviates(e, s, sy, enum, na, nb, eps):
                     Y = sorted(pair.B[k] for k in picks)
-                    if check_witness(pair, eps, X, Y):
+                    if ref_check_witness(pair, eps, X, Y):
                         return tuple(sorted(X)), tuple(Y)
+    return None
+
+
+# The numpy search that ran on a decoded graph, verbatim but for its pair
+# view's two reads, edge_count() and cross(), which are spelled out as
+# the Graph calls they made, and its stream, spelled out as the numpy
+# kernel ``rng.stream_values`` then was.
+
+
+def _count_dtype(na: int, nb: int):
+    """Integer type of a pair's deviation tests: it must hold (na nb)^2,
+    the largest |e na nb - e(A, B) |X| |Y|| and the largest limit."""
+    cap = (na * nb) ** 2
+    if cap >= 1 << 62:
+        raise CapacityError("pair too large for the int64 deviation kernel")
+    return np.int32 if cap < 1 << 31 else np.int64
+
+
+def _deviation_limits(eps: Fraction, na: int, nb: int, b0: int, s: int) -> np.ndarray:
+    """Limits over |Y| = 0..nb for |X| = s: a cross count e deviates iff
+    |e na nb - e(A, B) s |Y|| > limit.
+
+    The limit is floor(eps s |Y| na nb), the deviation test cleared of
+    denominators, taken in Python ints so no eps overflows.  It is clipped
+    at (na nb)^2, which |e na nb - e(A, B) s |Y|| never exceeds, and sizes
+    below the floor b0 get the clip, so they never deviate.
+    """
+    cap = (na * nb) ** 2
+    limits = np.minimum(np.arange(nb + 1, dtype=object) * (s * eps.numerator * na * nb) // eps.denominator, cap)
+    limits = limits.astype(_count_dtype(na, nb))
+    limits[:b0] = cap
+    return limits
+
+
+def _extreme_counts(degs: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest cross counts over |Y| = 1..nb.
+
+    ``degs`` holds |N(b) cap X| over b in B in ascending order; entry
+    sy - 1 sums its sy smallest (lo) and its sy largest (hi) entries.
+    """
+    return np.cumsum(degs, dtype=dtype), np.cumsum(degs[::-1], dtype=dtype)
+
+
+def ref_nonuniformity_search(pair: Pair, eps, samples: int = 1000, seed: int = 0):
+    """Heuristic witness hunt for pairs beyond the oracle cap.
+
+    Degree-threshold prefixes of A are tried first, then neighborhoods of
+    single B vertices, then seeded random subsets; for each candidate X
+    the most extreme Y of every admissible size is examined, the least
+    size first and the low-degree end before the high one.  A returned
+    witness is exactly re-validated; None certifies nothing.
+    """
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    na, nb = len(pair.A), len(pair.B)
+    a0, b0 = size_floor(eps, na), size_floor(eps, nb)
+    if a0 > na or b0 > nb:
+        return None
+    enum = pair.host.edges_between(pair.A, pair.B)
+    limits: dict[int, np.ndarray] = {}  # by |X|
+    cross = pair.host.adjacency(pair.A, pair.B)
+    by_degree = np.argsort(cross.sum(axis=1), kind="stable")
+    sy = np.arange(1, nb + 1, dtype=_count_dtype(na, nb))
+
+    def candidate_xs():
+        # each candidate is an array of positions in A
+        sizes = sorted({a0, max(a0, na // 4), max(a0, na // 2), max(a0, (3 * na) // 4), na})
+        for m in sizes:
+            yield by_degree[:m]
+            yield by_degree[na - m :]
+        for j in range(min(nb, 50)):
+            hood = np.flatnonzero(cross[:, j])
+            if len(hood) >= a0:
+                yield hood
+            rest = np.flatnonzero(~cross[:, j])
+            if len(rest) >= a0:
+                yield rest
+        # random sample i reads na + 1 values of stream 1: the first sets
+        # m = |X| in [a0, na], and X is the m positions of A whose own
+        # values sort first
+        for i in itertools.count():
+            values = edge_values_block(edge_value(seed, 1), i * (na + 1), na + 1)
+            m = a0 + ((int(values[0]) * (na - a0 + 1)) >> 64)
+            yield np.argsort(values[1:], kind="stable")[:m]
+
+    for _, xs in zip(range(samples), candidate_xs()):
+        s = len(xs)
+        deg_b = cross[xs].sum(axis=0)
+        order = np.argsort(deg_b, kind="stable")
+        lo, hi = _extreme_counts(deg_b[order], sy.dtype)
+        mean = enum * s * sy
+        if s not in limits:
+            limits[s] = _deviation_limits(eps, na, nb, b0, s)[1:]
+        lim = limits[s]
+        dev_lo = np.abs(lo * (na * nb) - mean) > lim
+        dev_hi = np.abs(hi * (na * nb) - mean) > lim
+        for k in np.flatnonzero(dev_lo | dev_hi).tolist():
+            for dev, picks in ((dev_lo, order[: k + 1]), (dev_hi, order[nb - k - 1 :])):
+                if dev[k]:
+                    X = sorted(pair.A[i] for i in xs.tolist())
+                    Y = sorted(pair.B[i] for i in picks.tolist())
+                    if ref_check_witness(pair, eps, X, Y):
+                        return tuple(X), tuple(Y)
     return None
 
 
@@ -252,7 +371,7 @@ def shuffled_pair(rng, cross: np.ndarray, extra: int = 0, inside_p: float = 0.5)
     adj[np.ix_(A, B)] = cross
     adj[np.ix_(B, A)] = cross.T
     host = graph_of(adj)
-    return BipartitePairView(host, tuple(A.tolist()), tuple(B.tolist()))
+    return Pair(host, tuple(A.tolist()), tuple(B.tolist()))
 
 
 def half_graph(na: int, nb: int) -> np.ndarray:
@@ -330,7 +449,7 @@ def dense_pairs(draw, max_side):
 @given(dense_pairs(10), st.sampled_from(EPSILONS + HUGE_EPSILONS + FLOOR_EPSILONS))
 def test_kernel_matches_reference_on_dense_pairs(pair, eps):
     want = ref_uniformity_oracle(pair, eps)
-    assert first_witness(pair.A, pair.B, rows_of(pair.host)(pair.A, pair.B), eps) == want
+    assert first_witness(pair.A, pair.B, pair.rows(pair.A, pair.B), eps) == want
     assert oracle_witness(pair, eps) == want
 
 
@@ -381,8 +500,11 @@ def test_oracle_witness_on_a_chunk_boundary():
 
 
 def assert_search_matches(pair, eps, samples, seed):
-    got = nonuniformity_search(pair, eps, samples=samples, seed=seed)
+    got = nonuniformity_search(pair.rows, pair.A, pair.B, eps, samples=samples, seed=seed)
     assert got == ref_nonuniformity_search(pair, eps, samples=samples, seed=seed)
+    assert got == ref_bigint_search(pair, eps, samples=samples, seed=seed)
+    if got is not None:
+        assert check_witness(pair.rows, pair.A, pair.B, eps, *got)
     return got
 
 
@@ -419,9 +541,47 @@ def test_search_witness_from_the_seeded_samples(seed):
     rng = np.random.default_rng(16)
     pair = shuffled_pair(rng, rng.random((16, 16)) < 0.5)
     eps = Fraction(1, 3)
-    assert nonuniformity_search(pair, eps, samples=24, seed=seed) is None
+    assert nonuniformity_search(pair.rows, pair.A, pair.B, eps, samples=24, seed=seed) is None
     found = assert_search_matches(pair, eps, 500, seed)
     assert found is not None or seed == 2
+
+
+@st.composite
+def search_cases(draw):
+    """A pair of up to 40 by 40 vertices, random or a planted half graph,
+    on shuffled host vertices, and whether to read its red rows."""
+    na, nb = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cross = rng.random((na, nb)) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    else:
+        cross = half_graph(na, nb) ^ (rng.random((na, nb)) < draw(st.sampled_from([0.0, 0.05])))
+    return shuffled_pair(rng, cross, extra=draw(st.integers(0, 3))), draw(st.booleans())
+
+
+def red_pair(pair):
+    """classify's red rows of a pair, the blue ones flipped, and the pair
+    on the decoded complement that the reference reads."""
+    return complement(pair.rows), Pair(pair.host.complement(), pair.A, pair.B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases(), st.sampled_from(EPSILONS + HUGE_EPSILONS), st.sampled_from([1, 5, 50, 300]), st.integers(0, 5))
+def test_search_matches_the_numpy_reference(case, eps, samples, seed):
+    pair, red = case
+    rows, pair = red_pair(pair) if red else (pair.rows, pair)
+    got = nonuniformity_search(rows, pair.A, pair.B, eps, samples=samples, seed=seed)
+    assert got == ref_nonuniformity_search(pair, eps, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["complete", "half"])
+def test_search_on_red_rows_matches_the_numpy_reference_at_workload_shapes(kind):
+    cross = np.ones((300, 300), dtype=bool) if kind == "complete" else half_graph(300, 300)
+    rows, pair = red_pair(shuffled_pair(np.random.default_rng(7), cross))
+    eps = Fraction(1, 10)
+    got = nonuniformity_search(rows, pair.A, pair.B, eps, samples=1000, seed=1)
+    assert got == ref_nonuniformity_search(pair, eps, samples=1000, seed=1)
+    assert (got is None) == (kind == "complete")
 
 
 # --------------------------------------------------------------- uniformity CLI
