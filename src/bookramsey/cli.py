@@ -23,7 +23,9 @@ the exact oracle (``oracle``) runs on them, the counting bounds and
 labels (``counting``) too, and so does the sampled search
 (``regularity``) of ``uniformity --sampled`` and of ``classify``'s
 blocks past the oracle cap (16).  The other commands load numpy with
-the modules they use.  The process entry ``entry`` runs ``main`` and
+the modules they use; ``trichotomy`` only to read its file and for the
+``books`` walk, since its structure layer (``stability``) runs on
+Python-int rows.  The process entry ``entry`` runs ``main`` and
 then freezes the garbage collector before exiting; ``main(argv)``
 itself, as tests and in-process callers use it, leaves the collector
 alone.

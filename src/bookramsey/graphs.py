@@ -3,9 +3,9 @@
 A graph is one read-only (n, ceil(n/64)) array of little-endian uint64
 words: bit v of row u is set iff u ~ v, and the padding bits past n stay
 zero.  Other modules never read the words bit by bit; they ask for
-codegrees, for edge counts between vertex sets (``edges_between``,
-``degrees_into``), or for the bool matrix of a few rows against a few
-columns (``adjacency``).  ``booksize`` (graph6 ``bk``) scans one
+codegrees, for the bool matrix of a few rows against a few columns
+(``adjacency``), or for the adjacency as Python-int rows (``rows``),
+on which the stability layer runs.  ``booksize`` (graph6 ``bk``) scans one
 graph's edges itself, ANDing word rows, so its cost grows with the edge
 count.  ``books`` (the books of both colours, or the red-first book
 search behind ``ramsey.check_coloring``) and ``part_codegrees`` (the
@@ -140,22 +140,6 @@ class Graph:
         """Bool matrix set at [i, j] iff rows[i] ~ cols[j]; None is every vertex."""
         adj = _unpack(self.words if rows is None else self.words[np.asarray(rows, dtype=np.intp)], self.n)
         return adj if cols is None else adj[:, np.asarray(cols, dtype=np.intp)]
-
-    def degrees_into(self, Y: Sequence[int], X: Sequence[int] | None = None) -> np.ndarray:
-        """|N(x) cap Y| for each x in X (every vertex when None), as intp."""
-        member = np.zeros((1, self.n), dtype=bool)
-        member[0, np.asarray(Y, dtype=np.intp)] = True
-        words = self.words if X is None else self.words[np.asarray(X, dtype=np.intp)]
-        return np.bitwise_count(words & _pack(member)).sum(axis=1, dtype=np.intp)
-
-    def edges_between(self, X: Sequence[int], Y: Sequence[int]) -> int:
-        """Sum over x in X of |N(x) cap Y|: e(X, Y) for disjoint sets, 2 e(X) for Y = X."""
-        return int(self.degrees_into(Y, X).sum())
-
-    def min_degree_induced(self, U: Iterable[int]) -> int:
-        """Minimum degree of the subgraph induced by U; 0 when U is empty."""
-        U = sorted(set(U))
-        return int(self.degrees_into(U, U).min()) if U else 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(self.words, other.words)

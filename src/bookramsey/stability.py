@@ -1,23 +1,25 @@
 """Vertex classification around an induced bipartite subgraph, with the
 book bounds it forces, and the three-way structure check.
 
-The blue graph g is analyzed against a candidate induced bipartite
-subgraph G0 on independent parts U1, U2.  Outside vertices split by
-which parts they touch; two exact lower bounds follow: a red-book bound
-from averaging over base pairs inside U2, and a blue-book bound from
-averaging |Gamma(v) cap U_i| over the vertices seeing both parts.  Both
-are instance-level theorems (max >= mean plus inclusion-exclusion), so
-tests treat any violation as a bug, never as noise.
+Everything here runs on Python-int adjacency rows, bit u of rows[v] set
+iff u ~ v, without numpy: ``trichotomy_check`` takes a ``Graph`` for
+its ``books`` walk and only then derives the rows, once.  The blue graph
+is analyzed against a candidate induced bipartite subgraph G0 on
+independent parts U1, U2.  Outside vertices split by which parts they
+touch; two exact lower bounds follow: a red-book bound from averaging
+over base pairs inside U2, and a blue-book bound from averaging
+|Gamma(v) cap U_i| over the vertices seeing both parts.  Both are
+instance-level theorems (max >= mean plus inclusion-exclusion), so tests
+treat any violation as a bug, never as noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from .graphs import Graph
+from .colex import bits_of
 from .numbers import as_fraction
 from .rng import stream_values
 
@@ -37,38 +39,56 @@ class VertexClassification:
     V_iso: tuple[int, ...]
 
 
-def _check_independent(g: Graph, part, name: str) -> None:
-    inside = np.flatnonzero(g.degrees_into(part, part))
-    if inside.size:
-        v = part[inside[0]]
-        raise ValueError(f"{name} is not independent: vertex {v} has a neighbor inside")
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask of a vertex set, as ``counting.vertex_mask`` gives it
+    without loading counting and oracle."""
+    return sum(1 << v for v in set(vertices))
 
 
-def classify(g: Graph, U1, U2) -> VertexClassification:
+def edges_between(rows: Sequence[int], X: Iterable[int], Y: Iterable[int]) -> int:
+    """Sum over x in X of |N(x) cap Y|: e(X, Y) for disjoint sets, 2 e(X) for Y = X."""
+    y = _mask(Y)
+    return sum((rows[x] & y).bit_count() for x in X)
+
+
+def min_degree_induced(rows: Sequence[int], U: Iterable[int]) -> int:
+    """Minimum degree of the subgraph induced by U; 0 when U is empty."""
+    u = _mask(U)
+    return min(((rows[v] & u).bit_count() for v in bits_of(u)), default=0)
+
+
+def _check_independent(rows: Sequence[int], U1: Sequence[int], U2: Sequence[int]) -> None:
+    for name, part in (("U1", U1), ("U2", U2)):
+        m = _mask(part)
+        for v in part:
+            if rows[v] & m:
+                raise ValueError(f"{name} is not independent: vertex {v} has a neighbor inside")
+
+
+def classify(rows: Sequence[int], U1, U2) -> VertexClassification:
     """Split all vertices outside U1, U2 by their neighbor pattern.
 
     Vertices adjacent to neither part land in V_iso; an empty V_iso is
     what makes the three-class outside split exhaustive, so callers that
     rely on it should check.
     """
+    n = len(rows)
     U1, U2 = tuple(sorted(U1)), tuple(sorted(U2))
+    bad = next((v for v in U1 + U2 if not 0 <= v < n), None)
+    if bad is not None:
+        raise ValueError(f"vertex {bad} outside the {n}-vertex graph")
     if len(set(U1 + U2)) < len(U1) + len(U2):  # a repeat inside a part, or an overlap
         raise ValueError("repeated vertex in U1 and U2")
-    _check_independent(g, U1, "U1")
-    _check_independent(g, U2, "U2")
-    outside = np.ones(g.n, dtype=bool)
-    outside[list(U1 + U2)] = False
-    has1, has2 = g.degrees_into(U1) > 0, g.degrees_into(U2) > 0
-
-    def where(seen):
-        return tuple(np.flatnonzero(outside & seen).tolist())
-
-    return VertexClassification(
-        U1, U2, where(has1 & ~has2), where(~has1 & has2), where(has1 & has2), where(~has1 & ~has2)
-    )
+    _check_independent(rows, U1, U2)
+    m1, m2 = _mask(U1), _mask(U2)
+    classes = ([], [], [], [])  # by sees U1 + 2 sees U2: V_iso, V1, V2, V3
+    for v in bits_of((1 << n) - 1 & ~(m1 | m2)):
+        classes[bool(rows[v] & m1) + 2 * bool(rows[v] & m2)].append(v)
+    iso, V1, V2, V3 = map(tuple, classes)
+    return VertexClassification(U1, U2, V1, V2, V3, iso)
 
 
-def red_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
+def red_book_bound(rows: Sequence[int], cls: VertexClassification) -> Fraction:
     """Average red codegree over base pairs inside U2, as an exact bound.
 
     Every pair of U2 is a red base; counting red pages in U2, all of V1,
@@ -80,12 +100,12 @@ def red_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
     """
     if len(cls.U2) < 2:
         raise ValueError("need at least two vertices in U2")
-    e23 = g.edges_between(cls.U2, cls.V3)
+    e23 = edges_between(rows, cls.U2, cls.V3)
     u2 = len(cls.U2)
     return u2 - 2 + len(cls.V1) + len(cls.V3) - Fraction(2 * e23, u2)
 
 
-def blue_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
+def blue_book_bound(rows: Sequence[int], cls: VertexClassification) -> Fraction:
     """Averaged blue-book bound from V3, the larger of the two forms.
 
     Some v in V3 meets U_i in at least e(V3, U_i)/|V3| vertices and has a
@@ -98,121 +118,120 @@ def blue_book_bound(g: Graph, cls: VertexClassification) -> Fraction:
     """
     if not cls.V3:
         raise ValueError("V3 is empty")
-    delta = g.min_degree_induced(cls.U1 + cls.U2)
-    n3 = len(cls.V3)
-    best = None
-    for part in (cls.U1, cls.U2):
-        e3p = g.edges_between(cls.V3, part)
-        val = Fraction(e3p, n3) + delta - len(part)
-        if best is None or val > best:
-            best = val
-    return best
+    delta = min_degree_induced(rows, cls.U1 + cls.U2)
+    return max(Fraction(edges_between(rows, cls.V3, U), len(cls.V3)) + delta - len(U) for U in (cls.U1, cls.U2))
 
 
 # ------------------------------------------------------------- extraction
 
 
-def _side_counts(g: Graph, side: np.ndarray, alive: np.ndarray) -> list[np.ndarray]:
-    """Each vertex's live neighbours on side 0 and on side 1."""
-    return [g.degrees_into(np.flatnonzero(alive & (side == s))) for s in (0, 1)]
-
-
-def _local_max_cut(g: Graph, side: np.ndarray, order: np.ndarray) -> None:
-    """Flip vertices, in ``order`` pass after pass, while the cut grows.
-
-    A vertex flips at its turn when it has more neighbours on its own
-    side than on the other; terminates since the cut is bounded.  With
-    sign +1 on side 1 and -1 on side 0, own minus other neighbours is a
-    vertex's sign times the sign sum over its neighbours.  Both are kept
-    by position in ``order``, so each step jumps straight to the next
-    vertex that flips, and a flip moves only its neighbours' sums.
-    """
-    n = len(side)
-    at = np.argsort(order)
-    on0, on1 = _side_counts(g, side, np.ones(n, dtype=bool))
-    sums = (on1 - on0)[order]
-    signs = (2 * side.astype(np.intp) - 1)[order]
+def _local_max_cut(rows: Sequence[int], degree: list[int], ones: int, order: list[int]) -> int:
+    """Flip vertices, in ``order`` pass after pass, while the cut grows,
+    and return the new mask ``ones`` of side 1.  A vertex flips at its
+    turn when it has more neighbours on its own side than on the other:
+    with c of them on side 1, when 2c > d(v) on side 1 or 2c < d(v) on
+    side 0.  Terminates since the cut is bounded."""
     improved = True
     while improved:
         improved = False
-        i = 0
-        while i < n:
-            i += int((signs[i:] * sums[i:] > 0).argmax())
-            if signs[i] * sums[i] <= 0:
+        for v in order:
+            excess = 2 * (rows[v] & ones).bit_count() - degree[v]
+            if excess > 0 if ones >> v & 1 else excess < 0:
+                ones ^= 1 << v
+                improved = True
+    return ones
+
+
+# each byte as the digit "0" or "1" of its bit j, for j = 0..7
+_BIT_DIGITS = [bytes.maketrans(bytes(range(256)), bytes(48 + (x >> j & 1) for x in range(256))) for j in range(8)]
+
+
+def _delete_conflicts(rows: Sequence[int], ones: int, full: int) -> int:
+    """Delete the most conflicted vertex until both sides are
+    independent, and return the mask of the live vertices.
+
+    A vertex's conflicts, its live neighbours on its own side, are kept
+    bit-sliced over vertex lanes: level b holds bit b of every count,
+    made from a byte plane of the counts, reversed and translated to
+    binary digits.  Narrowing the lanes level by level from the top
+    leaves those of the largest count, and the lowest of them is deleted:
+    its lane is cleared, its live same-side neighbours lose one conflict
+    by a borrow ripple, and levels that empty at the top are dropped, so
+    the loop ends when none is left.  A deletion moves only counts on its
+    own side, so each side loses the same vertices in the same order
+    whichever side goes first on a tie, as side 0 does in the scan order.
+    """
+    zeros = full ^ ones
+    counts = [(row & (ones if ones >> v & 1 else zeros)).bit_count() for v, row in enumerate(rows)]
+    levels = []
+    for shift in range(0, max(counts).bit_length(), 8):
+        plane = bytes([c >> shift & 255 for c in reversed(counts)])
+        levels += [int(plane.translate(digits), 2) for digits in _BIT_DIGITS]
+    alive = full
+    while levels:
+        if not levels[-1]:
+            levels.pop()
+            continue
+        lanes = levels[-1]
+        for level in reversed(levels[:-1]):
+            if lanes & level:
+                lanes &= level
+        bit = lanes & -lanes
+        alive ^= bit
+        levels = [level & ~bit for level in levels]
+        borrow = rows[bit.bit_length() - 1] & alive & (zeros if bit & zeros else ones)
+        for b, level in enumerate(levels):
+            if not borrow:
                 break
-            v = int(order[i])
-            sums[at[g.adjacency([v])[0].nonzero()[0]]] -= 2 * signs[i]
-            signs[i] = -signs[i]
-            side[v] ^= 1
-            improved = True
-            i += 1
+            levels[b] = level ^ borrow
+            borrow &= ~level
+    return alive
 
 
-def bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
+def bipartite_extract(rows: Sequence[int], seed: int = 0, restarts: int = 10):
     """Heuristic hunt for a large induced bipartite subgraph.
 
     Each restart: random sides, single-vertex max-cut local search,
     greedy deletion of the worst conflicted vertex until both parts are
-    independent, then re-insertion sweeps.  The deletion keeps each
-    vertex's count of live same-side neighbours and takes the first
-    maximum over side 0 in ascending order, then side 1.  Restarts are
-    scored by (order, induced min degree) and ties go to the earliest
-    restart, so the result is a pure function of (g, seed).  Returned
-    parts are exactly independent; the xi thresholds are the caller's to
-    judge.
+    independent, then re-insertion sweeps.  The deletion takes the first
+    largest count of live same-side neighbours over side 0 in ascending
+    order, then side 1.  Restarts are scored by (order, induced min
+    degree) and ties go to the earliest restart, so the result is a pure
+    function of (rows, seed).  Returned parts are exactly independent;
+    the xi thresholds are the caller's to judge.
     """
-    if g.n == 0:
+    n = len(rows)
+    if n == 0:
         return None
-    n = g.n
-    best = None
-    best_score = None
+    full = (1 << n) - 1
+    degree = [row.bit_count() for row in rows]
+    best = best_score = None
     for r in range(restarts):
         # 2n values of stream r: a vertex's side is the top bit of its
         # first value, the scan order sorts the second
-        values = np.array(stream_values(seed, r, 0, 2 * n), dtype=np.uint64)
-        side = (values[:n] >> np.uint64(63)).astype(np.int8)
-        order = np.argsort(values[n:], kind="stable")
-        _local_max_cut(g, side, order)
-        # delete the most conflicted vertex until both sides are independent;
-        # conflicts are kept in scan order: side 0 ascending, then side 1
-        alive = np.ones(n, dtype=bool)
-        scan = np.argsort(side, kind="stable")
-        at = np.argsort(scan)
-        conflict = np.choose(side, _side_counts(g, side, alive))[scan]
-        while True:
-            k = int(conflict.argmax())
-            if conflict[k] <= 0:
-                break
-            v = int(scan[k])
-            alive[v] = False
-            conflict[k] = 0
-            same = g.adjacency([v])[0] & alive & (side == side[v])
-            conflict[at[same.nonzero()[0]]] -= 1
-        # live neighbours per side; re-insert deleted vertices, in ascending
-        # order pass after pass, preferring the emptier side
-        count = _side_counts(g, side, alive)
-        size = [int(np.count_nonzero(alive & (side == s))) for s in (0, 1)]
-        changed = True
+        values = stream_values(seed, r, 0, 2 * n)
+        ones = _mask(v for v in range(n) if values[v] >> 63)
+        order = sorted(range(n), key=values[n:].__getitem__)
+        del values  # so that no two restarts' draws are held at once
+        ones = _local_max_cut(rows, degree, ones, order)
+        alive = _delete_conflicts(rows, ones, full)
+        # re-insert the dead vertices, in ascending order pass after pass:
+        # each joins a side where it has no live neighbour, the emptier
+        # one or side 0 on a tie
+        live, dead, changed = [alive & ~ones, alive & ones], full ^ alive, True
         while changed:
             changed = False
-            for v in np.flatnonzero(~alive).tolist():
-                free = [s for s in (0, 1) if count[s][v] == 0]
+            for v in bits_of(dead):
+                free = [s for s in (0, 1) if not rows[v] & live[s]]
                 if free:
-                    s = min(free, key=lambda s: size[s])
-                    side[v] = s
-                    alive[v] = True
-                    size[s] += 1
-                    count[s][g.adjacency([v])[0]] += 1
+                    live[min(free, key=lambda s: live[s].bit_count())] |= 1 << v
+                    dead ^= 1 << v
                     changed = True
-        U1 = tuple(np.flatnonzero(alive & (side == 0)).tolist())
-        U2 = tuple(np.flatnonzero(alive & (side == 1)).tolist())
-        total = len(U1) + len(U2)
-        mind = int((count[0] + count[1])[alive].min()) if total else 0
-        score = (total, mind, -r)
+        U1, U2 = (tuple(bits_of(side)) for side in live)
+        score = (len(U1) + len(U2), min_degree_induced(rows, U1 + U2), -r)
         if best_score is None or score > best_score:
             best, best_score = (U1, U2), score
-    _check_independent(g, best[0], "U1")
-    _check_independent(g, best[1], "U2")
+    _check_independent(rows, *best)
     return best
 
 
@@ -231,7 +250,7 @@ def trichotomy_floors(n: int, xi: Fraction) -> dict:
     }
 
 
-def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
+def trichotomy_check(g, xi, candidate=None, seed: int = 0) -> dict:
     """Evaluate the three structure branches exactly.
 
     ``g`` is the blue graph of a coloring (``trichotomy`` passes a BRC1
@@ -255,31 +274,24 @@ def trichotomy_check(g: Graph, xi, candidate=None, seed: int = 0) -> dict:
     n = g.n
     floors = trichotomy_floors(n, xi)
     (bk_blue, _), (bk_red, _) = g.books()
+    rows = g.rows  # after the walk, so the two never overlap
 
     if candidate is not None:
         U1, U2 = candidate
         source = "candidate"
     else:
-        found = bipartite_extract(g, seed=seed)
+        found = bipartite_extract(rows, seed=seed)
         U1, U2 = found if found is not None else ((), ())
         source = "extractor"
-    cls = classify(g, U1, U2)
+    cls = classify(rows, U1, U2)
     order = len(cls.U1) + len(cls.U2)
-    delta = g.min_degree_induced(cls.U1 + cls.U2)
-    iii_holds = order >= floors["order_floor"] and delta > floors["delta_floor"]
-    iii: bool | str
-    if iii_holds:
-        iii = True
-    elif candidate is not None:
-        iii = False
-    else:
-        iii = "unknown"
-
-    e_u_v3 = g.edges_between(cls.U1 + cls.U2, cls.V3)
+    delta = min_degree_induced(rows, cls.U1 + cls.U2)
+    holds = order >= floors["order_floor"] and delta > floors["delta_floor"]
+    e_u_v3 = edges_between(rows, cls.U1 + cls.U2, cls.V3)
     return {
         "i": bk_red > Fraction(n, 2),
         "ii": bk_blue > floors["threshold_ii"],
-        "iii": iii,
+        "iii": holds or (False if candidate is not None else "unknown"),
         "bk_blue": bk_blue,
         "bk_red": bk_red,
         **floors,

@@ -8,7 +8,10 @@ from typing import Iterable
 
 import numpy as np
 
+from bookramsey import stability
+from bookramsey.colex import bits_of
 from bookramsey.colorings import TwoColoring
+from bookramsey.counting import vertex_mask
 from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
@@ -133,16 +136,33 @@ def colex_bools(g: Graph) -> np.ndarray:
     return g.adjacency()[lower]
 
 
+# Set counts by popcounts over the int rows ``Graph.rows``.
+
+
+def edges_between(g: Graph, X, Y) -> int:
+    """Sum over x in X of |N(x) cap Y|: e(X, Y) for disjoint sets, 2 e(X) for Y = X."""
+    rows, my = g.rows, vertex_mask(Y)
+    return sum((rows[x] & my).bit_count() for x in X)
+
+
+def min_degree_induced(g: Graph, U) -> int:
+    """Minimum degree of the subgraph induced by U; 0 when U is empty."""
+    rows, mu = g.rows, vertex_mask(U)
+    return min(((rows[u] & mu).bit_count() for u in bits_of(mu)), default=0)
+
+
 def classification_report(g: Graph, cls) -> dict:
-    """Part sizes, delta(G0) and the cross counts of a vertex classification.
+    """Part sizes, delta(G0) and the cross counts of a vertex classification,
+    by the set counts that ``stability`` takes on ``g.rows``.
 
     e(U1, V2) and e(U2, V1) vanish by definition of V1 and V2; they are
     recomputed here as a self-check rather than assumed.
     """
+    rows = g.rows
     return {
         "sizes": {k: len(v) for k, v in asdict(cls).items()},
-        "delta_G0": g.min_degree_induced(cls.U1 + cls.U2),
-        "e_U1_V2": g.edges_between(cls.U1, cls.V2),
-        "e_U2_V1": g.edges_between(cls.U2, cls.V1),
-        "e_U_V3": g.edges_between(cls.U1 + cls.U2, cls.V3),
+        "delta_G0": stability.min_degree_induced(rows, cls.U1 + cls.U2),
+        "e_U1_V2": stability.edges_between(rows, cls.U1, cls.V2),
+        "e_U2_V1": stability.edges_between(rows, cls.U2, cls.V1),
+        "e_U_V3": stability.edges_between(rows, cls.U1 + cls.U2, cls.V3),
     }

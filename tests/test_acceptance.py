@@ -45,7 +45,7 @@ from bookramsey.stability import (
     red_book_bound,
 )
 
-from helpers import Pair, from_edges, graph_of, oracle_witness, rows_of, to_graph6
+from helpers import Pair, edges_between, from_edges, graph_of, oracle_witness, rows_of, to_graph6
 
 ENTRY = "from bookramsey.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
 
@@ -271,7 +271,7 @@ def test_criterion_5_counting_lemma_suite(capsys):
             checks += 1
             violations += ta < tb
             bounds.append(tb)
-            if host.edges_between(cfg.bases[0], cfg.bases[-1]) > 0:
+            if edges_between(host, cfg.bases[0], cfg.bases[-1]) > 0:
                 bb, _, pages = cfg.book_bound()
                 checks += 1
                 violations += len(pages) < bb
@@ -349,19 +349,20 @@ def test_criterion_7_stability_bounds(capsys):
             n = int(rng.integers(8, 40))
             m = np.triu(rng.random((n, n)) < rng.uniform(0.15, 0.7), k=1).astype(np.uint8)
             g = graph_of(m | m.T)
-            U1, U2 = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
-            cls = classify(g, U1, U2)
+            rows = g.rows
+            U1, U2 = bipartite_extract(rows, seed=int(rng.integers(1 << 16)))
+            cls = classify(rows, U1, U2)
             flat = sorted(v for part in asdict(cls).values() for v in part)
             if flat != list(range(n)):
                 violations += 1
                 continue
             if len(cls.U2) >= 2:
                 red_checked += 1
-                if g.complement().booksize()[0] < red_book_bound(g, cls):
+                if g.complement().booksize()[0] < red_book_bound(rows, cls):
                     violations += 1
             if cls.V3:
                 blue_checked += 1
-                if g.booksize()[0] < blue_book_bound(g, cls):
+                if g.booksize()[0] < blue_book_bound(rows, cls):
                     violations += 1
         ok = violations == 0 and red_checked >= 150 and blue_checked >= 100
         detail = (

@@ -30,7 +30,7 @@ from bookramsey.graphs import bits_of
 from bookramsey.numbers import fraction_str
 from bookramsey.oracle import ORACLE_SIDE_CAP
 from bookramsey.regularity import check_witness, nonuniformity_search
-from bookramsey.stability import blue_book_bound, classify, red_book_bound
+from bookramsey.stability import blue_book_bound, classify, edges_between, red_book_bound
 
 from helpers import Pair, classification_report, graph_of, oracle_witness, rows_of, to_graph6
 from test_structure_kernels import ref_b_rows, ref_uniformity_oracle
@@ -145,7 +145,7 @@ def test_counting_bounds_match_the_bigint_loops(case):
     for j in range(cfg.k):
         pair = Pair(host, cfg.bases[0], cfg.pages[j])
         assert pair.rows(pair.A, pair.B) == ref_b_rows(pair)
-        assert host.edges_between(pair.A, pair.B) == ref_cross_count(host, pair.A, pair.B)
+        assert edges_between(host.rows, pair.A, pair.B) == ref_cross_count(host, pair.A, pair.B)
         want = ref_bad_pairs(host, cfg, j)
         if want is None:
             assert cfg.bad_pair_count(j) is None
@@ -161,9 +161,9 @@ def test_classification_matches_the_bigint_loops(case):
         want = ref_classify(g, U1, U2)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{exc}$"):
-            classify(g, U1, U2)
+            classify(g.rows, U1, U2)
         return
-    cls = classify(g, U1, U2)
+    cls = classify(g.rows, U1, U2)
     assert {k: v for k, v in asdict(cls).items() if k.startswith("V")} == want
     report = classification_report(g, cls)
     assert report["e_U1_V2"] == ref_cross_count(g, cls.U1, cls.V2)
@@ -172,13 +172,13 @@ def test_classification_matches_the_bigint_loops(case):
     if len(cls.U2) >= 2:
         e23 = ref_cross_count(g, cls.U2, cls.V3)
         want_red = len(cls.U2) - 2 + len(cls.V1) + len(cls.V3) - Fraction(2 * e23, len(cls.U2))
-        assert red_book_bound(g, cls) == want_red
+        assert red_book_bound(g.rows, cls) == want_red
     if cls.V3:
         delta = report["delta_G0"]
         want_blue = max(
             Fraction(ref_cross_count(g, cls.V3, part), len(cls.V3)) + delta - len(part) for part in (cls.U1, cls.U2)
         )
-        assert blue_book_bound(g, cls) == want_blue
+        assert blue_book_bound(g.rows, cls) == want_blue
 
 
 @settings(max_examples=200, deadline=None)

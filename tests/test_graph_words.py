@@ -2,8 +2,9 @@
 
 ``Graph`` stores one (n, ceil(n/64)) uint64 array.  Orders on both sides
 of a word boundary are checked against Python-int bitset references: the
-int-row constructor round trip, the set counts, the complement's padding
-bits past n, and equality and hashing.
+int-row constructor round trip, the set counts that the stability layer
+takes on the rows derived from the words, the complement's padding bits
+past n, and equality and hashing.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from bookramsey.colorings import TwoColoring
 from bookramsey.counting import vertex_mask
 from bookramsey.graphs import Graph, bits_of
+from bookramsey.stability import edges_between, min_degree_induced
 
 from helpers import graph_of, to_graph6
 
@@ -63,13 +65,14 @@ def test_set_counts_match_the_bigint_reference(case, data):
     X = data.draw(vertex_lists(n))
     Y = data.draw(vertex_lists(n))
     my = vertex_mask(Y)
-    assert g.edges_between(X, Y) == sum((rows[x] & my).bit_count() for x in X)
-    assert g.degrees_into(Y).tolist() == [(r & my).bit_count() for r in rows]
-    assert g.degrees_into(Y, X).tolist() == [(rows[x] & my).bit_count() for x in X]
+    # the set counts of the stability layer, on the rows derived from the words
+    assert edges_between(g.rows, X, Y) == sum((rows[x] & my).bit_count() for x in X)
+    assert [edges_between(g.rows, [v], Y) for v in range(n)] == [(r & my).bit_count() for r in rows]
+    assert [edges_between(g.rows, [x], Y) for x in X] == [(rows[x] & my).bit_count() for x in X]
     assert g.adjacency(X, Y).tolist() == [[bool(rows[x] >> y & 1) for y in Y] for x in X]
     if X:
         mx = vertex_mask(X)
-        assert g.min_degree_induced(X) == min((rows[x] & mx).bit_count() for x in bits_of(mx))
+        assert min_degree_induced(g.rows, X) == min((rows[x] & mx).bit_count() for x in bits_of(mx))
 
 
 @settings(max_examples=120, deadline=None)

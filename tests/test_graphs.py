@@ -13,6 +13,7 @@ from bookramsey.graphs import (
     Graph,
     bits_of,
 )
+from bookramsey.stability import min_degree_induced
 
 from helpers import check_certificate, codegree, degree, edge_list, from_edges, graph_of, to_graph6
 
@@ -300,11 +301,11 @@ def test_cut_identity_on_random_sets():
 
 
 def test_min_degree_induced_examples():
-    assert Graph.complete(5).min_degree_induced(range(5)) == 4
-    star = from_edges(5, [(0, i) for i in range(1, 5)])
-    assert star.min_degree_induced([1, 2, 3, 4]) == 0
-    assert cycle(5).min_degree_induced([0, 1, 2]) == 1
-    assert star.min_degree_induced([]) == 0
+    assert min_degree_induced(Graph.complete(5).rows, range(5)) == 4
+    star = from_edges(5, [(0, i) for i in range(1, 5)]).rows
+    assert min_degree_induced(star, [1, 2, 3, 4]) == 0
+    assert min_degree_induced(cycle(5).rows, [0, 1, 2]) == 1
+    assert min_degree_induced(star, []) == 0
 
 
 # ----------------------------------------------------------------- graph6

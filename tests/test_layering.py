@@ -7,10 +7,12 @@ module (the package's one generator is ``rng``), and only colex.py
 writes or reads the hex of a BRC1 payload.
 
 Every other module of the package asks ``Graph`` for counts and small
-matrices; none reads the int rows or imports a private helper of
-``graphs``.  Inside ``graphs``, the one tile walk ``_codegree_tiles``
-holds the only matrix product, so ``books`` and ``part_codegrees``
-cannot grow a second walk.
+matrices, and none imports a private helper of ``graphs``.  The int rows
+are read in one place: ``stability.trichotomy_check`` derives them once,
+after its ``books`` walk, and the stability layer, which imports neither
+numpy nor ``graphs``, runs on them.  Inside ``graphs``, the one tile walk
+``_codegree_tiles`` holds the only matrix product, so ``books`` and
+``part_codegrees`` cannot grow a second walk.
 """
 
 import ast
@@ -29,13 +31,22 @@ PACKAGE = Path(bookramsey.__file__).parent
 
 
 def layering_violations(source: str) -> list[str]:
-    """Reads of a ``.rows`` attribute and underscore imports from graphs."""
+    """Reads of a ``.rows`` attribute, each named by its enclosing
+    function, and underscore imports from graphs."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr == "rows":
-            found.append(f"line {node.lineno}: reads .rows")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "graphs":
-            found += [f"line {node.lineno}: imports {a.name}" for a in node.names if a.name.startswith("_")]
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "rows":
+                found.append(f"line {child.lineno}: reads .rows in {owner}")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[-1] == "graphs":
+                found.extend(f"line {child.lineno}: imports {a.name}" for a in child.names if a.name.startswith("_"))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
     return found
 
 
@@ -43,7 +54,9 @@ def test_no_module_but_graphs_knows_the_adjacency_format():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "graphs.py")
     assert {p.name for p in modules} >= {"colorings.py", "ramsey.py", "regularity.py", "stability.py", "cli.py"}
     bad = {p.name: layering_violations(p.read_text(encoding="utf-8")) for p in modules}
-    assert {name: v for name, v in bad.items() if v} == {}
+    bad = {name: [v.split(": ")[1] for v in found] for name, found in bad.items() if found}
+    # the one bridge to the rows layer: trichotomy_check, after its books walk
+    assert bad == {"stability.py": ["reads .rows in trichotomy_check"]}
 
 
 def test_guard_flags_row_reads_and_private_imports():
@@ -53,12 +66,14 @@ def test_guard_flags_row_reads_and_private_imports():
         "from .colorings import _private\n"
         "def f(g):\n"
         "    return g.rows[0] & g.host.rows[1]\n"
+        "x = g.rows\n"
     )
     assert layering_violations(source) == [
         "line 1: imports _unpack",
         "line 2: imports _pack",
-        "line 5: reads .rows",
-        "line 5: reads .rows",
+        "line 5: reads .rows in f",
+        "line 5: reads .rows in f",
+        "line 6: reads .rows in <module>",
     ]
 
 
@@ -388,8 +403,13 @@ def test_colex_helpers_have_one_numpy_free_definition():
 
 
 def test_oracle_imports_no_numpy():
-    for name in ("oracle.py", "graph6.py", "counting.py", "regularity.py"):
+    for name in ("oracle.py", "graph6.py", "counting.py", "regularity.py", "stability.py"):
         assert "numpy" not in module_imports((PACKAGE / name).read_text(encoding="utf-8")), name
+    # stability runs on int rows, and ``trichotomy_check`` takes its Graph
+    # as given: importing it loads neither numpy nor graphs
+    script = "import json, sys\nimport bookramsey.stability\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120)
+    assert sorted(set(json.loads(proc.stdout)) & {"numpy", "bookramsey.graphs", "bookramsey.colorings"}) == []
     assert "numpy" in module_imports("def f():\n    import numpy.linalg\n")
     # rng's edge-colour kernels import numpy when they run, its streams never
     assert "numpy" not in top_level_imports((PACKAGE / "rng.py").read_text(encoding="utf-8"))

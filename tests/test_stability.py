@@ -21,7 +21,7 @@ from bookramsey.stability import (
     trichotomy_check,
 )
 
-from helpers import classification_report, from_edges, graph_of, neighbors
+from helpers import classification_report, from_edges, graph_of, min_degree_induced, neighbors
 
 
 def random_graph(rng, n, p=0.5):
@@ -50,14 +50,14 @@ def assert_classification_matches_naive(g, cls):
 
 def test_classify_full_bipartition_leaves_nothing_outside():
     g = Graph.complete_bipartite(4, 6)
-    cls = classify(g, range(4), range(4, 10))
+    cls = classify(g.rows, range(4), range(4, 10))
     assert cls.V1 == cls.V2 == cls.V3 == cls.V_iso == ()
-    assert g.min_degree_induced(cls.U1 + cls.U2) == 4
+    assert min_degree_induced(g, cls.U1 + cls.U2) == 4
 
 
 def test_classify_star_with_empty_second_part():
     star = from_edges(5, [(0, i) for i in range(1, 5)])
-    cls = classify(star, [0], [])
+    cls = classify(star.rows, [0], [])
     assert cls.V1 == (1, 2, 3, 4)
     assert cls.V2 == cls.V3 == cls.V_iso == ()
 
@@ -65,9 +65,15 @@ def test_classify_star_with_empty_second_part():
 def test_classify_rejects_dependent_or_overlapping_parts():
     g = Graph.complete(4)
     with pytest.raises(ValueError):
-        classify(g, [0, 1], [2])  # 0-1 is an edge
+        classify(g.rows, [0, 1], [2])  # 0-1 is an edge
     with pytest.raises(ValueError):
-        classify(Graph.empty(4), [0, 1], [1, 2])
+        classify(Graph.empty(4).rows, [0, 1], [1, 2])
+    # a part vertex outside 0..n-1 is refused by name, and never read as
+    # another vertex (rows[-1] is vertex 3's row)
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for U1 in ([-1], [4]):
+        with pytest.raises(ValueError, match=f"^vertex {U1[0]} outside the 4-vertex graph$"):
+            classify(path.rows, U1, [0])
 
 
 def test_classify_rejects_a_repeated_vertex():
@@ -77,7 +83,7 @@ def test_classify_rejects_a_repeated_vertex():
     U2 = list(range(10, 20))
     for U1, part2 in (([0, 1, 2, 3, 4] * 2, U2), ([0], [10, 11, 11])):
         with pytest.raises(ValueError, match="repeated vertex"):
-            classify(g, U1, part2)
+            classify(g.rows, U1, part2)
     with pytest.raises(ValueError, match="repeated vertex"):
         trichotomy_check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4] * 2, U2))
     assert trichotomy_check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4], U2))["iii"] is False
@@ -88,23 +94,23 @@ def test_classify_matches_naive_scan_on_random_instances():
     for _ in range(40):
         n = int(rng.integers(6, 40))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.7)))
-        found = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
+        found = bipartite_extract(g.rows, seed=int(rng.integers(1 << 16)))
         assert found is not None
         U1, U2 = found
-        cls = classify(g, U1, U2)
+        cls = classify(g.rows, U1, U2)
         assert_classification_matches_naive(g, cls)
 
 
 def test_report_cross_counts_vanish_by_definition():
     rng = np.random.default_rng(37)
     g = random_graph(rng, 25, 0.4)
-    U1, U2 = bipartite_extract(g, seed=3)
-    cls = classify(g, U1, U2)
+    U1, U2 = bipartite_extract(g.rows, seed=3)
+    cls = classify(g.rows, U1, U2)
     rep = classification_report(g, cls)
     assert rep["e_U1_V2"] == 0
     assert rep["e_U2_V1"] == 0
     assert sum(rep["sizes"].values()) == 25
-    assert rep["delta_G0"] == g.min_degree_induced(cls.U1 + cls.U2)
+    assert rep["delta_G0"] == min_degree_induced(g, cls.U1 + cls.U2)
 
 
 # ------------------------------------------------------------ red book bound
@@ -112,25 +118,25 @@ def test_report_cross_counts_vanish_by_definition():
 
 def test_red_bound_requires_two_base_vertices():
     g = Graph.complete_bipartite(1, 3)
-    cls = classify(g, [1, 2, 3], [0])
+    cls = classify(g.rows, [1, 2, 3], [0])
     with pytest.raises(ValueError):
-        red_book_bound(g, cls)
+        red_book_bound(g.rows, cls)
 
 
 def test_red_bound_without_v3_is_a_size_count():
     # U2 plus isolated vertices: no V3, so the bound is |U2| - 2 + |V1|
     g = from_edges(7, [(0, 3), (1, 3), (2, 3)])
-    cls = classify(g, [3], [0, 1, 2])
+    cls = classify(g.rows, [3], [0, 1, 2])
     assert cls.V3 == ()
     assert cls.V_iso == (4, 5, 6)
-    assert red_book_bound(g, cls) == 3 - 2 + 0
+    assert red_book_bound(g.rows, cls) == 3 - 2 + 0
 
 
 def test_red_bound_is_tight_on_the_two_clique_construction():
     for q in (2, 3, 5):
         g = Graph.complete_bipartite(q + 1, q + 1)  # blue; red is 2 cliques
-        cls = classify(g, range(q + 1), range(q + 1, 2 * q + 2))
-        bound = red_book_bound(g, cls)
+        cls = classify(g.rows, range(q + 1), range(q + 1, 2 * q + 2))
+        bound = red_book_bound(g.rows, cls)
         assert bound == q - 1
         assert g.complement().booksize()[0] == bound
 
@@ -141,13 +147,13 @@ def test_red_bound_never_exceeds_red_booksize():
     for _ in range(200):
         n = int(rng.integers(8, 36))
         g = random_graph(rng, n, float(rng.uniform(0.15, 0.7)))
-        found = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
+        found = bipartite_extract(g.rows, seed=int(rng.integers(1 << 16)))
         U1, U2 = found
-        cls = classify(g, U1, U2)
+        cls = classify(g.rows, U1, U2)
         if len(cls.U2) < 2:
             continue
         checked += 1
-        assert g.complement().booksize()[0] >= red_book_bound(g, cls)
+        assert g.complement().booksize()[0] >= red_book_bound(g.rows, cls)
     assert checked >= 150
 
 
@@ -156,17 +162,17 @@ def test_red_bound_never_exceeds_red_booksize():
 
 def test_blue_bound_requires_v3():
     g = Graph.complete_bipartite(2, 2)
-    cls = classify(g, [0, 1], [2, 3])
+    cls = classify(g.rows, [0, 1], [2, 3])
     with pytest.raises(ValueError):
-        blue_book_bound(g, cls)
+        blue_book_bound(g.rows, cls)
 
 
 def test_blue_bound_single_v3_vertex_hits_delta():
     # v = 4 sees all of U2 and exactly one vertex of U1
     g = from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 2), (4, 3), (4, 0)])
-    cls = classify(g, [0, 1], [2, 3])
+    cls = classify(g.rows, [0, 1], [2, 3])
     assert cls.V3 == (4,)
-    assert blue_book_bound(g, cls) == g.min_degree_induced(cls.U1 + cls.U2) == 2
+    assert blue_book_bound(g.rows, cls) == min_degree_induced(g, cls.U1 + cls.U2) == 2
 
 
 def test_blue_bound_never_exceeds_blue_booksize():
@@ -175,12 +181,12 @@ def test_blue_bound_never_exceeds_blue_booksize():
     for _ in range(200):
         n = int(rng.integers(8, 36))
         g = random_graph(rng, n, float(rng.uniform(0.15, 0.7)))
-        U1, U2 = bipartite_extract(g, seed=int(rng.integers(1 << 16)))
-        cls = classify(g, U1, U2)
+        U1, U2 = bipartite_extract(g.rows, seed=int(rng.integers(1 << 16)))
+        cls = classify(g.rows, U1, U2)
         if not cls.V3:
             continue
         checked += 1
-        assert g.booksize()[0] >= blue_book_bound(g, cls)
+        assert g.booksize()[0] >= blue_book_bound(g.rows, cls)
     assert checked >= 100
 
 
@@ -189,7 +195,7 @@ def test_blue_bound_never_exceeds_blue_booksize():
 
 def test_extractor_recovers_connected_bipartition():
     g = Graph.complete_bipartite(5, 7)
-    U1, U2 = bipartite_extract(g, seed=0)
+    U1, U2 = bipartite_extract(g.rows, seed=0)
     assert {frozenset(U1), frozenset(U2)} == {
         frozenset(range(5)),
         frozenset(range(5, 12)),
@@ -197,7 +203,7 @@ def test_extractor_recovers_connected_bipartition():
 
 
 def test_extractor_on_complete_graph_degenerates():
-    U1, U2 = bipartite_extract(Graph.complete(6), seed=0)
+    U1, U2 = bipartite_extract(Graph.complete(6).rows, seed=0)
     assert len(U1) <= 1 and len(U2) <= 1
 
 
@@ -206,7 +212,7 @@ def test_extractor_output_is_always_independent():
     for _ in range(25):
         n = int(rng.integers(5, 45))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
-        U1, U2 = bipartite_extract(g, seed=int(rng.integers(99999)))
+        U1, U2 = bipartite_extract(g.rows, seed=int(rng.integers(99999)))
         for part in (U1, U2):
             for v in part:
                 assert not (set(neighbors(g, v)) & set(part))
@@ -223,14 +229,8 @@ def test_extractor_recovers_planted_bipartition_under_noise():
             for v in verts[i + 1 :]:
                 if noise_rng.random() < 0.01:
                     edges.append((u, v))
-    g = from_edges(40, edges)
-    good = sum(
-        1
-        for seed in range(10)
-        if len(bipartite_extract(g, seed=seed)[0])
-        + len(bipartite_extract(g, seed=seed)[1])
-        >= 36
-    )
+    rows = from_edges(40, edges).rows
+    good = sum(1 for seed in range(10) if sum(map(len, bipartite_extract(rows, seed=seed))) >= 36)
     assert good >= 9
 
 

@@ -30,7 +30,7 @@ from bookramsey.regularity import check_witness, nonuniformity_search
 from bookramsey.rng import edge_value, edge_values_block
 from bookramsey.stability import bipartite_extract
 
-from helpers import Pair, from_edges, graph_of, oracle_witness, to_graph6
+from helpers import Pair, edges_between, from_edges, graph_of, min_degree_induced, oracle_witness, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -108,9 +108,9 @@ def ref_check_witness(pair: Pair, eps, X, Y) -> bool:
         return False
     if len(X) < size_floor(eps, len(pair.A)) or len(Y) < size_floor(eps, len(pair.B)):
         return False
-    e = pair.host.edges_between(X, Y)
+    e = edges_between(pair.host, X, Y)
     dxy = Fraction(e, len(X) * len(Y))
-    return abs(dxy - Fraction(pair.host.edges_between(pair.A, pair.B), len(pair.A) * len(pair.B))) > eps
+    return abs(dxy - Fraction(edges_between(pair.host, pair.A, pair.B), len(pair.A) * len(pair.B))) > eps
 
 
 def ref_bigint_search(pair: Pair, eps, samples: int = 1000, seed: int = 0):
@@ -227,7 +227,7 @@ def ref_nonuniformity_search(pair: Pair, eps, samples: int = 1000, seed: int = 0
     a0, b0 = size_floor(eps, na), size_floor(eps, nb)
     if a0 > na or b0 > nb:
         return None
-    enum = pair.host.edges_between(pair.A, pair.B)
+    enum = edges_between(pair.host, pair.A, pair.B)
     limits: dict[int, np.ndarray] = {}  # by |X|
     cross = pair.host.adjacency(pair.A, pair.B)
     by_degree = np.argsort(cross.sum(axis=1), kind="stable")
@@ -346,7 +346,7 @@ def ref_bipartite_extract(g: Graph, seed: int = 0, restarts: int = 10):
         U1 = tuple(bits_of(masks[0] & alive))
         U2 = tuple(bits_of(masks[1] & alive))
         total = len(U1) + len(U2)
-        mind = g.min_degree_induced((*U1, *U2)) if total else 0
+        mind = min_degree_induced(g, (*U1, *U2))
         score = (total, mind, -r)
         if best_score is None or score > best_score:
             best, best_score = (U1, U2), score
@@ -630,12 +630,29 @@ def test_extractor_matches_reference_on_random_graphs(n, p, graph_seed, seed, re
     rng = np.random.default_rng(graph_seed)
     upper = np.triu(rng.random((n, n)) < p, 1)
     g = graph_of(upper | upper.T)
-    got = bipartite_extract(g, seed=seed, restarts=restarts)
+    got = bipartite_extract(g.rows, seed=seed, restarts=restarts)
     assert got == ref_bipartite_extract(g, seed=seed, restarts=restarts)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_extractor_matches_reference_near_bipartite(seed):
-    g = near_bipartite(seed)
-    got = bipartite_extract(g, seed=seed)
+def dense_600() -> Graph:
+    """p = 0.9 on 600 vertices: conflict counts pass 255, so the
+    extractor's bit-sliced counters span more than one byte plane."""
+    upper = np.triu(np.random.default_rng(600).random((600, 600)) < 0.9, 1)
+    return graph_of(upper | upper.T)
+
+
+# (graph, extractor seed) by case; near_bipartite is the structure
+# benchmark's n = 999 shape
+EXTRACTOR_CASES = {
+    1: (lambda: near_bipartite(1), 1),
+    2: (lambda: near_bipartite(2), 2),
+    "dense600": (dense_600, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(EXTRACTOR_CASES))
+def test_extractor_matches_reference_near_bipartite(case):
+    make, seed = EXTRACTOR_CASES[case]
+    g = make()
+    got = bipartite_extract(g.rows, seed=seed)
     assert got == ref_bipartite_extract(g, seed=seed)
