@@ -192,7 +192,6 @@ def cmd_construct(args):
         tripartite_bytes,
         two_cliques,
         write_brc1,
-        write_coloring_file,
     )
     from .graphs import GRAPH6_ORDER_CAP
 
@@ -204,7 +203,7 @@ def cmd_construct(args):
         raise CapacityError(f"order {n} is above the BRC1 cap of {GRAPH6_ORDER_CAP} vertices")
     if args.kind == "two-cliques":
         c = two_cliques(args.q)
-        write_coloring_file(args.out, c)
+        write_brc1(args.out, c.n, c.blue.colex_chunks())
         (b, _), (r, _) = c.blue.books()
         results = {"kind": "two-cliques", "n": c.n, "q": args.q, "bk_blue": b, "bk_red": r, "file": args.out}
         summary = f"wrote {c.n}-vertex two-clique coloring to {args.out}"

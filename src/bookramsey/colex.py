@@ -1,13 +1,13 @@
 """The colex edge order, bit sets on plain ints, and the BRC1 payload.
 
-Edge (i, j), i < j, of K_n sits at index j(j-1)/2 + i; a coloring's blue
-edges are one int with bit e set for each blue edge e.  The BRC1 bytes
-of a coloring hold its C(n, 2) blue bits in that order, 8 to a byte, the
-first in the high bit, zero-padded at the end; its payload is their
-lowercase hex, cut to ceil(C(n, 2) / 4) characters.  These bytes are
-the one packed form of a coloring between modules.  This module imports
-no numpy, so the exhaustive scan (``ramsey``) and the ``verify`` command
-run without it.
+Edge (i, j), i < j, of K_n sits at index j(j-1)/2 + i; ``ramsey`` gives a
+counterexample as one int, bit e set for each blue edge e, which
+``index_hex`` writes out.  The BRC1 bytes of a coloring hold its C(n, 2)
+blue bits in that order, 8 to a byte, the first in the high bit,
+zero-padded at the end; its payload is their lowercase hex, cut to
+ceil(C(n, 2) / 4) characters.  These bytes are the one packed form of a
+coloring between modules.  This module imports no numpy, so the
+exhaustive scan (``ramsey``) and the ``verify`` command run without it.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ def bits_of(mask: int) -> Iterator[int]:
 def index_bytes(index: int, nbits: int) -> bytes:
     """The BRC1 bytes of the ``nbits`` bits of ``index``, bit k the k-th."""
     return index.to_bytes((nbits + 7) // 8, "little").translate(_BIT_REVERSE)
-
-
-def bytes_index(raw: bytes) -> int:
-    """The int whose bit k is the k-th bit of BRC1 bytes."""
-    return int.from_bytes(raw.translate(_BIT_REVERSE), "little")
 
 
 def hex_pieces(chunks: Iterable[bytes], nbits: int) -> Iterator[str]:

@@ -8,21 +8,21 @@ without float slack.
 Interchange format BRC1: a header line ``BRC1 <n>`` followed by the
 coloring's payload, the lowercase hex of its BRC1 bytes (``colex``): the
 blue edge bits in colex order, four to a character, first bit in the
-high bit of the nibble, zero-padded at the end.
+high bit of the nibble, zero-padded at the end.  ``write_brc1`` writes
+it from the bytes in chunks: ``colex_chunks`` or ``tripartite_bytes``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .colex import bytes_index, hex_bytes, hex_pieces, index_bytes
+from .colex import hex_bytes, hex_pieces
 from .colex import edge_index  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 from .graphs import GRAPH6_ORDER_CAP, Graph
@@ -50,33 +50,6 @@ class TwoColoring:
     @property
     def n(self) -> int:
         return self.blue.n
-
-    @cached_property
-    def red(self) -> Graph:
-        return self.blue.complement()
-
-    # ---------------------------------------------------------- blue index
-
-    @classmethod
-    def from_blue_index(cls, n: int, index: int) -> "TwoColoring":
-        """Coloring whose blue bit k equals bit k of ``index``."""
-        m = n * (n - 1) // 2
-        if not 0 <= index < 1 << m:
-            raise ValueError("index outside the coloring range")
-        return cls(Graph.from_colex_bits(n, index_bytes(index, m), width=8))
-
-    def blue_index(self) -> int:
-        return bytes_index(self.blue.colex_bytes())
-
-    # ----------------------------------------------------------------- BRC1
-
-    def to_brc1(self) -> str:
-        return "".join(self.brc1_pieces())
-
-    def brc1_pieces(self) -> Iterator[str]:
-        """The BRC1 text in pieces (``brc1_text``), the payload a codec
-        stripe at a time."""
-        return brc1_text(self.n, self.blue.colex_chunks())
 
     @classmethod
     def from_brc1(cls, text: str | Iterable[str]) -> "TwoColoring":
@@ -167,10 +140,6 @@ def brc1_text(n: int, chunks: Iterable[bytes]) -> Iterator[str]:
     yield f"{BRC1_MAGIC} {n}\n"
     yield from hex_pieces(chunks, n * (n - 1) // 2)
     yield "\n"
-
-
-def write_coloring_file(path, c: TwoColoring) -> None:
-    write_brc1(path, c.n, c.blue.colex_chunks())
 
 
 def write_brc1(path, n: int, chunks: Iterable[bytes]) -> None:

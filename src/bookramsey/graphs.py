@@ -25,7 +25,7 @@ Also owns the colex codec between words and packed bytes: the C(n, 2)
 vertex pairs in colex order, which is the row-major strict lower
 triangle of the matrix.  graph6 (short form n <= 62, long form
 n <= 258047) packs their bits 6 to a character, and the BRC1 bytes of
-``colex`` 8 to a byte; ``colex_bytes`` writes the latter and
+``colex`` 8 to a byte; ``colex_chunks`` writes the latter and
 ``from_colex_bits`` reads either, at orders up to GRAPH6_ORDER_CAP.  The
 codec goes _STRIPE / 4 rows at a time and unpacks only the edge bits of
 the stripe at hand, so it holds the words and O(_STRIPE n) bytes
@@ -316,15 +316,10 @@ class Graph:
     # ----------------------------------------------------------- colex codec
     # Pair (i, j), i < j, has colex index j(j-1)/2 + i.
 
-    def colex_bytes(self) -> bytes:
-        """The BRC1 bytes of the edges (``colex``): one bit per pair in
-        colex order, 8 to a byte, first in the high bit, zero-padded."""
-        return b"".join(self.colex_chunks())
-
     def colex_chunks(self) -> Iterator[bytes]:
-        """``colex_bytes`` in pieces, one per codec stripe and the last
-        byte: a stripe's bits follow the bits that the one before left
-        short of a whole byte, so stripes of any height pack alike."""
+        """The BRC1 bytes of the edges (``colex``) in pieces, one per codec
+        stripe and the last byte: a stripe's bits follow the bits that the
+        one before left short of a whole byte, so stripes pack alike."""
         carry = np.zeros(0, dtype=bool)
         for r0, r1, lower in _stripes(self.n):
             bits = np.concatenate([carry, self.adjacency(range(r0, r1))[lower]])
@@ -335,7 +330,7 @@ class Graph:
 
     @classmethod
     def from_colex_bits(cls, n: int, packed: bytes | np.ndarray | Iterable[bytes], width: int) -> "Graph":
-        """Inverse of ``colex_bytes``: the graph whose pair bits, in colex
+        """Inverse of ``colex_chunks``: the graph whose pair bits, in colex
         order, are packed ``width`` to a byte into its low bits, first bit
         highest (graph6 packs 6, BRC1 8).  ``packed`` is one bytes-like
         object or an iterator of them, which is read only as far as each

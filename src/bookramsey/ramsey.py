@@ -1,8 +1,8 @@
 """Exhaustive small-order book Ramsey verification.
 
 A 2-coloring of K_N is encoded as the colex bitstring of its blue edge
-indicators, so the space of colorings is the integer range [0, 2^C(N,2))
-and "first counterexample" means lowest index.
+indicators, its index in the range [0, 2^C(N,2)) of all colorings, and a
+counterexample is returned as that index alone: the lowest one.
 
 The scan covers one scenario after another.  A scenario is a fixed
 partial coloring; the edges it leaves open are the variable bits, in
@@ -106,21 +106,12 @@ class Neither(_Record):
 
 
 class SearchOutcome(_Record):
-    # N, the blue index of the counterexample (None when forced), colorings_examined
-    __slots__ = ("N", "counterexample_index", "colorings_examined")
+    # the blue index of the counterexample (None when forced), colorings_examined
+    __slots__ = ("counterexample_index", "colorings_examined")
 
     @property
     def verdict(self) -> str:
         return "forced" if self.counterexample_index is None else "counterexample"
-
-    @property
-    def counterexample(self) -> TwoColoring | None:
-        """The counterexample, decoded from its index on each access."""
-        if self.counterexample_index is None:
-            return None
-        from .colorings import TwoColoring
-
-        return TwoColoring.from_blue_index(self.N, self.counterexample_index)
 
 
 def check_coloring(c: TwoColoring, p: int, q: int):
@@ -373,5 +364,5 @@ def exhaustive_verify(N: int, p: int, q: int, *, force: bool = False, prune: boo
         if k is None:
             continue
         blue_edges = [var_edges[b] for b in bits_of(k)] + [e for e, blue in fixed.items() if blue]
-        return SearchOutcome(N, sum(1 << e for e in blue_edges), si * per_scenario + k + 1)
-    return SearchOutcome(N, None, len(scenarios) * per_scenario)
+        return SearchOutcome(sum(1 << e for e in blue_edges), si * per_scenario + k + 1)
+    return SearchOutcome(None, len(scenarios) * per_scenario)

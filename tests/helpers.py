@@ -9,8 +9,8 @@ from typing import Iterable
 import numpy as np
 
 from bookramsey import stability
-from bookramsey.colex import bits_of
-from bookramsey.colorings import TwoColoring
+from bookramsey.colex import bits_of, index_bytes
+from bookramsey.colorings import TwoColoring, brc1_text
 from bookramsey.counting import vertex_mask
 from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
@@ -42,6 +42,16 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def coloring_of_bits(n: int, bits) -> TwoColoring:
     """The coloring of K_n whose blue indicators, in colex order, are ``bits``."""
     return TwoColoring(Graph.from_colex_bits(n, np.packbits(np.asarray(bits, dtype=bool)), width=8))
+
+
+def coloring_of_index(n: int, k: int) -> TwoColoring:
+    """The coloring of K_n whose blue bit e is bit e of ``k`` (a blue index)."""
+    return TwoColoring(Graph.from_colex_bits(n, index_bytes(k, n * (n - 1) // 2), width=8))
+
+
+def brc1_of(c: TwoColoring) -> str:
+    """The BRC1 text of a coloring, as ``construct`` writes it."""
+    return "".join(brc1_text(c.n, c.blue.colex_chunks()))
 
 
 def to_graph6(g: Graph) -> str:

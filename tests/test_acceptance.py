@@ -45,7 +45,7 @@ from bookramsey.stability import (
     red_book_bound,
 )
 
-from helpers import Pair, edges_between, from_edges, graph_of, oracle_witness, rows_of, to_graph6
+from helpers import Pair, coloring_of_index, edges_between, from_edges, graph_of, oracle_witness, rows_of, to_graph6
 
 ENTRY = "from bookramsey.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
 
@@ -115,7 +115,7 @@ def test_criterion_2_classical_triangle_consistency(capsys):
         elapsed = time.perf_counter() - t0
         ok = forced.verdict == "forced"
         ok &= found.verdict == "counterexample"
-        ce = found.counterexample
+        ce = coloring_of_index(5, found.counterexample_index)
         # triangle-free both ways: no edge in either color has a common
         # neighbor in that color
         ok &= ce.blue.booksize()[0] == 0

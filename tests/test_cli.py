@@ -23,7 +23,7 @@ from bookramsey import cli, graph6, oracle, regularity, stability
 from bookramsey.colorings import (
     TwoColoring,
     two_cliques,
-    write_coloring_file,
+    write_brc1,
 )
 from bookramsey.graphs import GRAPH6_ORDER_CAP, Graph
 from bookramsey.numbers import as_fraction
@@ -61,7 +61,8 @@ def files(tmp_path_factory):
     (root / "k4.g6").write_text(to_graph6(Graph.complete(4)) + "\n")
     out["k4"] = root / "k4.g6"
 
-    write_coloring_file(root / "tc2.brc1", two_cliques(2))
+    tc2 = two_cliques(2)
+    write_brc1(root / "tc2.brc1", tc2.n, tc2.blue.colex_chunks())
     out["tc2"] = root / "tc2.brc1"
 
     (root / "broken.g6").write_text("D\n")  # truncated edge data
@@ -277,7 +278,7 @@ def test_witness_check_red_refutation_names_first_base(tmp_path):
     # blue edges 01 and 02; the red bases 03 and 04 carry one page each,
     # so the first red base with two pages is 12 (pages 3 and 4)
     path = tmp_path / "red.brc1"
-    write_coloring_file(path, TwoColoring(from_edges(5, [(0, 1), (0, 2)])))
+    write_brc1(path, 5, from_edges(5, [(0, 1), (0, 2)]).colex_chunks())
     code, report, proc = run_cli("witness-check", path, 2, 5)
     assert code == 10
     assert report["results"] == {
@@ -606,7 +607,8 @@ def test_trichotomy_with_and_without_candidate(files, tmp_path):
     assert report["results"]["G0_source"] == "candidate"
     assert report["results"]["iii"] is True
     # an empty G0 has minimum degree 0 and refutes branch (iii)
-    write_coloring_file(tmp_path / "tc5.brc1", two_cliques(5))
+    tc5 = two_cliques(5)
+    write_brc1(tmp_path / "tc5.brc1", tc5.n, tc5.blue.colex_chunks())
     empty = _text_file(tmp_path, "[[], []]")
     code, report, _ = run_cli("trichotomy", tmp_path / "tc5.brc1", "--xi", "1/10", "--candidate", empty)
     assert code == 0
@@ -617,7 +619,7 @@ def test_trichotomy_with_and_without_candidate(files, tmp_path):
 def test_trichotomy_reads_brc1(files, tmp_path):
     # the coloring whose blue graph is the graph6 file's graph
     path = tmp_path / "kbb.brc1"
-    write_coloring_file(path, TwoColoring(Graph.complete_bipartite(10, 10)))
+    write_brc1(path, 20, Graph.complete_bipartite(10, 10).colex_chunks())
     code, report, _ = run_cli("trichotomy", path, "--xi", "1/10", "--seed", 5)
     assert code == 0
     _, want, _ = run_cli("trichotomy", files["kbb"], "--xi", "1/10", "--seed", 5)

@@ -30,7 +30,7 @@ from bookramsey import cli
 from bookramsey.colorings import TwoColoring
 from bookramsey.graphs import GRAPH6_ORDER_CAP
 
-from helpers import from_edges, to_graph6
+from helpers import brc1_of, from_edges, to_graph6
 
 SCHEMA = json.loads(
     resources.files("bookramsey").joinpath("schemas/runreport.schema.json").read_text()
@@ -131,7 +131,7 @@ def invocations(draw):
     g = draw(graphs())
     files = {
         "g6": draw(damaged(to_graph6(g) + "\n")),
-        "brc1": draw(damaged(TwoColoring(g).to_brc1())),
+        "brc1": draw(damaged(brc1_of(TwoColoring(g)))),
         "config": draw(json_files(configs())),
         "parts": draw(json_files(blocks_of(g.n, 3) | vertex_lists)),
         "candidate": draw(json_files(blocks_of(g.n, 2) | vertex_lists)),

@@ -27,7 +27,7 @@ from bookramsey.colorings import (
     tripartite_parts,
     tripartite_random,
     two_cliques,
-    write_coloring_file,
+    write_brc1,
 )
 from bookramsey.colex import hex_bytes, index_hex
 from bookramsey.errors import ParseError
@@ -42,7 +42,7 @@ from bookramsey.rng import (
     stream_values,
 )
 
-from helpers import codegree, colex_bools, coloring_of_bits, edge_list, from_edges
+from helpers import brc1_of, codegree, colex_bools, coloring_of_bits, coloring_of_index, edge_list, from_edges
 
 
 # ------------------------------------------------------------- edge indexing
@@ -72,21 +72,20 @@ def test_edge_index_symmetric_and_rejects_loops():
 
 def test_coloring_red_is_complement():
     c = two_cliques(2)
-    assert c.red == c.blue.complement()
-    assert c.red is c.red  # built once per coloring
+    assert c.blue.complement() == Graph.complete_bipartite(3, 3)
     assert c.n == 6
 
 
 def test_blue_bits_round_trip():
     c = two_cliques(3)
-    again = TwoColoring(Graph.from_colex_bits(c.n, c.blue.colex_bytes(), width=8))
+    again = TwoColoring(Graph.from_colex_bits(c.n, b"".join(c.blue.colex_chunks()), width=8))
     assert again == c
 
 
 def test_blue_index_round_trip():
     for idx in (0, 1, 5, 2**14 - 1):
-        c = TwoColoring.from_blue_index(6, idx)
-        assert c.blue_index() == idx
+        c = coloring_of_index(6, idx)
+        assert sum(1 << edge_index(u, v) for u, v in edge_list(c.blue)) == idx
 
 
 def test_two_cliques_book_sizes():
@@ -102,8 +101,8 @@ def test_two_cliques_book_sizes():
 
 
 def test_brc1_frozen_examples():
-    assert two_cliques(1).to_brc1() == "BRC1 4\n84\n"
-    assert two_cliques(2).to_brc1() == "BRC1 6\ne046\n"
+    assert brc1_of(two_cliques(1)) == "BRC1 4\n84\n"
+    assert brc1_of(two_cliques(2)) == "BRC1 6\ne046\n"
 
 
 def test_brc1_parse_frozen_example():
@@ -117,7 +116,7 @@ def test_brc1_parse_frozen_example():
 def test_brc1_round_trip(n, rnd):
     bits = np.array([rnd.randint(0, 1) for _ in range(n * (n - 1) // 2)], dtype=np.uint8)
     c = coloring_of_bits(n, bits)
-    assert TwoColoring.from_brc1(c.to_brc1()) == c
+    assert TwoColoring.from_brc1(brc1_of(c)) == c
 
 
 def test_brc1_rejects_garbage():
@@ -136,7 +135,7 @@ def test_brc1_rejects_garbage():
 
 
 def test_brc1_reports_offset_of_bad_hex_character():
-    payload = two_cliques(3).to_brc1().splitlines()[1]  # 28 bits, 7 characters
+    payload = brc1_of(two_cliques(3)).splitlines()[1]  # 28 bits, 7 characters
     for bad in ("g", "Z", "-", "\u00e9", "\ud800"):
         text = f"BRC1 8\n{payload[:4]}{bad}{payload[5:]}\n"
         with pytest.raises(ParseError, match="invalid hex character") as exc:
@@ -164,7 +163,7 @@ def test_brc1_refuses_every_odd_character_where_it_stands():
     # each character in turn replaces payload character 0, 3 or 6: a
     # dropped one leaves the payload a character short, a hex digit is
     # read, any other is named with its offset, and of two the first
-    payload = two_cliques(3).to_brc1().splitlines()[1]  # 28 bits, 7 characters
+    payload = brc1_of(two_cliques(3)).splitlines()[1]  # 28 bits, 7 characters
     short = ("expected 7 hex characters for 28 edge bits, got 6", 2, None)
     for ch in ODD_CHARACTERS:
         for pos in (0, 3, 6):
@@ -204,7 +203,7 @@ def test_hex_bytes_decodes_piece_by_piece(piece):
     # the payload is decoded as its pieces come: the pieces change neither
     # the bytes nor the character named, nor its offset, and a payload
     # read past a header counts its offsets from there
-    payload = two_cliques(3).to_brc1().splitlines()[1]
+    payload = brc1_of(two_cliques(3)).splitlines()[1]
     cases = [payload, payload[:2] + "  " + payload[4:], payload[:4] + "\x1f\x1f" + payload[6:]]
     cases += [payload[:pos] + ch + payload[pos + 1 :] for pos in range(7) for ch in ODD_CHARACTERS]
     want = [decoded(text) for text in cases]
@@ -241,19 +240,19 @@ def test_pack_unpack_hex():
 def test_index_hex_matches_pack_bits_hex(N):
     # C(N, 2) for N = 0..12 meets every residue mod 8, so every padding of
     # the last byte and nibble; N = 13..17 add 0 again at N = 16.  The int
-    # route (index_hex) and the graph route (to_brc1) both match the spec.
+    # route (index_hex) and the graph route (colex_chunks) both match the spec.
     m = N * (N - 1) // 2
     rng = random.Random(N)
     lowest_blue = [(1 << j) - 1 for j in range(m + 1)]  # 0 .. 2^m - 1: the lowest j edges blue
     for k in lowest_blue + [rng.getrandbits(m) for _ in range(20)]:
         expect = pack_bits_hex([k >> e & 1 for e in range(m)])
         assert index_hex(k, m) == expect, (N, k)
-        assert TwoColoring.from_blue_index(N, k).to_brc1() == f"BRC1 {N}\n{expect}\n", (N, k)
+        assert brc1_of(coloring_of_index(N, k)) == f"BRC1 {N}\n{expect}\n", (N, k)
 
 
 def test_tripartite_file_at_n3000_matches_pack_bits_hex():
     c = tripartite_random(ConstructionParams(3000, Fraction(1, 200), seed=3))
-    assert c.to_brc1() == f"BRC1 3000\n{pack_bits_hex(colex_bools(c.blue))}\n"
+    assert brc1_of(c) == f"BRC1 3000\n{pack_bits_hex(colex_bools(c.blue))}\n"
 
 
 # orders whose C(n, 2) colex bits end inside a byte, with one pack stripe
@@ -272,14 +271,14 @@ def test_construct_writes_the_drawn_bytes_as_the_words_encode(tmp_path, n):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0
     c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=n))
-    assert path.read_text(encoding="ascii") == c.to_brc1()
-    assert TwoColoring.from_brc1(c.to_brc1()) == c
+    assert path.read_text(encoding="ascii") == brc1_of(c)
+    assert TwoColoring.from_brc1(brc1_of(c)) == c
 
 
 def test_coloring_file_io(tmp_path):
     c = two_cliques(2)
     path = tmp_path / "c.brc1"
-    write_coloring_file(path, c)
+    write_brc1(path, c.n, c.blue.colex_chunks())
     assert read_coloring_file(path) == c
 
 
@@ -299,7 +298,7 @@ def brc1_texts(draw):
     characters dropped, added or replaced, a count that is off."""
     n = draw(st.integers(0, 9))
     bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    payload = list(coloring_of_bits(n, bits).to_brc1().split("\n")[1])
+    payload = list(brc1_of(coloring_of_bits(n, bits)).split("\n")[1])
     for pos, ch, replace in draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from(PAYLOAD_EDITS), st.booleans()), max_size=3)):
         pos = min(pos, len(payload))
         payload[pos : pos + replace] = [ch]
@@ -551,12 +550,12 @@ def test_tripartite_random_is_deterministic_and_intra_red():
     c1 = tripartite_random(params)
     c2 = tripartite_random(params)
     assert c1 == c2
-    parts = tripartite_parts(30)
+    parts, red = tripartite_parts(30), c1.blue.complement()
     for part in parts:
         for i in part:
             for j in part:
                 if i < j:
-                    assert c1.red.has_edge(i, j)
+                    assert red.has_edge(i, j)
     # a different seed moves at least one cross edge
     c3 = tripartite_random(ConstructionParams(30, Fraction(1, 200), seed=5))
     assert c3 != c1
@@ -613,7 +612,8 @@ def test_construction_statistics_against_naive_counts():
     for k, part in enumerate(parts):
         for v in part:
             part_of[v] = k
-    red_edges = edge_list(c.red)
+    red = c.blue.complement()
+    red_edges = edge_list(red)
     blue_edges = edge_list(c.blue)
     red_intra = [(u, v) for u, v in red_edges if part_of[u] == part_of[v]]
     red_cross = [(u, v) for u, v in red_edges if part_of[u] != part_of[v]]
@@ -623,11 +623,11 @@ def test_construction_statistics_against_naive_counts():
     assert stats["red_intra"]["edges"] == len(red_intra)
     assert stats["blue_cross"]["edges"] == len(blue_edges)
     assert stats["red_cross"]["edges"] == len(red_cross)
-    assert stats["red_intra"]["mean_codegree"] == naive_codegree_mean(c.red, red_intra)
+    assert stats["red_intra"]["mean_codegree"] == naive_codegree_mean(red, red_intra)
     assert stats["blue_cross"]["mean_codegree"] == naive_codegree_mean(
         c.blue, blue_edges
     )
-    assert stats["red_cross"]["mean_codegree"] == naive_codegree_mean(c.red, red_cross)
+    assert stats["red_cross"]["mean_codegree"] == naive_codegree_mean(red, red_cross)
     (bk_blue, _), (bk_red, _) = c.blue.books()
     assert stats["bk_red"] == bk_red
     assert stats["bk_blue"] == bk_blue

@@ -361,10 +361,10 @@ def test_lemma_check_on_both_sides_of_the_oracle_cap(tmp_path, t, nbases):
 
 def ref_labels(c, blocks, eps, beta, gamma) -> list[dict]:
     """classify's labels from the reference oracle on the red graph."""
-    out = []
+    out, red = [], c.blue.complement()
     for (i, A), (j, B) in itertools.combinations(enumerate(blocks), 2):
-        pair = Pair(c.red, A, B)
-        d = Fraction(ref_cross_count(c.red, A, B), len(A) * len(B))
+        pair = Pair(red, A, B)
+        d = Fraction(ref_cross_count(red, A, B), len(A) * len(B))
         label = (
             "irr" if ref_uniformity_oracle(pair, eps) is not None
             else "blue" if d < beta else "mid" if d < 1 - gamma else "red"
@@ -378,8 +378,10 @@ def graph_api_labels(c, blocks, eps, beta, gamma, samples, seed) -> list[dict]:
     sampled search past the oracle cap on the rows of the red graph's own
     line, not on the flipped blue rows that ``classify`` hands it."""
 
+    red_rows = rows_of(c.blue.complement())
+
     def search(red, A, B):
-        return nonuniformity_search(rows_of(c.red), A, B, eps, samples=samples, seed=seed)
+        return nonuniformity_search(red_rows, A, B, eps, samples=samples, seed=seed)
 
     return counting.classify(rows_of(c.blue), c.n, blocks, eps, beta, gamma, search)
 

@@ -25,12 +25,13 @@ from bookramsey.colorings import (
     read_coloring_file,
     tripartite_parts,
     tripartite_random,
-    write_coloring_file,
+    write_brc1,
 )
+from bookramsey.colex import index_bytes
 from bookramsey.graphs import BookCertificate, Graph, bits_of
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
-from helpers import check_certificate, edge_list, from_edges, graph_of, to_graph6
+from helpers import brc1_of, check_certificate, coloring_of_index, edge_list, from_edges, graph_of, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -245,7 +246,7 @@ def test_booksize_ties_pick_least_base():
 
 
 def test_booksize_at_n300(big_coloring):
-    for g in (big_coloring.blue, big_coloring.red):
+    for g in (big_coloring.blue, big_coloring.blue.complement()):
         size, cert = g.booksize()
         assert (size, cert.base) == ref_booksize(g)
 
@@ -289,7 +290,7 @@ def test_booksize_across_stripes_at_n300(big_coloring, monkeypatch):
     monkeypatch.setattr(graphs, "_STRIPE", 64)
     test_booksize_at_n300(big_coloring)
     books = big_coloring.blue.books()
-    assert [base_of(b) for b in books] == [ref_booksize(big_coloring.blue), ref_booksize(big_coloring.red)]
+    assert [base_of(b) for b in books] == [ref_booksize(big_coloring.blue), ref_booksize(big_coloring.blue.complement())]
 
 
 def test_books_tie_across_stripes_picks_least_base(monkeypatch):
@@ -313,7 +314,7 @@ def test_first_books_in_different_stripes_at_n300(big_coloring, monkeypatch):
     # on past a blue find, and a blue one past stripes without it
     monkeypatch.setattr(graphs, "_STRIPE", 8)
     top = ref_booksize(big_coloring.blue)[0]
-    for g, at_least in ((big_coloring.red, (1, top)), (big_coloring.blue, (top, big_coloring.n))):
+    for g, at_least in ((big_coloring.blue.complement(), (1, top)), (big_coloring.blue, (top, big_coloring.n))):
         want = first_books(g, *at_least)
         assert [base and base[0] // 8 for base in want] in ([None, 6], [6, None])
         assert [cert and cert.base for _, cert in g.books(at_least)] == want
@@ -326,7 +327,7 @@ def test_books_stop_at_first_red_book(big_coloring, monkeypatch):
     monkeypatch.setattr(graphs, "_STRIPE", 8)
     c = big_coloring
     q = ref_booksize(c.blue)[0] + 1
-    assert ref_first_book(c.red, 1)[0] < 8
+    assert ref_first_book(c.blue.complement(), 1)[0] < 8
     with mock.patch.object(graphs.np, "matmul", wraps=np.matmul) as matmul:
         res = check_coloring(c, 1, q)
     assert verdict(res) == ref_check_coloring(c, 1, q)
@@ -336,7 +337,7 @@ def test_books_stop_at_first_red_book(big_coloring, monkeypatch):
 def test_packed_decode_across_stripes_at_n300(big_coloring, monkeypatch):
     monkeypatch.setattr(graphs, "_STRIPE", 64)
     assert Graph.from_graph6(to_graph6(big_coloring.blue)) == big_coloring.blue
-    assert TwoColoring.from_brc1(big_coloring.to_brc1()) == big_coloring
+    assert TwoColoring.from_brc1(brc1_of(big_coloring)) == big_coloring
 
 
 # ------------------------------------------------------------ check_coloring
@@ -356,7 +357,7 @@ def check_thresholds(c: TwoColoring):
             res = check_coloring(c, p, q)
             assert verdict(res) == ref_check_coloring(c, p, q)
             if isinstance(res, RedBook):
-                check_certificate(res.certificate, c.red)
+                check_certificate(res.certificate, c.blue.complement())
                 assert res.certificate.size >= p
             elif isinstance(res, BlueBook):
                 check_certificate(res.certificate, c.blue)
@@ -439,26 +440,24 @@ def test_validate_precedence_within_row():
 def test_colex_codec_matches_edge_index_loop(params):
     c = coloring_of(graph_from(params))
     bits = ref_blue_bits(c)
-    assert c.blue.colex_bytes() == np.packbits(bits).tobytes()
+    assert b"".join(c.blue.colex_chunks()) == np.packbits(bits).tobytes()
     index = sum(1 << k for k in np.flatnonzero(bits).tolist())
-    assert c.blue_index() == index
-    assert TwoColoring.from_blue_index(c.n, index) == c
+    assert index_bytes(index, len(bits)) == np.packbits(bits).tobytes()
+    assert coloring_of_index(c.n, index) == c
     assert Graph.from_colex_bits(c.n, np.packbits(bits), width=8) == c.blue
 
 
 def test_colex_codec_at_n300(big_coloring):
     bits = ref_blue_bits(big_coloring)
-    assert big_coloring.blue.colex_bytes() == np.packbits(bits).tobytes()
-    index = big_coloring.blue_index()
-    assert TwoColoring.from_blue_index(300, index) == big_coloring
-    assert [index >> k & 1 for k in range(len(bits))] == bits.astype(int).tolist()
+    assert b"".join(big_coloring.blue.colex_chunks()) == np.packbits(bits).tobytes()
+    index = sum(1 << k for k in np.flatnonzero(bits).tolist())
+    assert index_bytes(index, len(bits)) == np.packbits(bits).tobytes()
+    assert coloring_of_index(300, index) == big_coloring
 
 
 def test_from_blue_index_edges():
-    assert TwoColoring.from_blue_index(1, 0).blue == Graph.empty(1)
-    assert TwoColoring.from_blue_index(3, 0b111).blue == Graph.complete(3)
-    with pytest.raises(ValueError):
-        TwoColoring.from_blue_index(3, 0b1000)
+    assert coloring_of_index(1, 0).blue == Graph.empty(1)
+    assert coloring_of_index(3, 0b111).blue == Graph.complete(3)
 
 
 # ---------------------------------------------------------------- statistics
@@ -582,7 +581,7 @@ def test_coloring_build_and_files_stay_within_stripes(tmp_path):
     assert peak <= words + packed + 2 * rows * n, f"construction peak {peak} bytes"
     c = tripartite_random(params)
     path = tmp_path / "t.brc1"
-    peak = traced_peak(lambda: write_coloring_file(path, c))
+    peak = traced_peak(lambda: write_brc1(path, c.n, c.blue.colex_chunks()))
     assert peak <= 2 * rows * n, f"write peak {peak} bytes"
     peak = traced_peak(lambda: read_coloring_file(path))
     assert peak <= words + 2 * rows * n, f"read peak {peak} bytes"
@@ -628,10 +627,10 @@ def test_colex_codec_round_trip_at_any_stripe(stripe, monkeypatch):
     colorings = [coloring_of(graph_of(random_adjacency(rng, n, 0.5))) for n in (1, 2, 9, 40, 41, 77, 130)]
     monkeypatch.setattr(graphs, "_STRIPE", stripe)
     for c in colorings:
-        raw = c.blue.colex_bytes()
+        raw = b"".join(c.blue.colex_chunks())
         assert raw == np.packbits(ref_blue_bits(c)).tobytes(), c.n
         assert Graph.from_colex_bits(c.n, raw, width=8) == c.blue
-        assert TwoColoring.from_brc1(c.to_brc1()) == c
+        assert TwoColoring.from_brc1(brc1_of(c)) == c
         assert Graph.from_graph6(to_graph6(c.blue)) == c.blue
 
 

@@ -11,12 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bookramsey.colorings import TwoColoring
 from bookramsey.counting import vertex_mask
 from bookramsey.graphs import Graph, bits_of
 from bookramsey.stability import edges_between, min_degree_induced
 
-from helpers import graph_of, to_graph6
+from helpers import coloring_of_index, graph_of, to_graph6
 
 ORDERS = (0, 1, 2, 63, 64, 65, 127, 128, 129)
 
@@ -52,7 +51,7 @@ def test_int_rows_round_trip_through_the_constructor(case):
     g = Graph(n, rows)
     assert g.rows == tuple(rows)
     assert g.words.shape == (n, (n + 63) // 64)
-    assert g == TwoColoring.from_blue_index(n, index).blue
+    assert g == coloring_of_index(n, index).blue
     assert Graph.from_graph6(to_graph6(g)).rows == tuple(rows)
     assert g.edge_count() == sum(r.bit_count() for r in rows) // 2
 

@@ -3,8 +3,10 @@ graphs.py multiplies codegrees in one place, the command line starts
 without loading the numeric modules, ``verify``, ``uniformity`` (the
 oracle and the sampled search), ``lemma-check`` and ``classify`` at
 every block size run without them, no random draw loads numpy's random
-module (the package's one generator is ``rng``), and only colex.py
-writes or reads the hex of a BRC1 payload.
+module (the package's one generator is ``rng``), only colex.py writes
+or reads the hex of a BRC1 payload, and every public function, class and
+method of the package is used somewhere else in it, bar a short list
+kept each for a stated reason.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices, and none imports a private helper of ``graphs``.  The int rows
@@ -19,6 +21,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import bookramsey
@@ -466,3 +469,60 @@ def test_hex_guard_flags_every_use():
         "line 3: fromhex",
         "line 3: hex",
     ]
+
+
+# public names that nothing else in the package uses, each kept for a reason
+UNREFERENCED_KEPT = {
+    "colorings.tripartite_random": "the README Library example builds a coloring with it",
+    "graphs.Graph.complete": "the README Library example builds K_6 with it",
+    "stability.red_book_bound": "kept until ROADMAP item 7 decides whether the stability report uses it",
+    "stability.blue_book_bound": "kept until ROADMAP item 7 decides whether the stability report uses it",
+}
+
+
+def public_definitions(owner: str, tree):
+    """(qualified name, node) of each public function and class at the
+    top of a module or class body, and of the public methods of those
+    classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{owner}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from public_definitions(f"{owner}.{node.name}", node)
+
+
+def name_uses(nodes) -> Counter:
+    """How often each name is used as a Name, an Attribute or an ImportFrom."""
+    found = Counter()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def unreferenced(trees: dict[str, ast.AST]) -> list[str]:
+    """The public definitions whose name the package uses nowhere outside
+    the definition itself."""
+    total = name_uses(node for tree in trees.values() for node in ast.walk(tree))
+    defs = [d for module, tree in trees.items() for d in public_definitions(module, tree)]
+    return sorted(q for q, node in defs if total[node.name] == name_uses(ast.walk(node))[node.name])
+
+
+def test_every_public_name_has_a_use_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    found = set(unreferenced(trees))
+    assert found <= UNREFERENCED_KEPT.keys(), f"used by no code of the package: {sorted(found - UNREFERENCED_KEPT.keys())}"
+    assert found >= UNREFERENCED_KEPT.keys(), f"used now, so off the list: {sorted(UNREFERENCED_KEPT.keys() - found)}"
+
+
+def test_use_guard_names_each_unused_definition():
+    source = (
+        "def used():\n    return 1\n"
+        "def alone():\n    return alone()\n"
+        "class Box:\n    def get(self):\n        return used()\n"
+    )
+    assert unreferenced({"m": ast.parse(source)}) == ["m.Box", "m.Box.get", "m.alone"]

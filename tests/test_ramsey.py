@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bookramsey.colorings import TwoColoring, two_cliques
+from bookramsey.colorings import TwoColoring, edge_index, two_cliques
 from bookramsey.errors import CapacityError
 from bookramsey.graphs import Graph
 from bookramsey.ramsey import (
@@ -16,7 +16,7 @@ from bookramsey.ramsey import (
     exhaustive_verify,
 )
 
-from helpers import check_certificate, coloring_of_bits, degree, edge_list, from_edges
+from helpers import check_certificate, coloring_of_bits, coloring_of_index, degree, edge_list, from_edges
 
 
 def random_coloring(rng, n):
@@ -78,7 +78,7 @@ def test_check_coloring_matches_booksize_thresholds():
         expect_neither = bk_red < p and bk_blue < q
         assert isinstance(res, Neither) == expect_neither
         if isinstance(res, RedBook):
-            check_certificate(res.certificate, c.red)
+            check_certificate(res.certificate, c.blue.complement())
             assert res.certificate.size >= p
         elif isinstance(res, BlueBook):
             check_certificate(res.certificate, c.blue)
@@ -106,12 +106,12 @@ def test_verify_k5_triangle_vs_triangle():
     out = exhaustive_verify(5, 1, 1)
     assert out.verdict == "counterexample"
     assert out.colorings_examined == 237
-    assert out.counterexample.blue_index() == 236
-    ce = out.counterexample
+    assert out.counterexample_index == 236
+    ce = coloring_of_index(5, out.counterexample_index)
     assert isinstance(check_coloring(ce, 1, 1), Neither)
     # the classical witness: both color classes are 5-cycles
     assert ce.blue.booksize()[0] == 0
-    assert ce.red.booksize()[0] == 0
+    assert ce.blue.complement().booksize()[0] == 0
     assert all(degree(ce.blue, v) == 2 for v in range(5))
 
 
@@ -119,15 +119,15 @@ def test_verify_k6_forces_monochromatic_triangle():
     out = exhaustive_verify(6, 1, 1)
     assert out.verdict == "forced"
     assert out.colorings_examined == 1 << 15
-    assert out.counterexample is None
+    assert out.counterexample_index is None
 
 
 def test_verify_first_counterexample_for_one_two():
     out = exhaustive_verify(6, 1, 2)
     assert out.verdict == "counterexample"
     assert out.colorings_examined == 3874
-    assert out.counterexample.blue_index() == 3873
-    blue_edges = set(edge_list(out.counterexample.blue))
+    assert out.counterexample_index == 3873
+    blue_edges = set(edge_list(coloring_of_index(6, out.counterexample_index).blue))
     assert blue_edges == {(0, 1), (0, 5), (1, 5), (2, 3), (2, 4), (3, 4)}
 
 
@@ -135,7 +135,7 @@ def test_verify_counterexamples_always_validate():
     for n, p, q in [(4, 1, 1), (5, 1, 2), (6, 2, 2), (7, 2, 3)]:
         out = exhaustive_verify(n, p, q, prune=True)
         assert out.verdict == "counterexample"
-        assert isinstance(check_coloring(out.counterexample, p, q), Neither)
+        assert isinstance(check_coloring(coloring_of_index(n, out.counterexample_index), p, q), Neither)
 
 
 def test_pruning_preserves_verdict_and_shrinks_work():
@@ -146,7 +146,7 @@ def test_pruning_preserves_verdict_and_shrinks_work():
             assert plain.verdict == pruned.verdict
             assert pruned.colorings_examined <= plain.colorings_examined
             if pruned.verdict == "counterexample":
-                assert isinstance(check_coloring(pruned.counterexample, p, q), Neither)
+                assert isinstance(check_coloring(coloring_of_index(N, pruned.counterexample_index), p, q), Neither)
 
 
 def test_forced_verdicts_persist_as_order_grows():
@@ -181,10 +181,11 @@ def test_counterexample_index_conventions():
     # unpruned: the enumeration order is the blue-index order, so the
     # witness's index equals examined-1 and decodes back to the witness
     plain = exhaustive_verify(5, 1, 1)
-    index = plain.counterexample.blue_index()
+    index = plain.counterexample_index
     assert index == plain.colorings_examined - 1
-    decoded = TwoColoring.from_blue_index(5, index)
-    assert decoded == plain.counterexample
+    decoded = coloring_of_index(5, index)
+    assert sum(1 << edge_index(u, v) for u, v in edge_list(decoded.blue)) == index
+    assert isinstance(check_coloring(decoded, 1, 1), Neither)
     # pruned: the order is scenario-local
     pruned = exhaustive_verify(5, 2, 2, prune=True)
     assert pruned.verdict == "counterexample"

@@ -33,6 +33,8 @@ from bookramsey.ramsey import (
     exhaustive_verify,
 )
 
+from helpers import coloring_of_index
+
 # ---------------------------------------------------------------- references
 
 
@@ -111,20 +113,20 @@ def test_lowest_counterexample_matches_brute_force(N):
     m = N * (N - 1) // 2
     for p, q in product((1, 2), repeat=2):
         expect = next(
-            (k for k in range(1 << m) if isinstance(check_coloring(TwoColoring.from_blue_index(N, k), p, q), Neither)),
+            (k for k in range(1 << m) if isinstance(check_coloring(coloring_of_index(N, k), p, q), Neither)),
             None,
         )
         out = exhaustive_verify(N, p, q)
         if expect is None:
             assert (out.verdict, out.colorings_examined) == ("forced", 1 << m)
         else:
-            assert (out.counterexample.blue_index(), out.colorings_examined) == (expect, expect + 1), (N, p, q)
+            assert (out.counterexample_index, out.colorings_examined) == (expect, expect + 1), (N, p, q)
 
 
 def _completion(N: int, fixed: dict[int, bool], var_edges: list[int], k: int) -> TwoColoring:
     """The coloring of K_N that keeps `fixed` and puts bit i of k on edge var_edges[i]."""
     blue = [e for e, is_blue in fixed.items() if is_blue] + [e for i, e in enumerate(var_edges) if k >> i & 1]
-    return TwoColoring.from_blue_index(N, sum(1 << e for e in blue))
+    return coloring_of_index(N, sum(1 << e for e in blue))
 
 
 def test_books_match_brute_force_over_fixed_partial_colorings():
@@ -163,7 +165,7 @@ def test_short_block_reports_no_miss_in_unused_lanes():
         plain = exhaustive_verify(N, 1, 1)
         pruned = exhaustive_verify(N, 1, 1, prune=True)
         assert plain.verdict == pruned.verdict == "counterexample"
-        assert isinstance(check_coloring(pruned.counterexample, 1, 1), Neither)
+        assert isinstance(check_coloring(coloring_of_index(N, pruned.counterexample_index), 1, 1), Neither)
 
 
 # ---------------------------------------------------------- prefix levels
