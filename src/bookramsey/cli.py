@@ -5,8 +5,10 @@ human summary on stderr.  The report envelope is
 {command, parameters, results, seed, wall_time_ms, version}; the
 results payload is a pure function of parameters and seed (wall time
 lives outside it), so scripted re-runs can diff results byte for byte.
-No command runs more than one thread of its own; --threads is accepted
-(at least 1) and echoed in parameters, and changes nothing else.
+No command starts a thread of its own; --threads is accepted (at
+least 1) and echoed in parameters, and changes nothing else.  ``entry``
+pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set: two
+threads at times stalled a process's first matrix products for 0.5 s.
 
 Exit codes: 0 success or forced verdict; 10 counterexample, witness, or
 bound violation found; 2 usage or parse error; 3 capacity error.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -574,6 +577,7 @@ def entry() -> None:
     Frozen objects are left out of the collection that interpreter
     shutdown runs; the process frees all its memory on exit anyway.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads, in main
     code = main()
     gc.freeze()
     sys.exit(code)

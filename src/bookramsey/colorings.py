@@ -15,10 +15,9 @@ it from the bytes in chunks: ``colex_chunks`` or ``tripartite_bytes``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ _FILE_PIECE = 1 << 16  # bytes of a file read and decoded at a time
 _PACK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class TwoColoring:
+class TwoColoring(NamedTuple):
     """A 2-coloring of E(K_n), held as its blue graph."""
 
     blue: Graph
@@ -164,8 +162,9 @@ def two_cliques(q: int) -> TwoColoring:
     return TwoColoring(Graph.complete_bipartite(q + 1, q + 1).complement())
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(
+    NamedTuple("ConstructionParams", [("n", int), ("epsilon", Fraction), ("seed", int), ("delta", Fraction)])
+):
     """Parameters of the randomized tripartite coloring.
 
     ``delta`` defaults to the coupling delta = 8.25 * epsilon; passing it
@@ -174,20 +173,16 @@ class ConstructionParams:
     positive.
     """
 
-    n: int
-    epsilon: Fraction
-    seed: int = 0
-    delta: Fraction = field(default=None)  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        eps = as_fraction(self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
-        d = Fraction(33, 4) * eps if self.delta is None else as_fraction(self.delta)
-        object.__setattr__(self, "delta", d)
+    def __new__(cls, n: int, epsilon, seed: int = 0, delta=None):
+        eps = as_fraction(epsilon)
+        d = Fraction(33, 4) * eps if delta is None else as_fraction(delta)
         if eps <= 0:
             raise ValueError("epsilon must be positive")
         if abs(d) > Fraction(1, 2):
             raise ValueError("delta outside [-1/2, 1/2] gives no probability")
+        return super().__new__(cls, n, eps, seed, d)
 
     @property
     def p(self) -> Fraction:

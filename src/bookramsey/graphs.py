@@ -34,8 +34,7 @@ besides its input, which it reads a piece at a time when given so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +44,7 @@ _STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 row
 _FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every product entry, at most n - 1, is below it
 
 
-@dataclass(frozen=True)
-class BookCertificate:
+class BookCertificate(NamedTuple):
     """Witness that a graph contains a book of the stated size.
 
     ``pages`` are common neighbours of the base endpoints, so every page

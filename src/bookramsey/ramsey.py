@@ -44,13 +44,14 @@ from array import array
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, or_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .colex import bits_of, edge_index
 from .errors import CapacityError
 
 if TYPE_CHECKING:
     from .colorings import TwoColoring
+    from .graphs import BookCertificate
 
 DEFAULT_ORDER_CAP = 8
 # most variable bits a scan may have: surviving candidates pass between
@@ -63,51 +64,26 @@ BLOCK_BITS = 19
 LOW_BITS = 6
 
 
-class _Record:
-    """An immutable record of the fields named in ``__slots__``, given in
-    that order; equal to a record of the same class with equal fields.
-    Plain slots rather than dataclasses, whose import would be most of a
-    ``verify`` process's start-up."""
-
-    __slots__ = ()
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash((type(self), self._fields()))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self._fields()))})"
+# Every record of the package is a NamedTuple, so ``verify`` imports no
+# dataclasses.  Records are tuples: ``RedBook(c) == BlueBook(c)`` and
+# ``Neither() == ()`` hold, so tell them apart with isinstance.
 
 
-class RedBook(_Record):
-    __slots__ = ("certificate",)  # a BookCertificate
+class RedBook(NamedTuple):
+    certificate: BookCertificate
 
 
-class BlueBook(_Record):
-    __slots__ = ("certificate",)
+class BlueBook(NamedTuple):
+    certificate: BookCertificate
 
 
-class Neither(_Record):
-    __slots__ = ()
+class Neither(NamedTuple):
+    pass
 
 
-class SearchOutcome(_Record):
-    # the blue index of the counterexample (None when forced), colorings_examined
-    __slots__ = ("counterexample_index", "colorings_examined")
+class SearchOutcome(NamedTuple):
+    counterexample_index: int | None  # the blue index of the counterexample, None when forced
+    colorings_examined: int
 
     @property
     def verdict(self) -> str:
@@ -140,15 +116,13 @@ LANE_BITS = 6  # bits per word of the miss scan; a prefix spans whole words
 _FULL_WORD = (1 << 64) - 1
 
 
-class _Book(_Record):
-    """One base edge in one colour: there iff the base has it and `need` pages are wholly it.
+class _Book(NamedTuple):
+    """One base edge in one colour: there iff the base has it and `need` pages are wholly it."""
 
-    Fields: blue; base, the variable bit of the base edge, None when fixed
-    to this colour; need, the pages wanted beyond those that fixed edges
-    complete; pages, the variable bits of each open page.
-    """
-
-    __slots__ = ("blue", "base", "need", "pages")
+    blue: bool
+    base: int | None  # the variable bit of the base edge, None when fixed to this colour
+    need: int  # the pages wanted beyond those that fixed edges complete
+    pages: tuple[tuple[int, ...], ...]  # the variable bits of each open page
 
 
 def _books(N: int, p: int, q: int, fixed: dict[int, bool]) -> tuple[list[int], list[_Book]]:

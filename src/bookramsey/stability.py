@@ -15,17 +15,15 @@ treat any violation as a bug, never as noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .colex import bits_of
 from .numbers import as_fraction
 from .rng import stream_values
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     """Partition of [n] induced by the parts U1, U2.
 
     V1 sees U1 only, V2 sees U2 only, V3 sees both, V_iso sees neither.

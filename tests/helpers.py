@@ -1,7 +1,7 @@
 """Helpers shared by the test modules that the package itself does not need."""
 
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Iterable
@@ -170,7 +170,7 @@ def classification_report(g: Graph, cls) -> dict:
     """
     rows = g.rows
     return {
-        "sizes": {k: len(v) for k, v in asdict(cls).items()},
+        "sizes": {k: len(v) for k, v in cls._asdict().items()},
         "delta_G0": stability.min_degree_induced(rows, cls.U1 + cls.U2),
         "e_U1_V2": stability.edges_between(rows, cls.U1, cls.V2),
         "e_U2_V1": stability.edges_between(rows, cls.U2, cls.V1),

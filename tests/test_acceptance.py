@@ -14,7 +14,6 @@ import sys
 import time
 import tracemalloc
 import traceback
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -352,7 +351,7 @@ def test_criterion_7_stability_bounds(capsys):
             rows = g.rows
             U1, U2 = bipartite_extract(rows, seed=int(rng.integers(1 << 16)))
             cls = classify(rows, U1, U2)
-            flat = sorted(v for part in asdict(cls).values() for v in part)
+            flat = sorted(v for part in cls._asdict().values() for v in part)
             if flat != list(range(n)):
                 violations += 1
                 continue

@@ -7,6 +7,7 @@ would see them.
 
 import concurrent.futures
 import json
+import os
 import re
 import subprocess
 import sys
@@ -967,3 +968,34 @@ def test_module_entry_matches_main(tmp_path, argv, code):
     assert runs[0] == runs[1]
     assert runs[0][0] == code
     assert (runs[0][3] is not None) == (argv[0] == "construct")
+
+
+# the process entry run in place, then its exit code, OpenBLAS's thread
+# setting and the threads the process holds after the command
+ENTRY_THREADS = (
+    "import os, sys\n"
+    "from bookramsey import cli\n"
+    "try:\n"
+    "    cli.entry()\n"
+    "except SystemExit as stop:\n"
+    "    print(stop.code, os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count a process's threads")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_entry_pins_openblas_to_one_thread_unless_set(tmp_path, setting):
+    """The process entry sets OPENBLAS_NUM_THREADS to 1 before numpy
+    loads, so a bk process runs on one thread; a setting of the user's
+    own is left as it is."""
+    path = tmp_path / "k6.g6"
+    path.write_text(to_graph6(Graph.complete(6)) + "\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run([sys.executable, "-c", ENTRY_THREADS, "bk", str(path)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    code, value, threads = proc.stdout.splitlines()[-1].split()
+    assert json.loads(proc.stdout.splitlines()[0])["results"]["booksize"] == 4
+    assert (code, value) == ("0", setting or "1")
+    assert int(threads) == min(int(value), len(os.sched_getaffinity(0)))

@@ -15,7 +15,6 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -164,7 +163,7 @@ def test_classification_matches_the_bigint_loops(case):
             classify(g.rows, U1, U2)
         return
     cls = classify(g.rows, U1, U2)
-    assert {k: v for k, v in asdict(cls).items() if k.startswith("V")} == want
+    assert {k: v for k, v in cls._asdict().items() if k.startswith("V")} == want
     report = classification_report(g, cls)
     assert report["e_U1_V2"] == ref_cross_count(g, cls.U1, cls.V2)
     assert report["e_U2_V1"] == ref_cross_count(g, cls.U2, cls.V1)

@@ -5,7 +5,6 @@ bound functions are instance-level theorems, so every random instance is
 a hard assertion, not a statistical check.
 """
 
-from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +34,7 @@ def assert_classification_matches_naive(g, cls):
     ]
     assert sorted(everything) == list(range(g.n))
     s1, s2 = set(cls.U1), set(cls.U2)
-    buckets = {k: set(v) for k, v in asdict(cls).items()}
+    buckets = {k: set(v) for k, v in cls._asdict().items()}
     for v in range(g.n):
         if v in s1 or v in s2:
             continue
