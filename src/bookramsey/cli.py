@@ -26,11 +26,11 @@ labels (``counting``) too, and so does the sampled search
 (``regularity``) of ``uniformity --sampled`` and of ``classify``'s
 blocks past the oracle cap (16).  The other commands load numpy with
 the modules they use; ``trichotomy`` only to read its file and for the
-``books`` walk, since its structure layer (``stability``) runs on
-Python-int rows.  The process entry ``entry`` runs ``main`` and
-then freezes the garbage collector before exiting; ``main(argv)``
-itself, as tests and in-process callers use it, leaves the collector
-alone.
+``books`` walk: it drops the ``Graph`` for its Python-int rows before
+its structure layer (``stability``) runs on them.  The process entry
+``entry`` runs ``main`` and then freezes the garbage collector before
+exiting; ``main(argv)`` itself, as tests and in-process callers use
+it, leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def cmd_construct(args):
         two_cliques,
         write_brc1,
     )
-    from .graphs import GRAPH6_ORDER_CAP
+    from .graph6 import GRAPH6_ORDER_CAP
 
     missing = [f"--{name}" for name in CONSTRUCT_REQUIRES[args.kind] if getattr(args, name) is None]
     if missing:
@@ -440,7 +440,9 @@ def cmd_trichotomy(args):
     # the floors are the report's longest exact values (threshold_ii holds
     # xi^6): one too long to print (ValueError) exits before any O(n^2) work
     jsonable(trichotomy_floors(g.n, xi))
-    res = trichotomy_check(g, xi, candidate=candidate, seed=args.seed)
+    (bk_blue, _), (bk_red, _) = g.books()
+    rows, g = g.rows, None  # after the walk; the words go before the extractor runs
+    res = trichotomy_check(rows, bk_blue, bk_red, xi, candidate=candidate, seed=args.seed)
     branches = ", ".join(f"({b}) {res[b]}" for b in ("i", "ii", "iii"))
     return res, branches, EXIT_OK
 

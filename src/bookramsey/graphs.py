@@ -38,8 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .colex import bits_of  # noqa: F401  (part of this module's API)
-from .graph6 import GRAPH6_ORDER_CAP, graph6_data  # noqa: F401  (GRAPH6_ORDER_CAP: part of this module's API)
+from .graph6 import graph6_data
 _STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 rows, rounded to 8
 _FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every product entry, at most n - 1, is below it
 

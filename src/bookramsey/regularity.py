@@ -116,6 +116,6 @@ def nonuniformity_search(rows: RowSource, A: Sequence[int], B: Sequence[int], ep
             for e, picks in ((lo[k - 1], order[:k]), (hi[k - 1], order[nb - k :])):
                 if not k * low <= e * den <= k * high:
                     X, Y = tuple(sorted(A[i] for i in bits_of(x))), tuple(sorted(B[i] for i in picks))
-                    if check_witness(rows, A, B, eps, X, Y):  # on rows read afresh
+                    if check_witness(rows, A, B, eps, X, Y):  # reads (X, Y) afresh; (A, B) from a cache if rows has one
                         return X, Y
     return None

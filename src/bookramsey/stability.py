@@ -2,9 +2,9 @@
 book bounds it forces, and the three-way structure check.
 
 Everything here runs on Python-int adjacency rows, bit u of rows[v] set
-iff u ~ v, without numpy: ``trichotomy_check`` takes a ``Graph`` for
-its ``books`` walk and only then derives the rows, once.  The blue graph
-is analyzed against a candidate induced bipartite subgraph G0 on
+iff u ~ v, without numpy or ``Graph``: ``trichotomy_check`` takes the
+rows and two book sizes that its caller read off a ``Graph``.  The blue
+graph is analyzed against a candidate induced bipartite subgraph G0 on
 independent parts U1, U2.  Outside vertices split by which parts they
 touch; two exact lower bounds follow: a red-book bound from averaging
 over base pairs inside U2, and a blue-book bound from averaging
@@ -248,13 +248,13 @@ def trichotomy_floors(n: int, xi: Fraction) -> dict:
     }
 
 
-def trichotomy_check(g, xi, candidate=None, seed: int = 0) -> dict:
+def trichotomy_check(rows: Sequence[int], bk_blue: int, bk_red: int, xi, candidate=None, seed: int = 0) -> dict:
     """Evaluate the three structure branches exactly.
 
-    ``g`` is the blue graph of a coloring (``trichotomy`` passes a BRC1
-    file's blue graph), so (iii) looks for a near-bipartite blue graph:
-    for ``two_cliques``, whose near-bipartite graph is red, it reports
-    "unknown".
+    ``rows`` are the int rows of a coloring's blue graph, n = len(rows),
+    ``bk_blue`` its booksize and ``bk_red`` the red graph's, so (iii)
+    looks for a near-bipartite blue graph: for ``two_cliques``, whose
+    near-bipartite graph is red, it reports "unknown".
 
     (i)  complement booksize exceeds n/2;
     (ii) booksize exceeds (1/12 - 1e-6 xi^6) n;
@@ -269,10 +269,8 @@ def trichotomy_check(g, xi, candidate=None, seed: int = 0) -> dict:
     in play.
     """
     xi = as_fraction(xi)
-    n = g.n
+    n = len(rows)
     floors = trichotomy_floors(n, xi)
-    (bk_blue, _), (bk_red, _) = g.books()
-    rows = g.rows  # after the walk, so the two never overlap
 
     if candidate is not None:
         U1, U2 = candidate

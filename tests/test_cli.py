@@ -6,6 +6,7 @@ would see them.
 """
 
 import concurrent.futures
+import gc
 import json
 import os
 import re
@@ -26,7 +27,8 @@ from bookramsey.colorings import (
     two_cliques,
     write_brc1,
 )
-from bookramsey.graphs import GRAPH6_ORDER_CAP, Graph
+from bookramsey.graph6 import GRAPH6_ORDER_CAP
+from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
 from bookramsey.ramsey import Neither, check_coloring
 
@@ -626,6 +628,28 @@ def test_trichotomy_reads_brc1(files, tmp_path):
     _, want, _ = run_cli("trichotomy", files["kbb"], "--xi", "1/10", "--seed", 5)
     assert report["results"] == want["results"]
     assert report["results"]["iii"] is True
+
+
+@pytest.mark.parametrize("kind", ["brc1", "graph6"])
+def test_trichotomy_extractor_runs_without_a_graph(kind, files, tmp_path, monkeypatch, capsys):
+    # the command reads the books and the rows off its Graph and drops it,
+    # so the packed words are gone while the extractor runs on the rows
+    path = files["kbb"]
+    if kind == "brc1":
+        path = tmp_path / "kbb.brc1"
+        write_brc1(path, 20, Graph.complete_bipartite(10, 10).colex_chunks())
+    extract, counts = stability.bipartite_extract, []
+
+    def counted(*args, **kwargs):
+        counts.append(sum(isinstance(o, Graph) and id(o) not in before for o in gc.get_objects()))
+        return extract(*args, **kwargs)
+
+    held = [o for o in gc.get_objects() if isinstance(o, Graph)]  # alive, so no id is reused
+    before = {id(o) for o in held}
+    monkeypatch.setattr(stability, "bipartite_extract", counted)
+    assert cli.main(["trichotomy", str(path), "--xi", "1/5"]) == 0
+    capsys.readouterr()
+    assert counts == [0]
 
 
 def test_trichotomy_rejects_bad_xi(files):

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from bookramsey import cli
 from bookramsey.colorings import TwoColoring
-from bookramsey.graphs import GRAPH6_ORDER_CAP
+from bookramsey.graph6 import GRAPH6_ORDER_CAP
 
 from helpers import brc1_of, from_edges, to_graph6
 

@@ -23,9 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bookramsey import cli, counting
+from bookramsey.colex import bits_of
 from bookramsey.colorings import TwoColoring
 from bookramsey.counting import MultiPair, vertex_mask
-from bookramsey.graphs import bits_of
 from bookramsey.numbers import fraction_str
 from bookramsey.oracle import ORACLE_SIDE_CAP
 from bookramsey.regularity import check_witness, nonuniformity_search

@@ -27,8 +27,8 @@ from bookramsey.colorings import (
     tripartite_random,
     write_brc1,
 )
-from bookramsey.colex import index_bytes
-from bookramsey.graphs import BookCertificate, Graph, bits_of
+from bookramsey.colex import bits_of, index_bytes
+from bookramsey.graphs import BookCertificate, Graph
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
 from helpers import brc1_of, check_certificate, coloring_of_index, edge_list, from_edges, graph_of, to_graph6

@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bookramsey.colex import bits_of
 from bookramsey.counting import vertex_mask
-from bookramsey.graphs import Graph, bits_of
+from bookramsey.graphs import Graph
 from bookramsey.stability import edges_between, min_degree_induced
 
 from helpers import coloring_of_index, graph_of, to_graph6

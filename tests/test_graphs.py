@@ -6,13 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bookramsey.colex import bits_of
 from bookramsey.counting import vertex_mask
 from bookramsey.errors import ParseError
-from bookramsey.graphs import (
-    BookCertificate,
-    Graph,
-    bits_of,
-)
+from bookramsey.graphs import BookCertificate, Graph
 from bookramsey.stability import min_degree_induced
 
 from helpers import check_certificate, codegree, degree, edge_list, from_edges, graph_of, to_graph6

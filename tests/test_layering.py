@@ -10,11 +10,12 @@ kept each for a stated reason.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices, and none imports a private helper of ``graphs``.  The int rows
-are read in one place: ``stability.trichotomy_check`` derives them once,
-after its ``books`` walk, and the stability layer, which imports neither
-numpy nor ``graphs``, runs on them.  Inside ``graphs``, the one tile walk
-``_codegree_tiles`` holds the only matrix product, so ``books`` and
-``part_codegrees`` cannot grow a second walk.
+are read in one place: ``cli.cmd_trichotomy`` derives them once, after
+its ``books`` walk, and drops the ``Graph`` before the stability layer
+runs on them.  That layer imports neither numpy nor ``graphs`` and reads
+no ``books``, ``rows`` or ``words`` attribute.  Inside ``graphs``, the
+one tile walk ``_codegree_tiles`` holds the only matrix product, so
+``books`` and ``part_codegrees`` cannot grow a second walk.
 """
 
 import ast
@@ -58,8 +59,25 @@ def test_no_module_but_graphs_knows_the_adjacency_format():
     assert {p.name for p in modules} >= {"colorings.py", "ramsey.py", "regularity.py", "stability.py", "cli.py"}
     bad = {p.name: layering_violations(p.read_text(encoding="utf-8")) for p in modules}
     bad = {name: [v.split(": ")[1] for v in found] for name, found in bad.items() if found}
-    # the one bridge to the rows layer: trichotomy_check, after its books walk
-    assert bad == {"stability.py": ["reads .rows in trichotomy_check"]}
+    # the one bridge to the rows layer: the trichotomy command, after its books walk
+    assert bad == {"cli.py": ["reads .rows in cmd_trichotomy"]}
+
+
+def graph_attribute_reads(source: str) -> list[str]:
+    """Reads of a ``books``, ``rows`` or ``words`` attribute, the parts
+    of the ``Graph`` API that a caller of the rows layer would use, in
+    source order."""
+    reads = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("books", "rows", "words")
+    ]
+    return [f"line {node.lineno}: .{node.attr}" for node in sorted(reads, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_stability_reads_no_graph_attribute():
+    assert graph_attribute_reads((PACKAGE / "stability.py").read_text(encoding="utf-8")) == []
+    source = "def f(g, c):\n    return g.books(), g.rows, c.blue.words, rows\n"
+    assert graph_attribute_reads(source) == ["line 2: .books", "line 2: .rows", "line 2: .words"]
 
 
 def test_guard_flags_row_reads_and_private_imports():
@@ -408,8 +426,8 @@ def test_colex_helpers_have_one_numpy_free_definition():
 def test_oracle_imports_no_numpy():
     for name in ("oracle.py", "graph6.py", "counting.py", "regularity.py", "stability.py"):
         assert "numpy" not in module_imports((PACKAGE / name).read_text(encoding="utf-8")), name
-    # stability runs on int rows, and ``trichotomy_check`` takes its Graph
-    # as given: importing it loads neither numpy nor graphs
+    # stability runs on int rows, and ``trichotomy_check`` takes them and
+    # two book sizes, never a Graph: importing it loads neither numpy nor graphs
     script = "import json, sys\nimport bookramsey.stability\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120)
     assert sorted(set(json.loads(proc.stdout)) & {"numpy", "bookramsey.graphs", "bookramsey.colorings"}) == []

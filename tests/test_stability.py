@@ -23,6 +23,12 @@ from bookramsey.stability import (
 from helpers import classification_report, from_edges, graph_of, min_degree_induced, neighbors
 
 
+def check(g, xi, **kwargs):
+    """``trichotomy_check`` on g's rows and two book sizes, as ``trichotomy`` calls it."""
+    (bk_blue, _), (bk_red, _) = g.books()
+    return trichotomy_check(g.rows, bk_blue, bk_red, xi, **kwargs)
+
+
 def random_graph(rng, n, p=0.5):
     m = np.triu(rng.random((n, n)) < p, k=1).astype(np.uint8)
     return graph_of(m | m.T)
@@ -84,8 +90,8 @@ def test_classify_rejects_a_repeated_vertex():
         with pytest.raises(ValueError, match="repeated vertex"):
             classify(g.rows, U1, part2)
     with pytest.raises(ValueError, match="repeated vertex"):
-        trichotomy_check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4] * 2, U2))
-    assert trichotomy_check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4], U2))["iii"] is False
+        check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4] * 2, U2))
+    assert check(g, Fraction(3, 20), candidate=([0, 1, 2, 3, 4], U2))["iii"] is False
 
 
 def test_classify_matches_naive_scan_on_random_instances():
@@ -238,9 +244,9 @@ def test_extractor_recovers_planted_bipartition_under_noise():
 
 def test_trichotomy_rejects_bad_xi():
     with pytest.raises(ValueError):
-        trichotomy_check(Graph.complete(4), 0)
+        check(Graph.complete(4), 0)
     with pytest.raises(ValueError):
-        trichotomy_check(Graph.complete(4), 1)
+        check(Graph.complete(4), 1)
 
 
 def test_trichotomy_on_two_blue_cliques():
@@ -254,32 +260,30 @@ def test_trichotomy_on_two_blue_cliques():
         if u < v
     ]
     g = from_edges(n, edges)
-    out = trichotomy_check(g, Fraction(1, 100), seed=0)
+    out = check(g, Fraction(1, 100), seed=0)
     assert out["i"] is False  # complement is K_{12,12}, booksize 0
     assert out["ii"] is True  # bk = 10 clears n/12
     assert out["bk_blue"] == half - 2
     assert out["bk_red"] == 0
     assert out["iii"] == "unknown"  # heuristic cannot prove absence
-    forced = trichotomy_check(g, Fraction(1, 100), candidate=([0, half], [1, half + 1]))
+    forced = check(g, Fraction(1, 100), candidate=([0, half], [1, half + 1]))
     assert forced["iii"] is False
 
 
 def test_trichotomy_accepts_balanced_complete_bipartite():
     g = Graph.complete_bipartite(10, 10)
-    out = trichotomy_check(g, Fraction(1, 10), seed=0)
+    out = check(g, Fraction(1, 10), seed=0)
     assert out["iii"] is True
     assert out["G0_order"] == 20
     assert out["delta_G0"] == 10
-    given = trichotomy_check(
-        g, Fraction(1, 10), candidate=(list(range(10)), list(range(10, 20)))
-    )
+    given = check(g, Fraction(1, 10), candidate=(list(range(10)), list(range(10, 20))))
     assert given["iii"] is True
     assert given["G0_source"] == "candidate"
 
 
 def test_trichotomy_branch_two_on_dense_random():
     g = random_graph(np.random.default_rng(59), 200, 0.5)
-    out = trichotomy_check(g, Fraction(1, 10), seed=0)
+    out = check(g, Fraction(1, 10), seed=0)
     assert out["ii"] is True
     assert out["bk_blue"] > out["threshold_ii"]
     # a random half-density graph is nowhere near bipartite
@@ -288,7 +292,7 @@ def test_trichotomy_branch_two_on_dense_random():
 
 def test_trichotomy_report_fields():
     g = Graph.complete_bipartite(6, 6)
-    out = trichotomy_check(g, Fraction(1, 10), seed=0)
+    out = check(g, Fraction(1, 10), seed=0)
     for key in (
         "i",
         "ii",

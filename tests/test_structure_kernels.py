@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookramsey import cli
+from bookramsey.colex import bits_of
 from bookramsey.counting import complement, vertex_mask
 from bookramsey.errors import CapacityError
-from bookramsey.graphs import Graph, bits_of
+from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
 from bookramsey.oracle import ORACLE_SIDE_CAP, first_witness, size_floor
 from bookramsey.regularity import check_witness, nonuniformity_search
