@@ -193,6 +193,7 @@ def cmd_construct(args):
         expected_book_sizes,
         margins,
         tripartite_bytes,
+        two_clique_bytes,
         two_cliques,
         write_brc1,
     )
@@ -205,11 +206,10 @@ def cmd_construct(args):
     if n > GRAPH6_ORDER_CAP:  # the file would be unreadable: refuse before any O(n^2) work
         raise CapacityError(f"order {n} is above the BRC1 cap of {GRAPH6_ORDER_CAP} vertices")
     if args.kind == "two-cliques":
-        c = two_cliques(args.q)
-        write_brc1(args.out, c.n, c.blue.colex_chunks())
-        (b, _), (r, _) = c.blue.books()
-        results = {"kind": "two-cliques", "n": c.n, "q": args.q, "bk_blue": b, "bk_red": r, "file": args.out}
-        summary = f"wrote {c.n}-vertex two-clique coloring to {args.out}"
+        write_brc1(args.out, n, two_clique_bytes(args.q))  # refused (q < 1) before the file is opened
+        (b, _), (r, _) = two_cliques(args.q).blue.books()
+        results = {"kind": "two-cliques", "n": n, "q": args.q, "bk_blue": b, "bk_red": r, "file": args.out}
+        summary = f"wrote {n}-vertex two-clique coloring to {args.out}"
         return results, summary, EXIT_OK
 
     params = ConstructionParams(

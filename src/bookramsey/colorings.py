@@ -9,7 +9,8 @@ Interchange format BRC1: a header line ``BRC1 <n>`` followed by the
 coloring's payload, the lowercase hex of its BRC1 bytes (``colex``): the
 blue edge bits in colex order, four to a character, first bit in the
 high bit of the nibble, zero-padded at the end.  ``write_brc1`` writes
-it from the bytes in chunks: ``colex_chunks`` or ``tripartite_bytes``.
+it from the bytes in chunks: ``two_clique_bytes`` or ``tripartite_bytes``,
+which one packer, ``_colex_pieces``, draws for both constructions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ _LINE_BREAK = re.compile(f"\r\n|[{_BREAKS}]")
 _PAYLOAD_SPACE = dict.fromkeys(map(ord, _BREAKS + " \t"))
 _NOT_BLANK = re.compile(r"\S")  # a character that str.strip keeps
 _FILE_PIECE = 1 << 16  # bytes of a file read and decoded at a time
-# rows of colex bits that tripartite_random packs at a time: a multiple of
+# rows of colex bits that _colex_pieces packs at a time: a multiple of
 # 16, so that each step starts on a byte (16k(16k - 1)/2 is divisible by 8)
 _PACK_ROWS = 64
 
@@ -56,7 +57,7 @@ class TwoColoring(NamedTuple):
         (``text_pieces``).  The header line is gathered; the payload after
         it goes from hex (``hex_bytes``) to the words as it comes, less
         its spaces and line breaks, so only one piece of text and one
-        codec stripe of bytes are held besides the words.  Every piece is
+        decoder stripe of bytes are held besides the words.  Every piece is
         read before a refusal."""
         pieces = iter([text] if isinstance(text, str) else text)
         head = ""
@@ -156,11 +157,20 @@ def two_cliques(q: int) -> TwoColoring:
     On n = 2q + 2 vertices the largest blue book has q - 1 pages and the
     red graph is complete bipartite, hence triangle-free: B_p is red, as
     ``check_coloring`` reads it, and the coloring certifies
-    r(B_1, B_q) > 2q + 2.
+    r(B_1, B_q) > 2q + 2.  The words are decoded from the BRC1 bytes of
+    ``two_clique_bytes``, which ``construct`` writes as they come.
     """
+    return TwoColoring(Graph.from_colex_bits(2 * q + 2, two_clique_bytes(q), width=8))
+
+
+def two_clique_bytes(q: int) -> Iterator[bytes]:
+    """The BRC1 bytes of ``two_cliques(q)``, refused for q < 1 before any
+    is drawn: a pair is blue iff both ends lie in the same half of q + 1
+    vertices."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    return TwoColoring(Graph.complete_bipartite(q + 1, q + 1).complement())
+    # row j: every i < j in the first half, i > q in the second
+    return _colex_pieces(2 * q + 2, lambda j, out: np.greater_equal(np.arange(j), 0 if j <= q else q + 1, out=out))
 
 
 class ConstructionParams(
@@ -242,27 +252,32 @@ def tripartite_random(params: ConstructionParams) -> TwoColoring:
 
 def tripartite_bytes(params: ConstructionParams) -> Iterator[bytes]:
     """The BRC1 bytes of ``tripartite_random``, refused as it refuses
-    them before any is drawn, then packed and yielded _PACK_ROWS rows of
-    colex bits at a time: each piece ends on a byte, the last one
-    zero-padded."""
+    them before any is drawn: a pair is blue iff it crosses two thirds
+    and its counter-based draw is not red."""
     n = params.n
     if n < 0:
         raise ValueError(f"order {n} is negative")
     params.validate()
-    return _tripartite_pieces(n, params.seed, probability_threshold(params.p))
+    t, thr = n // 3, probability_threshold(params.p)
+
+    def row(j: int, out: np.ndarray) -> None:  # cross and not red
+        np.greater(np.arange(j) // t != j // t, bernoulli_block(params.seed, j * (j - 1) // 2, j, thr), out=out)
+
+    return _colex_pieces(n, row)
 
 
-def _tripartite_pieces(n: int, seed: int, thr: int) -> Iterator[bytes]:
-    t = n // 3
+def _colex_pieces(n: int, row: Callable[[int, np.ndarray], None]) -> Iterator[bytes]:
+    """The BRC1 bytes of the pairs of [n], packed and yielded _PACK_ROWS
+    rows of colex bits at a time: each piece ends on a byte, the last one
+    zero-padded.  ``row(j, out)`` writes the j bits of the pairs (i, j),
+    i < j, into the bool array ``out``."""
     for r0 in range(0, n, _PACK_ROWS):
         r1 = min(r0 + _PACK_ROWS, n)
         s0 = r0 * (r0 - 1) // 2
         bits = np.empty(r1 * (r1 - 1) // 2 - s0, dtype=bool)
         for j in range(max(r0, 1), r1):
-            s = j * (j - 1) // 2
-            cross = np.arange(j) // t != j // t
-            red = bernoulli_block(seed, s, j, thr)
-            np.greater(cross, red, out=bits[s - s0 : s - s0 + j])  # cross and not red
+            s = j * (j - 1) // 2 - s0
+            row(j, bits[s : s + j])
         yield np.packbits(bits).tobytes()
 
 

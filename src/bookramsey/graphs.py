@@ -21,15 +21,15 @@ stripe and the rows of another, and the tiles.
 once; decoding and the constructions build valid words and skip the
 check.  Graphs are immutable; share them freely.
 
-Also owns the colex codec between words and packed bytes: the C(n, 2)
+Also owns the colex decoder from packed bytes to words: the C(n, 2)
 vertex pairs in colex order, which is the row-major strict lower
 triangle of the matrix.  graph6 (short form n <= 62, long form
 n <= 258047) packs their bits 6 to a character, and the BRC1 bytes of
-``colex`` 8 to a byte; ``colex_chunks`` writes the latter and
-``from_colex_bits`` reads either, at orders up to GRAPH6_ORDER_CAP.  The
-codec goes _STRIPE / 4 rows at a time and unpacks only the edge bits of
-the stripe at hand, so it holds the words and O(_STRIPE n) bytes
-besides its input, which it reads a piece at a time when given so.
+``colex`` 8 to a byte; ``from_colex_bits`` reads either, at orders up to
+GRAPH6_ORDER_CAP, and this module writes neither.  The decoder goes
+_STRIPE / 4 rows at a time and unpacks only the edge bits of the stripe
+at hand, so it holds the words and O(_STRIPE n) bytes besides its input,
+which it reads a piece at a time when given so.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .graph6 import graph6_data
-_STRIPE = 256  # rows per codegree-product tile; the codec steps _STRIPE / 4 rows, rounded to 8
+_STRIPE = 256  # rows per codegree-product tile; the decoder steps _STRIPE / 4 rows, rounded to 8
 _FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every product entry, at most n - 1, is below it
 
 
@@ -116,11 +116,6 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls.empty(n).complement()
-
-    @classmethod
-    def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        left = np.arange(a + b) < a
-        return cls._of_words(a + b, _pack(left[:, None] != left[None, :]))
 
     # ---------------------------------------------------------------- query
 
@@ -310,31 +305,19 @@ class Graph:
         words[loops, loops >> 6] ^= np.left_shift(np.uint64(1), (loops & 63).astype(np.uint64))
         return Graph._of_words(n, words)
 
-    # ----------------------------------------------------------- colex codec
+    # --------------------------------------------------------- colex decoder
     # Pair (i, j), i < j, has colex index j(j-1)/2 + i.
-
-    def colex_chunks(self) -> Iterator[bytes]:
-        """The BRC1 bytes of the edges (``colex``) in pieces, one per codec
-        stripe and the last byte: a stripe's bits follow the bits that the
-        one before left short of a whole byte, so stripes pack alike."""
-        carry = np.zeros(0, dtype=bool)
-        for r0, r1, lower in _stripes(self.n):
-            bits = np.concatenate([carry, self.adjacency(range(r0, r1))[lower]])
-            whole = len(bits) - len(bits) % 8
-            yield np.packbits(bits[:whole]).tobytes()
-            carry = bits[whole:]
-        yield np.packbits(carry).tobytes()
 
     @classmethod
     def from_colex_bits(cls, n: int, packed: bytes | np.ndarray | Iterable[bytes], width: int) -> "Graph":
-        """Inverse of ``colex_chunks``: the graph whose pair bits, in colex
-        order, are packed ``width`` to a byte into its low bits, first bit
-        highest (graph6 packs 6, BRC1 8).  ``packed`` is one bytes-like
-        object or an iterator of them, which is read only as far as each
-        codec stripe needs and then to its end: only the entries of one
-        stripe are held at a time.  Each stripe of the lower triangle is
-        packed into its own rows and, transposed, into the same columns of
-        every row, so the words are symmetric by construction."""
+        """The graph whose pair bits, in colex order, are packed ``width``
+        to a byte into its low bits, first bit highest (graph6 packs 6,
+        BRC1 8).  ``packed`` is one bytes-like object or an iterator of
+        them, which is read only as far as each decoder stripe needs and
+        then to its end: only the entries of one stripe are held at a
+        time.  Each stripe of the lower triangle is packed into its own
+        rows and, transposed, into the same columns of every row, so the
+        words are symmetric by construction."""
         nbits = n * (n - 1) // 2
         pieces = iter([packed] if isinstance(packed, (bytes, bytearray, np.ndarray)) else packed)
         held, skipped = np.zeros(0, dtype=np.uint8), 0  # the entries from index skipped on
@@ -394,7 +377,7 @@ def _bit_range(packed: np.ndarray, width: int, a: int, b: int) -> np.ndarray:
 
 def _stripes(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """(r0, r1, mask of the strict lower triangle in rows r0..r1-1) for
-    the codec stripes: _STRIPE / 4 rows, a multiple of 8, so that a
+    the decoder stripes: _STRIPE / 4 rows, a multiple of 8, so that a
     stripe's columns start on a byte of the word rows."""
     rows = 8 * max(1, _STRIPE // 32)
     for r0 in range(0, n, rows):

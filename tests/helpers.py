@@ -9,9 +9,8 @@ from typing import Iterable
 import numpy as np
 
 from bookramsey import stability
-from bookramsey.colex import bits_of, index_bytes
+from bookramsey.colex import index_bytes
 from bookramsey.colorings import TwoColoring, brc1_text
-from bookramsey.counting import vertex_mask
 from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
@@ -49,9 +48,22 @@ def coloring_of_index(n: int, k: int) -> TwoColoring:
     return TwoColoring(Graph.from_colex_bits(n, index_bytes(k, n * (n - 1) // 2), width=8))
 
 
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} on [a + b], the first a vertices on one side, through the
+    checked constructor (``graph_of``)."""
+    left = np.arange(a + b) < a
+    return graph_of(left[:, None] != left[None, :])
+
+
+def colex_bytes(g: Graph) -> bytes:
+    """The BRC1 bytes of g's edges: its colex bits (``colex_bools``), 8 to
+    a byte, first bit highest, packed here rather than by the package."""
+    return np.packbits(colex_bools(g)).tobytes()
+
+
 def brc1_of(c: TwoColoring) -> str:
     """The BRC1 text of a coloring, as ``construct`` writes it."""
-    return "".join(brc1_text(c.n, c.blue.colex_chunks()))
+    return "".join(brc1_text(c.n, [colex_bytes(c.blue)]))
 
 
 def to_graph6(g: Graph) -> str:
@@ -146,19 +158,19 @@ def colex_bools(g: Graph) -> np.ndarray:
     return g.adjacency()[lower]
 
 
-# Set counts by popcounts over the int rows ``Graph.rows``.
+# Set counts over the bool matrix ``adjacency()``, not the int rows on
+# which ``stability`` counts.
 
 
 def edges_between(g: Graph, X, Y) -> int:
     """Sum over x in X of |N(x) cap Y|: e(X, Y) for disjoint sets, 2 e(X) for Y = X."""
-    rows, my = g.rows, vertex_mask(Y)
-    return sum((rows[x] & my).bit_count() for x in X)
+    return int(g.adjacency(list(X), sorted(set(Y))).sum())
 
 
 def min_degree_induced(g: Graph, U) -> int:
     """Minimum degree of the subgraph induced by U; 0 when U is empty."""
-    rows, mu = g.rows, vertex_mask(U)
-    return min(((rows[u] & mu).bit_count() for u in bits_of(mu)), default=0)
+    U = sorted(set(U))
+    return int(g.adjacency(U, U).sum(axis=1).min()) if U else 0
 
 
 def classification_report(g: Graph, cls) -> dict:

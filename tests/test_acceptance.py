@@ -44,7 +44,17 @@ from bookramsey.stability import (
     red_book_bound,
 )
 
-from helpers import Pair, coloring_of_index, edges_between, from_edges, graph_of, oracle_witness, rows_of, to_graph6
+from helpers import (
+    Pair,
+    coloring_of_index,
+    complete_bipartite,
+    edges_between,
+    from_edges,
+    graph_of,
+    oracle_witness,
+    rows_of,
+    to_graph6,
+)
 
 ENTRY = "from bookramsey.cli import main; import sys; sys.exit(main(sys.argv[1:]))"
 
@@ -410,7 +420,7 @@ def test_criterion_8_thread_determinism(capsys, tmp_path):
             )
         )
         kbb = tmp_path / "kbb.g6"
-        kbb.write_text(to_graph6(Graph.complete_bipartite(10, 10)) + "\n")
+        kbb.write_text(to_graph6(complete_bipartite(10, 10)) + "\n")
 
         commands = [
             ("construct", "tripartite", "--n", 30, "--epsilon", "1/200",

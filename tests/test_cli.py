@@ -32,7 +32,7 @@ from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
 from bookramsey.ramsey import Neither, check_coloring
 
-from helpers import from_edges, to_graph6
+from helpers import colex_bytes, complete_bipartite, from_edges, to_graph6
 
 SCHEMA = json.loads(
     resources.files("bookramsey").joinpath("schemas/runreport.schema.json").read_text()
@@ -65,7 +65,7 @@ def files(tmp_path_factory):
     out["k4"] = root / "k4.g6"
 
     tc2 = two_cliques(2)
-    write_brc1(root / "tc2.brc1", tc2.n, tc2.blue.colex_chunks())
+    write_brc1(root / "tc2.brc1", tc2.n, [colex_bytes(tc2.blue)])
     out["tc2"] = root / "tc2.brc1"
 
     (root / "broken.g6").write_text("D\n")  # truncated edge data
@@ -84,7 +84,7 @@ def files(tmp_path_factory):
         )
     )
 
-    comp = Graph.complete_bipartite(8, 8)
+    comp = complete_bipartite(8, 8)
     out["complete_cfg"] = root / "complete.json"
     out["complete_cfg"].write_text(
         json.dumps(
@@ -138,7 +138,7 @@ def files(tmp_path_factory):
         )
     )
 
-    (root / "kbb.g6").write_text(to_graph6(Graph.complete_bipartite(10, 10)) + "\n")
+    (root / "kbb.g6").write_text(to_graph6(complete_bipartite(10, 10)) + "\n")
     out["kbb"] = root / "kbb.g6"
     out["candidate"] = root / "candidate.json"
     out["candidate"].write_text(json.dumps([list(range(10)), list(range(10, 20))]))
@@ -281,7 +281,7 @@ def test_witness_check_red_refutation_names_first_base(tmp_path):
     # blue edges 01 and 02; the red bases 03 and 04 carry one page each,
     # so the first red base with two pages is 12 (pages 3 and 4)
     path = tmp_path / "red.brc1"
-    write_brc1(path, 5, from_edges(5, [(0, 1), (0, 2)]).colex_chunks())
+    write_brc1(path, 5, [colex_bytes(from_edges(5, [(0, 1), (0, 2)]))])
     code, report, proc = run_cli("witness-check", path, 2, 5)
     assert code == 10
     assert report["results"] == {
@@ -611,7 +611,7 @@ def test_trichotomy_with_and_without_candidate(files, tmp_path):
     assert report["results"]["iii"] is True
     # an empty G0 has minimum degree 0 and refutes branch (iii)
     tc5 = two_cliques(5)
-    write_brc1(tmp_path / "tc5.brc1", tc5.n, tc5.blue.colex_chunks())
+    write_brc1(tmp_path / "tc5.brc1", tc5.n, [colex_bytes(tc5.blue)])
     empty = _text_file(tmp_path, "[[], []]")
     code, report, _ = run_cli("trichotomy", tmp_path / "tc5.brc1", "--xi", "1/10", "--candidate", empty)
     assert code == 0
@@ -622,7 +622,7 @@ def test_trichotomy_with_and_without_candidate(files, tmp_path):
 def test_trichotomy_reads_brc1(files, tmp_path):
     # the coloring whose blue graph is the graph6 file's graph
     path = tmp_path / "kbb.brc1"
-    write_brc1(path, 20, Graph.complete_bipartite(10, 10).colex_chunks())
+    write_brc1(path, 20, [colex_bytes(complete_bipartite(10, 10))])
     code, report, _ = run_cli("trichotomy", path, "--xi", "1/10", "--seed", 5)
     assert code == 0
     _, want, _ = run_cli("trichotomy", files["kbb"], "--xi", "1/10", "--seed", 5)
@@ -637,7 +637,7 @@ def test_trichotomy_extractor_runs_without_a_graph(kind, files, tmp_path, monkey
     path = files["kbb"]
     if kind == "brc1":
         path = tmp_path / "kbb.brc1"
-        write_brc1(path, 20, Graph.complete_bipartite(10, 10).colex_chunks())
+        write_brc1(path, 20, [colex_bytes(complete_bipartite(10, 10))])
     extract, counts = stability.bipartite_extract, []
 
     def counted(*args, **kwargs):

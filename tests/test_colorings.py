@@ -26,6 +26,7 @@ from bookramsey.colorings import (
     read_coloring_file,
     tripartite_parts,
     tripartite_random,
+    two_clique_bytes,
     two_cliques,
     write_brc1,
 )
@@ -42,7 +43,17 @@ from bookramsey.rng import (
     stream_values,
 )
 
-from helpers import brc1_of, codegree, colex_bools, coloring_of_bits, coloring_of_index, edge_list, from_edges
+from helpers import (
+    brc1_of,
+    codegree,
+    colex_bools,
+    colex_bytes,
+    coloring_of_bits,
+    coloring_of_index,
+    complete_bipartite,
+    edge_list,
+    from_edges,
+)
 
 
 # ------------------------------------------------------------- edge indexing
@@ -72,13 +83,13 @@ def test_edge_index_symmetric_and_rejects_loops():
 
 def test_coloring_red_is_complement():
     c = two_cliques(2)
-    assert c.blue.complement() == Graph.complete_bipartite(3, 3)
+    assert c.blue.complement() == complete_bipartite(3, 3)
     assert c.n == 6
 
 
 def test_blue_bits_round_trip():
     c = two_cliques(3)
-    again = TwoColoring(Graph.from_colex_bits(c.n, b"".join(c.blue.colex_chunks()), width=8))
+    again = TwoColoring(Graph.from_colex_bits(c.n, colex_bytes(c.blue), width=8))
     assert again == c
 
 
@@ -240,7 +251,8 @@ def test_pack_unpack_hex():
 def test_index_hex_matches_pack_bits_hex(N):
     # C(N, 2) for N = 0..12 meets every residue mod 8, so every padding of
     # the last byte and nibble; N = 13..17 add 0 again at N = 16.  The int
-    # route (index_hex) and the graph route (colex_chunks) both match the spec.
+    # route (index_hex) and the decoded words, packed again by the test's
+    # own encoder (brc1_of), both match the spec.
     m = N * (N - 1) // 2
     rng = random.Random(N)
     lowest_blue = [(1 << j) - 1 for j in range(m + 1)]  # 0 .. 2^m - 1: the lowest j edges blue
@@ -275,10 +287,33 @@ def test_construct_writes_the_drawn_bytes_as_the_words_encode(tmp_path, n):
     assert TwoColoring.from_brc1(brc1_of(c)) == c
 
 
+# q = 1..8, n = 2q + 2 = 4..18: C(n, 2) mod 8 takes all eight values, so
+# the two-clique bytes end at every padding of the last byte
+@pytest.mark.parametrize("q", range(1, 9))
+def test_construct_two_cliques_writes_the_complement_of_k_q1_q1(tmp_path, q):
+    path = tmp_path / "tc.brc1"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["construct", "two-cliques", "--q", str(q), "--out", str(path)]) == 0
+    want = TwoColoring(complete_bipartite(q + 1, q + 1).complement())
+    assert path.read_text(encoding="ascii") == brc1_of(want)
+    assert two_cliques(q) == want
+
+
+def test_construct_two_cliques_refuses_q_0_before_opening_the_file(tmp_path):
+    # two_clique_bytes refuses when called, not when first drawn from, so
+    # write_brc1 never opens the file
+    with pytest.raises(ValueError, match="q must be at least 1"):
+        two_clique_bytes(0)
+    path = tmp_path / "tc.brc1"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["construct", "two-cliques", "--q", "0", "--out", str(path)]) == 2
+    assert not path.exists()
+
+
 def test_coloring_file_io(tmp_path):
     c = two_cliques(2)
     path = tmp_path / "c.brc1"
-    write_brc1(path, c.n, c.blue.colex_chunks())
+    write_brc1(path, c.n, [colex_bytes(c.blue)])
     assert read_coloring_file(path) == c
 
 

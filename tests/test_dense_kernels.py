@@ -23,6 +23,7 @@ from bookramsey.colorings import (
     edge_index,
     read_any_file,
     read_coloring_file,
+    tripartite_bytes,
     tripartite_parts,
     tripartite_random,
     write_brc1,
@@ -31,7 +32,7 @@ from bookramsey.colex import bits_of, index_bytes
 from bookramsey.graphs import BookCertificate, Graph
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
-from helpers import brc1_of, check_certificate, coloring_of_index, edge_list, from_edges, graph_of, to_graph6
+from helpers import brc1_of, check_certificate, colex_bytes, coloring_of_index, edge_list, from_edges, graph_of, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -440,7 +441,7 @@ def test_validate_precedence_within_row():
 def test_colex_codec_matches_edge_index_loop(params):
     c = coloring_of(graph_from(params))
     bits = ref_blue_bits(c)
-    assert b"".join(c.blue.colex_chunks()) == np.packbits(bits).tobytes()
+    assert colex_bytes(c.blue) == np.packbits(bits).tobytes()
     index = sum(1 << k for k in np.flatnonzero(bits).tolist())
     assert index_bytes(index, len(bits)) == np.packbits(bits).tobytes()
     assert coloring_of_index(c.n, index) == c
@@ -449,7 +450,7 @@ def test_colex_codec_matches_edge_index_loop(params):
 
 def test_colex_codec_at_n300(big_coloring):
     bits = ref_blue_bits(big_coloring)
-    assert b"".join(big_coloring.blue.colex_chunks()) == np.packbits(bits).tobytes()
+    assert colex_bytes(big_coloring.blue) == np.packbits(bits).tobytes()
     index = sum(1 << k for k in np.flatnonzero(bits).tolist())
     assert index_bytes(index, len(bits)) == np.packbits(bits).tobytes()
     assert coloring_of_index(300, index) == big_coloring
@@ -570,7 +571,8 @@ def test_books_memory_adds_no_stripe_buffer():
 
 def test_coloring_build_and_files_stay_within_stripes(tmp_path):
     # the construction holds its words, its packed colex bits and two
-    # bool stripes; writing streams the payload a codec stripe at a time;
+    # bool stripes; writing, as construct does, streams the payload as it
+    # is drawn, _PACK_ROWS rows of colex bits at a time;
     # reading streams it into the words, and holds besides them one piece
     # of the file and two bool stripes (the file's text alone is 1.1 MB,
     # its BRC1 bytes 0.56 MB)
@@ -579,20 +581,19 @@ def test_coloring_build_and_files_stay_within_stripes(tmp_path):
     params = ConstructionParams(n, Fraction(1, 200), seed=1)
     peak = traced_peak(lambda: tripartite_random(params))
     assert peak <= words + packed + 2 * rows * n, f"construction peak {peak} bytes"
-    c = tripartite_random(params)
     path = tmp_path / "t.brc1"
-    peak = traced_peak(lambda: write_brc1(path, c.n, c.blue.colex_chunks()))
+    peak = traced_peak(lambda: write_brc1(path, n, tripartite_bytes(params)))
     assert peak <= 2 * rows * n, f"write peak {peak} bytes"
     peak = traced_peak(lambda: read_coloring_file(path))
     assert peak <= words + 2 * rows * n, f"read peak {peak} bytes"
-    assert read_coloring_file(path) == c
+    assert read_coloring_file(path) == tripartite_random(params)
 
 
 def test_graph6_decode_holds_one_line_besides_the_words():
     # the line is checked and held once, as bytes less 63 in place: with
     # its line break (as read from a file) it is not first copied as a
     # stripped str, then as ASCII bytes and as a uint8 array less 63.
-    # Besides, the codec holds four bool stripes of _STRIPE / 4 rows.
+    # Besides, the decoder holds four bool stripes of _STRIPE / 4 rows.
     n, rows = 3000, graphs._STRIPE
     words = n * (64 * -(-n // 64)) // 8
     c = tripartite_random(ConstructionParams(n, Fraction(1, 200), seed=1))
@@ -620,14 +621,14 @@ def test_graph6_file_holds_its_text_and_one_line_besides_the_words(tmp_path):
 
 @pytest.mark.parametrize("stripe", [8, 24, 64])
 def test_colex_codec_round_trip_at_any_stripe(stripe, monkeypatch):
-    # codec stripes of _STRIPE / 4 rows (8 or 16 here) start at pair
+    # decoder stripes of _STRIPE / 4 rows (8 or 16 here) start at pair
     # r0(r0-1)/2, which is not always on a byte (r0 = 8, 24, 40, ...):
-    # each stripe's bits follow those the one before left short of a byte
+    # such a stripe's bits start inside a byte that the one before began
     rng = np.random.default_rng(stripe)
     colorings = [coloring_of(graph_of(random_adjacency(rng, n, 0.5))) for n in (1, 2, 9, 40, 41, 77, 130)]
     monkeypatch.setattr(graphs, "_STRIPE", stripe)
     for c in colorings:
-        raw = b"".join(c.blue.colex_chunks())
+        raw = colex_bytes(c.blue)
         assert raw == np.packbits(ref_blue_bits(c)).tobytes(), c.n
         assert Graph.from_colex_bits(c.n, raw, width=8) == c.blue
         assert TwoColoring.from_brc1(brc1_of(c)) == c

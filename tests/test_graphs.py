@@ -12,7 +12,7 @@ from bookramsey.errors import ParseError
 from bookramsey.graphs import BookCertificate, Graph
 from bookramsey.stability import min_degree_induced
 
-from helpers import check_certificate, codegree, degree, edge_list, from_edges, graph_of, to_graph6
+from helpers import check_certificate, codegree, complete_bipartite, degree, edge_list, from_edges, graph_of, to_graph6
 
 
 def random_graph(rng, n, p=0.5):
@@ -157,7 +157,7 @@ def test_booksize_of_cliques():
 
 
 def test_booksize_bipartite_is_zero():
-    size, cert = Graph.complete_bipartite(3, 3).booksize()
+    size, cert = complete_bipartite(3, 3).booksize()
     assert size == 0
     assert cert is not None  # edges exist, so a (trivial) base is named
 
@@ -274,7 +274,7 @@ def test_complement_of_complete_is_edgeless():
 def test_cut_and_induced_counts_examples():
     k6 = Graph.complete(6)
     assert cut_and_induced_counts(k6, [0, 1, 2], [3, 4, 5]) == (3, 3, 9)
-    k33 = Graph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     assert cut_and_induced_counts(k33, [0, 1, 2], [3, 4, 5]) == (0, 0, 9)
     c5 = cycle(5)
     assert cut_and_induced_counts(c5, [0, 1], [2, 3]) == (1, 1, 1)

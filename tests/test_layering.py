@@ -4,9 +4,11 @@ without loading the numeric modules, ``verify``, ``uniformity`` (the
 oracle and the sampled search), ``lemma-check`` and ``classify`` at
 every block size run without them, no random draw loads numpy's random
 module (the package's one generator is ``rng``), only colex.py writes
-or reads the hex of a BRC1 payload, and every public function, class and
-method of the package is used somewhere else in it, bar a short list
-kept each for a stated reason.
+or reads the hex of a BRC1 payload, one packer in colorings.py makes
+BRC1 bytes (the only ``np.packbits`` in the BRC1 bit order, first bit
+highest; graphs.py packs its words little-endian), and every public
+function, class and method of the package is used somewhere else in it,
+bar a short list kept each for a stated reason.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices, and none imports a private helper of ``graphs``.  The int rows
@@ -29,7 +31,7 @@ import bookramsey
 from bookramsey.graphs import Graph
 from bookramsey.oracle import ORACLE_SIDE_CAP
 
-from helpers import from_edges, to_graph6
+from helpers import complete_bipartite, from_edges, to_graph6
 
 PACKAGE = Path(bookramsey.__file__).parent
 
@@ -329,13 +331,13 @@ def test_random_draws_load_no_numpy_random(tmp_path):
     # the extractor, with numpy but not its random module
     t = ORACLE_SIDE_CAP + 1
     pair = {
-        "graph": to_graph6(Graph.complete_bipartite(t, t)),
+        "graph": to_graph6(complete_bipartite(t, t)),
         "blocks": [list(range(t)), list(range(t, 2 * t))],
         "epsilon": "1/10",
     }
     (tmp_path / "pair.json").write_text(json.dumps(pair))
     (tmp_path / "classify.json").write_text(json.dumps({**pair, "beta": "1/4", "gamma": "1/4"}))
-    (tmp_path / "g.g6").write_text(to_graph6(Graph.complete_bipartite(10, 10)) + "\n")
+    (tmp_path / "g.g6").write_text(to_graph6(complete_bipartite(10, 10)) + "\n")
     codes, loaded, _ = run_in_one_process([
         ["uniformity", str(tmp_path / "pair.json"), "--sampled", "--samples", "100"],
         ["classify", str(tmp_path / "classify.json"), "--samples", "100"],
@@ -484,6 +486,49 @@ def test_hex_guard_flags_every_use():
         "line 3: hex",
         "line 3: fromhex",
         "line 3: hex",
+    ]
+
+
+def brc1_packbits_sites(source: str) -> list[str]:
+    """Calls of ``packbits`` without ``bitorder="little"``, which pack in
+    the BRC1 order, first bit highest, each named by its enclosing
+    function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", getattr(child.func, "id", None)) == "packbits":
+                order = [k.value for k in child.keywords if k.arg == "bitorder"]
+                if not (order and isinstance(order[0], ast.Constant) and order[0].value == "little"):
+                    found.append(f"line {child.lineno}: packbits in {owner}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_packer_makes_brc1_bytes():
+    sites = {p.name: brc1_packbits_sites(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    sites = {name: [site.split(": ")[1] for site in found] for name, found in sites.items() if found}
+    assert sites == {"colorings.py": ["packbits in _colex_pieces"]}
+
+
+def test_packbits_guard_flags_every_big_endian_call():
+    source = (
+        "import numpy as np\n"
+        "def f(bits):\n"
+        "    return np.packbits(bits), np.packbits(bits, axis=1, bitorder='little')\n"
+        "x = packbits(b, bitorder='big')\n"
+        "def g(b, order):\n"
+        "    return np.packbits(b, bitorder=order)\n"
+    )
+    assert brc1_packbits_sites(source) == [
+        "line 3: packbits in f",
+        "line 4: packbits in <module>",
+        "line 6: packbits in g",
     ]
 
 

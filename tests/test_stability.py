@@ -20,7 +20,7 @@ from bookramsey.stability import (
     trichotomy_check,
 )
 
-from helpers import classification_report, from_edges, graph_of, min_degree_induced, neighbors
+from helpers import classification_report, complete_bipartite, from_edges, graph_of, min_degree_induced, neighbors
 
 
 def check(g, xi, **kwargs):
@@ -54,7 +54,7 @@ def assert_classification_matches_naive(g, cls):
 
 
 def test_classify_full_bipartition_leaves_nothing_outside():
-    g = Graph.complete_bipartite(4, 6)
+    g = complete_bipartite(4, 6)
     cls = classify(g.rows, range(4), range(4, 10))
     assert cls.V1 == cls.V2 == cls.V3 == cls.V_iso == ()
     assert min_degree_induced(g, cls.U1 + cls.U2) == 4
@@ -84,7 +84,7 @@ def test_classify_rejects_dependent_or_overlapping_parts():
 def test_classify_rejects_a_repeated_vertex():
     # a repeat would count twice in the order of G0 but once in its
     # minimum degree, and so pass branch (iii) on a part too small
-    g = Graph.complete_bipartite(10, 10)
+    g = complete_bipartite(10, 10)
     U2 = list(range(10, 20))
     for U1, part2 in (([0, 1, 2, 3, 4] * 2, U2), ([0], [10, 11, 11])):
         with pytest.raises(ValueError, match="repeated vertex"):
@@ -122,7 +122,7 @@ def test_report_cross_counts_vanish_by_definition():
 
 
 def test_red_bound_requires_two_base_vertices():
-    g = Graph.complete_bipartite(1, 3)
+    g = complete_bipartite(1, 3)
     cls = classify(g.rows, [1, 2, 3], [0])
     with pytest.raises(ValueError):
         red_book_bound(g.rows, cls)
@@ -139,7 +139,7 @@ def test_red_bound_without_v3_is_a_size_count():
 
 def test_red_bound_is_tight_on_the_two_clique_construction():
     for q in (2, 3, 5):
-        g = Graph.complete_bipartite(q + 1, q + 1)  # blue; red is 2 cliques
+        g = complete_bipartite(q + 1, q + 1)  # blue; red is 2 cliques
         cls = classify(g.rows, range(q + 1), range(q + 1, 2 * q + 2))
         bound = red_book_bound(g.rows, cls)
         assert bound == q - 1
@@ -166,7 +166,7 @@ def test_red_bound_never_exceeds_red_booksize():
 
 
 def test_blue_bound_requires_v3():
-    g = Graph.complete_bipartite(2, 2)
+    g = complete_bipartite(2, 2)
     cls = classify(g.rows, [0, 1], [2, 3])
     with pytest.raises(ValueError):
         blue_book_bound(g.rows, cls)
@@ -199,7 +199,7 @@ def test_blue_bound_never_exceeds_blue_booksize():
 
 
 def test_extractor_recovers_connected_bipartition():
-    g = Graph.complete_bipartite(5, 7)
+    g = complete_bipartite(5, 7)
     U1, U2 = bipartite_extract(g.rows, seed=0)
     assert {frozenset(U1), frozenset(U2)} == {
         frozenset(range(5)),
@@ -271,7 +271,7 @@ def test_trichotomy_on_two_blue_cliques():
 
 
 def test_trichotomy_accepts_balanced_complete_bipartite():
-    g = Graph.complete_bipartite(10, 10)
+    g = complete_bipartite(10, 10)
     out = check(g, Fraction(1, 10), seed=0)
     assert out["iii"] is True
     assert out["G0_order"] == 20
@@ -291,7 +291,7 @@ def test_trichotomy_branch_two_on_dense_random():
 
 
 def test_trichotomy_report_fields():
-    g = Graph.complete_bipartite(6, 6)
+    g = complete_bipartite(6, 6)
     out = check(g, Fraction(1, 10), seed=0)
     for key in (
         "i",

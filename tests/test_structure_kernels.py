@@ -31,7 +31,7 @@ from bookramsey.regularity import check_witness, nonuniformity_search
 from bookramsey.rng import edge_value, edge_values_block
 from bookramsey.stability import bipartite_extract
 
-from helpers import Pair, edges_between, from_edges, graph_of, min_degree_induced, oracle_witness, to_graph6
+from helpers import Pair, complete_bipartite, edges_between, from_edges, graph_of, min_degree_induced, oracle_witness, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -612,7 +612,7 @@ TINY = "1/10000000000000000000000000000000000000000"
 def test_uniformity_cli_at_epsilon_1e_minus_40(tmp_path, graph, sampled, code, results):
     # the pinned results are those of the bigint loops
     if graph == "complete":
-        host, t = Graph.complete_bipartite(8, 8), 8
+        host, t = complete_bipartite(8, 8), 8
     else:
         host, t = from_edges(20, [(i, 10 + j) for i in range(10) for j in range(10) if i <= j]), 10
     cfg = tmp_path / "cfg.json"
