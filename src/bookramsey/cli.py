@@ -72,13 +72,6 @@ def jsonable(x):
     return x
 
 
-def read_any_file(path):
-    """Graph6 or BRC1 file, detected by header (``colorings.read_any_file``)."""
-    from . import colorings
-
-    return colorings.read_any_file(path)
-
-
 def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -147,7 +140,7 @@ def cmd_verify(args):
 
 
 def cmd_bk(args):
-    from .colorings import TwoColoring
+    from .colorings import TwoColoring, read_any_file
 
     obj = read_any_file(args.file)
 
@@ -426,7 +419,7 @@ def cmd_classify(args):
 
 
 def cmd_trichotomy(args):
-    from .colorings import TwoColoring
+    from .colorings import TwoColoring, read_any_file
     from .stability import trichotomy_check, trichotomy_floors
 
     g = read_any_file(args.file)

@@ -23,7 +23,6 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .colex import hex_bytes, hex_pieces
-from .colex import edge_index  # noqa: F401  (part of this module's API)
 from .errors import CapacityError, ParseError
 from .graphs import Graph  # first, so graphs.py compiles before graph6.py: peak RSS follows the order
 from .graph6 import GRAPH6_ORDER_CAP

@@ -225,6 +225,8 @@ def classify(
     """
     if not (0 < beta < 1 and 0 < gamma < 1):
         raise ValueError("beta and gamma must lie in (0, 1)")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     blocks = [tuple(b) for b in blocks]
     if not blocks:
         raise ValueError("need at least one block")

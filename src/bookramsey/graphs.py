@@ -17,9 +17,12 @@ and multiplies half as many rows; every sum stays an integer below
 2**24, exact in float32.  Besides the words, the walk holds
 O(_STRIPE^2) floats: for one 256-bit column chunk, the folded rows of a
 stripe and the rows of another, and the tiles.
-``Graph(n, rows)``, the one checked constructor, checks outside int rows
-once; decoding and the constructions build valid words and skip the
-check.  Graphs are immutable; share them freely.
+A Graph has no public constructor: it is decoded from packed bytes
+(``from_colex_bits``, ``from_graph6``) or made from another (``empty``,
+``complete``, ``complement``), and each binds its words, valid by
+construction and unchecked, through ``_of_words``.  One reader,
+``_book``, reads a book certificate of either colour off the two word
+rows of its base.  Graphs are immutable; share them freely.
 
 Also owns the colex decoder from packed bytes to words: the C(n, 2)
 vertex pairs in colex order, which is the row-major strict lower
@@ -44,11 +47,9 @@ _FOLD = 4096  # codegree tiles fold two rows into one while n <= _FOLD: every pr
 
 
 class BookCertificate(NamedTuple):
-    """Witness that a graph contains a book of the stated size.
-
-    ``pages`` are common neighbours of the base endpoints, so every page
-    forms a triangle with the base edge; ``from_base`` takes all of them.
-    """
+    """Witness that a graph contains a book of the stated size: a base
+    edge u < v and all common neighbours of u and v, its pages, each of
+    which forms a triangle with the base edge (``Graph._book``)."""
 
     base: tuple[int, int]
     pages: frozenset[int]
@@ -57,42 +58,13 @@ class BookCertificate(NamedTuple):
     def size(self) -> int:
         return len(self.pages)
 
-    @classmethod
-    def from_base(cls, g: "Graph", u: int, v: int) -> "BookCertificate":
-        if not g.has_edge(u, v):
-            raise ValueError(f"base ({u},{v}) is not an edge")
-        common = np.flatnonzero(g.adjacency([u, v]).all(axis=0))
-        return cls(base=(min(u, v), max(u, v)), pages=frozenset(common.tolist()))
-
 
 class Graph:
-    """Immutable dense simple graph on vertex set {0, ..., n-1}."""
+    """Immutable dense simple graph on vertex set {0, ..., n-1}, decoded
+    from packed bytes or made from another graph; no public constructor.
+    Its book certificates, of either colour, come from one reader, ``_book``."""
 
     __slots__ = ("n", "words")
-
-    def __init__(self, n: int, rows: Sequence[int]):
-        """Graph of int bitset rows (bit v of rows[u] set iff u ~ v).
-
-        The first bad row u is reported: bits beyond the vertex range
-        first, then a loop, then the least v with u -> v but not v -> u.
-        """
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if len(rows) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        full = (1 << n) - 1
-        wide = [u for u, row in enumerate(rows) if row & ~full]
-        nwords = (n + 63) // 64
-        buf = b"".join((row & full).to_bytes(8 * nwords, "little") for row in rows)
-        words = np.frombuffer(buf, dtype="<u8").reshape(n, nwords)
-        _check_adjacency(_unpack(words, n), wide)
-        self._bind(n, words)
-
-    def _bind(self, n: int, words: np.ndarray) -> "Graph":
-        words.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "words", words)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -103,11 +75,16 @@ class Graph:
         return tuple(int.from_bytes(row.tobytes(), "little") for row in self.words)
 
     # ---------------------------------------------------------------- build
-    # These build words that are valid by construction, unchecked.
+    # Every graph is bound here, from words valid by construction, unchecked:
+    # symmetric, loopless and zero past n.
 
     @classmethod
     def _of_words(cls, n: int, words: np.ndarray) -> "Graph":
-        return object.__new__(cls)._bind(n, words)
+        g = object.__new__(cls)
+        words.flags.writeable = False
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "words", words)
+        return g
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -118,12 +95,6 @@ class Graph:
         return cls.empty(n).complement()
 
     # ---------------------------------------------------------------- query
-
-    def has_edge(self, u: int, v: int) -> bool:
-        for w in (u, v):
-            if not 0 <= w < self.n:
-                raise ValueError(f"vertex {w} out of range for n={self.n}")
-        return bool(int(self.words[u, v >> 6]) >> (v & 63) & 1)
 
     def edge_count(self) -> int:
         return int(np.bitwise_count(self.words).sum()) // 2
@@ -164,7 +135,7 @@ class Graph:
             k = int(counts.argmax())
             if best is None or counts[k] > best[0]:
                 best = (int(counts[k]), u, int(later[k]))
-        return (best[0], BookCertificate.from_base(self, best[1], best[2])) if best else (0, None)
+        return (best[0], self._book(best[1], best[2], blue=True)) if best else (0, None)
 
     def books(self, at_least: tuple[int, int] | None = None) -> tuple[tuple, tuple]:
         """Books of this graph (blue) and of its complement (red) from one
@@ -212,15 +183,17 @@ class Graph:
             if targets is not None and found[1] is not None:
                 found[0] = None
                 break
-        blue = found[0] and BookCertificate.from_base(self, *found[0])
-        red = found[1] and self._red_book(*found[1])
-        return tuple((cert.size, cert) if cert else (0, None) for cert in (blue, red))
+        certs = [base and self._book(*base, blue=k == 0) for k, base in enumerate(found)]
+        return tuple((cert.size, cert) if cert else (0, None) for cert in certs)
 
-    def _red_book(self, u: int, v: int) -> BookCertificate:
-        """The book of the complement on the non-edge u < v, read from two
-        word rows: its pages are the common non-neighbours but u and v."""
-        pages = _unpack(~(self.words[u] | self.words[v])[None], self.n)[0]
-        pages[[u, v]] = False
+    def _book(self, u: int, v: int, blue: bool) -> BookCertificate:
+        """The book on the base u < v, an edge (blue) or a non-edge (red,
+        a book of the complement), read from the two word rows a and b:
+        its pages are a & b, or ~(a | b) less u and v."""
+        a, b = self.words[u], self.words[v]
+        pages = _unpack((a & b if blue else ~(a | b))[None], self.n)[0]
+        if not blue:
+            pages[[u, v]] = False
         return BookCertificate(base=(u, v), pages=frozenset(np.flatnonzero(pages).tolist()))
 
     def part_codegrees(self, parts: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -383,27 +356,6 @@ def _stripes(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         yield r0, r1, np.arange(n) < np.arange(r0, r1)[:, None]
-
-
-def _check_adjacency(adj: np.ndarray, wide: Sequence[int]) -> None:
-    """Raise ValueError for the first bad row of a bool adjacency matrix.
-
-    ``wide`` lists the rows that had bits beyond the vertex range; within
-    a row that error comes first, then a loop, then the least v with
-    u -> v but not v -> u.
-    """
-    loops = np.diagonal(adj)
-    bad = loops | (adj > adj.T).any(axis=1)
-    bad[list(wide)] = True
-    if not bad.any():
-        return
-    u = int(bad.argmax())
-    if u in wide:
-        raise ValueError(f"row {u} has bits beyond vertex range")
-    if loops[u]:
-        raise ValueError(f"loop at vertex {u}")
-    v = int((adj[u] > adj[:, u]).argmax())
-    raise ValueError(f"adjacency not symmetric at ({u},{v})")
 
 
 def _codegree_tiles(words: np.ndarray, n: int) -> Iterator[tuple]:

@@ -18,10 +18,16 @@ from bookramsey.oracle import check_sides, first_witness, oracle_floors
 
 
 def graph_of(m) -> Graph:
-    """Graph of a square matrix whose nonzero entries are edges, built
-    through the checked int-row constructor ``Graph(n, rows)``."""
-    packed = np.packbits(np.asarray(m) != 0, axis=1, bitorder="little")
-    return Graph(len(packed), [int.from_bytes(row.tobytes(), "little") for row in packed])
+    """Graph of a symmetric square matrix with a zero diagonal whose
+    nonzero entries are edges: its rows packed into words by numpy's own
+    ``packbits``, not by the package's decoder, and bound by
+    ``Graph._of_words``."""
+    n = len(m)
+    adj = np.asarray(m).reshape(n, n) != 0
+    assert (adj == adj.T).all() and not adj.diagonal().any(), "not the adjacency matrix of a simple graph"
+    words = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
+    words[:, : (n + 7) // 8] = np.packbits(adj, axis=1, bitorder="little")
+    return Graph._of_words(n, words.view("<u8"))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -49,8 +55,8 @@ def coloring_of_index(n: int, k: int) -> TwoColoring:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b} on [a + b], the first a vertices on one side, through the
-    checked constructor (``graph_of``)."""
+    """K_{a,b} on [a + b], the first a vertices on one side, through
+    ``graph_of``."""
     left = np.arange(a + b) < a
     return graph_of(left[:, None] != left[None, :])
 
@@ -124,6 +130,10 @@ def oracle_witness(pair, eps):
 
 # Vertex and edge queries over the bool matrix ``adjacency()``, not the
 # packed words that the package's own counts read.
+
+
+def adjacent(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adjacency([u], [v])[0, 0])
 
 
 def degree(g: Graph, u: int) -> int:

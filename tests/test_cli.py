@@ -811,6 +811,15 @@ HOSTILE = {
         ],
         "eps must be positive",
     ),
+    # one block makes no pair: eps is refused before any pair is labelled
+    "classify-one-block-epsilon-zero": (
+        lambda f, t: ["classify", _config(f, t, blocks=[[0, 1, 2]], epsilon="0", beta="1/4", gamma="1/4")],
+        "eps must be positive",
+    ),
+    "classify-one-block-epsilon-negative": (
+        lambda f, t: ["classify", _config(f, t, blocks=[[0, 1, 2]], epsilon="-1", beta="1/4", gamma="1/4")],
+        "eps must be positive",
+    ),
     "construct-negative-order": (
         lambda f, t: ["construct", "tripartite", "--n", -3, "--epsilon", "1/200", "--out", t / "x.brc1"],
         "order -3 is negative",

@@ -20,9 +20,9 @@ from bookramsey.colorings import (
     ConstructionParams,
     TwoColoring,
     construction_statistics,
-    edge_index,
     expected_book_sizes,
     margins,
+    read_any_file,
     read_coloring_file,
     tripartite_parts,
     tripartite_random,
@@ -30,7 +30,7 @@ from bookramsey.colorings import (
     two_cliques,
     write_brc1,
 )
-from bookramsey.colex import hex_bytes, index_hex
+from bookramsey.colex import edge_index, hex_bytes, index_hex
 from bookramsey.errors import ParseError
 from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
@@ -44,6 +44,7 @@ from bookramsey.rng import (
 )
 
 from helpers import (
+    adjacent,
     brc1_of,
     codegree,
     colex_bools,
@@ -354,10 +355,10 @@ def outcome(read, arg):
 
 
 def file_outcomes(path, piece):
-    from bookramsey import cli, colorings
+    from bookramsey import colorings
 
     with mock.patch.object(colorings, "_FILE_PIECE", piece):
-        return outcome(read_coloring_file, path), outcome(cli.read_any_file, path)
+        return outcome(read_coloring_file, path), outcome(read_any_file, path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -405,23 +406,21 @@ def test_read_any_file_reads_brc1_after_leading_space_and_graph6_lines(tmp_path)
     path = tmp_path / "f"
     path.write_text("  \t BRC1 4\n84\n")
     assert read_coloring_file(path) == two_cliques(1)
-    from bookramsey import cli
-
-    assert cli.read_any_file(path) == two_cliques(1)
+    assert read_any_file(path) == two_cliques(1)
     # graph6: the first line that is not blank, numbered as str.splitlines
     # numbers it, "\r\n" one break and "\x1f" blank but no break
     for text in ("\n\r\n \x0b\x1f\x1c  Bw\n", "Bw", "\r\rBw\r\n?"):
         path.write_text(text)
-        assert cli.read_any_file(path) == Graph.from_graph6("Bw")  # a triangle
+        assert read_any_file(path) == Graph.from_graph6("Bw")  # a triangle
         bad = text.replace("Bw", "B!")
         path.write_text(bad)
         line = 1 + next(k for k, raw in enumerate(bad.splitlines()) if raw.strip())
         with pytest.raises(ParseError) as exc:
-            cli.read_any_file(path)
+            read_any_file(path)
         assert (exc.value.line, exc.value.offset) == (line, 1)
     path.write_text(" \n\x1f\r\n")
     with pytest.raises(ParseError, match="empty input file"):
-        cli.read_any_file(path)
+        read_any_file(path)
 
 
 # ----------------------------------------------------------------------- rng
@@ -590,7 +589,7 @@ def test_tripartite_random_is_deterministic_and_intra_red():
         for i in part:
             for j in part:
                 if i < j:
-                    assert red.has_edge(i, j)
+                    assert adjacent(red, i, j)
     # a different seed moves at least one cross edge
     c3 = tripartite_random(ConstructionParams(30, Fraction(1, 200), seed=5))
     assert c3 != c1

@@ -20,7 +20,6 @@ from bookramsey.colorings import (
     ConstructionParams,
     TwoColoring,
     construction_statistics,
-    edge_index,
     read_any_file,
     read_coloring_file,
     tripartite_bytes,
@@ -28,8 +27,8 @@ from bookramsey.colorings import (
     tripartite_random,
     write_brc1,
 )
-from bookramsey.colex import bits_of, index_bytes
-from bookramsey.graphs import BookCertificate, Graph
+from bookramsey.colex import edge_index, index_bytes
+from bookramsey.graphs import Graph
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
 from helpers import brc1_of, check_certificate, colex_bytes, coloring_of_index, edge_list, from_edges, graph_of, to_graph6
@@ -70,19 +69,6 @@ def ref_check_coloring(c: TwoColoring, p: int, q: int):
         return "red", red
     blue = ref_first_book(c.blue, q)
     return ("blue", blue) if blue else None
-
-
-def ref_validate(n: int, rows) -> str | None:
-    full = (1 << n) - 1
-    for u, row in enumerate(rows):
-        if row & ~full:
-            return f"row {u} has bits beyond vertex range"
-        if row >> u & 1:
-            return f"loop at vertex {u}"
-        for v in bits_of(row):
-            if not rows[v] >> u & 1:
-                return f"adjacency not symmetric at ({u},{v})"
-    return None
 
 
 def ref_blue_bits(c: TwoColoring) -> np.ndarray:
@@ -282,7 +268,8 @@ def test_two_colour_books_match_edge_loops(params, stripe, q, p):
     for (size, cert), graph in zip(books + firsts, (g, h, g, h)):
         if cert:
             check_certificate(cert, graph)
-            assert cert == BookCertificate.from_base(graph, *cert.base)
+            # every common neighbour in the colour's graph is a page
+            assert cert.pages == frozenset(np.flatnonzero(graph.adjacency(list(cert.base)).all(axis=0)).tolist())
             assert cert.size == size
     assert [cert and cert.base for _, cert in firsts] == first_books(g, q, p)
 
@@ -386,51 +373,6 @@ def test_check_coloring_at_n300(big_coloring):
 def test_check_coloring_across_stripes_at_n300(big_coloring, monkeypatch):
     monkeypatch.setattr(graphs, "_STRIPE", 64)
     check_thresholds(big_coloring)
-
-
-# ------------------------------------------------------------------ validate
-
-
-def validate_message(n, rows):
-    try:
-        Graph(n, rows)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-corruptions = st.lists(
-    st.tuples(st.sampled_from(["wide", "loop", "one-sided"]), st.integers(0, 10**6), st.integers(0, 10**6)),
-    max_size=4,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(graph_params, corruptions)
-def test_validate_reports_first_error_like_loop(params, edits):
-    g = graph_from(params)
-    n, rows = g.n, list(g.rows)
-    for kind, a, b in edits:
-        u = a % n
-        if kind == "wide":
-            rows[u] |= 1 << (n + b % 70)
-        elif kind == "loop":
-            rows[u] |= 1 << u
-        else:
-            v = b % n
-            if v != u:
-                rows[u] |= 1 << v
-                rows[v] &= ~(1 << u)
-    expected = ref_validate(n, rows)
-    assert validate_message(n, rows) == expected
-
-
-def test_validate_precedence_within_row():
-    assert validate_message(3, [0b1001, 0b000, 0b000]) == "row 0 has bits beyond vertex range"
-    assert validate_message(3, [0b101, 0b001, 0b000]) == "loop at vertex 0"
-    assert validate_message(3, [0b110, 0b000, 0b000]) == "adjacency not symmetric at (0,1)"
-    assert validate_message(3, [0b000, 0b100, 0b000]) == "adjacency not symmetric at (1,2)"
-    assert validate_message(2, [-1, 0]) == "row 0 has bits beyond vertex range"
 
 
 # --------------------------------------------------------------- colex codec

@@ -2,9 +2,10 @@
 
 ``Graph`` stores one (n, ceil(n/64)) uint64 array.  Orders on both sides
 of a word boundary are checked against Python-int bitset references: the
-int-row constructor round trip, the set counts that the stability layer
-takes on the rows derived from the words, the complement's padding bits
-past n, and equality and hashing.
+round trip of int rows through the tests' own word packer (``graph_of``)
+and through the decoder, the set counts that the stability layer takes
+on the rows derived from the words, the complement's padding bits past
+n, and equality and hashing.
 """
 
 import numpy as np
@@ -34,6 +35,11 @@ def ref_rows(n, index):
     return rows
 
 
+def of_rows(n, rows):
+    """The graph of int rows, through the matrix of their bits (``graph_of``)."""
+    return graph_of([[row >> v & 1 for v in range(n)] for row in rows])
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.sampled_from(ORDERS))
@@ -49,7 +55,7 @@ def vertex_lists(n):
 @given(graphs())
 def test_int_rows_round_trip_through_the_constructor(case):
     n, index, rows = case
-    g = Graph(n, rows)
+    g = of_rows(n, rows)
     assert g.rows == tuple(rows)
     assert g.words.shape == (n, (n + 63) // 64)
     assert g == coloring_of_index(n, index).blue
@@ -61,7 +67,7 @@ def test_int_rows_round_trip_through_the_constructor(case):
 @given(graphs(), st.data())
 def test_set_counts_match_the_bigint_reference(case, data):
     n, _, rows = case
-    g = Graph(n, rows)
+    g = of_rows(n, rows)
     X = data.draw(vertex_lists(n))
     Y = data.draw(vertex_lists(n))
     my = vertex_mask(Y)
@@ -79,7 +85,7 @@ def test_set_counts_match_the_bigint_reference(case, data):
 @given(graphs())
 def test_complement_leaves_the_padding_bits_clear(case):
     n, _, rows = case
-    g = Graph(n, rows)
+    g = of_rows(n, rows)
     c = g.complement()
     full = (1 << n) - 1
     assert c.rows == tuple(full ^ r ^ (1 << u) for u, r in enumerate(rows))
@@ -97,14 +103,14 @@ def test_complement_leaves_the_padding_bits_clear(case):
 @given(graphs(), st.data())
 def test_equality_and_hash_follow_the_rows(case, data):
     n, _, rows = case
-    g = Graph(n, rows)
+    g = of_rows(n, rows)
     other = list(rows)
     if n >= 2:
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         if data.draw(st.booleans()):
             other[i] ^= 1 << j
             other[j] ^= 1 << i
-    h = Graph(n, other)
+    h = of_rows(n, other)
     assert (g == h) == (tuple(rows) == tuple(other))
     if g == h:
         assert hash(g) == hash(h)

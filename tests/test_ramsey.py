@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from bookramsey.colorings import TwoColoring, edge_index, two_cliques
+from bookramsey.colex import edge_index
+from bookramsey.colorings import TwoColoring, two_cliques
 from bookramsey.errors import CapacityError
 from bookramsey.graphs import Graph
 from bookramsey.ramsey import (

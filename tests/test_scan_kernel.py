@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from bookramsey import ramsey
-from bookramsey.colorings import TwoColoring, edge_index
+from bookramsey.colex import edge_index
+from bookramsey.colorings import TwoColoring
 from bookramsey.ramsey import (
     BLOCK_BITS,
     LANE_BITS,

@@ -31,7 +31,7 @@ from bookramsey.regularity import check_witness, nonuniformity_search
 from bookramsey.rng import edge_value, edge_values_block
 from bookramsey.stability import bipartite_extract
 
-from helpers import Pair, complete_bipartite, edges_between, from_edges, graph_of, min_degree_induced, oracle_witness, to_graph6
+from helpers import Pair, adjacent, complete_bipartite, edges_between, from_edges, graph_of, min_degree_induced, oracle_witness, to_graph6
 
 # ---------------------------------------------------------------- references
 
@@ -135,7 +135,7 @@ def ref_bigint_search(pair: Pair, eps, samples: int = 1000, seed: int = 0):
             yield [pair.A[k] for k in by_degree[na - m :]]
         sa = set(pair.A)
         for b in pair.B[:50]:
-            hood = [a for a in pair.A if pair.host.has_edge(a, b)]
+            hood = [a for a in pair.A if adjacent(pair.host, a, b)]
             if len(hood) >= a0:
                 yield hood
             rest = sorted(sa.difference(hood))
