@@ -187,7 +187,6 @@ def cmd_construct(args):
         margins,
         tripartite_bytes,
         two_clique_bytes,
-        two_cliques,
         write_brc1,
     )
     from .graph6 import GRAPH6_ORDER_CAP
@@ -199,9 +198,9 @@ def cmd_construct(args):
     if n > GRAPH6_ORDER_CAP:  # the file would be unreadable: refuse before any O(n^2) work
         raise CapacityError(f"order {n} is above the BRC1 cap of {GRAPH6_ORDER_CAP} vertices")
     if args.kind == "two-cliques":
-        write_brc1(args.out, n, two_clique_bytes(args.q))  # refused (q < 1) before the file is opened
-        (b, _), (r, _) = two_cliques(args.q).blue.books()
-        results = {"kind": "two-cliques", "n": n, "q": args.q, "bk_blue": b, "bk_red": r, "file": args.out}
+        pieces = two_clique_bytes(args.q)  # refused (q < 1) before the file is opened
+        results = {"kind": "two-cliques", "n": n, "q": args.q, "bk_blue": args.q - 1, "bk_red": 0, "file": args.out}
+        write_brc1(args.out, n, pieces)
         summary = f"wrote {n}-vertex two-clique coloring to {args.out}"
         return results, summary, EXIT_OK
 

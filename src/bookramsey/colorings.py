@@ -157,7 +157,9 @@ def two_cliques(q: int) -> TwoColoring:
     red graph is complete bipartite, hence triangle-free: B_p is red, as
     ``check_coloring`` reads it, and the coloring certifies
     r(B_1, B_q) > 2q + 2.  The words are decoded from the BRC1 bytes of
-    ``two_clique_bytes``, which ``construct`` writes as they come.
+    ``two_clique_bytes``, which ``construct`` writes as they come,
+    reporting the book sizes q - 1 and 0 without decoding them;
+    acceptance criterion 3 checks those forms against ``books``.
     """
     return TwoColoring(Graph.from_colex_bits(2 * q + 2, two_clique_bytes(q), width=8))
 

@@ -17,10 +17,9 @@ and multiplies half as many rows; every sum stays an integer below
 2**24, exact in float32.  Besides the words, the walk holds
 O(_STRIPE^2) floats: for one 256-bit column chunk, the folded rows of a
 stripe and the rows of another, and the tiles.
-A Graph has no public constructor: it is decoded from packed bytes
-(``from_colex_bits``, ``from_graph6``) or made from another (``empty``,
-``complete``, ``complement``), and each binds its words, valid by
-construction and unchecked, through ``_of_words``.  One reader,
+A Graph has no public constructor: it is only ever decoded from packed
+bytes (``from_colex_bits``, ``from_graph6``), and the decoder binds its
+words, valid by construction and unchecked, through ``_of_words``.  One reader,
 ``_book``, reads a book certificate of either colour off the two word
 rows of its base.  Graphs are immutable; share them freely.
 
@@ -60,8 +59,8 @@ class BookCertificate(NamedTuple):
 
 
 class Graph:
-    """Immutable dense simple graph on vertex set {0, ..., n-1}, decoded
-    from packed bytes or made from another graph; no public constructor.
+    """Immutable dense simple graph on vertex set {0, ..., n-1}, only ever
+    decoded from packed bytes; no public constructor.
     Its book certificates, of either colour, come from one reader, ``_book``."""
 
     __slots__ = ("n", "words")
@@ -75,8 +74,8 @@ class Graph:
         return tuple(int.from_bytes(row.tobytes(), "little") for row in self.words)
 
     # ---------------------------------------------------------------- build
-    # Every graph is bound here, from words valid by construction, unchecked:
-    # symmetric, loopless and zero past n.
+    # Every graph is bound here by the decoder, from words valid by
+    # construction, unchecked: symmetric, loopless and zero past n.
 
     @classmethod
     def _of_words(cls, n: int, words: np.ndarray) -> "Graph":
@@ -85,14 +84,6 @@ class Graph:
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "words", words)
         return g
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls._of_words(n, np.zeros((n, (n + 63) // 64), dtype="<u8"))
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls.empty(n).complement()
 
     # ---------------------------------------------------------------- query
 
@@ -271,12 +262,6 @@ class Graph:
             out[3, 3] -= (d[P[a], t] * (sizes[b] - d[P[a], b])).sum() + (d[P[b], t] * (sizes[a] - d[P[b], a])).sum()
         out[3, 3] -= out[1, 3]
         return out.tolist()
-
-    def complement(self) -> "Graph":
-        n, loops = self.n, np.arange(self.n)
-        words = ~self.words & _pack(np.ones((1, n), dtype=bool))
-        words[loops, loops >> 6] ^= np.left_shift(np.uint64(1), (loops & 63).astype(np.uint64))
-        return Graph._of_words(n, words)
 
     # --------------------------------------------------------- colex decoder
     # Pair (i, j), i < j, has colex index j(j-1)/2 + i.

@@ -54,6 +54,23 @@ def coloring_of_index(n: int, k: int) -> TwoColoring:
     return TwoColoring(Graph.from_colex_bits(n, index_bytes(k, n * (n - 1) // 2), width=8))
 
 
+def empty_graph(n: int) -> Graph:
+    """The edgeless graph on [n], through ``graph_of``."""
+    return graph_of(np.zeros((n, n), dtype=bool))
+
+
+def complete_graph(n: int) -> Graph:
+    """K_n, through ``graph_of``."""
+    return graph_of(~np.eye(n, dtype=bool))
+
+
+def complement_of(g: Graph) -> Graph:
+    """The complement of g, through ``graph_of``: the red graph of a
+    coloring whose blue graph is g, built apart from the package's word
+    code."""
+    return graph_of(~g.adjacency() & ~np.eye(g.n, dtype=bool))
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} on [a + b], the first a vertices on one side, through
     ``graph_of``."""

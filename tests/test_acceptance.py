@@ -29,7 +29,6 @@ from bookramsey.colorings import (
     tripartite_random,
     two_cliques,
 )
-from bookramsey.graphs import Graph
 from bookramsey.ramsey import (
     Neither,
     check_coloring,
@@ -47,8 +46,10 @@ from bookramsey.stability import (
 from helpers import (
     Pair,
     coloring_of_index,
+    complement_of,
     complete_bipartite,
     edges_between,
+    empty_graph,
     from_edges,
     graph_of,
     oracle_witness,
@@ -128,7 +129,7 @@ def test_criterion_2_classical_triangle_consistency(capsys):
         # triangle-free both ways: no edge in either color has a common
         # neighbor in that color
         ok &= ce.blue.booksize()[0] == 0
-        ok &= ce.blue.complement().booksize()[0] == 0
+        ok &= complement_of(ce.blue).booksize()[0] == 0
         ok &= elapsed < 1.0
         return ok, f"both orders scanned in {elapsed:.3f}s"
 
@@ -310,7 +311,7 @@ def test_criterion_6_uniformity_oracle(capsys):
         complete = from_edges(
             20, [(a, b) for a in range(10) for b in range(10, 20)]
         )
-        empty = Graph.empty(20)
+        empty = empty_graph(20)
         for eps in eps_grid:
             ok &= oracle_witness(pair_of(complete, 10, 10), eps) is None
             ok &= oracle_witness(pair_of(empty, 10, 10), eps) is None
@@ -367,7 +368,7 @@ def test_criterion_7_stability_bounds(capsys):
                 continue
             if len(cls.U2) >= 2:
                 red_checked += 1
-                if g.complement().booksize()[0] < red_book_bound(rows, cls):
+                if complement_of(g).booksize()[0] < red_book_bound(rows, cls):
                     violations += 1
             if cls.V3:
                 blue_checked += 1

@@ -32,7 +32,7 @@ from bookramsey.graphs import Graph
 from bookramsey.numbers import as_fraction
 from bookramsey.ramsey import Neither, check_coloring
 
-from helpers import colex_bytes, complete_bipartite, from_edges, to_graph6
+from helpers import colex_bytes, complete_bipartite, complete_graph, from_edges, to_graph6
 
 SCHEMA = json.loads(
     resources.files("bookramsey").joinpath("schemas/runreport.schema.json").read_text()
@@ -61,7 +61,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     out = {"root": root}
 
-    (root / "k4.g6").write_text(to_graph6(Graph.complete(4)) + "\n")
+    (root / "k4.g6").write_text(to_graph6(complete_graph(4)) + "\n")
     out["k4"] = root / "k4.g6"
 
     tc2 = two_cliques(2)
@@ -309,16 +309,48 @@ def test_witness_check_takes_page_targets_past_float_range(files):
 # ----------------------------------------------------------------- construct
 
 
-def test_construct_two_cliques(files):
-    out = files["root"] / "q5.brc1"
-    code, report, _ = run_cli("construct", "two-cliques", "--q", 5, "--out", out)
+@pytest.mark.parametrize("q", [1, 2, 5, 40])
+def test_construct_two_cliques(files, q):
+    out = files["root"] / f"q{q}.brc1"
+    code, report, _ = run_cli("construct", "two-cliques", "--q", q, "--out", out)
     assert code == 0
-    assert report["results"]["n"] == 12
-    assert report["results"]["bk_blue"] == 4
+    assert report["results"]["n"] == 2 * q + 2
+    assert report["results"]["bk_blue"] == q - 1
     assert report["results"]["bk_red"] == 0
     from bookramsey.colorings import read_coloring_file
 
-    assert read_coloring_file(out) == two_cliques(5)
+    assert read_coloring_file(out) == two_cliques(q)
+    # the closed forms that construct reports agree with the books of the file
+    code, bk, _ = run_cli("bk", out)
+    assert code == 0
+    assert [bk["results"][side]["booksize"] for side in ("blue", "red")] == [q - 1, 0]
+
+
+def test_construct_neither_decodes_nor_walks_books(tmp_path, capsys, monkeypatch):
+    """Both kinds report from their parameters: with the decoder and the
+    books walk made to raise, construct still exits 0 with the same
+    payload and writes the same bytes."""
+    runs = {
+        "two-cliques": ["--q", "5"],
+        "tripartite": ["--n", "300", "--epsilon", "1/200", "--seed", "7"],
+    }
+
+    def construct():
+        out = {}
+        for kind, extra in runs.items():
+            path = tmp_path / f"{kind}.brc1"
+            assert cli.main(["construct", kind, "--out", str(path), *extra]) == 0
+            out[kind] = json.loads(capsys.readouterr().out)["results"], path.read_bytes()
+        return out
+
+    want = construct()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("construct decoded or walked a graph")
+
+    monkeypatch.setattr(Graph, "from_colex_bits", refuse)
+    monkeypatch.setattr(Graph, "books", refuse)
+    assert construct() == want
 
 
 def test_construct_tripartite_reports_margins(files):
@@ -692,7 +724,7 @@ def test_uniformity_refuses_unprintable_epsilon_before_the_scan(files, tmp_path,
 
 def _complete_lemma_cfg(tmp_path, t, epsilon):
     blocks = [list(range(t)), list(range(t, 2 * t))]
-    cfg = {"graph": to_graph6(Graph.complete(2 * t)), "blocks": blocks, "bases": 1, "epsilon": epsilon}
+    cfg = {"graph": to_graph6(complete_graph(2 * t)), "blocks": blocks, "bases": 1, "epsilon": epsilon}
     return _text_file(tmp_path, json.dumps(cfg))
 
 
@@ -792,7 +824,7 @@ HOSTILE = {
         lambda f, t: [
             "lemma-check",
             _config(
-                f, t, graph=to_graph6(Graph.complete(34)), blocks=[[*range(16), 3], list(range(17, 34))], bases=1
+                f, t, graph=to_graph6(complete_graph(34)), blocks=[[*range(16), 3], list(range(17, 34))], bases=1
             ),
         ],
         "repeated vertex in a side",
@@ -805,7 +837,7 @@ HOSTILE = {
         lambda f, t: [
             "lemma-check",
             _config(
-                f, t, graph=to_graph6(Graph.complete(34)), blocks=[list(range(17)), list(range(17, 34))], bases=1,
+                f, t, graph=to_graph6(complete_graph(34)), blocks=[list(range(17)), list(range(17, 34))], bases=1,
                 epsilon="0",
             ),
         ],
@@ -876,7 +908,7 @@ HOSTILE = {
         lambda f, t: [
             "lemma-check",
             _config(
-                f, t, graph=to_graph6(Graph.complete(12)), blocks=[list(range(6)), list(range(6, 12))], bases=1,
+                f, t, graph=to_graph6(complete_graph(12)), blocks=[list(range(6)), list(range(6, 12))], bases=1,
                 epsilon="1e-4300",
             ),
             "--format",
@@ -1022,7 +1054,7 @@ def test_entry_pins_openblas_to_one_thread_unless_set(tmp_path, setting):
     loads, so a bk process runs on one thread; a setting of the user's
     own is left as it is."""
     path = tmp_path / "k6.g6"
-    path.write_text(to_graph6(Graph.complete(6)) + "\n")
+    path.write_text(to_graph6(complete_graph(6)) + "\n")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if setting is not None:
         env["OPENBLAS_NUM_THREADS"] = setting

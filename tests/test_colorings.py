@@ -51,6 +51,7 @@ from helpers import (
     colex_bytes,
     coloring_of_bits,
     coloring_of_index,
+    complement_of,
     complete_bipartite,
     edge_list,
     from_edges,
@@ -84,7 +85,7 @@ def test_edge_index_symmetric_and_rejects_loops():
 
 def test_coloring_red_is_complement():
     c = two_cliques(2)
-    assert c.blue.complement() == complete_bipartite(3, 3)
+    assert complement_of(c.blue) == complete_bipartite(3, 3)
     assert c.n == 6
 
 
@@ -295,7 +296,7 @@ def test_construct_two_cliques_writes_the_complement_of_k_q1_q1(tmp_path, q):
     path = tmp_path / "tc.brc1"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["construct", "two-cliques", "--q", str(q), "--out", str(path)]) == 0
-    want = TwoColoring(complete_bipartite(q + 1, q + 1).complement())
+    want = TwoColoring(complement_of(complete_bipartite(q + 1, q + 1)))
     assert path.read_text(encoding="ascii") == brc1_of(want)
     assert two_cliques(q) == want
 
@@ -584,7 +585,7 @@ def test_tripartite_random_is_deterministic_and_intra_red():
     c1 = tripartite_random(params)
     c2 = tripartite_random(params)
     assert c1 == c2
-    parts, red = tripartite_parts(30), c1.blue.complement()
+    parts, red = tripartite_parts(30), complement_of(c1.blue)
     for part in parts:
         for i in part:
             for j in part:
@@ -610,7 +611,7 @@ def test_degenerate_bias_forces_all_cross_blue():
     params = ConstructionParams(6, Fraction(1, 200), delta=Fraction(1, 2))
     with pytest.raises(ValueError, match="k2=-47/200"):
         tripartite_random(params)
-    c = TwoColoring(from_edges(6, [(0, 1), (2, 3), (4, 5)]).complement())
+    c = TwoColoring(complement_of(from_edges(6, [(0, 1), (2, 3), (4, 5)])))
     (blue, _), (red, _) = c.blue.books()
     assert blue == 2
     assert red == 0
@@ -646,7 +647,7 @@ def test_construction_statistics_against_naive_counts():
     for k, part in enumerate(parts):
         for v in part:
             part_of[v] = k
-    red = c.blue.complement()
+    red = complement_of(c.blue)
     red_edges = edge_list(red)
     blue_edges = edge_list(c.blue)
     red_intra = [(u, v) for u, v in red_edges if part_of[u] == part_of[v]]

@@ -31,7 +31,7 @@ from bookramsey.oracle import ORACLE_SIDE_CAP
 from bookramsey.regularity import check_witness, nonuniformity_search
 from bookramsey.stability import blue_book_bound, classify, edges_between, red_book_bound
 
-from helpers import Pair, classification_report, graph_of, oracle_witness, rows_of, to_graph6
+from helpers import Pair, classification_report, complement_of, graph_of, oracle_witness, rows_of, to_graph6
 from test_structure_kernels import ref_b_rows, ref_uniformity_oracle
 
 # ---------------------------------------------------------------- references
@@ -360,7 +360,7 @@ def test_lemma_check_on_both_sides_of_the_oracle_cap(tmp_path, t, nbases):
 
 def ref_labels(c, blocks, eps, beta, gamma) -> list[dict]:
     """classify's labels from the reference oracle on the red graph."""
-    out, red = [], c.blue.complement()
+    out, red = [], complement_of(c.blue)
     for (i, A), (j, B) in itertools.combinations(enumerate(blocks), 2):
         pair = Pair(red, A, B)
         d = Fraction(ref_cross_count(red, A, B), len(A) * len(B))
@@ -377,7 +377,7 @@ def graph_api_labels(c, blocks, eps, beta, gamma, samples, seed) -> list[dict]:
     sampled search past the oracle cap on the rows of the red graph's own
     line, not on the flipped blue rows that ``classify`` hands it."""
 
-    red_rows = rows_of(c.blue.complement())
+    red_rows = rows_of(complement_of(c.blue))
 
     def search(red, A, B):
         return nonuniformity_search(red_rows, A, B, eps, samples=samples, seed=seed)

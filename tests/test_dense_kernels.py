@@ -31,7 +31,19 @@ from bookramsey.colex import edge_index, index_bytes
 from bookramsey.graphs import Graph
 from bookramsey.ramsey import BlueBook, Neither, RedBook, check_coloring
 
-from helpers import brc1_of, check_certificate, colex_bytes, coloring_of_index, edge_list, from_edges, graph_of, to_graph6
+from helpers import (
+    brc1_of,
+    check_certificate,
+    colex_bytes,
+    coloring_of_index,
+    complement_of,
+    complete_graph,
+    edge_list,
+    empty_graph,
+    from_edges,
+    graph_of,
+    to_graph6,
+)
 
 # ---------------------------------------------------------------- references
 
@@ -64,7 +76,7 @@ def ref_first_book(g: Graph, at_least: int):
 
 
 def ref_check_coloring(c: TwoColoring, p: int, q: int):
-    red = ref_first_book(c.blue.complement(), p)
+    red = ref_first_book(complement_of(c.blue), p)
     if red:
         return "red", red
     blue = ref_first_book(c.blue, q)
@@ -95,7 +107,7 @@ def ref_statistics(c: TwoColoring, parts) -> dict:
         return Fraction(int(values[mask].sum()), cnt) if cnt else None
 
     blue = c.blue.adjacency()
-    red = c.blue.complement().adjacency()
+    red = complement_of(c.blue).adjacency()
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     same = pid[:, None] == pid[None, :]
     cr, cb = codegrees(red), codegrees(blue)
@@ -146,7 +158,7 @@ def ref_part_codegrees(g: Graph, parts) -> list[list[int]]:
         a = adj[:, cols].astype(np.float64)
         return np.rint(a @ a.T).astype(np.int64)
 
-    adj, comp = g.adjacency(), g.complement().adjacency()
+    adj, comp = g.adjacency(), complement_of(g).adjacency()
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     same = pid[:, None] == pid[None, :]
     out = []
@@ -233,7 +245,7 @@ def test_booksize_ties_pick_least_base():
 
 
 def test_booksize_at_n300(big_coloring):
-    for g in (big_coloring.blue, big_coloring.blue.complement()):
+    for g in (big_coloring.blue, complement_of(big_coloring.blue)):
         size, cert = g.booksize()
         assert (size, cert.base) == ref_booksize(g)
 
@@ -252,7 +264,7 @@ def base_of(book):
 def first_books(g: Graph, q: int, p: int):
     """``books((q, p))`` by the edge loops: the first red book reaching
     p, else the first blue one reaching q."""
-    red = ref_first_book(g.complement(), p)
+    red = ref_first_book(complement_of(g), p)
     return [None, red] if red else [ref_first_book(g, q), None]
 
 
@@ -260,7 +272,7 @@ def first_books(g: Graph, q: int, p: int):
 @given(graph_params, st.sampled_from([graphs._STRIPE, 8]), st.integers(1, 8), st.integers(1, 8))
 def test_two_colour_books_match_edge_loops(params, stripe, q, p):
     g = graph_from(params)
-    h = g.complement()
+    h = complement_of(g)
     with mock.patch.object(graphs, "_STRIPE", stripe):
         books = g.books()
         firsts = g.books((q, p))
@@ -278,7 +290,7 @@ def test_booksize_across_stripes_at_n300(big_coloring, monkeypatch):
     monkeypatch.setattr(graphs, "_STRIPE", 64)
     test_booksize_at_n300(big_coloring)
     books = big_coloring.blue.books()
-    assert [base_of(b) for b in books] == [ref_booksize(big_coloring.blue), ref_booksize(big_coloring.blue.complement())]
+    assert [base_of(b) for b in books] == [ref_booksize(big_coloring.blue), ref_booksize(complement_of(big_coloring.blue))]
 
 
 def test_books_tie_across_stripes_picks_least_base(monkeypatch):
@@ -291,9 +303,9 @@ def test_books_tie_across_stripes_picks_least_base(monkeypatch):
         edges += [(u, v)] + [(w, page) for page in pages for w in (u, v)]
     g = from_edges(150, edges)
     assert base_of(g.books()[0]) == ref_booksize(g) == (3, (5, 100))
-    assert base_of(g.complement().books()[1]) == (3, (5, 100))
+    assert base_of(complement_of(g).books()[1]) == (3, (5, 100))
     assert g.books((3, 150))[0][1].base == ref_first_book(g, 3) == (5, 100)
-    assert g.complement().books((150, 3))[1][1].base == (5, 100)
+    assert complement_of(g).books((150, 3))[1][1].base == (5, 100)
 
 
 def test_first_books_in_different_stripes_at_n300(big_coloring, monkeypatch):
@@ -302,7 +314,7 @@ def test_first_books_in_different_stripes_at_n300(big_coloring, monkeypatch):
     # on past a blue find, and a blue one past stripes without it
     monkeypatch.setattr(graphs, "_STRIPE", 8)
     top = ref_booksize(big_coloring.blue)[0]
-    for g, at_least in ((big_coloring.blue.complement(), (1, top)), (big_coloring.blue, (top, big_coloring.n))):
+    for g, at_least in ((complement_of(big_coloring.blue), (1, top)), (big_coloring.blue, (top, big_coloring.n))):
         want = first_books(g, *at_least)
         assert [base and base[0] // 8 for base in want] in ([None, 6], [6, None])
         assert [cert and cert.base for _, cert in g.books(at_least)] == want
@@ -315,7 +327,7 @@ def test_books_stop_at_first_red_book(big_coloring, monkeypatch):
     monkeypatch.setattr(graphs, "_STRIPE", 8)
     c = big_coloring
     q = ref_booksize(c.blue)[0] + 1
-    assert ref_first_book(c.blue.complement(), 1)[0] < 8
+    assert ref_first_book(complement_of(c.blue), 1)[0] < 8
     with mock.patch.object(graphs.np, "matmul", wraps=np.matmul) as matmul:
         res = check_coloring(c, 1, q)
     assert verdict(res) == ref_check_coloring(c, 1, q)
@@ -338,14 +350,14 @@ def verdict(res):
 
 
 def check_thresholds(c: TwoColoring):
-    bk_red = ref_booksize(c.blue.complement())[0]
+    bk_red = ref_booksize(complement_of(c.blue))[0]
     bk_blue = ref_booksize(c.blue)[0]
     for p in {max(1, bk_red), bk_red + 1}:
         for q in {max(1, bk_blue), bk_blue + 1}:
             res = check_coloring(c, p, q)
             assert verdict(res) == ref_check_coloring(c, p, q)
             if isinstance(res, RedBook):
-                check_certificate(res.certificate, c.blue.complement())
+                check_certificate(res.certificate, complement_of(c.blue))
                 assert res.certificate.size >= p
             elif isinstance(res, BlueBook):
                 check_certificate(res.certificate, c.blue)
@@ -399,8 +411,8 @@ def test_colex_codec_at_n300(big_coloring):
 
 
 def test_from_blue_index_edges():
-    assert coloring_of_index(1, 0).blue == Graph.empty(1)
-    assert coloring_of_index(3, 0b111).blue == Graph.complete(3)
+    assert coloring_of_index(1, 0).blue == empty_graph(1)
+    assert coloring_of_index(3, 0b111).blue == complete_graph(3)
 
 
 # ---------------------------------------------------------------- statistics
@@ -604,18 +616,18 @@ def test_walk_at_the_fold_limit(n):
     parts = [range(200), range(200, 2100), range(2100, n)]
     perm = np.random.default_rng(n).permutation(n).tolist()
     shuffled = [perm[:200], perm[200:2100], perm[2100:]]
-    complete = Graph.complete(n)
+    complete = complete_graph(n)
     assert [base_of(b) for b in complete.books()] == [(n - 2, (0, 1)), (0, None)]
     want = complete_part_codegrees(n, sizes)
     assert complete.part_codegrees(parts) == complete.part_codegrees(shuffled) == want
-    assert Graph.empty(n).part_codegrees(parts) == [[0] * 4, [0] * 4, *want[:2]]
+    assert empty_graph(n).part_codegrees(parts) == [[0] * 4, [0] * 4, *want[:2]]
 
     # K_n less a matching that leaves out 200 and 201 (and n - 1 at odd n):
     # blue codegrees n - 4 to n - 2, and the first base of the largest
     # possible book, n - 2 pages, is (200, 201) in the second half of stripe 0
     rest = [v for v in range(n - n % 2) if v not in (200, 201)]
     red = from_edges(n, zip(rest[::2], rest[1::2]))
-    blue = red.complement()
+    blue = complement_of(red)
     first = ref_first_book(blue, n - 2)
     books = [base_of(b) for b in blue.books()]
     assert books == [(n - 2, first), ref_booksize(red)] == [(n - 2, (200, 201)), (0, (0, 1))]
@@ -647,7 +659,7 @@ def test_walk_with_odd_stripe_heights_at_n1001(stripe, monkeypatch):
     rng = np.random.default_rng(1001)
     n = 1001
     g = graph_of(random_adjacency(rng, n, 0.5))  # built before the stripes shrink
-    h = g.complement()
+    h = complement_of(g)
     perm = rng.permutation(n).tolist()
     monkeypatch.setattr(graphs, "_STRIPE", stripe)
     assert [base_of(b) for b in g.books()] == [ref_booksize(g), ref_booksize(h)]

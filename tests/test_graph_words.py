@@ -4,11 +4,9 @@
 of a word boundary are checked against Python-int bitset references: the
 round trip of int rows through the tests' own word packer (``graph_of``)
 and through the decoder, the set counts that the stability layer takes
-on the rows derived from the words, the complement's padding bits past
-n, and equality and hashing.
+on the rows derived from the words, and equality and hashing.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +15,7 @@ from bookramsey.counting import vertex_mask
 from bookramsey.graphs import Graph
 from bookramsey.stability import edges_between, min_degree_induced
 
-from helpers import coloring_of_index, graph_of, to_graph6
+from helpers import coloring_of_index, empty_graph, graph_of, to_graph6
 
 ORDERS = (0, 1, 2, 63, 64, 65, 127, 128, 129)
 
@@ -82,24 +80,6 @@ def test_set_counts_match_the_bigint_reference(case, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs())
-def test_complement_leaves_the_padding_bits_clear(case):
-    n, _, rows = case
-    g = of_rows(n, rows)
-    c = g.complement()
-    full = (1 << n) - 1
-    assert c.rows == tuple(full ^ r ^ (1 << u) for u, r in enumerate(rows))
-    if n % 64:
-        assert not (c.words[:, -1] >> np.uint64(n % 64)).any()
-    # a phantom neighbour past n would add a page to every base
-    size, _ = c.booksize()
-    crows = c.rows
-    ref = max(((crows[u] & crows[v]).bit_count() for u in range(n) for v in bits_of(crows[u]) if v > u), default=0)
-    assert size == ref
-    assert c.complement() == g
-
-
-@settings(max_examples=120, deadline=None)
 @given(graphs(), st.data())
 def test_equality_and_hash_follow_the_rows(case, data):
     n, _, rows = case
@@ -116,4 +96,4 @@ def test_equality_and_hash_follow_the_rows(case, data):
         assert hash(g) == hash(h)
     same = graph_of(g.adjacency())
     assert same == g and hash(same) == hash(g)
-    assert g != Graph.empty(n + 1)
+    assert g != empty_graph(n + 1)

@@ -28,10 +28,9 @@ from collections import Counter
 from pathlib import Path
 
 import bookramsey
-from bookramsey.graphs import Graph
 from bookramsey.oracle import ORACLE_SIDE_CAP
 
-from helpers import complete_bipartite, from_edges, to_graph6
+from helpers import complete_bipartite, empty_graph, from_edges, to_graph6
 
 PACKAGE = Path(bookramsey.__file__).parent
 
@@ -219,7 +218,7 @@ def test_uniformity_oracle_loads_no_numeric_module(tmp_path):
     t = ORACLE_SIDE_CAP
     half = from_edges(2 * t, [(i, t + j) for i in range(t) for j in range(t) if i <= j])
     blocks = [list(range(t)), list(range(t, 2 * t))]
-    for name, g in (("uniform.json", Graph.empty(2 * t)), ("half.json", half)):
+    for name, g in (("uniform.json", empty_graph(2 * t)), ("half.json", half)):
         (tmp_path / name).write_text(json.dumps({"graph": to_graph6(g), "blocks": blocks, "epsilon": "1/10"}))
     codes, loaded, _ = run_in_one_process([["uniformity", str(tmp_path / name)] for name in ("uniform.json", "half.json")])
     assert codes == [0, 10]
@@ -535,9 +534,9 @@ def test_packbits_guard_flags_every_big_endian_call():
 # public names that nothing else in the package uses, each kept for a reason
 UNREFERENCED_KEPT = {
     "colorings.tripartite_random": "the README Library example builds a coloring with it",
-    "graphs.Graph.complete": "the README Library example builds K_6 with it",
-    "stability.red_book_bound": "kept until ROADMAP item 8 decides whether the stability report uses it",
-    "stability.blue_book_bound": "kept until ROADMAP item 8 decides whether the stability report uses it",
+    "colorings.two_cliques": "the README Library example builds the classical coloring with it",
+    "stability.red_book_bound": "kept until ROADMAP item 10 decides whether the stability report uses it",
+    "stability.blue_book_bound": "kept until ROADMAP item 10 decides whether the stability report uses it",
 }
 
 

@@ -23,7 +23,7 @@ from bookramsey.colex import edge_index
 from bookramsey.graph6 import graph6_data, graph6_pair_rows
 from bookramsey.graphs import Graph
 
-from helpers import Pair, edges_between, from_edges, graph_of, oracle_witness, to_graph6
+from helpers import Pair, edges_between, empty_graph, from_edges, graph_of, oracle_witness, to_graph6
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -234,16 +234,16 @@ REFUSALS = {
         lambda: {"graph": half8(), "blocks": B8, "epsilon": "-1/10"},
         2, "error: eps must be positive\n"),
     "epsilon-negative-sides-17": (
-        lambda: {"graph": to_graph6(Graph.empty(34)), "blocks": SIDES17, "epsilon": "-1"},
+        lambda: {"graph": to_graph6(empty_graph(34)), "blocks": SIDES17, "epsilon": "-1"},
         2, "error: eps must be positive\n"),
     "sides-17": (
-        lambda: {"graph": to_graph6(Graph.empty(34)), "blocks": SIDES17, "epsilon": "1/10"},
+        lambda: {"graph": to_graph6(empty_graph(34)), "blocks": SIDES17, "epsilon": "1/10"},
         3, "capacity error: oracle sides capped at 16 vertices\n"),
     "sides-17-overlapping": (
-        lambda: {"graph": to_graph6(Graph.empty(34)), "blocks": [list(range(17)), list(range(16, 33))], "epsilon": "1/10"},
+        lambda: {"graph": to_graph6(empty_graph(34)), "blocks": [list(range(17)), list(range(16, 33))], "epsilon": "1/10"},
         2, "error: sides must be disjoint\n"),
     "side-17-floor-above-its-side": (
-        lambda: {"graph": to_graph6(Graph.empty(34)), "blocks": [list(range(17)), [20]], "epsilon": "2"},
+        lambda: {"graph": to_graph6(empty_graph(34)), "blocks": [list(range(17)), [20]], "epsilon": "2"},
         3, "capacity error: oracle sides capped at 16 vertices\n"),
 }
 

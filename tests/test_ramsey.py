@@ -8,7 +8,6 @@ import pytest
 from bookramsey.colex import edge_index
 from bookramsey.colorings import TwoColoring, two_cliques
 from bookramsey.errors import CapacityError
-from bookramsey.graphs import Graph
 from bookramsey.ramsey import (
     BlueBook,
     Neither,
@@ -17,7 +16,17 @@ from bookramsey.ramsey import (
     exhaustive_verify,
 )
 
-from helpers import check_certificate, coloring_of_bits, coloring_of_index, degree, edge_list, from_edges
+from helpers import (
+    check_certificate,
+    coloring_of_bits,
+    coloring_of_index,
+    complement_of,
+    complete_graph,
+    degree,
+    edge_list,
+    empty_graph,
+    from_edges,
+)
 
 
 def random_coloring(rng, n):
@@ -26,7 +35,7 @@ def random_coloring(rng, n):
 
 
 def all_red(n):
-    return TwoColoring(Graph.empty(n))
+    return TwoColoring(empty_graph(n))
 
 
 # ------------------------------------------------------------ check_coloring
@@ -61,7 +70,7 @@ def test_check_coloring_reports_first_red_base():
     # red graph: isolated edge (0,1) plus triangle {2,3,4}; the isolated
     # edge has codegree 0, so the scan must settle on (2,3)
     red = from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
-    c = TwoColoring(red.complement())
+    c = TwoColoring(complement_of(red))
     res = check_coloring(c, 1, 5)
     assert isinstance(res, RedBook)
     assert res.certificate.base == (2, 3)
@@ -79,7 +88,7 @@ def test_check_coloring_matches_booksize_thresholds():
         expect_neither = bk_red < p and bk_blue < q
         assert isinstance(res, Neither) == expect_neither
         if isinstance(res, RedBook):
-            check_certificate(res.certificate, c.blue.complement())
+            check_certificate(res.certificate, complement_of(c.blue))
             assert res.certificate.size >= p
         elif isinstance(res, BlueBook):
             check_certificate(res.certificate, c.blue)
@@ -97,7 +106,7 @@ def test_witness_certificate_for_two_cliques():
 
 def test_witness_refutation_names_color():
     assert isinstance(check_coloring(all_red(4), 1, 1), RedBook)
-    assert isinstance(check_coloring(TwoColoring(Graph.complete(4)), 1, 1), BlueBook)
+    assert isinstance(check_coloring(TwoColoring(complete_graph(4)), 1, 1), BlueBook)
 
 
 # ---------------------------------------------------------- exhaustive search
@@ -112,7 +121,7 @@ def test_verify_k5_triangle_vs_triangle():
     assert isinstance(check_coloring(ce, 1, 1), Neither)
     # the classical witness: both color classes are 5-cycles
     assert ce.blue.booksize()[0] == 0
-    assert ce.blue.complement().booksize()[0] == 0
+    assert complement_of(ce.blue).booksize()[0] == 0
     assert all(degree(ce.blue, v) == 2 for v in range(5))
 
 

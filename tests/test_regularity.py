@@ -18,11 +18,21 @@ from hypothesis import strategies as st
 from bookramsey.colorings import TwoColoring, two_cliques
 from bookramsey.counting import MultiPair, classify, complement
 from bookramsey.errors import CapacityError
-from bookramsey.graphs import BookCertificate, Graph
+from bookramsey.graphs import BookCertificate
 from bookramsey.oracle import check_sides, first_witness
 from bookramsey.regularity import check_witness, nonuniformity_search
 
-from helpers import Pair, check_certificate, coloring_of_bits, from_edges, oracle_witness, rows_of
+from helpers import (
+    Pair,
+    check_certificate,
+    coloring_of_bits,
+    complement_of,
+    complete_graph,
+    empty_graph,
+    from_edges,
+    oracle_witness,
+    rows_of,
+)
 
 
 def complete_pair(ta, tb):
@@ -34,7 +44,7 @@ def complete_pair(ta, tb):
 
 def empty_pair(ta, tb):
     return Pair(
-        Graph.empty(ta + tb), tuple(range(ta)), tuple(range(ta, ta + tb))
+        empty_graph(ta + tb), tuple(range(ta)), tuple(range(ta, ta + tb))
     )
 
 
@@ -61,7 +71,7 @@ def random_pair(rng, na, nb, p=0.5):
 
 def test_side_validation():
     # the command line refuses these sides before it reads their rows
-    g = Graph.empty(4)
+    g = empty_graph(4)
     for A, B in (((0, 1), (1, 2)), ((), (1, 2)), ((0, 0), (1, 2))):
         with pytest.raises(ValueError):
             check_sides(A, B, g.n)
@@ -76,7 +86,7 @@ def test_density_examples():
 def test_complement_pair_density():
     rng = np.random.default_rng(1)
     pair = random_pair(rng, 6, 7)
-    co = Pair(pair.host.complement(), pair.A, pair.B)
+    co = Pair(complement_of(pair.host), pair.A, pair.B)
     assert co.density == 1 - pair.density
     # the red rows of classify, the blue ones flipped, read the complement
     assert complement(pair.rows)(pair.A, pair.B) == co.rows(pair.A, pair.B)
@@ -322,7 +332,7 @@ def test_bounds_at_epsilon_zero_lose_their_penalty_terms():
 
 
 def test_config_validation():
-    host = Graph.empty(30)
+    host = empty_graph(30)
     with pytest.raises(ValueError):
         config(host, (), ((0, 1),), 0)
     with pytest.raises(ValueError):
@@ -414,11 +424,11 @@ def classify_pairs(c, blocks, eps, beta, gamma):
 
 def test_classify_monochromatic_colorings():
     blocks = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
-    all_red = TwoColoring(Graph.empty(12))
+    all_red = TwoColoring(empty_graph(12))
     rows = classify_pairs(all_red, blocks, Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
     assert [r["label"] for r in rows] == ["red"] * 3
     assert all(r["red_density"] == 1 for r in rows)
-    all_blue = TwoColoring(Graph.complete(12))
+    all_blue = TwoColoring(complete_graph(12))
     rows = classify_pairs(all_blue, blocks, Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
     assert [r["label"] for r in rows] == ["blue"] * 3
 
@@ -450,7 +460,7 @@ def test_classify_labels_partition_all_pairs():
 
 
 def test_classify_rejects_bad_thresholds_and_blocks():
-    c = TwoColoring(Graph.empty(8))
+    c = TwoColoring(empty_graph(8))
     with pytest.raises(ValueError):
         classify_pairs(c, [(0, 1), (2, 3)], Fraction(1, 4), 0, Fraction(1, 4))
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bookramsey.graphs import Graph
 from bookramsey.stability import (
     VertexClassification,
     bipartite_extract,
@@ -20,7 +19,17 @@ from bookramsey.stability import (
     trichotomy_check,
 )
 
-from helpers import classification_report, complete_bipartite, from_edges, graph_of, min_degree_induced, neighbors
+from helpers import (
+    classification_report,
+    complement_of,
+    complete_bipartite,
+    complete_graph,
+    empty_graph,
+    from_edges,
+    graph_of,
+    min_degree_induced,
+    neighbors,
+)
 
 
 def check(g, xi, **kwargs):
@@ -68,11 +77,11 @@ def test_classify_star_with_empty_second_part():
 
 
 def test_classify_rejects_dependent_or_overlapping_parts():
-    g = Graph.complete(4)
+    g = complete_graph(4)
     with pytest.raises(ValueError):
         classify(g.rows, [0, 1], [2])  # 0-1 is an edge
     with pytest.raises(ValueError):
-        classify(Graph.empty(4).rows, [0, 1], [1, 2])
+        classify(empty_graph(4).rows, [0, 1], [1, 2])
     # a part vertex outside 0..n-1 is refused by name, and never read as
     # another vertex (rows[-1] is vertex 3's row)
     path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -143,7 +152,7 @@ def test_red_bound_is_tight_on_the_two_clique_construction():
         cls = classify(g.rows, range(q + 1), range(q + 1, 2 * q + 2))
         bound = red_book_bound(g.rows, cls)
         assert bound == q - 1
-        assert g.complement().booksize()[0] == bound
+        assert complement_of(g).booksize()[0] == bound
 
 
 def test_red_bound_never_exceeds_red_booksize():
@@ -158,7 +167,7 @@ def test_red_bound_never_exceeds_red_booksize():
         if len(cls.U2) < 2:
             continue
         checked += 1
-        assert g.complement().booksize()[0] >= red_book_bound(g.rows, cls)
+        assert complement_of(g).booksize()[0] >= red_book_bound(g.rows, cls)
     assert checked >= 150
 
 
@@ -208,7 +217,7 @@ def test_extractor_recovers_connected_bipartition():
 
 
 def test_extractor_on_complete_graph_degenerates():
-    U1, U2 = bipartite_extract(Graph.complete(6).rows, seed=0)
+    U1, U2 = bipartite_extract(complete_graph(6).rows, seed=0)
     assert len(U1) <= 1 and len(U2) <= 1
 
 
@@ -244,9 +253,9 @@ def test_extractor_recovers_planted_bipartition_under_noise():
 
 def test_trichotomy_rejects_bad_xi():
     with pytest.raises(ValueError):
-        check(Graph.complete(4), 0)
+        check(complete_graph(4), 0)
     with pytest.raises(ValueError):
-        check(Graph.complete(4), 1)
+        check(complete_graph(4), 1)
 
 
 def test_trichotomy_on_two_blue_cliques():

@@ -31,7 +31,18 @@ from bookramsey.regularity import check_witness, nonuniformity_search
 from bookramsey.rng import edge_value, edge_values_block
 from bookramsey.stability import bipartite_extract
 
-from helpers import Pair, adjacent, complete_bipartite, edges_between, from_edges, graph_of, min_degree_induced, oracle_witness, to_graph6
+from helpers import (
+    Pair,
+    adjacent,
+    complement_of,
+    complete_bipartite,
+    edges_between,
+    from_edges,
+    graph_of,
+    min_degree_induced,
+    oracle_witness,
+    to_graph6,
+)
 
 # ---------------------------------------------------------------- references
 
@@ -563,7 +574,7 @@ def search_cases(draw):
 def red_pair(pair):
     """classify's red rows of a pair, the blue ones flipped, and the pair
     on the decoded complement that the reference reads."""
-    return complement(pair.rows), Pair(pair.host.complement(), pair.A, pair.B)
+    return complement(pair.rows), Pair(complement_of(pair.host), pair.A, pair.B)
 
 
 @settings(max_examples=200, deadline=None)
