@@ -701,6 +701,19 @@ def test_trichotomy_refuses_unprintable_xi_before_books_and_extraction(files, mo
     assert err.startswith("error: ") and "for integer string conversion" in err
 
 
+def test_out_of_memory_is_a_capacity_error(files, monkeypatch, capsys):
+    # numpy raises a MemoryError subclass when a walk's arrays do not fit
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. MiB for an array")
+
+    monkeypatch.setattr(Graph, "books", exhausted)
+    assert cli.main(["bk", str(files["tc2"])]) == cli.EXIT_CAPACITY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "capacity error: out of memory\n"
+    assert "Traceback" not in err
+
+
 def _refuse_scans(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the scan ran before epsilon was refused")
@@ -750,12 +763,18 @@ def test_jsonable_renders_numpy_integers_as_int():
         "s": {np.int64(2), np.int64(1)},
         "flag": False,
         "f": Fraction(1, 3),
+        "whole": Fraction(4, 2),
+        "fs": {Fraction(3, 2), Fraction(1, 2)},
     }
     out = cli.jsonable(value)
-    assert out == {"a": 3, "7": [255, [-4, True]], "s": [1, 2], "flag": False, "f": "1/3"}
-    # json.dumps refuses numpy integers and tells a bool from the int 1
+    assert out == {
+        "a": 3, "7": [255, [-4, True]], "s": [1, 2], "flag": False, "f": "1/3", "whole": "2", "fs": ["1/2", "3/2"],
+    }
+    # json.dumps refuses numpy integers and tells a bool from the int 1;
+    # integers are Rational too, and stay numbers, while a whole Fraction
+    # is a string
     assert json.dumps(out, sort_keys=True) == (
-        '{"7": [255, [-4, true]], "a": 3, "f": "1/3", "flag": false, "s": [1, 2]}'
+        '{"7": [255, [-4, true]], "a": 3, "f": "1/3", "flag": false, "fs": ["1/2", "3/2"], "s": [1, 2], "whole": "2"}'
     )
 
 

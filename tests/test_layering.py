@@ -12,7 +12,7 @@ bar a short list kept each for a stated reason.
 
 Every other module of the package asks ``Graph`` for counts and small
 matrices, and none imports a private helper of ``graphs``.  The int rows
-are read in one place: ``cli.cmd_trichotomy`` derives them once, after
+are read in one place: ``handlers.cmd_trichotomy`` derives them once, after
 its ``books`` walk, and drops the ``Graph`` before the stability layer
 runs on them.  That layer imports neither numpy nor ``graphs`` and reads
 no ``books``, ``rows`` or ``words`` attribute.  Inside ``graphs``, the
@@ -57,11 +57,11 @@ def layering_violations(source: str) -> list[str]:
 
 def test_no_module_but_graphs_knows_the_adjacency_format():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "graphs.py")
-    assert {p.name for p in modules} >= {"colorings.py", "ramsey.py", "regularity.py", "stability.py", "cli.py"}
+    assert {p.name for p in modules} >= {"colorings.py", "ramsey.py", "regularity.py", "stability.py", "cli.py", "handlers.py"}
     bad = {p.name: layering_violations(p.read_text(encoding="utf-8")) for p in modules}
     bad = {name: [v.split(": ")[1] for v in found] for name, found in bad.items() if found}
     # the one bridge to the rows layer: the trichotomy command, after its books walk
-    assert bad == {"cli.py": ["reads .rows in cmd_trichotomy"]}
+    assert bad == {"handlers.py": ["reads .rows in cmd_trichotomy"]}
 
 
 def graph_attribute_reads(source: str) -> list[str]:
@@ -176,11 +176,15 @@ def test_cli_start_up_loads_no_numeric_module():
     loaded = set(seen["modules"])
     assert "numpy" not in loaded
     assert sorted(loaded & {f"bookramsey.{m}" for m in LIBRARY_MODULES}) == []
+    assert sorted(loaded & set(VERIFY_UNUSED)) == []
 
 
 # (argv, exit code): one forced verdict and one counterexample
 VERIFY_RUNS = [(["verify", "6", "1", "1"], 0), (["verify", "7", "2", "2", "--prune"], 10)]
 NUMERIC_MODULES = ("numpy", "bookramsey.graphs", "bookramsey.colorings", "bookramsey.rng")
+# what neither parsing nor verify needs: the rationals and the graph6
+# reader, and the module of the other eight handlers
+VERIFY_UNUSED = ("fractions", "decimal", "bookramsey.graph6", "bookramsey.numbers", "bookramsey.handlers")
 
 
 def run_in_one_process(argvs: list[list[str]]) -> tuple[list[int], set[str], list[str]]:
@@ -210,6 +214,24 @@ def test_verify_loads_no_numeric_module():
     assert codes == [code for _, code in VERIFY_RUNS]
     assert "bookramsey.ramsey" in loaded
     assert sorted(loaded & set(NUMERIC_MODULES)) == []
+    assert sorted(loaded & set(VERIFY_UNUSED)) == []
+
+
+def test_cli_module_runs_once_under_dash_m(tmp_path):
+    # under ``python -m`` cli.py runs as __main__; a handler that imported
+    # ``bookramsey.cli`` would run it a second time, as its own module
+    (tmp_path / "g.g6").write_text(to_graph6(complete_bipartite(3, 3)) + "\n")
+    cfg = {"graph": to_graph6(empty_graph(4)), "blocks": [[0, 1], [2, 3]], "epsilon": "1/2"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for argv in (["uniformity", str(tmp_path / "cfg.json")], ["bk", str(tmp_path / "g.g6")]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bookramsey.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        assert "bookramsey.handlers" in imported
+        assert "bookramsey.cli" not in imported
 
 
 def test_uniformity_oracle_loads_no_numeric_module(tmp_path):
