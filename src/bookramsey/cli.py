@@ -13,8 +13,8 @@ threads at times stalled a process's first matrix products for 0.5 s.
 Exit codes: 0 success or forced verdict; 10 counterexample, witness, or
 bound violation found; 2 usage or parse error; 3 capacity error, out of
 memory included.  Rationals are rendered as "num/den" strings.  --format
-csv is accepted only by the tabular reports (stats, lemma-check), and
-refused before any handler runs.
+csv is accepted only by the tabular reports (stats, lemma-check, the
+keys of ``handlers.CSV``), and refused before any handler runs.
 
 Start-up is lazy: this module holds the parser, the envelope and
 ``cmd_verify``, and imports only the standard library and ``errors``
@@ -33,10 +33,8 @@ load numpy with the modules they use; ``trichotomy`` only to read its
 file and for the ``books`` walk: it drops the ``Graph`` for its
 Python-int rows before its structure layer (``stability``) runs on
 them.  The process entry ``entry`` runs ``main`` and then freezes the
-garbage collector before exiting.  ``main()`` on the process's own
-command line runs one collection, of the parser's cycles, before it
-loads ``handlers``; ``main(argv)``, as tests and in-process callers use
-it, leaves the collector alone.
+garbage collector before exiting; ``main(argv)`` itself, as tests and
+in-process callers use it, leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -128,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="codegree statistics of a coloring vs a 3-part split")
     p.add_argument("file")
     p.add_argument("--parts", help="JSON file with three vertex lists (default: contiguous thirds)")
-    p.set_defaults(seeded=False, tabular=True)
+    p.set_defaults(seeded=False)
 
     p = sub.add_parser("uniformity", help="uniformity oracle on a two-block config")
     p.add_argument("config")
@@ -138,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-check", help="counting bounds on a bases-plus-pages config")
     p.add_argument("config")
-    p.set_defaults(seeded=False, tabular=True)
+    p.set_defaults(seeded=False)
 
     p = sub.add_parser("classify", help="label block pairs irr/blue/mid/red")
     p.add_argument("config")
@@ -155,15 +153,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parameters(args) -> dict:
-    skip = {"seeded", "tabular", "command", "format"}
+    skip = {"seeded", "command", "format"}
     return {key: val for key, val in sorted(vars(args).items()) if key not in skip and val is not None}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format == "csv" and not hasattr(args, "tabular"):
-        print("error: --format csv is only available for tabular reports", file=sys.stderr)
-        return EXIT_USAGE
+    if args.format == "csv":
+        from .handlers import CSV  # its keys are the tabular reports
+
+        if args.command not in CSV:
+            print("error: --format csv is only available for tabular reports", file=sys.stderr)
+            return EXIT_USAGE
     for flag in ("threads", "samples"):
         if getattr(args, flag, 1) < 1:
             print(f"error: --{flag} must be at least 1", file=sys.stderr)
@@ -173,11 +174,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             results, summary, code = cmd_verify(args)
         else:
-            if argv is None:
-                # the process's own command line: freeing the parser's
-                # reference cycles lets the compile of handlers.py reuse
-                # their memory, and the dense commands peak about 0.1 MB lower
-                gc.collect()
             from .handlers import HANDLERS
 
             results, summary, code = HANDLERS[args.command](args)
@@ -185,8 +181,6 @@ def main(argv=None) -> int:
         # built before anything is written: a value too long to print
         # (ValueError) then leaves stdout empty
         if args.format == "csv":
-            from .handlers import CSV
-
             text = CSV[args.command](results)
         else:
             report = {
