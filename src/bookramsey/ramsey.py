@@ -30,11 +30,13 @@ one level up, with only the books that the prefix and the fixed edges
 decide.  Filling in the offset only adds pages, so a prefix that holds
 one of them holds it in every completion and is dropped; the
 restrictions compose, so every level drops only such prefixes.  Each
-level takes the surviving prefixes in increasing order, a batch at a
-time with all their offsets, and passes on the candidates that no book
-hits, read off 64 bits at a time; the first miss at the top is the
-lowest counterexample.  Every level is a generator, so one kernel batch
-per level is live at a time.  It all runs on the calling thread.
+level takes the surviving prefixes in increasing order, with all their
+offsets, 2^BLOCK_BITS = 65536 candidates a batch, and passes on those
+that no book hits, read off 64 bits at a time; the first miss at the
+top is the lowest counterexample.  Every level is a generator with one
+batch live, and each int of a batch is 8 KB, so the working set grows
+with nvar, not with 2^nvar: tracemalloc peaks at 0.6 MB at N = 7 and
+1.8 MB at N = 11 pruned.  It all runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ DEFAULT_ORDER_CAP = 8
 # most variable bits a scan may have: surviving candidates pass between
 # levels as unsigned 64-bit words, and 2^62 candidates would never finish
 KERNEL_BIT_LIMIT = 62
-BLOCK_BITS = 19
+# candidates per kernel batch, log 2: 15 to 19 were timed as LOW_BITS was;
+# memory falls with it, and 16 is the least that does not slow N = 11
+BLOCK_BITS = 16
 # offset bits under each prefix: 6 to 12 were timed on the five benchmark
 # verifies and on N = 9, 10 and 11 pruned; 6 to 8 tie on the first, and 6,
 # which recurses deepest, is fastest on the others
@@ -251,13 +255,7 @@ def _prefix_books(books: list[_Book], low: int) -> list[_Book]:
 
 
 def _misses(nvar: int, books: list[_Book]):
-    """Yield increasing arrays of the indices in [0, 2^nvar) that no book hits.
-
-    Up to BLOCK_BITS bits, one kernel call covers the whole range.  Above
-    that, the top nvar - LOW_BITS bits are a prefix: the prefixes that
-    survive the books they decide come from this generator one level up,
-    and each batch of them runs with all its offsets through every book.
-    """
+    """Yield increasing arrays of the indices in [0, 2^nvar) that no book hits."""
     low = nvar if nvar <= BLOCK_BITS else LOW_BITS
     span = 1 << low  # candidates per prefix
     per = max(1, span >> LANE_BITS)  # words per prefix

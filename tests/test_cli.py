@@ -7,12 +7,14 @@ would see them.
 
 import concurrent.futures
 import gc
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -712,6 +714,39 @@ def test_out_of_memory_is_a_capacity_error(files, monkeypatch, capsys):
     assert out == ""
     assert err == "capacity error: out of memory\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("brc1", ["bk"]),
+        ("graph6", ["bk"]),
+        ("brc1", ["trichotomy", "--xi", "1/5"]),
+        ("graph6", ["trichotomy", "--xi", "1/5"]),
+        ("brc1", ["witness-check", "2", "2"]),
+        ("brc1", ["stats"]),
+    ],
+    ids=lambda case: case[0] if isinstance(case, list) else case,
+)
+def test_order_refusal_allocates_nothing_of_the_order(kind, argv, tmp_path, capsys):
+    # an order of 10^5 is refused from the header alone, before its 625 MB
+    # of packed words or any per-vertex table is built; the modules the
+    # commands load are compiled first, so the peak counts the command only
+    for module in ("handlers", "colorings", "ramsey", "stability"):
+        importlib.import_module(f"bookramsey.{module}")
+    path = tmp_path / f"big.{kind}"
+    path.write_text("BRC1 100000\n" if kind == "brc1" else "~WY_??\n")
+    command, *rest = argv
+    tracemalloc.start()
+    try:
+        code = cli.main([command, str(path), *rest])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_CAPACITY, "")
+    assert err.startswith("capacity error: ") and "order 100000" in err
+    assert peak < 1 << 20, peak
 
 
 def _refuse_scans(monkeypatch):

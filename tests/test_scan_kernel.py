@@ -255,3 +255,39 @@ def test_unpruned_scan_streams_its_prefixes():
         tracemalloc.stop()
     assert (out.verdict, out.colorings_examined) == ("forced", 1 << 28)
     assert peak < 16 << 20, peak
+
+
+@pytest.mark.parametrize("N, p, q, prune, ceiling_mb", [(7, 1, 2, False, 0.8), (9, 1, 3, True, 1.5)])
+def test_kernel_batches_keep_the_working_set_small(N, p, q, prune, ceiling_mb):
+    # an int of a 2^16-candidate batch is 8 KB; the ceilings sit below the
+    # 1.17 and 4.39 MB that 2^19-candidate batches take, so those fail
+    _bit_words.cache_clear()
+    tracemalloc.start()
+    try:
+        exhaustive_verify(N, p, q, prune=prune, force=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling_mb * (1 << 20), peak
+
+
+@pytest.mark.parametrize(
+    "N, p, q, prune, verdict",
+    [
+        (7, 1, 2, False, "forced"),
+        (8, 1, 2, True, "forced"),
+        (8, 2, 2, True, "counterexample"),
+        (8, 1, 3, True, "counterexample"),
+        (9, 2, 2, True, "counterexample"),
+        (10, 2, 3, True, "counterexample"),
+    ],
+)
+def test_outcome_does_not_depend_on_the_batch_width(N, p, q, prune, verdict, monkeypatch):
+    # the first miss, so the counterexample and colorings_examined, is
+    # fixed by the enumeration order, not by how it is cut into batches
+    outcomes = set()
+    for block_bits in (16, 19):
+        monkeypatch.setattr(ramsey, "BLOCK_BITS", block_bits)
+        outcomes.add(exhaustive_verify(N, p, q, prune=prune, force=True))
+    (outcome,) = outcomes
+    assert outcome.verdict == verdict
