@@ -60,7 +60,7 @@ DEFAULT_ORDER_CAP = 8
 # levels as unsigned 64-bit words, and 2^62 candidates would never finish
 KERNEL_BIT_LIMIT = 62
 # candidates per kernel batch, log 2: 15 to 19 were timed as LOW_BITS was;
-# memory falls with it, and 16 is the least that does not slow N = 11
+# narrower uses less memory; 16 is the narrowest that does not slow N = 11
 BLOCK_BITS = 16
 # offset bits under each prefix: 6 to 12 were timed on the five benchmark
 # verifies and on N = 9, 10 and 11 pruned; 6 to 8 tie on the first, and 6,
