@@ -89,7 +89,8 @@ def _int_bits(x: int, width: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:width].astype(np.uint64)
 
 
-@pytest.mark.parametrize("nbits", [0, 1, 3, 5, 6, 7, 13, BLOCK_BITS])
+# 19: the 2^19-candidate batches that the batch-width test still runs
+@pytest.mark.parametrize("nbits", [0, 1, 3, 5, 6, 7, 13, BLOCK_BITS, 19])
 def test_bit_words_spell_candidate_indices(nbits):
     # one prefix's candidates, and three prefixes' side by side
     for width in (1 << nbits, 3 << nbits):
